@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import NumericalError
-
-
-def cumulative_simpson_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral of uniformly sampled y, Simpson-accurate, I[0] = 0."""
-    return cumulative_simpson(y, dx=dx, initial=0.0)
 
 
 def _quartic_interval_weights() -> np.ndarray:

@@ -21,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson, forward_first_derivative
+from ._quad import adaptive_simpson
 from .domain import DomainSpec, signed_distance
-from .errors import InputError, SolverError
+from .errors import InputError
 from .fields import ConvexityReport
-from .solver import RadialProfile, ScalarField2D, SourceTerm
-from .symmat import jacobi_eigh
+from .solver import Solution, SourceTerm
+from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
     Transform,
     identity_transform,
@@ -37,19 +37,13 @@ from .transforms import (
 
 GAMMA_CHOICES = (0.5, 1.0)
 
-#: Boundary crossings whose axis direction is this far from the normal are
-#: skipped when sampling |grad u| on the boundary (the better-aligned axis
-#: always covers the same stretch of boundary).
-MIN_NORMAL_ALIGNMENT = 0.5
-
 
 @dataclass(frozen=True)
 class PFunctionSpec:
-    """Parameters of the auxiliary field: alpha, source exponent, quadrature."""
+    """Parameters of the auxiliary field: alpha and the source exponent."""
 
     alpha: float
     gamma: float = 0.5
-    quad_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.gamma not in GAMMA_CHOICES:
@@ -131,13 +125,12 @@ class CriticalPointReport:
     spectrum_positive: bool
 
 
-def source_integral(f: SourceTerm, gamma: float, u_values,
-                    rtol: float = 1e-10) -> np.ndarray:
+def source_integral(f: SourceTerm, gamma: float, u_values) -> np.ndarray:
     """I(u) = int_u^0 f(s)^gamma ds for each u <= 0, by adaptive quadrature.
 
     Values are accumulated over the sorted inputs so each segment is
     integrated once; per-segment adaptive tolerances keep the total relative
-    error at the requested level.
+    error near 1e-10.
     """
     u = np.asarray(u_values, dtype=float)
     if np.any(u > 1e-14):
@@ -161,83 +154,26 @@ def source_integral(f: SourceTerm, gamma: float, u_values,
     for idx in order[::-1]:           # from the value closest to zero downward
         val = flat[idx]
         if val < prev:
-            acc += adaptive_simpson(integrand, val, prev, rtol=rtol, atol=atol)
+            acc += adaptive_simpson(integrand, val, prev, rtol=1e-10, atol=atol)
             prev = val
         out[idx] = acc
     return out.reshape(u.shape)
 
 
-def boundary_gradient_samples(sol: ScalarField2D,
-                              min_alignment: float = MIN_NORMAL_ALIGNMENT
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """(points, |grad u|) at boundary crossing feet of a planar solution.
-
-    The tangential derivative of u vanishes on the boundary, so the full
-    gradient is the normal derivative; it is recovered from a one-sided
-    derivative along the grid line through the crossing, divided by the
-    cosine between that line and the normal.  Crossings nearly tangential to
-    the boundary are skipped.
-    """
-    mask = sol.mask
-    h = mask.h
-    points, values = [], []
-    for crossing in mask.crossings:
-        align = float(crossing.normal @ crossing.direction)
-        if abs(align) < min_alignment:
-            continue
-        k = crossing.node_index
-        dir_idx = _axis_direction_index(crossing.direction)
-        prev = mask.neighbor[k, dir_idx ^ 1]   # neighbor opposite the crossing
-        d1 = crossing.theta * h
-        u1 = float(sol.u[k])
-        if prev >= 0:
-            deriv_inward = forward_first_derivative(0.0, u1, float(sol.u[prev]),
-                                                    d1, d1 + h)
-        else:
-            deriv_inward = u1 / d1
-        # deriv_inward differentiates along -direction; flip to the outward axis.
-        deriv_axis = -deriv_inward
-        values.append(abs(deriv_axis / align))
-        points.append(crossing.foot)
-    if not points:
-        raise SolverError("no usable boundary crossings for gradient sampling")
-    return np.asarray(points), np.asarray(values)
+def boundary_gradient_samples(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
+    """(points, |grad u|) sampled on the boundary of a solved problem."""
+    return sol.boundary_samples()
 
 
-def _axis_direction_index(direction: np.ndarray) -> int:
-    if direction[0] > 0.5:
-        return 0
-    if direction[0] < -0.5:
-        return 1
-    return 2 if direction[1] > 0.5 else 3
-
-
-def pfunction_field(sol, f: SourceTerm, spec: PFunctionSpec) -> PFunctionField:
+def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunctionField:
     """Sample the auxiliary field on a solved problem."""
-    if isinstance(sol, RadialProfile):
-        grad_sq = sol.up**2
-        integral = source_integral(f, spec.gamma, sol.u, rtol=spec.quad_rtol)
-        interior = np.ones(sol.r.size, dtype=bool)
-        interior[-1] = False
-        return PFunctionField(
-            alpha=spec.alpha, gamma=spec.gamma, kind="radial",
-            positions=sol.r, u_values=sol.u, grad_sq=grad_sq,
-            integral=integral, interior=interior,
-            boundary_positions=np.array([sol.radius]),
-            boundary_grad_sq=np.array([sol.boundary_gradient**2]),
-            source_label=f.label(), radius=sol.radius)
-    if isinstance(sol, ScalarField2D):
-        grad = sol.gradient()
-        grad_sq = np.einsum("ij,ij->i", grad, grad)
-        integral = source_integral(f, spec.gamma, sol.u, rtol=spec.quad_rtol)
-        bpts, bvals = boundary_gradient_samples(sol)
-        return PFunctionField(
-            alpha=spec.alpha, gamma=spec.gamma, kind="grid2d",
-            positions=sol.mask.node_xy, u_values=sol.u, grad_sq=grad_sq,
-            integral=integral, interior=np.ones(sol.u.size, dtype=bool),
-            boundary_positions=bpts, boundary_grad_sq=bvals**2,
-            source_label=f.label(), domain=sol.mask.spec)
-    raise InputError(f"unsupported solution type {type(sol).__name__}")
+    bpts, bvals = boundary_gradient_samples(sol)
+    return PFunctionField(
+        alpha=spec.alpha, gamma=spec.gamma, kind=sol.kind,
+        positions=sol.positions, u_values=sol.u, grad_sq=sol.grad_sq(),
+        integral=source_integral(f, spec.gamma, sol.u), interior=sol.interior,
+        boundary_positions=bpts, boundary_grad_sq=bvals**2,
+        source_label=f.label(), **sol.boundary_geometry())
 
 
 def verify_principle(pf: PFunctionField, mode: str,
@@ -300,52 +236,25 @@ def transform_preset(application: int, p: float | None = None) -> Transform:
     raise InputError(f"unknown application {application}")
 
 
-def convexity_scan_solution(sol, tr: Transform, tol: float = 1e-8) -> ConvexityReport:
+def convexity_scan_solution(sol: Solution, tr: Transform,
+                            tol: float = 1e-8) -> ConvexityReport:
     """Minimum eigenvalue of D^2 U(u) over a solution's strictly interior nodes."""
-    if isinstance(sol, RadialProfile):
-        idx = slice(0, sol.r.size - 1)   # u = 0 on the boundary node itself
-        u = sol.u[idx]
-        tr.check_domain(u)
-        du = np.array([tr.du(t) for t in u])
-        d2u = np.array([tr.d2u(t) for t in u])
-        eigs = sol.hessian_eigenvalues()[idx]
-        upp, tang = eigs[:, 0], eigs[:, 1]
-        e_rad = du * upp + d2u * sol.up[idx] ** 2
-        e_tan = du * tang
-        stacked = np.column_stack([e_rad, e_tan])
-        min_idx = np.unravel_index(np.argmin(stacked), stacked.shape)
-        min_eig = float(stacked[min_idx])
-        scale = max(1.0, float(np.max(np.abs(stacked))))
-        argmin = np.array([sol.r[min_idx[0]]])
-        n_points = int(u.size)
-    elif isinstance(sol, ScalarField2D):
-        u = sol.u
-        tr.check_domain(u)
-        du = np.array([tr.du(t) for t in u])
-        d2u = np.array([tr.d2u(t) for t in u])
-        uxx, uyy, uxy = sol.hessian_entries()
-        grad = sol.gradient()
-        a = du * uxx + d2u * grad[:, 0] ** 2
-        c = du * uyy + d2u * grad[:, 1] ** 2
-        b = du * uxy + d2u * grad[:, 0] * grad[:, 1]
-        half = 0.5 * (a + c)
-        disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-        low = half - disc
-        k = int(np.argmin(low))
-        min_eig = float(low[k])
-        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(c))),
-                    float(np.max(np.abs(b))))
-        argmin = sol.mask.node_xy[k]
-        n_points = int(u.size)
-    else:
-        raise InputError(f"unsupported solution type {type(sol).__name__}")
+    interior = sol.interior
+    u = sol.u[interior]
+    tr.check_domain(u)
+    du = np.array([tr.du(t) for t in u])
+    d2u = np.array([tr.d2u(t) for t in u])
+    low, scale = sol.transform_hessian_min(du, d2u)
+    k = int(np.argmin(low))
+    min_eig = float(low[k])
     tolerance = tol * scale
-    return ConvexityReport(transform_name=tr.name, n_points=n_points,
-                           min_eigenvalue=min_eig, argmin_point=argmin,
+    return ConvexityReport(transform_name=tr.name, n_points=int(u.size),
+                           min_eigenvalue=min_eig,
+                           argmin_point=np.atleast_1d(sol.positions[interior][k]),
                            convex=bool(min_eig >= -tolerance), tolerance=tolerance)
 
 
-def bounds_report(sol, f: SourceTerm, application: int, *,
+def bounds_report(sol: Solution, f: SourceTerm, application: int, *,
                   p: float | None = None, gamma: float = 1.0,
                   transform: Transform | None = None,
                   allow_identity_fallback: bool = True,
@@ -382,44 +291,18 @@ def bounds_report(sol, f: SourceTerm, application: int, *,
                         holds=holds)
 
 
-def critical_point_report(sol, f: SourceTerm,
+def critical_point_report(sol: Solution, f: SourceTerm,
                           cluster_radius_steps: float = 3.0) -> CriticalPointReport:
     """Hessian spectrum and saturation ratio at the solution's interior minimum."""
-    if isinstance(sol, RadialProfile):
-        upp0 = sol.second_derivative_origin()
-        spectrum = np.full(sol.dim, upp0)
-        location = np.zeros(1)
-        n_dim = sol.dim
-        u_min = sol.u_min
-    elif isinstance(sol, ScalarField2D):
-        u = sol.u
-        k = int(np.argmin(u))
-        u_min = float(u[k])
-        near = np.nonzero(u <= u_min * (1.0 - 1e-9))[0]
-        pts = sol.mask.node_xy[near]
-        if len(pts) > 1:
-            spread = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-            if spread > cluster_radius_steps * sol.mask.h:
-                raise SolverError("multiple separated minima; critical point not unique")
-        uxx, uyy, uxy = sol.hessian_entries()
-        hess = np.array([[uxx[k], uxy[k]], [uxy[k], uyy[k]]])
-        spectrum, _ = jacobi_eigh(hess)
-        location = sol.mask.node_xy[k]
-        n_dim = 2
-    else:
-        raise InputError(f"unsupported solution type {type(sol).__name__}")
-    f_val = float(np.asarray(f.f(u_min)))
+    location, hess = sol.hessian_at_minimum(cluster_radius_steps)
+    spectrum, _ = jacobi_eigh(hess)
+    f_val = float(np.asarray(f.f(sol.u_min)))
     if f_val <= 0:
         raise InputError("source must be positive at the solution minimum")
-    pairs = math.comb(n_dim, 2)
-    if n_dim == 2:
-        s2_val = float(spectrum[0] * spectrum[1])
-    else:
-        s2_val = float(pairs * spectrum[0] ** 2)  # isotropic radial Hessian
     return CriticalPointReport(
         location=np.atleast_1d(location),
         hessian_spectrum=np.asarray(spectrum, dtype=float),
         max_ratio=float(np.max(spectrum)) / math.sqrt(f_val),
-        binom_bound=pairs ** -0.5,
-        s2_value=s2_val, f_value=f_val,
+        binom_bound=math.comb(len(spectrum), 2) ** -0.5,
+        s2_value=elem_sym_from_eigenvalues(spectrum, 2), f_value=f_val,
         spectrum_positive=bool(np.min(spectrum) > 0))

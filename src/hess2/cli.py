@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field
@@ -77,41 +78,38 @@ def parse_dims(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _numbers(text: str, arg: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of a preset argument; `count` fixes how many."""
+    try:
+        values = [float(tok) for tok in arg.split(",")]
+    except ValueError:
+        raise InputError(f"{text!r}: parameters must be numbers") from None
+    if count is not None and len(values) != count:
+        raise InputError(f"{text!r}: expected {count} parameters, got {len(values)}")
+    return values
+
+
 def parse_source(text: str) -> solver.SourceTerm:
     name, _, arg = text.partition(":")
-    if name == "const":
-        return solver.constant_source(float(arg) if arg else 1.0)
-    if name == "exp-dec":
-        return solver.exp_decreasing_source(float(arg)) if arg else solver.exp_decreasing_source()
-    if name == "exp-inc":
-        return solver.exp_increasing_source(float(arg)) if arg else solver.exp_increasing_source()
-    if name == "eigen":
-        return solver.eigen_source(float(arg))
-    if name == "power":
-        lam, p = (float(tok) for tok in arg.split(","))
-        return solver.power_source(lam, p)
-    raise InputError(f"unknown source preset {text!r}")
+    preset = solver.SOURCE_PRESETS.get(name)
+    if preset is None:
+        raise InputError(f"unknown source preset {text!r}")
+    try:
+        return preset(*(_numbers(text, arg) if arg else []))
+    except TypeError:   # wrong parameter count
+        names = ",".join(inspect.signature(preset).parameters)
+        raise InputError(f"{text!r}: source preset {name} takes parameters {names}") from None
 
 
 def parse_domain(text: str) -> domain.DomainSpec:
     name, _, arg = text.partition(":")
     if name in ("disk", "ball"):
-        return domain.ball(float(arg) if arg else 1.0)
+        return domain.ball(*_numbers(text, arg, 1)) if arg else domain.ball(1.0)
     if name == "ellipse":
-        a, b = (float(tok) for tok in arg.split(","))
-        return domain.ellipse(a, b)
+        return domain.ellipse(*_numbers(text, arg, 2))
     if name == "polygon":
-        verts = [[float(v) for v in pair.split(",")] for pair in arg.split(";")]
-        return domain.convex_polygon(verts)
+        return domain.convex_polygon([_numbers(text, pair, 2) for pair in arg.split(";")])
     raise InputError(f"unknown domain {text!r}")
-
-
-def _domain_label(spec: domain.DomainSpec) -> str:
-    if spec.kind == "ball":
-        return f"disk:{spec.radius:g}"
-    if spec.kind == "ellipse":
-        return f"ellipse:{spec.semi_axes[0]:g},{spec.semi_axes[1]:g}"
-    return f"polygon:{len(spec.vertices)}v"
 
 
 # ----------------------------------------------------------------------
@@ -169,50 +167,27 @@ def cmd_ineq(args) -> int:
 # solve
 # ----------------------------------------------------------------------
 
-def _solve_config(args) -> solver.SolveConfig:
-    kwargs = {}
-    if getattr(args, "nodes", None):
-        kwargs["radial_nodes"] = args.nodes
-    return solver.SolveConfig(**kwargs)
+def _solve_from_args(args, mode: str, f: solver.SourceTerm | None):
+    """Returns (solution, source, extras) for solve/verify style commands.
 
-
-def _solve_from_args(args):
-    """Returns (solution, source, extras) for solve/verify style commands."""
-    cfg = _solve_config(args)
-    if args.eigen:
+    mode is "eigen" (the source is the solved eigenvalue problem's own),
+    "radial" or "grid2d".
+    """
+    cfg = solver.SolveConfig(radial_nodes=args.nodes) if args.nodes else solver.SolveConfig()
+    if mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
-    f = parse_source(args.f)
-    if args.radial:
-        prof = solver.solve_radial(args.dim, args.radius, f, cfg)
-        return prof, f, {}
-    spec = parse_domain(args.domain)
-    sol = solver.solve_grid2d(spec, f, args.h, cfg)
-    return sol, f, {}
+    if mode == "radial":
+        return solver.solve_radial(args.dim, args.radius, f, cfg), f, {}
+    return solver.solve_grid2d(parse_domain(args.domain), f, args.h, cfg), f, {}
 
 
-def _solution_summary(sol, f, extras) -> dict:
+def _solution_summary(sol: solver.Solution, f, extras) -> dict:
     report = solver.admissibility_report(sol)
-    if isinstance(sol, solver.RadialProfile):
-        body = {
-            "kind": "radial", "dim": sol.dim, "radius": sol.radius,
-            "u_min": sol.u_min,
-            "boundary_gradient_min": sol.boundary_gradient,
-            "boundary_gradient_max": sol.boundary_gradient,
-            "iterations": sol.picard_iterations,
-            "ode_residual_sup": sol.ode_residual_sup,
-        }
-    else:
-        pts, vals = analysis.boundary_gradient_samples(sol)
-        body = {
-            "kind": "grid2d", "h": sol.mask.h,
-            "domain": _domain_label(sol.mask.spec),
-            "u_min": sol.u_min,
-            "boundary_gradient_min": float(np.min(vals)),
-            "boundary_gradient_max": float(np.max(vals)),
-            "iterations": sol.newton_iterations,
-            "newton_residual_sup": sol.residual_sup,
-        }
+    _, grads = analysis.boundary_gradient_samples(sol)
+    body = sol.summary_fields()
+    body.update(u_min=sol.u_min, boundary_gradient_min=float(np.min(grads)),
+                boundary_gradient_max=float(np.max(grads)))
     body.update(extras)
     body["source"] = f.label()
     body["admissibility"] = {
@@ -223,34 +198,26 @@ def _solution_summary(sol, f, extras) -> dict:
     return body
 
 
-def _write_profile_data(sol, path: Path, pf_list=()) -> None:
+def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
     """Whitespace-separated columns for plotting: positions, u, then fields."""
+    names, cols = sol.profile_columns()
     with path.open("w") as fh:
-        if isinstance(sol, solver.RadialProfile):
-            header = "# r u up" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
-                                          for pf in pf_list)
-            fh.write(header + "\n")
-            cols = [sol.r, sol.u, sol.up] + [pf.phi for pf in pf_list]
-            for row in zip(*cols):
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        else:
-            header = "# x y u" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
-                                         for pf in pf_list)
-            fh.write(header + "\n")
-            cols = [sol.mask.node_xy[:, 0], sol.mask.node_xy[:, 1], sol.u]
-            cols += [pf.phi for pf in pf_list]
-            for row in zip(*cols):
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.write(f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
+                                         for pf in pf_list) + "\n")
+        for row in zip(*cols, *(pf.phi for pf in pf_list)):
+            fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
 def cmd_solve(args) -> int:
+    mode = "eigen" if args.eigen else ("radial" if args.radial else "grid2d")
     config = RunConfig("solve", {
-        "mode": "eigen" if args.eigen else ("radial" if args.radial else "grid2d"),
+        "mode": mode,
         "dim": args.dim, "radius": args.radius, "f": args.f,
         "domain": args.domain, "h": args.h, "nodes": args.nodes})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol, f, extras = _solve_from_args(args)
+    f = None if mode == "eigen" else parse_source(args.f)
+    sol, f, extras = _solve_from_args(args, mode, f)
     summary = {"schema": REPORT_SCHEMA, "config": config.canonical_text()}
     summary.update(_solution_summary(sol, f, extras))
     solver.save_solution(sol, out / "solution.npz")
@@ -273,17 +240,22 @@ def cmd_solve(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _gamma_list(text: str) -> tuple[float, ...]:
-    if text == "both":
-        return (0.5, 1.0)
-    value = float(text)
-    return (value,)
+def _verify_problem(args) -> tuple[str, solver.SourceTerm | None]:
+    """(solve mode, source) of the verify application."""
+    if args.app == 2:
+        if args.grid2d:
+            raise InputError("application 2 needs the eigenvalue problem, "
+                             "which is solved on balls only (drop --grid2d)")
+        return "eigen", None
+    mode = "radial" if args.radial else "grid2d"
+    if args.app == 3:
+        return mode, solver.power_source(args.lam, args.p)
+    return mode, parse_source(args.f)
 
 
 def cmd_verify(args) -> int:
     config = RunConfig("verify", {
-        "app": args.app, "mode": "radial" if args.radial else
-        ("eigen" if args.app == 2 else "grid2d"),
+        "app": args.app, "mode": "radial" if args.radial else "grid2d",
         "dim": args.dim, "radius": args.radius, "f": args.f,
         "domain": args.domain, "h": args.h, "nodes": args.nodes,
         "alpha": ",".join(f"{a:g}" for a in args.alpha),
@@ -294,27 +266,7 @@ def cmd_verify(args) -> int:
     # Hypothesis gate first: the transform must exist and be increasing.
     transform = analysis.transform_preset(args.app, args.p)
 
-    args_eigen = args.app == 2
-    if args_eigen:
-        cfg = _solve_config(args)
-        lam, sol = solver.solve_eigen_radial(args.dim, args.radius, cfg)
-        f = solver.eigen_source(lam)
-        extras = {"lambda1": lam}
-    elif args.radial:
-        if args.app == 3:
-            f = solver.power_source(args.lam, args.p)
-        else:
-            f = parse_source(args.f)
-        sol = solver.solve_radial(args.dim, args.radius, f, _solve_config(args))
-        extras = {}
-    else:
-        if args.app == 3:
-            f = solver.power_source(args.lam, args.p)
-        else:
-            f = parse_source(args.f)
-        sol = solver.solve_grid2d(parse_domain(args.domain), f, args.h,
-                                  _solve_config(args))
-        extras = {}
+    sol, f, extras = _solve_from_args(args, *_verify_problem(args))
 
     scan = analysis.convexity_scan_solution(sol, transform)
     if not scan.convex:
@@ -325,17 +277,12 @@ def cmd_verify(args) -> int:
             "skipped": f"convexity hypothesis failed for {transform.name}"})
         return 2
 
-    gammas = _gamma_list(args.gamma)
-    dom_label = (f"ball:{args.radius:g}(dim{args.dim})"
-                 if isinstance(sol, solver.RadialProfile)
-                 else _domain_label(sol.mask.spec))
-    h_eff = (sol.radius / (sol.r.size - 1) if isinstance(sol, solver.RadialProfile)
-             else sol.mask.h)
-
     rows = []
     pf_saved = []
     all_hold = True
     report_bounds = {}
+    gammas = (analysis.GAMMA_CHOICES if args.gamma == "both"
+              else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
     for gamma in gammas:
         rep = analysis.bounds_report(sol, f, args.app, p=args.p, gamma=gamma)
         report_bounds[f"gamma={gamma:g}"] = dataclasses.asdict(rep)
@@ -343,9 +290,9 @@ def cmd_verify(args) -> int:
             pf = analysis.pfunction_field(
                 sol, f, analysis.PFunctionSpec(alpha=alpha, gamma=gamma))
             pf_saved.append(pf)
-            tol = 5.0 * h_eff**2 * pf.scale()
+            tol = 5.0 * sol.h_eff**2 * pf.scale()
             verdict = analysis.verify_principle(pf, "min", tol)
-            rows.append((dom_label, f.label(), alpha, gamma, verdict.margin,
+            rows.append((sol.domain_label, f.label(), alpha, gamma, verdict.margin,
                          rep.slack, verdict.holds and rep.holds))
             all_hold &= bool(verdict.holds and rep.holds)
 
@@ -358,8 +305,7 @@ def cmd_verify(args) -> int:
         "schema": REPORT_SCHEMA, "config": config.canonical_text(),
         "application": args.app, "transform": transform.name,
         "solution": _solution_summary(sol, f, extras),
-        "bounds": {k: {kk: (vv if not isinstance(vv, float) else vv)
-                       for kk, vv in v.items()} for k, v in report_bounds.items()},
+        "bounds": report_bounds,
         "all_hold": all_hold,
     }
     _write_json(out / "report.json", payload)

@@ -40,6 +40,14 @@ class DomainSpec:
     semi_axes: tuple[float, float] = (0.0, 0.0)  # ellipse
     vertices: Optional[np.ndarray] = None        # polygon, counterclockwise
 
+    def label(self) -> str:
+        """Short name as reports print it: disk:1, ellipse:2,1 or polygon:4v."""
+        if self.kind == "ball":
+            return f"disk:{self.radius:g}"
+        if self.kind == "ellipse":
+            return f"ellipse:{self.semi_axes[0]:g},{self.semi_axes[1]:g}"
+        return f"polygon:{len(self.vertices)}v"
+
 
 def ball(radius: float, center=None, dim: int = 2) -> DomainSpec:
     if radius <= 0:
@@ -308,13 +316,6 @@ class GridMask:
     @property
     def n_inside(self) -> int:
         return len(self.node_xy)
-
-    @property
-    def n_interior(self) -> int:
-        return int(np.sum(self.classification == INTERIOR))
-
-    def interior_mask(self) -> np.ndarray:
-        return self.classification == INTERIOR
 
 
 def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:

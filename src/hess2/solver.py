@@ -27,17 +27,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, Protocol
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized, spsolve
 
-from ._quad import cumulative_quartic_uniform, deriv_uniform
-from .domain import DomainSpec, GridMask, rasterize
+from ._quad import cumulative_quartic_uniform, deriv_uniform, forward_first_derivative
+from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize
 from .errors import InputError, SolverError, SourceError
 
 SOLUTION_SCHEMA_VERSION = 1
+
+#: Boundary crossings whose axis direction is this far from the normal are
+#: skipped when sampling |grad u| on the boundary (the better-aligned axis
+#: always covers the same stretch of boundary).
+MIN_NORMAL_ALIGNMENT = 0.5
 
 
 @dataclass(frozen=True)
@@ -146,33 +151,68 @@ class SolveConfig:
     radial_nodes: int = 1024          # number of intervals on [0, R]
     picard_tol: float = 1e-13
     picard_max_iter: int = 400
-    picard_damping: float = 1.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     newton_min_step: float = 1e-6
     eigen_tol: float = 1e-11
     eigen_max_iter: int = 400
-    grid_min_span: int = 16
 
     def __post_init__(self):
         if min(self.picard_tol, self.newton_tol, self.eigen_tol) <= 0:
             raise InputError("tolerances must be positive")
-        if not (0 < self.picard_damping <= 1):
-            raise InputError("damping must lie in (0, 1]")
         if self.radial_nodes < 16:
             raise InputError("need at least 16 radial intervals")
+
+
+class Solution(Protocol):
+    """What analysis and the CLI read from a solved problem, radial or planar.
+
+    Node arrays cover every node; `interior` marks the strictly interior ones,
+    over which the Hessian reports are taken (sources vanishing at zero make
+    S2 degenerate exactly on the boundary).
+    """
+
+    kind: ClassVar[str]             # "radial" | "grid2d", as saved and reported
+    u: np.ndarray
+
+    @property
+    def u_min(self) -> float: ...
+    @property
+    def positions(self) -> np.ndarray: ...      # (n,) radii or (n, 2) coordinates
+    @property
+    def interior(self) -> np.ndarray: ...       # bool mask over nodes
+    @property
+    def h_eff(self) -> float: ...               # grid step setting verdict tolerances
+    @property
+    def domain_label(self) -> str: ...
+    # |grad u|^2 per node, and (points, |grad u|) on the boundary.
+    def grad_sq(self) -> np.ndarray: ...
+    def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]: ...
+    # S1, S2 and the least cofactor-matrix eigenvalue per interior node.
+    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    # Per interior node, given U'(u) and U''(u) there: the least eigenvalue of
+    # U' D^2 u + U'' grad u (x) grad u, and the magnitude of its entries.
+    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]: ...
+    # (location, Hessian matrix) at the minimum of u.
+    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]: ...
+    # PFunctionField geometry, solve-summary fields, leading plot columns
+    # (names, arrays), and the header fields and arrays of the saved file.
+    def boundary_geometry(self) -> dict: ...
+    def summary_fields(self) -> dict: ...
+    def profile_columns(self) -> tuple[str, list[np.ndarray]]: ...
+    def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]: ...
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial solution u(r) on [0, R]: nodes, values and radial derivative."""
 
+    kind: ClassVar[str] = "radial"
     dim: int
     radius: float
     r: np.ndarray
     u: np.ndarray
     up: np.ndarray
-    quad_order: int = 5
     picard_iterations: int = 0
     picard_delta: float = 0.0
     ode_residual_sup: float = 0.0
@@ -202,6 +242,68 @@ class RadialProfile:
         tang[0] = self.second_derivative_origin()
         upp[0] = tang[0]
         return np.column_stack([upp, tang])
+
+    # Solution interface: the boundary is the last node.
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.r
+
+    @property
+    def interior(self) -> np.ndarray:
+        mask = np.ones(self.r.size, dtype=bool)
+        mask[-1] = False
+        return mask
+
+    @property
+    def h_eff(self) -> float:
+        return self.radius / (self.r.size - 1)
+
+    @property
+    def domain_label(self) -> str:
+        return f"ball:{self.radius:g}(dim{self.dim})"
+
+    def grad_sq(self) -> np.ndarray:
+        return self.up**2
+
+    def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self.radius]), np.array([self.boundary_gradient])
+
+    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        eigs = self.hessian_eigenvalues()[:-1]
+        upp, tang = eigs[:, 0], eigs[:, 1]
+        s1 = upp + (self.dim - 1) * tang
+        # Eigenvalues of (tr H) I - H are tr H minus each Hessian eigenvalue.
+        return s1, _s2_radial(self.dim, upp, tang), np.minimum(s1 - upp, s1 - tang)
+
+    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]:
+        eigs = self.hessian_eigenvalues()[:-1]
+        e_rad = du * eigs[:, 0] + d2u * self.up[:-1] ** 2
+        e_tan = du * eigs[:, 1]
+        scale = max(1.0, float(np.max(np.abs(e_rad))), float(np.max(np.abs(e_tan))))
+        return np.minimum(e_rad, e_tan), scale
+
+    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]:
+        # Isotropic at the origin: every eigenvalue is u''(0).
+        return np.zeros(1), np.eye(self.dim) * self.second_derivative_origin()
+
+    def boundary_geometry(self) -> dict:
+        return {"radius": self.radius}
+
+    def summary_fields(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim, "radius": self.radius,
+                "iterations": self.picard_iterations,
+                "ode_residual_sup": self.ode_residual_sup}
+
+    def profile_columns(self) -> tuple[str, list[np.ndarray]]:
+        return "r u up", [self.r, self.u, self.up]
+
+    def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]:
+        header = {"dim": self.dim, "radius": self.radius,
+                  "picard_iterations": self.picard_iterations,
+                  "picard_delta": self.picard_delta,
+                  "ode_residual_sup": self.ode_residual_sup}
+        return header, {"r": self.r, "u": self.u, "up": self.up}
 
 
 def _s2_radial(n_dim: int, upp: np.ndarray, up_over_r: np.ndarray) -> np.ndarray:
@@ -269,8 +371,6 @@ def _solve_radial_fixed_point(n_dim, radius, rhs, cfg, u0=None):
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
-        if cfg.picard_damping < 1.0:
-            u_new = (1.0 - cfg.picard_damping) * u + cfg.picard_damping * u_new
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         if delta <= cfg.picard_tol * max(1.0, float(np.max(np.abs(u)))):
@@ -437,6 +537,7 @@ def build_operators(mask: GridMask) -> dict[str, sp.csr_matrix]:
 class ScalarField2D:
     """Planar solution on a grid mask, zero on the boundary."""
 
+    kind: ClassVar[str] = "grid2d"
     mask: GridMask
     u: np.ndarray
     newton_iterations: int = 0
@@ -453,6 +554,115 @@ class ScalarField2D:
     def gradient(self) -> np.ndarray:
         ops = build_operators(self.mask)
         return np.column_stack([ops["Dx"] @ self.u, ops["Dy"] @ self.u])
+
+    # Solution interface: every inside node is interior; the boundary is
+    # sampled at the feet of the axis stencil arms that cross it.
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.mask.node_xy
+
+    @property
+    def interior(self) -> np.ndarray:
+        return np.ones(self.u.size, dtype=bool)
+
+    @property
+    def h_eff(self) -> float:
+        return self.mask.h
+
+    @property
+    def domain_label(self) -> str:
+        return self.mask.spec.label()
+
+    def grad_sq(self) -> np.ndarray:
+        grad = self.gradient()
+        return np.einsum("ij,ij->i", grad, grad)
+
+    def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(feet, |grad u|) at the boundary crossings of the axis stencil arms.
+
+        The tangential derivative of u vanishes on the boundary, so the full
+        gradient is the normal derivative; it is recovered from a one-sided
+        derivative along the grid line through the crossing, divided by the
+        cosine between that line and the normal.  Crossings nearly tangential
+        to the boundary are skipped.
+        """
+        mask = self.mask
+        h = mask.h
+        points, values = [], []
+        for crossing in mask.crossings:
+            align = float(crossing.normal @ crossing.direction)
+            if abs(align) < MIN_NORMAL_ALIGNMENT:
+                continue
+            k = crossing.node_index
+            dir_idx = int(np.argmax(DIRECTIONS[:4] @ crossing.direction))
+            prev = mask.neighbor[k, dir_idx ^ 1]   # neighbor opposite the crossing
+            d1 = crossing.theta * h
+            u1 = float(self.u[k])
+            if prev >= 0:
+                deriv_inward = forward_first_derivative(0.0, u1, float(self.u[prev]),
+                                                        d1, d1 + h)
+            else:
+                deriv_inward = u1 / d1
+            # deriv_inward differentiates along -direction; flip to the outward axis.
+            deriv_axis = -deriv_inward
+            values.append(abs(deriv_axis / align))
+            points.append(crossing.foot)
+        if not points:
+            raise SolverError("no usable boundary crossings for gradient sampling")
+        return np.asarray(points), np.asarray(values)
+
+    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        uxx, uyy, uxy = self.hessian_entries()
+        # 2x2 cofactor matrix [[uyy, -uxy], [-uxy, uxx]]: closed-form eigenvalues.
+        half_tr = 0.5 * (uxx + uyy)
+        disc = np.sqrt(np.maximum(0.25 * (uyy - uxx) ** 2 + uxy**2, 0.0))
+        return uxx + uyy, uxx * uyy - uxy * uxy, half_tr - disc
+
+    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]:
+        uxx, uyy, uxy = self.hessian_entries()
+        grad = self.gradient()
+        a = du * uxx + d2u * grad[:, 0] ** 2
+        c = du * uyy + d2u * grad[:, 1] ** 2
+        b = du * uxy + d2u * grad[:, 0] * grad[:, 1]
+        half = 0.5 * (a + c)
+        disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(c))),
+                    float(np.max(np.abs(b))))
+        return half - disc, scale
+
+    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]:
+        k = int(np.argmin(self.u))
+        near = np.nonzero(self.u <= self.u[k] * (1.0 - 1e-9))[0]
+        pts = self.mask.node_xy[near]
+        if len(pts) > 1:
+            spread = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
+            if spread > cluster_radius_steps * self.mask.h:
+                raise SolverError("multiple separated minima; critical point not unique")
+        uxx, uyy, uxy = self.hessian_entries()
+        return self.mask.node_xy[k], np.array([[uxx[k], uxy[k]], [uxy[k], uyy[k]]])
+
+    def boundary_geometry(self) -> dict:
+        return {"domain": self.mask.spec}
+
+    def summary_fields(self) -> dict:
+        return {"kind": self.kind, "h": self.mask.h, "domain": self.domain_label,
+                "iterations": self.newton_iterations,
+                "newton_residual_sup": self.residual_sup}
+
+    def profile_columns(self) -> tuple[str, list[np.ndarray]]:
+        xy = self.mask.node_xy
+        return "x y u", [xy[:, 0], xy[:, 1], self.u]
+
+    def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]:
+        spec = self.mask.spec
+        header = {"h": self.mask.h, "newton_iterations": self.newton_iterations,
+                  "residual_sup": self.residual_sup,
+                  "domain": {"kind": spec.kind, "center": list(spec.center),
+                             "radius": spec.radius, "semi_axes": list(spec.semi_axes),
+                             "vertices": None if spec.vertices is None
+                             else [list(v) for v in spec.vertices]}}
+        return header, {"u": self.u, "node_xy": self.mask.node_xy}
 
 
 def _grid_fields(ops, u):
@@ -484,7 +694,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     """
     cfg = cfg or SolveConfig()
     if mask is None:
-        mask = rasterize(spec, h, min_span=cfg.grid_min_span)
+        mask = rasterize(spec, h)
     ops = build_operators(mask)
     n = mask.n_inside
 
@@ -559,66 +769,24 @@ class AdmissibilityReport:
     admissible: bool
 
 
-def admissibility_report(sol) -> AdmissibilityReport:
-    """Minimum S1, S2 and cofactor-matrix eigenvalue over strictly interior nodes.
-
-    The boundary node of a radial profile is excluded: sources vanishing at
-    zero make S2 degenerate exactly on the boundary.
-    """
-    if isinstance(sol, RadialProfile):
-        eigs = sol.hessian_eigenvalues()[:-1]
-        upp, tang = eigs[:, 0], eigs[:, 1]
-        n_dim = sol.dim
-        s1 = upp + (n_dim - 1) * tang
-        s2 = _s2_radial(n_dim, upp, tang)
-        # Eigenvalues of (tr H) I - H are tr H minus each Hessian eigenvalue.
-        cof_min = np.minimum(s1 - upp, s1 - tang)
-        return AdmissibilityReport(
-            min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),
-            min_cofactor_eigenvalue=float(np.min(cof_min)),
-            admissible=bool(np.min(s1) > 0 and np.min(s2) > 0 and np.min(cof_min) > 0))
-    if isinstance(sol, ScalarField2D):
-        uxx, uyy, uxy = sol.hessian_entries()
-        s1 = uxx + uyy
-        s2 = uxx * uyy - uxy * uxy
-        # 2x2 cofactor matrix [[uyy, -uxy], [-uxy, uxx]]: closed-form eigenvalues.
-        half_tr = 0.5 * (uxx + uyy)
-        disc = np.sqrt(np.maximum(0.25 * (uyy - uxx) ** 2 + uxy**2, 0.0))
-        cof_min = half_tr - disc
-        return AdmissibilityReport(
-            min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),
-            min_cofactor_eigenvalue=float(np.min(cof_min)),
-            admissible=bool(np.min(s1) > 0 and np.min(s2) > 0 and np.min(cof_min) > 0))
-    raise InputError(f"unsupported solution type {type(sol).__name__}")
+def admissibility_report(sol: Solution) -> AdmissibilityReport:
+    """Minimum S1, S2 and cofactor-matrix eigenvalue over strictly interior nodes."""
+    s1, s2, cof_min = sol.hessian_invariants()
+    return AdmissibilityReport(
+        min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),
+        min_cofactor_eigenvalue=float(np.min(cof_min)),
+        admissible=bool(np.min(s1) > 0 and np.min(s2) > 0 and np.min(cof_min) > 0))
 
 
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
 
-def save_solution(sol, path) -> None:
+def save_solution(sol: Solution, path) -> None:
     """Write a solution to a versioned columnar .npz file (bit-exact arrays)."""
-    if isinstance(sol, RadialProfile):
-        header = {"schema": SOLUTION_SCHEMA_VERSION, "kind": "radial",
-                  "dim": sol.dim, "radius": sol.radius,
-                  "picard_iterations": sol.picard_iterations,
-                  "picard_delta": sol.picard_delta,
-                  "ode_residual_sup": sol.ode_residual_sup}
-        np.savez(path, header=json.dumps(header, sort_keys=True),
-                 r=sol.r, u=sol.u, up=sol.up)
-    elif isinstance(sol, ScalarField2D):
-        spec = sol.mask.spec
-        header = {"schema": SOLUTION_SCHEMA_VERSION, "kind": "grid2d",
-                  "h": sol.mask.h, "newton_iterations": sol.newton_iterations,
-                  "residual_sup": sol.residual_sup,
-                  "domain": {"kind": spec.kind, "center": list(spec.center),
-                             "radius": spec.radius, "semi_axes": list(spec.semi_axes),
-                             "vertices": None if spec.vertices is None
-                             else [list(v) for v in spec.vertices]}}
-        np.savez(path, header=json.dumps(header, sort_keys=True),
-                 u=sol.u, node_xy=sol.mask.node_xy)
-    else:
-        raise InputError(f"unsupported solution type {type(sol).__name__}")
+    fields, arrays = sol.saved_fields()
+    header = {"schema": SOLUTION_SCHEMA_VERSION, "kind": sol.kind, **fields}
+    np.savez(path, header=json.dumps(header, sort_keys=True), **arrays)
 
 
 def load_solution(path, mask: GridMask | None = None):

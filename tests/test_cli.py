@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hess2
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 
 
@@ -63,13 +68,21 @@ class TestIneqCommand:
         assert abs(block["min_residual_over_scale"]) <= 1e-10
         assert abs(block["max_residual_over_scale"]) <= 1e-10
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["ineq", "--dims", "2..3", "--count", "300", "--seed", "9"],
+        ["solve", "--radial"],
+        ["solve", "--grid2d", "--h", "0.03125"],
+        ["verify", "--app", "1", "--radial", "--nodes", "512"],
+    ], ids=["ineq", "solve-radial", "solve-grid2d", "verify-app1-radial"])
+    def test_byte_identical_reruns(self, tmp_path, argv):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["ineq", "--dims", "2..3", "--count", "300",
-                         "--seed", "9", "--out", str(out)]) == 0
-        for name in ("summary.json", "records_dim2.csv", "records_dim3.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert main(argv + ["--out", str(out)]) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        assert len(names) >= 3
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -122,9 +135,24 @@ class TestSolveCommand:
         assert summary["lambda1"] == pytest.approx(28.1434, abs=1e-3)
         assert summary["ode_residual_sup"] <= 1e-6
 
-    def test_bad_input_exits_two(self, tmp_path):
-        assert main(["solve", "--radial", "--dim", "1",
-                     "--out", str(tmp_path / "bad")]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--dim", "1"],
+        ["solve", "--radial", "--f", "eigen"],
+        ["solve", "--radial", "--f", "power:1"],
+        ["solve", "--radial", "--f", "const:x"],
+        ["solve", "--radial", "--f", "const:1,2"],
+        ["solve", "--radial", "--f", "cubic:1"],
+        ["solve", "--grid2d", "--domain", "ellipse:2"],
+        ["solve", "--grid2d", "--domain", "disk:x"],
+        ["verify", "--app", "1", "--nodes", "64", "--gamma", "x"],
+    ], ids=["dim1", "eigen-no-lambda", "power-one-param", "const-not-a-number",
+            "const-two-params", "unknown-preset", "ellipse-one-axis", "disk-not-a-number",
+            "verify-gamma-not-a-number"])
+    def test_bad_input_exits_two(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("input error: ")
+        assert printed.count("\n") == 1
 
     def test_unsolvable_exits_three(self, tmp_path):
         # Unit-rate decreasing exponential on the wide ellipse sits beyond the
@@ -159,6 +187,17 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert abs(report["bounds"]["gamma=0.5"]["slack"]) <= 5 * 0.03125**2
 
+    def test_application2_planar_rejected(self, tmp_path, capsys):
+        # The eigenvalue problem is solved on balls only; a planar request
+        # must not fall back to the radial solve.
+        code = main(["verify", "--app", "2", "--grid2d",
+                     "--out", str(tmp_path / "v2g")])
+        assert code == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("input error: ") and "balls only" in printed
+        assert printed.count("\n") == 1
+        assert not (tmp_path / "v2g" / "report.json").exists()
+
     def test_application3_high_exponent_rejected(self, tmp_path):
         code = main(["verify", "--app", "3", "--p", "2.5",
                      "--out", str(tmp_path / "v3")])
@@ -172,6 +211,20 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["bounds"]["gamma=0.5"]["holds"]
+
+
+class TestStartup:
+    def test_cli_import_skips_unused_scipy_subpackages(self):
+        # Every CLI call pays for what `import hess2.cli` loads; none of these
+        # subpackages is used by the toolkit.
+        code = ("import sys, hess2.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+                "'scipy.special') if m in sys.modules))")
+        src = str(Path(hess2.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestIdentityScanCommand:
