@@ -94,11 +94,12 @@ def parse_source(text: str) -> solver.SourceTerm:
     preset = solver.SOURCE_PRESETS.get(name)
     if preset is None:
         raise InputError(f"unknown source preset {text!r}")
+    values = _numbers(text, arg) if arg else []
     try:
-        return preset(*(_numbers(text, arg) if arg else []))
-    except TypeError:   # wrong parameter count
-        names = ",".join(inspect.signature(preset).parameters)
-        raise InputError(f"{text!r}: source preset {name} takes parameters {names}") from None
+        inspect.signature(preset).bind(*values)
+    except TypeError:
+        raise InputError(f"{text!r}: wrong number of parameters") from None
+    return preset(*values)
 
 
 def parse_domain(text: str) -> domain.DomainSpec:
@@ -173,7 +174,7 @@ def _solve_from_args(args, mode: str, f: solver.SourceTerm | None):
     mode is "eigen" (the source is the solved eigenvalue problem's own),
     "radial" or "grid2d".
     """
-    cfg = solver.SolveConfig(radial_nodes=args.nodes) if args.nodes else solver.SolveConfig()
+    cfg = solver.SolveConfig(radial_nodes=args.nodes)
     if mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
@@ -214,10 +215,10 @@ def cmd_solve(args) -> int:
         "mode": mode,
         "dim": args.dim, "radius": args.radius, "f": args.f,
         "domain": args.domain, "h": args.h, "nodes": args.nodes})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     f = None if mode == "eigen" else parse_source(args.f)
     sol, f, extras = _solve_from_args(args, mode, f)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {"schema": REPORT_SCHEMA, "config": config.canonical_text()}
     summary.update(_solution_summary(sol, f, extras))
     solver.save_solution(sol, out / "solution.npz")
@@ -254,19 +255,21 @@ def _verify_problem(args) -> tuple[str, solver.SourceTerm | None]:
 
 
 def cmd_verify(args) -> int:
+    # Input and hypothesis gates first: the transform must exist and be
+    # increasing, and the application must be solvable in the asked mode.
+    transform = analysis.transform_preset(args.app, args.p)
+    mode, f = _verify_problem(args)
+    gammas = (analysis.GAMMA_CHOICES if args.gamma == "both"
+              else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
     config = RunConfig("verify", {
-        "app": args.app, "mode": "radial" if args.radial else "grid2d",
+        "app": args.app, "mode": mode,
         "dim": args.dim, "radius": args.radius, "f": args.f,
         "domain": args.domain, "h": args.h, "nodes": args.nodes,
         "alpha": ",".join(f"{a:g}" for a in args.alpha),
         "gamma": args.gamma, "p": args.p, "lam": args.lam})
+    sol, f, extras = _solve_from_args(args, mode, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    # Hypothesis gate first: the transform must exist and be increasing.
-    transform = analysis.transform_preset(args.app, args.p)
-
-    sol, f, extras = _solve_from_args(args, *_verify_problem(args))
 
     scan = analysis.convexity_scan_solution(sol, transform)
     if not scan.convex:
@@ -281,8 +284,6 @@ def cmd_verify(args) -> int:
     pf_saved = []
     all_hold = True
     report_bounds = {}
-    gammas = (analysis.GAMMA_CHOICES if args.gamma == "both"
-              else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
     for gamma in gammas:
         rep = analysis.bounds_report(sol, f, args.app, p=args.p, gamma=gamma)
         report_bounds[f"gamma={gamma:g}"] = dataclasses.asdict(rep)

@@ -144,15 +144,17 @@ class TestSolveCommand:
         ["solve", "--radial", "--f", "cubic:1"],
         ["solve", "--grid2d", "--domain", "ellipse:2"],
         ["solve", "--grid2d", "--domain", "disk:x"],
+        ["solve", "--radial", "--nodes", "0"],
         ["verify", "--app", "1", "--nodes", "64", "--gamma", "x"],
     ], ids=["dim1", "eigen-no-lambda", "power-one-param", "const-not-a-number",
             "const-two-params", "unknown-preset", "ellipse-one-axis", "disk-not-a-number",
-            "verify-gamma-not-a-number"])
+            "zero-nodes", "verify-gamma-not-a-number"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
         printed = capsys.readouterr().out
         assert printed.startswith("input error: ")
         assert printed.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
 
     def test_unsolvable_exits_three(self, tmp_path):
         # Unit-rate decreasing exponential on the wide ellipse sits beyond the
@@ -196,7 +198,18 @@ class TestVerifyCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("input error: ") and "balls only" in printed
         assert printed.count("\n") == 1
-        assert not (tmp_path / "v2g" / "report.json").exists()
+        assert not (tmp_path / "v2g").exists()
+
+    def test_application2_reports_eigen_mode(self, tmp_path):
+        # verify --app 2 solves the radial eigenvalue problem; the recorded
+        # configuration names that solve, as `solve --eigen` does.
+        out = tmp_path / "v2"
+        code = main(["verify", "--app", "2", "--nodes", "256", "--gamma", "0.5",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "\nmode=eigen\n" in report["config"]
+        assert report["solution"]["source"].startswith("eigen:")
 
     def test_application3_high_exponent_rejected(self, tmp_path):
         code = main(["verify", "--app", "3", "--p", "2.5",
