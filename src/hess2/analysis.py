@@ -46,6 +46,8 @@ class PFunctionSpec:
     gamma: float = 0.5
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise InputError("alpha must be finite")
         if self.gamma not in GAMMA_CHOICES:
             raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
 
@@ -242,9 +244,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform,
     interior = sol.interior
     u = sol.u[interior]
     tr.check_domain(u)
-    du = np.array([tr.du(t) for t in u])
-    d2u = np.array([tr.d2u(t) for t in u])
-    low, scale = sol.transform_hessian_min(du, d2u)
+    low, scale = sol.transform_hessian_min(tr.du(u), tr.d2u(u))
     k = int(np.argmin(low))
     min_eig = float(low[k])
     tolerance = tol * scale

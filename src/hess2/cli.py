@@ -71,11 +71,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
+    """`lo..hi` (inclusive) or a comma list; the result is never empty."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            dims = tuple(range(int(lo), int(hi) + 1))
+        else:
+            dims = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise InputError(f"--dims {text!r}: expected lo..hi or a comma list of integers") from None
+    if not dims:
+        raise InputError(f"--dims {text!r} names no dimension")
+    return dims
 
 
 def _numbers(text: str, arg: str, count: int | None = None) -> list[float]:
@@ -122,11 +130,11 @@ def cmd_ineq(args) -> int:
     config = RunConfig("ineq", {"seed": args.seed, "dims": args.dims,
                                 "count": args.count, "sign": args.sign,
                                 "scale": args.scale, "records": args.records})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = matineq.inequality_campaign(args.seed, dims, args.count, args.sign,
                                          scale=args.scale,
                                          keep_records=args.records)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema": REPORT_SCHEMA,
         "config": config.canonical_text(),
@@ -261,6 +269,9 @@ def cmd_verify(args) -> int:
     mode, f = _verify_problem(args)
     gammas = (analysis.GAMMA_CHOICES if args.gamma == "both"
               else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
+    # Built before the solve so that a bad --alpha or --gamma costs none.
+    specs = {gamma: [analysis.PFunctionSpec(alpha=alpha, gamma=gamma) for alpha in args.alpha]
+             for gamma in gammas}
     config = RunConfig("verify", {
         "app": args.app, "mode": mode,
         "dim": args.dim, "radius": args.radius, "f": args.f,
@@ -284,16 +295,15 @@ def cmd_verify(args) -> int:
     pf_saved = []
     all_hold = True
     report_bounds = {}
-    for gamma in gammas:
+    for gamma, gamma_specs in specs.items():
         rep = analysis.bounds_report(sol, f, args.app, p=args.p, gamma=gamma)
         report_bounds[f"gamma={gamma:g}"] = dataclasses.asdict(rep)
-        for alpha in args.alpha:
-            pf = analysis.pfunction_field(
-                sol, f, analysis.PFunctionSpec(alpha=alpha, gamma=gamma))
+        for spec in gamma_specs:
+            pf = analysis.pfunction_field(sol, f, spec)
             pf_saved.append(pf)
             tol = 5.0 * sol.h_eff**2 * pf.scale()
             verdict = analysis.verify_principle(pf, "min", tol)
-            rows.append((sol.domain_label, f.label(), alpha, gamma, verdict.margin,
+            rows.append((sol.domain_label, f.label(), spec.alpha, gamma, verdict.margin,
                          rep.slack, verdict.holds and rep.holds))
             all_hold &= bool(verdict.holds and rep.holds)
 
@@ -322,6 +332,8 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_identity_scan(args) -> int:
+    if args.count < 1:
+        raise InputError("--count must be >= 1")
     config = RunConfig("identity-scan", {"seed": args.seed, "count": args.count})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

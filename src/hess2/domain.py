@@ -49,22 +49,25 @@ class DomainSpec:
         return f"polygon:{len(self.vertices)}v"
 
 
+def _center(center, dim: int) -> np.ndarray:
+    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (dim,) or not np.all(np.isfinite(c)):
+        raise InputError(f"center must be {dim} finite coordinates")
+    return c
+
+
 def ball(radius: float, center=None, dim: int = 2) -> DomainSpec:
-    if radius <= 0:
-        raise InputError("ball radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError("ball radius must be positive and finite")
     if dim not in (2, 3):
         raise InputError("balls support dim 2 or 3")
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (dim,):
-        raise InputError("center dimension mismatch")
-    return DomainSpec(kind="ball", dim=dim, center=c, radius=radius)
+    return DomainSpec(kind="ball", dim=dim, center=_center(center, dim), radius=radius)
 
 
 def ellipse(a: float, b: float, center=None) -> DomainSpec:
-    if a <= 0 or b <= 0:
-        raise InputError("ellipse semi-axes must be positive")
-    c = np.zeros(2) if center is None else np.asarray(center, dtype=float)
-    return DomainSpec(kind="ellipse", dim=2, center=c, semi_axes=(a, b))
+    if not all(math.isfinite(s) and s > 0 for s in (a, b)):
+        raise InputError("ellipse semi-axes must be positive and finite")
+    return DomainSpec(kind="ellipse", dim=2, center=_center(center, 2), semi_axes=(a, b))
 
 
 def polygon_is_convex(vertices) -> bool:
@@ -87,6 +90,8 @@ def polygon_is_convex(vertices) -> bool:
 def convex_polygon(vertices) -> DomainSpec:
     """Strictly convex polygon; vertices are reordered counterclockwise."""
     v = np.asarray(vertices, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InputError("polygon vertices must be finite")
     if not polygon_is_convex(v):
         raise InputError("vertex list is not strictly convex")
     area2 = 0.0
@@ -222,79 +227,78 @@ def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
         a, b = spec.semi_axes
         g = np.column_stack([2.0 * p[:, 0] / a**2, 2.0 * p[:, 1] / b**2])
         return g / np.linalg.norm(g, axis=1, keepdims=True)
+    # Polygons: the normal of the nearest edge (the first one on ties).
     verts = spec.vertices - spec.center
-    n = len(verts)
     normals = np.empty_like(p)
-    for k, x in enumerate(p):
-        best, best_d = None, np.inf
-        for i in range(n):
-            v0, v1 = verts[i], verts[(i + 1) % n]
-            edge = v1 - v0
-            elen = np.linalg.norm(edge)
-            t = np.clip(((x - v0) @ edge) / (elen * elen), 0.0, 1.0)
-            d = np.linalg.norm(x - (v0 + t * edge))
-            if d < best_d:
-                best_d = d
-                best = np.array([edge[1], -edge[0]]) / elen
-        normals[k] = best
+    best_d = np.full(len(p), np.inf)
+    for v0, v1 in zip(verts, np.roll(verts, -1, axis=0)):
+        edge = v1 - v0
+        elen = np.linalg.norm(edge)
+        t = np.clip(((p - v0) @ edge) / (elen * elen), 0.0, 1.0)
+        d = np.linalg.norm(p - (v0 + t[:, None] * edge), axis=1)
+        closer = d < best_d
+        best_d[closer] = d[closer]
+        normals[closer] = np.array([edge[1], -edge[0]]) / elen
     return normals
 
 
-def ray_crossing(spec: DomainSpec, origin, direction, max_len: float) -> Optional[float]:
-    """Distance along `direction` (unit) from an inside point to the boundary.
+def ray_crossing(spec: DomainSpec, origin, direction,
+                 max_len: float) -> np.ndarray | float | None:
+    """Distance along `direction` (unit) from inside points to the boundary.
 
-    Returns t in (0, max_len] or None if the segment stays inside.  Convexity
-    guarantees at most one crossing on the segment.
+    `origin` is an (m, 2) array of points, or one point.  Returns t in
+    (0, max_len] per point and NaN where the segment stays inside; a single
+    point gives a float, or None.  Convexity guarantees at most one crossing
+    on the segment.
     """
-    o = np.asarray(origin, dtype=float) - spec.center
+    o = np.atleast_2d(np.asarray(origin, dtype=float)) - spec.center
     d = np.asarray(direction, dtype=float)
-    if spec.kind == "ball":
-        b = o @ d
-        c = o @ o - spec.radius ** 2
-        disc = b * b - c
-        if disc < 0:
-            return None
-        t = -b + math.sqrt(disc)
-    elif spec.kind == "ellipse":
-        a_ax, b_ax = spec.semi_axes
-        qa = (d[0] / a_ax) ** 2 + (d[1] / b_ax) ** 2
-        qb = o[0] * d[0] / a_ax**2 + o[1] * d[1] / b_ax**2
-        qc = (o[0] / a_ax) ** 2 + (o[1] / b_ax) ** 2 - 1.0
-        disc = qb * qb - qa * qc
-        if disc < 0:
-            return None
-        t = (-qb + math.sqrt(disc)) / qa
-    else:
-        verts = spec.vertices - spec.center
-        n = len(verts)
-        t = math.inf
-        for i in range(n):
-            v0, v1 = verts[i], verts[(i + 1) % n]
-            edge = v1 - v0
-            denom = d[0] * edge[1] - d[1] * edge[0]
-            if denom == 0.0:
-                continue
-            rel = v0 - o
-            tt = (rel[0] * edge[1] - rel[1] * edge[0]) / denom
-            ss = (rel[0] * d[1] - rel[1] * d[0]) / (-denom)
-            if tt > 0 and -1e-12 <= ss <= 1 + 1e-12:
-                t = min(t, tt)
-        if not math.isfinite(t):
-            return None
-    if t <= 0 or t > max_len * (1 + 1e-12):
-        return None
-    return float(min(t, max_len))
+    with np.errstate(invalid="ignore"):
+        if spec.kind == "ball":
+            # Stacked matmul takes one dot product per row, rounded as a
+            # single point's `o @ d` is, so arm lengths do not depend on m.
+            rows = o[:, None, :]
+            b = (rows @ d)[:, 0]
+            c = (rows @ o[:, :, None])[:, 0, 0] - spec.radius ** 2
+            t = -b + np.sqrt(b * b - c)
+        elif spec.kind == "ellipse":
+            a_ax, b_ax = spec.semi_axes
+            qa = (d[0] / a_ax) ** 2 + (d[1] / b_ax) ** 2
+            qb = o[:, 0] * d[0] / a_ax**2 + o[:, 1] * d[1] / b_ax**2
+            qc = (o[:, 0] / a_ax) ** 2 + (o[:, 1] / b_ax) ** 2 - 1.0
+            t = (-qb + np.sqrt(qb * qb - qa * qc)) / qa
+        else:
+            # o + t d = v0 + s edge, solved for (t, s) by Cramer's rule per edge.
+            verts = spec.vertices - spec.center
+            t = np.full(len(o), np.inf)
+            for v0, v1 in zip(verts, np.roll(verts, -1, axis=0)):
+                edge = v1 - v0
+                denom = d[0] * edge[1] - d[1] * edge[0]
+                if denom == 0.0:
+                    continue
+                rel = v0 - o
+                tt = (rel[:, 0] * edge[1] - rel[:, 1] * edge[0]) / denom
+                ss = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / denom
+                hit = (tt > 0) & (ss >= -1e-12) & (ss <= 1 + 1e-12)
+                t = np.where(hit, np.minimum(t, tt), t)
+        t = np.where((t > 0) & (t <= max_len * (1 + 1e-12)), np.minimum(t, max_len), np.nan)
+    if np.asarray(origin).ndim == 1:
+        return None if math.isnan(t[0]) else float(t[0])
+    return t
 
 
 @dataclass(frozen=True)
-class BoundaryCrossing:
-    """An axis stencil arm leaving the domain: its foot point and normal data."""
+class BoundaryCrossings:
+    """The axis stencil arms leaving the domain, one row per (node, direction).
 
-    node_index: int          # inside-node index the arm starts from
-    direction: np.ndarray    # outward unit axis direction
-    theta: float             # crossing distance as a fraction of h
-    foot: np.ndarray         # crossing point on the boundary
-    normal: np.ndarray       # outward unit normal at the foot
+    Rows are ordered by node, then by direction.
+    """
+
+    node_index: np.ndarray   # (c,) inside-node index each arm starts from
+    direction: np.ndarray    # (c,) index into DIRECTIONS[:4] of the outward arm
+    theta: np.ndarray        # (c,) crossing distance as a fraction of h
+    foot: np.ndarray         # (c, 2) crossing point on the boundary
+    normal: np.ndarray       # (c, 2) outward unit normal at the foot
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ class GridMask:
     classification: np.ndarray    # (n_inside,) INTERIOR or BOUNDARY_ADJACENT
     theta: np.ndarray             # (n_inside, 8) arm fractions in (0, 1]
     neighbor: np.ndarray          # (n_inside, 8) inside index or -1
-    crossings: tuple[BoundaryCrossing, ...]
+    crossings: BoundaryCrossings
     _op_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -325,8 +329,8 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     symmetric grids.  Raises ConfigurationError when fewer than `min_span`
     inside nodes span the narrowest axis-aligned section.
     """
-    if h <= 0:
-        raise InputError("grid spacing must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise InputError("grid spacing must be positive and finite")
     if spec.dim != 2:
         raise InputError("rasterization supports planar domains only")
     if not assert_convex(spec):
@@ -339,6 +343,7 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     else:
         rel = spec.vertices - spec.center
         ext = np.max(np.abs(rel), axis=0)
+    # One spare node beyond the extent puts the outer ring outside the domain.
     half = np.ceil(ext / h).astype(int) + 1
     nx, ny = 2 * half[0] + 1, 2 * half[1] + 1
     origin = spec.center - half * h
@@ -347,14 +352,13 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     ys = origin[1] + h * np.arange(ny)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    inside_flat = is_inside(spec, nodes)
-    inside = inside_flat.reshape(nx, ny)
+    inside = is_inside(spec, nodes).reshape(nx, ny)
 
-    span_x = _max_run(inside, axis=0)
-    span_y = _max_run(inside, axis=1)
-    if min(span_x, span_y) < min_span:
+    # A convex domain meets each lattice line in one run of inside nodes.
+    span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
+    if span < min_span:
         raise ConfigurationError(
-            f"grid too coarse: {min(span_x, span_y)} inside nodes across the "
+            f"grid too coarse: {span} inside nodes across the "
             f"narrowest section, need >= {min_span}")
 
     grid_index = -np.ones((nx, ny), dtype=int)
@@ -363,47 +367,26 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     grid_index[ii, jj] = np.arange(n_inside)
     node_xy = np.column_stack([xs[ii], ys[jj]])
 
-    neighbor = -np.ones((n_inside, 8), dtype=int)
+    # Shifted lookups stay in range: inside nodes never touch the outer ring.
+    neighbor = np.column_stack([grid_index[ii + di, jj + dj] for di, dj in DIRECTIONS])
     theta = np.ones((n_inside, 8))
-    classification = np.full(n_inside, INTERIOR, dtype=int)
-    crossings: list[BoundaryCrossing] = []
+    for m, (di, dj) in enumerate(DIRECTIONS):
+        cut = neighbor[:, m] < 0
+        step = h * math.hypot(di, dj)
+        unit = np.array([di, dj]) / math.hypot(di, dj)
+        t = ray_crossing(spec, node_xy[cut], unit, step)
+        t[np.isnan(t)] = step  # grazing float case: treat as full arm to boundary
+        theta[cut, m] = np.clip(t / step, THETA_FLOOR, 1.0)
 
-    for k in range(n_inside):
-        i, j = ii[k], jj[k]
-        x = node_xy[k]
-        for m, (di, dj) in enumerate(DIRECTIONS):
-            ni, nj = i + di, j + dj
-            nb_inside = (0 <= ni < nx and 0 <= nj < ny and inside[ni, nj])
-            if nb_inside:
-                neighbor[k, m] = grid_index[ni, nj]
-                continue
-            step = h * math.hypot(di, dj)
-            unit = np.array([di, dj], dtype=float) / math.hypot(di, dj)
-            t = ray_crossing(spec, x, unit, step)
-            if t is None:
-                t = step  # grazing float case: treat as full arm to boundary
-            frac = min(max(t / step, THETA_FLOOR), 1.0)
-            theta[k, m] = frac
-            if m < 4:
-                classification[k] = BOUNDARY_ADJACENT
-                foot = x + frac * step * unit
-                crossings.append(BoundaryCrossing(
-                    node_index=k, direction=unit, theta=frac, foot=foot,
-                    normal=boundary_normal(spec, foot[None, :])[0]))
+    axis_cut = neighbor[:, :4] < 0
+    classification = np.where(axis_cut.any(axis=1), BOUNDARY_ADJACENT, INTERIOR)
+    node_index, direction = np.nonzero(axis_cut)
+    frac = theta[node_index, direction]
+    foot = node_xy[node_index] + (frac * h)[:, None] * DIRECTIONS[direction]
+    crossings = BoundaryCrossings(node_index=node_index, direction=direction, theta=frac,
+                                  foot=foot, normal=boundary_normal(spec, foot))
 
     return GridMask(spec=spec, h=h, origin=origin, shape=(nx, ny),
                     node_xy=node_xy, grid_index=grid_index,
                     classification=classification, theta=theta,
-                    neighbor=neighbor, crossings=tuple(crossings))
-
-
-def _max_run(mask: np.ndarray, axis: int) -> int:
-    """Longest run of True along the given axis."""
-    best = 0
-    moved = np.moveaxis(mask, axis, 0)
-    for line in moved.T if moved.ndim > 1 else [moved]:
-        run = 0
-        for val in np.atleast_1d(line):
-            run = run + 1 if val else 0
-            best = max(best, run)
-    return best
+                    neighbor=neighbor, crossings=crossings)

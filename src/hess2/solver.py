@@ -72,9 +72,14 @@ class SourceTerm:
         return self.preset
 
 
+def _require_positive(message: str, *values: float) -> None:
+    """Preset parameters must be positive and finite (NaN is neither)."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise InputError(message)
+
+
 def constant_source(value: float = 1.0) -> SourceTerm:
-    if value <= 0:
-        raise InputError("constant source must be positive")
+    _require_positive("constant source must be positive and finite", value)
     return SourceTerm(preset="const",
                       f=lambda t: np.full_like(np.asarray(t, dtype=float), value),
                       fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -89,8 +94,7 @@ def exp_decreasing_source(rate: float = 0.5) -> SourceTerm:
     and the unit-rate exponential already sits past the solvability fold of
     the (2, 1) ellipse (continuation locates the fold near rate 0.97).
     """
-    if rate <= 0:
-        raise InputError("decreasing exponential needs rate > 0")
+    _require_positive("decreasing exponential needs a finite rate > 0", rate)
     return SourceTerm(preset="exp-dec",
                       f=lambda t: np.exp(-rate * np.asarray(t, dtype=float)),
                       fprime=lambda t: -rate * np.exp(-rate * np.asarray(t, dtype=float)),
@@ -99,8 +103,7 @@ def exp_decreasing_source(rate: float = 0.5) -> SourceTerm:
 
 def exp_increasing_source(rate: float = 1.0) -> SourceTerm:
     """f(t) = exp(rate t), strictly increasing; self-damping for u < 0."""
-    if rate <= 0:
-        raise InputError("increasing exponential needs rate > 0")
+    _require_positive("increasing exponential needs a finite rate > 0", rate)
     return SourceTerm(preset="exp-inc",
                       f=lambda t: np.exp(rate * np.asarray(t, dtype=float)),
                       fprime=lambda t: rate * np.exp(rate * np.asarray(t, dtype=float)),
@@ -109,8 +112,7 @@ def exp_increasing_source(rate: float = 1.0) -> SourceTerm:
 
 def eigen_source(lam1: float) -> SourceTerm:
     """f(t) = lam1 t^2, nonincreasing on t <= 0."""
-    if lam1 <= 0:
-        raise InputError("eigenvalue factor must be positive")
+    _require_positive("eigenvalue factor must be positive and finite", lam1)
     return SourceTerm(preset="eigen",
                       f=lambda t: lam1 * np.asarray(t, dtype=float) ** 2,
                       fprime=lambda t: 2.0 * lam1 * np.asarray(t, dtype=float),
@@ -119,8 +121,7 @@ def eigen_source(lam1: float) -> SourceTerm:
 
 def power_source(lam: float, p: float) -> SourceTerm:
     """f(t) = lam (-t)^p on t <= 0, nonincreasing there."""
-    if lam <= 0 or p <= 0:
-        raise InputError("power source needs lam > 0 and p > 0")
+    _require_positive("power source needs finite lam > 0 and p > 0", lam, p)
 
     def _f(t):
         return lam * np.abs(np.minimum(np.asarray(t, dtype=float), 0.0)) ** p
@@ -386,8 +387,7 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
     """Admissible radial solution on a ball of the given radius."""
     if n_dim < 2:
         raise InputError("radial solves need dimension >= 2")
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    _require_positive("radius must be positive and finite", radius)
     cfg = cfg or SolveConfig()
     r, u, up, iters, delta = _solve_radial_fixed_point(
         n_dim, radius, lambda rr, uu: f.f(uu), cfg)
@@ -426,6 +426,7 @@ def solve_eigen_radial(n_dim: int, radius: float,
     """
     if n_dim != 3:
         raise InputError("the eigenvalue solver is wired for dimension 3")
+    _require_positive("radius must be positive and finite", radius)
     cfg = cfg or SolveConfig()
     m = cfg.radial_nodes
     r = np.linspace(0.0, radius, m + 1)
@@ -489,46 +490,34 @@ def build_operators(mask: GridMask) -> dict[str, sp.csr_matrix]:
     if "Dxx" in mask._op_cache:
         return mask._op_cache
     n = mask.n_inside
-    h = mask.h
-    builders = {name: ([], [], []) for name in ("Dxx", "Dyy", "Dxy", "Dx", "Dy")}
+    th, nb = mask.theta, mask.neighbor
 
-    def add(name, row, col, val):
-        rows, cols, vals = builders[name]
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    sqrt2h = math.sqrt(2.0) * h
-    for k in range(n):
-        th = mask.theta[k]
-        nb = mask.neighbor[k]
-        # Axis second and first derivatives: directions 0/1 are +/-x, 2/3 are +/-y.
-        for name_second, name_first, ip, im in (("Dxx", "Dx", 0, 1), ("Dyy", "Dy", 2, 3)):
-            cc, cp, cm = _second_derivative_row(th[ip], th[im], h)
-            add(name_second, k, k, cc)
-            if nb[ip] >= 0:
-                add(name_second, k, nb[ip], cp)
-            if nb[im] >= 0:
-                add(name_second, k, nb[im], cm)
-            cc, cp, cm = _first_derivative_row(th[ip], th[im], h)
-            add(name_first, k, k, cc)
-            if nb[ip] >= 0:
-                add(name_first, k, nb[ip], cp)
-            if nb[im] >= 0:
-                add(name_first, k, nb[im], cm)
-        # Cross derivative from the two diagonal second derivatives:
-        # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
-        cc1, cp1, cm1 = _second_derivative_row(th[4], th[5], sqrt2h)
-        cc2, cp2, cm2 = _second_derivative_row(th[6], th[7], sqrt2h)
-        add("Dxy", k, k, 0.5 * (cc1 - cc2))
-        for coeff, direction in ((0.5 * cp1, 4), (0.5 * cm1, 5),
-                                 (-0.5 * cp2, 6), (-0.5 * cm2, 7)):
-            if nb[direction] >= 0:
-                add("Dxy", k, nb[direction], coeff)
+    def assemble(center, arms):
+        # `center` on the diagonal; each (direction, coefficients) arm lands on
+        # the neighbor column where one exists (boundary data are zero).
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [center]
+        for m, coeff in arms:
+            has = nb[:, m] >= 0
+            rows.append(np.nonzero(has)[0])
+            cols.append(nb[has, m])
+            vals.append(coeff[has])
+        return sp.csr_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
     ops = {}
-    for name, (rows, cols, vals) in builders.items():
-        ops[name] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # Axis second and first derivatives: directions 0/1 are +/-x, 2/3 are +/-y.
+    for name_second, name_first, ip, im in (("Dxx", "Dx", 0, 1), ("Dyy", "Dy", 2, 3)):
+        for name, row in ((name_second, _second_derivative_row),
+                          (name_first, _first_derivative_row)):
+            cc, cp, cm = row(th[:, ip], th[:, im], mask.h)
+            ops[name] = assemble(cc, ((ip, cp), (im, cm)))
+    # Cross derivative from the two diagonal second derivatives:
+    # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
+    sqrt2h = math.sqrt(2.0) * mask.h
+    cc1, cp1, cm1 = _second_derivative_row(th[:, 4], th[:, 5], sqrt2h)
+    cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
+    ops["Dxy"] = assemble(0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
+                                              (6, -0.5 * cp2), (7, -0.5 * cm2)))
     mask._op_cache.update(ops)
     return mask._op_cache
 
@@ -587,30 +576,22 @@ class ScalarField2D:
         cosine between that line and the normal.  Crossings nearly tangential
         to the boundary are skipped.
         """
-        mask = self.mask
-        h = mask.h
-        points, values = [], []
-        for crossing in mask.crossings:
-            align = float(crossing.normal @ crossing.direction)
-            if abs(align) < MIN_NORMAL_ALIGNMENT:
-                continue
-            k = crossing.node_index
-            dir_idx = int(np.argmax(DIRECTIONS[:4] @ crossing.direction))
-            prev = mask.neighbor[k, dir_idx ^ 1]   # neighbor opposite the crossing
-            d1 = crossing.theta * h
-            u1 = float(self.u[k])
-            if prev >= 0:
-                deriv_inward = forward_first_derivative(0.0, u1, float(self.u[prev]),
-                                                        d1, d1 + h)
-            else:
-                deriv_inward = u1 / d1
-            # deriv_inward differentiates along -direction; flip to the outward axis.
-            deriv_axis = -deriv_inward
-            values.append(abs(deriv_axis / align))
-            points.append(crossing.foot)
-        if not points:
+        mask, c = self.mask, self.mask.crossings
+        align = np.einsum("ij,ij->i", c.normal, DIRECTIONS[c.direction])
+        keep = np.abs(align) >= MIN_NORMAL_ALIGNMENT
+        if not np.any(keep):
             raise SolverError("no usable boundary crossings for gradient sampling")
-        return np.asarray(points), np.asarray(values)
+        k, direction = c.node_index[keep], c.direction[keep]
+        prev = mask.neighbor[k, direction ^ 1]   # neighbor opposite the crossing
+        d1 = c.theta[keep] * mask.h
+        u1 = self.u[k]
+        # Without that neighbor (prev = -1) u is taken linear from the node to
+        # the boundary; the three-point value read at u[-1] is discarded.
+        deriv_inward = np.where(
+            prev >= 0, forward_first_derivative(0.0, u1, self.u[prev], d1, d1 + mask.h),
+            u1 / d1)
+        # deriv_inward differentiates along -direction; flip to the outward axis.
+        return c.foot[keep], np.abs(-deriv_inward / align[keep])
 
     def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         uxx, uyy, uxy = self.hessian_entries()

@@ -255,12 +255,14 @@ def sample_batch(seed: int, dim: int, sign: str, scale: float,
     positive/negative draws are +/- Q diag(lam) Q^T with lam in [0, scale] and,
     with probability ZERO_EIGENVALUE_PROB, at least one exact zero eigenvalue.
     indefinite draws are plain symmetrized Gaussians scaled by `scale`.
-    Deterministic for fixed (seed, dim, sign, count prefix).
+    Deterministic for fixed (seed, dim, sign, scale, count).  A prefix is not
+    stable: sample i changes with `count`, because each quantity is drawn for
+    the whole batch before the next one.
     """
     if not (2 <= dim <= MAX_DIM):
         raise InputError(f"dim must be in [2, {MAX_DIM}], got {dim}")
-    if scale <= 0:
-        raise InputError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise InputError("scale must be positive and finite")
     rng = np.random.default_rng([seed, dim, _sign_code(sign)])
     if sign == "indefinite":
         g = rng.standard_normal((count, dim, dim))

@@ -16,14 +16,15 @@ from .errors import HypothesisError, TransformDomainError
 class Transform:
     """A scalar transform U with evaluators for U, U' and U''.
 
+    The evaluators take a float or an array of floats and apply elementwise.
     `domain` is the open interval on which the transform is defined; points
     outside it raise TransformDomainError.
     """
 
     name: str
-    u: Callable[[float], float]
-    du: Callable[[float], float]
-    d2u: Callable[[float], float]
+    u: Callable
+    du: Callable
+    d2u: Callable
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def check_domain(self, t) -> None:
@@ -39,15 +40,16 @@ class Transform:
 
 
 def identity_transform() -> Transform:
-    return Transform(name="identity", u=lambda t: t, du=lambda t: 1.0,
-                     d2u=lambda t: 0.0)
+    return Transform(name="identity", u=lambda t: t,
+                     du=lambda t: np.ones_like(t, dtype=float),
+                     d2u=lambda t: np.zeros_like(t, dtype=float))
 
 
 def negative_sqrt_transform() -> Transform:
     """U(t) = -sqrt(-t) on t < 0; increasing with U'' > 0."""
     return Transform(
         name="neg-sqrt",
-        u=lambda t: -math.sqrt(-t),
+        u=lambda t: -np.sqrt(-t),
         du=lambda t: 0.5 * (-t) ** -0.5,
         d2u=lambda t: 0.25 * (-t) ** -1.5,
         domain=(-math.inf, 0.0),
@@ -58,7 +60,7 @@ def negative_log_transform() -> Transform:
     """U(t) = -log(-t) on t < 0; increasing with U'' > 0."""
     return Transform(
         name="neg-log",
-        u=lambda t: -math.log(-t),
+        u=lambda t: -np.log(-t),
         du=lambda t: -1.0 / t,
         d2u=lambda t: 1.0 / (t * t),
         domain=(-math.inf, 0.0),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,14 +147,29 @@ class TestSolveCommand:
         ["solve", "--grid2d", "--domain", "disk:x"],
         ["solve", "--radial", "--nodes", "0"],
         ["verify", "--app", "1", "--nodes", "64", "--gamma", "x"],
+        ["solve", "--grid2d", "--h", "nan"],
+        ["solve", "--grid2d", "--h", "inf"],
+        ["solve", "--grid2d", "--domain", "disk:inf"],
+        ["solve", "--grid2d", "--domain", "ellipse:2,nan"],
+        ["solve", "--grid2d", "--domain", "polygon:0,0;1,0;inf,1"],
+        ["solve", "--grid2d", "--f", "const:nan"],
+        ["solve", "--radial", "--radius", "nan"],
+        ["solve", "--eigen", "--radius", "nan"],
+        ["solve", "--radial", "--f", "exp-dec:nan"],
+        ["solve", "--radial", "--f", "power:1,nan"],
     ], ids=["dim1", "eigen-no-lambda", "power-one-param", "const-not-a-number",
             "const-two-params", "unknown-preset", "ellipse-one-axis", "disk-not-a-number",
-            "zero-nodes", "verify-gamma-not-a-number"])
+            "zero-nodes", "verify-gamma-not-a-number", "h-nan", "h-inf", "disk-inf",
+            "ellipse-nan", "polygon-inf", "const-nan", "radius-nan", "eigen-radius-nan",
+            "exp-dec-nan", "power-nan"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
-        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
-        printed = capsys.readouterr().out
-        assert printed.startswith("input error: ")
-        assert printed.count("\n") == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ")
+        assert printed.out.count("\n") == 1
+        assert printed.err == "" and not caught
         assert not (tmp_path / "bad").exists()
 
     def test_unsolvable_exits_three(self, tmp_path):
@@ -224,6 +240,24 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["bounds"]["gamma=0.5"]["holds"]
+
+
+class TestCampaignScanVerifyInputs:
+    @pytest.mark.parametrize("argv", [
+        ["ineq", "--dims", "x"],
+        ["ineq", "--dims", "2..1"],
+        ["ineq", "--dims", "2", "--count", "10", "--scale", "nan"],
+        ["identity-scan", "--count", "0"],
+        ["verify", "--app", "1", "--alpha", "nan"],
+        ["verify", "--app", "1", "--gamma", "0.7"],
+    ], ids=["dims-not-a-number", "dims-empty-range", "scale-nan", "scan-zero-count",
+            "verify-alpha-nan", "verify-gamma-unsupported"])
+    def test_bad_input_exits_two(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("input error: ")
+        assert printed.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
 
 
 class TestStartup:

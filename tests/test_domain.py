@@ -3,7 +3,9 @@ import pytest
 
 from hess2.domain import (
     BOUNDARY_ADJACENT,
+    DIRECTIONS,
     INTERIOR,
+    THETA_FLOOR,
     DomainSpec,
     assert_convex,
     ball,
@@ -19,6 +21,7 @@ from hess2.errors import ConfigurationError, InputError
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+SKEWED_QUAD = [[-1.0, -0.8], [1.2, -1.0], [0.9, 1.1], [-0.7, 0.8]]
 
 
 class TestSpecs:
@@ -91,17 +94,16 @@ class TestNormalsAndCrossings:
                                       convex_polygon(SQUARE)])
     def test_normals_unit_and_outward(self, spec):
         mask = rasterize(spec, 0.1)
-        for crossing in mask.crossings[::7]:
-            n = crossing.normal
+        crossings = mask.crossings
+        for n, foot in zip(crossings.normal[::7], crossings.foot[::7]):
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-            assert n @ (crossing.foot - spec.center) > 0
+            assert n @ (foot - spec.center) > 0
 
     def test_crossing_on_boundary(self):
         spec = ellipse(2.0, 1.0)
         mask = rasterize(spec, 0.05)
         a, b = spec.semi_axes
-        for crossing in mask.crossings[::11]:
-            x, y = crossing.foot
+        for x, y in mask.crossings.foot[::11]:
             assert (x / a) ** 2 + (y / b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_ray_crossing_exact_disk(self):
@@ -165,3 +167,31 @@ class TestRasterize:
             d = signed_distance(spec, pts)
             clear = np.abs(d) > 1e-9
             assert np.array_equal(inside[clear], d[clear] < 0)
+
+
+class TestGridInvariants:
+    @pytest.mark.parametrize("spec,h", [
+        (ball(1.0), 0.05), (ellipse(2.0, 1.0), 0.05),
+        (convex_polygon(SQUARE), 1.0 / 16.0), (convex_polygon(SKEWED_QUAD), 0.04),
+    ], ids=["ball", "ellipse", "square", "skewed-quad"])
+    def test_stencil_geometry(self, spec, h):
+        mask = rasterize(spec, h)
+        nb, theta = mask.neighbor, mask.theta
+        k, m = np.nonzero(nb >= 0)
+        # Arms pair up: stepping back along the opposite direction returns.
+        assert np.array_equal(nb[nb[k, m], m ^ 1], k)
+        assert np.all(theta[k, m] == 1.0)
+        # Every cut arm ends on the boundary; clamped arms end at most
+        # THETA_FLOOR of a step beyond it.
+        k, m = np.nonzero(nb < 0)
+        ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
+        assert np.max(np.abs(signed_distance(spec, ends))) <= 1e-12 + THETA_FLOOR * h * np.sqrt(2.0)
+        axis_cut = nb[:, :4] < 0
+        assert np.array_equal(mask.classification == BOUNDARY_ADJACENT, axis_cut.any(axis=1))
+        # Crossing rows are the cut axis arms in (node, direction) order.
+        c = mask.crossings
+        k, m = np.nonzero(axis_cut)
+        assert np.array_equal(c.node_index, k) and np.array_equal(c.direction, m)
+        assert np.array_equal(c.theta, theta[k, m])
+        ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
+        np.testing.assert_allclose(c.foot, ends, rtol=0.0, atol=1e-15)
