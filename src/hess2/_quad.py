@@ -21,6 +21,7 @@ def _quartic_interval_weights() -> np.ndarray:
     return weights
 
 _QUARTIC_WEIGHTS = _quartic_interval_weights()
+SIMPSON_MAX_DEPTH = 48  # bisection levels before adaptive_simpson gives up
 
 
 def cumulative_quartic_uniform(y: np.ndarray, dx: float) -> np.ndarray:
@@ -47,13 +48,13 @@ def cumulative_quartic_uniform(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 def adaptive_simpson(func, a: float, b: float, rtol: float = 1e-10,
-                     atol: float = 1e-300, max_depth: int = 48) -> float:
+                     atol: float = 1e-300) -> float:
     """Adaptive Simpson quadrature of a scalar function on [a, b]."""
     if a == b:
         return 0.0
     fa, fm, fb = func(a), func(0.5 * (a + b)), func(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, max_depth)
+    return _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, SIMPSON_MAX_DEPTH)
 
 
 def _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, depth):

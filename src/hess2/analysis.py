@@ -24,7 +24,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from .domain import DomainSpec, signed_distance
 from .errors import InputError
-from .fields import ConvexityReport
+from .fields import CONVEXITY_TOL, ConvexityReport
 from .solver import Solution, SourceTerm
 from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
@@ -36,6 +36,7 @@ from .transforms import (
 )
 
 GAMMA_CHOICES = (0.5, 1.0)
+BOUND_TOL = 1e-6  # slack a bound report may miss by and still hold
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ def transform_preset(application: int, p: float | None = None) -> Transform:
     raise InputError(f"unknown application {application}")
 
 
-def convexity_scan_solution(sol: Solution, tr: Transform,
-                            tol: float = 1e-8) -> ConvexityReport:
+def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     """Minimum eigenvalue of D^2 U(u) over a solution's strictly interior nodes."""
     interior = sol.interior
     u = sol.u[interior]
@@ -247,7 +247,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform,
     low, scale = sol.transform_hessian_min(tr.du(u), tr.d2u(u))
     k = int(np.argmin(low))
     min_eig = float(low[k])
-    tolerance = tol * scale
+    tolerance = CONVEXITY_TOL * scale
     return ConvexityReport(transform_name=tr.name, n_points=int(u.size),
                            min_eigenvalue=min_eig,
                            argmin_point=np.atleast_1d(sol.positions[interior][k]),
@@ -255,10 +255,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform,
 
 
 def bounds_report(sol: Solution, f: SourceTerm, application: int, *,
-                  p: float | None = None, gamma: float = 1.0,
-                  transform: Transform | None = None,
-                  allow_identity_fallback: bool = True,
-                  tol: float = 1e-6) -> BoundsReport:
+                  p: float | None = None, gamma: float = 1.0) -> BoundsReport:
     """Audit the application's a priori bound on a solved problem.
 
     lhs is twice the source integral at the solution minimum (the field value
@@ -269,11 +266,10 @@ def bounds_report(sol: Solution, f: SourceTerm, application: int, *,
     """
     if gamma not in GAMMA_CHOICES:
         raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
-    if transform is None:
-        transform = transform_preset(application, p)
+    transform = transform_preset(application, p)
     scan = convexity_scan_solution(sol, transform)
     used = transform.name
-    if not scan.convex and allow_identity_fallback:
+    if not scan.convex:
         scan = convexity_scan_solution(sol, identity_transform())
         used = "identity"
     hypothesis_ok = bool(scan.convex and f.nonincreasing)
@@ -284,17 +280,16 @@ def bounds_report(sol: Solution, f: SourceTerm, application: int, *,
     slack = lhs - rhs
     pointwise = pf.phi[pf.interior] - rhs
     pointwise_min = float(np.min(pointwise))
-    holds = bool(hypothesis_ok and slack >= -tol and pointwise_min >= -tol)
+    holds = bool(hypothesis_ok and slack >= -BOUND_TOL and pointwise_min >= -BOUND_TOL)
     return BoundsReport(application=application, gamma=gamma, lhs=lhs, rhs=rhs,
                         slack=slack, pointwise_min_slack=pointwise_min,
                         hypothesis_ok=hypothesis_ok, transform_name=used,
                         holds=holds)
 
 
-def critical_point_report(sol: Solution, f: SourceTerm,
-                          cluster_radius_steps: float = 3.0) -> CriticalPointReport:
+def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
     """Hessian spectrum and saturation ratio at the solution's interior minimum."""
-    location, hess = sol.hessian_at_minimum(cluster_radius_steps)
+    location, hess = sol.hessian_at_minimum()
     spectrum, _ = jacobi_eigh(hess)
     f_val = float(np.asarray(f.f(sol.u_min)))
     if f_val <= 0:

@@ -46,20 +46,23 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        command = ""
         options = {}
         for line in text.splitlines():
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            if key == "command":
-                command = value
-            else:
+            if line and not line.startswith("#"):
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise InputError(f"bad config line: {line!r}")
                 options[key] = value
-        return cls(command=command, options=options)
+        return cls(command=options.pop("command", ""), options=options)
+
+
+def _config_text(args) -> str:
+    """The canonical text of a run's parsed options, as embedded in its report."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    if "alpha" in options:
+        options["alpha"] = ",".join(f"{a:g}" for a in options["alpha"])
+    return RunConfig(args.command, options).canonical_text()
 
 
 def _fmt(x) -> str:
@@ -127,9 +130,6 @@ def parse_domain(text: str) -> domain.DomainSpec:
 
 def cmd_ineq(args) -> int:
     dims = parse_dims(args.dims)
-    config = RunConfig("ineq", {"seed": args.seed, "dims": args.dims,
-                                "count": args.count, "sign": args.sign,
-                                "scale": args.scale, "records": args.records})
     result = matineq.inequality_campaign(args.seed, dims, args.count, args.sign,
                                          scale=args.scale,
                                          keep_records=args.records)
@@ -137,7 +137,7 @@ def cmd_ineq(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema": REPORT_SCHEMA,
-        "config": config.canonical_text(),
+        "config": _config_text(args),
         "sign": args.sign,
         "ok": result.ok,
         "per_dim": {
@@ -176,19 +176,19 @@ def cmd_ineq(args) -> int:
 # solve
 # ----------------------------------------------------------------------
 
-def _solve_from_args(args, mode: str, f: solver.SourceTerm | None):
+def _solve_from_args(args, f: solver.SourceTerm | None):
     """Returns (solution, source, extras) for solve/verify style commands.
 
-    mode is "eigen" (the source is the solved eigenvalue problem's own),
+    args.mode is "eigen" (the source is the solved eigenvalue problem's own),
     "radial" or "grid2d".
     """
     cfg = solver.SolveConfig(radial_nodes=args.nodes)
-    if mode == "eigen":
+    if args.mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
-    if mode == "radial":
+    if args.mode == "radial":
         return solver.solve_radial(args.dim, args.radius, f, cfg), f, {}
-    return solver.solve_grid2d(parse_domain(args.domain), f, args.h, cfg), f, {}
+    return solver.solve_grid2d(parse_domain(args.domain), f, args.h), f, {}
 
 
 def _solution_summary(sol: solver.Solution, f, extras) -> dict:
@@ -218,16 +218,11 @@ def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
 
 
 def cmd_solve(args) -> int:
-    mode = "eigen" if args.eigen else ("radial" if args.radial else "grid2d")
-    config = RunConfig("solve", {
-        "mode": mode,
-        "dim": args.dim, "radius": args.radius, "f": args.f,
-        "domain": args.domain, "h": args.h, "nodes": args.nodes})
-    f = None if mode == "eigen" else parse_source(args.f)
-    sol, f, extras = _solve_from_args(args, mode, f)
+    f = None if args.mode == "eigen" else parse_source(args.f)
+    sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"schema": REPORT_SCHEMA, "config": config.canonical_text()}
+    summary = {"schema": REPORT_SCHEMA, "config": _config_text(args)}
     summary.update(_solution_summary(sol, f, extras))
     solver.save_solution(sol, out / "solution.npz")
     _write_json(out / "summary.json", summary)
@@ -249,36 +244,35 @@ def cmd_solve(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _verify_problem(args) -> tuple[str, solver.SourceTerm | None]:
-    """(solve mode, source) of the verify application."""
+def _verify_source(args) -> solver.SourceTerm | None:
+    """Source of the verify application; application 2 sets the eigen mode."""
     if args.app == 2:
-        if args.grid2d:
+        if args.mode == "grid2d":
             raise InputError("application 2 needs the eigenvalue problem, "
                              "which is solved on balls only (drop --grid2d)")
-        return "eigen", None
-    mode = "radial" if args.radial else "grid2d"
+        args.mode = "eigen"
+        return None
+    if args.mode == "eigen":
+        raise InputError("mode=eigen is the eigenvalue problem of application 2 only")
     if args.app == 3:
-        return mode, solver.power_source(args.lam, args.p)
-    return mode, parse_source(args.f)
+        return solver.power_source(args.lam, args.p)
+    return parse_source(args.f)
 
 
 def cmd_verify(args) -> int:
     # Input and hypothesis gates first: the transform must exist and be
     # increasing, and the application must be solvable in the asked mode.
     transform = analysis.transform_preset(args.app, args.p)
-    mode, f = _verify_problem(args)
+    f = _verify_source(args)
     gammas = (analysis.GAMMA_CHOICES if args.gamma == "both"
               else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
+    # --alpha appends to its default, so the parser cannot hold this one.
+    args.alpha = args.alpha or [1.0]
     # Built before the solve so that a bad --alpha or --gamma costs none.
     specs = {gamma: [analysis.PFunctionSpec(alpha=alpha, gamma=gamma) for alpha in args.alpha]
              for gamma in gammas}
-    config = RunConfig("verify", {
-        "app": args.app, "mode": mode,
-        "dim": args.dim, "radius": args.radius, "f": args.f,
-        "domain": args.domain, "h": args.h, "nodes": args.nodes,
-        "alpha": ",".join(f"{a:g}" for a in args.alpha),
-        "gamma": args.gamma, "p": args.p, "lam": args.lam})
-    sol, f, extras = _solve_from_args(args, mode, f)
+    config = _config_text(args)
+    sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -287,7 +281,7 @@ def cmd_verify(args) -> int:
         print(f"hypothesis not met: {transform.name} composition is not convex "
               f"(min eigenvalue {scan.min_eigenvalue:.3e})")
         _write_json(out / "report.json", {
-            "schema": REPORT_SCHEMA, "config": config.canonical_text(),
+            "schema": REPORT_SCHEMA, "config": config,
             "skipped": f"convexity hypothesis failed for {transform.name}"})
         return 2
 
@@ -313,7 +307,7 @@ def cmd_verify(args) -> int:
             fh.write(f"{dom},{flabel},{alpha:g},{gamma:g},{_fmt(margin)},"
                      f"{_fmt(slack)},{str(holds).lower()}\n")
     payload = {
-        "schema": REPORT_SCHEMA, "config": config.canonical_text(),
+        "schema": REPORT_SCHEMA, "config": config,
         "application": args.app, "transform": transform.name,
         "solution": _solution_summary(sol, f, extras),
         "bounds": report_bounds,
@@ -334,7 +328,6 @@ def cmd_verify(args) -> int:
 def cmd_identity_scan(args) -> int:
     if args.count < 1:
         raise InputError("--count must be >= 1")
-    config = RunConfig("identity-scan", {"seed": args.seed, "count": args.count})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -369,7 +362,6 @@ def cmd_identity_scan(args) -> int:
     # Curvature convention fit on radial fields in dimension 3: the extracted
     # value equals |grad u| times the shape-operator S2.
     ratios = []
-    fit_resid = 0.0
     for _ in range(args.count):
         amp = float(rng.uniform(0.1, 1.0))
         fld = fields.ball_quadratic_field(3, amp)
@@ -382,7 +374,7 @@ def cmd_identity_scan(args) -> int:
     fit_resid = float(np.max(np.abs(np.asarray(ratios) - factor)))
 
     payload = {
-        "schema": REPORT_SCHEMA, "config": config.canonical_text(),
+        "schema": REPORT_SCHEMA, "config": _config_text(args),
         "euler_gap_worst_over_scale": euler_worst,
         "philippin_safoui_min_gap_over_scale": ps_worst,
         "philippin_safoui_samples": n_ps,
@@ -412,7 +404,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Verification toolkit for 2-Hessian problems: matrix "
                     "inequalities, solvers, extreme principles, a priori bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     q = sub.add_parser("ineq", help="run a comatrix-inequality sampling campaign")
     q.add_argument("--seed", type=int, default=42)
@@ -426,36 +417,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     q.set_defaults(func=cmd_ineq)
 
     s = sub.add_parser("solve", help="solve a Dirichlet problem")
-    mode = s.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--radial", action="store_true")
-    mode.add_argument("--grid2d", action="store_true")
-    mode.add_argument("--eigen", action="store_true")
-    s.add_argument("--dim", type=int, default=3)
-    s.add_argument("--radius", type=float, default=1.0)
-    s.add_argument("--f", default="const:1")
-    s.add_argument("--domain", default="disk:1")
-    s.add_argument("--h", type=float, default=1.0 / 64)
-    s.add_argument("--nodes", type=int, default=1024)
-    s.add_argument("--out", default="solve-report")
-    s.set_defaults(func=cmd_solve)
-
     v = sub.add_parser("verify", help="verify principles and a priori bounds")
     v.add_argument("--app", type=int, choices=[1, 2, 3], required=True)
-    vmode = v.add_mutually_exclusive_group()
-    vmode.add_argument("--radial", action="store_true")
-    vmode.add_argument("--grid2d", action="store_true")
-    v.add_argument("--dim", type=int, default=3)
-    v.add_argument("--radius", type=float, default=1.0)
-    v.add_argument("--f", default="const:1")
-    v.add_argument("--domain", default="disk:1")
-    v.add_argument("--h", type=float, default=1.0 / 64)
-    v.add_argument("--nodes", type=int, default=1024)
+    # Shared problem options; verify has no --eigen, because --app 2 selects it.
+    for p, modes in ((s, ("radial", "grid2d", "eigen")), (v, ("radial", "grid2d"))):
+        mode = p.add_mutually_exclusive_group(required=p is s)
+        for name in modes:
+            mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name)
+        p.add_argument("--dim", type=int, default=3)
+        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--f", default="const:1")
+        p.add_argument("--domain", default="disk:1")
+        p.add_argument("--h", type=float, default=1.0 / 64)
+        p.add_argument("--nodes", type=int, default=1024)
+    s.add_argument("--out", default="solve-report")
+    s.set_defaults(func=cmd_solve)
     v.add_argument("--alpha", type=float, action="append", default=None)
     v.add_argument("--gamma", default="both")
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--lam", type=float, default=1.0)
     v.add_argument("--out", default="verify-report")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, mode="radial")
 
     i = sub.add_parser("identity-scan", help="scan pointwise identities on "
                                              "closed-form fields")
@@ -463,62 +445,79 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     i.add_argument("--count", type=int, default=100)
     i.add_argument("--out", default="identity-report")
     i.set_defaults(func=cmd_identity_scan)
-    registry.update({"ineq": q, "solve": s, "verify": v, "identity-scan": i})
-    return parser, registry
+    return parser, sub.choices
 
 
-_CONFIG_COERCIONS = {
-    "seed": int, "count": int, "dim": int, "nodes": int,
-    "radius": float, "h": float, "scale": float, "p": float, "lam": float,
-    "app": int,
-    "records": lambda s: s.lower() in ("1", "true", "yes"),
-    "radial": lambda s: s.lower() in ("1", "true", "yes"),
-    "grid2d": lambda s: s.lower() in ("1", "true", "yes"),
-    "eigen": lambda s: s.lower() in ("1", "true", "yes"),
-    "alpha": lambda s: [float(tok) for tok in s.split(",")],
-}
+def _config_value(registry, sub, key: str, text: str):
+    """A config file's `key=value`, converted and checked as its flag would be."""
+    action = next((a for a in sub._actions
+                   if a.dest == key and a.default is not argparse.SUPPRESS), None)
+    if action is None:
+        raise InputError(f"{key}={text}: {sub.prog} has no option {key!r}")
+    if text == "None":
+        return sub.get_default(key)
+    if action.nargs == 0:
+        # --records/--no-records, or a mode flag.  Any command's mode is taken:
+        # verify records the eigen mode of --app 2 and checks the pair itself.
+        flags = ({"True": True, "False": False}
+                 if isinstance(action, argparse.BooleanOptionalAction)
+                 else {a.const: a.const for p in registry.values() for a in p._actions
+                       if a.dest == key})
+        if text not in flags:
+            raise InputError(f"{key}={text}: expected one of {', '.join(flags)}")
+        return flags[text]
+    many = isinstance(action, argparse._AppendAction)
+    try:
+        values = [sub._get_values(action, [tok]) for tok in (text.split(",") if many else [text])]
+    except argparse.ArgumentError as exc:
+        raise InputError(f"{key}={text}: {exc.message}") from None
+    return values if many else values[0]
 
 
-def _apply_config_file(registry, argv):
-    """Pull --config out of argv and install its values as subparser defaults.
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; `--config FILE` supplies values as if their flags were typed.
 
-    Command-line flags still win: explicit arguments override the defaults
-    installed here.
+    Flags typed in argv win over the file, and values from the file satisfy
+    required flags (`--app`, the solve mode).
     """
+    parser, registry = build_parser()
     argv = list(argv)
     if "--config" not in argv:
-        return argv
+        return parser.parse_args(argv)
     k = argv.index("--config")
-    path = argv[k + 1]
+    if k + 1 == len(argv):
+        raise InputError("--config needs a file")
+    cfg = RunConfig.from_text(Path(argv[k + 1]).read_text())
     del argv[k:k + 2]
-    cfg = RunConfig.from_text(Path(path).read_text())
-    if cfg.command and (not argv or argv[0].startswith("-")):
+    if not argv or argv[0].startswith("-"):
         argv.insert(0, cfg.command)
-    command = argv[0] if argv and not argv[0].startswith("-") else cfg.command
-    if command not in registry:
-        raise InputError(f"config names no known command (got {command!r})")
-    defaults = {}
-    for key, value in cfg.options.items():
-        coerce = _CONFIG_COERCIONS.get(key, str)
-        defaults[key] = coerce(value)
-    registry[command].set_defaults(**defaults)
-    return argv
+    sub = registry.get(argv[0])
+    if sub is None:
+        raise InputError(f"config names no known command (got {argv[0]!r})")
+    values = {key: _config_value(registry, sub, key, text)
+              for key, text in cfg.options.items()}
+    values = {key: value for key, value in values.items() if value is not None}
+    for action in sub._actions:
+        if action.dest in values:
+            action.required = False
+    for group in sub._mutually_exclusive_groups:
+        if any(a.dest in values for a in group._group_actions):
+            group.required = False
+    # A flag that argv leaves untyped stays None, and the file fills it in.
+    sub.set_defaults(**dict.fromkeys(values))
+    args = parser.parse_args(argv)
+    for key, value in values.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return args
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _apply_config_file(registry, argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except (OSError, InputError) as exc:
         print(f"config error: {exc}")
         return 2
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.alpha is None:
-            args.alpha = [1.0]
-        if not args.radial and not args.grid2d:
-            args.radial = True
     try:
         return args.func(args)
     except HypothesisError as exc:

@@ -307,7 +307,6 @@ class GridMask:
 
     spec: DomainSpec
     h: float
-    origin: np.ndarray            # coordinate of node (0, 0)
     shape: tuple[int, int]        # (nx, ny) node counts
     node_xy: np.ndarray           # (n_inside, 2) coordinates of inside nodes
     grid_index: np.ndarray        # (nx, ny) -> inside index or -1
@@ -386,7 +385,7 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     crossings = BoundaryCrossings(node_index=node_index, direction=direction, theta=frac,
                                   foot=foot, normal=boundary_normal(spec, foot))
 
-    return GridMask(spec=spec, h=h, origin=origin, shape=(nx, ny),
+    return GridMask(spec=spec, h=h, shape=(nx, ny),
                     node_xy=node_xy, grid_index=grid_index,
                     classification=classification, theta=theta,
                     neighbor=neighbor, crossings=crossings)

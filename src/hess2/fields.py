@@ -18,6 +18,11 @@ from .transforms import Transform
 
 #: Probes closer than this to a critical point are rejected.
 MIN_GRADIENT_NORM = 1e-8
+#: A convexity scan passes when its least eigenvalue is above -CONVEXITY_TOL
+#: times the scan's eigenvalue scale.
+CONVEXITY_TOL = 1e-8
+FD_STEP = 1e-4   # central-difference step of finite_difference_consistency
+FD_RTOL = 1e-6   # worst relative disagreement it accepts
 
 
 @dataclass(frozen=True)
@@ -185,11 +190,10 @@ def standard_menagerie(dim: int) -> list[SyntheticField]:
     return fields
 
 
-def finite_difference_consistency(fld: SyntheticField, points, h: float = 1e-4,
-                                  rtol: float = 1e-6) -> float:
+def finite_difference_consistency(fld: SyntheticField, points) -> float:
     """Check grad/Hessian evaluators against central differences of u.
 
-    Returns the worst relative error; raises NumericalError beyond rtol.
+    Returns the worst relative error; raises NumericalError beyond FD_RTOL.
     """
     worst = 0.0
     for x in np.atleast_2d(np.asarray(points, dtype=float)):
@@ -199,16 +203,16 @@ def finite_difference_consistency(fld: SyntheticField, points, h: float = 1e-4,
         h_fd = np.zeros_like(h_exact)
         for i in range(fld.dim):
             e = np.zeros(fld.dim)
-            e[i] = h
-            g_fd[i] = (fld.u(x + e) - fld.u(x - e)) / (2 * h)
-            h_fd[:, i] = (fld.grad(x + e) - fld.grad(x - e)) / (2 * h)
+            e[i] = FD_STEP
+            g_fd[i] = (fld.u(x + e) - fld.u(x - e)) / (2 * FD_STEP)
+            h_fd[:, i] = (fld.grad(x + e) - fld.grad(x - e)) / (2 * FD_STEP)
         scale = max(1.0, float(np.max(np.abs(g_exact))), float(np.max(np.abs(h_exact))))
         err = max(float(np.max(np.abs(g_fd - g_exact))),
                   float(np.max(np.abs(0.5 * (h_fd + h_fd.T) - h_exact)))) / scale
         worst = max(worst, err)
-    if worst > rtol:
+    if worst > FD_RTOL:
         raise NumericalError(f"derivative evaluators disagree with finite differences "
-                             f"({worst:.3e} > {rtol:.1e})")
+                             f"({worst:.3e} > {FD_RTOL:.1e})")
     return worst
 
 
@@ -302,12 +306,11 @@ def transform_hessian(fld: SyntheticField, tr: Transform, x) -> SymmetricMatrix:
     return SymmetricMatrix.from_full(composed)
 
 
-def convexity_scan(fld: SyntheticField, tr: Transform, points,
-                   tol: float = 1e-8) -> ConvexityReport:
+def convexity_scan(fld: SyntheticField, tr: Transform, points) -> ConvexityReport:
     """Minimum eigenvalue of the composed Hessian over a batch of points.
 
-    The verdict is convex iff that minimum stays above -tol times the batch
-    scale.  Domain violations propagate per point.
+    The verdict is convex iff that minimum stays above -CONVEXITY_TOL times
+    the batch scale.  Domain violations propagate per point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     min_eig = np.inf
@@ -320,7 +323,7 @@ def convexity_scan(fld: SyntheticField, tr: Transform, points,
         if lam[0] < min_eig:
             min_eig = float(lam[0])
             argmin = x.copy()
-    tolerance = tol * scale
+    tolerance = CONVEXITY_TOL * scale
     return ConvexityReport(transform_name=tr.name, n_points=len(pts),
                            min_eigenvalue=min_eig, argmin_point=argmin,
                            convex=bool(min_eig >= -tolerance), tolerance=tolerance)

@@ -28,6 +28,8 @@ from .symmat import SymmetricMatrix, jacobi_eigh, sample_batch
 
 #: (alpha, beta) probe pairs; unisolvent for {a^3, a^2 b, a b^2, b^3}.
 EXPANSION_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0))
+SIGN_RTOL = 1e-12  # eigenvalues within this share of the spectrum's scale count as zero
+FACTORIZATION_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,10 @@ def inequality_scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 + anorm ** 3 * vv
 
 
-def classify_sign(a: SymmetricMatrix, tol: float | None = None) -> str:
+def classify_sign(a: SymmetricMatrix) -> str:
     """Classify a as positive/negative semidefinite or indefinite."""
     lam, _ = jacobi_eigh(a.full())
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(lam))))
+    tol = SIGN_RTOL * max(1.0, float(np.max(np.abs(lam))))
     if lam[0] >= -tol:
         return "positive"
     if lam[-1] <= tol:
@@ -132,11 +133,9 @@ def classify_sign(a: SymmetricMatrix, tol: float | None = None) -> str:
     return "indefinite"
 
 
-def is_negative_semidefinite(a: SymmetricMatrix, tol: float | None = None) -> bool:
+def is_negative_semidefinite(a: SymmetricMatrix) -> bool:
     lam, _ = jacobi_eigh(a.full())
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(lam))))
-    return bool(lam[-1] <= tol)
+    return bool(lam[-1] <= SIGN_RTOL * max(1.0, float(np.max(np.abs(lam)))))
 
 
 def comatrix_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
@@ -354,7 +353,7 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
                           records=records)
 
 
-def factorization_campaign(seed: int, count: int, dims=(2, 3, 4, 5, 6, 7, 8)):
+def factorization_campaign(seed: int, count: int):
     """Sample (A, v, U', U'') tuples and verify the cubic factorization.
 
     U' is drawn from both signs.  Returns the worst relative mismatch between
@@ -362,8 +361,8 @@ def factorization_campaign(seed: int, count: int, dims=(2, 3, 4, 5, 6, 7, 8)):
     """
     rng = np.random.default_rng([seed, 97])
     worst = 0.0
-    per_dim = max(count // len(tuple(dims)), 1)
-    for dim in dims:
+    per_dim = max(count // len(FACTORIZATION_DIMS), 1)
+    for dim in FACTORIZATION_DIMS:
         g = rng.standard_normal((per_dim, dim, dim))
         a = 0.5 * (g + g.transpose(0, 2, 1))
         v = rng.standard_normal((per_dim, dim))

@@ -44,6 +44,19 @@ SOLUTION_SCHEMA_VERSION = 1
 #: always covers the same stretch of boundary).
 MIN_NORMAL_ALIGNMENT = 0.5
 
+#: Near-minimal grid nodes within this many grid steps of their mean count as
+#: one critical point; a wider spread is reported as separated minima.
+MINIMUM_CLUSTER_STEPS = 3.0
+
+# Iteration controls of the radial, eigenvalue and grid solvers.
+PICARD_TOL = 1e-13
+PICARD_MAX_ITER = 400
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+NEWTON_MIN_STEP = 1e-6
+EIGEN_TOL = 1e-11
+EIGEN_MAX_ITER = 400
+
 
 @dataclass(frozen=True)
 class SourceTerm:
@@ -147,20 +160,11 @@ SOURCE_PRESETS = {
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration controls for the radial, eigenvalue and grid solvers."""
+    """Resolution of the radial and eigenvalue solvers."""
 
     radial_nodes: int = 1024          # number of intervals on [0, R]
-    picard_tol: float = 1e-13
-    picard_max_iter: int = 400
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    newton_min_step: float = 1e-6
-    eigen_tol: float = 1e-11
-    eigen_max_iter: int = 400
 
     def __post_init__(self):
-        if min(self.picard_tol, self.newton_tol, self.eigen_tol) <= 0:
-            raise InputError("tolerances must be positive")
         if self.radial_nodes < 16:
             raise InputError("need at least 16 radial intervals")
 
@@ -195,7 +199,7 @@ class Solution(Protocol):
     # U' D^2 u + U'' grad u (x) grad u, and the magnitude of its entries.
     def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]: ...
     # (location, Hessian matrix) at the minimum of u.
-    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]: ...
+    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]: ...
     # PFunctionField geometry, solve-summary fields, leading plot columns
     # (names, arrays), and the header fields and arrays of the saved file.
     def boundary_geometry(self) -> dict: ...
@@ -284,7 +288,7 @@ class RadialProfile:
         scale = max(1.0, float(np.max(np.abs(e_rad))), float(np.max(np.abs(e_tan))))
         return np.minimum(e_rad, e_tan), scale
 
-    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]:
+    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]:
         # Isotropic at the origin: every eigenvalue is u''(0).
         return np.zeros(1), np.eye(self.dim) * self.second_derivative_origin()
 
@@ -367,18 +371,18 @@ def _solve_radial_fixed_point(n_dim, radius, rhs, cfg, u0=None):
     u = u0.copy() if u0 is not None else 0.5 * (r**2 - radius**2)
     up = np.zeros_like(u)
     delta = math.inf
-    for it in range(1, cfg.picard_max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         vals = np.asarray(rhs(r, u), dtype=float)
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
-        if delta <= cfg.picard_tol * max(1.0, float(np.max(np.abs(u)))):
+        if delta <= PICARD_TOL * max(1.0, float(np.max(np.abs(u)))):
             break
     else:
         raise SolverError(f"radial Picard iteration did not converge "
-                          f"(last delta {delta:.3e} after {cfg.picard_max_iter} passes)")
+                          f"(last delta {delta:.3e} after {PICARD_MAX_ITER} passes)")
     return r, u, up, it, delta
 
 
@@ -439,7 +443,7 @@ def solve_eigen_radial(n_dim: int, radius: float,
     u = u / np.max(np.abs(u))
     lam_prev = math.inf
     lam = math.nan
-    for k in range(1, cfg.eigen_max_iter + 1):
+    for k in range(1, EIGEN_MAX_ITER + 1):
         data = u.copy()
         _, v, vp, _, _ = _solve_radial_fixed_point(
             n_dim, radius, lambda rr, uu, d=data: d**2, cfg)
@@ -448,7 +452,7 @@ def solve_eigen_radial(n_dim: int, radius: float,
             raise SolverError("inverse iteration produced a degenerate iterate")
         lam = 1.0 / (s * s)
         u = v / s
-        if abs(lam - lam_prev) <= cfg.eigen_tol * max(1.0, lam):
+        if abs(lam - lam_prev) <= EIGEN_TOL * max(1.0, lam):
             break
         lam_prev = lam
     else:
@@ -612,13 +616,13 @@ class ScalarField2D:
                     float(np.max(np.abs(b))))
         return half - disc, scale
 
-    def hessian_at_minimum(self, cluster_radius_steps: float) -> tuple[np.ndarray, np.ndarray]:
+    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]:
         k = int(np.argmin(self.u))
         near = np.nonzero(self.u <= self.u[k] * (1.0 - 1e-9))[0]
         pts = self.mask.node_xy[near]
         if len(pts) > 1:
             spread = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-            if spread > cluster_radius_steps * self.mask.h:
+            if spread > MINIMUM_CLUSTER_STEPS * self.mask.h:
                 raise SolverError("multiple separated minima; critical point not unique")
         uxx, uyy, uxy = self.hessian_entries()
         return self.mask.node_xy[k], np.array([[uxx[k], uxy[k]], [uxy[k], uyy[k]]])
@@ -660,7 +664,6 @@ def _grid_admissible(uxx, uyy, uxy):
 
 
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
-                 cfg: SolveConfig | None = None,
                  mask: GridMask | None = None) -> ScalarField2D:
     """Damped-Newton solve of det D^2 u = f(u) on a convex planar domain.
 
@@ -673,7 +676,6 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     whose sweeps do not require branch membership, until the iterate enters
     the discrete cone.
     """
-    cfg = cfg or SolveConfig()
     if mask is None:
         mask = rasterize(spec, h)
     ops = build_operators(mask)
@@ -699,9 +701,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     residual = uxx * uyy - uxy * uxy - np.asarray(f.f(u), dtype=float)
     res_sup = float(np.max(np.abs(residual)))
     it = 0
-    while res_sup > cfg.newton_tol:
+    while res_sup > NEWTON_TOL:
         it += 1
-        if it > cfg.newton_max_iter:
+        if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance "
                               f"(residual {res_sup:.3e})")
         jac = (sp.diags(uyy) @ ops["Dxx"] + sp.diags(uxx) @ ops["Dyy"]
@@ -714,7 +716,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
         # branch and the residual actually decreases.
         factor = 1.0
         accepted = False
-        while factor >= cfg.newton_min_step:
+        while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
             uxx, uyy, uxy = _grid_fields(ops, trial)
             if _grid_admissible(uxx, uyy, uxy):

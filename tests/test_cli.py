@@ -105,6 +105,59 @@ class TestIneqCommand:
         assert set(summary["per_dim"]) == {"2"}
 
 
+class TestConfigReplay:
+    @pytest.mark.parametrize("argv", [
+        ["ineq"],
+        ["solve", "--radial"],
+        ["solve", "--grid2d", "--h", "0.0625"],
+        ["solve", "--eigen", "--nodes", "256"],
+        ["verify", "--app", "1", "--grid2d", "--h", "0.0625"],
+        ["verify", "--app", "2", "--nodes", "256"],
+        ["identity-scan", "--count", "5"],
+    ], ids=["ineq", "solve-radial", "solve-grid2d", "solve-eigen", "verify-app1-grid2d",
+            "verify-app2", "identity-scan"])
+    def test_report_config_replays_the_run(self, tmp_path, capsys, argv):
+        # The config embedded in a report, given back with --config, runs the
+        # same call: same exit code, same stdout, byte-identical files.
+        first, again = tmp_path / "first", tmp_path / "again"
+        code = main([*argv, "--out", str(first)])
+        printed = capsys.readouterr().out
+        (report,) = first.glob("*.json")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.loads(report.read_text())["config"])
+        assert main(["--config", str(cfg), "--out", str(again)]) == code
+        assert capsys.readouterr().out == printed
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_typed_flags_win_over_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=verify\napp=1\nmode=grid2d\nalpha=1,0.5\nnodes=256\n"
+                       "gamma=0.5\n")
+        out = tmp_path / "typed"
+        assert main(["--config", str(cfg), "--radial", "--alpha", "2",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert "\nmode=radial\n" in config and "\nalpha=2\n" in config
+
+    @pytest.mark.parametrize("text", [
+        "command=identity-scan\ncount=abc\n",
+        "command=identity-scan\ncout=5\n",
+        "command=solve\nmode=bogus\n",
+        "command=verify\napp=3\np=x\n",
+    ], ids=["count-not-a-number", "unknown-key", "unknown-mode", "p-not-a-number"])
+    def test_bad_config_exits_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("config error: ")
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "bad").exists()
+
+
 class TestSolveCommand:
     def test_radial_solve(self, tmp_path):
         out = tmp_path / "rad"

@@ -103,8 +103,6 @@ class TestRadialSolver:
             solve_radial(1, 1.0, make_source("const"))
         with pytest.raises(InputError):
             solve_radial(3, -1.0, make_source("const"))
-        with pytest.raises(InputError):
-            SolveConfig(picard_tol=-1.0)
 
 
 class TestEigenSolver:
