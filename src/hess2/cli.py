@@ -186,6 +186,9 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
     if args.mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
+    if f.preset == "eigen":
+        raise InputError(f"--f {f.label()} is the eigenvalue problem's own source; "
+                         "solve that problem with `solve --eigen` or `verify --app 2`")
     if args.mode == "radial":
         return solver.solve_radial(args.dim, args.radius, f, cfg), f, {}
     return solver.solve_grid2d(parse_domain(args.domain), f, args.h), f, {}
@@ -403,6 +406,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="hess2",
         description="Verification toolkit for 2-Hessian problems: matrix "
                     "inequalities, solvers, extreme principles, a priori bounds.")
+    # Read by _parse_args before argparse runs; declared here for --help.
+    parser.add_argument("--config", metavar="FILE", default=argparse.SUPPRESS,
+                        help="take options from a key=value file, such as the "
+                             "config embedded in a report; typed flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("ineq", help="run a comatrix-inequality sampling campaign")
@@ -482,13 +489,15 @@ def _parse_args(argv) -> argparse.Namespace:
     """
     parser, registry = build_parser()
     argv = list(argv)
-    if "--config" not in argv:
+    k = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if k is None:
         return parser.parse_args(argv)
-    k = argv.index("--config")
-    if k + 1 == len(argv):
+    _, eq, path = argv.pop(k).partition("=")
+    if not eq and k < len(argv):
+        path = argv.pop(k)
+    if not path:
         raise InputError("--config needs a file")
-    cfg = RunConfig.from_text(Path(argv[k + 1]).read_text())
-    del argv[k:k + 2]
+    cfg = RunConfig.from_text(Path(path).read_text())
     if not argv or argv[0].startswith("-"):
         argv.insert(0, cfg.command)
     sub = registry.get(argv[0])

@@ -157,6 +157,30 @@ class TestConfigReplay:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
+    def test_config_equals_form(self, tmp_path, capsys):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["solve", "--radial", "--nodes", "256", "--out", str(first)]) == 0
+        printed = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.loads((first / "summary.json").read_text())["config"])
+        assert main([f"--config={cfg}", "--out", str(again)]) == 0
+        assert capsys.readouterr().out == printed
+        for name in ("summary.json", "profile.dat", "solution.npz"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config="], ["--config=", "solve"]],
+                             ids=["space-form", "equals-form", "equals-form-then-command"])
+    def test_config_without_file_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "config error: --config needs a file\n" and printed.err == ""
+
+    def test_top_level_help_lists_config(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["-h"])
+        assert done.value.code == 0
+        assert "--config FILE" in capsys.readouterr().out
+
 
 class TestSolveCommand:
     def test_radial_solve(self, tmp_path):
@@ -223,6 +247,20 @@ class TestSolveCommand:
         assert printed.out.startswith("input error: ")
         assert printed.out.count("\n") == 1
         assert printed.err == "" and not caught
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--f", "eigen:3"],
+        ["solve", "--grid2d", "--f", "eigen:3", "--h", "0.0625"],
+        ["verify", "--app", "1", "--f", "eigen:3"],
+        ["verify", "--app", "1", "--grid2d", "--f", "eigen:3", "--h", "0.0625"],
+    ], ids=["solve-radial", "solve-grid2d", "verify-radial", "verify-grid2d"])
+    def test_eigen_source_needs_eigen_mode(self, tmp_path, capsys, argv):
+        # The eigen preset's trivial solution u = 0 would pass vacuously.
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ") and "--eigen" in printed.out
+        assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
     def test_unsolvable_exits_three(self, tmp_path):

@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 from conftest import cached_eigen, cached_grid, cached_radial, make_source
+from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError
 from hess2.solver import (
     SolveConfig,
+    _grid_fields,
+    _newton_jacobian,
     admissibility_report,
+    build_operators,
     constant_source,
+    dissection_path,
     eigen_source,
     load_solution,
+    nested_dissection_order,
     power_source,
     radial_ode_residual,
     save_solution,
     solve_eigen_radial,
     solve_grid2d,
     solve_radial,
+    spsolve,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -180,6 +187,63 @@ class TestGridSolver:
         assert sol.residual_sup <= 1e-9
         assert -1.0 < sol.u_min < -0.5
         assert admissibility_report(sol).admissible
+
+    @pytest.mark.parametrize("p", [0.5, 1.5])
+    def test_power_source_matches_radial(self, p):
+        # f(0) = 0 admits the trivial solution u = 0; the warm start must not
+        # hand Newton an iterate so shallow that it converges there.
+        f = power_source(1.0, p)
+        sol = solve_grid2d(ball(1.0), f, 1.0 / 32)
+        assert sol.u_min == pytest.approx(solve_radial(2, 1.0, f).u_min, abs=1e-3)
+
+
+DISSECTED = [(ball(1.0), 0.05), (ellipse(2.0, 1.0), 0.05),
+             (convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]), 1.0 / 16),
+             (convex_polygon([[-1.0, -0.8], [1.2, -1.0], [0.9, 1.1], [-0.7, 0.8]]), 0.04)]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("spec,h", DISSECTED, ids=["ball", "ellipse", "square",
+                                                       "skewed-quad"])
+    def test_order_puts_halves_before_their_cut_line(self, spec, h):
+        mask = rasterize(spec, h)
+        order = nested_dissection_order(mask.grid_index)
+        assert np.array_equal(np.sort(order), np.arange(mask.n_inside))
+        path = dissection_path(mask.grid_index)
+        assert np.all(path[-1] == 2)
+        # Between consecutive nodes of the order, the side at the first level
+        # where they differ goes up: first half, second half, then cut line.
+        p = path[:, order]
+        differs = p[:, 1:] != p[:, :-1]
+        level = differs.argmax(axis=0)
+        cols = np.arange(p.shape[1] - 1)
+        assert np.all(~differs.any(axis=0) | (p[level, cols + 1] > p[level, cols]))
+
+    @pytest.mark.parametrize("spec,h", DISSECTED, ids=["ball", "ellipse", "square",
+                                                       "skewed-quad"])
+    def test_cut_lines_separate_the_stencil(self, spec, h):
+        mask = rasterize(spec, h)
+        path = dissection_path(mask.grid_index)
+        a, m = np.nonzero(mask.neighbor >= 0)
+        b = mask.neighbor[a, m]
+        same_box = np.ones(a.size, dtype=bool)
+        for side in path:
+            # Sides 0 and 1 of one box are never stencil neighbours.
+            assert not np.any(same_box & (side[a] + side[b] == 1))
+            same_box &= side[a] == side[b]
+
+    def test_ordered_solve_matches_scipy(self):
+        from scipy.sparse.linalg import spsolve as scipy_spsolve
+        sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
+        mask, f = sol.mask, make_source("exp-dec")
+        ops = build_operators(mask)
+        u = 0.9 * sol.u   # off the solution, so the residual is not tiny
+        uxx, uyy, uxy = _grid_fields(ops, u)
+        jac = _newton_jacobian(ops, f, u, uxx, uyy, uxy)
+        rhs = f.f(u) - (uxx * uyy - uxy * uxy)
+        expect = scipy_spsolve(jac.tocsc(), rhs)
+        got = spsolve(jac, rhs, nested_dissection_order(mask.grid_index))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestAdmissibilityCounterexample:
