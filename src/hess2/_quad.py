@@ -7,30 +7,18 @@ import numpy as np
 from .errors import NumericalError
 
 
-def _quartic_interval_weights() -> np.ndarray:
-    """Weights integrating the quartic through 5 unit-spaced nodes over [s, s+1].
-
-    Row s gives the five node weights for the interval starting at offset s.
-    """
-    powers = np.arange(5)
-    vander = np.vander(np.arange(5.0), 5, increasing=True).T  # vander[i, k] = k^i
-    weights = np.empty((4, 5))
-    for s in range(4):
-        moments = ((s + 1.0) ** (powers + 1) - float(s) ** (powers + 1)) / (powers + 1)
-        weights[s] = np.linalg.solve(vander, moments)
-    return weights
-
-_QUARTIC_WEIGHTS = _quartic_interval_weights()
 SIMPSON_MAX_DEPTH = 48  # bisection levels before adaptive_simpson gives up
 
 
-def cumulative_quartic_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral with per-interval quartic fits on one-sided windows.
+def cumulative_quartic(y: np.ndarray, h: float, power: int = 0) -> np.ndarray:
+    """Cumulative integral of s^power y(s) from 0 over nodes s_k = k h.
 
-    Unlike alternating-window composite rules, every interior interval uses the
-    same relative stencil, so the quadrature error varies smoothly from node to
-    node; differentiating the cumulative result stays clean.  Exact for quartic
-    integrands; composite error O(dx^5).
+    Product integration: each interval integrates s^power times the quartic
+    through y on a one-sided five-node window.  Interior intervals share one
+    relative stencil, so the error varies smoothly from node to node and
+    differentiating the result stays clean.  power//2 + 3 Gauss-Legendre
+    points per interval make the rule exact for quartic y at any power, with
+    O(h^5) composite error relative to the s^(power+1) growth near s = 0.
     """
     y = np.asarray(y, dtype=float)
     m = y.size - 1
@@ -38,9 +26,17 @@ def cumulative_quartic_uniform(y: np.ndarray, dx: float) -> np.ndarray:
         raise NumericalError("cumulative quartic rule needs at least 5 samples")
     j = np.arange(m)
     ws = np.clip(j - 1, 0, m - 4)        # window start per interval
-    s = j - ws                            # interval offset inside its window
-    idx = ws[:, None] + np.arange(5)[None, :]
-    inc = dx * np.einsum("jk,jk->j", _QUARTIC_WEIGHTS[s], y[idx])
+    x, a = np.polynomial.legendre.leggauss(power // 2 + 3)
+    x = 0.5 * (x + 1.0)                   # Gauss points on [0, 1]
+    # basis[o, g, k]: Lagrange polynomial of window node k at point g of the
+    # interval at offset o in its window, as prod over i != k of (t-i)/(k-i).
+    t = np.arange(4.0)[:, None] + x
+    nodes = np.arange(5.0)
+    off = ~np.eye(5, dtype=bool)
+    ratio = (t[..., None, None] - nodes) / np.where(off, nodes[:, None] - nodes, 1.0)
+    basis = np.prod(np.where(off, ratio, 1.0), axis=-1)
+    vals = np.einsum("jgk,jk->jg", basis[j - ws], y[ws[:, None] + np.arange(5)])
+    inc = (0.5 * h) * (((h * (j[:, None] + x)) ** power * vals) @ a)
     out = np.empty(m + 1)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])

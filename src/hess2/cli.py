@@ -249,6 +249,9 @@ def cmd_solve(args) -> int:
 
 def _verify_source(args) -> solver.SourceTerm | None:
     """Source of the verify application; application 2 sets the eigen mode."""
+    if args.app != 3 and args.p is not None:
+        raise InputError(f"--p is the exponent of application 3's power source; "
+                         f"application {args.app} has none")
     if args.app == 2:
         if args.mode == "grid2d":
             raise InputError("application 2 needs the eigenvalue problem, "

@@ -9,8 +9,9 @@ Three solvers:
       d/dr [ r^{N-2} (u')^2 ] = (2/(N-1)) r^{N-1} f(u),
   a monotone integral fixed point solved by Picard iteration.  Cumulative
   integrals use one-sided quartic windows (smooth error from node to node)
-  with a series-corrected origin block, so that dividing by powers of r and
-  differentiating the result keeps defect measurements clean near r = 0.
+  and integrate the weight s^(N-1) exactly against the quartic interpolant
+  (product integration), so dividing by powers of r and differentiating the
+  result keeps defect measurements clean near r = 0 in every dimension.
 
 * `solve_eigen_radial` - the eigenvalue problem S2(D^2 u) = lambda (-u)^2 on a
   ball in R^3 by inverse iteration: solve with the previous normalized iterate
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._quad import cumulative_quartic_uniform, deriv_uniform, forward_first_derivative
+from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize
 from .errors import InputError, SolverError, SourceError
 
@@ -325,40 +326,12 @@ def radial_ode_residual(profile: RadialProfile, f: SourceTerm) -> np.ndarray:
     return res
 
 
-SERIES_NODES = 4  # origin nodes served by the even-expansion quadrature
-
-
-def _source_cumulative_integral(n_dim, r, h, w):
-    """Cumulative integral of s^(N-1) w(s) with a series-corrected origin block.
-
-    w = f(u(s)) is even in s to fourth order for smooth radial u (u'(0) = 0),
-    so near the origin the integral expands as
-        w0 r^N/N + w2 r^(N+2)/(N+2) + w4 r^(N+4)/(N+4).
-    On-grid quadrature loses relative accuracy on the first block, where the
-    integrand vanishes like s^(N-1) and the result is divided by r^(N-2)
-    downstream; the first few nodes use the expansion instead.
-    """
-    g = cumulative_quartic_uniform(r ** (n_dim - 1) * w, h)
-    w0 = w[0]
-    d1, d2 = w[1] - w0, w[2] - w0
-    w2 = (16.0 * d1 - d2) / (12.0 * h * h)
-    w4 = (d2 - 4.0 * d1) / (12.0 * h ** 4)
-    k = min(SERIES_NODES, r.size - 1)
-    base = g[k]
-    rk = r[1:k + 1]
-    g[1:k + 1] = (w0 * rk ** n_dim / n_dim
-                  + w2 * rk ** (n_dim + 2) / (n_dim + 2)
-                  + w4 * rk ** (n_dim + 4) / (n_dim + 4))
-    g[k + 1:] += g[k] - base
-    return g
-
-
 def _picard_pass(n_dim, r, h, rhs_vals):
-    g = _source_cumulative_integral(n_dim, r, h, rhs_vals)
+    g = cumulative_quartic(rhs_vals, h, power=n_dim - 1)
     up2 = np.zeros_like(r)
     up2[1:] = (2.0 / (n_dim - 1)) * g[1:] / r[1:] ** (n_dim - 2)
     up = np.sqrt(np.maximum(up2, 0.0))
-    tail = cumulative_quartic_uniform(up, h)
+    tail = cumulative_quartic(up, h)
     u = -(tail[-1] - tail)
     return u, up
 

@@ -122,6 +122,18 @@ class TestGate05RadialOracle:
               f"u_min err {u_min_err:.1e}, boundary-gradient err {grad_err:.1e}, "
               f"slack err {slack_err:.1e}")
 
+    def test_constant_source_every_dimension(self):
+        # The solution u = (r^2 - 1)/(2 sqrt C(N,2)) is quadratic in every
+        # dimension, so the radial quadrature must reproduce it exactly.
+        worst_u, worst_res = 0.0, 0.0
+        for n in range(2, 17):
+            prof = cached_radial(n, "const")
+            exact = -1.0 / (2.0 * math.sqrt(math.comb(n, 2)))
+            worst_u = max(worst_u, abs(prof.u_min - exact) / abs(exact))
+            worst_res = max(worst_res, prof.ode_residual_sup)
+        _gate("G05b radial oracle, N = 2..16", worst_u <= 1e-12 and worst_res <= 1e-11,
+              f"worst relative u_min err {worst_u:.1e}, worst ode residual {worst_res:.1e}")
+
 
 class TestGate06DiskEquality:
     def test_constant_field_and_zero_slack(self):
@@ -409,14 +421,15 @@ class TestGate13CriticalSaturation:
 
 class TestGate14ConvergenceOrders:
     def test_radial_order(self):
+        # Dimension 6, non-polynomial truth: measure against a fine radial solve.
+        ref = cached_radial(6, "exp-dec", 4096)
         errs = []
-        for m in (256, 512):
-            prof = solve_radial(6, 1.0, make_source("const"),
-                                SolveConfig(radial_nodes=m))
-            exact = (prof.r**2 - 1.0) * math.sqrt(2.0 / 30.0) / 2.0
+        for m in (16, 32):
+            prof = cached_radial(6, "exp-dec", m)
+            exact = np.interp(prof.r, ref.r, ref.u)
             errs.append(float(np.max(np.abs(prof.u - exact))))
         ratio = errs[0] / errs[1]
-        _gate("G14a radial convergence", errs[0] > 1e-12 and ratio >= 3.5,
+        _gate("G14a radial convergence", errs[0] > 1e-12 and ratio >= 16.0,
               f"errors {errs[0]:.2e} -> {errs[1]:.2e}, ratio {ratio:.2f}")
 
     def test_grid_order_constant_source(self):

@@ -307,6 +307,16 @@ class TestVerifyCommand:
         assert printed.count("\n") == 1
         assert not (tmp_path / "v2g").exists()
 
+    @pytest.mark.parametrize("app", ["1", "2"])
+    def test_exponent_outside_application3_rejected(self, tmp_path, capsys, app):
+        # --p belongs to the power source of application 3; elsewhere it would
+        # be ignored silently.
+        assert main(["verify", "--app", app, "--p", "0.5", "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ") and "--p" in printed.out
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "bad").exists()
+
     def test_application2_reports_eigen_mode(self, tmp_path):
         # verify --app 2 solves the radial eigenvalue problem; the recorded
         # configuration names that solve, as `solve --eigen` does.

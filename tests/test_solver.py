@@ -94,16 +94,16 @@ class TestRadialSolver:
             assert admissibility_report(prof).admissible
 
     def test_convergence_order_f1(self):
-        # Dimension 6 keeps the quadrature honest: the closed-form solution is
-        # quadratic but the source integrand s^5 is not captured exactly.
+        # Dimension 6 keeps the quadrature honest: the exp-dec solution is not
+        # polynomial, and the source integrand carries the weight s^5.
+        ref = cached_radial(6, "exp-dec", 4096)
         errs = []
-        for m in (256, 512):
-            prof = solve_radial(6, 1.0, make_source("const"),
-                                SolveConfig(radial_nodes=m))
-            exact = (prof.r**2 - 1.0) * np.sqrt(2.0 / 30.0) / 2.0
+        for m in (16, 32):
+            prof = cached_radial(6, "exp-dec", m)
+            exact = np.interp(prof.r, ref.r, ref.u)
             errs.append(np.max(np.abs(prof.u - exact)))
         assert errs[0] > 1e-12  # the measurement is real, not rounding noise
-        assert errs[0] / errs[1] >= 3.5
+        assert errs[0] / errs[1] >= 16.0
 
     def test_input_guards(self):
         with pytest.raises(InputError):
