@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericalError
 
 
 SIMPSON_MAX_DEPTH = 48  # bisection levels before adaptive_simpson gives up
+
+
+@functools.cache
+def _quartic_rule(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss points on [0, 1], their weights and the window basis for `power`.
+
+    Built on first use per power: numpy loads `numpy.polynomial` only when
+    it is first reached, so importing the package stays cheap.
+    """
+    x, a = np.polynomial.legendre.leggauss(power // 2 + 3)
+    x = 0.5 * (x + 1.0)                   # Gauss points on [0, 1]
+    # basis[o, g, k]: Lagrange polynomial of window node k at point g of the
+    # interval at offset o in its window, as prod over i != k of (t-i)/(k-i).
+    t = np.arange(4.0)[:, None] + x
+    nodes = np.arange(5.0)
+    off = ~np.eye(5, dtype=bool)
+    ratio = (t[..., None, None] - nodes) / np.where(off, nodes[:, None] - nodes, 1.0)
+    basis = np.prod(np.where(off, ratio, 1.0), axis=-1)
+    for arr in (x, a, basis):
+        arr.flags.writeable = False       # shared by every call at this power
+    return x, a, basis
 
 
 def cumulative_quartic(y: np.ndarray, h: float, power: int = 0) -> np.ndarray:
@@ -26,15 +49,7 @@ def cumulative_quartic(y: np.ndarray, h: float, power: int = 0) -> np.ndarray:
         raise NumericalError("cumulative quartic rule needs at least 5 samples")
     j = np.arange(m)
     ws = np.clip(j - 1, 0, m - 4)        # window start per interval
-    x, a = np.polynomial.legendre.leggauss(power // 2 + 3)
-    x = 0.5 * (x + 1.0)                   # Gauss points on [0, 1]
-    # basis[o, g, k]: Lagrange polynomial of window node k at point g of the
-    # interval at offset o in its window, as prod over i != k of (t-i)/(k-i).
-    t = np.arange(4.0)[:, None] + x
-    nodes = np.arange(5.0)
-    off = ~np.eye(5, dtype=bool)
-    ratio = (t[..., None, None] - nodes) / np.where(off, nodes[:, None] - nodes, 1.0)
-    basis = np.prod(np.where(off, ratio, 1.0), axis=-1)
+    x, a, basis = _quartic_rule(power)
     vals = np.einsum("jgk,jk->jg", basis[j - ws], y[ws[:, None] + np.arange(5)])
     inc = (0.5 * h) * (((h * (j[:, None] + x)) ** power * vals) @ a)
     out = np.empty(m + 1)

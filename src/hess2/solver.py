@@ -20,7 +20,9 @@ Three solvers:
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
-  (Delta u > 0, det D^2 u > 0) are halved.
+  (Delta u > 0, det D^2 u > 0) are halved.  This is the only scipy user: its
+  sparse operators and LU solves import `scipy.sparse` on first use, so
+  radial and eigenvalue solves never load scipy.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Protocol
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize
 from .errors import InputError, SolverError, SourceError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SOLUTION_SCHEMA_VERSION = 1
 
@@ -466,6 +469,8 @@ def build_operators(mask: GridMask) -> dict[str, sp.csr_matrix]:
     """Sparse Dxx, Dyy, Dxy, Dx, Dy over inside nodes (zero boundary data)."""
     if "Dxx" in mask._op_cache:
         return mask._op_cache
+    import scipy.sparse as sp
+
     n = mask.n_inside
     th, nb = mask.theta, mask.neighbor
 
@@ -540,6 +545,8 @@ def nested_dissection_order(grid_index: np.ndarray) -> np.ndarray:
 
 def _ordered_lu(a: sp.spmatrix, order: np.ndarray):
     """SuperLU of `a` with rows and columns taken in `order`, as a solve function."""
+    from scipy.sparse.linalg import splu
+
     lu = splu(a.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
 
     def solve(b):
@@ -696,6 +703,8 @@ def _grid_fields(ops, u):
 
 def _newton_jacobian(ops, f, u, uxx, uyy, uxy):
     """Derivative of det D^2 u - f(u): a cofactor-weighted discrete Laplacian."""
+    import scipy.sparse as sp
+
     return (sp.diags(uyy) @ ops["Dxx"] + sp.diags(uxx) @ ops["Dyy"]
             - 2.0 * sp.diags(uxy) @ ops["Dxy"]
             - sp.diags(np.asarray(f.fprime(u), dtype=float)))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -361,6 +362,14 @@ class TestCampaignScanVerifyInputs:
         assert not (tmp_path / "bad").exists()
 
 
+def _run_python(code, *args):
+    """Run `python -c code args` in a fresh interpreter that imports this hess2."""
+    src = str(Path(hess2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
 class TestStartup:
     def test_cli_import_skips_unused_scipy_subpackages(self):
         # Every CLI call pays for what `import hess2.cli` loads; none of these
@@ -368,11 +377,39 @@ class TestStartup:
         code = ("import sys, hess2.cli; "
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
                 "'scipy.special') if m in sys.modules))")
-        src = str(Path(hess2.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), check=True)
+        done = _run_python(code)
         assert done.stdout.strip() == "[]"
+
+    def test_only_planar_solves_load_scipy(self, tmp_path):
+        # scipy, most of the CLI's import time, serves only the planar sparse
+        # solves, and numpy.polynomial only the radial quadrature rule, built
+        # on first use.  The planar call at the end shows the check can fail.
+        code = textwrap.dedent("""
+            import json, sys
+            import hess2.cli
+
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.partition(".")[0] == "scipy"
+                              or m.startswith("numpy.polynomial"))
+
+            seen = [("import", 0, loaded())]
+            for k, argv in enumerate(json.loads(sys.argv[1])):
+                code = hess2.cli.main([*argv, "--out", f"{sys.argv[2]}/{k}"])
+                seen.append((" ".join(argv), code, loaded()))
+            print(json.dumps(seen))
+        """)
+        calls = [["ineq", "--count", "10"], ["solve", "--radial"], ["solve", "--eigen"],
+                 ["verify", "--app", "1", "--radial"], ["identity-scan", "--count", "10"],
+                 ["solve", "--grid2d", "--h", "0.0625"]]
+        done = _run_python(code, json.dumps(calls), str(tmp_path))
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen[0] == ["import", 0, []]
+        for name, code, modules in seen[1:-1]:
+            assert code == 0, name
+            assert not [m for m in modules if m.partition(".")[0] == "scipy"], name
+        name, code, modules = seen[-1]
+        assert code == 0 and "scipy.sparse.linalg" in modules, name
 
 
 class TestIdentityScanCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from hess2 import _quad
 from hess2._quad import cumulative_quartic
 from hess2.errors import NumericalError
 
@@ -31,3 +32,23 @@ class TestCumulativeQuartic:
     def test_needs_five_samples(self):
         with pytest.raises(NumericalError):
             cumulative_quartic(np.ones(4), 0.1)
+
+    def test_rule_built_once_per_power(self, monkeypatch):
+        s = np.linspace(0.0, 1.0, 65)
+        y = np.exp(s)
+        _quad._quartic_rule.cache_clear()
+        first = {p: cumulative_quartic(y, s[1], p) for p in (0, 1, 5)}
+        degrees = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(deg):
+            degrees.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        _quad._quartic_rule.cache_clear()
+        for _ in range(3):
+            for p in (0, 1, 5):
+                assert np.array_equal(cumulative_quartic(y, s[1], p), first[p])
+        # Powers 0 and 1 share a point count but are cached apart.
+        assert degrees == [3, 3, 5]
