@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,7 +87,17 @@ def parse_dims(text: str) -> tuple[int, ...]:
         raise InputError(f"--dims {text!r}: expected lo..hi or a comma list of integers") from None
     if not dims:
         raise InputError(f"--dims {text!r} names no dimension")
+    repeated = sorted(d for d, n in Counter(dims).items() if n > 1)
+    if repeated:
+        raise InputError(f"--dims {text!r} repeats dimension "
+                         f"{', '.join(map(str, repeated))}")
     return dims
+
+
+def _check_seed(seed: int) -> None:
+    """numpy seeds take nonnegative integers only."""
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
 
 
 def _numbers(text: str, arg: str, count: int | None = None) -> list[float]:
@@ -130,6 +141,7 @@ def parse_domain(text: str) -> domain.DomainSpec:
 
 def cmd_ineq(args) -> int:
     dims = parse_dims(args.dims)
+    _check_seed(args.seed)
     result = matineq.inequality_campaign(args.seed, dims, args.count, args.sign,
                                          scale=args.scale,
                                          keep_records=args.records)
@@ -334,6 +346,7 @@ def cmd_verify(args) -> int:
 def cmd_identity_scan(args) -> int:
     if args.count < 1:
         raise InputError("--count must be >= 1")
+    _check_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)

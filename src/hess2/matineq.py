@@ -308,10 +308,9 @@ class CampaignResult:
         return all(s.ok for s in self.summaries)
 
 
-def _campaign_residuals(a: np.ndarray, v: np.ndarray):
+def _campaign_residuals(a: np.ndarray, v: np.ndarray, lam: np.ndarray, w: np.ndarray):
+    """Direct residuals from (a, v) only, closed ones from (lam, w) only."""
     lhs, rhs = _sides(a, v)
-    lam, vecs = np.linalg.eigh(a)
-    w = np.einsum("bij,bi->bj", vecs, v)
     closed = _closed_residual(lam, w)
     return lhs, rhs, rhs - lhs, closed
 
@@ -320,18 +319,27 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
                         scale: float = 1.0, keep_records: bool = True) -> CampaignResult:
     """Run the comatrix inequality over seeded samples for each dimension.
 
-    Tolerances: residual sign 1e-9 per unit scale on semidefinite draws,
-    direct/closed agreement 1e-9, and an identity tolerance of 1e-10 in
-    dimension 3 where the residual vanishes for every symmetric matrix.
+    The direct residual sees only the matrices and probes; the closed one sees
+    only the spectra and rotated probes that sample_batch returns: the
+    generator's own spectrum for semidefinite draws, np.linalg.eigh for
+    indefinite ones.  Tolerances: residual sign 1e-9 per unit scale on
+    semidefinite draws, direct/closed agreement 1e-9, and an identity
+    tolerance of 1e-10 in dimension 3 where the residual vanishes for every
+    symmetric matrix.  Raises InputError when `scale` is so large that a
+    residual or its scale 1 + |A|_F^3 |v|^2 overflows.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     summaries = []
     records: dict[int, np.ndarray] = {}
     for dim in dims:
-        a, v = sample_batch(seed, dim, sign, scale, count)
-        lhs, rhs, direct, closed = _campaign_residuals(a, v)
-        scl = inequality_scale(a, v)
+        a, v, lam, w = sample_batch(seed, dim, sign, scale, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs, direct, closed = _campaign_residuals(a, v, lam, w)
+            scl = inequality_scale(a, v)
+        if not all(np.isfinite(x).all() for x in (direct, closed, scl)):
+            raise InputError(f"scale {scale:g} overflows the residuals or their "
+                             f"scale 1 + |A|_F^3 |v|^2 in dim {dim}")
         rel = direct / scl
         disc = np.abs(direct - closed) / scl
         ok = bool(np.all(disc <= 1e-9))

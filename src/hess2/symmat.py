@@ -249,12 +249,16 @@ def _sign_code(sign: str) -> int:
 
 
 def sample_batch(seed: int, dim: int, sign: str, scale: float,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded batch of (matrices, probe vectors) with shapes (count, n, n), (count, n).
+                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded batch (a, v, lam, w) of matrices, probes and their spectra.
 
+    Shapes are (count, n, n), (count, n), (count, n), (count, n); w = Q^T v is
+    the probe in the eigenbasis Q of a, so a = Q diag(lam) Q^T up to rounding.
     positive/negative draws are +/- Q diag(lam) Q^T with lam in [0, scale] and,
-    with probability ZERO_EIGENVALUE_PROB, at least one exact zero eigenvalue.
-    indefinite draws are plain symmetrized Gaussians scaled by `scale`.
+    with probability ZERO_EIGENVALUE_PROB, at least one exact zero eigenvalue;
+    their lam (negated for negative draws, unsorted) and Q are the generator's
+    own, so no eigensolver runs.  indefinite draws are plain symmetrized
+    Gaussians scaled by `scale`, and their (lam, Q) come from np.linalg.eigh.
     Deterministic for fixed (seed, dim, sign, scale, count).  A prefix is not
     stable: sample i changes with `count`, because each quantity is drawn for
     the whole batch before the next one.
@@ -267,6 +271,7 @@ def sample_batch(seed: int, dim: int, sign: str, scale: float,
     if sign == "indefinite":
         g = rng.standard_normal((count, dim, dim))
         a = 0.5 * scale * (g + g.transpose(0, 2, 1))
+        lam, q = np.linalg.eigh(a)
     else:
         lam = rng.uniform(0.0, scale, size=(count, dim))
         wipe = rng.uniform(size=count) < ZERO_EIGENVALUE_PROB
@@ -276,19 +281,24 @@ def sample_batch(seed: int, dim: int, sign: str, scale: float,
         lam[zero_mask] = 0.0
         g = rng.standard_normal((count, dim, dim))
         q, _ = np.linalg.qr(g)
+        del g
         a = np.einsum("bik,bk,bjk->bij", q, lam, q)
-        a = 0.5 * (a + a.transpose(0, 2, 1))
+        a = a + a.transpose(0, 2, 1)
         if sign == "negative":
-            a = -a
+            a *= -0.5
+            lam = -lam
+        else:
+            a *= 0.5
     v = rng.standard_normal((count, dim))
-    return a, v
+    w = np.einsum("bij,bi->bj", q, v)
+    return a, v, lam, w
 
 
 def sample_semidefinite(seed: int, dim: int, sign: str, scale: float) -> SemidefSample:
     """One deterministic semidefinite draw; see sample_batch for the recipe."""
     if sign not in ("positive", "negative"):
         raise InputError("sample sign must be 'positive' or 'negative'")
-    a, _ = sample_batch(seed, dim, sign, scale, 1)
+    a = sample_batch(seed, dim, sign, scale, 1)[0]
     sample = SemidefSample(matrix=SymmetricMatrix.from_full(a[0]), sign=sign,
                            seed=seed, scale=scale)
     lam = spectrum(sample.matrix).eigenvalues

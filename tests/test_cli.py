@@ -10,6 +10,7 @@ import pytest
 
 import hess2
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
+from hess2.errors import InputError
 
 
 class TestParsers:
@@ -29,6 +30,12 @@ class TestParsers:
         assert parse_domain("ellipse:2,1").semi_axes == (2.0, 1.0)
         poly = parse_domain("polygon:-1,-1;1,-1;1,1;-1,1")
         assert poly.kind == "polygon" and len(poly.vertices) == 4
+
+    def test_dims_repeated_named(self):
+        with pytest.raises(InputError, match="repeats dimension 2$"):
+            parse_dims("2,3,2")
+        with pytest.raises(InputError, match="repeats dimension 3, 5$"):
+            parse_dims("5,3,5,3,4")
 
     def test_config_roundtrip(self):
         cfg = RunConfig("ineq", {"seed": "42", "dims": "2..8", "count": "1000"})
@@ -51,6 +58,12 @@ class TestIneqCommand:
             assert lines[0] == ("seed,dim,sign,index,lhs,rhs,residual_direct,"
                                 "residual_closed,scale")
             assert lines[1].startswith(f"42,{dim},positive,0,")
+
+    def test_large_finite_scale(self, tmp_path):
+        out = tmp_path / "big"
+        assert main(["ineq", "--count", "50", "--scale", "1e30", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert json.loads(text)["ok"] and "NaN" not in text
 
     def test_negative_campaign(self, tmp_path):
         out = tmp_path / "neg"
@@ -352,8 +365,15 @@ class TestCampaignScanVerifyInputs:
         ["identity-scan", "--count", "0"],
         ["verify", "--app", "1", "--alpha", "nan"],
         ["verify", "--app", "1", "--gamma", "0.7"],
+        ["ineq", "--count", "10", "--seed", "-1"],
+        ["identity-scan", "--count", "10", "--seed", "-1"],
+        ["ineq", "--count", "5", "--scale", "1e200"],
+        ["ineq", "--count", "5", "--sign", "indefinite", "--scale", "1e200"],
+        ["ineq", "--count", "10", "--dims", "2,3,2"],
     ], ids=["dims-not-a-number", "dims-empty-range", "scale-nan", "scan-zero-count",
-            "verify-alpha-nan", "verify-gamma-unsupported"])
+            "verify-alpha-nan", "verify-gamma-unsupported", "ineq-seed-negative",
+            "scan-seed-negative", "scale-overflows", "scale-overflows-indefinite",
+            "dims-repeated"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
         printed = capsys.readouterr().out

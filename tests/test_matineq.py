@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hess2 import matineq
 from hess2.errors import InputError, PreconditionError, SingularTransformError
 from hess2.matineq import (
     TransformEval,
@@ -175,7 +176,7 @@ class TestComposedFunctional:
         rng = np.random.default_rng(6)
         for _ in range(50):
             n = int(rng.integers(4, 9))
-            a, v_all = sample_batch(int(rng.integers(1000)), n, "positive", 1.0, 1)
+            a, v_all, _, _ = sample_batch(int(rng.integers(1000)), n, "positive", 1.0, 1)
             v = v_all[0]
             up, us = -0.7, 0.3
             hess = SymmetricMatrix.from_full(up * a[0] + us * np.outer(v, v))
@@ -244,6 +245,27 @@ class TestCampaigns:
     def test_count_guard(self):
         with pytest.raises(InputError):
             inequality_campaign(seed=1, dims=(4,), count=0, sign="positive")
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    def test_closed_route_catches_a_wrong_matrix(self, monkeypatch, sign):
+        # The closed residual must not read the matrix: a sampler whose
+        # matrices drift from the spectra it reports fails the campaign.
+        def perturbed(seed, dim, sign, scale, count):
+            a, v, lam, w = sample_batch(seed, dim, sign, scale, count)
+            bump = np.zeros((dim, dim))
+            bump[0, 1] = bump[1, 0] = 1e-3 * scale
+            return a + bump, v, lam, w
+
+        monkeypatch.setattr(matineq, "sample_batch", perturbed)
+        result = inequality_campaign(seed=3, dims=(4, 6), count=200, sign=sign)
+        assert not result.ok
+        for s in result.summaries:
+            assert s.max_discrepancy_over_scale > 1e-9
+            assert not s.ok
+
+    def test_overflowing_scale_rejected(self):
+        with pytest.raises(InputError, match="overflows"):
+            inequality_campaign(seed=1, dims=(4,), count=5, sign="positive", scale=1e200)
 
     def test_factorization_campaign(self):
         worst = factorization_campaign(seed=3, count=2000)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -202,16 +204,55 @@ class TestSampler:
             assert lam[-1] <= 1e-12 * 2.0
 
     def test_batch_hits_cone_boundary(self):
-        a, _ = sample_batch(0, 4, "positive", 1.0, 2000)
+        a, _, _, _ = sample_batch(0, 4, "positive", 1.0, 2000)
         lam = np.linalg.eigvalsh(a)
         has_zero = np.sum(np.abs(lam) < 1e-13, axis=1) > 0
         frac = np.mean(has_zero)
         assert 0.1 < frac < 0.35
 
     def test_batch_shapes_and_dim_guard(self):
-        a, v = sample_batch(1, 3, "indefinite", 1.0, 10)
+        a, v, _, _ = sample_batch(1, 3, "indefinite", 1.0, 10)
         assert a.shape == (10, 3, 3) and v.shape == (10, 3)
         with pytest.raises(InputError):
             sample_batch(1, 9, "positive", 1.0, 1)
         with pytest.raises(InputError):
             sample_batch(1, 3, "sideways", 1.0, 1)
+
+
+# sha256 prefixes of (a.tobytes(), v.tobytes()) for sample_batch(11, dim, sign,
+# 2.0, 64), recorded before sample_batch returned spectra: the sample stream
+# must not move.
+SAMPLE_DIGESTS = {
+    ("positive", 2): ("988ca741d13255f2", "f0441242d524a41c"),
+    ("positive", 5): ("4c47092bed76d613", "7fef5cc67bf04023"),
+    ("positive", 8): ("3cedd93347db4a98", "cc8435399bb14184"),
+    ("negative", 2): ("88fc0ecd179344f1", "d1f0c95c389e141b"),
+    ("negative", 5): ("007da8121db9b12b", "2b180810b59e35f5"),
+    ("negative", 8): ("9e9af0a1c639ef77", "394a6d6948d01848"),
+    ("indefinite", 2): ("4312a2f4586be844", "f9ccce0212fe20b7"),
+    ("indefinite", 5): ("a6de013f579dea6c", "1b004deaebcd13cf"),
+    ("indefinite", 8): ("1fb7dca1c5452953", "66bd274f0558e47e"),
+}
+
+
+class TestSampleBatchSpectrum:
+    @pytest.mark.parametrize("sign, dim", sorted(SAMPLE_DIGESTS))
+    def test_stream_is_unchanged(self, sign, dim):
+        a, v, _, _ = sample_batch(11, dim, sign, 2.0, 64)
+        digests = tuple(hashlib.sha256(x.tobytes()).hexdigest()[:16] for x in (a, v))
+        assert digests == SAMPLE_DIGESTS[sign, dim]
+
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_spectrum_and_rotated_probe(self, sign, dim):
+        scale = 3.0
+        a, v, lam, w = sample_batch(5, dim, sign, scale, 500)
+        assert lam.shape == w.shape == v.shape == (500, dim)
+        np.testing.assert_allclose(np.sort(lam, axis=1), np.linalg.eigvalsh(a),
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.linalg.norm(w, axis=1), np.linalg.norm(v, axis=1),
+                                   rtol=1e-12, atol=0.0)
+        if sign == "positive":
+            assert np.all(lam >= 0.0)
+        elif sign == "negative":
+            assert np.all(lam <= 0.0)
