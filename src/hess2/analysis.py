@@ -24,7 +24,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from .domain import DomainSpec, signed_distance
 from .errors import InputError
-from .fields import CONVEXITY_TOL, ConvexityReport
+from .fields import ConvexityReport
 from .solver import Solution, SourceTerm
 from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
@@ -245,13 +245,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     u = sol.u[interior]
     tr.check_domain(u)
     low, scale = sol.transform_hessian_min(tr.du(u), tr.d2u(u))
-    k = int(np.argmin(low))
-    min_eig = float(low[k])
-    tolerance = CONVEXITY_TOL * scale
-    return ConvexityReport(transform_name=tr.name, n_points=int(u.size),
-                           min_eigenvalue=min_eig,
-                           argmin_point=np.atleast_1d(sol.positions[interior][k]),
-                           convex=bool(min_eig >= -tolerance), tolerance=tolerance)
+    return ConvexityReport.of(tr.name, low, scale, sol.positions[interior])
 
 
 def bounds_report(sol: Solution, f: SourceTerm, application: int, *,

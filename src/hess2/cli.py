@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, domain, fields, matineq, solver
+from . import analysis, domain, fields, matineq, solver, symmat
 from .errors import (
     HypothesisError,
     InputError,
@@ -75,7 +75,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
-    """`lo..hi` (inclusive) or a comma list; the result is never empty."""
+    """`lo..hi` (inclusive) or a comma list of dimensions in [2, symmat.MAX_DIM]."""
     text = text.strip()
     try:
         if ".." in text:
@@ -87,6 +87,8 @@ def parse_dims(text: str) -> tuple[int, ...]:
         raise InputError(f"--dims {text!r}: expected lo..hi or a comma list of integers") from None
     if not dims:
         raise InputError(f"--dims {text!r} names no dimension")
+    if not all(2 <= d <= symmat.MAX_DIM for d in dims):
+        raise InputError(f"--dims {text!r}: every dimension must be in [2, {symmat.MAX_DIM}]")
     repeated = sorted(d for d, n in Counter(dims).items() if n > 1)
     if repeated:
         raise InputError(f"--dims {text!r} repeats dimension "
@@ -368,10 +370,9 @@ def cmd_identity_scan(args) -> int:
         pts = fields.sample_points_in_ball(args.seed + 10 + dim, dim, args.count,
                                            radius=0.95)
         for fld in fields.standard_menagerie(dim):
-            for x in pts:
-                h = fld.hess(x)
-                lam = np.linalg.eigvalsh(h)
-                if lam[0] < -1e-12 * max(1.0, abs(lam[-1])):
+            hess = np.stack([fld.hess(x) for x in pts])
+            for x, h, lam in zip(pts, hess, symmat.jacobi_eigh(hess)[0]):
+                if matineq.sign_of_spectrum(lam) != "positive":
                     continue
                 scale = (1.0 + float(np.linalg.norm(h)) ** 2
                          * (1.0 + float(x @ x)))

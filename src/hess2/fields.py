@@ -68,6 +68,16 @@ class ConvexityReport:
     convex: bool
     tolerance: float
 
+    @classmethod
+    def of(cls, transform_name: str, low, scale: float, points) -> "ConvexityReport":
+        """Verdict on the least eigenvalue `low[i]` at each `points[i]`: convex iff
+        min(low) >= -CONVEXITY_TOL * scale; the first point attaining it is kept."""
+        k = int(np.argmin(low))
+        tolerance = CONVEXITY_TOL * scale
+        return cls(transform_name=transform_name, n_points=len(low),
+                   min_eigenvalue=float(low[k]), argmin_point=np.atleast_1d(points[k]).copy(),
+                   convex=bool(low[k] >= -tolerance), tolerance=tolerance)
+
 
 def quadratic_field(q, b=None, c: float = 0.0) -> SyntheticField:
     """u(x) = x^T Q x / 2 + b.x + c for a symmetric Q."""
@@ -307,26 +317,14 @@ def transform_hessian(fld: SyntheticField, tr: Transform, x) -> SymmetricMatrix:
 
 
 def convexity_scan(fld: SyntheticField, tr: Transform, points) -> ConvexityReport:
-    """Minimum eigenvalue of the composed Hessian over a batch of points.
+    """Convexity verdict on the composed Hessian over a batch of points.
 
-    The verdict is convex iff that minimum stays above -CONVEXITY_TOL times
-    the batch scale.  Domain violations propagate per point.
+    One batched eigendecomposition; the scale is max(1, largest |eigenvalue|).
+    Domain violations propagate per point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    min_eig = np.inf
-    argmin = pts[0]
-    scale = 1.0
-    for x in pts:
-        composed = transform_hessian(fld, tr, x).full()
-        lam, _ = jacobi_eigh(composed)
-        scale = max(scale, float(np.max(np.abs(lam))))
-        if lam[0] < min_eig:
-            min_eig = float(lam[0])
-            argmin = x.copy()
-    tolerance = CONVEXITY_TOL * scale
-    return ConvexityReport(transform_name=tr.name, n_points=len(pts),
-                           min_eigenvalue=min_eig, argmin_point=argmin,
-                           convex=bool(min_eig >= -tolerance), tolerance=tolerance)
+    lam, _ = jacobi_eigh(np.stack([transform_hessian(fld, tr, x).full() for x in pts]))
+    return ConvexityReport.of(tr.name, lam[:, 0], max(1.0, float(np.max(np.abs(lam)))), pts)
 
 
 def sample_points_in_ball(seed: int, dim: int, count: int, radius: float = 1.0,

@@ -115,32 +115,37 @@ def _closed_residual(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...k,...k->...", w * w, s3k)
 
 
+def _form_size(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|A|_F^3 |v|^2, the degree of each side of the inequality in (A, v)."""
+    return np.linalg.norm(a, axis=(-2, -1)) ** 3 * np.einsum("...i,...i->...", v, v)
+
+
 def inequality_scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tolerance scale 1 + |A|_F^3 |v|^2, the degree of each side in (A, v)."""
-    anorm = np.linalg.norm(a, axis=(-2, -1))
-    vv = np.einsum("...i,...i->...", v, v)
-    return 1.0 + anorm ** 3 * vv
+    """Tolerance scale 1 + |A|_F^3 |v|^2."""
+    return 1.0 + _form_size(a, v)
+
+
+def sign_of_spectrum(lam: np.ndarray) -> str:
+    """The one sign rule, on an ascending spectrum: eigenvalues within
+    SIGN_RTOL * max(1, |lam|_max) of zero count as zero; positive wins a tie."""
+    tol = SIGN_RTOL * max(1.0, float(np.max(np.abs(lam))))
+    return "positive" if lam[0] >= -tol else "negative" if lam[-1] <= tol else "indefinite"
 
 
 def classify_sign(a: SymmetricMatrix) -> str:
     """Classify a as positive/negative semidefinite or indefinite."""
-    lam, _ = jacobi_eigh(a.full())
-    tol = SIGN_RTOL * max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] >= -tol:
-        return "positive"
-    if lam[-1] <= tol:
-        return "negative"
-    return "indefinite"
+    return sign_of_spectrum(jacobi_eigh(a.full())[0])
 
 
 def is_negative_semidefinite(a: SymmetricMatrix) -> bool:
-    lam, _ = jacobi_eigh(a.full())
-    return bool(lam[-1] <= SIGN_RTOL * max(1.0, float(np.max(np.abs(lam)))))
+    """Whether -a, whose spectrum is -lam reversed, is positive semidefinite."""
+    return sign_of_spectrum(-jacobi_eigh(a.full())[0][::-1]) == "positive"
 
 
 def comatrix_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
     """Evaluate both sides and both residual routes on one (matrix, vector) pair.
 
+    One eigendecomposition serves the closed residual and the sign of a.
     Raises NumericalError if the direct and closed residuals disagree, or if
     a semidefinite matrix produces a residual on the wrong side of zero.
     """
@@ -157,7 +162,7 @@ def comatrix_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
     rec = InequalityRecord(lhs=float(lhs), rhs=float(rhs),
                            residual_direct=float(rhs - lhs),
                            residual_closed=float(closed),
-                           matrix_sign=classify_sign(a))
+                           matrix_sign=sign_of_spectrum(lam))
     _check_record(rec, float(inequality_scale(full, v)))
     return rec
 
@@ -326,7 +331,9 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
     semidefinite draws, direct/closed agreement 1e-9, and an identity
     tolerance of 1e-10 in dimension 3 where the residual vanishes for every
     symmetric matrix.  Raises InputError when `scale` is so large that a
-    residual or its scale 1 + |A|_F^3 |v|^2 overflows.
+    residual or its scale 1 + |A|_F^3 |v|^2 overflows, or so small that
+    |A|_F^3 |v|^2 is below the smallest normal float in every sample of a
+    dimension that draws a nonzero matrix: its checks would read underflow.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -336,10 +343,14 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
         a, v, lam, w = sample_batch(seed, dim, sign, scale, count)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs, rhs, direct, closed = _campaign_residuals(a, v, lam, w)
-            scl = inequality_scale(a, v)
+            size = _form_size(a, v)
+        scl = 1.0 + size
         if not all(np.isfinite(x).all() for x in (direct, closed, scl)):
             raise InputError(f"scale {scale:g} overflows the residuals or their "
                              f"scale 1 + |A|_F^3 |v|^2 in dim {dim}")
+        if np.all(size < np.finfo(float).tiny) and np.any(a):
+            raise InputError(f"scale {scale:g} underflows |A|_F^3 |v|^2 in every sample "
+                             f"of dim {dim}, so every residual check would pass vacuously")
         rel = direct / scl
         disc = np.abs(direct - closed) / scl
         ok = bool(np.all(disc <= 1e-9))

@@ -585,8 +585,7 @@ class ScalarField2D:
         return float(np.min(self.u))
 
     def hessian_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ops = build_operators(self.mask)
-        return ops["Dxx"] @ self.u, ops["Dyy"] @ self.u, ops["Dxy"] @ self.u
+        return _grid_fields(build_operators(self.mask), self.u)
 
     def gradient(self) -> np.ndarray:
         ops = build_operators(self.mask)
@@ -643,10 +642,8 @@ class ScalarField2D:
 
     def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         uxx, uyy, uxy = self.hessian_entries()
-        # 2x2 cofactor matrix [[uyy, -uxy], [-uxy, uxx]]: closed-form eigenvalues.
-        half_tr = 0.5 * (uxx + uyy)
-        disc = np.sqrt(np.maximum(0.25 * (uyy - uxx) ** 2 + uxy**2, 0.0))
-        return uxx + uyy, uxx * uyy - uxy * uxy, half_tr - disc
+        # In the plane (tr H) I - H has the spectrum of H: U' = 1, U'' = 0 composes H.
+        return uxx + uyy, uxx * uyy - uxy * uxy, self.transform_hessian_min(1.0, 0.0)[0]
 
     def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]:
         uxx, uyy, uxy = self.hessian_entries()
@@ -695,10 +692,7 @@ class ScalarField2D:
 
 
 def _grid_fields(ops, u):
-    uxx = ops["Dxx"] @ u
-    uyy = ops["Dyy"] @ u
-    uxy = ops["Dxy"] @ u
-    return uxx, uyy, uxy
+    return ops["Dxx"] @ u, ops["Dyy"] @ u, ops["Dxy"] @ u
 
 
 def _newton_jacobian(ops, f, u, uxx, uyy, uxy):

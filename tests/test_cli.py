@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hess2
+from hess2 import matineq
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -30,6 +31,19 @@ class TestParsers:
         assert parse_domain("ellipse:2,1").semi_axes == (2.0, 1.0)
         poly = parse_domain("polygon:-1,-1;1,-1;1,1;-1,1")
         assert poly.kind == "polygon" and len(poly.vertices) == 4
+
+    def test_dims_outside_range_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("dimensions were sampled before the range check")
+
+        monkeypatch.setattr(matineq, "inequality_campaign", no_campaign)
+        for text in ("2..9", "0..3", "8,9"):
+            with pytest.raises(InputError, match=r"must be in \[2, 8\]"):
+                parse_dims(text)
+        out = tmp_path / "never"
+        assert main(["ineq", "--dims", "2..9", "--count", "20000", "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("input error: --dims '2..9'")
+        assert not out.exists()
 
     def test_dims_repeated_named(self):
         with pytest.raises(InputError, match="repeats dimension 2$"):
@@ -370,10 +384,15 @@ class TestCampaignScanVerifyInputs:
         ["ineq", "--count", "5", "--scale", "1e200"],
         ["ineq", "--count", "5", "--sign", "indefinite", "--scale", "1e200"],
         ["ineq", "--count", "10", "--dims", "2,3,2"],
+        ["ineq", "--count", "20000", "--dims", "2..9"],
+        ["ineq", "--count", "10", "--dims", "1,2"],
+        ["ineq", "--count", "5", "--scale", "1e-200"],
+        ["ineq", "--count", "5", "--sign", "negative", "--scale", "1e-200"],
     ], ids=["dims-not-a-number", "dims-empty-range", "scale-nan", "scan-zero-count",
             "verify-alpha-nan", "verify-gamma-unsupported", "ineq-seed-negative",
             "scan-seed-negative", "scale-overflows", "scale-overflows-indefinite",
-            "dims-repeated"])
+            "dims-repeated", "dims-above-max", "dims-below-two", "scale-underflows",
+            "scale-underflows-negative"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
         printed = capsys.readouterr().out

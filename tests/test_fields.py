@@ -232,6 +232,29 @@ class TestConvexityScan:
         assert not report.convex
         assert report.min_eigenvalue < 0
 
+    def test_first_point_wins_a_tie(self):
+        # A quadratic field has one Hessian everywhere, so every point ties.
+        fld = quadratic_field(np.diag([3.0, 1.0, 2.0]))
+        pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-0.5, 0.4, 0.1]])
+        report = convexity_scan(fld, identity_transform(), pts)
+        np.testing.assert_array_equal(report.argmin_point, pts[0])
+        assert report.min_eigenvalue == pytest.approx(1.0)
+        assert report.tolerance == pytest.approx(3e-8)
+        assert report.n_points == 3
+
+    def test_scale_and_argmin_over_the_batch(self):
+        # The least eigenvalue of the saddle's Hessian is smallest at one
+        # point; the batch scale is the largest |eigenvalue| over all points.
+        fld = saddle_quartic_field()
+        pts = np.array([[0.5, 0.5], [1.0, 1.0], [0.2, 0.0]])
+        lams = [np.linalg.eigvalsh(fld.hess(x)) for x in pts]
+        report = convexity_scan(fld, identity_transform(), pts)
+        k = int(np.argmin([lam[0] for lam in lams]))
+        np.testing.assert_array_equal(report.argmin_point, pts[k])
+        assert report.min_eigenvalue == pytest.approx(lams[k][0], abs=1e-12)
+        scale = max(1.0, max(float(np.max(np.abs(lam))) for lam in lams))
+        assert report.tolerance == pytest.approx(1e-8 * scale)
+
 
 class TestTransformPresetDerivatives:
     def test_power_transform_rejects_large_exponent(self):

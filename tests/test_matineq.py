@@ -5,6 +5,7 @@ from hess2 import matineq
 from hess2.errors import InputError, PreconditionError, SingularTransformError
 from hess2.matineq import (
     TransformEval,
+    classify_sign,
     comatrix_functional,
     comatrix_inequality,
     composed_hessian_functional,
@@ -13,7 +14,9 @@ from hess2.matineq import (
     factorization_campaign,
     inequality_campaign,
     inequality_scale,
+    is_negative_semidefinite,
     negative_semidefinite_inequality,
+    sign_of_spectrum,
 )
 from hess2.symmat import SymmetricMatrix, sample_batch, sample_semidefinite
 
@@ -59,6 +62,37 @@ class TestComatrixInequality:
             rec = comatrix_inequality(a, v)
             tol = 1e-9 * max(1.0, abs(rec.lhs), abs(rec.rhs))
             assert abs(rec.residual_direct - rec.residual_closed) <= tol
+
+
+class TestSignRule:
+    def test_one_eigendecomposition_per_record(self, monkeypatch):
+        calls = []
+        eigh = matineq.jacobi_eigh
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(matineq, "jacobi_eigh", counting)
+        rec = comatrix_inequality(SymmetricMatrix.from_diag([1.0, 2.0, 3.0, 4.0]),
+                                  [1.0, 1.0, 1.0, 1.0])
+        assert calls == [(4, 4)]
+        assert rec.matrix_sign == "positive"
+
+    @pytest.mark.parametrize("diag, sign, negative", [
+        ([0.0, 0.0, 0.0], "positive", True),
+        ([1e-13, 0.0, -1e-13], "positive", True),
+        ([-2.0, -1.0, 0.0], "negative", True),
+        ([-1.0, 0.0, 1.0], "indefinite", False),
+        ([-1e-11, 0.0, 1.0], "indefinite", False),
+        ([-1e-13, 0.0, 1.0], "positive", False),
+        ([-1.0, 0.0, 1e-13], "negative", True),
+    ])
+    def test_classify_and_negative_test_share_one_rule(self, diag, sign, negative):
+        a = SymmetricMatrix.from_diag(diag)
+        assert sign_of_spectrum(np.sort(diag)) == sign
+        assert classify_sign(a) == sign
+        assert is_negative_semidefinite(a) is negative
 
 
 class TestReversedInequality:
@@ -266,6 +300,27 @@ class TestCampaigns:
     def test_overflowing_scale_rejected(self):
         with pytest.raises(InputError, match="overflows"):
             inequality_campaign(seed=1, dims=(4,), count=5, sign="positive", scale=1e200)
+
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    def test_underflowing_scale_rejected(self, sign):
+        # At 1e-200 every |A|_F^3 |v|^2 underflows to zero, so every residual
+        # and its discrepancy would read 0 and every check would pass.
+        with pytest.raises(InputError, match="underflows"):
+            inequality_campaign(seed=1, dims=(2, 4), count=50, sign=sign, scale=1e-200)
+
+    def test_small_scale_above_underflow_accepted(self):
+        result = inequality_campaign(seed=1, dims=(4,), count=50, sign="positive",
+                                     scale=1e-90)
+        assert result.ok
+
+    def test_zero_matrix_draw_is_not_underflow(self):
+        # Seed 12 draws the zero matrix as its only dimension-2 sample: its
+        # residuals are exactly zero at any scale, not an underflow.
+        a = sample_batch(12, 2, "positive", 1.0, 1)[0]
+        assert not np.any(a)
+        result = inequality_campaign(seed=12, dims=(2,), count=1, sign="positive")
+        assert result.ok
+        assert result.summaries[0].max_residual_over_scale == 0.0
 
     def test_factorization_campaign(self):
         worst = factorization_campaign(seed=3, count=2000)

@@ -1,9 +1,12 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hess2.errors import InputError
+from hess2 import symmat
+from hess2.errors import InputError, NumericalError
 from hess2.symmat import (
     SymmetricMatrix,
     Spectrum,
@@ -58,6 +61,50 @@ class TestSpectrum:
     def test_spectrum_sorted_invariant(self):
         with pytest.raises(InputError):
             Spectrum(eigenvalues=np.array([2.0, 1.0]))
+
+
+EIGEN_SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+class TestEigenBackend:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_raises(self, bad):
+        with pytest.raises(NumericalError, match="non-finite spectrum"):
+            jacobi_eigh(np.array([[1.0, bad], [bad, 2.0]]))
+
+    def test_nonfinite_matrix_in_a_stack_raises(self):
+        stack = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+        with pytest.raises(NumericalError):
+            jacobi_eigh(stack)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((7, 5, 5))
+        a = g + g.transpose(0, 2, 1)
+        lam, vecs = jacobi_eigh(a)
+        assert lam.shape == (7, 5) and vecs.shape == (7, 5, 5)
+        assert np.all(np.diff(lam, axis=1) >= 0)
+        for k in range(7):
+            lam_k, _ = jacobi_eigh(a[k])
+            np.testing.assert_allclose(lam[k], lam_k, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(vecs[k] @ np.diag(lam[k]) @ vecs[k].T, a[k],
+                                       rtol=0, atol=1e-12)
+
+    def test_zero_matrix(self):
+        lam, vecs = jacobi_eigh(np.zeros((4, 4)))
+        np.testing.assert_array_equal(lam, np.zeros(4))
+        np.testing.assert_allclose(vecs @ vecs.T, np.eye(4), atol=1e-15)
+
+    def test_only_symmat_calls_an_eigensolver(self):
+        # Every spectrum goes through symmat, so there is one eigen backend.
+        callers = set()
+        for path in Path(symmat.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in EIGEN_SOLVERS:
+                    callers.add(path.name)
+        assert callers == {"symmat.py"}
 
 
 class TestElemSym:
