@@ -5,8 +5,8 @@ The central object is the field
     Phi(x; alpha) = |grad u(x)|^2 + 2 alpha * int_{u(x)}^0 f(s)^gamma ds
 
 built on a solved problem.  Verdicts compare its interior and boundary
-extremes; bound reports specialize alpha = 1 at the critical point of u,
-where the field value collapses to the printed a priori estimates.
+extremes; bound reports read the alpha = 1 field at the critical point of u,
+where it gives the printed a priori estimates; one field per gamma serves both.
 
 gamma is configurable because the two natural conventions (square-rooted
 source versus plain source in the integral) do not agree for non-constant
@@ -29,7 +29,6 @@ from .solver import Solution, SourceTerm
 from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
     Transform,
-    identity_transform,
     negative_log_transform,
     negative_power_transform,
     negative_sqrt_transform,
@@ -248,36 +247,24 @@ def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     return ConvexityReport.of(tr.name, low, scale, sol.positions[interior])
 
 
-def bounds_report(sol: Solution, f: SourceTerm, application: int, *,
-                  p: float | None = None, gamma: float = 1.0) -> BoundsReport:
-    """Audit the application's a priori bound on a solved problem.
+def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
+                  application: int) -> BoundsReport:
+    """Audit the application's a priori bound on a field and the solution's scan.
 
-    lhs is twice the source integral at the solution minimum (the field value
-    at the critical point for alpha = 1), rhs the squared minimum boundary
-    gradient.  The convexity hypothesis is scanned with the application's
-    transform; planar solutions may fall back to the identity transform,
-    whose convexity follows from admissibility in the plane.
+    lhs is twice the source integral at the solution minimum (the alpha = 1
+    field at the critical point), rhs the squared minimum boundary gradient;
+    the pointwise slack reads the alpha = 1 field whatever alpha `pf` carries.
+    The hypothesis: `scan` (the application's transform) is convex, f nonincreasing.
     """
-    if gamma not in GAMMA_CHOICES:
-        raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
-    transform = transform_preset(application, p)
-    scan = convexity_scan_solution(sol, transform)
-    used = transform.name
-    if not scan.convex:
-        scan = convexity_scan_solution(sol, identity_transform())
-        used = "identity"
     hypothesis_ok = bool(scan.convex and f.nonincreasing)
-
-    pf = pfunction_field(sol, f, PFunctionSpec(alpha=1.0, gamma=gamma))
     rhs = float(np.min(pf.boundary_phi))
     lhs = 2.0 * float(np.max(pf.integral))
     slack = lhs - rhs
-    pointwise = pf.phi[pf.interior] - rhs
-    pointwise_min = float(np.min(pointwise))
+    pointwise_min = float(np.min((pf.grad_sq + 2.0 * pf.integral)[pf.interior] - rhs))
     holds = bool(hypothesis_ok and slack >= -BOUND_TOL and pointwise_min >= -BOUND_TOL)
-    return BoundsReport(application=application, gamma=gamma, lhs=lhs, rhs=rhs,
+    return BoundsReport(application=application, gamma=pf.gamma, lhs=lhs, rhs=rhs,
                         slack=slack, pointwise_min_slack=pointwise_min,
-                        hypothesis_ok=hypothesis_ok, transform_name=used,
+                        hypothesis_ok=hypothesis_ok, transform_name=scan.transform_name,
                         holds=holds)
 
 

@@ -289,8 +289,8 @@ def cmd_verify(args) -> int:
     # --alpha appends to its default, so the parser cannot hold this one.
     args.alpha = args.alpha or [1.0]
     # Built before the solve so that a bad --alpha or --gamma costs none.
-    specs = {gamma: [analysis.PFunctionSpec(alpha=alpha, gamma=gamma) for alpha in args.alpha]
-             for gamma in gammas}
+    alphas = [analysis.PFunctionSpec(alpha=alpha).alpha for alpha in args.alpha]
+    units = [analysis.PFunctionSpec(alpha=1.0, gamma=gamma) for gamma in gammas]
     config = _config_text(args)
     sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
@@ -309,15 +309,16 @@ def cmd_verify(args) -> int:
     pf_saved = []
     all_hold = True
     report_bounds = {}
-    for gamma, gamma_specs in specs.items():
-        rep = analysis.bounds_report(sol, f, args.app, p=args.p, gamma=gamma)
-        report_bounds[f"gamma={gamma:g}"] = dataclasses.asdict(rep)
-        for spec in gamma_specs:
-            pf = analysis.pfunction_field(sol, f, spec)
+    for spec in units:
+        unit = analysis.pfunction_field(sol, f, spec)
+        rep = analysis.bounds_report(unit, scan, f, args.app)
+        report_bounds[f"gamma={spec.gamma:g}"] = dataclasses.asdict(rep)
+        for alpha in alphas:
+            pf = dataclasses.replace(unit, alpha=alpha)
             pf_saved.append(pf)
             tol = 5.0 * sol.h_eff**2 * pf.scale()
             verdict = analysis.verify_principle(pf, "min", tol)
-            rows.append((sol.domain_label, f.label(), spec.alpha, gamma, verdict.margin,
+            rows.append((sol.domain_label, f.label(), alpha, spec.gamma, verdict.margin,
                          rep.slack, verdict.holds and rep.holds))
             all_hold &= bool(verdict.holds and rep.holds)
 

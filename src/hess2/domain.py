@@ -49,25 +49,23 @@ class DomainSpec:
         return f"polygon:{len(self.vertices)}v"
 
 
-def _center(center, dim: int) -> np.ndarray:
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (dim,) or not np.all(np.isfinite(c)):
-        raise InputError(f"center must be {dim} finite coordinates")
+def _center(center) -> np.ndarray:
+    c = np.zeros(2) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (2,) or not np.all(np.isfinite(c)):
+        raise InputError("center must be 2 finite coordinates")
     return c
 
 
-def ball(radius: float, center=None, dim: int = 2) -> DomainSpec:
+def ball(radius: float, center=None) -> DomainSpec:
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("ball radius must be positive and finite")
-    if dim not in (2, 3):
-        raise InputError("balls support dim 2 or 3")
-    return DomainSpec(kind="ball", dim=dim, center=_center(center, dim), radius=radius)
+    return DomainSpec(kind="ball", dim=2, center=_center(center), radius=radius)
 
 
 def ellipse(a: float, b: float, center=None) -> DomainSpec:
     if not all(math.isfinite(s) and s > 0 for s in (a, b)):
         raise InputError("ellipse semi-axes must be positive and finite")
-    return DomainSpec(kind="ellipse", dim=2, center=_center(center, 2), semi_axes=(a, b))
+    return DomainSpec(kind="ellipse", dim=2, center=_center(center), semi_axes=(a, b))
 
 
 def polygon_is_convex(vertices) -> bool:

@@ -149,16 +149,18 @@ def comatrix_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
     Raises NumericalError if the direct and closed residuals disagree, or if
     a semidefinite matrix produces a residual on the wrong side of zero.
     """
-    v = np.asarray(v, dtype=float)
     full = a.full()
-    if v.shape != (a.dim,):
-        raise InputError(f"vector has dimension {v.shape}, expected ({a.dim},)")
+    return _inequality_record(full, *jacobi_eigh(full), v)
+
+
+def _inequality_record(full: np.ndarray, lam: np.ndarray, vecs: np.ndarray, v) -> InequalityRecord:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (len(full),):
+        raise InputError(f"vector has dimension {v.shape}, expected ({len(full)},)")
     if not np.all(np.isfinite(v)):
         raise InputError("probe vector must be finite")
     lhs, rhs = _sides(full, v)
-    lam, vecs = jacobi_eigh(full)
-    w = vecs.T @ v
-    closed = _closed_residual(lam, w)
+    closed = _closed_residual(lam, vecs.T @ v)
     rec = InequalityRecord(lhs=float(lhs), rhs=float(rhs),
                            residual_direct=float(rhs - lhs),
                            residual_closed=float(closed),
@@ -182,10 +184,12 @@ def _check_record(rec: InequalityRecord, scale: float) -> None:
 
 
 def negative_semidefinite_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
-    """Reversed-sign variant; requires a negative semidefinite input."""
-    if not is_negative_semidefinite(a):
+    """Reversed-sign variant; requires a negative semidefinite input, checked first."""
+    full = a.full()
+    lam, vecs = jacobi_eigh(full)
+    if sign_of_spectrum(-lam[::-1]) != "positive":
         raise PreconditionError("input matrix is not negative semidefinite")
-    return comatrix_inequality(a, v)
+    return _inequality_record(full, lam, vecs, v)
 
 
 def contraction_scalars(a: SymmetricMatrix, v) -> ContractionScalars:

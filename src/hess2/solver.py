@@ -844,7 +844,7 @@ def load_solution(path, mask: GridMask | None = None):
             if mask is None:
                 from .domain import ball, convex_polygon, ellipse as make_ellipse
                 if dom["kind"] == "ball":
-                    spec = ball(dom["radius"], center=dom["center"], dim=2)
+                    spec = ball(dom["radius"], center=dom["center"])
                 elif dom["kind"] == "ellipse":
                     spec = make_ellipse(*dom["semi_axes"], center=dom["center"])
                 else:

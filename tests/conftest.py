@@ -2,6 +2,13 @@
 
 from functools import lru_cache
 
+from hess2.analysis import (
+    PFunctionSpec,
+    bounds_report,
+    convexity_scan_solution,
+    pfunction_field,
+    transform_preset,
+)
 from hess2.domain import ball, ellipse, rasterize
 from hess2.solver import (
     SolveConfig,
@@ -61,3 +68,11 @@ def cached_grid(domain_key: str, f_key: str, h: float):
 def cached_eigen(radius: float = 1.0, nodes: int = 1024):
     cfg = SolveConfig(radial_nodes=nodes)
     return solve_eigen_radial(3, radius, cfg)
+
+
+def audit_bounds(sol, f, application: int, p=None, gamma: float = 1.0):
+    """The bound report `hess2 verify` prints: the alpha = 1 field at gamma,
+    audited with the scan of the application's transform."""
+    pf = pfunction_field(sol, f, PFunctionSpec(alpha=1.0, gamma=gamma))
+    scan = convexity_scan_solution(sol, transform_preset(application, p))
+    return bounds_report(pf, scan, f, application)

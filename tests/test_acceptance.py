@@ -19,10 +19,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cached_eigen, cached_grid, cached_radial, make_source
+from conftest import audit_bounds, cached_eigen, cached_grid, cached_radial, make_source
 from hess2.analysis import (
     PFunctionSpec,
-    bounds_report,
     convexity_scan_solution,
     critical_point_report,
     pfunction_field,
@@ -115,7 +114,7 @@ class TestGate05RadialOracle:
         prof = cached_radial(3, "const")
         u_min_err = abs(prof.u_min + 1.0 / (2.0 * SQRT3))
         grad_err = abs(prof.boundary_gradient - 1.0 / SQRT3)
-        rep = bounds_report(prof, make_source("const"), 1)
+        rep = audit_bounds(prof, make_source("const"), 1)
         slack_err = abs(rep.slack - (1.0 / SQRT3 - 1.0 / 3.0))
         _gate("G05 radial oracle",
               u_min_err <= 1e-6 and grad_err <= 1e-6 and slack_err <= 1e-5,
@@ -142,7 +141,7 @@ class TestGate06DiskEquality:
         pf = pfunction_field(sol, make_source("const"), PFunctionSpec(alpha=1.0))
         variation = max(float(np.max(np.abs(pf.phi - 1.0))),
                         float(np.max(np.abs(pf.boundary_phi - 1.0))))
-        rep = bounds_report(sol, make_source("const"), 1)
+        rep = audit_bounds(sol, make_source("const"), 1)
         _gate("G06 disk equality case",
               variation <= 5.0 * h * h and abs(rep.slack) <= 5.0 * h * h,
               f"sup |phi - 1| = {variation:.2e}, slack = {rep.slack:+.2e}")
@@ -260,7 +259,7 @@ class TestGate10Eigenproblem:
         f = make_source(f"eigen:{lam}")
         slacks = {}
         for gamma in (0.5, 1.0):
-            rep = bounds_report(prof, f, 2, gamma=gamma)
+            rep = audit_bounds(prof, f, 2, gamma=gamma)
             slacks[gamma] = rep.slack
             assert rep.hypothesis_ok
             assert rep.slack >= -1e-6
@@ -307,15 +306,15 @@ class TestGate11PowerFamily:
         slacks = {}
         for p in self.PS:
             prof = cached_radial(3, f"power:1,{p}")
-            rep = bounds_report(prof, make_source(f"power:1,{p}"), 3, p=p,
-                                gamma=0.5)
+            rep = audit_bounds(prof, make_source(f"power:1,{p}"), 3, p=p,
+                               gamma=0.5)
             slacks[p] = rep.slack
             assert rep.holds and rep.slack >= -1e-6
         _gate("G11b power bound (rooted integral)", True, f"slacks {slacks}")
 
     def test_plain_convention_bound_small_exponent(self):
         prof = cached_radial(3, "power:1,0.5")
-        rep = bounds_report(prof, make_source("power:1,0.5"), 3, p=0.5, gamma=1.0)
+        rep = audit_bounds(prof, make_source("power:1,0.5"), 3, p=0.5, gamma=1.0)
         _gate("G11c power bound p=0.5 (plain integral)",
               rep.slack >= -1e-6 and rep.holds,
               f"slack {rep.slack:+.2e}")
@@ -328,8 +327,8 @@ class TestGate11PowerFamily:
     def test_plain_convention_bound_as_stated(self):
         for p in (1.0, 1.5):
             prof = cached_radial(3, f"power:1,{p}")
-            rep = bounds_report(prof, make_source(f"power:1,{p}"), 3, p=p,
-                                gamma=1.0)
+            rep = audit_bounds(prof, make_source(f"power:1,{p}"), 3, p=p,
+                               gamma=1.0)
             print(f"[G11d] p={p}: plain-integral slack {rep.slack:+.3e}")
             assert rep.slack >= -1e-6
 
@@ -337,8 +336,8 @@ class TestGate11PowerFamily:
         slacks = {}
         for p in (1.0, 1.5):
             prof = cached_radial(3, f"power:1,{p}")
-            rep = bounds_report(prof, make_source(f"power:1,{p}"), 3, p=p,
-                                gamma=1.0)
+            rep = audit_bounds(prof, make_source(f"power:1,{p}"), 3, p=p,
+                               gamma=1.0)
             slacks[p] = rep.slack
             assert rep.slack < -1e-6 and not rep.holds
         _gate("G11d power bound (plain integral, measured)", True,

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import cached_eigen, cached_grid, cached_radial, make_source
+from conftest import audit_bounds, cached_eigen, cached_grid, cached_radial, make_source
 from hess2.analysis import (
     PFunctionField,
     PFunctionSpec,
-    bounds_report,
     boundary_gradient_samples,
+    bounds_report,
     convexity_scan_solution,
     critical_point_report,
     pfunction_field,
@@ -15,6 +15,7 @@ from hess2.analysis import (
     verify_principle,
 )
 from hess2.errors import HypothesisError, InputError
+from hess2.fields import ConvexityReport
 from hess2.transforms import identity_transform
 
 SQRT3 = np.sqrt(3.0)
@@ -236,7 +237,7 @@ class TestConvexityScanSolution:
 
 class TestBoundsReports:
     def test_application1_radial(self):
-        rep = bounds_report(cached_radial(3, "const"), make_source("const"), 1)
+        rep = audit_bounds(cached_radial(3, "const"), make_source("const"), 1)
         assert rep.hypothesis_ok and rep.holds
         assert rep.lhs == pytest.approx(1.0 / SQRT3, abs=1e-8)
         assert rep.rhs == pytest.approx(1.0 / 3.0, abs=1e-8)
@@ -244,8 +245,8 @@ class TestBoundsReports:
         assert rep.pointwise_min_slack >= -1e-6
 
     def test_application1_disk_equality(self):
-        rep = bounds_report(cached_grid("disk", "const", 1.0 / 64),
-                            make_source("const"), 1)
+        rep = audit_bounds(cached_grid("disk", "const", 1.0 / 64),
+                           make_source("const"), 1)
         assert rep.holds
         assert abs(rep.slack) <= 5.0 * (1.0 / 64) ** 2
         assert rep.pointwise_min_slack >= -1e-6
@@ -254,10 +255,10 @@ class TestBoundsReports:
         lam, prof = cached_eigen(1.0)
         f = make_source(f"eigen:{lam}")
         for gamma in (0.5, 1.0):
-            rep = bounds_report(prof, f, 2, gamma=gamma)
+            rep = audit_bounds(prof, f, 2, gamma=gamma)
             assert rep.hypothesis_ok and rep.holds
             assert rep.slack >= -1e-6
-        rep1 = bounds_report(prof, f, 2, gamma=1.0)
+        rep1 = audit_bounds(prof, f, 2, gamma=1.0)
         assert rep1.lhs == pytest.approx((2.0 / 3.0) * lam, rel=1e-8)
 
     def test_application2_normalization_covariance(self):
@@ -269,20 +270,20 @@ class TestBoundsReports:
         lam, prof = cached_eigen(1.0)
         f = make_source(f"eigen:{lam}")
         doubled = replace(prof, u=2.0 * prof.u, up=2.0 * prof.up)
-        base = bounds_report(prof, f, 2, gamma=0.5)
-        scaled = bounds_report(doubled, f, 2, gamma=0.5)
+        base = audit_bounds(prof, f, 2, gamma=0.5)
+        scaled = audit_bounds(doubled, f, 2, gamma=0.5)
         assert scaled.lhs == pytest.approx(4.0 * base.lhs, rel=1e-9)
         assert scaled.rhs == pytest.approx(4.0 * base.rhs, rel=1e-9)
         assert scaled.slack == pytest.approx(4.0 * base.slack, rel=1e-9)
         assert scaled.holds == base.holds
-        plain = bounds_report(doubled, f, 2, gamma=1.0)
-        plain_base = bounds_report(prof, f, 2, gamma=1.0)
+        plain = audit_bounds(doubled, f, 2, gamma=1.0)
+        plain_base = audit_bounds(prof, f, 2, gamma=1.0)
         assert plain.lhs == pytest.approx(8.0 * plain_base.lhs, rel=1e-9)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
     def test_application3_sqrt_convention_holds(self, p):
         prof = cached_radial(3, f"power:1,{p}")
-        rep = bounds_report(prof, make_source(f"power:1,{p}"), 3, p=p, gamma=0.5)
+        rep = audit_bounds(prof, make_source(f"power:1,{p}"), 3, p=p, gamma=0.5)
         assert rep.hypothesis_ok and rep.holds
         assert rep.lhs == pytest.approx(
             4.0 / (p + 2.0) * (-prof.u_min) ** ((p + 2.0) / 2.0), rel=1e-8)
@@ -293,16 +294,35 @@ class TestBoundsReports:
         expectations = {0.5: True, 1.0: False, 1.5: False}
         for p, should_hold in expectations.items():
             prof = cached_radial(3, f"power:1,{p}")
-            rep = bounds_report(prof, make_source(f"power:1,{p}"), 3, p=p, gamma=1.0)
+            rep = audit_bounds(prof, make_source(f"power:1,{p}"), 3, p=p, gamma=1.0)
             assert rep.hypothesis_ok
             assert rep.holds == should_hold
             if not should_hold:
                 assert rep.slack < -1e-6
 
+    def test_nonconvex_scan_fails_hypothesis(self):
+        prof, f = cached_radial(3, "const"), make_source("const")
+        pf = pfunction_field(prof, f, PFunctionSpec(alpha=1.0))
+        scan = ConvexityReport(transform_name="-sqrt(-t)", n_points=1, min_eigenvalue=-1.0,
+                               argmin_point=np.zeros(1), convex=False, tolerance=1e-9)
+        rep = bounds_report(pf, scan, f, 1)
+        assert not rep.hypothesis_ok and not rep.holds
+        assert rep.transform_name == scan.transform_name
+        assert rep.slack >= -1e-6  # the bound itself is met; the hypothesis is not
+
+    def test_nondecreasing_source_fails_hypothesis(self):
+        prof, f = cached_radial(3, "exp-inc"), make_source("exp-inc")
+        pf = pfunction_field(prof, f, PFunctionSpec(alpha=1.0))
+        scan = convexity_scan_solution(prof, transform_preset(1))
+        assert scan.convex and not f.nonincreasing
+        rep = bounds_report(pf, scan, f, 1)
+        assert not rep.hypothesis_ok and not rep.holds
+        assert rep.transform_name == scan.transform_name
+
     def test_pointwise_bound_every_interior_node(self):
         for key, maker in (("radial", lambda: cached_radial(3, "const")),
                            ("disk", lambda: cached_grid("disk", "const", 1.0 / 64))):
-            rep = bounds_report(maker(), make_source("const"), 1)
+            rep = audit_bounds(maker(), make_source("const"), 1)
             assert rep.pointwise_min_slack >= -1e-6, key
 
 

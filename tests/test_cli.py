@@ -4,12 +4,13 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hess2
-from hess2 import matineq
+from hess2 import analysis, matineq
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -369,6 +370,26 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["bounds"]["gamma=0.5"]["holds"]
+
+    @pytest.mark.parametrize("alphas,exit_code", [
+        ([], 0), (["--alpha", "0.5", "--alpha", "2"], 1)])
+    def test_one_integral_per_gamma_and_one_scan(self, tmp_path, monkeypatch, alphas,
+                                                 exit_code):
+        # The bound audit and every alpha verdict read the same field per gamma
+        # (alpha = 0.5 misses the minimum principle on the ball, hence exit 1).
+        calls = Counter()
+        for name in ("source_integral", "convexity_scan_solution"):
+            real = getattr(analysis, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        code = main(["verify", "--app", "1", "--radial", "--nodes", "256", *alphas,
+                     "--out", str(tmp_path / "v")])
+        assert code == exit_code
+        assert calls == {"source_integral": 2, "convexity_scan_solution": 1}
 
 
 class TestCampaignScanVerifyInputs:

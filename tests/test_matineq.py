@@ -119,6 +119,28 @@ class TestReversedInequality:
         with pytest.raises(PreconditionError):
             negative_semidefinite_inequality(SymmetricMatrix.identity(3), np.ones(3))
 
+    def test_one_decomposition(self, monkeypatch):
+        calls = []
+        real = matineq.jacobi_eigh
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(matineq, "jacobi_eigh", counted)
+        rec = negative_semidefinite_inequality(
+            SymmetricMatrix.from_full(-np.eye(4)), [1.0, 0.0, 0.0, 0.0])
+        assert rec.matrix_sign == "negative"
+        assert len(calls) == 1
+
+    def test_precondition_before_probe_and_residual(self, monkeypatch):
+        def no_residual(*args):
+            raise AssertionError("residual checked before the precondition")
+
+        monkeypatch.setattr(matineq, "_check_record", no_residual)
+        with pytest.raises(PreconditionError):
+            negative_semidefinite_inequality(SymmetricMatrix.identity(3), np.ones(2))
+
 
 class TestContractionScalars:
     def test_diagonal_case(self):
