@@ -31,6 +31,7 @@ from .errors import (
 )
 
 REPORT_SCHEMA = 1
+MODES = ("radial", "grid2d", "eigen")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,26 @@ class RunConfig:
                     raise InputError(f"bad config line: {line!r}")
                 options[key] = value
         return cls(command=options.pop("command", ""), options=options)
+
+    def flags(self, typed: list) -> list:
+        """The options as flags, leaving out each one `typed` holds (mode: any mode flag).
+
+        `mode=grid2d` gives `--grid2d`, `records=False` `--no-records`, `alpha=1,0.5`
+        `--alpha=1 --alpha=0.5`, `None` nothing, and any other pair `--key=value`.
+        """
+        names = [tok.partition("=")[0][2:] for tok in typed if tok.startswith("--")]
+        held = {"mode" if name in MODES else name.removeprefix("no-") for name in names}
+        flags = []
+        for key, value in self.options.items():
+            if key in held or value == "None":
+                continue
+            if key == "mode":
+                flags.append(f"--{value}")
+            elif value in ("True", "False"):
+                flags.append(f"--{'' if value == 'True' else 'no-'}{key}")
+            else:
+                flags += [f"--{key}={v}" for v in (value.split(",") if key == "alpha" else [value])]
+        return flags
 
 
 def _config_text(args) -> str:
@@ -262,7 +283,7 @@ def cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def _verify_source(args) -> solver.SourceTerm | None:
-    """Source of the verify application; application 2 sets the eigen mode."""
+    """Nonincreasing source of the verify application; app 2 sets the eigen mode."""
     if args.app != 3 and args.p is not None:
         raise InputError(f"--p is the exponent of application 3's power source; "
                          f"application {args.app} has none")
@@ -276,7 +297,11 @@ def _verify_source(args) -> solver.SourceTerm | None:
         raise InputError("mode=eigen is the eigenvalue problem of application 2 only")
     if args.app == 3:
         return solver.power_source(args.lam, args.p)
-    return parse_source(args.f)
+    f = parse_source(args.f)
+    if not f.nonincreasing:
+        raise HypothesisError(f"--f {f.label()} is not nonincreasing, "
+                              "as the a priori bounds require")
+    return f
 
 
 def cmd_verify(args) -> int:
@@ -419,12 +444,22 @@ def cmd_identity_scan(args) -> int:
 # argument plumbing
 # ----------------------------------------------------------------------
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Flags by their exact names only; a rejected option raises InputError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="hess2",
         description="Verification toolkit for 2-Hessian problems: matrix "
                     "inequalities, solvers, extreme principles, a priori bounds.")
-    # Read by _parse_args before argparse runs; declared here for --help.
+    # Expanded by _with_config before argparse runs; declared here for --help.
     parser.add_argument("--config", metavar="FILE", default=argparse.SUPPRESS,
                         help="take options from a key=value file, such as the "
                              "config embedded in a report; typed flags win")
@@ -444,10 +479,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = sub.add_parser("solve", help="solve a Dirichlet problem")
     v = sub.add_parser("verify", help="verify principles and a priori bounds")
     v.add_argument("--app", type=int, choices=[1, 2, 3], required=True)
-    # Shared problem options; verify has no --eigen, because --app 2 selects it.
-    for p, modes in ((s, ("radial", "grid2d", "eigen")), (v, ("radial", "grid2d"))):
+    # Shared problem options; verify defaults to --radial (--eigen is app 2's).
+    for p in (s, v):
         mode = p.add_mutually_exclusive_group(required=p is s)
-        for name in modes:
+        for name in MODES:
             mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name)
         p.add_argument("--dim", type=int, default=3)
         p.add_argument("--radius", type=float, default=1.0)
@@ -470,46 +505,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     i.add_argument("--count", type=int, default=100)
     i.add_argument("--out", default="identity-report")
     i.set_defaults(func=cmd_identity_scan)
-    return parser, sub.choices
+    return parser
 
 
-def _config_value(registry, sub, key: str, text: str):
-    """A config file's `key=value`, converted and checked as its flag would be."""
-    action = next((a for a in sub._actions
-                   if a.dest == key and a.default is not argparse.SUPPRESS), None)
-    if action is None:
-        raise InputError(f"{key}={text}: {sub.prog} has no option {key!r}")
-    if text == "None":
-        return sub.get_default(key)
-    if action.nargs == 0:
-        # --records/--no-records, or a mode flag.  Any command's mode is taken:
-        # verify records the eigen mode of --app 2 and checks the pair itself.
-        flags = ({"True": True, "False": False}
-                 if isinstance(action, argparse.BooleanOptionalAction)
-                 else {a.const: a.const for p in registry.values() for a in p._actions
-                       if a.dest == key})
-        if text not in flags:
-            raise InputError(f"{key}={text}: expected one of {', '.join(flags)}")
-        return flags[text]
-    many = isinstance(action, argparse._AppendAction)
-    try:
-        values = [sub._get_values(action, [tok]) for tok in (text.split(",") if many else [text])]
-    except argparse.ArgumentError as exc:
-        raise InputError(f"{key}={text}: {exc.message}") from None
-    return values if many else values[0]
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv; `--config FILE` supplies values as if their flags were typed.
-
-    Flags typed in argv win over the file, and values from the file satisfy
-    required flags (`--app`, the solve mode).
-    """
-    parser, registry = build_parser()
+def _with_config(argv: list, k: int) -> list:
+    """argv with its `--config FILE` at index k replaced by the file's flags,
+    which go right after the command, before the typed ones."""
     argv = list(argv)
-    k = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
-    if k is None:
-        return parser.parse_args(argv)
     _, eq, path = argv.pop(k).partition("=")
     if not eq and k < len(argv):
         path = argv.pop(k)
@@ -518,32 +520,16 @@ def _parse_args(argv) -> argparse.Namespace:
     cfg = RunConfig.from_text(Path(path).read_text())
     if not argv or argv[0].startswith("-"):
         argv.insert(0, cfg.command)
-    sub = registry.get(argv[0])
-    if sub is None:
-        raise InputError(f"config names no known command (got {argv[0]!r})")
-    values = {key: _config_value(registry, sub, key, text)
-              for key, text in cfg.options.items()}
-    values = {key: value for key, value in values.items() if value is not None}
-    for action in sub._actions:
-        if action.dest in values:
-            action.required = False
-    for group in sub._mutually_exclusive_groups:
-        if any(a.dest in values for a in group._group_actions):
-            group.required = False
-    # A flag that argv leaves untyped stays None, and the file fills it in.
-    sub.set_defaults(**dict.fromkeys(values))
-    args = parser.parse_args(argv)
-    for key, value in values.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+    return [argv[0], *cfg.flags(argv[1:]), *argv[1:]]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    k = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(argv if k is None else _with_config(argv, k))
     except (OSError, InputError) as exc:
-        print(f"config error: {exc}")
+        print(f"{'input' if k is None else 'config'} error: {exc}")
         return 2
     try:
         return args.func(args)

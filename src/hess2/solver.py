@@ -14,8 +14,9 @@ Three solvers:
   result keeps defect measurements clean near r = 0 in every dimension.
 
 * `solve_eigen_radial` - the eigenvalue problem S2(D^2 u) = lambda (-u)^2 on a
-  ball in R^3 by inverse iteration: solve with the previous normalized iterate
-  as data, renormalize in sup norm, read the eigenvalue off the normalization.
+  ball in R^3 by inverse iteration: one Picard pass with the previous
+  normalized iterate as data, renormalize in sup norm, read the eigenvalue off
+  the normalization.
 
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
@@ -339,16 +340,20 @@ def _picard_pass(n_dim, r, h, rhs_vals):
     return u, up
 
 
-def _solve_radial_fixed_point(n_dim, radius, rhs, cfg, u0=None):
-    """Picard iteration on the integral form; rhs maps (r, u) -> source values."""
+def solve_radial(n_dim: int, radius: float, f: SourceTerm,
+                 cfg: SolveConfig | None = None) -> RadialProfile:
+    """Admissible radial solution on a ball, by Picard iteration on the integral form."""
+    if n_dim < 2:
+        raise InputError("radial solves need dimension >= 2")
+    _require_positive("radius must be positive and finite", radius)
+    cfg = cfg or SolveConfig()
     m = cfg.radial_nodes
     r = np.linspace(0.0, radius, m + 1)
     h = radius / m
-    u = u0.copy() if u0 is not None else 0.5 * (r**2 - radius**2)
-    up = np.zeros_like(u)
+    u = 0.5 * (r**2 - radius**2)
     delta = math.inf
     for it in range(1, PICARD_MAX_ITER + 1):
-        vals = np.asarray(rhs(r, u), dtype=float)
+        vals = np.asarray(f.f(u), dtype=float)
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
@@ -359,20 +364,8 @@ def _solve_radial_fixed_point(n_dim, radius, rhs, cfg, u0=None):
     else:
         raise SolverError(f"radial Picard iteration did not converge "
                           f"(last delta {delta:.3e} after {PICARD_MAX_ITER} passes)")
-    return r, u, up, it, delta
-
-
-def solve_radial(n_dim: int, radius: float, f: SourceTerm,
-                 cfg: SolveConfig | None = None) -> RadialProfile:
-    """Admissible radial solution on a ball of the given radius."""
-    if n_dim < 2:
-        raise InputError("radial solves need dimension >= 2")
-    _require_positive("radius must be positive and finite", radius)
-    cfg = cfg or SolveConfig()
-    r, u, up, iters, delta = _solve_radial_fixed_point(
-        n_dim, radius, lambda rr, uu: f.f(uu), cfg)
     profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
-                            picard_iterations=iters, picard_delta=delta)
+                            picard_iterations=it, picard_delta=delta)
     residual = radial_ode_residual(profile, f)
     profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
     _validate_radial(profile)
@@ -400,9 +393,10 @@ def solve_eigen_radial(n_dim: int, radius: float,
                        initial: Optional[np.ndarray] = None) -> tuple[float, RadialProfile]:
     """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^3.
 
-    Inverse iteration with sup-norm normalization; the returned profile has
-    sup norm 1 and the eigenvalue is the inverse square of the solve's
-    normalization factor.
+    Inverse iteration with sup-norm normalization: each step is one Picard
+    pass, since its data u^2 does not depend on the new iterate.  The returned
+    profile has sup norm 1, the eigenvalue is the inverse square of the last
+    pass's sup norm, and `picard_iterations` counts the steps.
     """
     if n_dim != 3:
         raise InputError("the eigenvalue solver is wired for dimension 3")
@@ -410,6 +404,7 @@ def solve_eigen_radial(n_dim: int, radius: float,
     cfg = cfg or SolveConfig()
     m = cfg.radial_nodes
     r = np.linspace(0.0, radius, m + 1)
+    h = radius / m
     if initial is None:
         u = (r**2 - radius**2) / radius**2
     else:
@@ -417,25 +412,23 @@ def solve_eigen_radial(n_dim: int, radius: float,
         if u.shape != r.shape or np.any(u[:-1] >= 0):
             raise InputError("initial iterate must be negative inside with matching nodes")
     u = u / np.max(np.abs(u))
-    lam_prev = math.inf
-    lam = math.nan
+    lam = math.inf
     for k in range(1, EIGEN_MAX_ITER + 1):
-        data = u.copy()
-        _, v, vp, _, _ = _solve_radial_fixed_point(
-            n_dim, radius, lambda rr, uu, d=data: d**2, cfg)
+        v, vp = _picard_pass(n_dim, r, h, u**2)
         s = float(np.max(np.abs(v)))
         if not np.isfinite(s) or s <= 0:
-            raise SolverError("inverse iteration produced a degenerate iterate")
-        lam = 1.0 / (s * s)
+            raise SolverError(f"inverse iteration produced a degenerate iterate at step {k}")
+        lam_prev, lam = lam, 1.0 / (s * s)
+        delta = abs(lam - lam_prev)
         u = v / s
-        if abs(lam - lam_prev) <= EIGEN_TOL * max(1.0, lam):
+        if delta <= EIGEN_TOL * max(1.0, lam):
             break
-        lam_prev = lam
     else:
-        raise SolverError("inverse iteration stagnated before the eigenvalue settled")
+        raise SolverError(f"inverse iteration stagnated before the eigenvalue settled "
+                          f"(|delta lambda| {delta:.3e} after {k} steps)")
     up = vp / s
     profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
-                            picard_iterations=k, picard_delta=abs(lam - lam_prev))
+                            picard_iterations=k, picard_delta=delta)
     residual = radial_ode_residual(profile, eigen_source(lam))
     profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
     _validate_radial(profile)
@@ -704,10 +697,11 @@ def _newton_jacobian(ops, f, u, uxx, uyy, uxy):
             - sp.diags(np.asarray(f.fprime(u), dtype=float)))
 
 
-def _grid_admissible(uxx, uyy, uxy):
+def _inadmissible_nodes(uxx, uyy, uxy) -> int:
+    """How many nodes lie off the discrete elliptic branch (or are not finite)."""
     lap = uxx + uyy
     det = uxx * uyy - uxy * uxy
-    return bool(np.all(lap > 0) and np.all(det > 0))
+    return int(np.count_nonzero(~((lap > 0) & (det > 0))))
 
 
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
@@ -740,17 +734,17 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     lap_solve = factorized(ops["Dxx"] + ops["Dyy"], order)
     u = lap_solve(np.full(n, lap_target))
     uxx, uyy, uxy = _grid_fields(ops, u)
-    for _ in range(200):
-        if _grid_admissible(uxx, uyy, uxy):
-            break
+    sweeps = 0
+    while bad := _inadmissible_nodes(uxx, uyy, uxy):
+        if sweeps == 200:
+            raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
+                              f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
         rhs = np.sqrt(np.maximum(
             2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
             0.0))
         u = lap_solve(rhs)
         uxx, uyy, uxy = _grid_fields(ops, u)
-    else:
-        raise SolverError("could not reach the discrete elliptic branch from "
-                          "the Poisson-style warm start")
+        sweeps += 1
 
     residual = uxx * uyy - uxy * uxy - np.asarray(f.f(u), dtype=float)
     res_sup = float(np.max(np.abs(residual)))
@@ -758,11 +752,12 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     while res_sup > NEWTON_TOL:
         it += 1
         if it > NEWTON_MAX_ITER:
-            raise SolverError(f"Newton iteration did not reach tolerance "
-                              f"(residual {res_sup:.3e})")
+            raise SolverError(f"Newton iteration did not reach tolerance in "
+                              f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
         step = spsolve(_newton_jacobian(ops, f, u, uxx, uyy, uxy), -residual, order)
         if not np.all(np.isfinite(step)):
-            raise SolverError("Newton linearization produced a non-finite step")
+            raise SolverError(f"Newton linearization produced a non-finite step "
+                              f"at step {it} (residual {res_sup:.3e})")
         # Halve the step until the iterate stays on the discrete elliptic
         # branch and the residual actually decreases.
         factor = 1.0
@@ -770,7 +765,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
         while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
             uxx, uyy, uxy = _grid_fields(ops, trial)
-            if _grid_admissible(uxx, uyy, uxy):
+            if not _inadmissible_nodes(uxx, uyy, uxy):
                 with np.errstate(over="ignore"):
                     trial_res = uxx * uyy - uxy * uxy - np.asarray(f.f(trial), dtype=float)
                 trial_sup = float(np.max(np.abs(trial_res)))
@@ -781,8 +776,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
             factor *= 0.5
         if not accepted:
             raise SolverError(
-                "damped Newton stalled: admissibility or residual descent "
-                "unattainable (the problem may sit beyond its solvability fold)")
+                f"damped Newton stalled at step {it} (residual {res_sup:.3e}): "
+                "admissibility or residual descent unattainable (the problem may "
+                "sit beyond its solvability fold)")
 
     if np.any(u >= 0):
         raise SolverError("solution must be negative at inside nodes")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hess2
-from hess2 import analysis, matineq
+from hess2 import analysis, matineq, solver
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -211,6 +212,32 @@ class TestConfigReplay:
         assert "--config FILE" in capsys.readouterr().out
 
 
+class TestOptionParsing:
+    @pytest.mark.parametrize("argv", [
+        ["ineq", "--sign", "bogus"],
+        [],
+        ["solve", "--radial", "--grid2d"],
+        ["verify", "--app", "1", "--alp", "2"],
+    ], ids=["bad-choice", "no-subcommand", "two-modes", "abbreviated-flag"])
+    def test_rejected_option_exits_two(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse's rejections end like every other bad input: one line on
+        # stdout, exit 2, nothing on stderr.  Flags need their exact names.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ")
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_config_records_false_is_no_records(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=ineq\ndims=2\ncount=10\nrecords=False\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "off")]) == 0
+        assert main(["--config", str(cfg), "--records", "--out", str(tmp_path / "on")]) == 0
+        assert [p.name for p in (tmp_path / "off").iterdir()] == ["summary.json"]
+        assert (tmp_path / "on" / "records_dim2.csv").exists()
+
+
 class TestSolveCommand:
     def test_radial_solve(self, tmp_path):
         out = tmp_path / "rad"
@@ -292,13 +319,26 @@ class TestSolveCommand:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
-    def test_unsolvable_exits_three(self, tmp_path):
+    def test_unsolvable_exits_three(self, tmp_path, capsys):
         # Unit-rate decreasing exponential on the wide ellipse sits beyond the
-        # solvability fold; the solver reports a stall.
+        # solvability fold; the solver reports a stall, its step and residual.
         code = main(["solve", "--grid2d", "--domain", "ellipse:2,1",
                      "--f", "exp-dec:1.5", "--h", "0.0625",
                      "--out", str(tmp_path / "fold")])
         assert code == 3
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1
+        assert re.match(r"solver failure: damped Newton stalled at step [1-9]\d* "
+                        r"\(residual \d\.\d{3}e[+-]\d+\)", printed), printed
+
+    def test_warm_start_failure_counts_sweeps_and_nodes(self, tmp_path, capsys):
+        code = main(["solve", "--grid2d", "--domain", "polygon:-1,-0.8;1.2,-1;0.9,1.1;-0.7,0.8",
+                     "--h", "0.015625", "--out", str(tmp_path / "warm")])
+        assert code == 3
+        printed = capsys.readouterr().out
+        assert re.match(r"solver failure: warm start: [1-9]\d* of \d+ inside nodes still "
+                        r"off the discrete elliptic branch after 200 Poisson-style sweeps$",
+                        printed), printed
 
 
 class TestVerifyCommand:
@@ -356,6 +396,29 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert "\nmode=eigen\n" in report["config"]
         assert report["solution"]["source"].startswith("eigen:")
+
+    @pytest.mark.parametrize("mode", [["--radial"], ["--grid2d", "--h", "0.0625"]])
+    def test_increasing_source_rejected_before_the_solve(self, tmp_path, monkeypatch,
+                                                         capsys, mode):
+        # The a priori bounds need a nonincreasing source; exp-inc is not one,
+        # and the call must end before any solve.
+        for name in ("solve_radial", "solve_grid2d"):
+            monkeypatch.setattr(solver, name, None)
+        out = tmp_path / "inc"
+        assert main(["verify", "--app", "1", *mode, "--f", "exp-inc", "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("hypothesis not met: --f exp-inc:1 is not nonincreasing")
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not out.exists()
+
+    def test_application2_eigen_flag(self, tmp_path, capsys):
+        # --eigen names application 2's own mode, as its report records it.
+        runs = [tmp_path / "plain", tmp_path / "flag"]
+        for out, flag in zip(runs, ([], ["--eigen"])):
+            assert main(["verify", "--app", "2", *flag, "--nodes", "256", "--gamma", "0.5",
+                         "--out", str(out)]) == 0
+        for name in ("report.json", "verdicts.csv", "pfunction.dat"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_application3_high_exponent_rejected(self, tmp_path):
         code = main(["verify", "--app", "3", "--p", "2.5",

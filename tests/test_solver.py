@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_eigen, cached_grid, cached_radial, make_source
+from hess2 import solver
 from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError
 from hess2.solver import (
@@ -138,6 +139,15 @@ class TestEigenSolver:
     def test_dimension_guard(self):
         with pytest.raises(InputError):
             solve_eigen_radial(2, 1.0)
+
+    def test_one_picard_pass_per_step(self, monkeypatch):
+        # Each step's data u^2 does not depend on the new iterate, so a second
+        # Picard pass on it would only repeat the first.
+        passes = []
+        real = solver._picard_pass
+        monkeypatch.setattr(solver, "_picard_pass", lambda *a: passes.append(1) or real(*a))
+        _, prof = solve_eigen_radial(3, 1.0, SolveConfig(radial_nodes=256))
+        assert len(passes) == prof.picard_iterations > 1
 
 
 class TestGridSolver:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 from pathlib import Path
@@ -105,6 +106,32 @@ class TestEigenBackend:
                 if name in EIGEN_SOLVERS:
                     callers.add(path.name)
         assert callers == {"symmat.py"}
+
+
+def _private_argparse_names() -> set:
+    """`_`-prefixed, non-dunder names of argparse and of a parser's parts."""
+    parser = argparse.ArgumentParser()
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--x", action="append")
+    sub = parser.add_subparsers()
+    sub.add_parser("y")
+    names = set()
+    for obj in (argparse, parser, group, sub, *parser._actions):
+        names.update(n for n in dir(obj) if n.startswith("_") and not n.endswith("__"))
+    return names
+
+
+class TestModuleGuards:
+    def test_no_private_argparse_names(self):
+        # The CLI reads options through argparse's public API only.
+        private = _private_argparse_names()
+        assert {"_actions", "_get_values", "_AppendAction", "_group_actions"} <= private
+        used = set()
+        for path in Path(symmat.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    used.add(f"{path.name}: {node.attr}")
+        assert not used
 
 
 class TestElemSym:
