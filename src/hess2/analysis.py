@@ -60,13 +60,11 @@ class PFunctionField:
     gamma: float
     kind: str                      # "radial" | "grid2d"
     positions: np.ndarray          # (n,) radii or (n, 2) coordinates
-    u_values: np.ndarray
     grad_sq: np.ndarray
     integral: np.ndarray           # int_u^0 f^gamma per node
     interior: np.ndarray           # bool mask over nodes
     boundary_positions: np.ndarray
     boundary_grad_sq: np.ndarray
-    source_label: str = ""
     domain: Optional[DomainSpec] = None
     radius: Optional[float] = None
 
@@ -172,10 +170,9 @@ def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunct
     bpts, bvals = boundary_gradient_samples(sol)
     return PFunctionField(
         alpha=spec.alpha, gamma=spec.gamma, kind=sol.kind,
-        positions=sol.positions, u_values=sol.u, grad_sq=sol.grad_sq(),
+        positions=sol.positions, grad_sq=sol.grad_sq(),
         integral=source_integral(f, spec.gamma, sol.u), interior=sol.interior,
-        boundary_positions=bpts, boundary_grad_sq=bvals**2,
-        source_label=f.label(), **sol.boundary_geometry())
+        boundary_positions=bpts, boundary_grad_sq=bvals**2, **sol.boundary_geometry())
 
 
 def verify_principle(pf: PFunctionField, mode: str,

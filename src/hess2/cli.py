@@ -32,6 +32,15 @@ from .errors import (
 
 REPORT_SCHEMA = 1
 MODES = ("radial", "grid2d", "eigen")
+#: The problem options each mode reads.  `verify --app 2` solves in eigen mode,
+#: and `verify --app 3` reads p and lam instead of f.
+READS = {"radial": {"dim", "radius", "f", "nodes"}, "grid2d": {"f", "domain", "h"},
+         "eigen": {"dim", "radius", "nodes"}}
+
+
+def _flag_names(tokens: list) -> list:
+    """The option names of the `--name` and `--name=value` tokens, in order."""
+    return [tok.partition("=")[0][2:] for tok in tokens if tok.startswith("--")]
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,8 @@ class RunConfig:
         `mode=grid2d` gives `--grid2d`, `records=False` `--no-records`, `alpha=1,0.5`
         `--alpha=1 --alpha=0.5`, `None` nothing, and any other pair `--key=value`.
         """
-        names = [tok.partition("=")[0][2:] for tok in typed if tok.startswith("--")]
-        held = {"mode" if name in MODES else name.removeprefix("no-") for name in names}
+        held = {"mode" if name in MODES else name.removeprefix("no-")
+                for name in _flag_names(typed)}
         flags = []
         for key, value in self.options.items():
             if key in held or value == "None":
@@ -523,6 +532,21 @@ def _with_config(argv: list, k: int) -> list:
     return [argv[0], *cfg.flags(argv[1:]), *argv[1:]]
 
 
+def _check_typed(args, typed: list) -> None:
+    """Rejects a typed problem option that the run's mode or application does not
+    read.  Lines of a config file are not checked: they name every option."""
+    if args.command not in ("solve", "verify"):
+        return
+    app = getattr(args, "app", None)
+    mode = "eigen" if app == 2 else args.mode
+    reads = READS[mode] - {"f"} | {"p", "lam"} if app == 3 else READS[mode]
+    unread = set().union(*READS.values(), {"p", "lam"}) - reads
+    for name in _flag_names(typed):
+        if name in unread:
+            run = f"verify --app {app} in {mode} mode" if app else f"solve --{mode}"
+            raise InputError(f"--{name} is not read by {run}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     k = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
@@ -532,6 +556,7 @@ def main(argv=None) -> int:
         print(f"{'input' if k is None else 'config'} error: {exc}")
         return 2
     try:
+        _check_typed(args, argv)
         return args.func(args)
     except HypothesisError as exc:
         print(f"hypothesis not met: {exc}")

@@ -68,21 +68,24 @@ def ellipse(a: float, b: float, center=None) -> DomainSpec:
     return DomainSpec(kind="ellipse", dim=2, center=_center(center), semi_axes=(a, b))
 
 
+def _edges(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """The polygon's edge table: start vertices and edge vectors, (k, 2) each, closed."""
+    v = np.asarray(vertices, dtype=float)
+    return v, np.roll(v, -1, axis=0) - v
+
+
+def _cross(a, b) -> np.ndarray:
+    """Planar cross product a x b, broadcast over the leading axes."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def polygon_is_convex(vertices) -> bool:
     """Strict convexity: all consecutive-edge cross products share a sign, none zero."""
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    if n < 3:
+    v, edge = _edges(vertices)
+    if len(v) < 3:
         return False
-    crosses = []
-    for i in range(n):
-        e1 = v[(i + 1) % n] - v[i]
-        e2 = v[(i + 2) % n] - v[(i + 1) % n]
-        crosses.append(e1[0] * e2[1] - e1[1] * e2[0])
-    crosses = np.asarray(crosses)
-    if np.any(crosses == 0.0):
-        return False
-    return bool(np.all(crosses > 0) or np.all(crosses < 0))
+    turns = _cross(edge, np.roll(edge, -1, axis=0))
+    return bool(np.all(turns > 0) or np.all(turns < 0))
 
 
 def convex_polygon(vertices) -> DomainSpec:
@@ -92,21 +95,16 @@ def convex_polygon(vertices) -> DomainSpec:
         raise InputError("polygon vertices must be finite")
     if not polygon_is_convex(v):
         raise InputError("vertex list is not strictly convex")
-    area2 = 0.0
-    for i in range(len(v)):
-        j = (i + 1) % len(v)
-        area2 += v[i, 0] * v[j, 1] - v[j, 0] * v[i, 1]
-    if area2 < 0:
+    # Every turn of a strictly convex polygon has the orientation's sign.
+    _, edge = _edges(v)
+    if _cross(edge[0], edge[1]) < 0:
         v = v[::-1].copy()
-    centroid = v.mean(axis=0)
-    return DomainSpec(kind="polygon", dim=2, center=centroid, vertices=v)
+    return DomainSpec(kind="polygon", dim=2, center=v.mean(axis=0), vertices=v)
 
 
 def assert_convex(spec: DomainSpec) -> bool:
     """Convexity verdict; balls and ellipses are convex by construction."""
-    if spec.kind in ("ball", "ellipse"):
-        return True
-    return polygon_is_convex(spec.vertices)
+    return spec.kind != "polygon" or polygon_is_convex(spec.vertices)
 
 
 def is_inside(spec: DomainSpec, pts) -> np.ndarray:
@@ -117,26 +115,32 @@ def is_inside(spec: DomainSpec, pts) -> np.ndarray:
     if spec.kind == "ellipse":
         a, b = spec.semi_axes
         return (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
-    verts = spec.vertices - spec.center
+    # One edge at a time: this runs on every lattice node, so temporaries stay O(points).
     inside = np.ones(len(p), dtype=bool)
-    for i in range(len(verts)):
-        v0, v1 = verts[i], verts[(i + 1) % len(verts)]
-        edge = v1 - v0
-        rel = p - v0
-        inside &= (edge[0] * rel[:, 1] - edge[1] * rel[:, 0]) > 0.0
+    for start, edge in zip(*_edges(spec.vertices - spec.center)):
+        inside &= _cross(edge, p - start) > 0.0
     return inside
+
+
+def _segments(vertices, p: np.ndarray):
+    """Offsets rel (k, m, 2) = p - start, outward unit normals (k, 2) and distances
+    (k, m) from m points to the k edges of counterclockwise `vertices`.  Dot products
+    are stacked matmuls, rounded as one edge's `(p - start) @ edge` is."""
+    start, edge = _edges(vertices)
+    elen = np.sqrt((edge[:, None, :] @ edge[:, :, None])[:, 0, 0])
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / elen[:, None]
+    rel = p - start[:, None, :]
+    t = np.clip((rel @ edge[:, :, None])[..., 0] / (elen * elen)[:, None], 0.0, 1.0)
+    foot = start[:, None, :] + t[..., None] * edge[:, None, :]
+    return rel, normal, np.linalg.norm(p - foot, axis=2)
 
 
 def _ellipse_closest_point(a: float, b: float, pts: np.ndarray) -> np.ndarray:
     """Closest boundary points on x^2/a^2 + y^2/b^2 = 1, vectorized bisection."""
     px, py = np.abs(pts[:, 0]), np.abs(pts[:, 1])
     # Order axes so e0 >= e1; fold points into the first quadrant.
-    if b > a:
-        e0, e1, y0, y1 = b, a, py, px
-    else:
-        e0, e1, y0, y1 = a, b, px, py
-    x0 = np.empty_like(y0)
-    x1 = np.empty_like(y1)
+    e0, e1, y0, y1 = (b, a, py, px) if b > a else (a, b, px, py)
+    x0, x1 = np.empty_like(y0), np.empty_like(y1)
 
     general = y1 > 0
     # General case: bisect F(t) = (e0 y0/(t+e0^2))^2 + (e1 y1/(t+e1^2))^2 - 1,
@@ -171,10 +175,7 @@ def _ellipse_closest_point(a: float, b: float, pts: np.ndarray) -> np.ndarray:
         x0[on_axis] = xx0
         x1[on_axis] = xx1
 
-    if b > a:
-        cx, cy = x1, x0
-    else:
-        cx, cy = x0, x1
+    cx, cy = (x1, x0) if b > a else (x0, x1)
     cx = np.copysign(cx, np.where(pts[:, 0] == 0.0, 1.0, pts[:, 0]))
     cy = np.copysign(cy, np.where(pts[:, 1] == 0.0, 1.0, pts[:, 1]))
     return np.column_stack([cx, cy])
@@ -197,20 +198,9 @@ def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
         inside = (rel[:, 0] / a) ** 2 + (rel[:, 1] / b) ** 2 < 1.0
         d = np.where(inside, -dist, dist)
     else:
-        verts = spec.vertices
-        n = len(verts)
-        halfplane = np.full(len(p), -np.inf)
-        seg_dist = np.full(len(p), np.inf)
-        for i in range(n):
-            v0, v1 = verts[i], verts[(i + 1) % n]
-            edge = v1 - v0
-            elen = np.linalg.norm(edge)
-            normal = np.array([edge[1], -edge[0]]) / elen  # outward for ccw
-            halfplane = np.maximum(halfplane, (p - v0) @ normal)
-            t = np.clip(((p - v0) @ edge) / (elen * elen), 0.0, 1.0)
-            foot = v0 + t[:, None] * edge
-            seg_dist = np.minimum(seg_dist, np.linalg.norm(p - foot, axis=1))
-        d = np.where(halfplane <= 0.0, halfplane, seg_dist)
+        rel, normal, dist = _segments(spec.vertices, p)
+        halfplane = (rel @ normal[:, :, None])[..., 0].max(axis=0)
+        d = np.where(halfplane <= 0.0, halfplane, dist.min(axis=0))
     if np.asarray(pts).ndim == 1:
         return float(d[0])
     return d
@@ -226,18 +216,8 @@ def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
         g = np.column_stack([2.0 * p[:, 0] / a**2, 2.0 * p[:, 1] / b**2])
         return g / np.linalg.norm(g, axis=1, keepdims=True)
     # Polygons: the normal of the nearest edge (the first one on ties).
-    verts = spec.vertices - spec.center
-    normals = np.empty_like(p)
-    best_d = np.full(len(p), np.inf)
-    for v0, v1 in zip(verts, np.roll(verts, -1, axis=0)):
-        edge = v1 - v0
-        elen = np.linalg.norm(edge)
-        t = np.clip(((p - v0) @ edge) / (elen * elen), 0.0, 1.0)
-        d = np.linalg.norm(p - (v0 + t[:, None] * edge), axis=1)
-        closer = d < best_d
-        best_d[closer] = d[closer]
-        normals[closer] = np.array([edge[1], -edge[0]]) / elen
-    return normals
+    _, normal, dist = _segments(spec.vertices - spec.center, p)
+    return normal[np.argmin(dist, axis=0)]
 
 
 def ray_crossing(spec: DomainSpec, origin, direction,
@@ -251,7 +231,7 @@ def ray_crossing(spec: DomainSpec, origin, direction,
     """
     o = np.atleast_2d(np.asarray(origin, dtype=float)) - spec.center
     d = np.asarray(direction, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         if spec.kind == "ball":
             # Stacked matmul takes one dot product per row, rounded as a
             # single point's `o @ d` is, so arm lengths do not depend on m.
@@ -266,19 +246,16 @@ def ray_crossing(spec: DomainSpec, origin, direction,
             qc = (o[:, 0] / a_ax) ** 2 + (o[:, 1] / b_ax) ** 2 - 1.0
             t = (-qb + np.sqrt(qb * qb - qa * qc)) / qa
         else:
-            # o + t d = v0 + s edge, solved for (t, s) by Cramer's rule per edge.
-            verts = spec.vertices - spec.center
-            t = np.full(len(o), np.inf)
-            for v0, v1 in zip(verts, np.roll(verts, -1, axis=0)):
-                edge = v1 - v0
-                denom = d[0] * edge[1] - d[1] * edge[0]
-                if denom == 0.0:
-                    continue
-                rel = v0 - o
-                tt = (rel[:, 0] * edge[1] - rel[:, 1] * edge[0]) / denom
-                ss = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / denom
-                hit = (tt > 0) & (ss >= -1e-12) & (ss <= 1 + 1e-12)
-                t = np.where(hit, np.minimum(t, tt), t)
+            # o + t d = start + s edge, solved for (t, s) by Cramer's rule on every
+            # edge at once.  An edge parallel to d has denom 0, so its s is inf or
+            # NaN and never lands in [0, 1]: it cannot count as a hit.
+            start, edge = _edges(spec.vertices - spec.center)
+            denom = _cross(d, edge)[:, None]
+            rel = start[:, None, :] - o
+            tt = _cross(rel, edge[:, None, :]) / denom
+            ss = _cross(rel, d) / denom
+            hit = (tt > 0) & (ss >= -1e-12) & (ss <= 1 + 1e-12)
+            t = np.where(hit, tt, np.inf).min(axis=0)
         t = np.where((t > 0) & (t <= max_len * (1 + 1e-12)), np.minimum(t, max_len), np.nan)
     if np.asarray(origin).ndim == 1:
         return None if math.isnan(t[0]) else float(t[0])
@@ -338,8 +315,7 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     elif spec.kind == "ellipse":
         ext = np.array(spec.semi_axes, dtype=float)
     else:
-        rel = spec.vertices - spec.center
-        ext = np.max(np.abs(rel), axis=0)
+        ext = np.max(np.abs(spec.vertices - spec.center), axis=0)
     # One spare node beyond the extent puts the outer ring outside the domain.
     half = np.ceil(ext / h).astype(int) + 1
     nx, ny = 2 * half[0] + 1, 2 * half[1] + 1

@@ -717,7 +717,8 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     branch, so the solver falls back to the Poisson-style fixed point
         Delta u <- sqrt(2 f + (u_xx - u_yy)^2 + 4 u_xy^2),
     whose sweeps do not require branch membership, until the iterate enters
-    the discrete cone.
+    the discrete cone.  Its fixed point has det = f/2, not f: the sweeps only
+    have to enter the cone, and Newton then solves det = f.
 
     Every linear solve is a SuperLU factorisation in one nested-dissection
     order of the inside nodes (`nested_dissection_order`), computed once per

@@ -121,8 +121,7 @@ class TestVerifyPrinciple:
         r = np.linspace(0.0, 1.0, 101)
         interior = np.ones_like(r, dtype=bool)
         interior[-1] = False
-        pf = PFunctionField(alpha=0.0, gamma=0.5, kind="radial", positions=r,
-                            u_values=np.zeros_like(r), grad_sq=-r**2,
+        pf = PFunctionField(alpha=0.0, gamma=0.5, kind="radial", positions=r, grad_sq=-r**2,
                             integral=np.zeros_like(r), interior=interior,
                             boundary_positions=np.array([1.0]),
                             boundary_grad_sq=np.array([-1.0]), radius=1.0)

@@ -229,6 +229,26 @@ class TestOptionParsing:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (["verify", "--app", "1", "--lam", "3"], "--lam", "radial"),
+        (["verify", "--app", "2", "--f", "const:2"], "--f", "eigen"),
+        (["solve", "--radial", "--h", "0.01"], "--h", "radial"),
+        (["solve", "--grid2d", "--dim", "5"], "--dim", "grid2d"),
+        (["solve", "--eigen", "--f", "const:1"], "--f", "eigen"),
+        (["solve", "--radial", "--domain", "ellipse:2,1"], "--domain", "radial"),
+    ], ids=["app1-lam", "app2-f", "radial-h", "grid2d-dim", "eigen-f", "radial-domain"])
+    def test_typed_flag_the_mode_does_not_read_exits_two(self, tmp_path, capsys, argv,
+                                                         flag, mode):
+        # A flag the run would ignore is rejected by name, with the mode that
+        # ignores it, before any solve and before the report directory exists.
+        out = tmp_path / "ignored"
+        assert main([*argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"input error: {flag} is not read by ")
+        assert mode in printed.out
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not out.exists()
+
     def test_config_records_false_is_no_records(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("command=ineq\ndims=2\ncount=10\nrecords=False\n")
