@@ -58,32 +58,42 @@ def cumulative_quartic(y: np.ndarray, h: float, power: int = 0) -> np.ndarray:
     return out
 
 
-def adaptive_simpson(func, a: float, b: float, rtol: float = 1e-10,
-                     atol: float = 1e-300) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-    if a == b:
-        return 0.0
-    fa, fm, fb = func(a), func(0.5 * (a + b)), func(b)
+def adaptive_simpson(func, a, b, rtol: float = 1e-10, atol: float = 1e-300) -> np.ndarray:
+    """Adaptive Simpson quadrature of array `func` on each segment [a[i], b[i]], batched.
+
+    Each level bisects every unconverged segment at once; the halves are summed
+    back up pairwise, so each result equals the depth-first recursion's bit for bit.
+    atol is deliberately not halved on descent: leaves hugging an integrable
+    endpoint singularity keep a constant relative error, so they terminate
+    through the absolute budget once their measure is small enough.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fa, fm, fb = np.split(func(np.concatenate([a, 0.5 * (a + b), b])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, SIMPSON_MAX_DEPTH)
-
-
-def _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, depth):
-    # atol is deliberately not halved on descent: leaves hugging an integrable
-    # endpoint singularity keep a constant relative error, so they terminate
-    # through the absolute budget once their measure is small enough.
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = func(lm), func(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * max(atol, rtol * abs(left + right)):
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise NumericalError(f"adaptive quadrature failed to converge on [{a}, {b}]")
-    return (_simpson_rec(func, a, m, fa, flm, fm, left, rtol, atol, depth - 1)
-            + _simpson_rec(func, m, b, fm, frm, fb, right, rtol, atol, depth - 1))
+    levels = []                       # (value, split mask) per level, outermost first
+    for depth in range(SIMPSON_MAX_DEPTH, -1, -1):
+        m = 0.5 * (a + b)
+        flm, frm = np.split(func(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        if not np.all(np.isfinite(left + right)):
+            i = np.argmin(np.isfinite(left + right))
+            raise NumericalError(f"non-finite integrand on [{a[i]}, {b[i]}]")
+        err = left + right - whole
+        split = ~(np.abs(err) <= 15.0 * np.maximum(atol, rtol * np.abs(left + right)))
+        levels.append((left + right + err / 15.0, split))
+        if not split.any():
+            break
+        if depth == 0:
+            i = np.argmax(split)
+            raise NumericalError(f"adaptive quadrature failed to converge on [{a[i]}, {b[i]}]")
+        # Each split segment becomes its left half followed by its right half.
+        a, b, fa, fm, fb, whole = (np.stack([lo[split], hi[split]], axis=1).ravel()
+                                   for lo, hi in ((a, m), (m, b), (fa, fm), (flm, frm),
+                                                  (fm, fb), (left, right)))
+    for (value, split), (halves, _) in zip(levels[-2::-1], levels[:0:-1]):
+        value[split] = halves[0::2] + halves[1::2]
+    return levels[0][0]
 
 
 def deriv_uniform(y: np.ndarray, h: float) -> np.ndarray:

@@ -80,12 +80,14 @@ def _cross(a, b) -> np.ndarray:
 
 
 def polygon_is_convex(vertices) -> bool:
-    """Strict convexity: all consecutive-edge cross products share a sign, none zero."""
+    """Strict convexity: turns of one sign, none zero, winding once (a star winds more)."""
     v, edge = _edges(vertices)
     if len(v) < 3:
         return False
-    turns = _cross(edge, np.roll(edge, -1, axis=0))
-    return bool(np.all(turns > 0) or np.all(turns < 0))
+    following = np.roll(edge, -1, axis=0)
+    turns = _cross(edge, following)
+    angles = np.arctan2(turns, np.einsum("ij,ij->i", edge, following))
+    return bool((np.all(turns > 0) or np.all(turns < 0)) and abs(angles.sum()) < 3.0 * math.pi)
 
 
 def convex_polygon(vertices) -> DomainSpec:

@@ -15,6 +15,9 @@ from hess2 import analysis, matineq, solver
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
+# A self-intersecting star whose turns all have one sign.
+PENTAGRAM = "polygon:0,1;-0.587785,-0.809017;0.951057,0.309017;-0.951057,0.309017;0.587785,-0.809017"
+
 
 class TestParsers:
     def test_dims_range(self):
@@ -310,11 +313,12 @@ class TestSolveCommand:
         ["solve", "--eigen", "--radius", "nan"],
         ["solve", "--radial", "--f", "exp-dec:nan"],
         ["solve", "--radial", "--f", "power:1,nan"],
+        ["solve", "--grid2d", "--domain", PENTAGRAM, "--f", "const:1", "--h", "0.03125"],
     ], ids=["dim1", "eigen-no-lambda", "power-one-param", "const-not-a-number",
             "const-two-params", "unknown-preset", "ellipse-one-axis", "disk-not-a-number",
             "zero-nodes", "verify-gamma-not-a-number", "h-nan", "h-inf", "disk-inf",
             "ellipse-nan", "polygon-inf", "const-nan", "radius-nan", "eigen-radius-nan",
-            "exp-dec-nan", "power-nan"])
+            "exp-dec-nan", "power-nan", "polygon-star"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

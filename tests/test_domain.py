@@ -37,6 +37,17 @@ class TestSpecs:
         with pytest.raises(InputError):
             convex_polygon(L_SHAPE)
 
+    @pytest.mark.parametrize("k,step", [(5, 2), (7, 2), (7, 3)])
+    def test_polygon_rejects_star(self, k, step):
+        # Every turn of the star {k/step} has one sign, but the turns wind step times.
+        t = 2.0 * np.pi * np.arange(k) / k
+        star = np.column_stack([np.sin(step * t), np.cos(step * t)])
+        assert not polygon_is_convex(star) and not polygon_is_convex(star[::-1])
+        with pytest.raises(InputError, match="not strictly convex"):
+            convex_polygon(star)
+        hull = np.column_stack([np.sin(t), np.cos(t)])
+        assert polygon_is_convex(hull) and polygon_is_convex(hull[::-1])
+
     def test_convexity_verdicts(self):
         assert assert_convex(ball(1.0))
         assert assert_convex(ellipse(2.0, 1.0))

@@ -33,14 +33,18 @@ def loop_is_convex(vertices):
     if n < 3:
         return False
     crosses = []
+    winding = 0.0
     for i in range(n):
         e1 = v[(i + 1) % n] - v[i]
         e2 = v[(i + 2) % n] - v[(i + 1) % n]
         crosses.append(e1[0] * e2[1] - e1[1] * e2[0])
+        winding += math.atan2(crosses[-1], e1[0] * e2[0] + e1[1] * e2[1])
     crosses = np.asarray(crosses)
     if np.any(crosses == 0.0):
         return False
-    return bool(np.all(crosses > 0) or np.all(crosses < 0))
+    # A star turns the same way at every vertex but winds twice or more.
+    one_turn = round(abs(winding) / (2.0 * math.pi)) == 1
+    return bool((np.all(crosses > 0) or np.all(crosses < 0)) and one_turn)
 
 
 def loop_is_counterclockwise(vertices):
