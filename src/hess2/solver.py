@@ -59,6 +59,8 @@ PICARD_MAX_ITER = 400
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
+GMRES_RTOL, GMRES_RESTART, GMRES_CYCLES = 1e-3, 30, 3
+ANDERSON_DEPTH = 5
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
 
@@ -536,7 +538,7 @@ def nested_dissection_order(grid_index: np.ndarray) -> np.ndarray:
     return np.lexsort(dissection_path(grid_index)[::-1])
 
 
-def _ordered_lu(a: sp.spmatrix, order: np.ndarray):
+def factorized(a: sp.spmatrix, order: np.ndarray):
     """SuperLU of `a` with rows and columns taken in `order`, as a solve function."""
     from scipy.sparse.linalg import splu
 
@@ -549,18 +551,23 @@ def _ordered_lu(a: sp.spmatrix, order: np.ndarray):
     return solve
 
 
-# Two names for one factorisation, so that timing wrappers (perfbench's tracer)
-# tell the Laplacian, factored once and solved many times, from the Newton
-# Jacobians, each factored for a single solve.
+def spsolve(a: sp.spmatrix, b: np.ndarray, order: np.ndarray, lu):
+    """Newton step a x = b, and the solve function of the factor to reuse.
 
-def factorized(a: sp.spmatrix, order: np.ndarray):
-    """Solve function of `a`, factored once in `order`."""
-    return _ordered_lu(a, order)
+    GMRES, preconditioned by `lu` (an earlier Jacobian's factor), solves to
+    relative residual GMRES_RTOL; where it misses within GMRES_CYCLES restart
+    cycles, or where `lu` is None, `a` is factored and solved directly (lagged-
+    Jacobian inexact Newton: Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    """
+    if lu is not None:
+        from scipy.sparse.linalg import LinearOperator, gmres
 
-
-def spsolve(a: sp.spmatrix, b: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Solution of a x = b, with `a` factored in `order`."""
-    return _ordered_lu(a, order)(b)
+        x, info = gmres(a, b, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
+                        M=LinearOperator(a.shape, matvec=lu))
+        if info == 0:
+            return x, lu
+    lu = factorized(a, order)
+    return lu(b), lu
 
 
 @dataclass(frozen=True)
@@ -720,9 +727,12 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     the discrete cone.  Its fixed point has det = f/2, not f: the sweeps only
     have to enter the cone, and Newton then solves det = f.
 
-    Every linear solve is a SuperLU factorisation in one nested-dissection
-    order of the inside nodes (`nested_dissection_order`), computed once per
-    call: the Laplacian and the Newton Jacobians share its sparsity pattern.
+    The sweeps are Anderson-mixed and reuse one SuperLU factor of the
+    Laplacian.  Newton steps are GMRES solves preconditioned with the factor
+    of the first Jacobian, refactored where GMRES stalls (`spsolve`).  Every
+    factorisation takes one nested-dissection order of the inside nodes
+    (`nested_dissection_order`), computed once per call: the Laplacian and
+    the Newton Jacobians share its sparsity pattern.
     """
     if mask is None:
         mask = rasterize(spec, h)
@@ -735,27 +745,37 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     lap_solve = factorized(ops["Dxx"] + ops["Dyy"], order)
     u = lap_solve(np.full(n, lap_target))
     uxx, uyy, uxy = _grid_fields(ops, u)
-    sweeps = 0
+    sweeps, g_hist, r_hist = 0, [], []
     while bad := _inadmissible_nodes(uxx, uyy, uxy):
         if sweeps == 200:
             raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
                               f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
-        rhs = np.sqrt(np.maximum(
-            2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
-            0.0))
-        u = lap_solve(rhs)
-        uxx, uyy, uxy = _grid_fields(ops, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.sqrt(np.maximum(
+                2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
+                0.0))
         sweeps += 1
+        g = lap_solve(rhs)
+        if not np.all(np.isfinite(g)):
+            raise SolverError(f"warm start: Poisson-style sweep {sweeps} produced a "
+                              "non-finite iterate")
+        # Anderson mixing of the last sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+        g_hist, r_hist = g_hist[-ANDERSON_DEPTH:] + [g], r_hist[-ANDERSON_DEPTH:] + [g - u]
+        u = g
+        if sweeps > 1:
+            gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
+            u = g - np.diff(g_hist, axis=0).T @ gamma
+        uxx, uyy, uxy = _grid_fields(ops, u)
 
     residual = uxx * uyy - uxy * uxy - np.asarray(f.f(u), dtype=float)
     res_sup = float(np.max(np.abs(residual)))
-    it = 0
+    it, lu = 0, None
     while res_sup > NEWTON_TOL:
         it += 1
         if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
-        step = spsolve(_newton_jacobian(ops, f, u, uxx, uyy, uxy), -residual, order)
+        step, lu = spsolve(_newton_jacobian(ops, f, u, uxx, uyy, uxy), -residual, order, lu)
         if not np.all(np.isfinite(step)):
             raise SolverError(f"Newton linearization produced a non-finite step "
                               f"at step {it} (residual {res_sup:.3e})")

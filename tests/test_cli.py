@@ -356,13 +356,37 @@ class TestSolveCommand:
                         r"\(residual \d\.\d{3}e[+-]\d+\)", printed), printed
 
     def test_warm_start_failure_counts_sweeps_and_nodes(self, tmp_path, capsys):
-        code = main(["solve", "--grid2d", "--domain", "polygon:-1,-0.8;1.2,-1;0.9,1.1;-0.7,0.8",
-                     "--h", "0.015625", "--out", str(tmp_path / "warm")])
+        code = main(["solve", "--grid2d", "--domain", "polygon:0,1;-0.9,-0.6;1,-0.5",
+                     "--f", "const:1", "--h", "0.03125", "--out", str(tmp_path / "warm")])
         assert code == 3
         printed = capsys.readouterr().out
         assert re.match(r"solver failure: warm start: [1-9]\d* of \d+ inside nodes still "
                         r"off the discrete elliptic branch after 200 Poisson-style sweeps$",
                         printed), printed
+
+    def test_non_finite_warm_start_names_its_sweep(self, tmp_path, capsys):
+        # exp(-50 u) overflows once the sweeps deepen u on the square.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--grid2d", "--domain", "polygon:1,-1;1,1;-1,1;-1,-1",
+                         "--f", "exp-dec:50", "--h", "0.0625", "--out", str(tmp_path / "nan")])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert re.match(r"solver failure: warm start: Poisson-style sweep [1-9]\d* produced "
+                        r"a non-finite iterate\n$", printed.out), printed.out
+        assert printed.err == "" and not caught
+
+    def test_skewed_quadrilateral_converges(self, tmp_path):
+        u_min = {}
+        for h in ("0.03125", "0.015625"):
+            out = tmp_path / h
+            assert main(["solve", "--grid2d", "--domain", "polygon:-1,-0.8;1.2,-1;0.9,1.1;-0.7,0.8",
+                         "--f", "const:1", "--h", h, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["admissibility"]["admissible"]
+            assert summary["newton_residual_sup"] <= 1e-10
+            u_min[h] = summary["u_min"]
+        assert u_min["0.015625"] < u_min["0.03125"]
 
 
 class TestVerifyCommand:

@@ -14,6 +14,7 @@ from hess2.solver import (
     constant_source,
     dissection_path,
     eigen_source,
+    factorized,
     load_solution,
     nested_dissection_order,
     power_source,
@@ -252,8 +253,36 @@ class TestNestedDissection:
         jac = _newton_jacobian(ops, f, u, uxx, uyy, uxy)
         rhs = f.f(u) - (uxx * uyy - uxy * uxy)
         expect = scipy_spsolve(jac.tocsc(), rhs)
-        got = spsolve(jac, rhs, nested_dissection_order(mask.grid_index))
+        got = factorized(jac, nested_dissection_order(mask.grid_index))(rhs)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+class TestNewtonStep:
+    @staticmethod
+    def _jacobian(sol, f, scale):
+        ops = build_operators(sol.mask)
+        u = scale * sol.u
+        uxx, uyy, uxy = _grid_fields(ops, u)
+        return ops, _newton_jacobian(ops, f, u, uxx, uyy, uxy), f.f(u) - (uxx * uyy - uxy * uxy)
+
+    def test_lagged_factor_meets_the_gmres_tolerance(self):
+        sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
+        order = nested_dissection_order(sol.mask.grid_index)
+        first = factorized(self._jacobian(sol, f, 0.9)[1], order)
+        _, jac, rhs = self._jacobian(sol, f, 0.95)
+        step, lu = spsolve(jac, rhs, order, first)
+        assert lu is first
+        assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
+
+    def test_stale_factor_falls_back_to_a_fresh_one(self):
+        f = make_source("exp-dec")
+        sol = solve_grid2d(convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]), f, 1.0 / 64)
+        order = nested_dissection_order(sol.mask.grid_index)
+        ops, jac, rhs = self._jacobian(sol, f, 0.9)
+        lap = factorized(ops["Dxx"] + ops["Dyy"], order)
+        step, lu = spsolve(jac, rhs, order, lap)
+        assert lu is not lap
+        assert np.array_equal(step, factorized(jac, order)(rhs))
 
 
 class TestAdmissibilityCounterexample:
