@@ -191,6 +191,13 @@ def cmd_ineq(args) -> int:
                 "max_residual_over_scale": s.max_residual_over_scale,
                 "max_discrepancy_over_scale": s.max_discrepancy_over_scale,
                 "ok": s.ok,
+                "witness": {
+                    "index": s.witness.index,
+                    "matrix": s.witness.matrix.tolist(),
+                    "probe": s.witness.probe.tolist(),
+                    "residual_direct": s.witness.residual_direct,
+                    "residual_closed": s.witness.residual_closed,
+                },
             } for s in result.summaries
         },
     }

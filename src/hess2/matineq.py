@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError, SingularTransformError
-from .symmat import SymmetricMatrix, jacobi_eigh, sample_batch
+from .symmat import CAMPAIGN_CHUNK, SymmetricMatrix, jacobi_eigh, sample_batch
 
 #: (alpha, beta) probe pairs; unisolvent for {a^3, a^2 b, a b^2, b^3}.
 EXPANSION_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0))
@@ -292,6 +292,18 @@ def expansion_coefficients(a_u: SymmetricMatrix, grad_u) -> ExpansionCoeffs:
 
 
 @dataclass(frozen=True)
+class CampaignWitness:
+    """The worst sample of a dimension: sample_batch(seed, dim, sign, scale, 1,
+    first=index) draws it again, and its residuals are reproduced bit for bit."""
+
+    index: int
+    matrix: np.ndarray       # (n, n)
+    probe: np.ndarray        # (n,)
+    residual_direct: float
+    residual_closed: float
+
+
+@dataclass(frozen=True)
 class DimCampaignSummary:
     """Per-dimension outcome of an inequality sampling campaign."""
 
@@ -301,6 +313,7 @@ class DimCampaignSummary:
     max_residual_over_scale: float
     max_discrepancy_over_scale: float
     ok: bool
+    witness: CampaignWitness
 
 
 @dataclass(frozen=True)
@@ -328,50 +341,78 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
                         scale: float = 1.0, keep_records: bool = True) -> CampaignResult:
     """Run the comatrix inequality over seeded samples for each dimension.
 
-    The direct residual sees only the matrices and probes; the closed one sees
-    only the spectra and rotated probes that sample_batch returns: the
-    generator's own spectrum for semidefinite draws, np.linalg.eigh for
-    indefinite ones.  Tolerances: residual sign 1e-9 per unit scale on
-    semidefinite draws, direct/closed agreement 1e-9, and an identity
-    tolerance of 1e-10 in dimension 3 where the residual vanishes for every
-    symmetric matrix.  Raises InputError when `scale` is so large that a
+    Each dimension streams samples 0..count-1 in chunks of CAMPAIGN_CHUNK
+    through sample_batch, so memory does not grow with count (apart from the
+    records table) and the records of a smaller count are a prefix of those
+    of a larger one.  The direct residual sees only the matrices and probes;
+    the closed one sees only the spectra and rotated probes that sample_batch
+    returns: the generator's own spectrum for semidefinite draws,
+    np.linalg.eigh for indefinite ones.  Tolerances: residual sign 1e-9 per
+    unit scale on semidefinite draws, direct/closed agreement 1e-9, and an
+    identity tolerance of 1e-10 in dimension 3 where the residual vanishes for
+    every symmetric matrix.  Each summary names its worst sample (least
+    residual/scale on the positive cone, greatest on the negative, greatest
+    |residual|/scale on indefinite draws; the first one on a tie) as a
+    CampaignWitness.  Raises InputError when `scale` is so large that a
     residual or its scale 1 + |A|_F^3 |v|^2 overflows, or so small that
     |A|_F^3 |v|^2 is below the smallest normal float in every sample of a
-    dimension that draws a nonzero matrix: its checks would read underflow.
+    dimension that draws a nonzero matrix: its checks would read underflow;
+    and when the records table of `count` rows cannot be allocated.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     summaries = []
     records: dict[int, np.ndarray] = {}
     for dim in dims:
-        a, v, lam, w = sample_batch(seed, dim, sign, scale, count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs, direct, closed = _campaign_residuals(a, v, lam, w)
-            size = _form_size(a, v)
-        scl = 1.0 + size
-        if not all(np.isfinite(x).all() for x in (direct, closed, scl)):
-            raise InputError(f"scale {scale:g} overflows the residuals or their "
-                             f"scale 1 + |A|_F^3 |v|^2 in dim {dim}")
-        if np.all(size < np.finfo(float).tiny) and np.any(a):
+        try:
+            table = np.empty((count, 5)) if keep_records else None
+        except (MemoryError, ValueError):   # ValueError: beyond numpy's array size
+            raise InputError(f"count {count} needs a records table of {count} x 5 "
+                             f"floats, which cannot be allocated; lower --count or "
+                             f"pass --no-records") from None
+        lo, hi, disc_max, ok = np.inf, -np.inf, 0.0, True
+        all_tiny, any_nonzero = True, False
+        worst, witness = -np.inf, None
+        for first in range(0, count, CAMPAIGN_CHUNK):
+            a, v, lam, w = sample_batch(seed, dim, sign, scale,
+                                        min(CAMPAIGN_CHUNK, count - first), first)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhs, rhs, direct, closed = _campaign_residuals(a, v, lam, w)
+                size = _form_size(a, v)
+            scl = 1.0 + size
+            if not all(np.isfinite(x).all() for x in (direct, closed, scl)):
+                raise InputError(f"scale {scale:g} overflows the residuals or their "
+                                 f"scale 1 + |A|_F^3 |v|^2 in dim {dim}")
+            all_tiny = all_tiny and bool(np.all(size < np.finfo(float).tiny))
+            any_nonzero = any_nonzero or bool(np.any(a))
+            rel = direct / scl
+            disc = np.abs(direct - closed) / scl
+            ok = ok and bool(np.all(disc <= 1e-9))
+            if sign == "positive":
+                ok = ok and bool(np.all(rel >= -1e-9))
+            elif sign == "negative":
+                ok = ok and bool(np.all(rel <= 1e-9))
+            if dim == 3:
+                ok = ok and bool(np.all(np.abs(rel) <= 1e-10))
+            lo, hi = min(lo, float(np.min(rel))), max(hi, float(np.max(rel)))
+            disc_max = max(disc_max, float(np.max(disc)))
+            key = -rel if sign == "positive" else rel if sign == "negative" else np.abs(rel)
+            i = int(np.argmax(key))
+            if key[i] > worst:
+                worst = key[i]
+                witness = CampaignWitness(
+                    index=first + i, matrix=a[i].copy(), probe=v[i].copy(),
+                    residual_direct=float(direct[i]), residual_closed=float(closed[i]))
+            if table is not None:
+                table[first:first + len(a)] = np.column_stack([lhs, rhs, direct, closed, scl])
+        if all_tiny and any_nonzero:
             raise InputError(f"scale {scale:g} underflows |A|_F^3 |v|^2 in every sample "
                              f"of dim {dim}, so every residual check would pass vacuously")
-        rel = direct / scl
-        disc = np.abs(direct - closed) / scl
-        ok = bool(np.all(disc <= 1e-9))
-        if sign == "positive":
-            ok = ok and bool(np.all(rel >= -1e-9))
-        elif sign == "negative":
-            ok = ok and bool(np.all(rel <= 1e-9))
-        if dim == 3:
-            ok = ok and bool(np.all(np.abs(rel) <= 1e-10))
         summaries.append(DimCampaignSummary(
-            dim=dim, count=count,
-            min_residual_over_scale=float(np.min(rel)),
-            max_residual_over_scale=float(np.max(rel)),
-            max_discrepancy_over_scale=float(np.max(disc)),
-            ok=ok))
-        if keep_records:
-            records[dim] = np.column_stack([lhs, rhs, direct, closed, scl])
+            dim=dim, count=count, min_residual_over_scale=lo, max_residual_over_scale=hi,
+            max_discrepancy_over_scale=disc_max, ok=ok, witness=witness))
+        if table is not None:
+            records[dim] = table
     return CampaignResult(seed=seed, sign=sign, summaries=tuple(summaries),
                           records=records)
 

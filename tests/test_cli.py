@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hess2
-from hess2 import analysis, matineq, solver
+from hess2 import analysis, matineq, solver, symmat
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -531,6 +531,54 @@ class TestCampaignScanVerifyInputs:
         assert printed.startswith("input error: ")
         assert printed.count("\n") == 1
         assert not (tmp_path / "bad").exists()
+
+
+class TestCampaignStream:
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    def test_records_of_a_smaller_count_are_a_prefix(self, tmp_path, sign):
+        short, long = tmp_path / "short", tmp_path / "long"
+        for out, count in ((short, "3000"), (long, "10000")):
+            assert main(["ineq", "--dims", "2,5,8", "--count", count, "--sign", sign,
+                         "--seed", "6", "--out", str(out)]) == 0
+        assert symmat.CAMPAIGN_CHUNK < 3000 < 10000
+        for dim in (2, 5, 8):
+            rows = (short / f"records_dim{dim}.csv").read_bytes().splitlines(keepends=True)
+            more = (long / f"records_dim{dim}.csv").read_bytes().splitlines(keepends=True)
+            assert len(rows) == 3001 and len(more) == 10001
+            assert rows == more[:3001]
+
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    def test_witness_replays_from_its_index_alone(self, tmp_path, sign):
+        out = tmp_path / "w"
+        assert main(["ineq", "--dims", "2..8", "--count", "5000", "--sign", sign,
+                     "--seed", "13", "--scale", "2.5", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for dim, block in summary["per_dim"].items():
+            wit = block["witness"]
+            a, v, lam, w = symmat.sample_batch(13, int(dim), sign, 2.5, 1,
+                                               first=wit["index"])
+            assert a[0].tolist() == wit["matrix"] and v[0].tolist() == wit["probe"]
+            _, _, direct, closed = matineq._campaign_residuals(a, v, lam, w)
+            assert float(direct[0]) == wit["residual_direct"]
+            assert float(closed[0]) == wit["residual_closed"]
+            # ... and it is the worst row of the records.
+            rows = (out / f"records_dim{dim}.csv").read_text().splitlines()[1:]
+            rel = [float(r.split(",")[6]) / float(r.split(",")[8]) for r in rows]
+            key = {"positive": [-x for x in rel], "negative": rel,
+                   "indefinite": [abs(x) for x in rel]}[sign]
+            assert key.index(max(key)) == wit["index"]
+            assert rel[wit["index"]] in (block["min_residual_over_scale"],
+                                         block["max_residual_over_scale"])
+
+    @pytest.mark.parametrize("count", ["1000000000000000", "10000000000000000000"],
+                             ids=["memory", "beyond-int64"])
+    def test_unallocatable_records_table_exits_two(self, tmp_path, capsys, count):
+        assert main(["ineq", "--dims", "2", "--count", count,
+                     "--out", str(tmp_path / "huge")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: count ") and "--count" in printed.out
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "huge").exists()
 
 
 def _run_python(code, *args):

@@ -9,11 +9,13 @@ import pytest
 from hess2 import symmat
 from hess2.errors import InputError, NumericalError
 from hess2.symmat import (
+    CAMPAIGN_CHUNK,
     SymmetricMatrix,
     Spectrum,
     cofactor_s2,
     elem_sym,
     elem_sym_from_eigenvalues,
+    householder_q,
     jacobi_eigh,
     newton_comatrix,
     omitted_sym,
@@ -294,18 +296,18 @@ class TestSampler:
 
 
 # sha256 prefixes of (a.tobytes(), v.tobytes()) for sample_batch(11, dim, sign,
-# 2.0, 64), recorded before sample_batch returned spectra: the sample stream
-# must not move.
+# 2.0, 64), recorded when the stream moved to per-chunk seeds and the batched
+# Householder sampler: the sample stream must not move.
 SAMPLE_DIGESTS = {
-    ("positive", 2): ("988ca741d13255f2", "f0441242d524a41c"),
-    ("positive", 5): ("4c47092bed76d613", "7fef5cc67bf04023"),
-    ("positive", 8): ("3cedd93347db4a98", "cc8435399bb14184"),
-    ("negative", 2): ("88fc0ecd179344f1", "d1f0c95c389e141b"),
-    ("negative", 5): ("007da8121db9b12b", "2b180810b59e35f5"),
-    ("negative", 8): ("9e9af0a1c639ef77", "394a6d6948d01848"),
-    ("indefinite", 2): ("4312a2f4586be844", "f9ccce0212fe20b7"),
-    ("indefinite", 5): ("a6de013f579dea6c", "1b004deaebcd13cf"),
-    ("indefinite", 8): ("1fb7dca1c5452953", "66bd274f0558e47e"),
+    ("positive", 2): ("b6963daa44fcf689", "e16cae2cc1333c0f"),
+    ("positive", 5): ("12818808c69cf8aa", "05f1fa7249cee06d"),
+    ("positive", 8): ("f1f7355c73edbbea", "d1648b0f8d744e7f"),
+    ("negative", 2): ("a9b9ff9c55775219", "46104e0e907dedd4"),
+    ("negative", 5): ("5dfd0c0b2daba770", "c6cfd065c9f11d2f"),
+    ("negative", 8): ("c9dcb5366b33f6d6", "d675040241a55072"),
+    ("indefinite", 2): ("08dbeb140ac34baa", "e17323707347fc76"),
+    ("indefinite", 5): ("44a630da3b795db4", "cce990ff5f46171f"),
+    ("indefinite", 8): ("2a1e4ee4df43e6e5", "a6da7776de4291d5"),
 }
 
 
@@ -330,3 +332,64 @@ class TestSampleBatchSpectrum:
             assert np.all(lam >= 0.0)
         elif sign == "negative":
             assert np.all(lam <= 0.0)
+
+
+def _assert_matches_lapack(stack):
+    """householder_q of a batch-first stack against np.linalg.qr's Q, and Q^T Q = I."""
+    q = householder_q(stack.transpose(1, 2, 0))
+    assert np.abs(q - np.linalg.qr(stack)[0].transpose(1, 2, 0)).max() <= 1e-12
+    qb = q.transpose(2, 0, 1)
+    gram = qb.transpose(0, 2, 1) @ qb
+    assert np.abs(gram - np.eye(stack.shape[1])).max() <= 1e-14
+
+
+class TestHouseholderQ:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_lapack_q_with_its_column_signs(self, n):
+        _assert_matches_lapack(np.random.default_rng(n).standard_normal((300, n, n)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_special_inputs(self, n):
+        rng = np.random.default_rng(10 + n)
+        zero_col = rng.standard_normal((n, n))
+        zero_col[:, n // 2] = 0.0
+        stack = np.stack([np.zeros((n, n)),                        # every tau = 0
+                          np.triu(rng.standard_normal((n, n))),    # zero tails: tau = 0
+                          zero_col])
+        _assert_matches_lapack(stack)
+        np.testing.assert_array_equal(householder_q(stack[:2].transpose(1, 2, 0)),
+                                      np.repeat(np.eye(n)[:, :, None], 2, axis=2))
+
+    def test_stack_of_one_is_bitwise_a_member_of_a_larger_stack(self):
+        stack = np.random.default_rng(3).standard_normal((50, 8, 8))
+        whole = householder_q(stack.transpose(1, 2, 0))
+        for i in (0, 17, 49):
+            one = householder_q(stack[i:i + 1].transpose(1, 2, 0))
+            assert one.shape == (8, 8, 1)
+            assert one.tobytes() == np.ascontiguousarray(whole[:, :, i:i + 1]).tobytes()
+        _assert_matches_lapack(stack[:1])
+
+
+class TestSampleStreamPrefix:
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_three_pieces_equal_one_batch(self, sign, dim):
+        count = 2 * CAMPAIGN_CHUNK + 500
+        cuts = (0, CAMPAIGN_CHUNK - 300, CAMPAIGN_CHUNK + 700, count)
+        whole = sample_batch(4, dim, sign, 1.5, count)
+        pieces = [sample_batch(4, dim, sign, 1.5, hi - lo, first=lo)
+                  for lo, hi in zip(cuts, cuts[1:])]
+        for name, full, parts in zip("a v lam w".split(), whole, zip(*pieces)):
+            assert np.concatenate(parts).tobytes() == full.tobytes(), name
+
+    def test_prefix_does_not_depend_on_count(self):
+        short = sample_batch(8, 6, "positive", 1.0, 100)
+        long = sample_batch(8, 6, "positive", 1.0, CAMPAIGN_CHUNK + 100)
+        for x, y in zip(short, long):
+            assert x.tobytes() == y[:100].tobytes()
+
+    def test_bad_range_rejected(self):
+        with pytest.raises(InputError):
+            sample_batch(1, 3, "positive", 1.0, 0)
+        with pytest.raises(InputError):
+            sample_batch(1, 3, "positive", 1.0, 5, first=-1)
