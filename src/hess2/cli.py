@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import sys
 from collections import Counter
@@ -391,49 +392,52 @@ def cmd_identity_scan(args) -> int:
     if args.count < 1:
         raise InputError("--count must be >= 1")
     _check_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
+
+    def points(seed, dim, **shell):
+        try:
+            return fields.sample_points_in_ball(seed, dim, args.count, **shell)
+        except (MemoryError, ValueError):   # ValueError: beyond numpy's array size
+            raise InputError(f"--count {args.count} needs {args.count} x {dim} sample "
+                             f"points, which cannot be allocated; lower --count") from None
+
+    def chunks(a):   # views of CAMPAIGN_CHUNK rows, so temporaries stay small
+        return np.array_split(a, range(symmat.CAMPAIGN_CHUNK, len(a), symmat.CAMPAIGN_CHUNK))
 
     euler_worst = 0.0
     for dim in range(2, 7):
-        pts = fields.sample_points_in_ball(args.seed + dim, dim, args.count,
-                                           radius=0.9, min_radius=0.05)
-        for fld in fields.standard_menagerie(dim):
-            for x in pts:
-                h = fld.hess(x)
-                scale = 1.0 + float(np.linalg.norm(h)) ** 2
-                euler_worst = max(euler_worst,
-                                  abs(fields.euler_identity_gap(fld, x)) / scale)
+        pts = points(args.seed + dim, dim, radius=0.9, min_radius=0.05)
+        for fld, x in itertools.product(fields.standard_menagerie(dim), chunks(pts)):
+            gap = (np.abs(fields.euler_identity_gap(fld, x))
+                   / (1.0 + np.linalg.norm(fld.hess(x), axis=(-2, -1)) ** 2))
+            euler_worst = max(euler_worst, float(np.max(gap)))
 
-    ps_worst = 0.0
-    n_ps = 0
+    ps_worst, n_ps = 0.0, 0
     for dim in (2, 3, 4):
-        pts = fields.sample_points_in_ball(args.seed + 10 + dim, dim, args.count,
-                                           radius=0.95)
-        for fld in fields.standard_menagerie(dim):
-            hess = np.stack([fld.hess(x) for x in pts])
-            for x, h, lam in zip(pts, hess, symmat.jacobi_eigh(hess)[0]):
-                if matineq.sign_of_spectrum(lam) != "positive":
-                    continue
-                scale = (1.0 + float(np.linalg.norm(h)) ** 2
-                         * (1.0 + float(x @ x)))
-                ps_worst = min(ps_worst, fields.philippin_safoui_gap(fld, x) / scale)
-                n_ps += 1
+        pts = points(args.seed + 10 + dim, dim, radius=0.95)
+        for fld, x in itertools.product(fields.standard_menagerie(dim), chunks(pts)):
+            h = fld.hess(x)
+            keep = matineq.in_positive_cone(symmat.jacobi_eigh(h)[0])
+            x, h = x[keep], h[keep]
+            scale = (1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2
+                     * (1.0 + np.sum(x * x, axis=-1)))
+            gap = fields.philippin_safoui_gap(fld, x) / scale
+            ps_worst = min(ps_worst, float(np.min(gap, initial=0.0)))
+            n_ps += len(x)
 
     # Curvature convention fit on radial fields in dimension 3: the extracted
     # value equals |grad u| times the shape-operator S2.
-    ratios = []
-    for _ in range(args.count):
-        amp = float(rng.uniform(0.1, 1.0))
-        fld = fields.ball_quadratic_field(3, amp)
-        x = fields.sample_points_in_ball(int(rng.integers(2**32)), 3, 1,
-                                         radius=1.2, min_radius=0.2)[0]
-        probe = fields.levelset_curvature_probe(fld, x)
-        denom = probe.grad_norm * probe.s2_kappa_geometric
-        ratios.append(probe.h2_extracted / denom)
+    amps, pts = np.empty(args.count), np.empty((args.count, 3))
+    for k in range(args.count):
+        amps[k] = rng.uniform(0.1, 1.0)
+        pts[k] = fields.sample_points_in_ball(int(rng.integers(2**32)), 3, 1,
+                                              radius=1.2, min_radius=0.2)[0]
+    probes = [fields.levelset_curvature_probe(fields.ball_quadratic_field(3, a), x)
+              for a, x in zip(chunks(amps), chunks(pts))]
+    ratios = np.concatenate([p.h2_extracted / (p.grad_norm * p.s2_kappa_geometric)
+                             for p in probes])
     factor = float(np.mean(ratios))
-    fit_resid = float(np.max(np.abs(np.asarray(ratios) - factor)))
+    fit_resid = float(np.max(np.abs(ratios - factor)))
 
     payload = {
         "schema": REPORT_SCHEMA, "config": _config_text(args),
@@ -446,6 +450,8 @@ def cmd_identity_scan(args) -> int:
             "closes_with_gradient_factor": bool(abs(factor - 1.0) <= 1e-8),
         },
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "identities.json", payload)
     print(f"homogeneity contraction worst gap/scale: {euler_worst:.3e}")
     print(f"gradient-Hessian inequality min gap/scale: {ps_worst:+.3e} "

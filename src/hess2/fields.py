@@ -1,8 +1,10 @@
-"""Closed-form scalar fields with analytic derivatives, plus pointwise identity checks.
+"""Closed-form scalar fields with analytic derivatives, plus identity checks on point stacks.
 
 The fields exist to exercise curvature and homogeneity identities without
 solving any PDE: each family carries exact evaluators for u, grad u and the
-Hessian, validated against finite differences.
+Hessian, validated against finite differences.  Every evaluator and check
+takes one point (d,) or a stack (..., d) and answers per point: (...) for u
+and the scalar identities, (..., d) for grad u and (..., d, d) for Hessians.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .symmat import SymmetricMatrix, elem_sym_from_eigenvalues, jacobi_eigh
+from .symmat import householder_q, jacobi_eigh
 from .transforms import Transform
 
 #: Probes closer than this to a critical point are rejected.
@@ -27,16 +29,17 @@ FD_RTOL = 1e-6   # worst relative disagreement it accepts
 
 @dataclass(frozen=True)
 class SyntheticField:
-    """A scalar field with closed-form value, gradient and Hessian evaluators."""
+    """A scalar field with closed-form value, gradient and Hessian evaluators,
+    mapping points (..., d) to (...), (..., d) and (..., d, d)."""
 
     dim: int
     family: str  # quadratic | radial-power | gaussian-bump | polynomial
-    fn_u: Callable[[np.ndarray], float]
+    fn_u: Callable[[np.ndarray], np.ndarray]
     fn_grad: Callable[[np.ndarray], np.ndarray]
     fn_hess: Callable[[np.ndarray], np.ndarray]
 
-    def u(self, x) -> float:
-        return float(self.fn_u(np.asarray(x, dtype=float)))
+    def u(self, x) -> np.ndarray:
+        return np.asarray(self.fn_u(np.asarray(x, dtype=float)), dtype=float)
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.fn_grad(np.asarray(x, dtype=float)), dtype=float)
@@ -47,7 +50,7 @@ class SyntheticField:
 
 @dataclass(frozen=True)
 class CurvatureProbe:
-    """Level-set curvature data extracted at one point."""
+    """Level-set curvature data at one point, or per point of a stack."""
 
     point: np.ndarray
     grad_norm: float
@@ -79,6 +82,14 @@ class ConvexityReport:
                    convex=bool(low[k] >= -tolerance), tolerance=tolerance)
 
 
+def _outer(x: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * x[..., None, :]
+
+
+def _trace(h: np.ndarray) -> np.ndarray:
+    return np.trace(h, axis1=-2, axis2=-1)
+
+
 def quadratic_field(q, b=None, c: float = 0.0) -> SyntheticField:
     """u(x) = x^T Q x / 2 + b.x + c for a symmetric Q."""
     q = np.asarray(q, dtype=float)
@@ -88,48 +99,48 @@ def quadratic_field(q, b=None, c: float = 0.0) -> SyntheticField:
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     return SyntheticField(
         dim=n, family="quadratic",
-        fn_u=lambda x: 0.5 * x @ q @ x + b @ x + c,
-        fn_grad=lambda x: q @ x + b,
-        fn_hess=lambda x: q.copy(),
+        fn_u=lambda x: np.sum((0.5 * x) @ q * x, axis=-1) + x @ b + c,
+        fn_grad=lambda x: x @ q.T + b,
+        fn_hess=lambda x: np.broadcast_to(q, x.shape + (n,)).copy(),
     )
 
 
-def radial_power_field(dim: int, amplitude: float, power: float,
+def radial_power_field(dim: int, amplitude, power: float,
                        offset: float = 0.0) -> SyntheticField:
-    """u(x) = amplitude * (|x|^power + offset); power >= 2 keeps the origin smooth."""
+    """u(x) = amplitude * (|x|^power + offset); power >= 2 keeps the origin smooth.
+
+    The amplitude may be an array that broadcasts over the points' leading axes.
+    """
     if power < 2:
         raise InputError("radial power must be >= 2")
+    amplitude = np.asarray(amplitude, dtype=float)
 
     def _grad(x):
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            return np.zeros(dim)
-        return amplitude * power * r ** (power - 2.0) * x
+        r = np.linalg.norm(x, axis=-1)
+        return (amplitude * power * r ** (power - 2.0))[..., None] * x
 
     def _hess(x):
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            if power == 2.0:
-                return 2.0 * amplitude * np.eye(dim)
-            return np.zeros((dim, dim))
-        eye = np.eye(dim)
-        outer = np.outer(x, x)
-        return amplitude * power * (
-            (power - 2.0) * r ** (power - 4.0) * outer + r ** (power - 2.0) * eye)
+        r = np.linalg.norm(x, axis=-1)
+        # r^(power-4) only multiplies x (x) x, which vanishes at r = 0; there
+        # r^(power-2) is 1 for power 2 and 0 beyond, so H = 2a I or 0.
+        r4 = np.where(r > 0.0, r, 1.0) ** (power - 4.0)
+        return (amplitude * power)[..., None, None] * (
+            ((power - 2.0) * r4)[..., None, None] * _outer(x)
+            + (r ** (power - 2.0))[..., None, None] * np.eye(dim))
 
     return SyntheticField(
         dim=dim, family="radial-power",
-        fn_u=lambda x: amplitude * (np.linalg.norm(x) ** power + offset),
+        fn_u=lambda x: amplitude * (np.linalg.norm(x, axis=-1) ** power + offset),
         fn_grad=_grad, fn_hess=_hess,
     )
 
 
-def ball_quadratic_field(dim: int, amplitude: float, radius: float = 1.0) -> SyntheticField:
+def ball_quadratic_field(dim: int, amplitude, radius: float = 1.0) -> SyntheticField:
     """u(x) = amplitude * (|x|^2 - radius^2), the workhorse radial test field."""
     return radial_power_field(dim, amplitude, 2.0, offset=-radius ** 2)
 
 
-def gaussian_bump_field(dim: int, amplitude: float, width: float,
+def gaussian_bump_field(dim: int, amplitude, width: float,
                         center=None) -> SyntheticField:
     """u(x) = amplitude * exp(-|x - c|^2 / (2 width^2))."""
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
@@ -137,16 +148,13 @@ def gaussian_bump_field(dim: int, amplitude: float, width: float,
 
     def _u(x):
         d = x - c
-        return amplitude * np.exp(-0.5 * (d @ d) / w2)
+        return amplitude * np.exp(-0.5 * np.sum(d * d, axis=-1) / w2)
 
     def _grad(x):
-        d = x - c
-        return -_u(x) / w2 * d
+        return (-_u(x) / w2)[..., None] * (x - c)
 
     def _hess(x):
-        d = x - c
-        val = _u(x)
-        return val / w2 * (np.outer(d, d) / w2 - np.eye(dim))
+        return (_u(x) / w2)[..., None, None] * (_outer(x - c) / w2 - np.eye(dim))
 
     return SyntheticField(dim=dim, family="gaussian-bump",
                           fn_u=_u, fn_grad=_grad, fn_hess=_hess)
@@ -160,23 +168,20 @@ def polynomial_field(coeffs_quartic, coeffs_cross) -> SyntheticField:
     if b.shape != (n, n):
         raise InputError("cross-coefficient matrix must be (dim, dim)")
     b = np.triu(b, 1)
+    sym = b + b.T
 
     def _u(x):
         x2 = x * x
-        return float(a @ (x2 * x2) + x2 @ b @ x2)
+        return (x2 * x2) @ a + np.sum(x2 @ b * x2, axis=-1)
 
     def _grad(x):
         x2 = x * x
-        cross = (b + b.T) @ x2
-        return 4.0 * a * x2 * x + 2.0 * x * cross
+        return 4.0 * a * x2 * x + 2.0 * x * (x2 @ sym)
 
     def _hess(x):
         x2 = x * x
-        sym = b + b.T
-        cross = sym @ x2
-        h = np.diag(12.0 * a * x2 + 2.0 * cross)
-        h += 4.0 * np.outer(x, x) * sym
-        return h
+        diag = 12.0 * a * x2 + 2.0 * (x2 @ sym)
+        return 4.0 * _outer(x) * sym + diag[..., None] * np.eye(n)
 
     return SyntheticField(dim=n, family="polynomial",
                           fn_u=_u, fn_grad=_grad, fn_hess=_hess)
@@ -203,46 +208,43 @@ def standard_menagerie(dim: int) -> list[SyntheticField]:
 def finite_difference_consistency(fld: SyntheticField, points) -> float:
     """Check grad/Hessian evaluators against central differences of u.
 
-    Returns the worst relative error; raises NumericalError beyond FD_RTOL.
+    Returns the worst relative error over the points; raises NumericalError
+    beyond FD_RTOL.
     """
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        g_exact = fld.grad(x)
-        h_exact = fld.hess(x)
-        g_fd = np.zeros_like(g_exact)
-        h_fd = np.zeros_like(h_exact)
-        for i in range(fld.dim):
-            e = np.zeros(fld.dim)
-            e[i] = FD_STEP
-            g_fd[i] = (fld.u(x + e) - fld.u(x - e)) / (2 * FD_STEP)
-            h_fd[:, i] = (fld.grad(x + e) - fld.grad(x - e)) / (2 * FD_STEP)
-        scale = max(1.0, float(np.max(np.abs(g_exact))), float(np.max(np.abs(h_exact))))
-        err = max(float(np.max(np.abs(g_fd - g_exact))),
-                  float(np.max(np.abs(0.5 * (h_fd + h_fd.T) - h_exact)))) / scale
-        worst = max(worst, err)
+    x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+    e = FD_STEP * np.eye(fld.dim)   # row i of x + e is x moved along axis i
+    g_fd = (fld.u(x + e) - fld.u(x - e)) / (2 * FD_STEP)
+    h_fd = (fld.grad(x + e) - fld.grad(x - e)) / (2 * FD_STEP)
+    g, h = fld.grad(x[:, 0]), fld.hess(x[:, 0])
+    scale = np.maximum(np.max(np.abs(g), axis=-1, initial=1.0), np.max(np.abs(h), axis=(-2, -1)))
+    err = np.maximum(np.max(np.abs(g_fd - g), axis=-1),
+                     np.max(np.abs(0.5 * (h_fd + np.swapaxes(h_fd, -1, -2)) - h), axis=(-2, -1)))
+    worst = float(np.max(err / scale))
     if worst > FD_RTOL:
         raise NumericalError(f"derivative evaluators disagree with finite differences "
                              f"({worst:.3e} > {FD_RTOL:.1e})")
     return worst
 
 
-def _s2(h: np.ndarray) -> float:
-    tr = np.trace(h)
-    return 0.5 * float(tr * tr - np.trace(h @ h))
+def _s2(h: np.ndarray) -> np.ndarray:
+    tr = _trace(h)
+    return 0.5 * (tr * tr - _trace(h @ h))
 
 
-def euler_identity_gap(fld: SyntheticField, x) -> float:
-    """Contraction of the S2 cofactor with the Hessian minus twice S2.
+def euler_identity_gap(fld: SyntheticField, x) -> np.ndarray:
+    """Contraction of the S2 cofactor with the Hessian minus twice S2, per point.
 
     Zero in exact arithmetic by degree-2 homogeneity; the returned gap
-    measures floating-point residue only.
+    measures floating-point residue only.  Raises NumericalError if any
+    point's gap exceeds 1e-10 (1 + |H|_F^2).
     """
     h = fld.hess(x)
-    s2ij = np.trace(h) * np.eye(fld.dim) - h
-    gap = float(np.sum(s2ij * h)) - 2.0 * _s2(h)
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(h)) ** 2)
-    if abs(gap) > tol:
-        raise NumericalError(f"homogeneity contraction gap {gap} exceeds {tol}")
+    s2ij = _trace(h)[..., None, None] * np.eye(fld.dim) - h
+    gap = np.sum(s2ij * h, axis=(-2, -1)) - 2.0 * _s2(h)
+    tol = 1e-10 * (1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2)
+    over = np.abs(gap) > tol
+    if np.any(over):
+        raise NumericalError(f"homogeneity contraction gap {gap[over][0]} exceeds {tol[over][0]}")
     return gap
 
 
@@ -252,78 +254,61 @@ def levelset_curvature_probe(fld: SyntheticField, x) -> CurvatureProbe:
     h2_extracted solves  S2(H)|g|^2 - S2'(H):(g (x) Hg) = h2 |g|^3  for h2,
     where H is the Hessian and g the gradient.  The geometric shape-operator
     value S2(kappa) is computed alongside so callers can fit the convention
-    factor relating the two (|g| on radial fields).
+    factor relating the two (|g| on radial fields).  Raises PreconditionError
+    if any point lies within MIN_GRADIENT_NORM of a critical point.
     """
     x = np.asarray(x, dtype=float)
     g = fld.grad(x)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < MIN_GRADIENT_NORM:
+    gnorm = np.linalg.norm(g, axis=-1)
+    if np.any(gnorm < MIN_GRADIENT_NORM):
         raise PreconditionError("probe rejected: too close to a critical point")
     h = fld.hess(x)
-    newton_b = np.trace(h) * h - h @ h
-    lhs = float(g @ newton_b @ g)
+    newton_b = _trace(h)[..., None, None] * h - h @ h
+    lhs = np.einsum("...i,...ij,...j->...", g, newton_b, g)
     s2 = _s2(h)
     h2 = (s2 * gnorm ** 2 - lhs) / gnorm ** 3
-    # Shape operator of the level set: project H/|g| onto the tangent space.
-    n = g / gnorm
-    tangent = _tangent_basis(n)
-    shape = tangent.T @ (h / gnorm) @ tangent
+    # Shape operator of the level set: H/|g| on the tangent space.  Q of the
+    # QR of [n, 0, ..., 0] has first column +-n, so its other columns span n^perp.
+    d = fld.dim
+    normals = np.zeros((d, d, gnorm.size))
+    normals[:, 0] = (g / gnorm[..., None]).reshape(-1, d).T
+    tangent = householder_q(normals)[:, 1:].transpose(2, 0, 1).reshape(g.shape + (d - 1,))
+    shape = np.swapaxes(tangent, -1, -2) @ (h / gnorm[..., None, None]) @ tangent
     kappa, _ = jacobi_eigh(shape)
-    s2_kappa = elem_sym_from_eigenvalues(kappa, 2)
+    s2_kappa = 0.5 * (np.sum(kappa, axis=-1) ** 2 - np.sum(kappa * kappa, axis=-1))
     return CurvatureProbe(point=x, grad_norm=gnorm, s2_value=s2, lhs_334=lhs,
-                          h2_extracted=float(h2), s2_kappa_geometric=float(s2_kappa))
+                          h2_extracted=h2, s2_kappa_geometric=s2_kappa)
 
 
-def _tangent_basis(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to `normal`, as columns."""
-    n = normal.size
-    idx = int(np.argmax(np.abs(normal)))
-    cols = []
-    for i in range(n):
-        if i == idx:
-            continue
-        e = np.zeros(n)
-        e[i] = 1.0
-        e -= (e @ normal) * normal
-        for c in cols:
-            e -= (e @ c) * c
-        e /= np.linalg.norm(e)
-        cols.append(e)
-    return np.column_stack(cols)
-
-
-def philippin_safoui_gap(fld: SyntheticField, x) -> float:
-    """Gap of the classical gradient-Hessian inequality
+def philippin_safoui_gap(fld: SyntheticField, x) -> np.ndarray:
+    """Gap of the classical gradient-Hessian inequality, per point,
 
         |grad u|^2 S2(H) >= (g^T H g) tr(H) - |Hg|^2,
 
     nonnegative wherever the Hessian is positive semidefinite.
     """
-    g = fld.grad(x)
-    h = fld.hess(x)
-    hg = h @ g
-    gnorm2 = float(g @ g)
-    return gnorm2 * _s2(h) - float(g @ hg) * float(np.trace(h)) + float(hg @ hg)
+    g, h = fld.grad(x), fld.hess(x)
+    hg = (h @ g[..., None])[..., 0]
+    return (np.sum(g * g, axis=-1) * _s2(h) - np.sum(g * hg, axis=-1) * _trace(h)
+            + np.sum(hg * hg, axis=-1))
 
 
-def transform_hessian(fld: SyntheticField, tr: Transform, x) -> SymmetricMatrix:
-    """Hessian of the composition U(u(.)) at x: U' H + U'' g (x) g."""
+def transform_hessian(fld: SyntheticField, tr: Transform, x) -> np.ndarray:
+    """Hessian of the composition U(u(.)) per point: U' H + U'' g (x) g."""
     uval = fld.u(x)
     tr.check_domain(uval)
-    g = fld.grad(x)
-    h = fld.hess(x)
-    composed = tr.du(uval) * h + tr.d2u(uval) * np.outer(g, g)
-    return SymmetricMatrix.from_full(composed)
+    return (np.asarray(tr.du(uval))[..., None, None] * fld.hess(x)
+            + np.asarray(tr.d2u(uval))[..., None, None] * _outer(fld.grad(x)))
 
 
 def convexity_scan(fld: SyntheticField, tr: Transform, points) -> ConvexityReport:
     """Convexity verdict on the composed Hessian over a batch of points.
 
     One batched eigendecomposition; the scale is max(1, largest |eigenvalue|).
-    Domain violations propagate per point.
+    A domain violation at any point raises.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam, _ = jacobi_eigh(np.stack([transform_hessian(fld, tr, x).full() for x in pts]))
+    lam, _ = jacobi_eigh(transform_hessian(fld, tr, pts))
     return ConvexityReport.of(tr.name, lam[:, 0], max(1.0, float(np.max(np.abs(lam)))), pts)
 
 

@@ -125,11 +125,18 @@ def inequality_scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 + _form_size(a, v)
 
 
+def in_positive_cone(lam: np.ndarray) -> np.ndarray:
+    """The positive-cone rule on ascending spectra (..., n): the least eigenvalue
+    is at least -SIGN_RTOL * max(1, |lam|_max)."""
+    lam = np.asarray(lam)
+    return lam[..., 0] >= -SIGN_RTOL * np.maximum(1.0, np.max(np.abs(lam), axis=-1))
+
+
 def sign_of_spectrum(lam: np.ndarray) -> str:
     """The one sign rule, on an ascending spectrum: eigenvalues within
     SIGN_RTOL * max(1, |lam|_max) of zero count as zero; positive wins a tie."""
-    tol = SIGN_RTOL * max(1.0, float(np.max(np.abs(lam))))
-    return "positive" if lam[0] >= -tol else "negative" if lam[-1] <= tol else "indefinite"
+    return ("positive" if in_positive_cone(lam) else
+            "negative" if in_positive_cone(-lam[::-1]) else "indefinite")
 
 
 def classify_sign(a: SymmetricMatrix) -> str:
@@ -139,7 +146,7 @@ def classify_sign(a: SymmetricMatrix) -> str:
 
 def is_negative_semidefinite(a: SymmetricMatrix) -> bool:
     """Whether -a, whose spectrum is -lam reversed, is positive semidefinite."""
-    return sign_of_spectrum(-jacobi_eigh(a.full())[0][::-1]) == "positive"
+    return bool(in_positive_cone(-jacobi_eigh(a.full())[0][::-1]))
 
 
 def comatrix_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
@@ -187,7 +194,7 @@ def negative_semidefinite_inequality(a: SymmetricMatrix, v) -> InequalityRecord:
     """Reversed-sign variant; requires a negative semidefinite input, checked first."""
     full = a.full()
     lam, vecs = jacobi_eigh(full)
-    if sign_of_spectrum(-lam[::-1]) != "positive":
+    if not in_positive_cone(-lam[::-1]):
         raise PreconditionError("input matrix is not negative semidefinite")
     return _inequality_record(full, lam, vecs, v)
 

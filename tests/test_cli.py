@@ -643,3 +643,17 @@ class TestIdentityScanCommand:
         fit = payload["h2_convention"]
         assert fit["closes_with_gradient_factor"]
         assert fit["factor_vs_gradnorm_times_s2kappa"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_readme_call_draws_the_same_points(self, tmp_path):
+        out = tmp_path / "scan"
+        assert main(["identity-scan", "--seed", "0", "--count", "100", "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["philippin_safoui_samples"] == 1061
+
+    def test_unallocatable_count_exits_two(self, tmp_path, capsys):
+        assert main(["identity-scan", "--count", "1000000000000",
+                     "--out", str(tmp_path / "huge")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: --count ")
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "huge").exists()

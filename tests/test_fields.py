@@ -11,6 +11,7 @@ from hess2.fields import (
     levelset_curvature_probe,
     philippin_safoui_gap,
     quadratic_field,
+    radial_power_field,
     saddle_quartic_field,
     sample_points_in_ball,
     standard_menagerie,
@@ -40,6 +41,55 @@ class TestEvaluators:
         x = np.array([0.5, -0.5, 1.0])
         assert fld.u(x) == pytest.approx(0.5 * (0.25 + 0.5 + 3.0))
         np.testing.assert_allclose(fld.hess(x), np.diag([1.0, 2.0, 3.0]))
+
+
+def _rowwise(stacked, one_point, points):
+    """Assert that a stack evaluation equals per-point evaluations row by row."""
+    for x, row in zip(points, stacked):
+        np.testing.assert_allclose(row, one_point(x), rtol=1e-14, atol=0.0)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_matches_points(self, dim):
+        # The origin is r = 0 of both radial-power members (powers 2 and 4).
+        pts = np.vstack([np.zeros(dim),
+                         sample_points_in_ball(seed=12, dim=dim, count=40, radius=1.1)])
+        for fld in standard_menagerie(dim):
+            for fn in (fld.u, fld.grad, fld.hess,
+                       lambda x: euler_identity_gap(fld, x),
+                       lambda x: philippin_safoui_gap(fld, x)):
+                _rowwise(fn(pts), fn, pts)
+
+    @pytest.mark.parametrize("power", [2.0, 4.0])
+    def test_radial_origin(self, power):
+        fld = radial_power_field(3, 0.5, power)
+        expect = np.eye(3) if power == 2.0 else np.zeros((3, 3))
+        np.testing.assert_array_equal(fld.hess(np.zeros((2, 3))), [expect, expect])
+        np.testing.assert_array_equal(fld.grad(np.zeros(3)), np.zeros(3))
+
+    def test_amplitude_array(self):
+        rng = np.random.default_rng(3)
+        amps = rng.uniform(0.1, 1.0, size=30)
+        pts = sample_points_in_ball(seed=4, dim=3, count=30, radius=1.2, min_radius=0.2)
+        stacked = ball_quadratic_field(3, amps)
+        values = {fn: getattr(stacked, fn)(pts) for fn in ("u", "grad", "hess")}
+        probe = levelset_curvature_probe(stacked, pts)
+        for k, (a, x) in enumerate(zip(amps, pts)):
+            fld = ball_quadratic_field(3, a)
+            for fn, stack in values.items():
+                np.testing.assert_allclose(stack[k], getattr(fld, fn)(x), rtol=1e-14, atol=0.0)
+            one = levelset_curvature_probe(fld, x)
+            for name in ("grad_norm", "s2_value", "lhs_334", "h2_extracted",
+                         "s2_kappa_geometric"):
+                assert getattr(probe, name)[k] == pytest.approx(getattr(one, name), rel=1e-14)
+
+    def test_probe_stack_with_a_critical_point(self):
+        fld = ball_quadratic_field(3, 1.0)
+        pts = sample_points_in_ball(seed=5, dim=3, count=10, radius=1.0, min_radius=0.2)
+        pts[6] = 0.0
+        with pytest.raises(PreconditionError):
+            levelset_curvature_probe(fld, pts)
 
 
 class TestEulerIdentityGap:
@@ -170,7 +220,7 @@ class TestTransformHessian:
     def test_identity_transform(self):
         fld = ball_quadratic_field(2, 0.5)
         x = np.array([0.3, 0.1])
-        np.testing.assert_allclose(transform_hessian(fld, identity_transform(), x).full(),
+        np.testing.assert_allclose(transform_hessian(fld, identity_transform(), x),
                                    fld.hess(x))
 
     def test_negative_sqrt_at_reference_point(self):
@@ -180,20 +230,20 @@ class TestTransformHessian:
         x = np.zeros(2)
         assert fld.u(x) == -1.0
         np.testing.assert_allclose(fld.grad(x), [1.0, 0.0])
-        composed = transform_hessian(fld, negative_sqrt_transform(), x).full()
+        composed = transform_hessian(fld, negative_sqrt_transform(), x)
         np.testing.assert_allclose(composed, np.diag([0.75, 0.5]), atol=1e-14)
 
     def test_negative_log_zero_gradient(self):
         fld = quadratic_field(np.eye(2), c=-1.0)
         x = np.zeros(2)
-        composed = transform_hessian(fld, negative_log_transform(), x).full()
+        composed = transform_hessian(fld, negative_log_transform(), x)
         np.testing.assert_allclose(composed, np.eye(2), atol=1e-14)
 
     def test_finite_difference_of_composition(self):
         fld = ball_quadratic_field(3, 0.4)
         tr = negative_sqrt_transform()
         x = np.array([0.3, -0.2, 0.1])
-        composed = transform_hessian(fld, tr, x).full()
+        composed = transform_hessian(fld, tr, x)
         h = 1e-4
         fd = np.zeros((3, 3))
         for i in range(3):
