@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .domain import DomainSpec, signed_distance
-from .errors import InputError
+from .errors import InputError, SolverError
 from .fields import ConvexityReport
-from .solver import Solution, SourceTerm
+from .solver import MINIMUM_CLUSTER_STEPS, Solution, SourceTerm
 from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
     Transform,
@@ -58,15 +57,13 @@ class PFunctionField:
 
     alpha: float
     gamma: float
-    kind: str                      # "radial" | "grid2d"
     positions: np.ndarray          # (n,) radii or (n, 2) coordinates
     grad_sq: np.ndarray
     integral: np.ndarray           # int_u^0 f^gamma per node
     interior: np.ndarray           # bool mask over nodes
     boundary_positions: np.ndarray
     boundary_grad_sq: np.ndarray
-    domain: Optional[DomainSpec] = None
-    radius: Optional[float] = None
+    distance_to_boundary: Callable[[np.ndarray], np.ndarray]  # per row of `positions`
 
     @property
     def phi(self) -> np.ndarray:
@@ -156,11 +153,13 @@ def boundary_gradient_samples(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
 def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunctionField:
     """Sample the auxiliary field on a solved problem."""
     bpts, bvals = boundary_gradient_samples(sol)
+    grad = sol.gradient()
     return PFunctionField(
-        alpha=spec.alpha, gamma=spec.gamma, kind=sol.kind,
-        positions=sol.positions, grad_sq=sol.grad_sq(),
+        alpha=spec.alpha, gamma=spec.gamma,
+        positions=sol.positions, grad_sq=np.einsum("ij,ij->i", grad, grad),
         integral=source_integral(f, spec.gamma, sol.u), interior=sol.interior,
-        boundary_positions=bpts, boundary_grad_sq=bvals**2, **sol.boundary_geometry())
+        boundary_positions=bpts, boundary_grad_sq=bvals**2,
+        distance_to_boundary=sol.distance_to_boundary)
 
 
 def verify_principle(pf: PFunctionField, mode: str,
@@ -175,33 +174,17 @@ def verify_principle(pf: PFunctionField, mode: str,
     phi = pf.phi[pf.interior]
     pos = pf.positions[pf.interior]
     bphi = pf.boundary_phi
-    if mode == "min":
-        i = int(np.argmin(phi))
-        b = int(np.argmin(bphi))
-        margin = float(phi[i] - bphi[b])
-        global_interior = phi[i] < bphi[b]
-    else:
-        i = int(np.argmax(phi))
-        b = int(np.argmax(bphi))
-        margin = float(bphi[b] - phi[i])
-        global_interior = phi[i] > bphi[b]
-    interior_arg = np.atleast_1d(pos[i])
-    boundary_arg = np.atleast_1d(pf.boundary_positions[b])
-    if global_interior:
-        distance = _distance_to_boundary(pf, interior_arg)
-    else:
-        distance = 0.0
+    # A max is a min of -phi; a negative margin puts the extreme strictly inside.
+    sign = 1.0 if mode == "min" else -1.0
+    i, b = int(np.argmin(sign * phi)), int(np.argmin(sign * bphi))
+    margin = float(sign * (phi[i] - bphi[b]))
+    distance = pf.distance_to_boundary(pos[i:i + 1])[0] if margin < 0 else 0.0
     return PrincipleVerdict(
-        mode=mode, interior_extreme=float(phi[i]), interior_argpoint=interior_arg,
-        boundary_extreme=float(bphi[b]), boundary_argpoint=boundary_arg,
+        mode=mode, interior_extreme=float(phi[i]), interior_argpoint=np.atleast_1d(pos[i]),
+        boundary_extreme=float(bphi[b]),
+        boundary_argpoint=np.atleast_1d(pf.boundary_positions[b]),
         margin=margin, tol_margin=tol_margin, holds=bool(margin >= -tol_margin),
         distance_argextreme_to_boundary=float(distance))
-
-
-def _distance_to_boundary(pf: PFunctionField, point: np.ndarray) -> float:
-    if pf.kind == "radial":
-        return float(pf.radius - abs(float(point[0])))
-    return float(-signed_distance(pf.domain, np.atleast_2d(point))[0])
 
 
 def transform_preset(application: int, p: float | None = None) -> Transform:
@@ -224,12 +207,18 @@ def transform_preset(application: int, p: float | None = None) -> Transform:
 
 
 def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
-    """Minimum eigenvalue of D^2 U(u) over a solution's strictly interior nodes."""
+    """Minimum eigenvalue of D^2 U(u) = U' D^2 u + U'' grad u (x) grad u over a
+    solution's strictly interior nodes, one eigendecomposition of the frame
+    blocks; the scale is max(1, largest |entry|)."""
     interior = sol.interior
     u = sol.u[interior]
     tr.check_domain(u)
-    low, scale = sol.transform_hessian_min(tr.du(u), tr.d2u(u))
-    return ConvexityReport.of(tr.name, low, scale, sol.positions[interior])
+    grad = sol.gradient()[interior]
+    composed = (tr.du(u)[:, None, None] * sol.hessian()
+                + tr.d2u(u)[:, None, None] * (grad[:, :, None] * grad[:, None, :]))
+    lam, _ = jacobi_eigh(composed)
+    scale = max(1.0, float(np.max(np.abs(composed))))
+    return ConvexityReport.of(tr.name, lam[:, 0], scale, sol.positions[interior])
 
 
 def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
@@ -254,15 +243,29 @@ def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
 
 
 def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
-    """Hessian spectrum and saturation ratio at the solution's interior minimum."""
-    location, hess = sol.hessian_at_minimum()
-    spectrum, _ = jacobi_eigh(hess)
+    """Hessian spectrum and saturation ratio at the solution's interior minimum.
+
+    Near-minimal nodes spread over more than MINIMUM_CLUSTER_STEPS grid steps
+    are separated minima, and raise SolverError.  The spectrum is that of the
+    full N x N Hessian: the frame block's eigenvalues, and H_ii once more for
+    each further direction that axis i stands for.
+    """
+    k = int(np.argmin(sol.u))
+    pts = sol.positions.reshape(sol.u.size, -1)
+    near = pts[sol.u <= sol.u[k] * (1.0 - 1e-9)]
+    if len(near) > 1:
+        spread = np.max(np.linalg.norm(near - near.mean(axis=0), axis=1))
+        if spread > MINIMUM_CLUSTER_STEPS * sol.h_eff:
+            raise SolverError("multiple separated minima; critical point not unique")
+    hess = sol.hessian()[np.count_nonzero(sol.interior[:k])]
+    spectrum = np.sort(np.concatenate([jacobi_eigh(hess)[0], np.repeat(
+        np.diagonal(hess), np.subtract(sol.multiplicity, 1))]))
     f_val = float(np.asarray(f.f(sol.u_min)))
     if f_val <= 0:
         raise InputError("source must be positive at the solution minimum")
     return CriticalPointReport(
-        location=np.atleast_1d(location),
-        hessian_spectrum=np.asarray(spectrum, dtype=float),
+        location=np.atleast_1d(sol.positions[k]),
+        hessian_spectrum=spectrum,
         max_ratio=float(np.max(spectrum)) / math.sqrt(f_val),
         binom_bound=math.comb(len(spectrum), 2) ** -0.5,
         s2_value=elem_sym_from_eigenvalues(spectrum, 2), f_value=f_val,

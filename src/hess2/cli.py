@@ -392,7 +392,6 @@ def cmd_identity_scan(args) -> int:
     if args.count < 1:
         raise InputError("--count must be >= 1")
     _check_seed(args.seed)
-    rng = np.random.default_rng(args.seed)
 
     def points(seed, dim, **shell):
         try:
@@ -427,11 +426,8 @@ def cmd_identity_scan(args) -> int:
 
     # Curvature convention fit on radial fields in dimension 3: the extracted
     # value equals |grad u| times the shape-operator S2.
-    amps, pts = np.empty(args.count), np.empty((args.count, 3))
-    for k in range(args.count):
-        amps[k] = rng.uniform(0.1, 1.0)
-        pts[k] = fields.sample_points_in_ball(int(rng.integers(2**32)), 3, 1,
-                                              radius=1.2, min_radius=0.2)[0]
+    pts = points(args.seed + 20, 3, radius=1.2, min_radius=0.2)
+    amps = np.random.default_rng(args.seed).uniform(0.1, 1.0, size=args.count)
     probes = [fields.levelset_curvature_probe(fields.ball_quadratic_field(3, a), x)
               for a, x in zip(chunks(amps), chunks(pts))]
     ratios = np.concatenate([p.h2_extracted / (p.grad_norm * p.s2_kappa_geometric)

@@ -2,7 +2,8 @@
 
 Three solvers:
 
-* `solve_radial` - balls in any dimension N >= 2.  For radial u the Hessian
+* `solve_radial` - balls in dimension 2 <= N <= 106 (unit ball, 1024 nodes;
+  above that r^(N-2) underflows near the origin).  For radial u the Hessian
   eigenvalues are u'' and u'/r (multiplicity N-1), so
       S2 = (N-1) u'' u'/r + C(N-1, 2) (u'/r)^2,
   and multiplying by 2 r^{N-1}/(N-1) turns the equation into
@@ -24,10 +25,14 @@ Three solvers:
   (Delta u > 0, det D^2 u > 0) are halved.  This is the only scipy user: its
   sparse operators and LU solves import `scipy.sparse` on first use, so
   radial and eigenvalue solves never load scipy.
+
+Solutions implement `Solution`: per-node gradient and Hessian frame blocks,
+from which `admissibility_report` and `hess2.analysis` derive every invariant.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,8 +41,9 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Protocol
 import numpy as np
 
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
-from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize
+from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize, signed_distance
 from .errors import InputError, SolverError, SourceError
+from .symmat import jacobi_eigh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -179,9 +185,12 @@ class SolveConfig:
 class Solution(Protocol):
     """What analysis and the CLI read from a solved problem, radial or planar.
 
-    Node arrays cover every node; `interior` marks the strictly interior ones,
-    over which the Hessian reports are taken (sources vanishing at zero make
-    S2 degenerate exactly on the boundary).
+    Gradient and Hessian come in each node's own orthonormal frame of k axes;
+    axis i stands for `multiplicity[i]` directions of R^N on which the Hessian
+    acts as H_ii (radial: e_r and one tangent, (1, N-1); planar: x and y).
+    `admissibility_report` and `hess2.analysis` derive every invariant from
+    them.  `interior` marks the strictly interior nodes, which the Hessian
+    covers (sources vanishing at zero make S2 degenerate on the boundary).
     """
 
     kind: ClassVar[str]             # "radial" | "grid2d", as saved and reported
@@ -197,19 +206,16 @@ class Solution(Protocol):
     def h_eff(self) -> float: ...               # grid step setting verdict tolerances
     @property
     def domain_label(self) -> str: ...
-    # |grad u|^2 per node, and (points, |grad u|) on the boundary.
-    def grad_sq(self) -> np.ndarray: ...
+    @property
+    def multiplicity(self) -> tuple[int, ...]: ...  # directions per frame axis, sum N
+    def gradient(self) -> np.ndarray: ...       # (n, k) over all nodes
+    def hessian(self) -> np.ndarray: ...        # (m, k, k) over the interior nodes
+    # Distance to the boundary per point, given as rows of `positions`.
+    def distance_to_boundary(self, points) -> np.ndarray: ...
+    # (points, |grad u|) on the boundary.
     def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]: ...
-    # S1, S2 and the least cofactor-matrix eigenvalue per interior node.
-    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-    # Per interior node, given U'(u) and U''(u) there: the least eigenvalue of
-    # U' D^2 u + U'' grad u (x) grad u, and the magnitude of its entries.
-    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]: ...
-    # (location, Hessian matrix) at the minimum of u.
-    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]: ...
-    # PFunctionField geometry, solve-summary fields, leading plot columns
-    # (names, arrays), and the header fields and arrays of the saved file.
-    def boundary_geometry(self) -> dict: ...
+    # Solve-summary fields, leading plot columns (names, arrays), and the
+    # header fields and arrays of the saved file.
     def summary_fields(self) -> dict: ...
     def profile_columns(self) -> tuple[str, list[np.ndarray]]: ...
     def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]: ...
@@ -237,22 +243,14 @@ class RadialProfile:
     def boundary_gradient(self) -> float:
         return float(self.up[-1])
 
-    def second_derivative(self) -> np.ndarray:
-        return deriv_uniform(self.up, float(self.r[1] - self.r[0]))
-
-    def second_derivative_origin(self) -> float:
-        """u''(0) as the r -> 0 limit of u'/r, Richardson-extrapolated."""
-        r1, r2 = float(self.r[1]), float(self.r[2])
-        c1, c2 = float(self.up[1]) / r1, float(self.up[2]) / r2
-        return (c1 * r2**2 - c2 * r1**2) / (r2**2 - r1**2)
-
     def hessian_eigenvalues(self) -> np.ndarray:
-        """Per-node Hessian eigenvalues [radial u'', tangential u'/r]."""
-        upp = self.second_derivative()
+        """Per-node Hessian eigenvalues [radial u'', tangential u'/r].  At r = 0
+        both are u''(0), the limit of u'/r, Richardson-extrapolated."""
+        upp = deriv_uniform(self.up, float(self.r[1] - self.r[0]))
         tang = np.empty_like(self.up)
         tang[1:] = self.up[1:] / self.r[1:]
-        tang[0] = self.second_derivative_origin()
-        upp[0] = tang[0]
+        r1, r2, c1, c2 = (float(v) for v in (*self.r[1:3], *tang[1:3]))
+        tang[0] = upp[0] = (c1 * r2**2 - c2 * r1**2) / (r2**2 - r1**2)
         return np.column_stack([upp, tang])
 
     # Solution interface: the boundary is the last node.
@@ -275,32 +273,22 @@ class RadialProfile:
     def domain_label(self) -> str:
         return f"ball:{self.radius:g}(dim{self.dim})"
 
-    def grad_sq(self) -> np.ndarray:
-        return self.up**2
+    @property
+    def multiplicity(self) -> tuple[int, int]:
+        return 1, self.dim - 1
+
+    def gradient(self) -> np.ndarray:
+        return np.column_stack([self.up, np.zeros_like(self.up)])
+
+    def hessian(self) -> np.ndarray:
+        """Diagonal (u'', u'/r) per interior node: (e_r, tangent) are eigen-axes."""
+        return self.hessian_eigenvalues()[:-1, :, None] * np.eye(2)
+
+    def distance_to_boundary(self, points) -> np.ndarray:
+        return self.radius - np.abs(np.asarray(points, dtype=float))
 
     def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.radius]), np.array([self.boundary_gradient])
-
-    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eigs = self.hessian_eigenvalues()[:-1]
-        upp, tang = eigs[:, 0], eigs[:, 1]
-        s1 = upp + (self.dim - 1) * tang
-        # Eigenvalues of (tr H) I - H are tr H minus each Hessian eigenvalue.
-        return s1, _s2_radial(self.dim, upp, tang), np.minimum(s1 - upp, s1 - tang)
-
-    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]:
-        eigs = self.hessian_eigenvalues()[:-1]
-        e_rad = du * eigs[:, 0] + d2u * self.up[:-1] ** 2
-        e_tan = du * eigs[:, 1]
-        scale = max(1.0, float(np.max(np.abs(e_rad))), float(np.max(np.abs(e_tan))))
-        return np.minimum(e_rad, e_tan), scale
-
-    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]:
-        # Isotropic at the origin: every eigenvalue is u''(0).
-        return np.zeros(1), np.eye(self.dim) * self.second_derivative_origin()
-
-    def boundary_geometry(self) -> dict:
-        return {"radius": self.radius}
 
     def summary_fields(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "radius": self.radius,
@@ -358,7 +346,12 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
         vals = np.asarray(f.f(u), dtype=float)
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
-        u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
+        # r^(N-2) underflows to zero at the first nodes in high dimension.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
+        if not np.all(np.isfinite(u_new)):
+            raise SolverError(f"radial Picard pass {it} produced a non-finite iterate in "
+                              f"dimension {n_dim} (r^{n_dim - 2} underflows near the origin)")
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         if delta <= PICARD_TOL * max(1.0, float(np.max(np.abs(u)))):
@@ -575,6 +568,7 @@ class ScalarField2D:
     """Planar solution on a grid mask, zero on the boundary."""
 
     kind: ClassVar[str] = "grid2d"
+    multiplicity: ClassVar[tuple[int, int]] = (1, 1)     # frame (x, y)
     mask: GridMask
     u: np.ndarray
     newton_iterations: int = 0
@@ -584,15 +578,19 @@ class ScalarField2D:
     def u_min(self) -> float:
         return float(np.min(self.u))
 
-    def hessian_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _grid_fields(build_operators(self.mask), self.u)
+    # Solution interface: every inside node is interior; the boundary is
+    # sampled at the feet of the axis stencil arms that cross it.
 
     def gradient(self) -> np.ndarray:
         ops = build_operators(self.mask)
         return np.column_stack([ops["Dx"] @ self.u, ops["Dy"] @ self.u])
 
-    # Solution interface: every inside node is interior; the boundary is
-    # sampled at the feet of the axis stencil arms that cross it.
+    def hessian(self) -> np.ndarray:
+        uxx, uyy, uxy = _grid_fields(build_operators(self.mask), self.u)
+        return np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
+
+    def distance_to_boundary(self, points) -> np.ndarray:
+        return -signed_distance(self.mask.spec, points)
 
     @property
     def positions(self) -> np.ndarray:
@@ -609,10 +607,6 @@ class ScalarField2D:
     @property
     def domain_label(self) -> str:
         return self.mask.spec.label()
-
-    def grad_sq(self) -> np.ndarray:
-        grad = self.gradient()
-        return np.einsum("ij,ij->i", grad, grad)
 
     def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(feet, |grad u|) at the boundary crossings of the axis stencil arms.
@@ -639,37 +633,6 @@ class ScalarField2D:
             u1 / d1)
         # deriv_inward differentiates along -direction; flip to the outward axis.
         return c.foot[keep], np.abs(-deriv_inward / align[keep])
-
-    def hessian_invariants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        uxx, uyy, uxy = self.hessian_entries()
-        # In the plane (tr H) I - H has the spectrum of H: U' = 1, U'' = 0 composes H.
-        return uxx + uyy, uxx * uyy - uxy * uxy, self.transform_hessian_min(1.0, 0.0)[0]
-
-    def transform_hessian_min(self, du, d2u) -> tuple[np.ndarray, float]:
-        uxx, uyy, uxy = self.hessian_entries()
-        grad = self.gradient()
-        a = du * uxx + d2u * grad[:, 0] ** 2
-        c = du * uyy + d2u * grad[:, 1] ** 2
-        b = du * uxy + d2u * grad[:, 0] * grad[:, 1]
-        half = 0.5 * (a + c)
-        disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(c))),
-                    float(np.max(np.abs(b))))
-        return half - disc, scale
-
-    def hessian_at_minimum(self) -> tuple[np.ndarray, np.ndarray]:
-        k = int(np.argmin(self.u))
-        near = np.nonzero(self.u <= self.u[k] * (1.0 - 1e-9))[0]
-        pts = self.mask.node_xy[near]
-        if len(pts) > 1:
-            spread = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-            if spread > MINIMUM_CLUSTER_STEPS * self.mask.h:
-                raise SolverError("multiple separated minima; critical point not unique")
-        uxx, uyy, uxy = self.hessian_entries()
-        return self.mask.node_xy[k], np.array([[uxx[k], uxy[k]], [uxy[k], uyy[k]]])
-
-    def boundary_geometry(self) -> dict:
-        return {"domain": self.mask.spec}
 
     def summary_fields(self) -> dict:
         return {"kind": self.kind, "h": self.mask.h, "domain": self.domain_label,
@@ -821,8 +784,21 @@ class AdmissibilityReport:
 
 
 def admissibility_report(sol: Solution) -> AdmissibilityReport:
-    """Minimum S1, S2 and cofactor-matrix eigenvalue over strictly interior nodes."""
-    s1, s2, cof_min = sol.hessian_invariants()
+    """Minimum S1, S2 and cofactor-matrix eigenvalue over strictly interior nodes.
+
+    From the frame blocks H and multiplicities w of `sol`:
+        S1 = sum_i w_i H_ii,
+        S2 = sum_{i<j} w_i w_j (H_ii H_jj - H_ij^2) + sum_i C(w_i, 2) H_ii^2,
+    and the cofactor matrix S1 I - H has least eigenvalue S1 - lambda_max(H).
+    """
+    hess, w = sol.hessian(), sol.multiplicity
+    diag = [hess[:, i, i] for i in range(len(w))]
+    s1 = sum(wi * d for wi, d in zip(w, diag))
+    # Left to right, the plane's S2 is uxx*uyy - uxy*uxy bit for bit.
+    s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[:, i, j] ** 2
+             for i, j in itertools.combinations(range(len(w)), 2))
+    s2 = s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
+    cof_min = s1 - jacobi_eigh(hess)[0][:, -1]
     return AdmissibilityReport(
         min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),
         min_cofactor_eigenvalue=float(np.min(cof_min)),

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import audit_bounds, cached_eigen, cached_grid, cached_radial, make_source
+from conftest import (
+    audit_bounds,
+    cached_eigen,
+    cached_grid,
+    cached_mask,
+    cached_radial,
+    make_source,
+)
 from hess2.analysis import (
     PFunctionField,
     PFunctionSpec,
@@ -14,8 +21,9 @@ from hess2.analysis import (
     transform_preset,
     verify_principle,
 )
-from hess2.errors import HypothesisError, InputError
+from hess2.errors import HypothesisError, InputError, SolverError
 from hess2.fields import ConvexityReport
+from hess2.solver import ScalarField2D
 from hess2.transforms import identity_transform
 
 SQRT3 = np.sqrt(3.0)
@@ -121,10 +129,11 @@ class TestVerifyPrinciple:
         r = np.linspace(0.0, 1.0, 101)
         interior = np.ones_like(r, dtype=bool)
         interior[-1] = False
-        pf = PFunctionField(alpha=0.0, gamma=0.5, kind="radial", positions=r, grad_sq=-r**2,
+        pf = PFunctionField(alpha=0.0, gamma=0.5, positions=r, grad_sq=-r**2,
                             integral=np.zeros_like(r), interior=interior,
                             boundary_positions=np.array([1.0]),
-                            boundary_grad_sq=np.array([-1.0]), radius=1.0)
+                            boundary_grad_sq=np.array([-1.0]),
+                            distance_to_boundary=lambda pts: 1.0 - np.abs(pts))
         assert verify_principle(pf, "min", 1e-9).holds
         vmax = verify_principle(pf, "max", 1e-9)
         assert not vmax.holds
@@ -347,3 +356,20 @@ class TestCriticalPointReport:
         assert cp.spectrum_positive
         # Hessian at the center is diag(1/2, 2) for u = x^2/4 + y^2 - 1.
         np.testing.assert_allclose(cp.hessian_spectrum, [0.5, 2.0], atol=1e-6)
+
+    def test_radial_spectrum_has_every_direction(self):
+        # The tangent axis stands for N - 1 directions: five eigenvalues in R^5,
+        # each sqrt(C(5, 2))^-1 for the constant source.
+        cp = critical_point_report(cached_radial(5, "const"), make_source("const"))
+        assert cp.hessian_spectrum.shape == (5,)
+        np.testing.assert_allclose(cp.hessian_spectrum, 10.0 ** -0.5, rtol=1e-6)
+        assert cp.binom_bound == pytest.approx(10.0 ** -0.5)
+
+    def test_separated_equal_minima_rejected(self):
+        mask = cached_mask("ellipse", 1.0 / 16)
+        xy = mask.node_xy
+        u = np.full(mask.n_inside, -0.5)
+        u[np.argmin(np.linalg.norm(xy - [1.0, 0.0], axis=1))] = -1.0
+        u[np.argmin(np.linalg.norm(xy + [1.0, 0.0], axis=1))] = -1.0
+        with pytest.raises(SolverError, match="separated minima"):
+            critical_point_report(ScalarField2D(mask=mask, u=u), make_source("const"))

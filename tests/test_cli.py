@@ -343,6 +343,18 @@ class TestSolveCommand:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
+    def test_radial_underflow_stops_at_its_pass(self, tmp_path, capsys):
+        # r^118 underflows near the origin at 1024 nodes: the first pass is not
+        # finite, and the solve stops there without a numpy warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--radial", "--dim", "120", "--out", str(tmp_path / "high")])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ("solver failure: radial Picard pass 1 produced a non-finite "
+                               "iterate in dimension 120 (r^118 underflows near the origin)\n")
+        assert printed.err == "" and not caught
+
     def test_unsolvable_exits_three(self, tmp_path, capsys):
         # Unit-rate decreasing exponential on the wide ellipse sits beyond the
         # solvability fold; the solver reports a stall, its step and residual.

@@ -314,3 +314,58 @@ class TestSerialization:
         assert back.u.tobytes() == sol.u.tobytes()
         assert back.mask.n_inside == sol.mask.n_inside
         assert back.newton_iterations == sol.newton_iterations
+
+
+class TestSolutionInterface:
+    """Each derived quantity has one implementation, on the frame blocks."""
+
+    @pytest.mark.parametrize("domain", ["disk", "ellipse"])
+    def test_planar_s2_is_the_determinant_bit_for_bit(self, domain):
+        sol = cached_grid(domain, "const", 1.0 / 64)
+        uxx, uyy, uxy = _grid_fields(build_operators(sol.mask), sol.u)
+        assert admissibility_report(sol).min_s2 == float(np.min(uxx * uyy - uxy * uxy))
+
+    @pytest.mark.parametrize("domain", ["disk", "ellipse"])
+    def test_planar_cofactor_matches_the_closed_form(self, domain):
+        # In the plane S1 I - H has the spectrum of H: its least eigenvalue is
+        # the closed-form lambda_min of the 2 x 2 Hessian.
+        sol = cached_grid(domain, "const", 1.0 / 64)
+        a, c, b = _grid_fields(build_operators(sol.mask), sol.u)
+        closed = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
+        got = admissibility_report(sol).min_cofactor_eigenvalue
+        assert abs(got - float(np.min(closed))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_radial_invariants_match_the_eigenvalue_forms(self, dim):
+        prof = cached_radial(dim, "const")
+        eigs = prof.hessian_eigenvalues()[:-1]
+        upp, tang = eigs[:, 0], eigs[:, 1]
+        rep = admissibility_report(prof)
+        assert rep.min_s1 == float(np.min(upp + (dim - 1) * tang))
+        assert rep.min_s2 == float(np.min(solver._s2_radial(dim, upp, tang)))
+        assert rep.min_cofactor_eigenvalue == float(
+            np.min(np.minimum(upp + (dim - 1) * tang - upp, upp + (dim - 1) * tang - tang)))
+        assert prof.multiplicity == (1, dim - 1)
+
+    def test_radial_arrays_stay_per_node_in_high_dimension(self):
+        prof = cached_radial(64, "const")
+        assert prof.hessian().shape == (prof.r.size - 1, 2, 2)
+        assert prof.gradient().shape == (prof.r.size, 2)
+
+    def test_planar_frame_is_x_y(self):
+        sol = cached_grid("disk", "const", 1.0 / 32)
+        assert sol.multiplicity == (1, 1)
+        assert sol.gradient().shape == (sol.mask.n_inside, 2)
+        hess = sol.hessian()
+        assert hess.shape == (sol.mask.n_inside, 2, 2)
+        assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
+
+    def test_distance_to_boundary_radial(self):
+        prof = cached_radial(3, "const")
+        np.testing.assert_array_equal(prof.distance_to_boundary(np.array([0.0, 0.25, 1.0])),
+                                      [1.0, 0.75, 0.0])
+
+    def test_distance_to_boundary_disk(self):
+        sol = cached_grid("disk", "const", 1.0 / 32)
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.6, 0.8]])
+        np.testing.assert_allclose(sol.distance_to_boundary(pts), [1.0, 0.5, 0.0], atol=1e-15)
