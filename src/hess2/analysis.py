@@ -23,10 +23,10 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .errors import InputError, SolverError
-from .fields import ConvexityReport
 from .solver import MINIMUM_CLUSTER_STEPS, Solution, SourceTerm
-from .symmat import elem_sym_from_eigenvalues, jacobi_eigh
+from .symmat import eigenvalues, elem_sym_from_eigenvalues, jacobi_eigh
 from .transforms import (
+    ConvexityReport,
     Transform,
     negative_log_transform,
     negative_power_transform,
@@ -216,7 +216,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     grad = sol.gradient()[interior]
     composed = (tr.du(u)[:, None, None] * sol.hessian()
                 + tr.d2u(u)[:, None, None] * (grad[:, :, None] * grad[:, None, :]))
-    lam, _ = jacobi_eigh(composed)
+    lam = eigenvalues(composed)
     scale = max(1.0, float(np.max(np.abs(composed))))
     return ConvexityReport.of(tr.name, lam[:, 0], scale, sol.positions[interior])
 

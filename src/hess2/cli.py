@@ -2,7 +2,8 @@
 
 Reports are deterministic for a fixed configuration and seed: floats are
 written with repr precision, JSON keys are sorted, and no timestamps or
-machine identifiers enter any output file.
+machine identifiers enter any output file.  Each command imports the modules
+it runs when it is called: `ineq` loads neither the solvers nor the fields.
 
 Exit codes: 0 all checks passed, 1 numerical or invariant failure,
 2 hypothesis not met or bad input, 3 solver failure.
@@ -19,10 +20,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, domain, fields, matineq, solver, symmat
+from . import symmat
 from .errors import (
     HypothesisError,
     InputError,
@@ -30,6 +32,9 @@ from .errors import (
     SolverError,
     ToolkitError,
 )
+
+if TYPE_CHECKING:   # the commands import these when they run
+    from . import domain, solver
 
 REPORT_SCHEMA = 1
 MODES = ("radial", "grid2d", "eigen")
@@ -97,12 +102,23 @@ def _config_text(args) -> str:
     return RunConfig(args.command, options).canonical_text()
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: bool = False) -> None:
+    """One line per row of the equal-length float `columns`: `lead`, then the row's
+    values as repr(float) joined by `sep`, after the row number when `index` is set.
+
+    Rows are converted CAMPAIGN_CHUNK at a time, so the Python floats of a long
+    table never exist all at once.
+    """
+    chunk, n = symmat.CAMPAIGN_CHUNK, len(columns[0])
+    for start in range(0, n, chunk):
+        parts = [map(repr, c[start:start + chunk].tolist()) for c in columns]
+        if index:
+            parts.insert(0, map(repr, range(start, n)))   # zip stops at the chunk
+        fh.write("".join([lead + sep.join(row) + "\n" for row in zip(*parts)]))
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -145,6 +161,8 @@ def _numbers(text: str, arg: str, count: int | None = None) -> list[float]:
 
 
 def parse_source(text: str) -> solver.SourceTerm:
+    from . import solver
+
     name, _, arg = text.partition(":")
     preset = solver.SOURCE_PRESETS.get(name)
     if preset is None:
@@ -158,6 +176,8 @@ def parse_source(text: str) -> solver.SourceTerm:
 
 
 def parse_domain(text: str) -> domain.DomainSpec:
+    from . import domain
+
     name, _, arg = text.partition(":")
     if name in ("disk", "ball"):
         return domain.ball(*_numbers(text, arg, 1)) if arg else domain.ball(1.0)
@@ -173,6 +193,8 @@ def parse_domain(text: str) -> domain.DomainSpec:
 # ----------------------------------------------------------------------
 
 def cmd_ineq(args) -> int:
+    from . import matineq
+
     dims = parse_dims(args.dims)
     _check_seed(args.seed)
     result = matineq.inequality_campaign(args.seed, dims, args.count, args.sign,
@@ -209,9 +231,7 @@ def cmd_ineq(args) -> int:
             with path.open("w") as fh:
                 fh.write("seed,dim,sign,index,lhs,rhs,residual_direct,"
                          "residual_closed,scale\n")
-                prefix = f"{args.seed},{dim},{args.sign},"
-                for i, row in enumerate(table):
-                    fh.write(prefix + f"{i}," + ",".join(_fmt(v) for v in row) + "\n")
+                _write_rows(fh, table.T, f"{args.seed},{dim},{args.sign},", ",", index=True)
     for s in result.summaries:
         status = "ok" if s.ok else "FAIL"
         print(f"dim {s.dim}: min {s.min_residual_over_scale:+.3e} "
@@ -234,6 +254,8 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
     args.mode is "eigen" (the source is the solved eigenvalue problem's own),
     "radial" or "grid2d".
     """
+    from . import solver
+
     cfg = solver.SolveConfig(radial_nodes=args.nodes)
     if args.mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
@@ -247,6 +269,8 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
 
 
 def _solution_summary(sol: solver.Solution, f, extras) -> dict:
+    from . import analysis, solver
+
     report = solver.admissibility_report(sol)
     _, grads = analysis.boundary_gradient_samples(sol)
     body = sol.summary_fields()
@@ -268,11 +292,12 @@ def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
     with path.open("w") as fh:
         fh.write(f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
                                          for pf in pf_list) + "\n")
-        for row in zip(*cols, *(pf.phi for pf in pf_list)):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, [*cols, *(pf.phi for pf in pf_list)])
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+
     f = None if args.mode == "eigen" else parse_source(args.f)
     sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
@@ -301,6 +326,8 @@ def cmd_solve(args) -> int:
 
 def _verify_source(args) -> solver.SourceTerm | None:
     """Nonincreasing source of the verify application; app 2 sets the eigen mode."""
+    from . import solver
+
     if args.app != 3 and args.p is not None:
         raise InputError(f"--p is the exponent of application 3's power source; "
                          f"application {args.app} has none")
@@ -322,6 +349,8 @@ def _verify_source(args) -> solver.SourceTerm | None:
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
+
     # Input and hypothesis gates first: the transform must exist and be
     # increasing, and the application must be solvable in the asked mode.
     transform = analysis.transform_preset(args.app, args.p)
@@ -367,8 +396,8 @@ def cmd_verify(args) -> int:
     with (out / "verdicts.csv").open("w") as fh:
         fh.write("domain,f,alpha,gamma,margin,slack,holds\n")
         for dom, flabel, alpha, gamma, margin, slack, holds in rows:
-            fh.write(f"{dom},{flabel},{alpha:g},{gamma:g},{_fmt(margin)},"
-                     f"{_fmt(slack)},{str(holds).lower()}\n")
+            fh.write(f"{dom},{flabel},{alpha:g},{gamma:g},{float(margin)!r},"
+                     f"{float(slack)!r},{str(holds).lower()}\n")
     payload = {
         "schema": REPORT_SCHEMA, "config": config,
         "application": args.app, "transform": transform.name,
@@ -389,6 +418,8 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_identity_scan(args) -> int:
+    from . import fields, matineq
+
     if args.count < 1:
         raise InputError("--count must be >= 1")
     _check_seed(args.seed)

@@ -16,13 +16,10 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .symmat import householder_q, jacobi_eigh
-from .transforms import Transform
+from .transforms import ConvexityReport, Transform
 
 #: Probes closer than this to a critical point are rejected.
 MIN_GRADIENT_NORM = 1e-8
-#: A convexity scan passes when its least eigenvalue is above -CONVEXITY_TOL
-#: times the scan's eigenvalue scale.
-CONVEXITY_TOL = 1e-8
 FD_STEP = 1e-4   # central-difference step of finite_difference_consistency
 FD_RTOL = 1e-6   # worst relative disagreement it accepts
 
@@ -58,28 +55,6 @@ class CurvatureProbe:
     lhs_334: float          # cofactor-gradient contraction S2'(H) u_i u_l u_lj
     h2_extracted: float     # (S2 |grad|^2 - lhs) / |grad|^3
     s2_kappa_geometric: float  # S2 of the level-set shape-operator eigenvalues
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Outcome of scanning the composed Hessian over a batch of points."""
-
-    transform_name: str
-    n_points: int
-    min_eigenvalue: float
-    argmin_point: np.ndarray
-    convex: bool
-    tolerance: float
-
-    @classmethod
-    def of(cls, transform_name: str, low, scale: float, points) -> "ConvexityReport":
-        """Verdict on the least eigenvalue `low[i]` at each `points[i]`: convex iff
-        min(low) >= -CONVEXITY_TOL * scale; the first point attaining it is kept."""
-        k = int(np.argmin(low))
-        tolerance = CONVEXITY_TOL * scale
-        return cls(transform_name=transform_name, n_points=len(low),
-                   min_eigenvalue=float(low[k]), argmin_point=np.atleast_1d(points[k]).copy(),
-                   convex=bool(low[k] >= -tolerance), tolerance=tolerance)
 
 
 def _outer(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize, signed_distance
 from .errors import InputError, SolverError, SourceError
-from .symmat import jacobi_eigh
+from .symmat import eigenvalues
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -363,7 +363,15 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
                             picard_iterations=it, picard_delta=delta)
     residual = radial_ode_residual(profile, f)
     profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
-    _validate_radial(profile)
+    try:
+        _validate_radial(profile)
+    except SolverError as exc:
+        # A subnormal r^(N-2) at the first nodes keeps the passes finite but
+        # costs them their precision there.
+        if r[1] ** (n_dim - 2) < np.finfo(float).tiny:
+            raise SolverError(f"{exc} in dimension {n_dim} (r^{n_dim - 2} is subnormal "
+                              "near the origin)") from None
+        raise
     return profile
 
 
@@ -674,6 +682,39 @@ def _inadmissible_nodes(uxx, uyy, uxy) -> int:
     return int(np.count_nonzero(~((lap > 0) & (det > 0))))
 
 
+def _warm_start(ops, f: SourceTerm, order: np.ndarray):
+    """(u, uxx, uyy, uxy) of an iterate on the discrete elliptic branch: the linear
+    start, then Anderson-mixed Poisson-style sweeps with one Laplacian factor until
+    every inside node is on the branch (see `solve_grid2d`)."""
+    n = order.size
+    f0 = float(np.asarray(f.f(0.0)))
+    lap_solve = factorized(ops["Dxx"] + ops["Dyy"], order)
+    u = lap_solve(np.full(n, 2.0 * math.sqrt(f0) if f0 > 0 else 1.0))
+    uxx, uyy, uxy = _grid_fields(ops, u)
+    sweeps, g_hist, r_hist = 0, [], []
+    while bad := _inadmissible_nodes(uxx, uyy, uxy):
+        if sweeps == 200:
+            raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
+                              f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.sqrt(np.maximum(
+                2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
+                0.0))
+        sweeps += 1
+        g = lap_solve(rhs)
+        if not np.all(np.isfinite(g)):
+            raise SolverError(f"warm start: Poisson-style sweep {sweeps} produced a "
+                              "non-finite iterate")
+        # Anderson mixing of the last sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+        g_hist, r_hist = g_hist[-ANDERSON_DEPTH:] + [g], r_hist[-ANDERSON_DEPTH:] + [g - u]
+        u = g
+        if sweeps > 1:
+            gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
+            u = g - np.diff(g_hist, axis=0).T @ gamma
+        uxx, uyy, uxy = _grid_fields(ops, u)
+    return u, uxx, uyy, uxy
+
+
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
                  mask: GridMask | None = None) -> ScalarField2D:
     """Damped-Newton solve of det D^2 u = f(u) on a convex planar domain.
@@ -700,35 +741,10 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     if mask is None:
         mask = rasterize(spec, h)
     ops = build_operators(mask)
-    n = mask.n_inside
 
-    f0 = float(np.asarray(f.f(0.0)))
-    lap_target = 2.0 * math.sqrt(f0) if f0 > 0 else 1.0
     order = nested_dissection_order(mask.grid_index)
-    lap_solve = factorized(ops["Dxx"] + ops["Dyy"], order)
-    u = lap_solve(np.full(n, lap_target))
-    uxx, uyy, uxy = _grid_fields(ops, u)
-    sweeps, g_hist, r_hist = 0, [], []
-    while bad := _inadmissible_nodes(uxx, uyy, uxy):
-        if sweeps == 200:
-            raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
-                              f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.sqrt(np.maximum(
-                2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
-                0.0))
-        sweeps += 1
-        g = lap_solve(rhs)
-        if not np.all(np.isfinite(g)):
-            raise SolverError(f"warm start: Poisson-style sweep {sweeps} produced a "
-                              "non-finite iterate")
-        # Anderson mixing of the last sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
-        g_hist, r_hist = g_hist[-ANDERSON_DEPTH:] + [g], r_hist[-ANDERSON_DEPTH:] + [g - u]
-        u = g
-        if sweeps > 1:
-            gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
-            u = g - np.diff(g_hist, axis=0).T @ gamma
-        uxx, uyy, uxy = _grid_fields(ops, u)
+    # The Laplacian factor dies with the warm start, before Newton factors.
+    u, uxx, uyy, uxy = _warm_start(ops, f, order)
 
     residual = uxx * uyy - uxy * uxy - np.asarray(f.f(u), dtype=float)
     res_sup = float(np.max(np.abs(residual)))
@@ -798,7 +814,7 @@ def admissibility_report(sol: Solution) -> AdmissibilityReport:
     s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[:, i, j] ** 2
              for i, j in itertools.combinations(range(len(w)), 2))
     s2 = s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
-    cof_min = s1 - jacobi_eigh(hess)[0][:, -1]
+    cof_min = s1 - eigenvalues(hess)[:, -1]
     return AdmissibilityReport(
         min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),
         min_cofactor_eigenvalue=float(np.min(cof_min)),

@@ -4,9 +4,9 @@ Spectra, elementary symmetric functions of eigenvalues, the rank-2 cofactor
 matrix, the Newton comatrix tr(A)A - A^2, omitted symmetric functions, and a
 seeded sampler whose semidefinite draws take their eigenbasis from a batched
 Householder QR (`householder_q`).  Every eigendecomposition in the package runs
-here, by LAPACK: `jacobi_eigh` for one matrix or a stack, and the sampler's
-own batched call for indefinite draws.  Dimensions are capped at 8;
-everything is dense and deterministic.
+here, by LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues` where only
+the eigenvalues are read, and the sampler's own batched call for indefinite
+draws.  Dimensions are capped at 8; everything is dense and deterministic.
 """
 
 from __future__ import annotations
@@ -120,9 +120,24 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
         lam, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
     except np.linalg.LinAlgError:   # LAPACK's answer to some non-finite input
         lam = vecs = np.array([np.nan])
+    return _finite(lam), vecs
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Eigenvalues alone of a symmetric matrix or a stack, ascending along the last
+    axis, by LAPACK; only the lower triangle of a is read.  Raises NumericalError
+    when the spectrum is not finite, as `jacobi_eigh` does."""
+    try:
+        lam = np.linalg.eigvalsh(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError:
+        lam = np.array([np.nan])
+    return _finite(lam)
+
+
+def _finite(lam: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(lam)):
         raise NumericalError("eigendecomposition produced a non-finite spectrum")
-    return lam, vecs
+    return lam
 
 
 def spectrum(a: SymmetricMatrix) -> Spectrum:

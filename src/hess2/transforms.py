@@ -1,4 +1,5 @@
-"""Strictly monotone scalar transforms with first and second derivatives."""
+"""Strictly monotone scalar transforms with first and second derivatives, and the
+verdict of a convexity scan of a composition U(u)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, TransformDomainError
+
+#: A convexity scan passes when its least eigenvalue is above -CONVEXITY_TOL
+#: times the scan's eigenvalue scale.
+CONVEXITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,3 +90,25 @@ def negative_power_transform(p: float) -> Transform:
         d2u=lambda t: q * (1.0 - q) * (-t) ** (q - 2.0),
         domain=(-math.inf, 0.0),
     )
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    """Outcome of scanning the composed Hessian over a batch of points."""
+
+    transform_name: str
+    n_points: int
+    min_eigenvalue: float
+    argmin_point: np.ndarray
+    convex: bool
+    tolerance: float
+
+    @classmethod
+    def of(cls, transform_name: str, low, scale: float, points) -> "ConvexityReport":
+        """Verdict on the least eigenvalue `low[i]` at each `points[i]`: convex iff
+        min(low) >= -CONVEXITY_TOL * scale; the first point attaining it is kept."""
+        k = int(np.argmin(low))
+        tolerance = CONVEXITY_TOL * scale
+        return cls(transform_name=transform_name, n_points=len(low),
+                   min_eigenvalue=float(low[k]), argmin_point=np.atleast_1d(points[k]).copy(),
+                   convex=bool(low[k] >= -tolerance), tolerance=tolerance)

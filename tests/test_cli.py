@@ -8,10 +8,11 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hess2
-from hess2 import analysis, matineq, solver, symmat
+from hess2 import analysis, cli, matineq, solver, symmat
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -355,6 +356,23 @@ class TestSolveCommand:
                                "iterate in dimension 120 (r^118 underflows near the origin)\n")
         assert printed.err == "" and not caught
 
+    @pytest.mark.parametrize("dim", [107, 109])
+    def test_radial_subnormal_power_names_its_cause(self, tmp_path, capsys, dim):
+        # r^(N-2) is subnormal at the first of 1024 nodes for N >= 106: the
+        # passes stay finite, but from N = 107 the profile leaves the cone.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--radial", "--dim", str(dim), "--out", str(tmp_path / "s")])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ("solver failure: trace of the Hessian left the admissible "
+                               f"cone in dimension {dim} (r^{dim - 2} is subnormal near "
+                               "the origin)\n")
+        assert printed.err == "" and not caught
+
+    def test_radial_dimension_106_still_converges(self, tmp_path, capsys):
+        assert main(["solve", "--radial", "--dim", "106", "--out", str(tmp_path / "s")]) == 0
+
     def test_unsolvable_exits_three(self, tmp_path, capsys):
         # Unit-rate decreasing exponential on the wide ellipse sits beyond the
         # solvability fold; the solver reports a stall, its step and residual.
@@ -641,6 +659,68 @@ class TestStartup:
             assert not [m for m in modules if m.partition(".")[0] == "scipy"], name
         name, code, modules = seen[-1]
         assert code == 0 and "scipy.sparse.linalg" in modules, name
+
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["ineq", "--no-records", "--count", "10"],
+         ["hess2.solver", "hess2.analysis", "hess2.domain", "hess2.fields", "scipy"]),
+        (["solve", "--radial"], ["hess2.matineq", "hess2.fields", "scipy"]),
+        (["verify", "--app", "1", "--radial"], ["hess2.matineq", "hess2.fields", "scipy"]),
+        (["identity-scan", "--count", "10"],
+         ["hess2.solver", "hess2.analysis", "hess2.domain", "scipy"]),
+    ], ids=["ineq", "solve", "verify", "identity-scan"])
+    def test_each_command_imports_only_its_modules(self, tmp_path, argv, absent):
+        code = textwrap.dedent("""
+            import json, sys
+            import hess2.cli
+
+            code = hess2.cli.main(sys.argv[2:])
+            print(json.dumps([code, sorted(m for m in json.loads(sys.argv[1])
+                                           if m in sys.modules)]))
+        """)
+        done = _run_python(code, json.dumps(absent), *argv, "--out", str(tmp_path / "out"))
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+
+
+class TestRowWriter:
+    # Floats whose repr is easy to get wrong: signs of zero and infinity, the
+    # least subnormal, integral values, and the exponent-notation thresholds.
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 3.0, -2.0,
+               0.1, 1.0 / 3.0, -1.7976931348623157e308, 2.0**53 + 2.0]
+
+    def _columns(self, rows, k, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(rows * k) * 10.0 ** rng.integers(-300, 300, rows * k)
+        values[::2] = np.resize(self.SPECIAL, values[::2].size)
+        return list(values.reshape(rows, k).T)
+
+    @pytest.mark.parametrize("rows", [1, symmat.CAMPAIGN_CHUNK, symmat.CAMPAIGN_CHUNK + 1])
+    def test_records_rows_match_per_value_repr(self, tmp_path, rows):
+        columns = self._columns(rows, 5, rows)
+        path = tmp_path / "records.csv"
+        with path.open("w") as fh:
+            cli._write_rows(fh, np.column_stack(columns).T, "42,3,positive,", ",", index=True)
+        expect = "".join("42,3,positive," + f"{i}," + ",".join(repr(float(c[i])) for c in columns)
+                         + "\n" for i in range(rows))
+        assert path.read_text() == expect
+
+    @pytest.mark.parametrize("rows", [1, symmat.CAMPAIGN_CHUNK, symmat.CAMPAIGN_CHUNK + 1])
+    def test_profile_rows_match_per_value_repr(self, tmp_path, rows):
+        columns = self._columns(rows, 4, rows + 1)
+        path = tmp_path / "profile.dat"
+        with path.open("w") as fh:
+            cli._write_rows(fh, columns)
+        expect = "".join(" ".join(repr(float(c[i])) for c in columns) + "\n"
+                         for i in range(rows))
+        assert path.read_text() == expect
+
+    def test_one_row_of_every_special_value(self, tmp_path):
+        path = tmp_path / "row.dat"
+        with path.open("w") as fh:
+            cli._write_rows(fh, [np.array([v]) for v in self.SPECIAL], "# ", ",", index=True)
+        assert path.read_text() == ("# 0," + ",".join(repr(float(v)) for v in self.SPECIAL)
+                                    + "\n")
+        assert path.read_text().startswith("# 0,nan,inf,-inf,-0.0,0.0,5e-324,1e+16,1e-05,3.0,")
 
 
 class TestIdentityScanCommand:

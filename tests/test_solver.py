@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,30 @@ class TestNewtonStep:
         step, lu = spsolve(jac, rhs, order, lap)
         assert lu is not lap
         assert np.array_equal(step, factorized(jac, order)(rhs))
+
+
+class TestWarmStartFactor:
+    def test_laplacian_factor_is_freed_before_newton(self, monkeypatch):
+        # Newton never reads the warm start's Laplacian factor: it must be gone
+        # (no reference left) by the first Newton solve.
+        real_factorized, real_spsolve = solver.factorized, solver.spsolve
+        factors, alive_at_newton = [], []
+
+        def factorized(a, order):
+            solve = real_factorized(a, order)
+            factors.append(weakref.ref(solve))
+            return solve
+
+        def spsolve(*args):
+            if not alive_at_newton:
+                alive_at_newton.append(factors[0]() is not None)
+            return real_spsolve(*args)
+
+        monkeypatch.setattr(solver, "factorized", factorized)
+        monkeypatch.setattr(solver, "spsolve", spsolve)
+        sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
+        assert sol.newton_iterations > 0
+        assert alive_at_newton == [False]
 
 
 class TestAdmissibilityCounterexample:

@@ -93,6 +93,20 @@ class TestEigenBackend:
             np.testing.assert_allclose(vecs[k] @ np.diag(lam[k]) @ vecs[k].T, a[k],
                                        rtol=0, atol=1e-12)
 
+    def test_eigenvalues_alone_match_the_decomposition(self):
+        rng = np.random.default_rng(6)
+        for shape in ((6, 2, 2), (5, 3, 3), (4, 8, 8), (3, 3)):
+            g = rng.standard_normal(shape)
+            a = g + np.swapaxes(g, -1, -2)
+            np.testing.assert_allclose(symmat.eigenvalues(a), jacobi_eigh(a)[0],
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eigenvalues_alone_reject_a_nonfinite_stack(self, bad):
+        stack = np.stack([np.eye(2), np.array([[1.0, bad], [bad, 2.0]])])
+        with pytest.raises(NumericalError, match="non-finite spectrum"):
+            symmat.eigenvalues(stack)
+
     def test_zero_matrix(self):
         lam, vecs = jacobi_eigh(np.zeros((4, 4)))
         np.testing.assert_array_equal(lam, np.zeros(4))
