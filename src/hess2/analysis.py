@@ -211,11 +211,7 @@ def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     solution's strictly interior nodes, one eigendecomposition of the frame
     blocks; the scale is max(1, largest |entry|)."""
     interior = sol.interior
-    u = sol.u[interior]
-    tr.check_domain(u)
-    grad = sol.gradient()[interior]
-    composed = (tr.du(u)[:, None, None] * sol.hessian()
-                + tr.d2u(u)[:, None, None] * (grad[:, :, None] * grad[:, None, :]))
+    composed = tr.composed_hessian(sol.u[interior], sol.gradient()[interior], sol.hessian())
     lam = eigenvalues(composed)
     scale = max(1.0, float(np.max(np.abs(composed))))
     return ConvexityReport.of(tr.name, lam[:, 0], scale, sol.positions[interior])

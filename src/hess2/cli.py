@@ -447,7 +447,7 @@ def cmd_identity_scan(args) -> int:
         pts = points(args.seed + 10 + dim, dim, radius=0.95)
         for fld, x in itertools.product(fields.standard_menagerie(dim), chunks(pts)):
             h = fld.hess(x)
-            keep = matineq.in_positive_cone(symmat.jacobi_eigh(h)[0])
+            keep = matineq.in_positive_cone(symmat.eigenvalues(h))
             x, h = x[keep], h[keep]
             scale = (1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2
                      * (1.0 + np.sum(x * x, axis=-1)))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .symmat import householder_q, jacobi_eigh
+from .symmat import jacobi_eigh
 from .transforms import ConvexityReport, Transform
 
 #: Probes closer than this to a critical point are rejected.
@@ -242,15 +242,10 @@ def levelset_curvature_probe(fld: SyntheticField, x) -> CurvatureProbe:
     lhs = np.einsum("...i,...ij,...j->...", g, newton_b, g)
     s2 = _s2(h)
     h2 = (s2 * gnorm ** 2 - lhs) / gnorm ** 3
-    # Shape operator of the level set: H/|g| on the tangent space.  Q of the
-    # QR of [n, 0, ..., 0] has first column +-n, so its other columns span n^perp.
-    d = fld.dim
-    normals = np.zeros((d, d, gnorm.size))
-    normals[:, 0] = (g / gnorm[..., None]).reshape(-1, d).T
-    tangent = householder_q(normals)[:, 1:].transpose(2, 0, 1).reshape(g.shape + (d - 1,))
-    shape = np.swapaxes(tangent, -1, -2) @ (h / gnorm[..., None, None]) @ tangent
-    kappa, _ = jacobi_eigh(shape)
-    s2_kappa = 0.5 * (np.sum(kappa, axis=-1) ** 2 - np.sum(kappa * kappa, axis=-1))
+    # The shape operator is H/|g| on n^perp; with P = I - n (x) n, PHP has its
+    # eigenvalues and one more 0, so S2(kappa) = S2(PHP)/|g|^2.
+    proj = np.eye(fld.dim) - _outer(g / gnorm[..., None])
+    s2_kappa = _s2(proj @ h @ proj) / gnorm ** 2
     return CurvatureProbe(point=x, grad_norm=gnorm, s2_value=s2, lhs_334=lhs,
                           h2_extracted=h2, s2_kappa_geometric=s2_kappa)
 
@@ -270,10 +265,7 @@ def philippin_safoui_gap(fld: SyntheticField, x) -> np.ndarray:
 
 def transform_hessian(fld: SyntheticField, tr: Transform, x) -> np.ndarray:
     """Hessian of the composition U(u(.)) per point: U' H + U'' g (x) g."""
-    uval = fld.u(x)
-    tr.check_domain(uval)
-    return (np.asarray(tr.du(uval))[..., None, None] * fld.hess(x)
-            + np.asarray(tr.d2u(uval))[..., None, None] * _outer(fld.grad(x)))
+    return tr.composed_hessian(fld.u(x), fld.grad(x), fld.hess(x))
 
 
 def convexity_scan(fld: SyntheticField, tr: Transform, points) -> ConvexityReport:

@@ -306,28 +306,66 @@ class RadialProfile:
         return header, {"r": self.r, "u": self.u, "up": self.up}
 
 
-def _s2_radial(n_dim: int, upp: np.ndarray, up_over_r: np.ndarray) -> np.ndarray:
-    pairs = (n_dim - 1) * (n_dim - 2) / 2.0
-    return (n_dim - 1) * upp * up_over_r + pairs * up_over_r**2
-
-
 def radial_ode_residual(profile: RadialProfile, f: SourceTerm) -> np.ndarray:
-    """Pointwise defect S2(D^2 u) - f(u), with the isotropic limit at r = 0."""
-    eigs = profile.hessian_eigenvalues()
-    upp, tang = eigs[:, 0], eigs[:, 1]
-    res = _s2_radial(profile.dim, upp, tang) - f.f(profile.u)
-    res[0] = math.comb(profile.dim, 2) * tang[0] ** 2 - float(np.asarray(f.f(profile.u[0])))
-    return res
+    """Pointwise defect S2(D^2 u) - f(u) on the frame (u'', u'/r); at r = 0 both
+    eigenvalues are u''(0), which gives C(N, 2) u''(0)^2."""
+    diag = profile.hessian_eigenvalues()[:, :, None] * np.eye(2)
+    return _invariants(diag, profile.multiplicity)[1] - f.f(profile.u)
 
 
 def _picard_pass(n_dim, r, h, rhs_vals):
-    g = cumulative_quartic(rhs_vals, h, power=n_dim - 1)
-    up2 = np.zeros_like(r)
-    up2[1:] = (2.0 / (n_dim - 1)) * g[1:] / r[1:] ** (n_dim - 2)
-    up = np.sqrt(np.maximum(up2, 0.0))
-    tail = cumulative_quartic(up, h)
-    u = -(tail[-1] - tail)
-    return u, up
+    # Callers check the result: r^(N-2) underflows to zero at the first nodes in
+    # high dimension, and the integrals overflow on huge balls or sources.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = cumulative_quartic(rhs_vals, h, power=n_dim - 1)
+        up2 = np.zeros_like(r)
+        up2[1:] = (2.0 / (n_dim - 1)) * g[1:] / r[1:] ** (n_dim - 2)
+        up = np.sqrt(np.maximum(up2, 0.0))
+        tail = cumulative_quartic(up, h)
+        return -(tail[-1] - tail), up
+
+
+def _radial_grid(radius: float, cfg: SolveConfig) -> tuple[np.ndarray, float]:
+    """Nodes 0 = r_0 < ... < r_m = radius of the radial solvers, and their step.
+    Squared radii enter the start iterates and the Hessian's limit at r = 0, so
+    r_m^2 must be finite and r_1^2 normal."""
+    _require_positive("radius must be positive and finite", radius)
+    m, tiny = cfg.radial_nodes, np.finfo(float).tiny
+    h = radius / m
+    if not (radius * radius < math.inf and h * h >= tiny):
+        raise InputError(f"--radius {radius:g} is out of range: the squared radii of its "
+                         f"{m}-interval grid need it in [{m * math.sqrt(tiny):.1e}, "
+                         f"{math.sqrt(np.finfo(float).max):.1e})")
+    return np.linspace(0.0, radius, m + 1), h
+
+
+def _subnormal_power(r: np.ndarray, n_dim: int) -> bool:
+    """Whether r_1^(N-2) is below the smallest normal float."""
+    return (n_dim - 2) * math.log(r[1]) < math.log(np.finfo(float).tiny)
+
+
+def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
+    """The profile with its residual sup, once it passes the checks of a radial solution."""
+    residual = radial_ode_residual(profile, f)
+    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
+    u, up, eigs = profile.u, profile.up, profile.hessian_eigenvalues()
+    s1 = _invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity)[0]
+    for failed, reason in (
+            (abs(u[-1]) > 1e-14 * max(1.0, float(np.max(np.abs(u)))),
+             "boundary value failed to vanish"),
+            (up[0] != 0.0, "radial derivative at the origin must vanish"),
+            (np.any(up < 0), "radial derivative must be nonnegative"),
+            (np.any(u[:-1] >= 0), "solution must be negative inside the ball"),
+            (np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))),
+             "trace of the Hessian left the admissible cone")):
+        if failed:
+            # A subnormal r^(N-2) at the first nodes keeps the passes finite but
+            # costs them their precision there.
+            if _subnormal_power(profile.r, profile.dim):
+                reason += (f" in dimension {profile.dim} (r^{profile.dim - 2} is subnormal "
+                           "near the origin)")
+            raise SolverError(reason)
+    return profile
 
 
 def solve_radial(n_dim: int, radius: float, f: SourceTerm,
@@ -335,23 +373,19 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
     """Admissible radial solution on a ball, by Picard iteration on the integral form."""
     if n_dim < 2:
         raise InputError("radial solves need dimension >= 2")
-    _require_positive("radius must be positive and finite", radius)
-    cfg = cfg or SolveConfig()
-    m = cfg.radial_nodes
-    r = np.linspace(0.0, radius, m + 1)
-    h = radius / m
+    r, h = _radial_grid(radius, cfg or SolveConfig())
     u = 0.5 * (r**2 - radius**2)
     delta = math.inf
     for it in range(1, PICARD_MAX_ITER + 1):
         vals = np.asarray(f.f(u), dtype=float)
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
-        # r^(N-2) underflows to zero at the first nodes in high dimension.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
+        u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
         if not np.all(np.isfinite(u_new)):
+            cause = (f"r^{n_dim - 2} underflows near the origin" if _subnormal_power(r, n_dim)
+                     else "the Picard integral overflowed")
             raise SolverError(f"radial Picard pass {it} produced a non-finite iterate in "
-                              f"dimension {n_dim} (r^{n_dim - 2} underflows near the origin)")
+                              f"dimension {n_dim} ({cause})")
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         if delta <= PICARD_TOL * max(1.0, float(np.max(np.abs(u)))):
@@ -359,36 +393,8 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
     else:
         raise SolverError(f"radial Picard iteration did not converge "
                           f"(last delta {delta:.3e} after {PICARD_MAX_ITER} passes)")
-    profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
-                            picard_iterations=it, picard_delta=delta)
-    residual = radial_ode_residual(profile, f)
-    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
-    try:
-        _validate_radial(profile)
-    except SolverError as exc:
-        # A subnormal r^(N-2) at the first nodes keeps the passes finite but
-        # costs them their precision there.
-        if r[1] ** (n_dim - 2) < np.finfo(float).tiny:
-            raise SolverError(f"{exc} in dimension {n_dim} (r^{n_dim - 2} is subnormal "
-                              "near the origin)") from None
-        raise
-    return profile
-
-
-def _validate_radial(profile: RadialProfile) -> None:
-    if abs(profile.u[-1]) > 1e-14 * max(1.0, float(np.max(np.abs(profile.u)))):
-        raise SolverError("boundary value failed to vanish")
-    if profile.up[0] != 0.0:
-        raise SolverError("radial derivative at the origin must vanish")
-    if np.any(profile.up < 0):
-        raise SolverError("radial derivative must be nonnegative")
-    if np.any(profile.u[:-1] >= 0):
-        raise SolverError("solution must be negative inside the ball")
-    eigs = profile.hessian_eigenvalues()
-    s1 = eigs[:, 0] + (profile.dim - 1) * eigs[:, 1]
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.min(s1) < -1e-8 * scale:
-        raise SolverError("trace of the Hessian left the admissible cone")
+    return _finish_radial(RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
+                                        picard_iterations=it, picard_delta=delta), f)
 
 
 def solve_eigen_radial(n_dim: int, radius: float,
@@ -403,11 +409,7 @@ def solve_eigen_radial(n_dim: int, radius: float,
     """
     if n_dim != 3:
         raise InputError("the eigenvalue solver is wired for dimension 3")
-    _require_positive("radius must be positive and finite", radius)
-    cfg = cfg or SolveConfig()
-    m = cfg.radial_nodes
-    r = np.linspace(0.0, radius, m + 1)
-    h = radius / m
+    r, h = _radial_grid(radius, cfg or SolveConfig())
     if initial is None:
         u = (r**2 - radius**2) / radius**2
     else:
@@ -429,13 +431,9 @@ def solve_eigen_radial(n_dim: int, radius: float,
     else:
         raise SolverError(f"inverse iteration stagnated before the eigenvalue settled "
                           f"(|delta lambda| {delta:.3e} after {k} steps)")
-    up = vp / s
-    profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
+    profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=vp / s,
                             picard_iterations=k, picard_delta=delta)
-    residual = radial_ode_residual(profile, eigen_source(lam))
-    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
-    _validate_radial(profile)
-    return lam, profile
+    return lam, _finish_radial(profile, eigen_source(lam))
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +459,10 @@ def _first_derivative_row(theta_plus, theta_minus, h):
     return c_center, c_plus, c_minus
 
 
-def build_operators(mask: GridMask) -> dict[str, sp.csr_matrix]:
-    """Sparse Dxx, Dyy, Dxy, Dx, Dy over inside nodes (zero boundary data)."""
-    if "Dxx" in mask._op_cache:
+def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix]:
+    """Sparse derivatives over inside nodes (zero boundary data), keyed by axis:
+    ops[i, j] is d^2/dx_i dx_j (i <= j) and ops[i] is d/dx_i, axes 0 = x, 1 = y."""
+    if mask._op_cache:
         return mask._op_cache
     import scipy.sparse as sp
 
@@ -483,19 +482,18 @@ def build_operators(mask: GridMask) -> dict[str, sp.csr_matrix]:
                               (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
     ops = {}
-    # Axis second and first derivatives: directions 0/1 are +/-x, 2/3 are +/-y.
-    for name_second, name_first, ip, im in (("Dxx", "Dx", 0, 1), ("Dyy", "Dy", 2, 3)):
-        for name, row in ((name_second, _second_derivative_row),
-                          (name_first, _first_derivative_row)):
+    # Directions 2i and 2i+1 are +/- axis i.
+    for i, (ip, im) in enumerate(((0, 1), (2, 3))):
+        for key, row in (((i, i), _second_derivative_row), (i, _first_derivative_row)):
             cc, cp, cm = row(th[:, ip], th[:, im], mask.h)
-            ops[name] = assemble(cc, ((ip, cp), (im, cm)))
+            ops[key] = assemble(cc, ((ip, cp), (im, cm)))
     # Cross derivative from the two diagonal second derivatives:
     # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
     sqrt2h = math.sqrt(2.0) * mask.h
     cc1, cp1, cm1 = _second_derivative_row(th[:, 4], th[:, 5], sqrt2h)
     cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
-    ops["Dxy"] = assemble(0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
-                                              (6, -0.5 * cp2), (7, -0.5 * cm2)))
+    ops[0, 1] = assemble(0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
+                                            (6, -0.5 * cp2), (7, -0.5 * cm2)))
     mask._op_cache.update(ops)
     return mask._op_cache
 
@@ -591,11 +589,10 @@ class ScalarField2D:
 
     def gradient(self) -> np.ndarray:
         ops = build_operators(self.mask)
-        return np.column_stack([ops["Dx"] @ self.u, ops["Dy"] @ self.u])
+        return np.column_stack([ops[0] @ self.u, ops[1] @ self.u])
 
     def hessian(self) -> np.ndarray:
-        uxx, uyy, uxy = _grid_fields(build_operators(self.mask), self.u)
-        return np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
+        return _hessian(build_operators(self.mask), self.u)
 
     def distance_to_boundary(self, points) -> np.ndarray:
         return -signed_distance(self.mask.spec, points)
@@ -662,44 +659,45 @@ class ScalarField2D:
         return header, {"u": self.u, "node_xy": self.mask.node_xy}
 
 
-def _grid_fields(ops, u):
-    return ops["Dxx"] @ u, ops["Dyy"] @ u, ops["Dxy"] @ u
+def _hessian(ops, u) -> np.ndarray:
+    """(n, 2, 2) Hessian blocks of u in the frame (x, y)."""
+    uxx, uxy, uyy = (ops[key] @ u for key in ((0, 0), (0, 1), (1, 1)))
+    return np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
 
 
-def _newton_jacobian(ops, f, u, uxx, uyy, uxy):
+def _newton_jacobian(ops, f, u, hess):
     """Derivative of det D^2 u - f(u): a cofactor-weighted discrete Laplacian."""
     import scipy.sparse as sp
 
-    return (sp.diags(uyy) @ ops["Dxx"] + sp.diags(uxx) @ ops["Dyy"]
-            - 2.0 * sp.diags(uxy) @ ops["Dxy"]
+    return (sp.diags(hess[:, 1, 1]) @ ops[0, 0] + sp.diags(hess[:, 0, 0]) @ ops[1, 1]
+            - 2.0 * sp.diags(hess[:, 0, 1]) @ ops[0, 1]
             - sp.diags(np.asarray(f.fprime(u), dtype=float)))
 
 
-def _inadmissible_nodes(uxx, uyy, uxy) -> int:
-    """How many nodes lie off the discrete elliptic branch (or are not finite)."""
-    lap = uxx + uyy
-    det = uxx * uyy - uxy * uxy
-    return int(np.count_nonzero(~((lap > 0) & (det > 0))))
+def _inadmissible_nodes(hess) -> int:
+    """How many nodes lie off the discrete elliptic branch S1, S2 > 0 (or are not finite)."""
+    s1, s2 = _invariants(hess, (1, 1))
+    return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
 def _warm_start(ops, f: SourceTerm, order: np.ndarray):
-    """(u, uxx, uyy, uxy) of an iterate on the discrete elliptic branch: the linear
+    """(u, Hessian blocks) of an iterate on the discrete elliptic branch: the linear
     start, then Anderson-mixed Poisson-style sweeps with one Laplacian factor until
     every inside node is on the branch (see `solve_grid2d`)."""
     n = order.size
     f0 = float(np.asarray(f.f(0.0)))
-    lap_solve = factorized(ops["Dxx"] + ops["Dyy"], order)
+    lap_solve = factorized(ops[0, 0] + ops[1, 1], order)
     u = lap_solve(np.full(n, 2.0 * math.sqrt(f0) if f0 > 0 else 1.0))
-    uxx, uyy, uxy = _grid_fields(ops, u)
+    hess = _hessian(ops, u)
     sweeps, g_hist, r_hist = 0, [], []
-    while bad := _inadmissible_nodes(uxx, uyy, uxy):
+    while bad := _inadmissible_nodes(hess):
         if sweeps == 200:
             raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
                               f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.sqrt(np.maximum(
-                2.0 * np.asarray(f.f(u), dtype=float) + (uxx - uyy) ** 2 + 4.0 * uxy**2,
-                0.0))
+            rhs = np.sqrt(np.maximum(2.0 * np.asarray(f.f(u), dtype=float)
+                                     + (hess[:, 0, 0] - hess[:, 1, 1]) ** 2
+                                     + 4.0 * hess[:, 0, 1] ** 2, 0.0))
         sweeps += 1
         g = lap_solve(rhs)
         if not np.all(np.isfinite(g)):
@@ -711,8 +709,8 @@ def _warm_start(ops, f: SourceTerm, order: np.ndarray):
         if sweeps > 1:
             gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
             u = g - np.diff(g_hist, axis=0).T @ gamma
-        uxx, uyy, uxy = _grid_fields(ops, u)
-    return u, uxx, uyy, uxy
+        hess = _hessian(ops, u)
+    return u, hess
 
 
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
@@ -744,9 +742,13 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
 
     order = nested_dissection_order(mask.grid_index)
     # The Laplacian factor dies with the warm start, before Newton factors.
-    u, uxx, uyy, uxy = _warm_start(ops, f, order)
+    u, hess = _warm_start(ops, f, order)
 
-    residual = uxx * uyy - uxy * uxy - np.asarray(f.f(u), dtype=float)
+    def s2_defect(hess, u):
+        with np.errstate(over="ignore"):
+            return _invariants(hess, (1, 1))[1] - np.asarray(f.f(u), dtype=float)
+
+    residual = s2_defect(hess, u)
     res_sup = float(np.max(np.abs(residual)))
     it, lu = 0, None
     while res_sup > NEWTON_TOL:
@@ -754,7 +756,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
         if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
-        step, lu = spsolve(_newton_jacobian(ops, f, u, uxx, uyy, uxy), -residual, order, lu)
+        step, lu = spsolve(_newton_jacobian(ops, f, u, hess), -residual, order, lu)
         if not np.all(np.isfinite(step)):
             raise SolverError(f"Newton linearization produced a non-finite step "
                               f"at step {it} (residual {res_sup:.3e})")
@@ -764,10 +766,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
         accepted = False
         while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
-            uxx, uyy, uxy = _grid_fields(ops, trial)
-            if not _inadmissible_nodes(uxx, uyy, uxy):
-                with np.errstate(over="ignore"):
-                    trial_res = uxx * uyy - uxy * uxy - np.asarray(f.f(trial), dtype=float)
+            hess = _hessian(ops, trial)
+            if not _inadmissible_nodes(hess):
+                trial_res = s2_defect(hess, trial)
                 trial_sup = float(np.max(np.abs(trial_res)))
                 if np.isfinite(trial_sup) and trial_sup <= res_sup * (1.0 - 1e-4 * factor):
                     u, residual, res_sup = trial, trial_res, trial_sup
@@ -799,21 +800,26 @@ class AdmissibilityReport:
     admissible: bool
 
 
-def admissibility_report(sol: Solution) -> AdmissibilityReport:
-    """Minimum S1, S2 and cofactor-matrix eigenvalue over strictly interior nodes.
-
-    From the frame blocks H and multiplicities w of `sol`:
+def _invariants(hess: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    """S1 and S2 of the Hessians given by frame blocks H (..., k, k) whose axis i
+    stands for w_i directions of R^N (see `Solution`):
         S1 = sum_i w_i H_ii,
-        S2 = sum_{i<j} w_i w_j (H_ii H_jj - H_ij^2) + sum_i C(w_i, 2) H_ii^2,
-    and the cofactor matrix S1 I - H has least eigenvalue S1 - lambda_max(H).
+        S2 = sum_{i<j} w_i w_j (H_ii H_jj - H_ij^2) + sum_i C(w_i, 2) H_ii^2.
     """
-    hess, w = sol.hessian(), sol.multiplicity
-    diag = [hess[:, i, i] for i in range(len(w))]
+    diag = [hess[..., i, i] for i in range(len(w))]
     s1 = sum(wi * d for wi, d in zip(w, diag))
     # Left to right, the plane's S2 is uxx*uyy - uxy*uxy bit for bit.
-    s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[:, i, j] ** 2
+    s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[..., i, j] ** 2
              for i, j in itertools.combinations(range(len(w)), 2))
-    s2 = s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
+    return s1, s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
+
+
+def admissibility_report(sol: Solution) -> AdmissibilityReport:
+    """Minimum S1, S2 (`_invariants`) and cofactor-matrix eigenvalue over strictly
+    interior nodes; the cofactor matrix S1 I - H has least eigenvalue
+    S1 - lambda_max(H)."""
+    hess = sol.hessian()
+    s1, s2 = _invariants(hess, sol.multiplicity)
     cof_min = s1 - eigenvalues(hess)[:, -1]
     return AdmissibilityReport(
         min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),

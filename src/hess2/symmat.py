@@ -152,20 +152,10 @@ def spectrum(a: SymmetricMatrix) -> Spectrum:
 
 
 def elem_sym_from_eigenvalues(lam: np.ndarray, k: int) -> float:
-    """S_k of a set of eigenvalues via the standard partial-sum recursion."""
+    """S_k of a set of eigenvalues: (-1)^k times the coefficient of x^(n-k) in
+    prod_i (x - lam_i), which np.poly expands one factor at a time."""
     lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    if k == 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i in range(n):
-        top = min(i + 1, k)
-        for j in range(top, 0, -1):
-            e[j] += lam[i] * e[j - 1]
-    return float(e[k])
+    return 0.0 if k > lam.size else float((-1) ** k * np.atleast_1d(np.poly(lam))[k])
 
 
 def _elem_sym_newton(a: np.ndarray, k: int) -> float:
@@ -223,12 +213,9 @@ def omitted_sym(spec: Spectrum, k: int, m: int) -> float:
     Returns 0 when fewer than k eigenvalues remain.
     """
     n = spec.dim
-    if not (1 <= m <= n):
-        raise InputError(f"index m must be in [1, {n}], got {m}")
-    if n - 1 < k:
-        return 0.0
-    rest = np.delete(spec.eigenvalues, m - 1)
-    return elem_sym_from_eigenvalues(rest, k)
+    if not (1 <= m <= n and k >= 0):
+        raise InputError(f"need index m in [1, {n}] and order k >= 0, got m={m}, k={k}")
+    return elem_sym_from_eigenvalues(np.delete(spec.eigenvalues, m - 1), k)
 
 
 def _sign_code(sign: str) -> int:

@@ -39,6 +39,14 @@ class Transform:
             raise TransformDomainError(
                 f"value outside the open domain ({lo}, {hi}) of transform {self.name}")
 
+    def composed_hessian(self, t, grad, hess) -> np.ndarray:
+        """Hessian U'(t) H + U''(t) g (x) g of U(u) per point, from u's values t, gradients
+        g (..., k) and Hessians H (..., k, k); raises outside the domain."""
+        self.check_domain(t)
+        outer = grad[..., :, None] * grad[..., None, :]
+        return (np.asarray(self.du(t))[..., None, None] * hess
+                + np.asarray(self.d2u(t))[..., None, None] * outer)
+
     def eval(self, t: float) -> tuple[float, float, float]:
         self.check_domain(t)
         return self.u(t), self.du(t), self.d2u(t)

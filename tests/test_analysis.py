@@ -21,7 +21,7 @@ from hess2.analysis import (
     transform_preset,
     verify_principle,
 )
-from hess2.errors import HypothesisError, InputError, SolverError
+from hess2.errors import HypothesisError, InputError, SolverError, TransformDomainError
 from hess2.fields import ConvexityReport
 from hess2.solver import ScalarField2D
 from hess2.transforms import identity_transform
@@ -212,6 +212,27 @@ class TestTransformPreset:
     def test_unknown_application(self):
         with pytest.raises(InputError):
             transform_preset(7)
+
+
+class TestComposedHessian:
+    @pytest.mark.parametrize("app", [1, 2, 3])
+    def test_one_formula_bit_for_bit(self, app):
+        tr = transform_preset(app, 0.5)
+        rng = np.random.default_rng(app)
+        u = -rng.uniform(0.01, 2.0, size=40)
+        g = rng.standard_normal((40, 3))
+        a = rng.standard_normal((40, 3, 3))
+        h = a + np.swapaxes(a, -1, -2)
+        expect = (tr.du(u)[:, None, None] * h
+                  + tr.d2u(u)[:, None, None] * (g[:, :, None] * g[:, None, :]))
+        assert np.array_equal(tr.composed_hessian(u, g, h), expect)
+
+    @pytest.mark.parametrize("app", [1, 2, 3])
+    def test_raises_outside_the_domain(self, app):
+        tr = transform_preset(app, 0.5)
+        for bad in (0.0, 0.3):
+            with pytest.raises(TransformDomainError):
+                tr.composed_hessian(np.array([-1.0, bad]), np.ones((2, 2)), np.ones((2, 2, 2)))
 
 
 class TestConvexityScanSolution:

@@ -370,6 +370,38 @@ class TestSolveCommand:
                                "the origin)\n")
         assert printed.err == "" and not caught
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--radius", "1e200"],
+        ["solve", "--eigen", "--radius", "1e200"],
+        ["solve", "--radial", "--radius", "1e-160"],
+        ["solve", "--eigen", "--radius", "1e-200"],
+    ], ids=["radial-huge", "eigen-huge", "radial-tiny", "eigen-tiny"])
+    def test_unrepresentable_radial_grid_exits_two(self, tmp_path, capsys, argv):
+        # r_m^2 overflows or r_1^2 underflows on the 1024-interval grid.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: --radius ")
+        assert printed.out.count("\n") == 1
+        assert printed.err == "" and not caught
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--radius", "1e140"],
+        ["solve", "--radial", "--f", "const:1e308"],
+    ], ids=["radius-1e140", "source-1e308"])
+    def test_overflowing_picard_integral_names_its_cause(self, tmp_path, capsys, argv):
+        # At N = 3, r^1 is normal at every node: the integral overflowed, and
+        # nothing underflowed.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "big")]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == ("solver failure: radial Picard pass 1 produced a non-finite "
+                               "iterate in dimension 3 (the Picard integral overflowed)\n")
+        assert printed.err == "" and not caught
+
     def test_radial_dimension_106_still_converges(self, tmp_path, capsys):
         assert main(["solve", "--radial", "--dim", "106", "--out", str(tmp_path / "s")]) == 0
 

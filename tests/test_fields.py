@@ -17,6 +17,7 @@ from hess2.fields import (
     standard_menagerie,
     transform_hessian,
 )
+from hess2.symmat import eigenvalues, householder_q
 from hess2.transforms import (
     identity_transform,
     negative_log_transform,
@@ -189,6 +190,27 @@ class TestLevelsetCurvature:
             contraction = float(g @ s2ij @ g)
             expect = (2.0 / r) * np.linalg.norm(g) ** 3
             assert contraction == pytest.approx(expect, rel=1e-10)
+
+
+class TestCurvatureClosedForm:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_matches_the_tangent_basis_route(self, dim):
+        # Reference: S2 of the eigenvalues of T^T H T / |g|, with T the last d-1
+        # columns of Q in the QR of [n, 0, ..., 0] (an orthonormal basis of n^perp).
+        # Tolerance 1e-13 (1 + |H|_F^2 / |g|^2), the size of S2(kappa) (measured
+        # below 3e-15 of it).
+        pts = sample_points_in_ball(seed=5, dim=dim, count=200, radius=0.9, min_radius=0.2)
+        for fld in standard_menagerie(dim):
+            g, h = fld.grad(pts), fld.hess(pts)
+            gnorm = np.linalg.norm(g, axis=-1)
+            normals = np.zeros((dim, dim, len(pts)))
+            normals[:, 0] = (g / gnorm[:, None]).T
+            tangent = householder_q(normals)[:, 1:].transpose(2, 0, 1)
+            kappa = eigenvalues(np.swapaxes(tangent, -1, -2) @ h @ tangent / gnorm[:, None, None])
+            expect = 0.5 * (np.sum(kappa, axis=-1) ** 2 - np.sum(kappa * kappa, axis=-1))
+            got = levelset_curvature_probe(fld, pts).s2_kappa_geometric
+            scale = 1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2 / gnorm ** 2
+            assert np.all(np.abs(got - expect) <= 1e-13 * scale), fld.family
 
 
 class TestPhilippinSafoui:

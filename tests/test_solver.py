@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError
 from hess2.solver import (
     SolveConfig,
-    _grid_fields,
+    _hessian,
     _newton_jacobian,
     admissibility_report,
     build_operators,
@@ -114,6 +115,21 @@ class TestRadialSolver:
             solve_radial(1, 1.0, make_source("const"))
         with pytest.raises(InputError):
             solve_radial(3, -1.0, make_source("const"))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    @pytest.mark.parametrize("f_key", ["const", "exp-dec"])
+    def test_residual_is_the_eigenvalue_form(self, dim, f_key):
+        # Off the origin S2 = (N-1) u'' u'/r + C(N-1, 2) (u'/r)^2 bit for bit; at
+        # r = 0 both eigenvalues are t = u''(0), and S2 = C(N, 2) t^2 to an ulp.
+        prof, f = cached_radial(dim, f_key), make_source(f_key)
+        eigs = prof.hessian_eigenvalues()
+        upp, tang = eigs[:, 0], eigs[:, 1]
+        res = radial_ode_residual(prof, f)
+        expect = (dim - 1) * upp * tang + (dim - 1) * (dim - 2) / 2.0 * tang**2 - f.f(prof.u)
+        assert np.array_equal(res[1:], expect[1:])
+        s2_origin = math.comb(dim, 2) * tang[0] ** 2
+        assert upp[0] == tang[0]
+        assert abs(res[0] - (s2_origin - f.f(prof.u[0]))) <= np.spacing(s2_origin)
 
 
 class TestEigenSolver:
@@ -251,8 +267,9 @@ class TestNestedDissection:
         mask, f = sol.mask, make_source("exp-dec")
         ops = build_operators(mask)
         u = 0.9 * sol.u   # off the solution, so the residual is not tiny
-        uxx, uyy, uxy = _grid_fields(ops, u)
-        jac = _newton_jacobian(ops, f, u, uxx, uyy, uxy)
+        hess = _hessian(ops, u)
+        uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
+        jac = _newton_jacobian(ops, f, u, hess)
         rhs = f.f(u) - (uxx * uyy - uxy * uxy)
         expect = scipy_spsolve(jac.tocsc(), rhs)
         got = factorized(jac, nested_dissection_order(mask.grid_index))(rhs)
@@ -264,8 +281,9 @@ class TestNewtonStep:
     def _jacobian(sol, f, scale):
         ops = build_operators(sol.mask)
         u = scale * sol.u
-        uxx, uyy, uxy = _grid_fields(ops, u)
-        return ops, _newton_jacobian(ops, f, u, uxx, uyy, uxy), f.f(u) - (uxx * uyy - uxy * uxy)
+        hess = _hessian(ops, u)
+        uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
+        return ops, _newton_jacobian(ops, f, u, hess), f.f(u) - (uxx * uyy - uxy * uxy)
 
     def test_lagged_factor_meets_the_gmres_tolerance(self):
         sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
@@ -281,7 +299,7 @@ class TestNewtonStep:
         sol = solve_grid2d(convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]), f, 1.0 / 64)
         order = nested_dissection_order(sol.mask.grid_index)
         ops, jac, rhs = self._jacobian(sol, f, 0.9)
-        lap = factorized(ops["Dxx"] + ops["Dyy"], order)
+        lap = factorized(ops[0, 0] + ops[1, 1], order)
         step, lu = spsolve(jac, rhs, order, lap)
         assert lu is not lap
         assert np.array_equal(step, factorized(jac, order)(rhs))
@@ -348,7 +366,8 @@ class TestSolutionInterface:
     @pytest.mark.parametrize("domain", ["disk", "ellipse"])
     def test_planar_s2_is_the_determinant_bit_for_bit(self, domain):
         sol = cached_grid(domain, "const", 1.0 / 64)
-        uxx, uyy, uxy = _grid_fields(build_operators(sol.mask), sol.u)
+        hess = _hessian(build_operators(sol.mask), sol.u)
+        uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
         assert admissibility_report(sol).min_s2 == float(np.min(uxx * uyy - uxy * uxy))
 
     @pytest.mark.parametrize("domain", ["disk", "ellipse"])
@@ -356,7 +375,8 @@ class TestSolutionInterface:
         # In the plane S1 I - H has the spectrum of H: its least eigenvalue is
         # the closed-form lambda_min of the 2 x 2 Hessian.
         sol = cached_grid(domain, "const", 1.0 / 64)
-        a, c, b = _grid_fields(build_operators(sol.mask), sol.u)
+        hess = _hessian(build_operators(sol.mask), sol.u)
+        a, c, b = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
         closed = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
         got = admissibility_report(sol).min_cofactor_eigenvalue
         assert abs(got - float(np.min(closed))) <= 1e-13
@@ -368,7 +388,8 @@ class TestSolutionInterface:
         upp, tang = eigs[:, 0], eigs[:, 1]
         rep = admissibility_report(prof)
         assert rep.min_s1 == float(np.min(upp + (dim - 1) * tang))
-        assert rep.min_s2 == float(np.min(solver._s2_radial(dim, upp, tang)))
+        assert rep.min_s2 == float(np.min((dim - 1) * upp * tang
+                                          + (dim - 1) * (dim - 2) / 2.0 * tang**2))
         assert rep.min_cofactor_eigenvalue == float(
             np.min(np.minimum(upp + (dim - 1) * tang - upp, upp + (dim - 1) * tang - tang)))
         assert prof.multiplicity == (1, dim - 1)

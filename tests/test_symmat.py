@@ -181,6 +181,25 @@ class TestElemSym:
             a = SymmetricMatrix.from_full((g + g.T) / 2)
             assert elem_sym(a, 1) == pytest.approx(a.trace(), rel=1e-12, abs=1e-12)
 
+    def test_from_eigenvalues_matches_the_subset_recursion(self):
+        # Reference: the partial-sum recursion e_j += lam_i e_(j-1) over the
+        # values, the double loop the characteristic-polynomial form replaced.
+        def recursion(lam, k):
+            e = np.zeros(max(k, len(lam)) + 1)
+            e[0] = 1.0
+            for i, value in enumerate(lam):
+                for j in range(min(i + 1, k), 0, -1):
+                    e[j] += value * e[j - 1]
+            return float(e[k])
+
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            lam = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            for k in range(n + 2):
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(lam)))) ** k
+                assert abs(elem_sym_from_eigenvalues(lam, k) - recursion(lam, k)) <= tol
+
 
 class TestCofactor:
     def test_diagonal(self):
@@ -261,6 +280,11 @@ class TestOmittedSym:
             omitted_sym(spec, 1, 0)
         with pytest.raises(InputError):
             omitted_sym(spec, 1, 3)
+
+    def test_negative_order_rejected(self):
+        # The characteristic polynomial would read a negative k from its far end.
+        with pytest.raises(InputError):
+            omitted_sym(Spectrum(eigenvalues=np.array([1.0, 2.0, 3.0])), -1, 1)
 
     def test_weighted_sum_recursion(self):
         # sum_m S_k^(m) lam_m = (k+1) S_{k+1}; classical consistency oracle.
