@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .symmat import jacobi_eigh
+from .symmat import cofactor, comatrix, invariants, jacobi_eigh
 from .transforms import ConvexityReport, Transform
 
 #: Probes closer than this to a critical point are rejected.
@@ -61,10 +61,6 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[..., :, None] * x[..., None, :]
 
 
-def _trace(h: np.ndarray) -> np.ndarray:
-    return np.trace(h, axis1=-2, axis2=-1)
-
-
 def quadratic_field(q, b=None, c: float = 0.0) -> SyntheticField:
     """u(x) = x^T Q x / 2 + b.x + c for a symmetric Q."""
     q = np.asarray(q, dtype=float)
@@ -89,10 +85,11 @@ def radial_power_field(dim: int, amplitude, power: float,
     if power < 2:
         raise InputError("radial power must be >= 2")
     amplitude = np.asarray(amplitude, dtype=float)
+    # np.power, not **: float64 ** 2.0 calls pow, so a point would round unlike a stack.
 
     def _grad(x):
         r = np.linalg.norm(x, axis=-1)
-        return (amplitude * power * r ** (power - 2.0))[..., None] * x
+        return (amplitude * power * np.power(r, power - 2.0))[..., None] * x
 
     def _hess(x):
         r = np.linalg.norm(x, axis=-1)
@@ -101,11 +98,11 @@ def radial_power_field(dim: int, amplitude, power: float,
         r4 = np.where(r > 0.0, r, 1.0) ** (power - 4.0)
         return (amplitude * power)[..., None, None] * (
             ((power - 2.0) * r4)[..., None, None] * _outer(x)
-            + (r ** (power - 2.0))[..., None, None] * np.eye(dim))
+            + np.power(r, power - 2.0)[..., None, None] * np.eye(dim))
 
     return SyntheticField(
         dim=dim, family="radial-power",
-        fn_u=lambda x: amplitude * (np.linalg.norm(x, axis=-1) ** power + offset),
+        fn_u=lambda x: amplitude * (np.power(np.linalg.norm(x, axis=-1), power) + offset),
         fn_grad=_grad, fn_hess=_hess,
     )
 
@@ -201,11 +198,6 @@ def finite_difference_consistency(fld: SyntheticField, points) -> float:
     return worst
 
 
-def _s2(h: np.ndarray) -> np.ndarray:
-    tr = _trace(h)
-    return 0.5 * (tr * tr - _trace(h @ h))
-
-
 def euler_identity_gap(fld: SyntheticField, x) -> np.ndarray:
     """Contraction of the S2 cofactor with the Hessian minus twice S2, per point.
 
@@ -214,8 +206,7 @@ def euler_identity_gap(fld: SyntheticField, x) -> np.ndarray:
     point's gap exceeds 1e-10 (1 + |H|_F^2).
     """
     h = fld.hess(x)
-    s2ij = _trace(h)[..., None, None] * np.eye(fld.dim) - h
-    gap = np.sum(s2ij * h, axis=(-2, -1)) - 2.0 * _s2(h)
+    gap = np.sum(cofactor(h) * h, axis=(-2, -1)) - 2.0 * invariants(h)[1]
     tol = 1e-10 * (1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2)
     over = np.abs(gap) > tol
     if np.any(over):
@@ -238,14 +229,13 @@ def levelset_curvature_probe(fld: SyntheticField, x) -> CurvatureProbe:
     if np.any(gnorm < MIN_GRADIENT_NORM):
         raise PreconditionError("probe rejected: too close to a critical point")
     h = fld.hess(x)
-    newton_b = _trace(h)[..., None, None] * h - h @ h
-    lhs = np.einsum("...i,...ij,...j->...", g, newton_b, g)
-    s2 = _s2(h)
+    lhs = np.einsum("...i,...ij,...j->...", g, comatrix(h), g)
+    s2 = invariants(h)[1]
     h2 = (s2 * gnorm ** 2 - lhs) / gnorm ** 3
     # The shape operator is H/|g| on n^perp; with P = I - n (x) n, PHP has its
     # eigenvalues and one more 0, so S2(kappa) = S2(PHP)/|g|^2.
     proj = np.eye(fld.dim) - _outer(g / gnorm[..., None])
-    s2_kappa = _s2(proj @ h @ proj) / gnorm ** 2
+    s2_kappa = invariants(proj @ h @ proj)[1] / gnorm ** 2
     return CurvatureProbe(point=x, grad_norm=gnorm, s2_value=s2, lhs_334=lhs,
                           h2_extracted=h2, s2_kappa_geometric=s2_kappa)
 
@@ -259,8 +249,8 @@ def philippin_safoui_gap(fld: SyntheticField, x) -> np.ndarray:
     """
     g, h = fld.grad(x), fld.hess(x)
     hg = (h @ g[..., None])[..., 0]
-    return (np.sum(g * g, axis=-1) * _s2(h) - np.sum(g * hg, axis=-1) * _trace(h)
-            + np.sum(hg * hg, axis=-1))
+    s1, s2 = invariants(h)
+    return np.sum(g * g, axis=-1) * s2 - np.sum(g * hg, axis=-1) * s1 + np.sum(hg * hg, axis=-1)
 
 
 def transform_hessian(fld: SyntheticField, tr: Transform, x) -> np.ndarray:

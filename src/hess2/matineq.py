@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError, SingularTransformError
-from .symmat import CAMPAIGN_CHUNK, SymmetricMatrix, jacobi_eigh, sample_batch
+from .symmat import CAMPAIGN_CHUNK, SymmetricMatrix, cofactor, comatrix, jacobi_eigh, sample_batch
 
 #: (alpha, beta) probe pairs; unisolvent for {a^3, a^2 b, a b^2, b^3}.
 EXPANSION_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0))
@@ -84,8 +84,7 @@ class TransformEval:
 def _sides(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of the inequality; works on stacks (..., n, n), (..., n)."""
     tra = np.trace(a, axis1=-2, axis2=-1)
-    a2 = a @ a
-    b = tra[..., None, None] * a - a2
+    b = comatrix(a)
     trb = np.trace(b, axis1=-2, axis2=-1)
     trba = np.einsum("...ij,...ji->...", b, a)
     av = np.einsum("...ij,...j->...i", a, v)
@@ -213,13 +212,10 @@ def contraction_scalars(a: SymmetricMatrix, v) -> ContractionScalars:
     if v.shape != (a.dim,):
         raise InputError(f"vector has dimension {v.shape}, expected ({a.dim},)")
     av = full @ v
-    r = float(v @ v)
-    s = float(np.trace(full))
-    q = float(av @ v)
-    t = float(av @ av)
-    s2ij = s * np.eye(a.dim) - full
+    r, s, q, t = float(v @ v), float(np.trace(full)), float(av @ v), float(av @ av)
+    s2ij = cofactor(full)
     proj = np.outer(v, v)
-    comp = r * np.eye(a.dim) - proj
+    comp = cofactor(proj)   # r I - P, as tr P = r
     ap_pa = full @ proj + proj @ full
     checks = [
         (float(np.sum(s2ij * ap_pa)), 2.0 * s * q - 2.0 * t),

@@ -43,7 +43,7 @@ import numpy as np
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize, signed_distance
 from .errors import InputError, SolverError, SourceError
-from .symmat import eigenvalues
+from .symmat import cofactor, eigenvalues, invariants
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -73,24 +73,13 @@ EIGEN_MAX_ITER = 400
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Source f(u) with derivative, positivity and monotonicity metadata."""
+    """Source f(u) with its derivative and whether it is nonincreasing (on u <= 0)."""
 
     preset: str
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     nonincreasing: bool
-    nondecreasing: bool
     params: tuple[float, ...] = ()
-
-    @property
-    def monotonicity(self) -> str:
-        if self.nonincreasing and not self.nondecreasing:
-            return "nonincreasing"
-        if self.nondecreasing and not self.nonincreasing:
-            return "nondecreasing"
-        if self.nonincreasing and self.nondecreasing:
-            return "nonincreasing"  # constant source; consistent with f' = 0
-        return "other"
 
     def label(self) -> str:
         if self.params:
@@ -109,7 +98,7 @@ def constant_source(value: float = 1.0) -> SourceTerm:
     return SourceTerm(preset="const",
                       f=lambda t: np.full_like(np.asarray(t, dtype=float), value),
                       fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                      nonincreasing=True, nondecreasing=True, params=(value,))
+                      nonincreasing=True, params=(value,))
 
 
 def exp_decreasing_source(rate: float = 0.5) -> SourceTerm:
@@ -124,7 +113,7 @@ def exp_decreasing_source(rate: float = 0.5) -> SourceTerm:
     return SourceTerm(preset="exp-dec",
                       f=lambda t: np.exp(-rate * np.asarray(t, dtype=float)),
                       fprime=lambda t: -rate * np.exp(-rate * np.asarray(t, dtype=float)),
-                      nonincreasing=True, nondecreasing=False, params=(rate,))
+                      nonincreasing=True, params=(rate,))
 
 
 def exp_increasing_source(rate: float = 1.0) -> SourceTerm:
@@ -133,7 +122,7 @@ def exp_increasing_source(rate: float = 1.0) -> SourceTerm:
     return SourceTerm(preset="exp-inc",
                       f=lambda t: np.exp(rate * np.asarray(t, dtype=float)),
                       fprime=lambda t: rate * np.exp(rate * np.asarray(t, dtype=float)),
-                      nonincreasing=False, nondecreasing=True, params=(rate,))
+                      nonincreasing=False, params=(rate,))
 
 
 def eigen_source(lam1: float) -> SourceTerm:
@@ -142,7 +131,7 @@ def eigen_source(lam1: float) -> SourceTerm:
     return SourceTerm(preset="eigen",
                       f=lambda t: lam1 * np.asarray(t, dtype=float) ** 2,
                       fprime=lambda t: 2.0 * lam1 * np.asarray(t, dtype=float),
-                      nonincreasing=True, nondecreasing=False, params=(lam1,))
+                      nonincreasing=True, params=(lam1,))
 
 
 def power_source(lam: float, p: float) -> SourceTerm:
@@ -158,8 +147,7 @@ def power_source(lam: float, p: float) -> SourceTerm:
             out = -lam * p * np.abs(tt) ** (p - 1.0)
         return np.where(tt == 0.0, 0.0 if p > 1 else -lam * p, out)
 
-    return SourceTerm(preset="power", f=_f, fprime=_fp,
-                      nonincreasing=True, nondecreasing=False, params=(lam, p))
+    return SourceTerm(preset="power", f=_f, fprime=_fp, nonincreasing=True, params=(lam, p))
 
 
 SOURCE_PRESETS = {
@@ -306,16 +294,20 @@ class RadialProfile:
         return header, {"r": self.r, "u": self.u, "up": self.up}
 
 
+def _radial_invariants(profile: RadialProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node Hessian eigenvalues (u'', u'/r) and the S1, S2 they give."""
+    eigs = profile.hessian_eigenvalues()
+    return (eigs, *invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity))
+
+
 def radial_ode_residual(profile: RadialProfile, f: SourceTerm) -> np.ndarray:
     """Pointwise defect S2(D^2 u) - f(u) on the frame (u'', u'/r); at r = 0 both
     eigenvalues are u''(0), which gives C(N, 2) u''(0)^2."""
-    diag = profile.hessian_eigenvalues()[:, :, None] * np.eye(2)
-    return _invariants(diag, profile.multiplicity)[1] - f.f(profile.u)
+    return _radial_invariants(profile)[2] - f.f(profile.u)
 
 
 def _picard_pass(n_dim, r, h, rhs_vals):
-    # Callers check the result: r^(N-2) underflows to zero at the first nodes in
-    # high dimension, and the integrals overflow on huge balls or sources.
+    # Unchecked: r^(N-2) and the integrals may leave the float range (`_check_pass`).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = cumulative_quartic(rhs_vals, h, power=n_dim - 1)
         up2 = np.zeros_like(r)
@@ -344,12 +336,24 @@ def _subnormal_power(r: np.ndarray, n_dim: int) -> bool:
     return (n_dim - 2) * math.log(r[1]) < math.log(np.finfo(float).tiny)
 
 
+def _check_pass(label: str, n_dim: int, r: np.ndarray, u: np.ndarray) -> None:
+    """Raise unless a Picard pass gave a finite iterate negative inside the ball, naming why."""
+    if not np.all(np.isfinite(u)):
+        what = "a non-finite iterate"
+        cause = (f"r^{n_dim - 2} underflows near the origin" if _subnormal_power(r, n_dim)
+                 else "the Picard integral overflowed")
+    elif np.any(u[:-1] >= 0):
+        what, cause = "an iterate that vanishes inside the ball", "the Picard integral underflowed"
+    else:
+        return
+    raise SolverError(f"{label} produced {what} in dimension {n_dim} ({cause})")
+
+
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
     """The profile with its residual sup, once it passes the checks of a radial solution."""
-    residual = radial_ode_residual(profile, f)
-    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(residual))))
-    u, up, eigs = profile.u, profile.up, profile.hessian_eigenvalues()
-    s1 = _invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity)[0]
+    eigs, s1, s2 = _radial_invariants(profile)
+    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - f.f(profile.u)))))
+    u, up = profile.u, profile.up
     for failed, reason in (
             (abs(u[-1]) > 1e-14 * max(1.0, float(np.max(np.abs(u)))),
              "boundary value failed to vanish"),
@@ -381,11 +385,7 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
-        if not np.all(np.isfinite(u_new)):
-            cause = (f"r^{n_dim - 2} underflows near the origin" if _subnormal_power(r, n_dim)
-                     else "the Picard integral overflowed")
-            raise SolverError(f"radial Picard pass {it} produced a non-finite iterate in "
-                              f"dimension {n_dim} ({cause})")
+        _check_pass(f"radial Picard pass {it}", n_dim, r, u_new)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
         if delta <= PICARD_TOL * max(1.0, float(np.max(np.abs(u)))):
@@ -420,10 +420,12 @@ def solve_eigen_radial(n_dim: int, radius: float,
     lam = math.inf
     for k in range(1, EIGEN_MAX_ITER + 1):
         v, vp = _picard_pass(n_dim, r, h, u**2)
+        _check_pass(f"inverse iteration step {k}", n_dim, r, v)
         s = float(np.max(np.abs(v)))
-        if not np.isfinite(s) or s <= 0:
-            raise SolverError(f"inverse iteration produced a degenerate iterate at step {k}")
-        lam_prev, lam = lam, 1.0 / (s * s)
+        lam_prev, lam = lam, 1.0 / (s * s) if s * s > 0 else math.inf
+        if not 0.0 < lam < math.inf:
+            raise SolverError(f"inverse iteration step {k} produced an eigenvalue 1/s^2 out of "
+                              f"float range in dimension {n_dim} (sup norm s = {s:.3e})")
         delta = abs(lam - lam_prev)
         u = v / s
         if delta <= EIGEN_TOL * max(1.0, lam):
@@ -666,17 +668,19 @@ def _hessian(ops, u) -> np.ndarray:
 
 
 def _newton_jacobian(ops, f, u, hess):
-    """Derivative of det D^2 u - f(u): a cofactor-weighted discrete Laplacian."""
+    """Derivative of S2(D^2 u) - f(u), a cofactor-weighted discrete Laplacian:
+    sum_{i<=j} (2 - delta_ij) B_ij D_ij - f'(u) with B = `cofactor`(H) = S1 I - H."""
     import scipy.sparse as sp
 
-    return (sp.diags(hess[:, 1, 1]) @ ops[0, 0] + sp.diags(hess[:, 0, 0]) @ ops[1, 1]
-            - 2.0 * sp.diags(hess[:, 0, 1]) @ ops[0, 1]
-            - sp.diags(np.asarray(f.fprime(u), dtype=float)))
+    b = cofactor(hess)
+    pairs = itertools.combinations_with_replacement(range(hess.shape[-1]), 2)
+    return sum((sp.diags((2.0 - (i == j)) * b[:, i, j]) @ ops[i, j] for i, j in pairs),
+               -sp.diags(np.asarray(f.fprime(u), dtype=float)))
 
 
 def _inadmissible_nodes(hess) -> int:
     """How many nodes lie off the discrete elliptic branch S1, S2 > 0 (or are not finite)."""
-    s1, s2 = _invariants(hess, (1, 1))
+    s1, s2 = invariants(hess)
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
@@ -746,7 +750,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
 
     def s2_defect(hess, u):
         with np.errstate(over="ignore"):
-            return _invariants(hess, (1, 1))[1] - np.asarray(f.f(u), dtype=float)
+            return invariants(hess)[1] - np.asarray(f.f(u), dtype=float)
 
     residual = s2_defect(hess, u)
     res_sup = float(np.max(np.abs(residual)))
@@ -763,7 +767,6 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
         # Halve the step until the iterate stays on the discrete elliptic
         # branch and the residual actually decreases.
         factor = 1.0
-        accepted = False
         while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
             hess = _hessian(ops, trial)
@@ -772,10 +775,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
                 trial_sup = float(np.max(np.abs(trial_res)))
                 if np.isfinite(trial_sup) and trial_sup <= res_sup * (1.0 - 1e-4 * factor):
                     u, residual, res_sup = trial, trial_res, trial_sup
-                    accepted = True
                     break
             factor *= 0.5
-        if not accepted:
+        else:
             raise SolverError(
                 f"damped Newton stalled at step {it} (residual {res_sup:.3e}): "
                 "admissibility or residual descent unattainable (the problem may "
@@ -800,26 +802,12 @@ class AdmissibilityReport:
     admissible: bool
 
 
-def _invariants(hess: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    """S1 and S2 of the Hessians given by frame blocks H (..., k, k) whose axis i
-    stands for w_i directions of R^N (see `Solution`):
-        S1 = sum_i w_i H_ii,
-        S2 = sum_{i<j} w_i w_j (H_ii H_jj - H_ij^2) + sum_i C(w_i, 2) H_ii^2.
-    """
-    diag = [hess[..., i, i] for i in range(len(w))]
-    s1 = sum(wi * d for wi, d in zip(w, diag))
-    # Left to right, the plane's S2 is uxx*uyy - uxy*uxy bit for bit.
-    s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[..., i, j] ** 2
-             for i, j in itertools.combinations(range(len(w)), 2))
-    return s1, s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
-
-
 def admissibility_report(sol: Solution) -> AdmissibilityReport:
-    """Minimum S1, S2 (`_invariants`) and cofactor-matrix eigenvalue over strictly
-    interior nodes; the cofactor matrix S1 I - H has least eigenvalue
-    S1 - lambda_max(H)."""
+    """Minimum S1, S2 (`invariants` of the frame blocks) and cofactor-matrix
+    eigenvalue over strictly interior nodes; the cofactor matrix S1 I - H has
+    least eigenvalue S1 - lambda_max(H)."""
     hess = sol.hessian()
-    s1, s2 = _invariants(hess, sol.multiplicity)
+    s1, s2 = invariants(hess, sol.multiplicity)
     cof_min = s1 - eigenvalues(hess)[:, -1]
     return AdmissibilityReport(
         min_s1=float(np.min(s1)), min_s2=float(np.min(s2)),

@@ -1,16 +1,18 @@
 """Algebra of small real symmetric matrices.
 
-Spectra, elementary symmetric functions of eigenvalues, the rank-2 cofactor
-matrix, the Newton comatrix tr(A)A - A^2, omitted symmetric functions, and a
-seeded sampler whose semidefinite draws take their eigenbasis from a batched
-Householder QR (`householder_q`).  Every eigendecomposition in the package runs
-here, by LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues` where only
-the eigenvalues are read, and the sampler's own batched call for indefinite
-draws.  Dimensions are capped at 8; everything is dense and deterministic.
+Spectra, elementary symmetric functions, one batched kernel per 2-Hessian
+formula (`invariants`: S1, S2 of frame blocks; `cofactor`: tr(A)I - A;
+`comatrix`: tr(A)A - A^2), omitted symmetric functions, and a seeded sampler
+whose semidefinite draws take their eigenbasis from a batched Householder QR
+(`householder_q`).  Every eigendecomposition in the package runs here, by
+LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues` where only the
+eigenvalues are read, and the sampler's own batched call for indefinite draws.
+Dimensions are capped at 8; everything is dense and deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,8 +75,7 @@ class SymmetricMatrix:
         return a
 
     def trace(self) -> float:
-        idx = np.cumsum([0] + list(range(self.dim, 1, -1)))
-        return float(self.upper[idx].sum())
+        return float(np.trace(self.full()))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.full()))
@@ -195,16 +196,39 @@ def elem_sym(a: SymmetricMatrix, k: int) -> float:
     return primary
 
 
+def invariants(hess: np.ndarray, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """S1 and S2 of the matrices given by frame blocks H (..., k, k) whose axis i
+    stands for w_i directions of R^N (all ones by default, so H is the matrix):
+        S1 = sum_i w_i H_ii,
+        S2 = sum_{i<j} w_i w_j (H_ii H_jj - H_ij^2) + sum_i C(w_i, 2) H_ii^2.
+    """
+    w = (1,) * hess.shape[-1] if w is None else w
+    diag = [hess[..., i, i] for i in range(len(w))]
+    s1 = sum(wi * d for wi, d in zip(w, diag))
+    # Left to right, the plane's S2 is uxx*uyy - uxy*uxy bit for bit.
+    s2 = sum(w[i] * w[j] * diag[i] * diag[j] - w[i] * w[j] * hess[..., i, j] ** 2
+             for i, j in itertools.combinations(range(len(w)), 2))
+    return s1, s2 + sum(math.comb(wi, 2) * d**2 for wi, d in zip(w, diag) if wi > 1)
+
+
+def cofactor(a: np.ndarray) -> np.ndarray:
+    """The S2 cofactor (gradient of S_2 in the entries) tr(a) I - a of a stack (..., n, n)."""
+    return np.trace(a, axis1=-2, axis2=-1)[..., None, None] * np.eye(a.shape[-1]) - a
+
+
+def comatrix(a: np.ndarray) -> np.ndarray:
+    """The Newton comatrix tr(a) a - a^2 of a stack (..., n, n); its trace is 2 S_2(a)."""
+    return np.trace(a, axis1=-2, axis2=-1)[..., None, None] * a - a @ a
+
+
 def cofactor_s2(a: SymmetricMatrix) -> SymmetricMatrix:
     """Gradient of S_2 with respect to the matrix entries: (tr a) I - a."""
-    full = a.full()
-    return SymmetricMatrix.from_full(np.trace(full) * np.eye(a.dim) - full)
+    return SymmetricMatrix.from_full(cofactor(a.full()))
 
 
 def newton_comatrix(a: SymmetricMatrix) -> SymmetricMatrix:
     """The comatrix B = tr(a) a - a^2, whose trace is twice S_2(a)."""
-    full = a.full()
-    return SymmetricMatrix.from_full(np.trace(full) * full - full @ full)
+    return SymmetricMatrix.from_full(comatrix(a.full()))
 
 
 def omitted_sym(spec: Spectrum, k: int, m: int) -> float:

@@ -402,6 +402,33 @@ class TestSolveCommand:
                                "iterate in dimension 3 (the Picard integral overflowed)\n")
         assert printed.err == "" and not caught
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["solve", "--radial", "--radius", "1e-150"],
+         "radial Picard pass 1 produced an iterate that vanishes inside the ball in "
+         "dimension 3 (the Picard integral underflowed)"),
+        (["solve", "--eigen", "--radius", "1e-150"],
+         "inverse iteration step 1 produced an iterate that vanishes inside the ball in "
+         "dimension 3 (the Picard integral underflowed)"),
+        (["solve", "--eigen", "--radius", "1e140"],
+         "inverse iteration step 1 produced a non-finite iterate in dimension 3 "
+         "(the Picard integral overflowed)"),
+        (["solve", "--eigen", "--radius", "1e-100"],
+         "inverse iteration step 1 produced an eigenvalue 1/s^2 out of float range in "
+         "dimension 3 (sup norm s = 2.080e-201)"),
+        (["solve", "--eigen", "--radius", "1e80"],
+         "inverse iteration step 1 produced an eigenvalue 1/s^2 out of float range in "
+         "dimension 3 (sup norm s = 2.080e+159)"),
+    ], ids=["radial-1e-150", "eigen-1e-150", "eigen-1e140", "eigen-1e-100", "eigen-1e80"])
+    def test_out_of_range_picard_pass_names_its_cause(self, tmp_path, capsys, argv, reason):
+        # The grid is representable, but the first pass's integral (or the
+        # eigenvalue read off it) leaves the float range.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == f"solver failure: {reason}\n"
+        assert printed.err == "" and not caught
+
     def test_radial_dimension_106_still_converges(self, tmp_path, capsys):
         assert main(["solve", "--radial", "--dim", "106", "--out", str(tmp_path / "s")]) == 0
 

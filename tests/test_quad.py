@@ -163,7 +163,7 @@ class TestBatchedSimpson:
     def test_negative_source_rejected(self):
         neg = SourceTerm(preset="neg", f=lambda t: np.asarray(t, dtype=float) - 1.0,
                          fprime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                         nonincreasing=False, nondecreasing=True)
+                         nonincreasing=False)
         with pytest.raises(InputError, match="nonnegative"):
             source_integral(neg, 1.0, np.array([-0.5, -0.2, 0.0]))
 

@@ -12,10 +12,13 @@ from hess2.symmat import (
     CAMPAIGN_CHUNK,
     SymmetricMatrix,
     Spectrum,
+    cofactor,
     cofactor_s2,
+    comatrix,
     elem_sym,
     elem_sym_from_eigenvalues,
     householder_q,
+    invariants,
     jacobi_eigh,
     newton_comatrix,
     omitted_sym,
@@ -257,6 +260,60 @@ class TestNewtonComatrix:
             assert abs(b.trace() - 2.0 * s2) <= 1e-10 * scale
             tr_ba = float(np.trace(b.full() @ a.full()))
             assert abs(2.0 * tr_ba + 6.0 * s3 - b.trace() * a.trace()) <= 1e-10 * scale
+
+
+def _random_stack(rng, dim, count=50):
+    g = rng.standard_normal((count, dim, dim)) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
+    return 0.5 * (g + g.transpose(0, 2, 1))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_s2_matches_elem_sym(self, dim):
+        a = _random_stack(np.random.default_rng([31, dim]), dim)
+        s1, s2 = invariants(a)
+        for k, m in enumerate(a):
+            sym = SymmetricMatrix.from_full(m)
+            scale = max(1.0, sym.norm() ** 2)
+            assert abs(s2[k] - elem_sym(sym, 2)) <= 1e-12 * scale
+            assert abs(s1[k] - elem_sym(sym, 1)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_comatrix_trace_and_cofactor_contraction_are_twice_s2(self, dim):
+        a = _random_stack(np.random.default_rng([37, dim]), dim)
+        s2 = invariants(a)[1]
+        scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)) ** 2)
+        np.testing.assert_array_less(
+            np.abs(np.trace(comatrix(a), axis1=-2, axis2=-1) - 2.0 * s2), 1e-12 * scale)
+        np.testing.assert_array_less(
+            np.abs(np.sum(cofactor(a) * a, axis=(-2, -1)) - 2.0 * s2), 1e-12 * scale)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_frame_blocks_match_the_expanded_diagonal(self, dim):
+        # Axis i of a diagonal frame block stands for w_i equal eigenvalues: the
+        # radial split (1, N-1) and a random split of N.
+        rng = np.random.default_rng([41, dim])
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(1, dim)),
+                                  replace=False))
+        for w in ((1, dim - 1), tuple(np.diff(np.concatenate([[0], cuts, [dim]])))):
+            d = rng.standard_normal((50, len(w)))
+            s1, s2 = invariants(d[:, :, None] * np.eye(len(w)), w)
+            e1, e2 = invariants(np.repeat(d, w, axis=1)[:, :, None] * np.eye(dim))
+            np.testing.assert_allclose(s1, e1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s2, e2, rtol=1e-12, atol=1e-12)
+
+    def test_default_multiplicities_are_ones(self):
+        a = _random_stack(np.random.default_rng(43), 4)
+        for got, expect in zip(invariants(a), invariants(a, (1, 1, 1, 1))):
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_wrappers_return_the_kernels_bits(self, dim):
+        iu = np.triu_indices(dim)
+        for m in _random_stack(np.random.default_rng([47, dim]), dim, count=10):
+            a = SymmetricMatrix.from_full(m)
+            np.testing.assert_array_equal(cofactor_s2(a).upper, cofactor(a.full())[iu])
+            np.testing.assert_array_equal(newton_comatrix(a).upper, comatrix(a.full())[iu])
 
 
 class TestOmittedSym:
