@@ -16,6 +16,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import shutil
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,6 +38,10 @@ if TYPE_CHECKING:   # the commands import these when they run
     from . import domain, solver
 
 REPORT_SCHEMA = 1
+RECORD_HEADER = "seed,dim,sign,index,lhs,rhs,residual_direct,residual_closed,scale\n"
+#: The shortest records row: one-digit seed, dim and index, an eight-letter
+#: sign, five values as short as "0.0", eight commas and the newline.
+RECORD_MIN_BYTES = 35
 MODES = ("radial", "grid2d", "eigen")
 #: The problem options each mode reads.  `verify --app 2` solves in eigen mode,
 #: and `verify --app 3` reads p and lam instead of f.
@@ -106,9 +111,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: bool = False) -> None:
+def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: int | None = None) -> None:
     """One line per row of the equal-length float `columns`: `lead`, then the row's
-    values as repr(float) joined by `sep`, after the row number when `index` is set.
+    values as repr(float) joined by `sep`, after the row number when `index`, the
+    number of the first row, is given.
 
     Rows are converted CAMPAIGN_CHUNK at a time, so the Python floats of a long
     table never exist all at once.
@@ -116,8 +122,8 @@ def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: bool = False
     chunk, n = symmat.CAMPAIGN_CHUNK, len(columns[0])
     for start in range(0, n, chunk):
         parts = [map(repr, c[start:start + chunk].tolist()) for c in columns]
-        if index:
-            parts.insert(0, map(repr, range(start, n)))   # zip stops at the chunk
+        if index is not None:   # zip stops at the chunk
+            parts.insert(0, map(repr, range(index + start, index + n)))
         fh.write("".join([lead + sep.join(row) + "\n" for row in zip(*parts)]))
 
 
@@ -192,15 +198,49 @@ def parse_domain(text: str) -> domain.DomainSpec:
 # ineq
 # ----------------------------------------------------------------------
 
+def _check_records_space(out: Path, count: int, dims: tuple) -> None:
+    """Rejects a campaign whose records cannot fit on the file system of `out`,
+    counting each row at its shortest, before any output exists."""
+    need = RECORD_MIN_BYTES * count * len(dims)
+    base = next(p for p in (out, *out.parents) if p.exists())
+    free = shutil.disk_usage(base).free
+    if need > free:
+        raise InputError(f"count {count} needs at least {need} bytes of records in "
+                         f"{len(dims)} dimension(s), but {base} has {free} bytes free; "
+                         f"lower --count or pass --no-records")
+
+
 def cmd_ineq(args) -> int:
     from . import matineq
 
     dims = parse_dims(args.dims)
     _check_seed(args.seed)
-    result = matineq.inequality_campaign(args.seed, dims, args.count, args.sign,
-                                         scale=args.scale,
-                                         keep_records=args.records)
     out = Path(args.out)
+    if args.records:
+        _check_records_space(out, args.count, dims)
+    # The outermost directory this run creates; a failed run removes it again.
+    created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
+    written = []
+
+    def write_records(dim, first, columns):
+        path = out / f"records_dim{dim}.csv"
+        if first == 0:
+            out.mkdir(parents=True, exist_ok=True)
+            written.append(path)
+            path.write_text(RECORD_HEADER)
+        with path.open("a") as fh:
+            _write_rows(fh, columns, f"{args.seed},{dim},{args.sign},", ",", index=first)
+
+    try:
+        result = matineq.inequality_campaign(
+            args.seed, dims, args.count, args.sign, scale=args.scale,
+            records=write_records if args.records else None)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     out.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema": REPORT_SCHEMA,
@@ -225,13 +265,6 @@ def cmd_ineq(args) -> int:
         },
     }
     _write_json(out / "summary.json", summary)
-    if args.records:
-        for dim, table in sorted(result.records.items()):
-            path = out / f"records_dim{dim}.csv"
-            with path.open("w") as fh:
-                fh.write("seed,dim,sign,index,lhs,rhs,residual_direct,"
-                         "residual_closed,scale\n")
-                _write_rows(fh, table.T, f"{args.seed},{dim},{args.sign},", ",", index=True)
     for s in result.summaries:
         status = "ok" if s.ok else "FAIL"
         print(f"dim {s.dim}: min {s.min_residual_over_scale:+.3e} "
@@ -269,10 +302,10 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
 
 
 def _solution_summary(sol: solver.Solution, f, extras) -> dict:
-    from . import analysis, solver
+    from . import solver
 
     report = solver.admissibility_report(sol)
-    _, grads = analysis.boundary_gradient_samples(sol)
+    _, grads = sol.boundary_samples()
     body = sol.summary_fields()
     body.update(u_min=sol.u_min, boundary_gradient_min=float(np.min(grads)),
                 boundary_gradient_max=float(np.max(grads)))

@@ -229,13 +229,16 @@ def levelset_curvature_probe(fld: SyntheticField, x) -> CurvatureProbe:
     if np.any(gnorm < MIN_GRADIENT_NORM):
         raise PreconditionError("probe rejected: too close to a critical point")
     h = fld.hess(x)
-    lhs = np.einsum("...i,...ij,...j->...", g, comatrix(h), g)
+    # Products and last-axis sums, not einsum, and np.power, not ** (which calls
+    # pow on the float64 scalar |g| of one point): a point rounds as its stack row.
+    lhs = np.sum(np.sum(comatrix(h) * g[..., None, :], axis=-1) * g, axis=-1)
     s2 = invariants(h)[1]
-    h2 = (s2 * gnorm ** 2 - lhs) / gnorm ** 3
+    gnorm2 = np.power(gnorm, 2)
+    h2 = (s2 * gnorm2 - lhs) / np.power(gnorm, 3)
     # The shape operator is H/|g| on n^perp; with P = I - n (x) n, PHP has its
     # eigenvalues and one more 0, so S2(kappa) = S2(PHP)/|g|^2.
     proj = np.eye(fld.dim) - _outer(g / gnorm[..., None])
-    s2_kappa = invariants(proj @ h @ proj)[1] / gnorm ** 2
+    s2_kappa = invariants(proj @ h @ proj)[1] / gnorm2
     return CurvatureProbe(point=x, grad_norm=gnorm, s2_value=s2, lhs_334=lhs,
                           h2_extracted=h2, s2_kappa_geometric=s2_kappa)
 

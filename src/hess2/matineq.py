@@ -321,12 +321,11 @@ class DimCampaignSummary:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Inequality campaign outcome with per-sample record arrays."""
+    """Inequality campaign outcome, one summary per dimension."""
 
     seed: int
     sign: str
     summaries: tuple[DimCampaignSummary, ...]
-    records: dict[int, np.ndarray]  # dim -> structured columns (lhs, rhs, rd, rc, scale)
 
     @property
     def ok(self) -> bool:
@@ -341,13 +340,16 @@ def _campaign_residuals(a: np.ndarray, v: np.ndarray, lam: np.ndarray, w: np.nda
 
 
 def inequality_campaign(seed: int, dims, count: int, sign: str,
-                        scale: float = 1.0, keep_records: bool = True) -> CampaignResult:
+                        scale: float = 1.0, records=None) -> CampaignResult:
     """Run the comatrix inequality over seeded samples for each dimension.
 
     Each dimension streams samples 0..count-1 in chunks of CAMPAIGN_CHUNK
-    through sample_batch, so memory does not grow with count (apart from the
-    records table) and the records of a smaller count are a prefix of those
-    of a larger one.  The direct residual sees only the matrices and probes;
+    through sample_batch, so memory does not grow with count, and the records
+    of a smaller count are a prefix of those of a larger one.  When given,
+    records(dim, first, columns) receives each chunk's columns (lhs, rhs,
+    residual_direct, residual_closed, scale) for samples first, first + 1, ...
+    in index order, once the chunk's values are known to be finite.  The
+    direct residual sees only the matrices and probes;
     the closed one sees only the spectra and rotated probes that sample_batch
     returns: the generator's own spectrum for semidefinite draws,
     np.linalg.eigh for indefinite ones.  Tolerances: residual sign 1e-9 per
@@ -359,20 +361,13 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
     CampaignWitness.  Raises InputError when `scale` is so large that a
     residual or its scale 1 + |A|_F^3 |v|^2 overflows, or so small that
     |A|_F^3 |v|^2 is below the smallest normal float in every sample of a
-    dimension that draws a nonzero matrix: its checks would read underflow;
-    and when the records table of `count` rows cannot be allocated.
+    dimension that draws a nonzero matrix: its checks would read underflow.
+    Either may be raised after records has received some chunks.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     summaries = []
-    records: dict[int, np.ndarray] = {}
     for dim in dims:
-        try:
-            table = np.empty((count, 5)) if keep_records else None
-        except (MemoryError, ValueError):   # ValueError: beyond numpy's array size
-            raise InputError(f"count {count} needs a records table of {count} x 5 "
-                             f"floats, which cannot be allocated; lower --count or "
-                             f"pass --no-records") from None
         lo, hi, disc_max, ok = np.inf, -np.inf, 0.0, True
         all_tiny, any_nonzero = True, False
         worst, witness = -np.inf, None
@@ -406,18 +401,15 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
                 witness = CampaignWitness(
                     index=first + i, matrix=a[i].copy(), probe=v[i].copy(),
                     residual_direct=float(direct[i]), residual_closed=float(closed[i]))
-            if table is not None:
-                table[first:first + len(a)] = np.column_stack([lhs, rhs, direct, closed, scl])
+            if records is not None:
+                records(dim, first, (lhs, rhs, direct, closed, scl))
         if all_tiny and any_nonzero:
             raise InputError(f"scale {scale:g} underflows |A|_F^3 |v|^2 in every sample "
                              f"of dim {dim}, so every residual check would pass vacuously")
         summaries.append(DimCampaignSummary(
             dim=dim, count=count, min_residual_over_scale=lo, max_residual_over_scale=hi,
             max_discrepancy_over_scale=disc_max, ok=ok, witness=witness))
-        if table is not None:
-            records[dim] = table
-    return CampaignResult(seed=seed, sign=sign, summaries=tuple(summaries),
-                          records=records)
+    return CampaignResult(seed=seed, sign=sign, summaries=tuple(summaries))
 
 
 def factorization_campaign(seed: int, count: int):

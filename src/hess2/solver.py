@@ -349,6 +349,14 @@ def _check_pass(label: str, n_dim: int, r: np.ndarray, u: np.ndarray) -> None:
     raise SolverError(f"{label} produced {what} in dimension {n_dim} ({cause})")
 
 
+def _subnormal_integral(profile: RadialProfile, f: SourceTerm) -> bool:
+    """Whether the Picard integral of f(u) s^(N-1) up to the first node r_1 is
+    below the smallest normal float."""
+    h = profile.radius / (len(profile.r) - 1)
+    g = cumulative_quartic(np.maximum(f.f(profile.u), 0.0), h, power=profile.dim - 1)
+    return g[1] < np.finfo(float).tiny
+
+
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
     """The profile with its residual sup, once it passes the checks of a radial solution."""
     eigs, s1, s2 = _radial_invariants(profile)
@@ -363,10 +371,13 @@ def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
             (np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))),
              "trace of the Hessian left the admissible cone")):
         if failed:
-            # A subnormal r^(N-2) at the first nodes keeps the passes finite but
-            # costs them their precision there.
+            # A subnormal r^(N-2) at the first nodes, or a subnormal Picard
+            # integral, keeps the passes finite but costs them their precision.
             if _subnormal_power(profile.r, profile.dim):
                 reason += (f" in dimension {profile.dim} (r^{profile.dim - 2} is subnormal "
+                           "near the origin)")
+            elif _subnormal_integral(profile, f):
+                reason += (f" in dimension {profile.dim} (the Picard integral is subnormal "
                            "near the origin)")
             raise SolverError(reason)
     return profile

@@ -57,7 +57,7 @@ class TestGate01PositiveCampaign:
     def test_positive_semidefinite_campaign(self):
         start = time.time()
         result = inequality_campaign(seed=42, dims=range(2, 9), count=100_000,
-                                     sign="positive", keep_records=False)
+                                     sign="positive")
         elapsed = time.time() - start
         worst_min = min(s.min_residual_over_scale for s in result.summaries)
         worst_disc = max(s.max_discrepancy_over_scale for s in result.summaries)
@@ -71,7 +71,7 @@ class TestGate01PositiveCampaign:
 class TestGate02DimensionThreeIdentity:
     def test_identity_for_indefinite_matrices(self):
         result = inequality_campaign(seed=7, dims=(3,), count=100_000,
-                                     sign="indefinite", keep_records=False)
+                                     sign="indefinite")
         s = result.summaries[0]
         worst = max(abs(s.min_residual_over_scale), abs(s.max_residual_over_scale))
         _gate("G02 dimension-3 identity", worst <= 1e-10,
@@ -81,7 +81,7 @@ class TestGate02DimensionThreeIdentity:
 class TestGate03NegativeCampaign:
     def test_negative_semidefinite_campaign(self):
         result = inequality_campaign(seed=42, dims=range(2, 9), count=100_000,
-                                     sign="negative", keep_records=False)
+                                     sign="negative")
         worst_max = max(s.max_residual_over_scale for s in result.summaries)
         worst_disc = max(s.max_discrepancy_over_scale for s in result.summaries)
         _gate("G03 nsd reversed campaign",

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -370,6 +371,23 @@ class TestSolveCommand:
                                "the origin)\n")
         assert printed.err == "" and not caught
 
+    @pytest.mark.parametrize("dim, radius", [(3, "1e-105"), (3, "1e-106"), (5, "1e-62"),
+                                             (5, "1e-64"), (8, "1e-38")])
+    def test_radial_subnormal_integral_names_its_cause(self, tmp_path, capsys, dim, radius):
+        # The Picard integral of f s^(N-1) is subnormal at the first nodes (for
+        # N = 3 and radius 1e-105 it is 3e-316 at the rim): the passes stay
+        # finite and negative, but the profile leaves the cone.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--radial", "--dim", str(dim), "--radius", radius,
+                         "--out", str(tmp_path / "s")])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert printed.out == ("solver failure: trace of the Hessian left the admissible "
+                               f"cone in dimension {dim} (the Picard integral is subnormal "
+                               "near the origin)\n")
+        assert printed.err == "" and not caught
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--radial", "--radius", "1e200"],
         ["solve", "--eigen", "--radius", "1e200"],
@@ -660,14 +678,62 @@ class TestCampaignStream:
                                          block["max_residual_over_scale"])
 
     @pytest.mark.parametrize("count", ["1000000000000000", "10000000000000000000"],
-                             ids=["memory", "beyond-int64"])
-    def test_unallocatable_records_table_exits_two(self, tmp_path, capsys, count):
+                             ids=["petabytes", "beyond-int64"])
+    def test_records_beyond_free_space_exit_two(self, tmp_path, capsys, count):
         assert main(["ineq", "--dims", "2", "--count", count,
                      "--out", str(tmp_path / "huge")]) == 2
         printed = capsys.readouterr()
         assert printed.out.startswith("input error: count ") and "--count" in printed.out
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "huge").exists()
+
+    def test_free_space_check_counts_shortest_rows(self, tmp_path, capsys, monkeypatch):
+        # 100 rows in each of 2 dimensions need at least 7000 bytes; records
+        # off, the same campaign needs no space.
+        for free, code in ((6999, 2), (7000, 0)):
+            usage = shutil.disk_usage(tmp_path)._replace(free=free)
+            monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: usage)
+            assert main(["ineq", "--dims", "2,3", "--count", "100",
+                         "--out", str(tmp_path / str(free))]) == code
+            assert (tmp_path / str(free)).exists() == (code == 0)
+        assert "needs at least 7000 bytes" in capsys.readouterr().out
+        assert main(["ineq", "--dims", "2,3", "--count", "100", "--no-records",
+                     "--out", str(tmp_path / "off")]) == 0
+
+    def test_failure_after_written_chunks_leaves_no_output(self, tmp_path, capsys):
+        # The underflow is found once a dimension's last chunk is in, so a
+        # records file has been written when the campaign raises.
+        argv = ["ineq", "--dims", "2", "--count", "3000", "--scale", "1e-200"]
+        assert main([*argv, "--out", str(tmp_path / "a" / "b")]) == 2
+        assert not (tmp_path / "a").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        assert main([*argv, "--out", str(kept)]) == 2
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert capsys.readouterr().out.count("input error: scale 1e-200 underflows") == 2
+
+    def test_memory_stays_flat_in_count_with_records(self, tmp_path):
+        # The records of 300000 samples would take 12 MB as a table; streamed,
+        # the peak stays near that of 3000 samples.
+        # VmHWM, not ru_maxrss: Linux carries the spawning process's peak into
+        # ru_maxrss across exec, so the test runner's own size would hide the child's.
+        code = textwrap.dedent("""
+            import re, sys
+            from pathlib import Path
+            import hess2.cli
+
+            assert hess2.cli.main(sys.argv[1:]) == 0
+            print(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1])
+        """)
+        peaks = []
+        for count in ("3000", "300000"):
+            done = _run_python(code, "ineq", "--dims", "2", "--count", count,
+                               "--sign", "negative", "--out", str(tmp_path / count))
+            assert len((tmp_path / count / "records_dim2.csv").read_bytes().splitlines()) \
+                == int(count) + 1
+            peaks.append(int(done.stdout.splitlines()[-1]) / 1024)
+        assert abs(peaks[1] - peaks[0]) < 6.0, peaks
 
 
 def _run_python(code, *args):
@@ -723,7 +789,8 @@ class TestStartup:
     @pytest.mark.parametrize("argv, absent", [
         (["ineq", "--no-records", "--count", "10"],
          ["hess2.solver", "hess2.analysis", "hess2.domain", "hess2.fields", "scipy"]),
-        (["solve", "--radial"], ["hess2.matineq", "hess2.fields", "scipy"]),
+        (["solve", "--radial"],
+         ["hess2.matineq", "hess2.fields", "hess2.analysis", "hess2.transforms", "scipy"]),
         (["verify", "--app", "1", "--radial"], ["hess2.matineq", "hess2.fields", "scipy"]),
         (["identity-scan", "--count", "10"],
          ["hess2.solver", "hess2.analysis", "hess2.domain", "scipy"]),
@@ -758,7 +825,7 @@ class TestRowWriter:
         columns = self._columns(rows, 5, rows)
         path = tmp_path / "records.csv"
         with path.open("w") as fh:
-            cli._write_rows(fh, np.column_stack(columns).T, "42,3,positive,", ",", index=True)
+            cli._write_rows(fh, np.column_stack(columns).T, "42,3,positive,", ",", index=0)
         expect = "".join("42,3,positive," + f"{i}," + ",".join(repr(float(c[i])) for c in columns)
                          + "\n" for i in range(rows))
         assert path.read_text() == expect
@@ -776,7 +843,7 @@ class TestRowWriter:
     def test_one_row_of_every_special_value(self, tmp_path):
         path = tmp_path / "row.dat"
         with path.open("w") as fh:
-            cli._write_rows(fh, [np.array([v]) for v in self.SPECIAL], "# ", ",", index=True)
+            cli._write_rows(fh, [np.array([v]) for v in self.SPECIAL], "# ", ",", index=0)
         assert path.read_text() == ("# 0," + ",".join(repr(float(v)) for v in self.SPECIAL)
                                     + "\n")
         assert path.read_text().startswith("# 0,nan,inf,-inf,-0.0,0.0,5e-324,1e+16,1e-05,3.0,")

@@ -85,6 +85,23 @@ class TestStacks:
                          "s2_kappa_geometric"):
                 assert getattr(probe, name)[k] == pytest.approx(getattr(one, name), rel=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_probe_point_matches_its_stack_row(self, dim):
+        # Bit for bit: a one-point probe works on float64 scalars, a stack on arrays.
+        amps = np.random.default_rng(dim).uniform(0.1, 1.0, size=60)
+        pts = sample_points_in_ball(seed=20 + dim, dim=dim, count=60, radius=1.2,
+                                    min_radius=0.2)
+        fields = [(fld, lambda k, fld=fld: fld) for fld in standard_menagerie(dim)]
+        fields.append((ball_quadratic_field(dim, amps),
+                       lambda k: ball_quadratic_field(dim, amps[k])))
+        for stacked, one_field in fields:
+            probe = levelset_curvature_probe(stacked, pts)
+            for k, x in enumerate(pts):
+                one = levelset_curvature_probe(one_field(k), x)
+                for name in ("grad_norm", "s2_value", "lhs_334", "h2_extracted",
+                             "s2_kappa_geometric"):
+                    assert getattr(probe, name)[k] == getattr(one, name), (name, k)
+
     def test_probe_stack_with_a_critical_point(self):
         fld = ball_quadratic_field(3, 1.0)
         pts = sample_points_in_ball(seed=5, dim=3, count=10, radius=1.0, min_radius=0.2)

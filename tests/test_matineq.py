@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hess2 import matineq
+from hess2 import matineq, symmat
 from hess2.errors import InputError, PreconditionError, SingularTransformError
 from hess2.matineq import (
     TransformEval,
@@ -295,8 +295,19 @@ class TestCampaigns:
         assert max(abs(s.min_residual_over_scale), abs(s.max_residual_over_scale)) <= 1e-10
 
     def test_records_shape(self):
-        result = inequality_campaign(seed=1, dims=(4,), count=100, sign="positive")
-        assert result.records[4].shape == (100, 5)
+        chunks = []
+        count = symmat.CAMPAIGN_CHUNK + 100
+        result = inequality_campaign(seed=1, dims=(4, 6), count=count, sign="positive",
+                                     records=lambda *chunk: chunks.append(chunk))
+        assert result.ok
+        # Each dimension's chunks arrive in index order and cover every sample once.
+        assert [(dim, first) for dim, first, _ in chunks] == [
+            (4, 0), (4, symmat.CAMPAIGN_CHUNK), (6, 0), (6, symmat.CAMPAIGN_CHUNK)]
+        for dim, first, columns in chunks:
+            assert len(columns) == 5
+            assert {len(c) for c in columns} == {min(symmat.CAMPAIGN_CHUNK, count - first)}
+            lhs, rhs, direct, closed, scale = columns
+            assert np.array_equal(direct, rhs - lhs) and np.all(scale >= 1.0)
 
     def test_count_guard(self):
         with pytest.raises(InputError):
