@@ -12,7 +12,9 @@ Exit codes: 0 all checks passed, 1 numerical or invariant failure,
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
@@ -621,6 +623,12 @@ def _check_typed(args, typed: list) -> None:
 
 
 def main(argv=None) -> int:
+    # At interpreter exit, move every live object to the permanent generation
+    # first, so the shutdown collections skip them.  Walking the numpy and scipy
+    # heap cost 22 ms of a radial call and 56 ms of a planar one; frozen, 6 and
+    # 14 ms.  An in-process caller keeps a normal heap until it exits.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv
     k = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     try:

@@ -392,7 +392,12 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
     u = 0.5 * (r**2 - radius**2)
     delta = math.inf
     for it in range(1, PICARD_MAX_ITER + 1):
-        vals = np.asarray(f.f(u), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f.f(u), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise SolverError(f"radial Picard pass {it} overflowed the source in dimension "
+                              f"{n_dim} (f = {f.label()} is not finite at u_min = "
+                              f"{float(np.min(u)):.3e})")
         if np.any(vals < -1e-14):
             raise SourceError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
@@ -574,8 +579,10 @@ def spsolve(a: sp.spmatrix, b: np.ndarray, order: np.ndarray, lu):
     if lu is not None:
         from scipy.sparse.linalg import LinearOperator, gmres
 
-        x, info = gmres(a, b, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-                        M=LinearOperator(a.shape, matvec=lu))
+        # Huge residuals overflow GMRES's norms; the caller rejects a non-finite step.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, info = gmres(a, b, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                            maxiter=GMRES_CYCLES, M=LinearOperator(a.shape, matvec=lu))
         if info == 0:
             return x, lu
     lu = factorized(a, order)

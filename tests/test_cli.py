@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -421,6 +422,31 @@ class TestSolveCommand:
         assert printed.err == "" and not caught
 
     @pytest.mark.parametrize("argv, reason", [
+        (["solve", "--radial", "--f", "exp-dec:20"],
+         r"radial Picard pass 3 overflowed the source in dimension 3 \(f = exp-dec:20 "),
+        (["solve", "--radial", "--f", "exp-dec:50"],
+         r"radial Picard pass 2 overflowed the source in dimension 3 \(f = exp-dec:50 "),
+        (["solve", "--radial", "--f", "exp-dec:1000"],
+         r"radial Picard pass 2 overflowed the source in dimension 3 \(f = exp-dec:1000 "),
+        (["solve", "--radial", "--dim", "8", "--f", "exp-dec:30"],
+         r"radial Picard pass 2 overflowed the source in dimension 8 \(f = exp-dec:30 "),
+        (["verify", "--app", "3", "--p", "0.5", "--lam", "1e300"],
+         r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
+        (["solve", "--grid2d", "--f", "const:1e300", "--h", "0.0625"],
+         r"damped Newton stalled at step 2 \(residual "),
+    ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
+            "grid-const-1e300"])
+    def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
+        # A fresh process, as the console script runs: pytest's warning filter
+        # cannot hide a RuntimeWarning printed to stderr there.
+        code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
+        done = _run_python(code, *argv, "--out", str(tmp_path / "out"), check=False)
+        assert done.returncode == 3
+        assert done.stdout.count("\n") == 1
+        assert re.match(f"solver failure: {reason}", done.stdout), done.stdout
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize("argv, reason", [
         (["solve", "--radial", "--radius", "1e-150"],
          "radial Picard pass 1 produced an iterate that vanishes inside the ball in "
          "dimension 3 (the Picard integral underflowed)"),
@@ -736,15 +762,38 @@ class TestCampaignStream:
         assert abs(peaks[1] - peaks[0]) < 6.0, peaks
 
 
-def _run_python(code, *args):
+def _run_python(code, *args, check=True):
     """Run `python -c code args` in a fresh interpreter that imports this hess2."""
     src = str(Path(hess2.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=check)
 
 
 class TestStartup:
+    def test_heap_is_frozen_at_process_exit(self, tmp_path):
+        # Registered before the commands run, this handler runs after the CLI's
+        # own (atexit handlers run last in, first out), and sees the frozen heap.
+        code = textwrap.dedent("""
+            import atexit, gc, sys
+            import hess2.cli
+
+            atexit.register(lambda: print(f"frozen {gc.get_freeze_count() > 0}"))
+            print(gc.get_freeze_count())
+            for k, argv in enumerate((["solve", "--radial"], ["ineq", "--count", "10"])):
+                assert hess2.cli.main([*argv, "--out", f"{sys.argv[1]}/{k}"]) == 0
+            print(gc.get_freeze_count())
+        """)
+        lines = _run_python(code, str(tmp_path)).stdout.splitlines()
+        assert lines[0] == "0" and lines[-2] == "0"
+        assert lines[-1] == "frozen True"
+
+    def test_in_process_calls_keep_a_normal_heap(self, tmp_path, capsys):
+        enabled = gc.isenabled()
+        assert main(["solve", "--radial", "--out", str(tmp_path / "s")]) == 0
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == enabled
+
     def test_cli_import_skips_unused_scipy_subpackages(self):
         # Every CLI call pays for what `import hess2.cli` loads; none of these
         # subpackages is used by the toolkit.
