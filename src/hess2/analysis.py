@@ -24,7 +24,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from .errors import InputError, SolverError
 from .solver import MINIMUM_CLUSTER_STEPS, Solution, SourceTerm
-from .symmat import eigenvalues, elem_sym_from_eigenvalues, jacobi_eigh
+from .symmat import eigenvalues, invariants, jacobi_eigh
 from .transforms import (
     ConvexityReport,
     Transform,
@@ -244,7 +244,8 @@ def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
     Near-minimal nodes spread over more than MINIMUM_CLUSTER_STEPS grid steps
     are separated minima, and raise SolverError.  The spectrum is that of the
     full N x N Hessian: the frame block's eigenvalues, and H_ii once more for
-    each further direction that axis i stands for.
+    each further direction that axis i stands for.  S2 comes from the frame
+    block and its multiplicities by `symmat.invariants`.
     """
     k = int(np.argmin(sol.u))
     pts = sol.positions.reshape(sol.u.size, -1)
@@ -254,15 +255,15 @@ def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
         if spread > MINIMUM_CLUSTER_STEPS * sol.h_eff:
             raise SolverError("multiple separated minima; critical point not unique")
     hess = sol.hessian()[np.count_nonzero(sol.interior[:k])]
-    spectrum = np.sort(np.concatenate([jacobi_eigh(hess)[0], np.repeat(
+    lam = np.sort(np.concatenate([jacobi_eigh(hess)[0], np.repeat(
         np.diagonal(hess), np.subtract(sol.multiplicity, 1))]))
     f_val = float(np.asarray(f.f(sol.u_min)))
     if f_val <= 0:
         raise InputError("source must be positive at the solution minimum")
     return CriticalPointReport(
         location=np.atleast_1d(sol.positions[k]),
-        hessian_spectrum=spectrum,
-        max_ratio=float(np.max(spectrum)) / math.sqrt(f_val),
-        binom_bound=math.comb(len(spectrum), 2) ** -0.5,
-        s2_value=elem_sym_from_eigenvalues(spectrum, 2), f_value=f_val,
-        spectrum_positive=bool(np.min(spectrum) > 0))
+        hessian_spectrum=lam,
+        max_ratio=float(np.max(lam)) / math.sqrt(f_val),
+        binom_bound=math.comb(len(lam), 2) ** -0.5,
+        s2_value=float(invariants(hess, sol.multiplicity)[1]), f_value=f_val,
+        spectrum_positive=bool(np.min(lam) > 0))

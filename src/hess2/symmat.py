@@ -1,20 +1,20 @@
-"""Algebra of small real symmetric matrices.
+"""Algebra of small real symmetric matrices, on plain arrays: one matrix
+(n, n) or a stack (..., n, n).
 
-Spectra, elementary symmetric functions, one batched kernel per 2-Hessian
-formula (`invariants`: S1, S2 of frame blocks; `cofactor`: tr(A)I - A;
-`comatrix`: tr(A)A - A^2), omitted symmetric functions, and a seeded sampler
-whose semidefinite draws take their eigenbasis from a batched Householder QR
-(`householder_q`).  Every eigendecomposition in the package runs here, by
-LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues` where only the
-eigenvalues are read, and the sampler's own batched call for indefinite draws.
-Dimensions are capped at 8; everything is dense and deterministic.
+One batched kernel per 2-Hessian formula (`invariants`: S1, S2 of frame
+blocks; `cofactor`: tr(A)I - A; `comatrix`: tr(A)A - A^2), `square_matrix`
+(the input check of the one-matrix entry points in `matineq`), and a seeded
+sampler whose semidefinite draws take their eigenbasis from a batched
+Householder QR (`householder_q`).  Every eigendecomposition in the package
+runs here, by LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues`
+where only the eigenvalues are read, and the sampler's own batched call for
+indefinite draws.  Dimensions are capped at 8; everything is dense and
+deterministic.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,81 +31,19 @@ ZERO_EIGENVALUE_PROB = 0.2
 CAMPAIGN_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix stored as its row-major upper triangle."""
-
-    dim: int
-    upper: np.ndarray  # packed upper triangle, length dim*(dim+1)//2
-
-    def __post_init__(self):
-        if not (2 <= self.dim <= MAX_DIM):
-            raise InputError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
-        upper = np.asarray(self.upper, dtype=float)
-        if upper.shape != (self.dim * (self.dim + 1) // 2,):
-            raise InputError("packed upper triangle has wrong length")
-        if not np.all(np.isfinite(upper)):
-            raise InputError("matrix entries must be finite")
-        object.__setattr__(self, "upper", upper)
-
-    @classmethod
-    def from_full(cls, a) -> "SymmetricMatrix":
-        """Build from a square array; only the upper triangle is read."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("expected a square matrix")
-        n = a.shape[0]
-        iu = np.triu_indices(n)
-        return cls(dim=n, upper=a[iu].copy())
-
-    @classmethod
-    def from_diag(cls, values) -> "SymmetricMatrix":
-        return cls.from_full(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls.from_full(np.eye(n))
-
-    def full(self) -> np.ndarray:
-        """Unpack to a dense (dim, dim) symmetric array."""
-        a = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        a[iu] = self.upper
-        a.T[iu] = self.upper
-        return a
-
-    def trace(self) -> float:
-        return float(np.trace(self.full()))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.full()))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(lam) < 0):
-            raise InputError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "eigenvalues", lam)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-@dataclass(frozen=True)
-class SemidefSample:
-    """A seeded semidefinite draw together with its provenance."""
-
-    matrix: SymmetricMatrix
-    sign: str  # "positive" | "negative"
-    seed: int
-    scale: float
+def square_matrix(a) -> np.ndarray:
+    """a as a float matrix (n, n) or stack (..., n, n), its lower triangle
+    mirrored from the upper one, which alone is read.  Raises InputError
+    unless a is square with 2 <= n <= MAX_DIM and finite entries."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InputError("expected a square matrix")
+    n = a.shape[-1]
+    if not 2 <= n <= MAX_DIM:
+        raise InputError(f"dim must be in [2, {MAX_DIM}], got {n}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), a, np.swapaxes(a, -1, -2))
 
 
 def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +51,11 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (lam, vecs) with lam ascending along the last axis and
     a = vecs @ diag(lam) @ vecs.T; only the lower triangle of a is read.
-    Raises NumericalError when the spectrum is not finite.  The name outlives
-    the cyclic-Jacobi solver this call replaced, because perfbench's tracer
-    wraps `jacobi_eigh` by name in every module that imports it.
+    Raises NumericalError when the spectrum is not finite.  Its callers are
+    `matineq`'s one-pair inequality route, `analysis.critical_point_report`
+    and `fields.convexity_scan`.  The name outlives the cyclic-Jacobi solver
+    this call replaced, because perfbench's tracer wraps `jacobi_eigh` by name
+    in every module that imports it.
     """
     try:
         lam, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
@@ -141,61 +81,6 @@ def _finite(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def spectrum(a: SymmetricMatrix) -> Spectrum:
-    """Eigenvalues of a, ascending, with a reconstruction cross-check."""
-    full = a.full()
-    lam, vecs = jacobi_eigh(full)
-    recon = vecs @ np.diag(lam) @ vecs.T
-    tol = 1e-10 * max(np.linalg.norm(full), 1e-300)
-    if np.linalg.norm(recon - full) > tol:
-        raise NumericalError("eigendecomposition reconstruction check failed")
-    return Spectrum(eigenvalues=lam)
-
-
-def elem_sym_from_eigenvalues(lam: np.ndarray, k: int) -> float:
-    """S_k of a set of eigenvalues: (-1)^k times the coefficient of x^(n-k) in
-    prod_i (x - lam_i), which np.poly expands one factor at a time."""
-    lam = np.asarray(lam, dtype=float)
-    return 0.0 if k > lam.size else float((-1) ** k * np.atleast_1d(np.poly(lam))[k])
-
-
-def _elem_sym_newton(a: np.ndarray, k: int) -> float:
-    """S_k from traces of matrix powers (characteristic-polynomial route)."""
-    n = a.shape[0]
-    power = np.eye(n)
-    p = np.empty(k + 1)
-    for j in range(1, k + 1):
-        power = power @ a
-        p[j] = np.trace(power)
-    e = np.empty(k + 1)
-    e[0] = 1.0
-    for m in range(1, k + 1):
-        acc = 0.0
-        for j in range(1, m + 1):
-            acc += (-1.0) ** (j - 1) * e[m - j] * p[j]
-        e[m] = acc / m
-    return float(e[k])
-
-
-def elem_sym(a: SymmetricMatrix, k: int) -> float:
-    """k-th elementary symmetric function of the eigenvalues of a.
-
-    Computed from characteristic-polynomial coefficients and cross-checked
-    against the eigenvalue-subset recursion to 1e-9 relative.
-    """
-    if not (0 <= k <= a.dim):
-        raise InputError(f"order k must be in [0, {a.dim}], got {k}")
-    full = a.full()
-    primary = _elem_sym_newton(full, k) if k > 0 else 1.0
-    lam, _ = jacobi_eigh(full)
-    check = elem_sym_from_eigenvalues(lam, k)
-    scale = max(1.0, abs(primary), abs(check), float(np.linalg.norm(full)) ** max(k, 1))
-    if abs(primary - check) > 1e-9 * scale:
-        raise NumericalError(
-            f"elementary symmetric function cross-check failed: {primary} vs {check}")
-    return primary
-
-
 def invariants(hess: np.ndarray, w=None) -> tuple[np.ndarray, np.ndarray]:
     """S1 and S2 of the matrices given by frame blocks H (..., k, k) whose axis i
     stands for w_i directions of R^N (all ones by default, so H is the matrix):
@@ -219,27 +104,6 @@ def cofactor(a: np.ndarray) -> np.ndarray:
 def comatrix(a: np.ndarray) -> np.ndarray:
     """The Newton comatrix tr(a) a - a^2 of a stack (..., n, n); its trace is 2 S_2(a)."""
     return np.trace(a, axis1=-2, axis2=-1)[..., None, None] * a - a @ a
-
-
-def cofactor_s2(a: SymmetricMatrix) -> SymmetricMatrix:
-    """Gradient of S_2 with respect to the matrix entries: (tr a) I - a."""
-    return SymmetricMatrix.from_full(cofactor(a.full()))
-
-
-def newton_comatrix(a: SymmetricMatrix) -> SymmetricMatrix:
-    """The comatrix B = tr(a) a - a^2, whose trace is twice S_2(a)."""
-    return SymmetricMatrix.from_full(comatrix(a.full()))
-
-
-def omitted_sym(spec: Spectrum, k: int, m: int) -> float:
-    """S_k of the eigenvalue tuple with the m-th (1-based) entry removed.
-
-    Returns 0 when fewer than k eigenvalues remain.
-    """
-    n = spec.dim
-    if not (1 <= m <= n and k >= 0):
-        raise InputError(f"need index m in [1, {n}] and order k >= 0, got m={m}, k={k}")
-    return elem_sym_from_eigenvalues(np.delete(spec.eigenvalues, m - 1), k)
 
 
 def _sign_code(sign: str) -> int:
@@ -357,16 +221,3 @@ def sample_batch(seed: int, dim: int, sign: str, scale: float, count: int,
     if len(pieces) == 1:
         return pieces[0]
     return tuple(np.concatenate(parts) for parts in zip(*pieces))
-
-
-def sample_semidefinite(seed: int, dim: int, sign: str, scale: float) -> SemidefSample:
-    """One deterministic semidefinite draw; see sample_batch for the recipe."""
-    if sign not in ("positive", "negative"):
-        raise InputError("sample sign must be 'positive' or 'negative'")
-    a = sample_batch(seed, dim, sign, scale, 1)[0]
-    sample = SemidefSample(matrix=SymmetricMatrix.from_full(a[0]), sign=sign,
-                           seed=seed, scale=scale)
-    lam = spectrum(sample.matrix).eigenvalues
-    if (lam[0] if sign == "positive" else -lam[-1]) < -1e-12 * scale:
-        raise NumericalError(f"{sign} semidefinite sample violates its cone tolerance")
-    return sample

@@ -1,6 +1,9 @@
-"""Shared cached solves so expensive cases run once per session."""
+"""Shared cached solves so expensive cases run once per session, and the test
+oracles for spectra and elementary symmetric functions."""
 
 from functools import lru_cache
+
+import numpy as np
 
 from hess2.analysis import (
     PFunctionSpec,
@@ -21,6 +24,7 @@ from hess2.solver import (
     solve_grid2d,
     solve_radial,
 )
+from hess2.symmat import jacobi_eigh
 
 SOURCES = {
     "const": constant_source,
@@ -76,3 +80,49 @@ def audit_bounds(sol, f, application: int, p=None, gamma: float = 1.0):
     pf = pfunction_field(sol, f, PFunctionSpec(alpha=1.0, gamma=gamma))
     scan = convexity_scan_solution(sol, transform_preset(application, p))
     return bounds_report(pf, scan, f, application)
+
+
+def checked_spectrum(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by `jacobi_eigh`, ascending, after a
+    reconstruction check: |Q diag(lam) Q^T - a|_F <= 1e-10 |a|_F."""
+    a = np.asarray(a, dtype=float)
+    lam, vecs = jacobi_eigh(a)
+    recon = vecs @ np.diag(lam) @ vecs.T
+    assert np.linalg.norm(recon - a) <= 1e-10 * max(np.linalg.norm(a), 1e-300)
+    return lam
+
+
+def elem_sym_from_eigenvalues(lam, k: int) -> float:
+    """S_k of a set of eigenvalues: (-1)^k times the coefficient of x^(n-k) in
+    prod_i (x - lam_i), which np.poly expands one factor at a time."""
+    lam = np.asarray(lam, dtype=float)
+    return 0.0 if k > lam.size else float((-1) ** k * np.atleast_1d(np.poly(lam))[k])
+
+
+def elem_sym_newton(a, k: int) -> float:
+    """S_k of a matrix from traces of its powers (Newton's identities)."""
+    n = a.shape[0]
+    power = np.eye(n)
+    p = np.empty(k + 1)
+    for j in range(1, k + 1):
+        power = power @ a
+        p[j] = np.trace(power)
+    e = np.empty(k + 1)
+    e[0] = 1.0
+    for m in range(1, k + 1):
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += (-1.0) ** (j - 1) * e[m - j] * p[j]
+        e[m] = acc / m
+    return float(e[k])
+
+
+def elem_sym(a, k: int) -> float:
+    """S_k of a symmetric matrix, 0 <= k <= n, by Newton's identities, after a
+    cross-check against the closed form on its spectrum to 1e-9 relative."""
+    a = np.asarray(a, dtype=float)
+    primary = elem_sym_newton(a, k) if k > 0 else 1.0
+    check = elem_sym_from_eigenvalues(jacobi_eigh(a)[0], k)
+    scale = max(1.0, abs(primary), abs(check), float(np.linalg.norm(a)) ** max(k, 1))
+    assert abs(primary - check) <= 1e-9 * scale, (primary, check)
+    return primary

@@ -7,6 +7,7 @@ from conftest import (
     cached_grid,
     cached_mask,
     cached_radial,
+    elem_sym_from_eigenvalues,
     make_source,
 )
 from hess2.analysis import (
@@ -385,6 +386,9 @@ class TestCriticalPointReport:
         assert cp.hessian_spectrum.shape == (5,)
         np.testing.assert_allclose(cp.hessian_spectrum, 10.0 ** -0.5, rtol=1e-6)
         assert cp.binom_bound == pytest.approx(10.0 ** -0.5)
+        # S2 from the frame block's kernel is the closed form on the full spectrum.
+        assert cp.s2_value == pytest.approx(
+            elem_sym_from_eigenvalues(cp.hessian_spectrum, 2), rel=1e-12)
 
     def test_separated_equal_minima_rejected(self):
         mask = cached_mask("ellipse", 1.0 / 16)

@@ -601,6 +601,22 @@ class TestVerifyCommand:
         for name in ("report.json", "verdicts.csv", "pfunction.dat"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
+    def test_application2_half_verdict_is_scale_invariant(self, tmp_path):
+        # On the ball of radius R the source integral scales like R^-4 and
+        # |grad u|^2 like R^-2, so only the gamma = 1/2 bound is consistent in
+        # units: its margin and slack times R^2 are the same numbers at every
+        # radius, while the gamma = 1 slack times R^2 moves with R.
+        gamma1 = set()
+        for radius in ("0.5", "1", "2"):
+            out = tmp_path / radius
+            assert main(["verify", "--app", "2", "--radius", radius, "--out", str(out)]) == 0
+            bounds = json.loads((out / "report.json").read_text())["bounds"]
+            r2 = float(radius) ** 2
+            assert bounds["gamma=0.5"]["pointwise_min_slack"] * r2 == 0.0015270710014225752
+            assert bounds["gamma=0.5"]["slack"] * r2 == 3.750881578417416
+            gamma1.add(bounds["gamma=1"]["slack"] * r2)
+        assert len(gamma1) == 3
+
     def test_application3_high_exponent_rejected(self, tmp_path):
         code = main(["verify", "--app", "3", "--p", "2.5",
                      "--out", str(tmp_path / "v3")])

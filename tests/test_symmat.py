@@ -6,40 +6,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import checked_spectrum, elem_sym, elem_sym_from_eigenvalues
 from hess2 import symmat
 from hess2.errors import InputError, NumericalError
+from hess2.matineq import comatrix_inequality
 from hess2.symmat import (
     CAMPAIGN_CHUNK,
-    SymmetricMatrix,
-    Spectrum,
     cofactor,
-    cofactor_s2,
     comatrix,
-    elem_sym,
-    elem_sym_from_eigenvalues,
     householder_q,
     invariants,
     jacobi_eigh,
-    newton_comatrix,
-    omitted_sym,
     sample_batch,
-    sample_semidefinite,
-    spectrum,
+    square_matrix,
 )
 
 
 class TestSpectrum:
     def test_identity(self):
-        lam = spectrum(SymmetricMatrix.identity(3)).eigenvalues
-        np.testing.assert_allclose(lam, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(checked_spectrum(np.eye(3)), [1.0, 1.0, 1.0])
 
     def test_diagonal_sorted(self):
-        lam = spectrum(SymmetricMatrix.from_diag([3.0, 1.0, 2.0])).eigenvalues
-        np.testing.assert_allclose(lam, [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(checked_spectrum(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
 
     def test_2x2_characteristic_roots(self):
         # [[2,1],[1,2]] has characteristic polynomial (l-2)^2 - 1 = 0.
-        lam = spectrum(SymmetricMatrix.from_full([[2.0, 1.0], [1.0, 2.0]])).eigenvalues
+        lam = checked_spectrum([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(lam, [1.0, 3.0], atol=1e-12)
 
     def test_reconstruction_random(self):
@@ -61,12 +53,32 @@ class TestSpectrum:
             np.testing.assert_allclose(lam, np.linalg.eigvalsh(a), atol=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            SymmetricMatrix.from_full([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="finite"):
+            square_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
-    def test_spectrum_sorted_invariant(self):
-        with pytest.raises(InputError):
-            Spectrum(eigenvalues=np.array([2.0, 1.0]))
+
+class TestSquareMatrix:
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 3)), np.ones((4, 3, 2))])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(InputError, match="square"):
+            square_matrix(bad)
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_dimension_outside_two_to_eight_rejected(self, n):
+        with pytest.raises(InputError, match="dim must be in"):
+            square_matrix(np.eye(n))
+
+    def test_a_nonfinite_entry_of_a_stack_rejected(self):
+        with pytest.raises(InputError, match="finite"):
+            square_matrix(np.stack([np.eye(3), np.full((3, 3), np.nan)]))
+
+    def test_only_the_upper_triangle_is_read(self):
+        a = np.arange(27.0).reshape(3, 3, 3)
+        got = square_matrix(a)
+        for k in range(3):
+            np.testing.assert_array_equal(got[k], np.triu(a[k]) + np.triu(a[k], 1).T)
+        sym = 0.5 * (a + a.transpose(0, 2, 1))
+        assert square_matrix(sym).tobytes() == sym.tobytes()
 
 
 EIGEN_SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
@@ -154,35 +166,30 @@ class TestModuleGuards:
 
 
 class TestElemSym:
+    # The test oracle `elem_sym`: Newton's identities on traces of powers,
+    # cross-checked against the closed form on the spectrum.
     def test_diagonal_pairs(self):
-        assert elem_sym(SymmetricMatrix.from_diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0)
+        assert elem_sym(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0)
 
     def test_identity(self):
         for n in range(2, 9):
-            assert elem_sym(SymmetricMatrix.identity(n), 2) == pytest.approx(n * (n - 1) / 2)
+            assert elem_sym(np.eye(n), 2) == pytest.approx(n * (n - 1) / 2)
 
     def test_2x2_determinant(self):
-        assert elem_sym(SymmetricMatrix.from_full([[2.0, 1.0], [1.0, 2.0]]), 2) == pytest.approx(3.0)
+        assert elem_sym(np.array([[2.0, 1.0], [1.0, 2.0]]), 2) == pytest.approx(3.0)
 
     def test_order_zero_and_full(self):
-        a = SymmetricMatrix.from_diag([1.0, 2.0, 3.0])
+        a = np.diag([1.0, 2.0, 3.0])
         assert elem_sym(a, 0) == 1.0
         assert elem_sym(a, 3) == pytest.approx(6.0)
-
-    def test_out_of_range(self):
-        a = SymmetricMatrix.identity(3)
-        with pytest.raises(InputError):
-            elem_sym(a, 4)
-        with pytest.raises(InputError):
-            elem_sym(a, -1)
 
     def test_trace_identity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = rng.integers(2, 9)
             g = rng.standard_normal((n, n))
-            a = SymmetricMatrix.from_full((g + g.T) / 2)
-            assert elem_sym(a, 1) == pytest.approx(a.trace(), rel=1e-12, abs=1e-12)
+            a = (g + g.T) / 2
+            assert elem_sym(a, 1) == pytest.approx(np.trace(a), rel=1e-12, abs=1e-12)
 
     def test_from_eigenvalues_matches_the_subset_recursion(self):
         # Reference: the partial-sum recursion e_j += lam_i e_(j-1) over the
@@ -206,16 +213,14 @@ class TestElemSym:
 
 class TestCofactor:
     def test_diagonal(self):
-        c = cofactor_s2(SymmetricMatrix.from_diag([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(c.full(), np.diag([5.0, 4.0, 3.0]))
+        np.testing.assert_allclose(cofactor(np.diag([1.0, 2.0, 3.0])), np.diag([5.0, 4.0, 3.0]))
 
     def test_identity(self):
-        c = cofactor_s2(SymmetricMatrix.identity(3))
-        np.testing.assert_allclose(c.full(), 2.0 * np.eye(3))
+        np.testing.assert_allclose(cofactor(np.eye(3)), 2.0 * np.eye(3))
 
     def test_contraction_is_twice_s2(self):
-        a = SymmetricMatrix.from_diag([1.0, 2.0, 3.0])
-        contraction = float(np.sum(cofactor_s2(a).full() * a.full()))
+        a = np.diag([1.0, 2.0, 3.0])
+        contraction = float(np.sum(cofactor(a) * a))
         assert contraction == pytest.approx(22.0)
         assert contraction == pytest.approx(2.0 * elem_sym(a, 2))
 
@@ -224,42 +229,41 @@ class TestCofactor:
         for _ in range(100):
             n = rng.integers(2, 9)
             g = rng.standard_normal((n, n))
-            a = SymmetricMatrix.from_full((g + g.T) / 2)
-            contraction = float(np.sum(cofactor_s2(a).full() * a.full()))
+            a = (g + g.T) / 2
+            contraction = float(np.sum(cofactor(a) * a))
             s2 = elem_sym(a, 2)
             assert abs(contraction - 2.0 * s2) <= 1e-10 * max(1.0, abs(s2))
 
 
 class TestNewtonComatrix:
     def test_diagonal(self):
-        b = newton_comatrix(SymmetricMatrix.from_diag([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(b.full(), np.diag([5.0, 8.0, 9.0]))
-        assert b.trace() == pytest.approx(22.0)
+        b = comatrix(np.diag([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(b, np.diag([5.0, 8.0, 9.0]))
+        assert np.trace(b) == pytest.approx(22.0)
 
     def test_identity(self):
-        b = newton_comatrix(SymmetricMatrix.identity(4))
-        np.testing.assert_allclose(b.full(), 3.0 * np.eye(4))
+        np.testing.assert_allclose(comatrix(np.eye(4)), 3.0 * np.eye(4))
 
     def test_trace_identities(self):
-        a = SymmetricMatrix.from_diag([1.0, 2.0, 3.0])
-        b = newton_comatrix(a)
-        tr_ba = float(np.trace(b.full() @ a.full()))
+        a = np.diag([1.0, 2.0, 3.0])
+        b = comatrix(a)
+        tr_ba = float(np.trace(b @ a))
         assert 2.0 * tr_ba == pytest.approx(96.0)
-        assert b.trace() * a.trace() - 6.0 * elem_sym(a, 3) == pytest.approx(96.0)
+        assert np.trace(b) * np.trace(a) - 6.0 * elem_sym(a, 3) == pytest.approx(96.0)
 
     def test_trace_identities_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = rng.integers(2, 9)
             g = rng.standard_normal((n, n))
-            a = SymmetricMatrix.from_full((g + g.T) / 2)
-            b = newton_comatrix(a)
+            a = (g + g.T) / 2
+            b = comatrix(a)
             s2 = elem_sym(a, 2)
             s3 = elem_sym(a, 3) if n >= 3 else 0.0
-            scale = max(1.0, a.norm() ** 3)
-            assert abs(b.trace() - 2.0 * s2) <= 1e-10 * scale
-            tr_ba = float(np.trace(b.full() @ a.full()))
-            assert abs(2.0 * tr_ba + 6.0 * s3 - b.trace() * a.trace()) <= 1e-10 * scale
+            scale = max(1.0, np.linalg.norm(a) ** 3)
+            assert abs(np.trace(b) - 2.0 * s2) <= 1e-10 * scale
+            tr_ba = float(np.trace(b @ a))
+            assert abs(2.0 * tr_ba + 6.0 * s3 - np.trace(b) * np.trace(a)) <= 1e-10 * scale
 
 
 def _random_stack(rng, dim, count=50):
@@ -273,10 +277,9 @@ class TestKernels:
         a = _random_stack(np.random.default_rng([31, dim]), dim)
         s1, s2 = invariants(a)
         for k, m in enumerate(a):
-            sym = SymmetricMatrix.from_full(m)
-            scale = max(1.0, sym.norm() ** 2)
-            assert abs(s2[k] - elem_sym(sym, 2)) <= 1e-12 * scale
-            assert abs(s1[k] - elem_sym(sym, 1)) <= 1e-12 * scale
+            scale = max(1.0, np.linalg.norm(m) ** 2)
+            assert abs(s2[k] - elem_sym(m, 2)) <= 1e-12 * scale
+            assert abs(s1[k] - elem_sym(m, 1)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_comatrix_trace_and_cofactor_contraction_are_twice_s2(self, dim):
@@ -309,69 +312,58 @@ class TestKernels:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_wrappers_return_the_kernels_bits(self, dim):
-        iu = np.triu_indices(dim)
-        for m in _random_stack(np.random.default_rng([47, dim]), dim, count=10):
-            a = SymmetricMatrix.from_full(m)
-            np.testing.assert_array_equal(cofactor_s2(a).upper, cofactor(a.full())[iu])
-            np.testing.assert_array_equal(newton_comatrix(a).upper, comatrix(a.full())[iu])
+        # A kernel called on one matrix is its own one-matrix wrapper: it
+        # returns that matrix's row of a stack bit for bit.
+        stack = _random_stack(np.random.default_rng([47, dim]), dim, count=10)
+        for kernel in (cofactor, comatrix):
+            whole = kernel(stack)
+            for k, m in enumerate(stack):
+                assert kernel(m).tobytes() == whole[k].tobytes()
+
+
+def _omitted_s3(lam):
+    """S3 of lam with the m-th value omitted, for each m, as the closed residual
+    of the one-pair inequality reads it: 2 S3^(m) for the probe e_m."""
+    n = len(lam)
+    rec = comatrix_inequality(np.repeat(np.diag(lam)[None], n, axis=0), np.eye(n))
+    return rec.residual_closed / 2.0
 
 
 class TestOmittedSym:
     def test_dimension_three_vanishes(self):
-        spec = Spectrum(eigenvalues=np.array([-1.0, 2.0, 5.0]))
-        for m in (1, 2, 3):
-            assert omitted_sym(spec, 3, m) == 0.0
+        np.testing.assert_allclose(_omitted_s3([-1.0, 2.0, 5.0]), 0.0, rtol=0, atol=1e-12)
 
     def test_four_values(self):
-        spec = Spectrum(eigenvalues=np.array([1.0, 2.0, 3.0, 4.0]))
-        assert omitted_sym(spec, 3, 1) == pytest.approx(24.0)
+        assert _omitted_s3([1.0, 2.0, 3.0, 4.0])[0] == pytest.approx(24.0)
 
     def test_all_ones(self):
-        spec = Spectrum(eigenvalues=np.ones(4))
-        for m in (1, 2, 3, 4):
-            assert omitted_sym(spec, 3, m) == pytest.approx(1.0)
-
-    def test_index_out_of_range(self):
-        spec = Spectrum(eigenvalues=np.array([1.0, 2.0]))
-        with pytest.raises(InputError):
-            omitted_sym(spec, 1, 0)
-        with pytest.raises(InputError):
-            omitted_sym(spec, 1, 3)
-
-    def test_negative_order_rejected(self):
-        # The characteristic polynomial would read a negative k from its far end.
-        with pytest.raises(InputError):
-            omitted_sym(Spectrum(eigenvalues=np.array([1.0, 2.0, 3.0])), -1, 1)
+        np.testing.assert_allclose(_omitted_s3(np.ones(4)), 1.0)
 
     def test_weighted_sum_recursion(self):
-        # sum_m S_k^(m) lam_m = (k+1) S_{k+1}; classical consistency oracle.
+        # sum_m S_3^(m) lam_m = 4 S_4; classical consistency oracle.
         rng = np.random.default_rng(29)
         for _ in range(50):
             n = rng.integers(2, 9)
             lam = np.sort(rng.standard_normal(n))
-            spec = Spectrum(eigenvalues=lam)
-            for k in range(0, n):
-                lhs = sum(omitted_sym(spec, k, m + 1) * lam[m] for m in range(n))
-                rhs = (k + 1) * elem_sym_from_eigenvalues(lam, k + 1)
-                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs), np.max(np.abs(lam)) ** (k + 1))
+            lhs = float(_omitted_s3(lam) @ lam)
+            rhs = 4 * elem_sym_from_eigenvalues(lam, 4)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs), np.max(np.abs(lam)) ** 4)
 
 
 class TestSampler:
     def test_deterministic(self):
-        s1 = sample_semidefinite(7, 4, "positive", 1.0)
-        s2 = sample_semidefinite(7, 4, "positive", 1.0)
-        assert s1.matrix.upper.tobytes() == s2.matrix.upper.tobytes()
+        s1 = sample_batch(7, 4, "positive", 1.0, 1)[0]
+        s2 = sample_batch(7, 4, "positive", 1.0, 1)[0]
+        assert s1.tobytes() == s2.tobytes()
 
     def test_positive_cone(self):
         for seed in range(20):
-            s = sample_semidefinite(seed, 5, "positive", 1.0)
-            lam = spectrum(s.matrix).eigenvalues
+            lam = checked_spectrum(sample_batch(seed, 5, "positive", 1.0, 1)[0][0])
             assert lam[0] >= -1e-12
 
     def test_negative_cone(self):
         for seed in range(20):
-            s = sample_semidefinite(seed, 5, "negative", 2.0)
-            lam = spectrum(s.matrix).eigenvalues
+            lam = checked_spectrum(sample_batch(seed, 5, "negative", 2.0, 1)[0][0])
             assert lam[-1] <= 1e-12 * 2.0
 
     def test_batch_hits_cone_boundary(self):
