@@ -1,4 +1,4 @@
-"""Convex planar/spatial domains: signed distance, rasterization, boundary data.
+"""Convex planar domains: signed distance, rasterization, boundary data.
 
 Grids are node lattices aligned with the domain center.  A node strictly
 inside the domain is classified `interior` when all four axis neighbors are
@@ -116,7 +116,8 @@ def is_inside(spec: DomainSpec, pts) -> np.ndarray:
         return np.einsum("ij,ij->i", p, p) < spec.radius ** 2
     if spec.kind == "ellipse":
         a, b = spec.semi_axes
-        return (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
+        with np.errstate(over="ignore"):   # far outside a thin ellipse: inf, not inside
+            return (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
     # One edge at a time: this runs on every lattice node, so temporaries stay O(points).
     inside = np.ones(len(p), dtype=bool)
     for start, edge in zip(*_edges(spec.vertices - spec.center)):
@@ -319,22 +320,30 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
     else:
         ext = np.max(np.abs(spec.vertices - spec.center), axis=0)
     # One spare node beyond the extent puts the outer ring outside the domain.
-    half = np.ceil(ext / h).astype(int) + 1
-    nx, ny = 2 * half[0] + 1, 2 * half[1] + 1
+    with np.errstate(over="ignore"):   # a lattice beyond the float range reads inf
+        half = np.ceil(ext / h) + 1.0
+        shape = 2.0 * half + 1.0
+        count = np.prod(shape)
+    try:
+        nodes = np.empty((int(count), 2))
+    except (MemoryError, OverflowError, ValueError):   # beyond memory, numpy or floats
+        raise InputError(f"--h {h:g} on --domain {spec.label()} needs a {shape[0]:.3g} x "
+                         f"{shape[1]:.3g} node lattice, which cannot be allocated") from None
+    nx, ny = (int(n) for n in shape)
     origin = spec.center - half * h
 
     xs = origin[0] + h * np.arange(nx)
     ys = origin[1] + h * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    lattice = nodes.reshape(nx, ny, 2)   # node (i, j) sits at (xs[i], ys[j])
+    lattice[..., 0], lattice[..., 1] = xs[:, None], ys
     inside = is_inside(spec, nodes).reshape(nx, ny)
 
     # A convex domain meets each lattice line in one run of inside nodes.
     span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
     if span < min_span:
         raise ConfigurationError(
-            f"grid too coarse: {span} inside nodes across the "
-            f"narrowest section, need >= {min_span}")
+            f"grid too coarse: --h {h:g} puts {span} inside nodes across the narrowest "
+            f"section of --domain {spec.label()}, need >= {min_span}")
 
     grid_index = -np.ones((nx, ny), dtype=int)
     ii, jj = np.nonzero(inside)

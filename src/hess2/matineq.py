@@ -14,14 +14,15 @@ identically in dimension 3, where no three eigenvalues remain.
 The same functional, applied to the Hessian of a monotone composition U(u),
 factors as U'(u)^3 times its value on the Hessian of u: all mixed expansion
 coefficients in (U', U'') cancel.  This module evaluates and verifies both
-facts pointwise and at sampling scale.  Every function takes plain arrays: one
-matrix (n, n) with one vector (n,), or stacks (..., n, n) and (..., n).  The
-CLI runs `inequality_campaign` (`ineq`) and `in_positive_cone`
-(`identity-scan`).  The one-pair functions (`comatrix_inequality`,
-`negative_semidefinite_inequality`, `contraction_scalars`,
-`composed_hessian_functional`, `expansion_coefficients`) serve library
-callers, the tests and gate G04b; the first two are the campaign's route on
-a stack of one and share its residual check, `_rows_ok`.
+facts pointwise and at sampling scale, on plain arrays: one matrix (n, n) with
+one vector (n,), or stacks (..., n, n) and (..., n).  Every check bounds its
+error in units of `inequality_scale`, 1 + |A|_F^3 |v|^2, the functional's
+degree in (A, v): a bound relative to computed values would measure rounding
+noise where they vanish identically (dimensions 2 and 3, low-rank matrices).
+The CLI runs `inequality_campaign` (`ineq`) and `in_positive_cone`
+(`identity-scan`); the rest serves library callers, the tests and gate G04b.
+`comatrix_inequality` and `negative_semidefinite_inequality` are the campaign's
+route on a stack of one, with its residual check and range rules.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .symmat import (CAMPAIGN_CHUNK, cofactor, comatrix, eigenvalues, jacobi_eig
 EXPANSION_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0))
 SIGN_RTOL = 1e-12  # eigenvalues within this share of the spectrum's scale count as zero
 FACTORIZATION_DIMS = (2, 3, 4, 5, 6, 7, 8)
+_OVERFLOW = "{} overflows the residuals or their scale 1 + |A|_F^3 |v|^2{}"
+_UNDERFLOW = "{} underflows |A|_F^3 |v|^2 in every sample{}, so every check would pass vacuously"
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def _sides(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def comatrix_functional(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """lhs - rhs of the inequality (nonpositive on the positive cone)."""
-    lhs, rhs = _sides(a, v)
-    return lhs - rhs
+    return np.subtract(*_sides(a, v))
 
 
 def _closed_residual(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -127,13 +129,21 @@ def _closed_residual(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _form_size(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|A|_F^3 |v|^2, the degree of each side of the inequality in (A, v)."""
+    """|A|_F^3 |v|^2, the degree of the functional in (A, v)."""
     return np.linalg.norm(a, axis=(-2, -1)) ** 3 * _dot(v, v)
 
 
 def inequality_scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tolerance scale 1 + |A|_F^3 |v|^2."""
+    """1 + |A|_F^3 |v|^2, the unit of every error bound on the functional."""
     return 1.0 + _form_size(a, v)
+
+
+def _range_flags(a, v, direct, closed, size) -> tuple[bool, bool, bool]:
+    """(a residual or 1 + size overflows; every |A|_F^3 |v|^2 is below the smallest
+    normal float; the same, with a nonzero matrix and probe in some pair)."""
+    tiny = bool(np.all(size < np.finfo(float).tiny))
+    return (not all(np.isfinite(x).all() for x in (direct, closed, size)), tiny,
+            tiny and bool(np.any(np.any(a, axis=(-2, -1)) & np.any(v, axis=-1))))
 
 
 def in_positive_cone(lam: np.ndarray) -> np.ndarray:
@@ -152,21 +162,14 @@ def sign_of_spectrum(lam: np.ndarray) -> np.ndarray:
                     np.where(in_positive_cone(-lam[..., ::-1]), "negative", "indefinite"))[()]
 
 
-def _rows_ok(direct, closed, scl, sign, dim: int, sides=None) -> np.ndarray:
-    """The one residual check, per row of a campaign chunk or a one-pair record:
-    |direct - closed| <= 1e-9 * scl, and also <= 1e-9 * max(1, |lhs|, |rhs|)
-    where the one-pair route passes its `sides` (lhs, rhs; the campaign does
-    not, as those sides vanish identically in dimension 2 and on low-rank
-    draws, so away from unit scale that bound fails on rounding noise);
+def _rows_ok(direct, closed, scl, sign, dim: int) -> np.ndarray:
+    """The one residual check, per row of a campaign chunk or a one-pair record,
+    in units of scl = inequality_scale: |direct - closed| <= 1e-9 * scl;
     direct >= -1e-9 * scl on "positive" rows and <= 1e-9 * scl on "negative"
     ones (`sign`: one label or one per row); |direct| <= 1e-10 * scl in
     dimension 3, where the residual vanishes for every symmetric matrix."""
-    gap = np.abs(direct - closed)
     rel = direct / scl
-    ok = gap / scl <= 1e-9
-    if sides is not None:
-        lhs, rhs = sides
-        ok &= gap <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    ok = np.abs(direct - closed) / scl <= 1e-9
     ok &= (sign != "positive") | (rel >= -1e-9)
     ok &= (sign != "negative") | (rel <= 1e-9)
     return ok & (np.abs(rel) <= 1e-10) if dim == 3 else ok
@@ -178,8 +181,8 @@ def comatrix_inequality(a, v) -> InequalityRecord:
 
     jacobi_eigh gives (lam, Q) and the rotated probe w = Q^T v; the direct
     residual reads (a, v) only, the closed one (lam, w) only, and
-    sign_of_spectrum(lam) labels each row.  Raises NumericalError when a row
-    fails the residual check `_rows_ok`, with the one-pair agreement bound.
+    sign_of_spectrum(lam) labels each row.  Raises InputError by the range rules
+    `_range_flags`, NumericalError when a row fails the residual check `_rows_ok`.
     """
     a = square_matrix(a)
     return _record(a, _probe(a, v), *jacobi_eigh(a))
@@ -196,10 +199,13 @@ def negative_semidefinite_inequality(a, v) -> InequalityRecord:
 
 
 def _record(a: np.ndarray, v: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> InequalityRecord:
-    lhs, rhs, direct, closed = _campaign_residuals(a, v, lam,
-                                                   np.einsum("...ij,...i->...j", vecs, v))
+    lhs, rhs, direct, closed, size = _campaign_residuals(
+        a, v, lam, np.einsum("...ij,...i->...j", vecs, v))
+    over, tiny, live = _range_flags(a, v, direct, closed, size)
+    if over or (tiny and live):
+        raise InputError((_OVERFLOW if over else _UNDERFLOW).format("the input", ""))
     sign = sign_of_spectrum(lam)
-    bad = ~_rows_ok(direct, closed, inequality_scale(a, v), sign, a.shape[-1], (lhs, rhs))
+    bad = ~_rows_ok(direct, closed, 1.0 + size, sign, a.shape[-1])
     if np.any(bad):
         raise NumericalError(
             f"residual check failed on {np.asarray(sign)[bad]} input: direct residual "
@@ -248,19 +254,19 @@ def composed_hessian_functional(hess_composed, grad_u, u_prime,
     The composed Hessian must equal U' A + U'' grad (x) grad for the Hessian A
     of the underlying function, recovered here by inverting that relation;
     U' and U'' are numbers, or arrays over a stack.  Returns (m_direct,
-    m_factored) with m_factored = U'^3 times the functional of A; the two
-    agree to 1e-8 relative, and m_direct is nonpositive wherever the composed
-    Hessian is positive semidefinite and U is increasing (U' > 0).
+    m_factored) with m_factored = U'^3 times the functional of A; they agree to
+    1e-8 of the larger inequality_scale of H and U'A, and m_direct is
+    nonpositive where H is positive semidefinite and U is increasing (U' > 0).
     """
     h = square_matrix(hess_composed)
     g = _probe(h, grad_u)
     up, us = np.asarray(u_prime, dtype=float), np.asarray(u_second, dtype=float)
     if np.any(np.abs(up) < 1e-10):
         raise SingularTransformError("transform derivative vanishes; cannot factor")
-    a_u = (h - us[..., None, None] * _outer(g, g)) / up[..., None, None]
+    up_a = h - us[..., None, None] * _outer(g, g)
     m_direct = comatrix_functional(h, g)
-    m_factored = up ** 3 * comatrix_functional(a_u, g)
-    scale = np.maximum(1.0, np.maximum(np.abs(m_direct), np.abs(m_factored)))
+    m_factored = up ** 3 * comatrix_functional(up_a / up[..., None, None], g)
+    scale = np.maximum(inequality_scale(h, g), inequality_scale(up_a, g))
     if np.any(np.abs(m_direct - m_factored) > 1e-8 * scale):
         raise NumericalError(
             f"factorization mismatch: direct {m_direct} vs factored {m_factored}")
@@ -275,17 +281,18 @@ def expansion_coefficients(a_u, grad_u) -> ExpansionCoeffs:
     """Fit the cubic (alpha, beta) expansion of the composed functional.
 
     Probes the functional at EXPANSION_PROBES, solves the 4x4 monomial system,
-    and verifies that all coefficients except the pure alpha^3 one vanish and
-    that the alpha^3 coefficient matches a direct evaluation.
+    and verifies to 1e-8 of the largest inequality_scale of a probe matrix that
+    all but the alpha^3 coefficient vanish and that it matches a direct value.
     """
     a = square_matrix(a_u)
     g = _probe(a, grad_u)
     proj = _outer(g, g)
     vander = np.array([[al ** 3, al ** 2 * be, al * be ** 2, be ** 3]
                        for al, be in EXPANSION_PROBES])
-    values = np.stack([comatrix_functional(al * a + be * proj, g) for al, be in EXPANSION_PROBES])
+    probes = [al * a + be * proj for al, be in EXPANSION_PROBES]
+    values = np.stack([comatrix_functional(m, g) for m in probes])
     m30, m21, m12, m03 = np.linalg.solve(vander, values.reshape(4, -1)).reshape(values.shape)
-    tol = 1e-8 * np.maximum(1.0, np.abs(m30))
+    tol = 1e-8 * np.max([inequality_scale(m, g) for m in probes], axis=0)
     for name, val in (("m21", m21), ("m12", m12), ("m03", m03),
                       ("m30 - direct value", m30 - comatrix_functional(a, g))):
         if np.any(np.abs(val) > tol):
@@ -332,55 +339,48 @@ class CampaignResult:
 
 
 def _campaign_residuals(a: np.ndarray, v: np.ndarray, lam: np.ndarray, w: np.ndarray):
-    """Direct residuals from (a, v) only, closed ones from (lam, w) only."""
-    lhs, rhs = _sides(a, v)
-    closed = _closed_residual(lam, w)
-    return lhs, rhs, rhs - lhs, closed
+    """lhs, rhs, direct residual, closed residual from (lam, w) only, |A|_F^3 |v|^2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = _sides(a, v)
+        return lhs, rhs, rhs - lhs, _closed_residual(lam, w), _form_size(a, v)
 
 
 def inequality_campaign(seed: int, dims, count: int, sign: str,
                         scale: float = 1.0, records=None) -> CampaignResult:
     """Run the comatrix inequality over seeded samples for each dimension.
 
-    Each dimension streams samples 0..count-1 in chunks of CAMPAIGN_CHUNK
-    through sample_batch, so memory does not grow with count, and the records
-    of a smaller count are a prefix of those of a larger one.  When given,
-    records(dim, first, columns) receives each chunk's columns (lhs, rhs,
-    residual_direct, residual_closed, scale) for samples first, first + 1, ...
-    in index order, once the chunk's values are known to be finite.  The
-    direct residual sees only the matrices and probes;
-    the closed one sees only the spectra and rotated probes that sample_batch
-    returns: the generator's own spectrum for semidefinite draws,
-    np.linalg.eigh for indefinite ones.  A dimension is ok when every
-    sample passes `_rows_ok`, the residual check of the one-pair route, with
-    `sign` as its label and without the one-pair agreement bound.  Each summary names its worst sample (least
-    residual/scale on the positive cone, greatest on the negative, greatest
-    |residual|/scale on indefinite draws; the first one on a tie) as a
-    CampaignWitness.  Raises InputError when `scale` is so large that a
-    residual or its scale 1 + |A|_F^3 |v|^2 overflows, or so small that
-    |A|_F^3 |v|^2 is below the smallest normal float in every sample of a
-    dimension that draws a nonzero matrix: its checks would read underflow.
-    Either may be raised after records has received some chunks.
+    Each dimension streams samples 0..count-1 through sample_batch in chunks
+    of CAMPAIGN_CHUNK, so memory does not grow with count and the records of a
+    smaller count are a prefix of those of a larger one.  When given,
+    records(dim, first, columns) receives each chunk's finite columns (lhs,
+    rhs, residual_direct, residual_closed, scale) for samples first, first + 1,
+    ... in index order.  The direct residual reads the matrices and probes
+    only, the closed one the spectra and rotated probes of sample_batch (the
+    generator's own for semidefinite draws, np.linalg.eigh for indefinite
+    ones).  A dimension is ok when every sample passes `_rows_ok` with `sign`
+    as its label.  Each summary names its worst sample (least residual/scale
+    on the positive cone, greatest on the negative, greatest |residual|/scale
+    on indefinite draws; the first on a tie) as a CampaignWitness.  Raises
+    InputError, possibly after records has received chunks, when a dimension
+    breaks the one-pair route's range rules `_range_flags`: a residual or its
+    scale overflows, or |A|_F^3 |v|^2 is below the smallest normal float in
+    every sample while some sample has a nonzero matrix and probe.
     """
     if count < 1:
         raise InputError("count must be >= 1")
     summaries = []
     for dim in dims:
         lo, hi, disc_max, ok = np.inf, -np.inf, 0.0, True
-        all_tiny, any_nonzero = True, False
-        worst, witness = -np.inf, None
+        worst, witness, all_tiny, any_live = -np.inf, None, True, False
         for first in range(0, count, CAMPAIGN_CHUNK):
             a, v, lam, w = sample_batch(seed, dim, sign, scale,
                                         min(CAMPAIGN_CHUNK, count - first), first)
-            with np.errstate(over="ignore", invalid="ignore"):
-                lhs, rhs, direct, closed = _campaign_residuals(a, v, lam, w)
-                size = _form_size(a, v)
+            lhs, rhs, direct, closed, size = _campaign_residuals(a, v, lam, w)
             scl = 1.0 + size
-            if not all(np.isfinite(x).all() for x in (direct, closed, scl)):
-                raise InputError(f"scale {scale:g} overflows the residuals or their "
-                                 f"scale 1 + |A|_F^3 |v|^2 in dim {dim}")
-            all_tiny = all_tiny and bool(np.all(size < np.finfo(float).tiny))
-            any_nonzero = any_nonzero or bool(np.any(a))
+            over, tiny, live = _range_flags(a, v, direct, closed, size)
+            if over:
+                raise InputError(_OVERFLOW.format(f"scale {scale:g}", f" in dim {dim}"))
+            all_tiny, any_live = all_tiny and tiny, any_live or live
             rel = direct / scl
             disc = np.abs(direct - closed) / scl
             ok = ok and bool(np.all(_rows_ok(direct, closed, scl, sign, dim)))
@@ -395,9 +395,8 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
                     residual_direct=float(direct[i]), residual_closed=float(closed[i]))
             if records is not None:
                 records(dim, first, (lhs, rhs, direct, closed, scl))
-        if all_tiny and any_nonzero:
-            raise InputError(f"scale {scale:g} underflows |A|_F^3 |v|^2 in every sample "
-                             f"of dim {dim}, so every residual check would pass vacuously")
+        if all_tiny and any_live:
+            raise InputError(_UNDERFLOW.format(f"scale {scale:g}", f" of dim {dim}"))
         summaries.append(DimCampaignSummary(
             dim=dim, count=count, min_residual_over_scale=lo, max_residual_over_scale=hi,
             max_discrepancy_over_scale=disc_max, ok=ok, witness=witness))
@@ -407,8 +406,8 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
 def factorization_campaign(seed: int, count: int):
     """Sample (A, v, U', U'') tuples and verify the cubic factorization.
 
-    U' is drawn from both signs.  Returns the worst relative mismatch between
-    the direct and factored evaluations over all samples.
+    U' is drawn from both signs.  Returns the worst mismatch between the direct
+    and factored evaluations over the scale of composed_hessian_functional.
     """
     rng = np.random.default_rng([seed, 97])
     worst = 0.0
@@ -422,6 +421,6 @@ def factorization_campaign(seed: int, count: int):
         hess = up[:, None, None] * a + us[:, None, None] * np.einsum("bi,bj->bij", v, v)
         m_direct = comatrix_functional(hess, v)
         m_factored = up ** 3 * comatrix_functional(a, v)
-        scale = np.maximum(1.0, np.maximum(np.abs(m_direct), np.abs(m_factored)))
+        scale = np.maximum(inequality_scale(hess, v), inequality_scale(up[:, None, None] * a, v))
         worst = max(worst, float(np.max(np.abs(m_direct - m_factored) / scale)))
     return worst

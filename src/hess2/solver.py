@@ -323,12 +323,17 @@ def _radial_grid(radius: float, cfg: SolveConfig) -> tuple[np.ndarray, float]:
     r_m^2 must be finite and r_1^2 normal."""
     _require_positive("radius must be positive and finite", radius)
     m, tiny = cfg.radial_nodes, np.finfo(float).tiny
+    try:
+        r = np.linspace(0.0, radius, m + 1)
+    except (MemoryError, ValueError):   # ValueError: beyond numpy's array size
+        raise InputError(f"--nodes {m} needs {m + 1} radii, which cannot be allocated; "
+                         "lower --nodes") from None
     h = radius / m
     if not (radius * radius < math.inf and h * h >= tiny):
         raise InputError(f"--radius {radius:g} is out of range: the squared radii of its "
                          f"{m}-interval grid need it in [{m * math.sqrt(tiny):.1e}, "
                          f"{math.sqrt(np.finfo(float).max):.1e})")
-    return np.linspace(0.0, radius, m + 1), h
+    return r, h
 
 
 def _subnormal_power(r: np.ndarray, n_dim: int) -> bool:
@@ -844,12 +849,9 @@ def save_solution(sol: Solution, path) -> None:
     np.savez(path, header=json.dumps(header, sort_keys=True), **arrays)
 
 
-def load_solution(path, mask: GridMask | None = None):
-    """Read a solution written by save_solution.
-
-    Grid solutions need the (deterministic) mask to be rebuilt by the caller
-    unless one is supplied; radial profiles round-trip standalone.
-    """
+def load_solution(path):
+    """Read a solution written by save_solution; a grid solution's (deterministic)
+    mask is rebuilt from its domain and spacing."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         if header["schema"] != SOLUTION_SCHEMA_VERSION:
@@ -862,15 +864,14 @@ def load_solution(path, mask: GridMask | None = None):
                                  ode_residual_sup=header["ode_residual_sup"])
         if header["kind"] == "grid2d":
             dom = header["domain"]
-            if mask is None:
-                from .domain import ball, convex_polygon, ellipse as make_ellipse
-                if dom["kind"] == "ball":
-                    spec = ball(dom["radius"], center=dom["center"])
-                elif dom["kind"] == "ellipse":
-                    spec = make_ellipse(*dom["semi_axes"], center=dom["center"])
-                else:
-                    spec = convex_polygon(dom["vertices"])
-                mask = rasterize(spec, header["h"])
+            from .domain import ball, convex_polygon, ellipse as make_ellipse
+            if dom["kind"] == "ball":
+                spec = ball(dom["radius"], center=dom["center"])
+            elif dom["kind"] == "ellipse":
+                spec = make_ellipse(*dom["semi_axes"], center=dom["center"])
+            else:
+                spec = convex_polygon(dom["vertices"])
+            mask = rasterize(spec, header["h"])
             sol = ScalarField2D(mask=mask, u=data["u"],
                                 newton_iterations=header["newton_iterations"],
                                 residual_sup=header["residual_sup"])

@@ -92,7 +92,7 @@ class TestGate04Factorization:
     def test_factorization_campaign(self):
         worst = factorization_campaign(seed=3, count=10_000)
         _gate("G04a cubic factorization", worst <= 1e-8,
-              f"worst relative mismatch {worst:.2e} over 1e4 tuples")
+              f"worst |m_direct - m_factored|/scale {worst:.2e} over 1e4 tuples")
 
     def test_expansion_coefficients_vanish(self):
         rng = np.random.default_rng(11)

@@ -406,6 +406,32 @@ class TestSolveCommand:
         assert printed.err == "" and not caught
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["solve", "--radial", "--nodes", "1000000000000000"], ["--nodes 1000000000000000 "]),
+        (["verify", "--app", "2", "--nodes", "1000000000000000"], ["--nodes "]),
+        (["solve", "--radial", "--nodes", "100000000000000000000"], ["--nodes "]),
+        (["solve", "--eigen", "--nodes", "100000000000000000000"], ["--nodes "]),
+        (["solve", "--grid2d", "--h", "1e-7"], ["--h 1e-07 "]),
+        (["solve", "--grid2d", "--domain", "disk:1e300"], ["--h ", "--domain disk:1e+300 "]),
+        (["solve", "--grid2d", "--domain", "ellipse:1e300,1"], ["--domain ellipse:1e+300,1 "]),
+        (["solve", "--grid2d", "--domain", "polygon:0,0;1e300,0;0,1"], ["--domain polygon:3v "]),
+        (["solve", "--grid2d", "--domain", "ellipse:1e-300,1"],
+         ["--h ", "--domain ellipse:1e-300,1"]),
+    ], ids=["radial-petabytes", "app2-petabytes", "radial-beyond-int64", "eigen-beyond-int64",
+            "grid-h-1e-7", "disk-1e300", "ellipse-1e300", "polygon-1e300", "ellipse-1e-300"])
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys, argv, flags):
+        # Each grid is refused before any array of its size exists: the
+        # lattice, the radii, or (for the thin ellipse) its too few inside nodes.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ")
+        assert printed.out.count("\n") == 1
+        assert all(flag in printed.out for flag in flags), printed.out
+        assert printed.err == "" and not caught
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--radial", "--radius", "1e140"],
         ["solve", "--radial", "--f", "const:1e308"],
@@ -707,7 +733,7 @@ class TestCampaignStream:
             a, v, lam, w = symmat.sample_batch(13, int(dim), sign, 2.5, 1,
                                                first=wit["index"])
             assert a[0].tolist() == wit["matrix"] and v[0].tolist() == wit["probe"]
-            _, _, direct, closed = matineq._campaign_residuals(a, v, lam, w)
+            _, _, direct, closed, _ = matineq._campaign_residuals(a, v, lam, w)
             assert float(direct[0]) == wit["residual_direct"]
             assert float(closed[0]) == wit["residual_closed"]
             # ... and it is the worst row of the records.

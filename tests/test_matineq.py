@@ -17,6 +17,17 @@ from hess2.matineq import (
 )
 from hess2.symmat import sample_batch
 
+#: Scales of the families below, from where the floor 1 of inequality_scale
+#: dominates to where |A|_F^3 |v|^2 nears the top of the float range.
+SCALES = [1e-5, 1.0, 1e3, 1e30, 1e60]
+
+
+def scaled_pairs(dim, scale, count=50):
+    """Symmetrised Gaussian matrices times `scale`, with unit Gaussian probes."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((count, dim, dim))
+    return scale * 0.5 * (g + g.transpose(0, 2, 1)), rng.standard_normal((count, dim))
+
 
 class TestComatrixInequality:
     def test_identity_matrix_unit_probe(self):
@@ -61,28 +72,29 @@ class TestComatrixInequality:
 
 
 class TestOneResidualCheck:
-    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
-    def test_one_pair_route_replays_each_campaign_witness(self, sign):
-        result = inequality_campaign(seed=42, dims=range(2, 9), count=5000, sign=sign)
+    @pytest.mark.parametrize("sign, scale", [
+        pytest.param(sign, scale, id=sign if scale == 1.0 else f"{sign}-{scale:g}")
+        for scale in (1.0, 1e3, 1e30) for sign in ("positive", "negative", "indefinite")])
+    def test_one_pair_route_replays_each_campaign_witness(self, sign, scale):
+        result = inequality_campaign(seed=42, dims=range(2, 9), count=5000, sign=sign,
+                                     scale=scale)
         for s in result.summaries:
             w = s.witness
             rec = comatrix_inequality(w.matrix, w.probe)
             assert rec.residual_direct == w.residual_direct, s.dim
-            tol = 1e-9 * min(float(inequality_scale(w.matrix, w.probe)),
-                             max(1.0, abs(rec.lhs), abs(rec.rhs)))
+            tol = 1e-9 * float(inequality_scale(w.matrix, w.probe))
             assert abs(rec.residual_closed - w.residual_closed) <= tol, s.dim
 
-    def test_agreement_uses_the_smaller_tolerance(self):
-        # Row 0 passes 1e-9 * scale but not 1e-9 * max(1, |lhs|, |rhs|), row 1
-        # the other way round, row 2 both.  The campaign checks the first only.
-        lhs = np.array([0.0, 100.0, 100.0])
-        direct = np.zeros(3)
-        closed = np.array([5e-9, 5e-9, 5e-10])
-        scl = np.array([10.0, 1.0, 1.0])
-        pair = matineq._rows_ok(direct, closed, scl, "indefinite", 4, (lhs, lhs))
-        assert pair.tolist() == [False, False, True]
-        campaign = matineq._rows_ok(direct, closed, scl, "indefinite", 4)
-        assert campaign.tolist() == [True, False, True]
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_closed_residual_off_by_a_share_of_the_scale_fails(self, monkeypatch, scale):
+        # 1e-8 of inequality_scale is ten times the agreement bound at every scale.
+        a, v = scale * np.diag([1.0, -2.0, 3.0, 4.0]), np.ones(4)
+        comatrix_inequality(a, v)
+        bump = 1e-8 * float(inequality_scale(a, v))
+        real = matineq._closed_residual
+        monkeypatch.setattr(matineq, "_closed_residual", lambda lam, w: real(lam, w) + bump)
+        with pytest.raises(NumericalError, match="residual check failed"):
+            comatrix_inequality(a, v)
 
     def test_sign_labels_per_row(self):
         rel = np.array([-2e-9, 2e-9, -2e-9, 2e-9])
@@ -310,6 +322,53 @@ class TestComposedFunctional:
             assert m_factored >= -1e-9 * scale
 
 
+class TestScaledFamilies:
+    """Both identity checks on the same draws at every scale: their bound is in
+    units of inequality_scale, not of the values, which vanish identically in
+    dimensions 2 and 3."""
+
+    U_PRIME, U_SECOND = 0.7, 0.3
+
+    def _composed(self, dim, scale):
+        a, v = scaled_pairs(dim, scale)
+        gg = np.einsum("bi,bj->bij", v, v)
+        hess = self.U_PRIME * a + self.U_SECOND * gg
+        scl = np.maximum(inequality_scale(hess, v), inequality_scale(hess - self.U_SECOND * gg, v))
+        return hess, v, float(np.min(scl))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_composed_functional_factors(self, dim, scale):
+        hess, v, _ = self._composed(dim, scale)
+        composed_hessian_functional(hess, v, self.U_PRIME, self.U_SECOND)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_mixed_coefficients_vanish(self, dim, scale):
+        expansion_coefficients(*scaled_pairs(dim, scale))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_factorization_off_by_a_share_of_the_scale_fails(self, monkeypatch, scale):
+        # Every functional value off by 1e-7 of the check's least scale moves
+        # m_direct - m_factored by (1 - U'^3) of that, 6.6 times the bound 1e-8.
+        hess, v, scl = self._composed(4, scale)
+        real = matineq.comatrix_functional
+        monkeypatch.setattr(matineq, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
+        with pytest.raises(NumericalError, match="factorization mismatch"):
+            composed_hessian_functional(hess, v, self.U_PRIME, self.U_SECOND)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_expansion_off_by_a_share_of_the_scale_fails(self, monkeypatch, scale):
+        # Every probe value off by c moves m21 by -3c: at c = 1e-7 of the least
+        # scale of the (2, 1) probe matrix, 30 times the bound 1e-8.
+        a, v = scaled_pairs(4, scale)
+        scl = float(np.min(inequality_scale(2.0 * a + np.einsum("bi,bj->bij", v, v), v)))
+        real = matineq.comatrix_functional
+        monkeypatch.setattr(matineq, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
+        with pytest.raises(NumericalError, match="expansion coefficient m21"):
+            expansion_coefficients(a, v)
+
+
 class TestExpansionCoefficients:
     def test_identity_base(self):
         co = expansion_coefficients(np.eye(4), [1.0, 0.0, 0.0, 0.0])
@@ -398,15 +457,21 @@ class TestCampaigns:
             assert not s.ok
 
     def test_overflowing_scale_rejected(self):
+        # The one-pair route keeps the campaign's range rules.
         with pytest.raises(InputError, match="overflows"):
             inequality_campaign(seed=1, dims=(4,), count=5, sign="positive", scale=1e200)
+        with pytest.raises(InputError, match="overflows"):
+            comatrix_inequality(1e200 * np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
 
     @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
     def test_underflowing_scale_rejected(self, sign):
         # At 1e-200 every |A|_F^3 |v|^2 underflows to zero, so every residual
-        # and its discrepancy would read 0 and every check would pass.
+        # and its discrepancy would read 0 and every check would pass, on the
+        # campaign and on the one-pair route alike.
         with pytest.raises(InputError, match="underflows"):
             inequality_campaign(seed=1, dims=(2, 4), count=50, sign=sign, scale=1e-200)
+        with pytest.raises(InputError, match="underflows"):
+            comatrix_inequality(*sample_batch(1, 4, sign, 1e-200, 50)[:2])
 
     def test_small_scale_above_underflow_accepted(self):
         result = inequality_campaign(seed=1, dims=(4,), count=50, sign="positive",
@@ -421,6 +486,13 @@ class TestCampaigns:
         result = inequality_campaign(seed=1, dims=(2,), count=1, sign="positive")
         assert result.ok
         assert result.summaries[0].max_residual_over_scale == 0.0
+        # So is a zero matrix or probe on the one-pair route, where a nonzero
+        # pair at the same scale underflows.
+        a = 1e-110 * np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InputError, match="underflows"):
+            comatrix_inequality(a, np.ones(4))
+        assert comatrix_inequality(a, np.zeros(4)).residual_direct == 0.0
+        assert comatrix_inequality(np.zeros((4, 4)), np.ones(4)).residual_direct == 0.0
 
     def test_factorization_campaign(self):
         worst = factorization_campaign(seed=3, count=2000)
