@@ -291,15 +291,14 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
     """
     from . import solver
 
-    cfg = solver.SolveConfig(radial_nodes=args.nodes)
     if args.mode == "eigen":
-        lam, prof = solver.solve_eigen_radial(args.dim, args.radius, cfg)
+        lam, prof = solver.solve_eigen_radial(args.dim, args.radius, args.nodes)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
     if f.preset == "eigen":
         raise InputError(f"--f {f.label()} is the eigenvalue problem's own source; "
                          "solve that problem with `solve --eigen` or `verify --app 2`")
     if args.mode == "radial":
-        return solver.solve_radial(args.dim, args.radius, f, cfg), f, {}
+        return solver.solve_radial(args.dim, args.radius, f, args.nodes), f, {}
     return solver.solve_grid2d(parse_domain(args.domain), f, args.h), f, {}
 
 

@@ -1,10 +1,9 @@
 """Convex planar domains: signed distance, rasterization, boundary data.
 
-Grids are node lattices aligned with the domain center.  A node strictly
-inside the domain is classified `interior` when all four axis neighbors are
-inside too, otherwise `boundary-adjacent`.  Boundary-adjacent stencil arms
-carry the exact fractional distance to the boundary along each of the eight
-compass directions, which is what one-sided curved-boundary stencils consume.
+Grids are node lattices aligned with the domain center.  Each inside node
+has eight stencil arms, one per compass direction; an arm that leaves the
+domain carries the exact fractional distance to the boundary, which is what
+one-sided curved-boundary stencils consume.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-INTERIOR, BOUNDARY_ADJACENT, EXTERIOR = 0, 1, 2
-
 #: Stencil directions: +x, -x, +y, -y, then the four diagonals.
 DIRECTIONS = np.array([
     [1, 0], [-1, 0], [0, 1], [0, -1],
@@ -27,6 +24,13 @@ DIRECTIONS = np.array([
 
 #: Arms thinner than this fraction of a step are clamped to keep stencils finite.
 THETA_FLOOR = 1e-6
+
+#: Fewest inside nodes a lattice must put across a domain's narrowest section.
+MIN_SPAN = 16
+
+#: Largest coordinate of a domain point: products of two lattice coordinates,
+#: or of polygon edges, stay finite up to four times this.
+COORD_LIMIT = math.sqrt(np.finfo(float).max) / 16
 
 
 @dataclass(frozen=True)
@@ -56,16 +60,30 @@ def _center(center) -> np.ndarray:
     return c
 
 
+def _check_range(label: str, center, half) -> None:
+    """Rejects a domain whose bounding box `center` +- `half` passes COORD_LIMIT."""
+    with np.errstate(over="ignore"):   # beyond the float range reads inf
+        reach = np.abs(center) + half
+    if not np.all(reach <= COORD_LIMIT):
+        raise InputError(f"--domain {label} is out of range: its points must lie within "
+                         f"{COORD_LIMIT:.1e} of the origin in each coordinate, so that the "
+                         f"squared node coordinates of its --h lattice stay finite")
+
+
 def ball(radius: float, center=None) -> DomainSpec:
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("ball radius must be positive and finite")
-    return DomainSpec(kind="ball", dim=2, center=_center(center), radius=radius)
+    spec = DomainSpec(kind="ball", dim=2, center=_center(center), radius=radius)
+    _check_range(spec.label(), spec.center, radius)
+    return spec
 
 
 def ellipse(a: float, b: float, center=None) -> DomainSpec:
     if not all(math.isfinite(s) and s > 0 for s in (a, b)):
         raise InputError("ellipse semi-axes must be positive and finite")
-    return DomainSpec(kind="ellipse", dim=2, center=_center(center), semi_axes=(a, b))
+    spec = DomainSpec(kind="ellipse", dim=2, center=_center(center), semi_axes=(a, b))
+    _check_range(spec.label(), spec.center, np.array([a, b]))
+    return spec
 
 
 def _edges(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +113,7 @@ def convex_polygon(vertices) -> DomainSpec:
     v = np.asarray(vertices, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InputError("polygon vertices must be finite")
+    _check_range(f"polygon:{len(v)}v", 0.0, np.abs(v))
     if not polygon_is_convex(v):
         raise InputError("vertex list is not strictly convex")
     # Every turn of a strictly convex polygon has the orientation's sign.
@@ -120,8 +139,9 @@ def is_inside(spec: DomainSpec, pts) -> np.ndarray:
             return (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
     # One edge at a time: this runs on every lattice node, so temporaries stay O(points).
     inside = np.ones(len(p), dtype=bool)
-    for start, edge in zip(*_edges(spec.vertices - spec.center)):
-        inside &= _cross(edge, p - start) > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # far outside: inf or NaN, not inside
+        for start, edge in zip(*_edges(spec.vertices - spec.center)):
+            inside &= _cross(edge, p - start) > 0.0
     return inside
 
 
@@ -274,7 +294,6 @@ class BoundaryCrossings:
 
     node_index: np.ndarray   # (c,) inside-node index each arm starts from
     direction: np.ndarray    # (c,) index into DIRECTIONS[:4] of the outward arm
-    theta: np.ndarray        # (c,) crossing distance as a fraction of h
     foot: np.ndarray         # (c, 2) crossing point on the boundary
     normal: np.ndarray       # (c, 2) outward unit normal at the foot
 
@@ -285,10 +304,8 @@ class GridMask:
 
     spec: DomainSpec
     h: float
-    shape: tuple[int, int]        # (nx, ny) node counts
     node_xy: np.ndarray           # (n_inside, 2) coordinates of inside nodes
     grid_index: np.ndarray        # (nx, ny) -> inside index or -1
-    classification: np.ndarray    # (n_inside,) INTERIOR or BOUNDARY_ADJACENT
     theta: np.ndarray             # (n_inside, 8) arm fractions in (0, 1]
     neighbor: np.ndarray          # (n_inside, 8) inside index or -1
     crossings: BoundaryCrossings
@@ -299,11 +316,11 @@ class GridMask:
         return len(self.node_xy)
 
 
-def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
-    """Classify lattice nodes against the domain and collect stencil geometry.
+def rasterize(spec: DomainSpec, h: float) -> GridMask:
+    """Find the lattice nodes inside the domain and collect stencil geometry.
 
     The lattice is anchored at the domain center so symmetric domains get
-    symmetric grids.  Raises ConfigurationError when fewer than `min_span`
+    symmetric grids.  Raises ConfigurationError when fewer than MIN_SPAN
     inside nodes span the narrowest axis-aligned section.
     """
     if not (math.isfinite(h) and h > 0):
@@ -340,10 +357,10 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
 
     # A convex domain meets each lattice line in one run of inside nodes.
     span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
-    if span < min_span:
+    if span < MIN_SPAN:
         raise ConfigurationError(
             f"grid too coarse: --h {h:g} puts {span} inside nodes across the narrowest "
-            f"section of --domain {spec.label()}, need >= {min_span}")
+            f"section of --domain {spec.label()}, need >= {MIN_SPAN}")
 
     grid_index = -np.ones((nx, ny), dtype=int)
     ii, jj = np.nonzero(inside)
@@ -362,15 +379,11 @@ def rasterize(spec: DomainSpec, h: float, min_span: int = 16) -> GridMask:
         t[np.isnan(t)] = step  # grazing float case: treat as full arm to boundary
         theta[cut, m] = np.clip(t / step, THETA_FLOOR, 1.0)
 
-    axis_cut = neighbor[:, :4] < 0
-    classification = np.where(axis_cut.any(axis=1), BOUNDARY_ADJACENT, INTERIOR)
-    node_index, direction = np.nonzero(axis_cut)
+    node_index, direction = np.nonzero(neighbor[:, :4] < 0)
     frac = theta[node_index, direction]
     foot = node_xy[node_index] + (frac * h)[:, None] * DIRECTIONS[direction]
-    crossings = BoundaryCrossings(node_index=node_index, direction=direction, theta=frac,
+    crossings = BoundaryCrossings(node_index=node_index, direction=direction,
                                   foot=foot, normal=boundary_normal(spec, foot))
 
-    return GridMask(spec=spec, h=h, shape=(nx, ny),
-                    node_xy=node_xy, grid_index=grid_index,
-                    classification=classification, theta=theta,
-                    neighbor=neighbor, crossings=crossings)
+    return GridMask(spec=spec, h=h, node_xy=node_xy, grid_index=grid_index,
+                    theta=theta, neighbor=neighbor, crossings=crossings)

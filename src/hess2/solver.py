@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, ClassVar, Protocol
 
 import numpy as np
 
@@ -69,6 +69,8 @@ GMRES_RTOL, GMRES_RESTART, GMRES_CYCLES = 1e-3, 30, 3
 ANDERSON_DEPTH = 5
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
+#: Intervals on [0, R] of the radial and eigenvalue solvers (`--nodes`).
+RADIAL_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,6 @@ SOURCE_PRESETS = {
     "eigen": eigen_source,
     "power": power_source,
 }
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Resolution of the radial and eigenvalue solvers."""
-
-    radial_nodes: int = 1024          # number of intervals on [0, R]
-
-    def __post_init__(self):
-        if self.radial_nodes < 16:
-            raise InputError("need at least 16 radial intervals")
 
 
 class Solution(Protocol):
@@ -317,12 +308,14 @@ def _picard_pass(n_dim, r, h, rhs_vals):
         return -(tail[-1] - tail), up
 
 
-def _radial_grid(radius: float, cfg: SolveConfig) -> tuple[np.ndarray, float]:
+def _radial_grid(radius: float, m: int) -> tuple[np.ndarray, float]:
     """Nodes 0 = r_0 < ... < r_m = radius of the radial solvers, and their step.
     Squared radii enter the start iterates and the Hessian's limit at r = 0, so
     r_m^2 must be finite and r_1^2 normal."""
+    if m < 16:
+        raise InputError("need at least 16 radial intervals")
     _require_positive("radius must be positive and finite", radius)
-    m, tiny = cfg.radial_nodes, np.finfo(float).tiny
+    tiny = np.finfo(float).tiny
     try:
         r = np.linspace(0.0, radius, m + 1)
     except (MemoryError, ValueError):   # ValueError: beyond numpy's array size
@@ -389,11 +382,12 @@ def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
 
 
 def solve_radial(n_dim: int, radius: float, f: SourceTerm,
-                 cfg: SolveConfig | None = None) -> RadialProfile:
-    """Admissible radial solution on a ball, by Picard iteration on the integral form."""
+                 nodes: int = RADIAL_NODES) -> RadialProfile:
+    """Admissible radial solution on a ball, by Picard iteration on the integral form
+    over `nodes` intervals."""
     if n_dim < 2:
         raise InputError("radial solves need dimension >= 2")
-    r, h = _radial_grid(radius, cfg or SolveConfig())
+    r, h = _radial_grid(radius, nodes)
     u = 0.5 * (r**2 - radius**2)
     delta = math.inf
     for it in range(1, PICARD_MAX_ITER + 1):
@@ -419,8 +413,7 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
 
 
 def solve_eigen_radial(n_dim: int, radius: float,
-                       cfg: SolveConfig | None = None,
-                       initial: Optional[np.ndarray] = None) -> tuple[float, RadialProfile]:
+                       nodes: int = RADIAL_NODES) -> tuple[float, RadialProfile]:
     """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^3.
 
     Inverse iteration with sup-norm normalization: each step is one Picard
@@ -430,14 +423,8 @@ def solve_eigen_radial(n_dim: int, radius: float,
     """
     if n_dim != 3:
         raise InputError("the eigenvalue solver is wired for dimension 3")
-    r, h = _radial_grid(radius, cfg or SolveConfig())
-    if initial is None:
-        u = (r**2 - radius**2) / radius**2
-    else:
-        u = np.asarray(initial, dtype=float).copy()
-        if u.shape != r.shape or np.any(u[:-1] >= 0):
-            raise InputError("initial iterate must be negative inside with matching nodes")
-    u = u / np.max(np.abs(u))
+    r, h = _radial_grid(radius, nodes)
+    u = (r**2 - radius**2) / radius**2   # sup norm 1, at the origin
     lam = math.inf
     for k in range(1, EIGEN_MAX_ITER + 1):
         v, vp = _picard_pass(n_dim, r, h, u**2)
@@ -645,7 +632,8 @@ class ScalarField2D:
         gradient is the normal derivative; it is recovered from a one-sided
         derivative along the grid line through the crossing, divided by the
         cosine between that line and the normal.  Crossings nearly tangential
-        to the boundary are skipped.
+        to the boundary are skipped.  A sample that is not finite (u times a
+        squared arm length overflows on huge domains) raises SolverError.
         """
         mask, c = self.mask, self.mask.crossings
         align = np.einsum("ij,ij->i", c.normal, DIRECTIONS[c.direction])
@@ -654,15 +642,20 @@ class ScalarField2D:
             raise SolverError("no usable boundary crossings for gradient sampling")
         k, direction = c.node_index[keep], c.direction[keep]
         prev = mask.neighbor[k, direction ^ 1]   # neighbor opposite the crossing
-        d1 = c.theta[keep] * mask.h
+        d1 = mask.theta[k, direction] * mask.h
         u1 = self.u[k]
         # Without that neighbor (prev = -1) u is taken linear from the node to
         # the boundary; the three-point value read at u[-1] is discarded.
-        deriv_inward = np.where(
-            prev >= 0, forward_first_derivative(0.0, u1, self.u[prev], d1, d1 + mask.h),
-            u1 / d1)
-        # deriv_inward differentiates along -direction; flip to the outward axis.
-        return c.foot[keep], np.abs(-deriv_inward / align[keep])
+        with np.errstate(over="ignore", invalid="ignore"):
+            deriv_inward = np.where(
+                prev >= 0, forward_first_derivative(0.0, u1, self.u[prev], d1, d1 + mask.h),
+                u1 / d1)
+            # deriv_inward differentiates along -direction; flip to the outward axis.
+            grads = np.abs(-deriv_inward / align[keep])
+        if not np.all(np.isfinite(grads)):
+            raise SolverError(f"boundary sampling: |grad u| overflowed (u_min "
+                              f"{self.u_min:.3e}, h {mask.h:.3e})")
+        return c.foot[keep], grads
 
     def summary_fields(self) -> dict:
         return {"kind": self.kind, "h": self.mask.h, "domain": self.domain_label,
@@ -740,8 +733,7 @@ def _warm_start(ops, f: SourceTerm, order: np.ndarray):
     return u, hess
 
 
-def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
-                 mask: GridMask | None = None) -> ScalarField2D:
+def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     """Damped-Newton solve of det D^2 u = f(u) on a convex planar domain.
 
     The initial iterate solves the linear problem Delta u0 = 2 sqrt(f(0)),
@@ -763,8 +755,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float,
     (`nested_dissection_order`), computed once per call: the Laplacian and
     the Newton Jacobians share its sparsity pattern.
     """
-    if mask is None:
-        mask = rasterize(spec, h)
+    mask = rasterize(spec, h)
     ops = build_operators(mask)
 
     order = nested_dissection_order(mask.grid_index)

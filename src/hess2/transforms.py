@@ -47,10 +47,6 @@ class Transform:
         return (np.asarray(self.du(t))[..., None, None] * hess
                 + np.asarray(self.d2u(t))[..., None, None] * outer)
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        self.check_domain(t)
-        return self.u(t), self.du(t), self.d2u(t)
-
 
 def identity_transform() -> Transform:
     return Transform(name="identity", u=lambda t: t,

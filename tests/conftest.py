@@ -14,7 +14,6 @@ from hess2.analysis import (
 )
 from hess2.domain import ball, ellipse, rasterize
 from hess2.solver import (
-    SolveConfig,
     constant_source,
     eigen_source,
     exp_decreasing_source,
@@ -47,31 +46,25 @@ def make_source(key: str):
 
 @lru_cache(maxsize=None)
 def cached_radial(dim: int, f_key: str, nodes: int = 1024, radius: float = 1.0):
-    cfg = SolveConfig(radial_nodes=nodes)
-    return solve_radial(dim, radius, make_source(f_key), cfg)
+    return solve_radial(dim, radius, make_source(f_key), nodes)
+
+
+DOMAINS = {"disk": lambda: ball(1.0), "ellipse": lambda: ellipse(2.0, 1.0)}
 
 
 @lru_cache(maxsize=None)
 def cached_mask(domain_key: str, h: float):
-    if domain_key == "disk":
-        spec = ball(1.0)
-    elif domain_key == "ellipse":
-        spec = ellipse(2.0, 1.0)
-    else:
-        raise KeyError(domain_key)
-    return rasterize(spec, h)
+    return rasterize(DOMAINS[domain_key](), h)
 
 
 @lru_cache(maxsize=None)
 def cached_grid(domain_key: str, f_key: str, h: float):
-    mask = cached_mask(domain_key, h)
-    return solve_grid2d(mask.spec, make_source(f_key), h, mask=mask)
+    return solve_grid2d(DOMAINS[domain_key](), make_source(f_key), h)
 
 
 @lru_cache(maxsize=None)
 def cached_eigen(radius: float = 1.0, nodes: int = 1024):
-    cfg = SolveConfig(radial_nodes=nodes)
-    return solve_eigen_radial(3, radius, cfg)
+    return solve_eigen_radial(3, radius, nodes)
 
 
 def audit_bounds(sol, f, application: int, p=None, gamma: float = 1.0):

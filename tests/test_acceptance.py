@@ -42,7 +42,7 @@ from hess2.matineq import (
     factorization_campaign,
     inequality_campaign,
 )
-from hess2.solver import SolveConfig, solve_radial
+from hess2.solver import solve_radial
 
 SQRT3 = math.sqrt(3.0)
 
@@ -449,8 +449,7 @@ class TestGate14ConvergenceOrders:
 
     def test_grid_order_exponential_source(self):
         # Non-quadratic truth: measure against a high-resolution radial solve.
-        ref = solve_radial(2, 1.0, make_source("exp-dec"),
-                           SolveConfig(radial_nodes=8192))
+        ref = solve_radial(2, 1.0, make_source("exp-dec"), 8192)
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             sol = cached_grid("disk", "exp-dec", h)

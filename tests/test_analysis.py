@@ -197,10 +197,10 @@ class TestAlphaGrids:
 
 class TestTransformPreset:
     def test_preset_values(self):
-        assert transform_preset(1).eval(-1.0) == pytest.approx((-1.0, 0.5, 0.25))
-        assert transform_preset(2).eval(-1.0) == pytest.approx((0.0, 1.0, 1.0))
-        assert transform_preset(3, 1.0).eval(-1.0) == pytest.approx(
-            (-1.0, 0.25, 3.0 / 16.0))
+        for tr, expect in ((transform_preset(1), (-1.0, 0.5, 0.25)),
+                           (transform_preset(2), (0.0, 1.0, 1.0)),
+                           (transform_preset(3, 1.0), (-1.0, 0.25, 3.0 / 16.0))):
+            assert (tr.u(-1.0), tr.du(-1.0), tr.d2u(-1.0)) == pytest.approx(expect)
 
     def test_large_exponent_rejected(self):
         with pytest.raises(HypothesisError):

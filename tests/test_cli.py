@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hess2
-from hess2 import analysis, cli, matineq, solver, symmat
+from hess2 import analysis, cli, matineq, solver, symmat, transforms
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import InputError
 
@@ -105,6 +105,19 @@ class TestIneqCommand:
         assert abs(block["min_residual_over_scale"]) <= 1e-10
         assert abs(block["max_residual_over_scale"]) <= 1e-10
 
+    def test_failing_row_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        # A dimension whose rows fail their check is named, and the run exits 1.
+        real = matineq._rows_ok
+        monkeypatch.setattr(matineq, "_rows_ok",
+                            lambda *a: real(*a) & (a[-1] != 3))   # a[-1]: the dimension
+        out = tmp_path / "fail"
+        assert main(["ineq", "--dims", "2..3", "--count", "50", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("[ok]") and lines[1].endswith("[FAIL]")
+        assert lines[2] == "invariant violations in dims [3] (seed 42)"
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["ok"] and summary["per_dim"]["2"]["ok"]
+
     @pytest.mark.parametrize("argv", [
         ["ineq", "--dims", "2..3", "--count", "300", "--seed", "9"],
         ["solve", "--radial"],
@@ -191,6 +204,14 @@ class TestConfigReplay:
         printed = capsys.readouterr()
         assert printed.out.startswith("config error: ")
         assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "bad").exists()
+
+    def test_config_line_without_equals_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("command=ineq\nseed 9\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "config error: bad config line: 'seed 9'\n" and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
     def test_config_equals_form(self, tmp_path, capsys):
@@ -421,7 +442,8 @@ class TestSolveCommand:
             "grid-h-1e-7", "disk-1e300", "ellipse-1e300", "polygon-1e300", "ellipse-1e-300"])
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys, argv, flags):
         # Each grid is refused before any array of its size exists: the
-        # lattice, the radii, or (for the thin ellipse) its too few inside nodes.
+        # lattice, the radii, the domain's coordinate range (the 1e300 domains)
+        # or (for the thin ellipse) its too few inside nodes.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
@@ -460,8 +482,13 @@ class TestSolveCommand:
          r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
         (["solve", "--grid2d", "--f", "const:1e300", "--h", "0.0625"],
          r"damped Newton stalled at step 2 \(residual "),
+        # u ~ -5e299 times a squared arm length of 1e298 overflows.
+        (["solve", "--grid2d", "--domain", "disk:1e150", "--h", "1e149"],
+         r"boundary sampling: \|grad u\| overflowed \(u_min -5\.\d{3}e\+299, h 1\.000e\+149\)"),
+        (["verify", "--app", "1", "--grid2d", "--domain", "disk:1e150", "--h", "1e149"],
+         r"boundary sampling: \|grad u\| overflowed \(u_min -5\.\d{3}e\+299, h 1\.000e\+149\)"),
     ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
-            "grid-const-1e300"])
+            "grid-const-1e300", "grid-disk-1e150", "verify-disk-1e150"])
     def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
         # A fresh process, as the console script runs: pytest's warning filter
         # cannot hide a RuntimeWarning printed to stderr there.
@@ -471,6 +498,26 @@ class TestSolveCommand:
         assert done.stdout.count("\n") == 1
         assert re.match(f"solver failure: {reason}", done.stdout), done.stdout
         assert done.stderr == ""
+        assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))   # no NaN report
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--domain", "square:1"], "unknown domain 'square:1'\n"),
+        (["--domain", "disk:1e160", "--h", "1e159"], "--domain disk:1e+160 is out of range: "),
+        (["--domain", "disk:1e300", "--h", "1e299"], "--domain disk:1e+300 is out of range: "),
+        (["--domain", "ellipse:1e160,1e160", "--h", "1e159"],
+         "--domain ellipse:1e+160,1e+160 is out of range: "),
+        (["--domain", "polygon:-1e160,-1e160;1e160,-1e160;0,1e160", "--h", "1e159"],
+         "--domain polygon:3v is out of range: "),
+    ], ids=["unknown", "disk-1e160", "disk-1e300", "ellipse-1e160", "polygon-1e160"])
+    def test_rejected_domain_exits_two(self, tmp_path, argv, message):
+        # Squares of 1e160 coordinates overflow: such a domain is refused by
+        # name before any lattice exists.  A fresh process, as for overflows.
+        code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
+        out = tmp_path / "out"
+        done = _run_python(code, "solve", "--grid2d", *argv, "--out", str(out), check=False)
+        assert done.returncode == 2
+        assert done.stdout.startswith(f"input error: {message}"), done.stdout
+        assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
 
     @pytest.mark.parametrize("argv, reason", [
         (["solve", "--radial", "--radius", "1e-150"],
@@ -571,6 +618,22 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert abs(report["bounds"]["gamma=0.5"]["slack"]) <= 5 * 0.03125**2
+
+    def test_non_convex_scan_skips_the_bounds(self, tmp_path, capsys, monkeypatch):
+        # A failed convexity hypothesis writes a report that says so, and nothing else.
+        def not_convex(sol, transform):
+            return transforms.ConvexityReport.of(transform.name, np.array([-1.0]), 1.0,
+                                                 np.zeros((1, 1)))
+
+        monkeypatch.setattr(analysis, "convexity_scan_solution", not_convex)
+        out = tmp_path / "skip"
+        assert main(["verify", "--app", "1", "--nodes", "256", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ("hypothesis not met: neg-sqrt composition is not "
+                                           "convex (min eigenvalue -1.000e+00)\n")
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["skipped"] == "convexity hypothesis failed for neg-sqrt"
+        assert "bounds" not in report
 
     def test_application2_planar_rejected(self, tmp_path, capsys):
         # The eigenvalue problem is solved on balls only; a planar request

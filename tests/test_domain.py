@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from hess2.domain import (
-    BOUNDARY_ADJACENT,
     DIRECTIONS,
-    INTERIOR,
     THETA_FLOOR,
     DomainSpec,
     assert_convex,
@@ -124,11 +122,12 @@ class TestNormalsAndCrossings:
 
 
 class TestRasterize:
-    def test_unit_disk_half_step_inside_count(self):
-        # Nodes of the 0.5-lattice strictly inside the unit disk: the center,
-        # the four half-step axis nodes and the four half-step diagonal nodes.
-        mask = rasterize(ball(1.0), 0.5, min_span=2)
-        assert mask.n_inside == 9
+    def test_unit_disk_inside_count_is_integer_point_count(self):
+        # The 1/16-lattice about the center is exact in binary: its nodes strictly
+        # inside the unit disk are the integer points (i, j) with i^2 + j^2 < 16^2.
+        mask = rasterize(ball(1.0), 1.0 / 16.0)
+        i = np.arange(-16, 17)
+        assert mask.n_inside == np.count_nonzero(i[:, None] ** 2 + i**2 < 256) == 793
 
     def test_area_scaling_on_refinement(self):
         coarse = rasterize(ball(1.0), 1.0 / 16.0)
@@ -139,18 +138,19 @@ class TestRasterize:
     def test_interior_nodes_clear_of_boundary(self):
         for spec in (ball(1.0), ellipse(2.0, 1.0), convex_polygon(SQUARE)):
             mask = rasterize(spec, 0.07)
-            interior = mask.node_xy[mask.classification == INTERIOR]
+            interior = mask.node_xy[np.all(mask.neighbor[:, :4] >= 0, axis=1)]
             d = signed_distance(spec, interior)
             assert np.max(d) < -mask.h / 2
 
     def test_boundary_adjacent_have_cut_arm(self):
         mask = rasterize(ball(1.0), 0.1)
-        badj = mask.classification == BOUNDARY_ADJACENT
-        assert np.any(badj)
-        # Each boundary-adjacent node has at least one axis arm ending on the
+        # Boundary-adjacent nodes have at least one axis arm ending on the
         # boundary rather than at an inside node (theta may still be 1.0 when
-        # a lattice node falls exactly on the boundary).
-        assert np.all(np.any(mask.neighbor[badj, :4] < 0, axis=1))
+        # a lattice node falls exactly on the boundary), so they lie within a
+        # step of it, up to rounding.
+        badj = np.any(mask.neighbor[:, :4] < 0, axis=1)
+        assert np.any(badj) and not np.all(badj)
+        assert np.all(signed_distance(mask.spec, mask.node_xy[badj]) >= -mask.h * (1 + 1e-12))
         assert np.all(mask.theta > 0.0)
         assert np.all(mask.theta <= 1.0)
 
@@ -164,10 +164,10 @@ class TestRasterize:
         with pytest.raises(InputError):
             rasterize(bad, 0.1)
 
-    def test_classification_deterministic(self):
+    def test_rasterize_deterministic(self):
         m1 = rasterize(ellipse(2.0, 1.0), 0.05)
         m2 = rasterize(ellipse(2.0, 1.0), 0.05)
-        assert np.array_equal(m1.classification, m2.classification)
+        assert np.array_equal(m1.neighbor, m2.neighbor)
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_inside_test_matches_distance_sign(self):
@@ -197,12 +197,9 @@ class TestGridInvariants:
         k, m = np.nonzero(nb < 0)
         ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
         assert np.max(np.abs(signed_distance(spec, ends))) <= 1e-12 + THETA_FLOOR * h * np.sqrt(2.0)
-        axis_cut = nb[:, :4] < 0
-        assert np.array_equal(mask.classification == BOUNDARY_ADJACENT, axis_cut.any(axis=1))
         # Crossing rows are the cut axis arms in (node, direction) order.
         c = mask.crossings
-        k, m = np.nonzero(axis_cut)
+        k, m = np.nonzero(nb[:, :4] < 0)
         assert np.array_equal(c.node_index, k) and np.array_equal(c.direction, m)
-        assert np.array_equal(c.theta, theta[k, m])
         ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
         np.testing.assert_allclose(c.foot, ends, rtol=0.0, atol=1e-15)
