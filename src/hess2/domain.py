@@ -158,8 +158,20 @@ def _segments(vertices, p: np.ndarray):
     return rel, normal, np.linalg.norm(p - foot, axis=2)
 
 
+def _ellipse_units(spec: DomainSpec) -> tuple[float, float, float]:
+    """A power of two near the larger semi-axis, and the semi-axes in that unit.
+
+    Ellipse queries square products and quotients of lengths, so they run in
+    this unit: an exact scaling, which keeps the bits of unit-scale results
+    and every square in the float range from tiny semi-axes up to COORD_LIMIT.
+    """
+    unit = math.ldexp(1.0, math.frexp(max(spec.semi_axes))[1])
+    return unit, spec.semi_axes[0] / unit, spec.semi_axes[1] / unit
+
+
 def _ellipse_closest_point(a: float, b: float, pts: np.ndarray) -> np.ndarray:
-    """Closest boundary points on x^2/a^2 + y^2/b^2 = 1, vectorized bisection."""
+    """Closest boundary points on x^2/a^2 + y^2/b^2 = 1 (semi-axes about 1),
+    vectorized bisection."""
     px, py = np.abs(pts[:, 0]), np.abs(pts[:, 1])
     # Order axes so e0 >= e1; fold points into the first quadrant.
     e0, e1, y0, y1 = (b, a, py, px) if b > a else (a, b, px, py)
@@ -215,10 +227,10 @@ def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
     if spec.kind == "ball":
         d = np.linalg.norm(rel, axis=1) - spec.radius
     elif spec.kind == "ellipse":
-        a, b = spec.semi_axes
-        closest = _ellipse_closest_point(a, b, rel)
-        dist = np.linalg.norm(rel - closest, axis=1)
-        inside = (rel[:, 0] / a) ** 2 + (rel[:, 1] / b) ** 2 < 1.0
+        unit, a, b = _ellipse_units(spec)
+        p = rel / unit
+        dist = unit * np.linalg.norm(p - _ellipse_closest_point(a, b, p), axis=1)
+        inside = (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
         d = np.where(inside, -dist, dist)
     else:
         rel, normal, dist = _segments(spec.vertices, p)
@@ -235,7 +247,8 @@ def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
     if spec.kind == "ball":
         return p / np.linalg.norm(p, axis=1, keepdims=True)
     if spec.kind == "ellipse":
-        a, b = spec.semi_axes
+        unit, a, b = _ellipse_units(spec)
+        p = p / unit
         g = np.column_stack([2.0 * p[:, 0] / a**2, 2.0 * p[:, 1] / b**2])
         return g / np.linalg.norm(g, axis=1, keepdims=True)
     # Polygons: the normal of the nearest edge (the first one on ties).
@@ -263,11 +276,12 @@ def ray_crossing(spec: DomainSpec, origin, direction,
             c = (rows @ o[:, :, None])[:, 0, 0] - spec.radius ** 2
             t = -b + np.sqrt(b * b - c)
         elif spec.kind == "ellipse":
-            a_ax, b_ax = spec.semi_axes
+            unit, a_ax, b_ax = _ellipse_units(spec)
+            ou = o / unit
             qa = (d[0] / a_ax) ** 2 + (d[1] / b_ax) ** 2
-            qb = o[:, 0] * d[0] / a_ax**2 + o[:, 1] * d[1] / b_ax**2
-            qc = (o[:, 0] / a_ax) ** 2 + (o[:, 1] / b_ax) ** 2 - 1.0
-            t = (-qb + np.sqrt(qb * qb - qa * qc)) / qa
+            qb = ou[:, 0] * d[0] / a_ax**2 + ou[:, 1] * d[1] / b_ax**2
+            qc = (ou[:, 0] / a_ax) ** 2 + (ou[:, 1] / b_ax) ** 2 - 1.0
+            t = unit * (-qb + np.sqrt(qb * qb - qa * qc)) / qa
         else:
             # o + t d = start + s edge, solved for (t, s) by Cramer's rule on every
             # edge at once.  An edge parallel to d has denom 0, so its s is inf or

@@ -71,6 +71,11 @@ EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
 #: Intervals on [0, R] of the radial and eigenvalue solvers (`--nodes`).
 RADIAL_NODES = 1024
+#: SuperLU's panel, in columns (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
+#: 1999).  Scipy's default panel adds about 15 MB of work arrays to the peak
+#: of the h = 1/128 disk, this one about 3 MB, at no measurable cost in factor
+#: time on nested-dissection orders.
+SPLU_PANEL = 4
 
 
 @dataclass(frozen=True)
@@ -285,18 +290,6 @@ class RadialProfile:
         return header, {"r": self.r, "u": self.u, "up": self.up}
 
 
-def _radial_invariants(profile: RadialProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node Hessian eigenvalues (u'', u'/r) and the S1, S2 they give."""
-    eigs = profile.hessian_eigenvalues()
-    return (eigs, *invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity))
-
-
-def radial_ode_residual(profile: RadialProfile, f: SourceTerm) -> np.ndarray:
-    """Pointwise defect S2(D^2 u) - f(u) on the frame (u'', u'/r); at r = 0 both
-    eigenvalues are u''(0), which gives C(N, 2) u''(0)^2."""
-    return _radial_invariants(profile)[2] - f.f(profile.u)
-
-
 def _picard_pass(n_dim, r, h, rhs_vals):
     # Unchecked: r^(N-2) and the integrals may leave the float range (`_check_pass`).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -356,8 +349,11 @@ def _subnormal_integral(profile: RadialProfile, f: SourceTerm) -> bool:
 
 
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
-    """The profile with its residual sup, once it passes the checks of a radial solution."""
-    eigs, s1, s2 = _radial_invariants(profile)
+    """The profile with its residual sup, once it passes the checks of a radial solution.
+    S1 and S2 come from the Hessian eigenvalues (u'', u'/r) with multiplicities
+    (1, N-1); at r = 0 both are u''(0), which gives S2 = C(N, 2) u''(0)^2."""
+    eigs = profile.hessian_eigenvalues()
+    s1, s2 = invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity)
     profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - f.f(profile.u)))))
     u, up = profile.u, profile.up
     for failed, reason in (
@@ -469,43 +465,56 @@ def _first_derivative_row(theta_plus, theta_minus, h):
     return c_center, c_plus, c_minus
 
 
-def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix]:
-    """Sparse derivatives over inside nodes (zero boundary data), keyed by axis:
-    ops[i, j] is d^2/dx_i dx_j (i <= j) and ops[i] is d/dx_i, axes 0 = x, 1 = y."""
-    if mask._op_cache:
-        return mask._op_cache
+def _assemble(mask: GridMask, center, arms) -> sp.csr_matrix:
+    """`center` on the diagonal; each (direction, coefficients) arm lands on the
+    neighbor column where one exists (boundary data are zero)."""
     import scipy.sparse as sp
 
-    n = mask.n_inside
-    th, nb = mask.theta, mask.neighbor
+    n, nb = mask.n_inside, mask.neighbor
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [center]
+    for m, coeff in arms:
+        has = nb[:, m] >= 0
+        rows.append(np.nonzero(has)[0])
+        cols.append(nb[has, m])
+        vals.append(coeff[has])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
-    def assemble(center, arms):
-        # `center` on the diagonal; each (direction, coefficients) arm lands on
-        # the neighbor column where one exists (boundary data are zero).
-        rows, cols, vals = [np.arange(n)], [np.arange(n)], [center]
-        for m, coeff in arms:
-            has = nb[:, m] >= 0
-            rows.append(np.nonzero(has)[0])
-            cols.append(nb[has, m])
-            vals.append(coeff[has])
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
-    ops = {}
-    # Directions 2i and 2i+1 are +/- axis i.
-    for i, (ip, im) in enumerate(((0, 1), (2, 3))):
-        for key, row in (((i, i), _second_derivative_row), (i, _first_derivative_row)):
-            cc, cp, cm = row(th[:, ip], th[:, im], mask.h)
-            ops[key] = assemble(cc, ((ip, cp), (im, cm)))
-    # Cross derivative from the two diagonal second derivatives:
-    # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
-    sqrt2h = math.sqrt(2.0) * mask.h
-    cc1, cp1, cm1 = _second_derivative_row(th[:, 4], th[:, 5], sqrt2h)
-    cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
-    ops[0, 1] = assemble(0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
-                                            (6, -0.5 * cp2), (7, -0.5 * cm2)))
-    mask._op_cache.update(ops)
-    return mask._op_cache
+def _axis_operator(mask: GridMask, row, i: int) -> sp.csr_matrix:
+    """The derivative along axis i whose 3-point coefficients `row` gives."""
+    ip, im = 2 * i, 2 * i + 1   # directions 2i and 2i+1 are +/- axis i
+    cc, cp, cm = row(mask.theta[:, ip], mask.theta[:, im], mask.h)
+    return _assemble(mask, cc, ((ip, cp), (im, cm)))
+
+
+def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix]:
+    """Sparse second derivatives over inside nodes (zero boundary data), keyed by
+    axis: ops[i, j] is d^2/dx_i dx_j (i <= j), axes 0 = x, 1 = y.  They are kept
+    in `mask._op_cache`, where `ScalarField2D.gradient` adds the first
+    derivatives ops[i] = d/dx_i on first use.  A lattice whose coefficients
+    2/(theta (theta + theta') h^2) overflow (h^2 subnormal) is refused."""
+    cache = mask._op_cache
+    if (0, 1) in cache:
+        return cache
+    th = mask.theta
+    # On a tiny lattice the coefficients read inf; the check below refuses it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ops = {(i, i): _axis_operator(mask, _second_derivative_row, i)
+               for i in range(2)}
+        # Cross derivative from the two diagonal second derivatives:
+        # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
+        sqrt2h = math.sqrt(2.0) * mask.h
+        cc1, cp1, cm1 = _second_derivative_row(th[:, 4], th[:, 5], sqrt2h)
+        cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
+        ops[0, 1] = _assemble(mask, 0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
+                                                         (6, -0.5 * cp2), (7, -0.5 * cm2)))
+    if not all(np.all(np.isfinite(op.data)) for op in ops.values()):
+        raise InputError(f"--h {mask.h:g} on --domain {mask.spec.label()} is out of range: "
+                         "its stencil coefficients 2/(theta (theta + theta') h^2) overflow; "
+                         "scale the domain and --h up together")
+    cache.update(ops)
+    return cache
 
 
 def dissection_path(grid_index: np.ndarray) -> np.ndarray:
@@ -548,10 +557,19 @@ def nested_dissection_order(grid_index: np.ndarray) -> np.ndarray:
 
 
 def factorized(a: sp.spmatrix, order: np.ndarray):
-    """SuperLU of `a` with rows and columns taken in `order`, as a solve function."""
+    """SuperLU of `a` with rows and columns taken in `order`, as a solve function.
+
+    Beside the factor, SuperLU's work arrays grow as panel x n (about 16 panel n
+    bytes), hence the small SPLU_PANEL.  An exactly singular factor raises
+    SolverError.
+    """
     from scipy.sparse.linalg import splu
 
-    lu = splu(a.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+    try:
+        lu = splu(a.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
+                  panel_size=SPLU_PANEL)
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"sparse LU of a {a.shape[0]}-node operator failed: {exc}") from None
 
     def solve(b):
         x = np.empty_like(b)
@@ -600,7 +618,11 @@ class ScalarField2D:
     # sampled at the feet of the axis stencil arms that cross it.
 
     def gradient(self) -> np.ndarray:
-        ops = build_operators(self.mask)
+        # Built on first use: `solve` never reads the first derivatives.
+        ops = self.mask._op_cache
+        for i in range(2):
+            if i not in ops:
+                ops[i] = _axis_operator(self.mask, _first_derivative_row, i)
         return np.column_stack([ops[0] @ self.u, ops[1] @ self.u])
 
     def hessian(self) -> np.ndarray:

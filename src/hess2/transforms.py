@@ -48,12 +48,6 @@ class Transform:
                 + np.asarray(self.d2u(t))[..., None, None] * outer)
 
 
-def identity_transform() -> Transform:
-    return Transform(name="identity", u=lambda t: t,
-                     du=lambda t: np.ones_like(t, dtype=float),
-                     d2u=lambda t: np.zeros_like(t, dtype=float))
-
-
 def negative_sqrt_transform() -> Transform:
     """U(t) = -sqrt(-t) on t < 0; increasing with U'' > 0."""
     return Transform(

@@ -1,5 +1,6 @@
-"""Shared cached solves so expensive cases run once per session, and the test
-oracles for spectra and elementary symmetric functions."""
+"""Shared cached solves so expensive cases run once per session, the test
+oracles for spectra and elementary symmetric functions, the radial ODE
+defect and the identity transform."""
 
 from functools import lru_cache
 
@@ -23,7 +24,8 @@ from hess2.solver import (
     solve_grid2d,
     solve_radial,
 )
-from hess2.symmat import jacobi_eigh
+from hess2.symmat import invariants, jacobi_eigh
+from hess2.transforms import Transform
 
 SOURCES = {
     "const": constant_source,
@@ -119,3 +121,18 @@ def elem_sym(a, k: int) -> float:
     scale = max(1.0, abs(primary), abs(check), float(np.linalg.norm(a)) ** max(k, 1))
     assert abs(primary - check) <= 1e-9 * scale, (primary, check)
     return primary
+
+
+def radial_ode_residual(profile, f) -> np.ndarray:
+    """Pointwise defect S2(D^2 u) - f(u) of a radial profile on the frame
+    (u'', u'/r) with multiplicities (1, N-1); at r = 0 both eigenvalues are
+    u''(0), which gives C(N, 2) u''(0)^2."""
+    eigs = profile.hessian_eigenvalues()
+    return invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity)[1] - f.f(profile.u)
+
+
+def identity_transform() -> Transform:
+    """U(t) = t, for which a convexity scan reads the Hessian of u itself."""
+    return Transform(name="identity", u=lambda t: t,
+                     du=lambda t: np.ones_like(t, dtype=float),
+                     d2u=lambda t: np.zeros_like(t, dtype=float))

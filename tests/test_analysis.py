@@ -8,6 +8,7 @@ from conftest import (
     cached_mask,
     cached_radial,
     elem_sym_from_eigenvalues,
+    identity_transform,
     make_source,
 )
 from hess2.analysis import (
@@ -25,7 +26,6 @@ from hess2.analysis import (
 from hess2.errors import HypothesisError, InputError, SolverError, TransformDomainError
 from hess2.fields import ConvexityReport
 from hess2.solver import ScalarField2D
-from hess2.transforms import identity_transform
 
 SQRT3 = np.sqrt(3.0)
 

@@ -519,6 +519,23 @@ class TestSolveCommand:
         assert done.stdout.startswith(f"input error: {message}"), done.stdout
         assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
 
+    @pytest.mark.parametrize("domain, h", [
+        ("disk:1e-150", "1e-151"), ("disk:1e-153", "1e-154"), ("disk:1e-160", "1e-161"),
+        ("ellipse:1e-160,1e-160", "1e-161"),
+    ], ids=["disk-1e-150", "disk-1e-153", "disk-1e-160", "ellipse-1e-160"])
+    def test_tiny_lattice_exits_two(self, tmp_path, domain, h):
+        # Stencil coefficients 2/(theta (theta + theta') h^2) overflow once h^2
+        # is subnormal; the lattice is refused before any factorisation, and
+        # the ellipse's queries run in units of its size, so nothing warns.
+        code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
+        out = tmp_path / "out"
+        done = _run_python(code, "solve", "--grid2d", "--f", "const:1", "--domain", domain,
+                           "--h", h, "--out", str(out), check=False)
+        assert done.returncode == 2
+        assert done.stdout.startswith(f"input error: --h {h} on --domain {domain} is out "
+                                      "of range: "), done.stdout
+        assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, reason", [
         (["solve", "--radial", "--radius", "1e-150"],
          "radial Picard pass 1 produced an iterate that vanishes inside the ball in "

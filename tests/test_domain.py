@@ -88,6 +88,24 @@ class TestSignedDistance:
             # Tolerance is the boundary sampling error, not the solver's.
             assert abs(abs(d[k]) - brute) <= 1e-7
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ellipse_beyond_1e77(self):
+        # The bisection squares products of two lengths, which overflowed here.
+        pts = np.array([[1e99, 2e99], [3e100, 0.0], [0.0, 5e99], [-1e100, 1e100]])
+        big = signed_distance(ellipse(2e100, 1e100), pts)
+        np.testing.assert_allclose(big, 1e100 * signed_distance(ellipse(2.0, 1.0), pts / 1e100),
+                                   rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-500, -40, 3, 250])
+    def test_ellipse_distance_scales_by_powers_of_two_exactly(self, k):
+        rng = np.random.default_rng(2)
+        pts = np.vstack([rng.uniform(-3.0, 3.0, size=(40, 2)), [[0.5, 0.0], [0.0, 0.25]]])
+        scale = 2.0 ** k
+        unit = signed_distance(ellipse(2.0, 1.0), pts)
+        assert np.array_equal(signed_distance(ellipse(2.0 * scale, scale), pts * scale),
+                              scale * unit)
+
     def test_lipschitz_along_segments(self):
         rng = np.random.default_rng(1)
         for spec in (ball(1.5), ellipse(2.0, 1.0), convex_polygon(SQUARE)):

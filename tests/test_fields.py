@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import identity_transform
 from hess2.errors import HypothesisError, PreconditionError, TransformDomainError
 from hess2.fields import (
     ball_quadratic_field,
@@ -19,7 +20,6 @@ from hess2.fields import (
 )
 from hess2.symmat import eigenvalues, householder_q
 from hess2.transforms import (
-    identity_transform,
     negative_log_transform,
     negative_power_transform,
     negative_sqrt_transform,

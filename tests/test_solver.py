@@ -5,11 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import cached_eigen, cached_grid, cached_radial, make_source
+from conftest import cached_eigen, cached_grid, cached_radial, make_source, radial_ode_residual
 from hess2 import solver
 from hess2.domain import ball, convex_polygon, ellipse, rasterize
-from hess2.errors import InputError
+from hess2.errors import InputError, SolverError
 from hess2.solver import (
+    ScalarField2D,
+    _first_derivative_row,
     _hessian,
     _newton_jacobian,
     admissibility_report,
@@ -21,7 +23,6 @@ from hess2.solver import (
     load_solution,
     nested_dissection_order,
     power_source,
-    radial_ode_residual,
     save_solution,
     solve_eigen_radial,
     solve_grid2d,
@@ -317,6 +318,52 @@ class TestWarmStartFactor:
         sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
         assert sol.newton_iterations > 0
         assert alive_at_newton == [False]
+
+
+SQUARE = convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+
+
+class TestOperators:
+    def test_solve_builds_only_the_second_derivatives(self):
+        sol = solve_grid2d(ball(1.0), constant_source(1.0), 1.0 / 32)
+        assert set(sol.mask._op_cache) == {(0, 0), (0, 1), (1, 1)}
+
+    @pytest.mark.parametrize("spec", [ellipse(2.0, 1.0), SQUARE], ids=["ellipse", "square"])
+    def test_gradient_is_the_first_derivative_stencil_bit_for_bit(self, spec):
+        import scipy.sparse as sp
+        sol = solve_grid2d(spec, make_source("exp-dec"), 1.0 / 32)
+        mask, n = sol.mask, sol.mask.n_inside
+        expect = []
+        for ip, im in ((0, 1), (2, 3)):   # +/- x, then +/- y
+            cc, cp, cm = _first_derivative_row(mask.theta[:, ip], mask.theta[:, im], mask.h)
+            rows, cols, vals = [np.arange(n)], [np.arange(n)], [cc]
+            for m, coeff in ((ip, cp), (im, cm)):
+                has = mask.neighbor[:, m] >= 0
+                rows.append(np.nonzero(has)[0])
+                cols.append(mask.neighbor[has, m])
+                vals.append(coeff[has])
+            op = sp.csr_matrix((np.concatenate(vals),
+                                (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+            expect.append(op @ sol.u)
+        assert np.array_equal(sol.gradient(), np.column_stack(expect))
+        assert set(mask._op_cache) == {(0, 0), (0, 1), (1, 1), 0, 1}
+
+    def test_gradient_first_on_a_fresh_mask(self):
+        # The first derivatives land in an empty cache; the Hessian still
+        # gets its second derivatives.
+        sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
+        fresh = ScalarField2D(mask=rasterize(sol.mask.spec, sol.mask.h), u=sol.u)
+        assert np.array_equal(fresh.gradient(), sol.gradient())
+        assert np.array_equal(fresh.hessian(), sol.hessian())
+
+    def test_overflowing_coefficients_refused(self):
+        with pytest.raises(InputError, match=r"^--h 1e-154 on --domain disk:1e-153 is out"):
+            build_operators(rasterize(ball(1e-153), 1e-154))
+
+    def test_singular_factor_is_a_solver_error(self):
+        import scipy.sparse as sp
+        with pytest.raises(SolverError, match="exactly singular"):
+            factorized(sp.csr_matrix(np.diag([1.0, 0.0])), np.arange(2))
 
 
 class TestAdmissibilityCounterexample:
