@@ -120,4 +120,6 @@ def forward_first_derivative(u0: float, u1: float, u2: float,
 
     Three-point one-sided formula, exact for quadratics.
     """
-    return (u1 * d2 * d2 - u2 * d1 * d1 - u0 * (d2 * d2 - d1 * d1)) / (d1 * d2 * (d2 - d1))
+    unit = np.ldexp(1.0, np.frexp(d1)[1])   # exact rescaling: squared lengths stay in range
+    d1, d2 = d1 / unit, d2 / unit
+    return (u1 * d2 * d2 - u2 * d1 * d1 - u0 * (d2 * d2 - d1 * d1)) / (d1 * d2 * (d2 - d1)) / unit

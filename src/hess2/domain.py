@@ -2,8 +2,9 @@
 
 Grids are node lattices aligned with the domain center.  Each inside node
 has eight stencil arms, one per compass direction; an arm that leaves the
-domain carries the exact fractional distance to the boundary, which is what
-one-sided curved-boundary stencils consume.
+domain carries the exact fractional distance to the boundary (or to a node
+dropped as lying on it, see ARM_MIN), which is what one-sided curved-boundary
+stencils consume.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ DIRECTIONS = np.array([
     [1, 1], [-1, -1], [1, -1], [-1, 1],
 ], dtype=int)
 
-#: Arms thinner than this fraction of a step are clamped to keep stencils finite.
-THETA_FLOOR = 1e-6
+#: Shortest arm fraction an inside node keeps; a node with a shorter arm, or on the
+#: boundary to rounding, is a boundary node, so no stencil weight passes 1/(ARM_MIN h)^2.
+ARM_MIN = 1e-3
 
 #: Fewest inside nodes a lattice must put across a domain's narrowest section.
 MIN_SPAN = 16
@@ -35,29 +37,20 @@ COORD_LIMIT = math.sqrt(np.finfo(float).max) / 16
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A bounded convex domain: ball, axis-aligned ellipse, or convex polygon."""
+    """A bounded convex domain: a convex polygon, or an axis-aligned ellipse about the
+    origin, which is a disk when its semi-axes are equal."""
 
-    kind: str                       # "ball" | "ellipse" | "polygon"
-    dim: int
+    kind: str                       # "ellipse" | "polygon"
     center: np.ndarray
-    radius: float = 0.0             # ball
     semi_axes: tuple[float, float] = (0.0, 0.0)  # ellipse
     vertices: Optional[np.ndarray] = None        # polygon, counterclockwise
 
     def label(self) -> str:
         """Short name as reports print it: disk:1, ellipse:2,1 or polygon:4v."""
-        if self.kind == "ball":
-            return f"disk:{self.radius:g}"
         if self.kind == "ellipse":
-            return f"ellipse:{self.semi_axes[0]:g},{self.semi_axes[1]:g}"
+            a, b = self.semi_axes
+            return f"disk:{a:g}" if a == b else f"ellipse:{a:g},{b:g}"
         return f"polygon:{len(self.vertices)}v"
-
-
-def _center(center) -> np.ndarray:
-    c = np.zeros(2) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (2,) or not np.all(np.isfinite(c)):
-        raise InputError("center must be 2 finite coordinates")
-    return c
 
 
 def _check_range(label: str, center, half) -> None:
@@ -70,20 +63,17 @@ def _check_range(label: str, center, half) -> None:
                          f"squared node coordinates of its --h lattice stay finite")
 
 
-def ball(radius: float, center=None) -> DomainSpec:
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError("ball radius must be positive and finite")
-    spec = DomainSpec(kind="ball", dim=2, center=_center(center), radius=radius)
-    _check_range(spec.label(), spec.center, radius)
-    return spec
-
-
-def ellipse(a: float, b: float, center=None) -> DomainSpec:
+def ellipse(a: float, b: float) -> DomainSpec:
     if not all(math.isfinite(s) and s > 0 for s in (a, b)):
         raise InputError("ellipse semi-axes must be positive and finite")
-    spec = DomainSpec(kind="ellipse", dim=2, center=_center(center), semi_axes=(a, b))
-    _check_range(spec.label(), spec.center, np.array([a, b]))
+    spec = DomainSpec(kind="ellipse", center=np.zeros(2), semi_axes=(a, b))
+    _check_range(spec.label(), 0.0, np.array([a, b]))
     return spec
+
+
+def ball(radius: float) -> DomainSpec:
+    """The disk of the given radius: an ellipse with equal semi-axes."""
+    return ellipse(radius, radius)
 
 
 def _edges(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -120,19 +110,17 @@ def convex_polygon(vertices) -> DomainSpec:
     _, edge = _edges(v)
     if _cross(edge[0], edge[1]) < 0:
         v = v[::-1].copy()
-    return DomainSpec(kind="polygon", dim=2, center=v.mean(axis=0), vertices=v)
+    return DomainSpec(kind="polygon", center=v.mean(axis=0), vertices=v)
 
 
 def assert_convex(spec: DomainSpec) -> bool:
-    """Convexity verdict; balls and ellipses are convex by construction."""
+    """Convexity verdict; ellipses are convex by construction."""
     return spec.kind != "polygon" or polygon_is_convex(spec.vertices)
 
 
 def is_inside(spec: DomainSpec, pts) -> np.ndarray:
     """Exact strict-interior test, vectorized over points (n, dim)."""
     p = np.atleast_2d(np.asarray(pts, dtype=float)) - spec.center
-    if spec.kind == "ball":
-        return np.einsum("ij,ij->i", p, p) < spec.radius ** 2
     if spec.kind == "ellipse":
         a, b = spec.semi_axes
         with np.errstate(over="ignore"):   # far outside a thin ellipse: inf, not inside
@@ -219,16 +207,13 @@ def _ellipse_closest_point(a: float, b: float, pts: np.ndarray) -> np.ndarray:
 def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
     """Signed distance to the boundary: negative inside, positive outside.
 
-    Exact for balls and polygons; ellipses use a bisection on the
-    closest-point equation resolved to ~1e-12.
+    Exact for polygons; ellipses use a bisection on the closest-point
+    equation resolved to ~1e-12.
     """
     p = np.atleast_2d(np.asarray(pts, dtype=float))
-    rel = p - spec.center
-    if spec.kind == "ball":
-        d = np.linalg.norm(rel, axis=1) - spec.radius
-    elif spec.kind == "ellipse":
+    if spec.kind == "ellipse":
         unit, a, b = _ellipse_units(spec)
-        p = rel / unit
+        p = p / unit
         dist = unit * np.linalg.norm(p - _ellipse_closest_point(a, b, p), axis=1)
         inside = (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
         d = np.where(inside, -dist, dist)
@@ -244,8 +229,6 @@ def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
 def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
     """Outward unit normals at points assumed to lie on the boundary."""
     p = np.atleast_2d(np.asarray(pts, dtype=float)) - spec.center
-    if spec.kind == "ball":
-        return p / np.linalg.norm(p, axis=1, keepdims=True)
     if spec.kind == "ellipse":
         unit, a, b = _ellipse_units(spec)
         p = p / unit
@@ -268,14 +251,7 @@ def ray_crossing(spec: DomainSpec, origin, direction,
     o = np.atleast_2d(np.asarray(origin, dtype=float)) - spec.center
     d = np.asarray(direction, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.kind == "ball":
-            # Stacked matmul takes one dot product per row, rounded as a
-            # single point's `o @ d` is, so arm lengths do not depend on m.
-            rows = o[:, None, :]
-            b = (rows @ d)[:, 0]
-            c = (rows @ o[:, :, None])[:, 0, 0] - spec.radius ** 2
-            t = -b + np.sqrt(b * b - c)
-        elif spec.kind == "ellipse":
+        if spec.kind == "ellipse":
             unit, a_ax, b_ax = _ellipse_units(spec)
             ou = o / unit
             qa = (d[0] / a_ax) ** 2 + (d[1] / b_ax) ** 2
@@ -293,7 +269,8 @@ def ray_crossing(spec: DomainSpec, origin, direction,
             ss = _cross(rel, d) / denom
             hit = (tt > 0) & (ss >= -1e-12) & (ss <= 1 + 1e-12)
             t = np.where(hit, tt, np.inf).min(axis=0)
-        t = np.where((t > 0) & (t <= max_len * (1 + 1e-12)), np.minimum(t, max_len), np.nan)
+        found = (t > 0) & (t <= max_len * (1 + 1e-12)) & (t < np.inf)
+        t = np.where(found, np.minimum(t, max_len), np.nan)
     if np.asarray(origin).ndim == 1:
         return None if math.isnan(t[0]) else float(t[0])
     return t
@@ -334,19 +311,17 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
     """Find the lattice nodes inside the domain and collect stencil geometry.
 
     The lattice is anchored at the domain center so symmetric domains get
-    symmetric grids.  Raises ConfigurationError when fewer than MIN_SPAN
+    symmetric grids.  A node with an arm below ARM_MIN of a step, or on the
+    boundary to rounding, is dropped, and its neighbours' arms end on it,
+    until no node drops.  Raises ConfigurationError when fewer than MIN_SPAN
     inside nodes span the narrowest axis-aligned section.
     """
     if not (math.isfinite(h) and h > 0):
         raise InputError("grid spacing must be positive and finite")
-    if spec.dim != 2:
-        raise InputError("rasterization supports planar domains only")
     if not assert_convex(spec):
         raise InputError("domain must be convex")
 
-    if spec.kind == "ball":
-        ext = np.array([spec.radius, spec.radius])
-    elif spec.kind == "ellipse":
+    if spec.kind == "ellipse":
         ext = np.array(spec.semi_axes, dtype=float)
     else:
         ext = np.max(np.abs(spec.vertices - spec.center), axis=0)
@@ -369,29 +344,34 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
     lattice[..., 0], lattice[..., 1] = xs[:, None], ys
     inside = is_inside(spec, nodes).reshape(nx, ny)
 
-    # A convex domain meets each lattice line in one run of inside nodes.
-    span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
-    if span < MIN_SPAN:
-        raise ConfigurationError(
-            f"grid too coarse: --h {h:g} puts {span} inside nodes across the narrowest "
-            f"section of --domain {spec.label()}, need >= {MIN_SPAN}")
+    while True:
+        # A convex domain meets each lattice line in one run of inside nodes.
+        span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
+        if span < MIN_SPAN:
+            raise ConfigurationError(
+                f"grid too coarse: --h {h:g} puts {span} inside nodes across the narrowest "
+                f"section of --domain {spec.label()}, need >= {MIN_SPAN}")
 
-    grid_index = -np.ones((nx, ny), dtype=int)
-    ii, jj = np.nonzero(inside)
-    n_inside = len(ii)
-    grid_index[ii, jj] = np.arange(n_inside)
-    node_xy = np.column_stack([xs[ii], ys[jj]])
+        grid_index = -np.ones((nx, ny), dtype=int)
+        ii, jj = np.nonzero(inside)
+        n_inside = len(ii)
+        grid_index[ii, jj] = np.arange(n_inside)
+        node_xy = np.column_stack([xs[ii], ys[jj]])
 
-    # Shifted lookups stay in range: inside nodes never touch the outer ring.
-    neighbor = np.column_stack([grid_index[ii + di, jj + dj] for di, dj in DIRECTIONS])
-    theta = np.ones((n_inside, 8))
-    for m, (di, dj) in enumerate(DIRECTIONS):
-        cut = neighbor[:, m] < 0
-        step = h * math.hypot(di, dj)
-        unit = np.array([di, dj]) / math.hypot(di, dj)
-        t = ray_crossing(spec, node_xy[cut], unit, step)
-        t[np.isnan(t)] = step  # grazing float case: treat as full arm to boundary
-        theta[cut, m] = np.clip(t / step, THETA_FLOOR, 1.0)
+        # Shifted lookups stay in range: inside nodes never touch the outer ring.
+        neighbor = np.column_stack([grid_index[ii + di, jj + dj] for di, dj in DIRECTIONS])
+        theta = np.ones((n_inside, 8))
+        for m, (di, dj) in enumerate(DIRECTIONS):
+            cut = neighbor[:, m] < 0
+            step = h * math.hypot(di, dj)
+            unit = np.array([di, dj]) / math.hypot(di, dj)
+            # An arm toward a dropped node crosses beyond it: a full arm.
+            t = ray_crossing(spec, node_xy[cut], unit, math.inf)
+            theta[cut, m] = np.minimum(t / step, 1.0)
+        drop = ~(theta.min(axis=1) >= ARM_MIN)   # NaN: no crossing found
+        if not drop.any():
+            break
+        inside[ii[drop], jj[drop]] = False
 
     node_index, direction = np.nonzero(neighbor[:, :4] < 0)
     frac = theta[node_index, direction]

@@ -48,7 +48,7 @@ from .symmat import cofactor, eigenvalues, invariants
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-SOLUTION_SCHEMA_VERSION = 1
+SOLUTION_SCHEMA_VERSION = 2
 
 #: Boundary crossings whose axis direction is this far from the normal are
 #: skipped when sampling |grad u| on the boundary (the better-aligned axis
@@ -654,8 +654,8 @@ class ScalarField2D:
         gradient is the normal derivative; it is recovered from a one-sided
         derivative along the grid line through the crossing, divided by the
         cosine between that line and the normal.  Crossings nearly tangential
-        to the boundary are skipped.  A sample that is not finite (u times a
-        squared arm length overflows on huge domains) raises SolverError.
+        to the boundary are skipped.  A sample that is not finite (u within a
+        few orders of the float maximum) raises SolverError.
         """
         mask, c = self.mask, self.mask.crossings
         align = np.einsum("ij,ij->i", c.normal, DIRECTIONS[c.direction])
@@ -692,8 +692,7 @@ class ScalarField2D:
         spec = self.mask.spec
         header = {"h": self.mask.h, "newton_iterations": self.newton_iterations,
                   "residual_sup": self.residual_sup,
-                  "domain": {"kind": spec.kind, "center": list(spec.center),
-                             "radius": spec.radius, "semi_axes": list(spec.semi_axes),
+                  "domain": {"kind": spec.kind, "semi_axes": list(spec.semi_axes),
                              "vertices": None if spec.vertices is None
                              else [list(v) for v in spec.vertices]}}
         return header, {"u": self.u, "node_xy": self.mask.node_xy}
@@ -877,11 +876,9 @@ def load_solution(path):
                                  ode_residual_sup=header["ode_residual_sup"])
         if header["kind"] == "grid2d":
             dom = header["domain"]
-            from .domain import ball, convex_polygon, ellipse as make_ellipse
-            if dom["kind"] == "ball":
-                spec = ball(dom["radius"], center=dom["center"])
-            elif dom["kind"] == "ellipse":
-                spec = make_ellipse(*dom["semi_axes"], center=dom["center"])
+            from .domain import convex_polygon, ellipse as make_ellipse
+            if dom["kind"] == "ellipse":
+                spec = make_ellipse(*dom["semi_axes"])
             else:
                 spec = convex_polygon(dom["vertices"])
             mask = rasterize(spec, header["h"])

@@ -35,7 +35,9 @@ class TestParsers:
         assert parse_source("eigen:28").params == (28.0,)
 
     def test_domain_presets(self):
-        assert parse_domain("disk:1").kind == "ball"
+        disk = parse_domain("disk:1")
+        assert disk.kind == "ellipse" and disk.semi_axes == (1.0, 1.0) and disk.label() == "disk:1"
+        assert parse_domain("ellipse:3,3").label() == "disk:3"
         assert parse_domain("ellipse:2,1").semi_axes == (2.0, 1.0)
         poly = parse_domain("polygon:-1,-1;1,-1;1,1;-1,1")
         assert poly.kind == "polygon" and len(poly.vertices) == 4
@@ -482,13 +484,13 @@ class TestSolveCommand:
          r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
         (["solve", "--grid2d", "--f", "const:1e300", "--h", "0.0625"],
          r"damped Newton stalled at step 2 \(residual "),
-        # u ~ -5e299 times a squared arm length of 1e298 overflows.
-        (["solve", "--grid2d", "--domain", "disk:1e150", "--h", "1e149"],
-         r"boundary sampling: \|grad u\| overflowed \(u_min -5\.\d{3}e\+299, h 1\.000e\+149\)"),
-        (["verify", "--app", "1", "--grid2d", "--domain", "disk:1e150", "--h", "1e149"],
-         r"boundary sampling: \|grad u\| overflowed \(u_min -5\.\d{3}e\+299, h 1\.000e\+149\)"),
+        # The solution, u = 1e4 (r^2 - R^2)/2, reaches -3.2e309 at the center.
+        (["solve", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152", "--h", "8e151"],
+         r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
+        (["verify", "--app", "1", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152",
+          "--h", "8e151"], r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
     ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
-            "grid-const-1e300", "grid-disk-1e150", "verify-disk-1e150"])
+            "grid-const-1e300", "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8"])
     def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
         # A fresh process, as the console script runs: pytest's warning filter
         # cannot hide a RuntimeWarning printed to stderr there.
@@ -505,7 +507,7 @@ class TestSolveCommand:
         (["--domain", "disk:1e160", "--h", "1e159"], "--domain disk:1e+160 is out of range: "),
         (["--domain", "disk:1e300", "--h", "1e299"], "--domain disk:1e+300 is out of range: "),
         (["--domain", "ellipse:1e160,1e160", "--h", "1e159"],
-         "--domain ellipse:1e+160,1e+160 is out of range: "),
+         "--domain disk:1e+160 is out of range: "),
         (["--domain", "polygon:-1e160,-1e160;1e160,-1e160;0,1e160", "--h", "1e159"],
          "--domain polygon:3v is out of range: "),
     ], ids=["unknown", "disk-1e160", "disk-1e300", "ellipse-1e160", "polygon-1e160"])
@@ -519,11 +521,11 @@ class TestSolveCommand:
         assert done.stdout.startswith(f"input error: {message}"), done.stdout
         assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
 
-    @pytest.mark.parametrize("domain, h", [
-        ("disk:1e-150", "1e-151"), ("disk:1e-153", "1e-154"), ("disk:1e-160", "1e-161"),
-        ("ellipse:1e-160,1e-160", "1e-161"),
-    ], ids=["disk-1e-150", "disk-1e-153", "disk-1e-160", "ellipse-1e-160"])
-    def test_tiny_lattice_exits_two(self, tmp_path, domain, h):
+    @pytest.mark.parametrize("domain, h, label", [
+        ("disk:1e-153", "1e-154", "disk:1e-153"), ("disk:1e-160", "1e-161", "disk:1e-160"),
+        ("ellipse:1e-160,1e-160", "1e-161", "disk:1e-160"),
+    ], ids=["disk-1e-153", "disk-1e-160", "ellipse-1e-160"])
+    def test_tiny_lattice_exits_two(self, tmp_path, domain, h, label):
         # Stencil coefficients 2/(theta (theta + theta') h^2) overflow once h^2
         # is subnormal; the lattice is refused before any factorisation, and
         # the ellipse's queries run in units of its size, so nothing warns.
@@ -532,9 +534,20 @@ class TestSolveCommand:
         done = _run_python(code, "solve", "--grid2d", "--f", "const:1", "--domain", domain,
                            "--h", h, "--out", str(out), check=False)
         assert done.returncode == 2
-        assert done.stdout.startswith(f"input error: --h {h} on --domain {domain} is out "
+        assert done.stdout.startswith(f"input error: --h {h} on --domain {label} is out "
                                       "of range: "), done.stdout
         assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
+
+    def test_tiny_disk_solves_to_scale(self, tmp_path, capsys):
+        # With h^2 = 1e-302 the stencil weights, about 1/(theta h)^2, stay finite.
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--grid2d", "--f", "const:1", "--domain", "disk:1e-150",
+                         "--h", "1e-151", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["u_min"] / 1e-300 == pytest.approx(-0.5, rel=1e-12)
+        assert capsys.readouterr().err == "" and not caught
 
     @pytest.mark.parametrize("argv, reason", [
         (["solve", "--radial", "--radius", "1e-150"],

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hess2.domain import (
+    ARM_MIN,
     DIRECTIONS,
-    THETA_FLOOR,
     DomainSpec,
     assert_convex,
     ball,
@@ -26,6 +26,12 @@ class TestSpecs:
     def test_ball_rejects_bad_radius(self):
         with pytest.raises(InputError):
             ball(0.0)
+
+    def test_disk_is_an_ellipse_with_equal_semi_axes(self):
+        disk = ball(1.5)
+        assert disk.kind == "ellipse" and disk.semi_axes == (1.5, 1.5)
+        assert disk.label() == "disk:1.5" and ellipse(1.5, 1.5).label() == "disk:1.5"
+        assert ellipse(2.0, 1.0).label() == "ellipse:2,1"
 
     def test_ellipse_rejects_bad_axes(self):
         with pytest.raises(InputError):
@@ -51,7 +57,7 @@ class TestSpecs:
         assert assert_convex(ellipse(2.0, 1.0))
         assert assert_convex(convex_polygon(SQUARE))
         assert not polygon_is_convex(L_SHAPE)
-        bad = DomainSpec(kind="polygon", dim=2, center=np.zeros(2),
+        bad = DomainSpec(kind="polygon", center=np.zeros(2),
                          vertices=np.asarray(L_SHAPE))
         assert not assert_convex(bad)
 
@@ -147,6 +153,17 @@ class TestRasterize:
         i = np.arange(-16, 17)
         assert mask.n_inside == np.count_nonzero(i[:, None] ** 2 + i**2 < 256) == 793
 
+    def test_nodes_on_the_boundary_become_boundary_nodes(self):
+        # (+-9, +-40)/41 and (+-40, +-9)/41 lie on the unit circle, inside it to
+        # rounding.  They are dropped, so the inside nodes are again the integer
+        # points strictly inside, and an arm pointing at one ends there.
+        h = 1.0 / 41.0
+        mask = rasterize(ball(1.0), h)
+        i = np.arange(-41, 42)
+        assert mask.n_inside == np.count_nonzero(i[:, None] ** 2 + i**2 < 41**2)
+        row = np.flatnonzero(np.all(np.round(mask.node_xy / h) == [8, 40], axis=1))[0]
+        assert mask.neighbor[row, 0] == -1 and mask.theta[row, 0] == 1.0
+
     def test_area_scaling_on_refinement(self):
         coarse = rasterize(ball(1.0), 1.0 / 16.0)
         fine = rasterize(ball(1.0), 1.0 / 32.0)
@@ -177,7 +194,7 @@ class TestRasterize:
             rasterize(ball(1.0), 0.5)
 
     def test_nonconvex_rejected(self):
-        bad = DomainSpec(kind="polygon", dim=2, center=np.zeros(2),
+        bad = DomainSpec(kind="polygon", center=np.zeros(2),
                          vertices=np.asarray(L_SHAPE))
         with pytest.raises(InputError):
             rasterize(bad, 0.1)
@@ -210,11 +227,12 @@ class TestGridInvariants:
         # Arms pair up: stepping back along the opposite direction returns.
         assert np.array_equal(nb[nb[k, m], m ^ 1], k)
         assert np.all(theta[k, m] == 1.0)
-        # Every cut arm ends on the boundary; clamped arms end at most
-        # THETA_FLOOR of a step beyond it.
+        # Every cut arm ends on the boundary, and no kept arm is shorter than
+        # ARM_MIN of a step.
         k, m = np.nonzero(nb < 0)
         ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
-        assert np.max(np.abs(signed_distance(spec, ends))) <= 1e-12 + THETA_FLOOR * h * np.sqrt(2.0)
+        assert np.max(np.abs(signed_distance(spec, ends))) <= 1e-12 * h
+        assert np.min(theta) >= ARM_MIN
         # Crossing rows are the cut axis arms in (node, direction) order.
         c = mask.crossings
         k, m = np.nonzero(nb[:, :4] < 0)

@@ -4,7 +4,7 @@ from numpy.polynomial import Polynomial
 
 from conftest import make_source
 from hess2 import _quad, analysis
-from hess2._quad import cumulative_quartic
+from hess2._quad import cumulative_quartic, forward_first_derivative
 from hess2.analysis import source_integral
 from hess2.errors import InputError, NumericalError
 from hess2.solver import SourceTerm
@@ -60,6 +60,18 @@ class TestCumulativeQuartic:
 # ----------------------------------------------------------------------
 # Batched adaptive Simpson against the depth-first recursion
 # ----------------------------------------------------------------------
+
+
+class TestForwardFirstDerivative:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 2.0**-40, 1.0, 3.0, 1e150])
+    def test_quadratic_exact_at_every_scale(self, scale):
+        # u(x) = R^2 q(x/R) with q(t) = t^2 - 3t - 2 has u'(0) = -3R; arms of
+        # 0.01R and 1.01R square to more than the float range at R = 1e150.
+        d1, d2 = 0.01 * scale, 1.01 * scale
+        u0, u1, u2 = (scale**2 * ((d / scale) ** 2 - 3.0 * d / scale - 2.0) for d in (0.0, d1, d2))
+        assert forward_first_derivative(u0, u1, u2, d1, d2) == pytest.approx(-3.0 * scale,
+                                                                            rel=1e-12)
 
 
 def recursive_simpson(func, a, b, rtol=1e-10, atol=1e-300):

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import cached_eigen, cached_grid, cached_radial, make_source, radial_ode_residual
+from conftest import (DOMAINS, cached_eigen, cached_grid, cached_mask, cached_radial, make_source,
+                      radial_ode_residual)
 from hess2 import solver
 from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError, SolverError
@@ -207,6 +208,42 @@ class TestGridSolver:
         assert sol.residual_sup <= 1e-9
         assert -1.0 < sol.u_min < -0.5
         assert admissibility_report(sol).admissible
+
+    @pytest.mark.parametrize("domain, k", [
+        *(("disk", k) for k in (17, 18, 19, 21, 23, 24, 27, 29, 34, 41)),
+        *(("ellipse", k) for k in (17, 19, 20, 26, 30)),
+    ])
+    def test_constant_source_exact_off_powers_of_two(self, domain, k):
+        # These lattices put nodes within rounding of the boundary (k fl(1/k)
+        # < 1, or Pythagorean points such as (9/41, 40/41)).  Such nodes are
+        # boundary nodes, and the one-sided stencils, exact on quadratics,
+        # reproduce the closed-form solution.
+        sol = solve_grid2d(DOMAINS[domain](), constant_source(1.0), 1.0 / k)
+        x, y = sol.mask.node_xy.T
+        exact = (x**2 + y**2 - 1.0) / 2.0 if domain == "disk" else x**2 / 4.0 + y**2 - 1.0
+        assert np.max(np.abs(sol.u - exact)) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("a", [1.0, 2.0], ids=["disk", "ellipse"])
+    def test_constant_source_at_every_scale(self, a, scale):
+        # On the ellipse with semi-axes (aR, R), det D^2 u = 1 has the solution
+        # u = (a R^2/2)(x'^2/a^2 + y'^2 - 1) with x' = x/R, y' = y/R, and
+        # |grad u|/R = a |(x'/a^2, y')| on the boundary.
+        sol = solve_grid2d(ellipse(a * scale, scale), constant_source(1.0), scale / 10)
+        x, y = (sol.mask.node_xy / scale).T
+        exact = a / 2.0 * (x**2 / a**2 + y**2 - 1.0)
+        assert np.max(np.abs(sol.u / scale**2 - exact)) <= 1e-10
+        feet, grads = sol.boundary_samples()
+        fx, fy = (feet / scale).T
+        np.testing.assert_allclose(grads / scale, a * np.hypot(fx / a**2, fy), rtol=1e-10)
+
+    def test_boundary_sampling_overflow_is_a_solver_error(self):
+        # u near the float maximum: its one-sided derivatives overflow.
+        mask = cached_mask("disk", 1.0 / 32)
+        sol = ScalarField2D(mask=mask, u=np.full(mask.n_inside, -1e308))
+        with pytest.raises(SolverError, match=r"boundary sampling: \|grad u\| overflowed"):
+            sol.boundary_samples()
 
     @pytest.mark.parametrize("p", [0.5, 1.5])
     def test_power_source_matches_radial(self, p):
@@ -419,7 +456,7 @@ class TestSerialization:
         assert back.residual_sup == sol.residual_sup
 
     @pytest.mark.parametrize("change, message", [
-        ({"schema": 2}, "unsupported solution schema 2"),
+        ({"schema": 1}, "unsupported solution schema 1"),
         ({"h": 1.0 / 16}, "does not match the rebuilt grid"),
         ({"kind": "sphere"}, "unrecognized solution file"),
     ], ids=["schema", "grid-mismatch", "unknown-kind"])
