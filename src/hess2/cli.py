@@ -329,6 +329,12 @@ def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
         _write_rows(fh, [*cols, *(pf.phi for pf in pf_list)])
 
 
+def _nine_digits(x: float) -> str:
+    """x with 9 decimals, in exponent form where fixed point would lose its
+    leading digits (|x| < 1e-4) or spill ten or more integer digits (|x| >= 1e9)."""
+    return f"{x:.9f}" if x == 0 or 1e-4 <= abs(x) < 1e9 else f"{x:.9e}"
+
+
 def cmd_solve(args) -> int:
     from . import solver
 
@@ -341,9 +347,9 @@ def cmd_solve(args) -> int:
     solver.save_solution(sol, out / "solution.npz")
     _write_json(out / "summary.json", summary)
     _write_profile_data(sol, out / "profile.dat")
-    print(f"u_min = {summary['u_min']:.9f}")
-    print(f"boundary |grad u| in [{summary['boundary_gradient_min']:.9f}, "
-          f"{summary['boundary_gradient_max']:.9f}]")
+    print(f"u_min = {_nine_digits(summary['u_min'])}")
+    print(f"boundary |grad u| in [{_nine_digits(summary['boundary_gradient_min'])}, "
+          f"{_nine_digits(summary['boundary_gradient_max'])}]")
     adm = summary["admissibility"]
     print(f"admissible = {adm['admissible']} "
           f"(min S1 {adm['min_s1']:.3e}, min S2 {adm['min_s2']:.3e}, "
@@ -623,9 +629,10 @@ def _check_typed(args, typed: list) -> None:
 
 def main(argv=None) -> int:
     # At interpreter exit, move every live object to the permanent generation
-    # first, so the shutdown collections skip them.  Walking the numpy and scipy
-    # heap cost 22 ms of a radial call and 56 ms of a planar one; frozen, 6 and
-    # 14 ms.  An in-process caller keeps a normal heap until it exits.
+    # first, so the shutdown collections skip them.  Walking the heap cost 22 ms
+    # of a radial call and 56 ms of a planar one (which then also loaded a
+    # sparse-matrix package); frozen, 6 and 14 ms.  An in-process caller keeps
+    # a normal heap until it exits.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv

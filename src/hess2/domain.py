@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -305,6 +306,13 @@ class GridMask:
     @property
     def n_inside(self) -> int:
         return len(self.node_xy)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """(9, n_inside) stencil columns: row 0 holds each node itself, row 1 + m
+        its neighbour along DIRECTIONS[m], or n_inside where that arm leaves."""
+        n = self.n_inside
+        return np.vstack([np.arange(n), np.where(self.neighbor >= 0, self.neighbor, n).T])
 
 
 def rasterize(spec: DomainSpec, h: float) -> GridMask:

@@ -1,0 +1,278 @@
+"""Direct LU of the planar lattice operators, by multifrontal elimination of
+the nested-dissection tree (Duff & Reid, ACM TOMS 9, 1983), in numpy alone.
+
+`dissection_path` cuts the inside nodes into boxes.  A node is eliminated at
+the first level where it lies on a cut line, and the boxes of the last
+LEAF_LEVELS levels are not cut: their nodes are eliminated together, as one
+dense leaf.  A box of level L holds the nodes whose sides at levels 0..L-1
+agree; its separator S is its cut line (or, for a leaf, all its nodes).  The
+front of a box is S plus U, the nodes of earlier levels next to the box's
+region: eliminating the region couples only those.
+
+Levels are eliminated deepest first, each batched over its boxes and padded to
+the level's largest S and U.  A front gathers the operator's own entries and
+its two children's Schur complements, keeps X = [inv(A_SS), -inv(A_SS) A_SU]
+and L = A_US inv(A_SS), and hands A_UU - L A_SU to its parent.  A solve is one
+forward sweep, y_U -= L y_S, and one backward sweep, x_S = X [y_S; x_U].
+
+Padding rows of S carry a unit diagonal; padding slots of U land in one spare
+row and column of each front, and at node n of a solve vector, which are
+never read back.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import SolverError
+
+#: Dissection levels below which boxes are not cut but factored as dense leaves
+#: (3 x 3 nodes inside the domain): each deeper level would add many tiny fronts,
+#: whose batched operations cost more per node than the leaves' dense ones.
+LEAF_LEVELS = 2
+
+#: Fronts are assembled and factored a few boxes at a time, this many floats
+#: of front at most (512 KB): temporaries stay small beside the factor, and
+#: within cache (the h = 1/128 disk factors about 10 % faster than with 1 MB).
+PART_ELEMENTS = 1 << 16
+
+
+def dissection_path(grid_index: np.ndarray) -> np.ndarray:
+    """The side each inside node takes at every split of nested dissection.
+
+    The bounding box of the inside nodes is cut across its longer side at its
+    middle lattice line, and each half is cut the same way until every node
+    lies on a cut line.  Row k of the (levels, n_inside) result holds, per
+    node, 0 or 1 for the first or second half of its level-k box, or 2 once
+    the node lies on a cut line (at level k or before).  Stencil arms span one
+    lattice step, so a cut line separates its two halves (A. George, SIAM J.
+    Numer. Anal. 10, 1973).
+    """
+    pos = np.array(np.nonzero(grid_index >= 0))   # (2, n): inside nodes in index order
+    lo = np.repeat(pos.min(axis=1, keepdims=True), pos.shape[1], axis=1)
+    hi = np.repeat(pos.max(axis=1, keepdims=True) + 1, pos.shape[1], axis=1)
+    side = np.zeros(pos.shape[1], dtype=np.int8)
+    rows = []
+    while not np.all(side == 2):
+        # The coordinate that runs along the box's longer side (rows on a tie).
+        axis = hi[1] - lo[1] > hi[0] - lo[0]
+        c = np.where(axis, pos[1], pos[0])
+        mid = (np.where(axis, lo[1], lo[0]) + np.where(axis, hi[1], hi[0])) // 2
+        side = np.where((side == 2) | (c == mid), 2, c > mid).astype(np.int8)
+        for k, along in enumerate((~axis, axis)):
+            np.copyto(hi[k], mid, where=along & (side == 0))
+            np.copyto(lo[k], mid + 1, where=along & (side == 1))
+        rows.append(side)
+    return np.array(rows)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.  A plain sort: numpy's
+    hashed `unique` is many times slower on these arrays."""
+    a = np.sort(a)
+    return a[np.concatenate((a[:1] == a[:1], a[1:] != a[:-1]))]
+
+
+def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
+    """`index`, whose values lie below `bound`, as 32-bit integers where they
+    hold it: half the memory, for the index arrays that only a factorisation
+    reads (and offsets below `bound` subtracted from it stay 32-bit too)."""
+    return index.astype(np.int32) if bound <= 2**31 else index
+
+
+def _padded(box: np.ndarray, node: np.ndarray, boxes: int, pad: int) -> np.ndarray:
+    """(boxes, widest) table of each box's nodes, given as (box, node) pairs sorted
+    by box, padded with `pad`."""
+    count = np.bincount(box, minlength=boxes)
+    start = np.cumsum(count) - count
+    table = np.full((boxes, int(count.max(initial=0))), pad, dtype=np.intp)
+    table[box, np.arange(box.size) - start[box]] = node
+    return table
+
+
+@dataclass
+class _Level:
+    """Symbolic data of one elimination level, over its B boxes."""
+
+    s: np.ndarray         # (B, s) separator nodes, padded with n
+    front: np.ndarray     # (B, s + u) separator, then update nodes, padded with n
+    gather: np.ndarray    # operator entries the level assembles, as slot * n + row,
+    target: np.ndarray    # and their flat places in its (B, w, w) fronts, box by box;
+    first: np.ndarray     # (B + 1,) where each box's entries start
+    children: list        # per child side: child boxes, their parent boxes (ascending),
+                          # (k, uc) places of their U in the parent, (B + 1,) starts
+    u_nodes: np.ndarray   # distinct update nodes, and the index among them of each
+    u_slot: np.ndarray    # U slot of the fronts, flat (padding: len(u_nodes))
+
+
+class Plan:
+    """The symbolic analysis of a lattice: levels, fronts and scatter maps.
+
+    `columns` is the mask's (9, n) table of stencil columns (`GridMask.columns`):
+    operator entry (row i, slot k) sits in column columns[k, i], and n stands
+    for an arm that leaves the domain.  The work is array passes over the
+    nodes and stencil entries, a few per level.
+    """
+
+    def __init__(self, grid_index: np.ndarray, columns: np.ndarray):
+        path = dissection_path(grid_index)
+        n = self.n = columns.shape[1]
+        lev = np.minimum((path == 2).argmax(axis=0), max(path.shape[0] - 1 - LEAF_LEVELS, 0))
+        # Boxes level by level, top down: each box's parent box and side in it
+        # (a box's children are numbered by (box, side)), the nodes eliminated
+        # there, and the box each node is eliminated in.
+        box_of = np.zeros(n, dtype=np.intp)
+        boxes = []
+        parent = side = np.zeros(1, dtype=np.intp)
+        for level in range(path.shape[0]):
+            boxes.append((parent, side, np.nonzero(lev == level)[0]))
+            going = np.nonzero(lev > level)[0]
+            if not going.size:
+                break
+            child = 2 * box_of[going] + path[level, going]
+            used = np.zeros(2 * parent.size, dtype=bool)
+            used[child] = True
+            parent, side = np.divmod(np.nonzero(used)[0], 2)
+            box_of[going] = (np.cumsum(used) - 1)[child]
+        lev = np.append(lev, len(boxes))   # the padding node n lies on no level
+        cols = columns.T
+        back = np.array([0, 2, 1, 4, 3, 6, 5, 8, 7])   # the slot of the opposite arm
+        pos_s = np.zeros(n + 1, dtype=np.intp)
+
+        self.levels: list[_Level] = []
+        below = None   # the deeper level's parent boxes, sides and U table
+        for level in range(len(boxes) - 1, -1, -1):
+            up, up_side, sep = boxes.pop()
+            nbox = up.size
+            at = np.arange(nbox + 1)
+            sep = sep[np.argsort(box_of[sep], kind="stable")]
+            s = _padded(box_of[sep], sep, nbox, n)
+            ns = s.shape[1]
+            pos_s[sep] = np.nonzero(s < n)[1]
+            # U: the nodes of earlier levels next to the separator or to U of a child.
+            col = cols[sep]
+            col_lev = lev[col]
+            i, k = np.nonzero(col_lev < level)
+            keys = [box_of[sep[i]] * (n + 1) + col[i, k]]
+            if below is not None:
+                child_parent, child_side, child_u = below
+                outer = lev[child_u] < level
+                keys.append((child_parent[:, None] * (n + 1) + child_u)[outer])
+            key = _distinct(np.concatenate(keys))
+            u = _padded(key // (n + 1), key % (n + 1), nbox, n)
+            w = ns + u.shape[1] + 1   # the last row and column take the padding
+            start = np.searchsorted(key, np.arange(nbox) * (n + 1))
+
+            def u_place(b, node):
+                return ns + np.searchsorted(key, b * (n + 1) + node) - start[b]
+
+            # Entries within the separator, from it into U, and their mirrors: each
+            # one's flat place in the level's fronts and slot * n + row, by place.
+            j, m = np.nonzero(col_lev == level)
+            bj, bi = box_of[sep[j]], box_of[sep[i]]
+            pu = u_place(bi, col[i, k])
+            place = np.concatenate([(bj * w + pos_s[sep[j]]) * w + pos_s[col[j, m]],
+                                    (bi * w + pos_s[sep[i]]) * w + pu,
+                                    (bi * w + pu) * w + pos_s[sep[i]]])
+            entry = np.concatenate([m * n + sep[j], k * n + sep[i], back[k] * n + col[i, k]])
+            target, gather = np.divmod(np.sort(place * (9 * n) + entry), 9 * n)
+
+            # Each box has at most one child per side: no place is added to twice.
+            children = []
+            if below is not None:
+                places = np.full(child_u.shape, w - 1)
+                mine = lev[child_u] == level
+                places[mine] = pos_s[child_u[mine]]
+                pb = np.repeat(child_parent[:, None], child_u.shape[1], axis=1)
+                places[outer] = u_place(pb[outer], child_u[outer])
+                for half in (0, 1):
+                    sel = np.nonzero(child_side == half)[0]
+                    children.append((sel, child_parent[sel], _narrow(places[sel], w),
+                                     np.searchsorted(child_parent[sel], at)))
+            u_nodes = _distinct(u[u < n])
+            self.levels.append(_Level(
+                s=s, front=np.concatenate([s, u], axis=1), gather=_narrow(gather, 9 * n),
+                target=_narrow(target, nbox * w * w), first=np.searchsorted(target, at * w * w),
+                children=children, u_nodes=u_nodes,
+                u_slot=np.searchsorted(u_nodes, u).ravel()))
+            below = up, up_side, u
+
+
+def _parts(count: int, size: int) -> list[slice]:
+    """Slices of range(count) of at most PART_ELEMENTS // size items (at least one)."""
+    step = max(1, PART_ELEMENTS // max(size, 1))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def factor(a, plan: Plan):
+    """LU of the stencil operator `a` on the plan's lattice, as a solve function.
+
+    `a.slots` and `a.coef` give its entries: coef[k, i] in the column of slot
+    slots[k] of row i.  The operator is first scaled by the power of two
+    nearest its largest diagonal entry, which is exact and keeps the explicit
+    inverses of operators at any lattice scale within the float range.  A
+    singular pivot block raises SolverError.
+    """
+    n = plan.n
+    row_of = np.full(9, -1)   # row of each slot in a.coef
+    row_of[list(a.slots)] = np.arange(len(a.slots))
+    coef = a.coef.reshape(-1)
+    biggest = float(np.max(np.abs(a.coef[row_of[0]]), initial=0.0))
+    scale = math.ldexp(1.0, -math.frexp(biggest)[1]) if math.isfinite(biggest) else 1.0
+    blocks = []
+    below = None   # the Schur complements of the deeper level
+    # Non-finite entries give a non-finite factor; the caller rejects what it solves.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lvl in plan.levels:
+            nbox, ns = lvl.s.shape
+            nu = lvl.front.shape[1] - ns
+            w = ns + nu + 1
+            x_blk, l_us = np.empty((nbox, ns, ns + nu)), np.empty((nbox, nu, ns))
+            schur = np.empty((nbox, nu, nu))
+            for part in _parts(nbox, w * w):
+                lo, hi = part.start, part.stop
+                front = np.zeros((hi - lo, w, w))
+                flat = front.reshape(-1)
+                e = slice(lvl.first[lo], lvl.first[hi])
+                slot, row = np.divmod(lvl.gather[e], n)
+                k = row_of[slot]
+                have = k >= 0   # slots the operator does not store hold zeros
+                flat[lvl.target[e][have] - lo * w * w] = coef[k[have] * n + row[have]] * scale
+                for sel, parent, places, first in lvl.children:
+                    c = slice(first[lo], first[hi])
+                    rows = ((parent[c] - lo) * w)[:, None] + places[c]
+                    flat[(rows * w)[:, :, None] + places[c, None, :]] += below[sel[c]]
+                pad_box, pad_row = np.nonzero(lvl.s[part] == n)
+                front[pad_box, pad_row, pad_row] = 1.0
+                try:
+                    inv = np.linalg.inv(front[:, :ns, :ns])
+                except np.linalg.LinAlgError:
+                    raise SolverError(f"sparse LU of a {n}-node operator failed: "
+                                      "singular pivot block") from None
+                a_su = front[:, :ns, ns:-1]
+                x_blk[part, :, :ns] = inv
+                x_blk[part, :, ns:] = -(inv @ a_su)
+                np.matmul(front[:, ns:-1, :ns], inv, out=l_us[part])
+                np.subtract(front[:, ns:-1, ns:-1], l_us[part] @ a_su, out=schur[part])
+            blocks.append((x_blk, l_us))
+            below = schur
+    del below
+
+    def solve(b):
+        x = np.zeros(n + 1)
+        x[:n] = b
+        x[:n] *= scale
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lvl, (_, l_us) in zip(plan.levels, blocks):
+                if lvl.u_nodes.size:
+                    y_u = (l_us @ x[lvl.s][:, :, None]).reshape(-1)
+                    x[lvl.u_nodes] -= np.bincount(lvl.u_slot, y_u,
+                                                  minlength=lvl.u_nodes.size + 1)[:-1]
+            for lvl, (x_blk, _) in zip(reversed(plan.levels), reversed(blocks)):
+                x[lvl.s] = (x_blk @ x[lvl.front][:, :, None])[:, :, 0]
+                x[n] = 0.0
+        return x[:n]
+    return solve

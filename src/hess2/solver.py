@@ -22,9 +22,9 @@ Three solvers:
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
-  (Delta u > 0, det D^2 u > 0) are halved.  This is the only scipy user: its
-  sparse operators and LU solves import `scipy.sparse` on first use, so
-  radial and eigenvalue solves never load scipy.
+  (Delta u > 0, det D^2 u > 0) are halved.  Its operators are stencil tables
+  (`Stencil`); their direct LU (`hess2.multifrontal`) is imported on first
+  use, so radial and eigenvalue solves never compile it.
 
 Solutions implement `Solution`: per-node gradient and Hessian frame blocks,
 from which `admissibility_report` and `hess2.analysis` derive every invariant.
@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, ClassVar, Protocol
+from typing import Callable, ClassVar, Protocol
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize, signed_distance
 from .errors import InputError, SolverError, SourceError
 from .symmat import cofactor, eigenvalues, invariants
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 SOLUTION_SCHEMA_VERSION = 2
 
@@ -71,11 +68,6 @@ EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
 #: Intervals on [0, R] of the radial and eigenvalue solvers (`--nodes`).
 RADIAL_NODES = 1024
-#: SuperLU's panel, in columns (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
-#: 1999).  Scipy's default panel adds about 15 MB of work arrays to the peak
-#: of the h = 1/128 disk, this one about 3 MB, at no measurable cost in factor
-#: time on nested-dissection orders.
-SPLU_PANEL = 4
 
 
 @dataclass(frozen=True)
@@ -465,31 +457,69 @@ def _first_derivative_row(theta_plus, theta_minus, h):
     return c_center, c_plus, c_minus
 
 
-def _assemble(mask: GridMask, center, arms) -> sp.csr_matrix:
+#: Stencil slots: 0 is the node itself, 1 + m its neighbour along DIRECTIONS[m].
+#: In this order their columns ascend in lattice index, the order in which
+#: CSR sums a row.
+SLOT_ORDER = (6, 2, 8, 4, 0, 3, 7, 1, 5)
+
+
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """A lattice operator over the inside nodes, zero boundary data: row i holds
+    coef[k, i] in column columns[slots[k], i] (`GridMask.columns`), and nothing
+    where that arm leaves the domain.  Slots run in SLOT_ORDER, so `@` sums
+    each row as CSR would, bit for bit."""
+
+    columns: np.ndarray
+    slots: tuple[int, ...]
+    coef: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the centre and each arm that reaches a neighbour."""
+        n = self.coef.shape[1]
+        return int(np.count_nonzero(self.columns[list(self.slots)] < n))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        padded = np.append(x, 0.0)   # an arm that leaves the domain reads 0
+        out = np.zeros(x.size)
+        # Like CSR, no warning: callers check what they read for overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, c in zip(self.slots, self.coef):
+                out += c * padded[self.columns[k]]
+        return out
+
+
+def _stencil(columns: np.ndarray, coef: dict) -> Stencil:
+    """The operator with coefficients coef[slot], its slots put in SLOT_ORDER."""
+    slots = tuple(k for k in SLOT_ORDER if k in coef)
+    return Stencil(columns, slots, np.array([coef[k] for k in slots]))
+
+
+def _stencil_sum(terms, diagonal=None) -> Stencil:
+    """sum_k diag(w_k) A_k + diag(diagonal), for (w_k, A_k) in `terms`."""
+    coef = {} if diagonal is None else {0: diagonal}
+    for w, op in terms:
+        for k, c in zip(op.slots, op.coef):
+            coef[k] = coef[k] + w * c if k in coef else w * c
+    return _stencil(terms[0][1].columns, coef)
+
+
+def _assemble(mask: GridMask, center, arms) -> Stencil:
     """`center` on the diagonal; each (direction, coefficients) arm lands on the
     neighbor column where one exists (boundary data are zero)."""
-    import scipy.sparse as sp
-
-    n, nb = mask.n_inside, mask.neighbor
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [center]
-    for m, coeff in arms:
-        has = nb[:, m] >= 0
-        rows.append(np.nonzero(has)[0])
-        cols.append(nb[has, m])
-        vals.append(coeff[has])
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return _stencil(mask.columns, {0: center, **{1 + m: c for m, c in arms}})
 
 
-def _axis_operator(mask: GridMask, row, i: int) -> sp.csr_matrix:
+def _axis_operator(mask: GridMask, row, i: int) -> Stencil:
     """The derivative along axis i whose 3-point coefficients `row` gives."""
     ip, im = 2 * i, 2 * i + 1   # directions 2i and 2i+1 are +/- axis i
     cc, cp, cm = row(mask.theta[:, ip], mask.theta[:, im], mask.h)
     return _assemble(mask, cc, ((ip, cp), (im, cm)))
 
 
-def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix]:
-    """Sparse second derivatives over inside nodes (zero boundary data), keyed by
+def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, Stencil]:
+    """Second derivatives over inside nodes (zero boundary data), keyed by
     axis: ops[i, j] is d^2/dx_i dx_j (i <= j), axes 0 = x, 1 = y.  They are kept
     in `mask._op_cache`, where `ScalarField2D.gradient` adds the first
     derivatives ops[i] = d/dx_i on first use.  A lattice whose coefficients
@@ -509,7 +539,7 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix
         cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
         ops[0, 1] = _assemble(mask, 0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
                                                          (6, -0.5 * cp2), (7, -0.5 * cm2)))
-    if not all(np.all(np.isfinite(op.data)) for op in ops.values()):
+    if not all(np.all(np.isfinite(op.coef)) for op in ops.values()):
         raise InputError(f"--h {mask.h:g} on --domain {mask.spec.label()} is out of range: "
                          "its stencil coefficients 2/(theta (theta + theta') h^2) overflow; "
                          "scale the domain and --h up together")
@@ -517,68 +547,88 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, sp.csr_matrix
     return cache
 
 
-def dissection_path(grid_index: np.ndarray) -> np.ndarray:
-    """The side each inside node takes at every split of nested dissection.
+def elimination_plan(mask: GridMask):
+    """The symbolic analysis that `factorized` needs, shared by every operator
+    on the mask's lattice (`hess2.multifrontal.Plan`)."""
+    from .multifrontal import Plan
 
-    The bounding box of the inside nodes is cut across its longer side at its
-    middle lattice line, and each half is cut the same way until every node
-    lies on a cut line.  Row k of the (levels, n_inside) result holds, per
-    node, 0 or 1 for the first or second half of its level-k box, or 2 once
-    the node lies on a cut line (at level k or before).  Stencil arms span one
-    lattice step, so a cut line separates its two halves (A. George, SIAM J.
-    Numer. Anal. 10, 1973).
+    return Plan(mask.grid_index, mask.columns)
+
+
+def factorized(a: Stencil, plan):
+    """Direct LU of `a` (`hess2.multifrontal.factor`), as a solve function.  A
+    singular pivot block raises SolverError."""
+    from .multifrontal import factor
+
+    return factor(a, plan)
+
+
+def _gmres(a: Stencil, b: np.ndarray, precond):
+    """x with |b - a x| <= GMRES_RTOL |b| by restarted GMRES (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 1986), left-preconditioned by `precond`, in
+    at most GMRES_CYCLES cycles of GMRES_RESTART steps; None where it misses.
+
+    Each cycle orthogonalizes by modified Gram-Schmidt and reduces the
+    Hessenberg matrix by Givens rotations; its inner tolerance on the
+    preconditioned residual tightens or relaxes by how the last cycle's true
+    residual compared with it.
     """
-    ii, jj = np.nonzero(grid_index >= 0)
-    pos = np.empty((2, ii.size), dtype=int)
-    pos[:, grid_index[ii, jj]] = ii, jj
-    lo = np.repeat(pos.min(axis=1, keepdims=True), ii.size, axis=1)
-    hi = np.repeat(pos.max(axis=1, keepdims=True) + 1, ii.size, axis=1)
-    nodes = np.arange(ii.size)
-    side = np.zeros(ii.size, dtype=np.int8)
-    rows = []
-    while not np.all(side == 2):
-        # The coordinate that runs along the box's longer side (rows on a tie).
-        axis = (hi[1] - lo[1] > hi[0] - lo[0]).astype(int)
-        c, a, b = pos[axis, nodes], lo[axis, nodes], hi[axis, nodes]
-        mid = (a + b) // 2
-        side = np.where((side == 2) | (c == mid), 2, c > mid).astype(np.int8)
-        hi[axis, nodes] = np.where(side == 0, mid, b)
-        lo[axis, nodes] = np.where(side == 1, mid + 1, a)
-        rows.append(side)
-    return np.array(rows)
+    bnorm, m, eps = np.linalg.norm(b), GMRES_RESTART, np.finfo(float).eps
+    if bnorm == 0:
+        return np.zeros_like(b)
+    atol, ptol_factor = GMRES_RTOL * bnorm, 1.0
+    ptol = np.linalg.norm(precond(b)) * min(1.0, atol / bnorm)
+    x, r, v = np.zeros_like(b), b, np.empty((m + 1, b.size))
+    for _ in range(GMRES_CYCLES):
+        v[0] = precond(r)
+        g, h, rot = np.zeros(m + 1), np.zeros((m, m + 1)), np.zeros((m, 2))
+        g[0] = np.linalg.norm(v[0])   # h: column j of the Hessenberg matrix in row j
+        v[0] *= 1.0 / g[0]
+        for j in range(m):
+            w = precond(a @ v[j])
+            h0 = np.linalg.norm(w)
+            for k in range(j + 1):
+                h[j, k] = v[k] @ w
+                w -= h[j, k] * v[k]
+            h[j, j + 1] = np.linalg.norm(w)
+            v[j + 1] = w
+            breakdown = h[j, j + 1] <= eps * h0
+            if breakdown:
+                h[j, j + 1] = 0.0
+            else:
+                v[j + 1] *= 1.0 / h[j, j + 1]
+            for k in range(j):
+                c, s = rot[k]
+                h[j, k], h[j, k + 1] = c * h[j, k] + s * h[j, k + 1], c * h[j, k + 1] - s * h[j, k]
+            f, gg = h[j, j], h[j, j + 1]
+            rr = math.copysign(math.hypot(f, gg), f) if f else abs(gg)
+            rot[j] = (f / rr, gg / rr) if rr else (1.0, 0.0)
+            h[j, j], h[j, j + 1] = rr, 0.0
+            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            presid = abs(g[j + 1])
+            if presid <= ptol or breakdown:
+                break
+        if h[j, j] == 0:
+            g[j] = 0.0
+        y = g[:j + 1].copy()
+        for k in range(j, -1, -1):
+            if y[k]:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ v[:j + 1]
+        r = b - a @ x
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol:
+            return x
+        if breakdown:
+            return None
+        ptol_factor = (max(eps, 0.25 * ptol_factor) if presid <= ptol
+                       else min(1.0, 1.5 * ptol_factor))
+        ptol = presid * min(ptol_factor, atol / rnorm)
+    return None
 
 
-def nested_dissection_order(grid_index: np.ndarray) -> np.ndarray:
-    """Inside-node indices with each box's halves first, then its cut line.
-
-    The stable sort keeps a cut line's nodes in index (lattice) order.
-    """
-    return np.lexsort(dissection_path(grid_index)[::-1])
-
-
-def factorized(a: sp.spmatrix, order: np.ndarray):
-    """SuperLU of `a` with rows and columns taken in `order`, as a solve function.
-
-    Beside the factor, SuperLU's work arrays grow as panel x n (about 16 panel n
-    bytes), hence the small SPLU_PANEL.  An exactly singular factor raises
-    SolverError.
-    """
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(a.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
-                  panel_size=SPLU_PANEL)
-    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"sparse LU of a {a.shape[0]}-node operator failed: {exc}") from None
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[order] = lu.solve(b[order])
-        return x
-    return solve
-
-
-def spsolve(a: sp.spmatrix, b: np.ndarray, order: np.ndarray, lu):
+def spsolve(a: Stencil, b: np.ndarray, plan, lu):
     """Newton step a x = b, and the solve function of the factor to reuse.
 
     GMRES, preconditioned by `lu` (an earlier Jacobian's factor), solves to
@@ -587,15 +637,12 @@ def spsolve(a: sp.spmatrix, b: np.ndarray, order: np.ndarray, lu):
     Jacobian inexact Newton: Knoll & Keyes, J. Comput. Phys. 193, 2004).
     """
     if lu is not None:
-        from scipy.sparse.linalg import LinearOperator, gmres
-
         # Huge residuals overflow GMRES's norms; the caller rejects a non-finite step.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, info = gmres(a, b, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                            maxiter=GMRES_CYCLES, M=LinearOperator(a.shape, matvec=lu))
-        if info == 0:
+            x = _gmres(a, b, lu)
+        if x is not None:
             return x, lu
-    lu = factorized(a, order)
+    lu = factorized(a, plan)
     return lu(b), lu
 
 
@@ -704,15 +751,13 @@ def _hessian(ops, u) -> np.ndarray:
     return np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
 
 
-def _newton_jacobian(ops, f, u, hess):
+def _newton_jacobian(ops, f, u, hess) -> Stencil:
     """Derivative of S2(D^2 u) - f(u), a cofactor-weighted discrete Laplacian:
     sum_{i<=j} (2 - delta_ij) B_ij D_ij - f'(u) with B = `cofactor`(H) = S1 I - H."""
-    import scipy.sparse as sp
-
     b = cofactor(hess)
     pairs = itertools.combinations_with_replacement(range(hess.shape[-1]), 2)
-    return sum((sp.diags((2.0 - (i == j)) * b[:, i, j]) @ ops[i, j] for i, j in pairs),
-               -sp.diags(np.asarray(f.fprime(u), dtype=float)))
+    return _stencil_sum([((2.0 - (i == j)) * b[:, i, j], ops[i, j]) for i, j in pairs],
+                        diagonal=-np.asarray(f.fprime(u), dtype=float))
 
 
 def _inadmissible_nodes(hess) -> int:
@@ -721,13 +766,13 @@ def _inadmissible_nodes(hess) -> int:
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
-def _warm_start(ops, f: SourceTerm, order: np.ndarray):
+def _warm_start(ops, f: SourceTerm, plan):
     """(u, Hessian blocks) of an iterate on the discrete elliptic branch: the linear
     start, then Anderson-mixed Poisson-style sweeps with one Laplacian factor until
     every inside node is on the branch (see `solve_grid2d`)."""
-    n = order.size
+    n = plan.n
     f0 = float(np.asarray(f.f(0.0)))
-    lap_solve = factorized(ops[0, 0] + ops[1, 1], order)
+    lap_solve = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), plan)
     u = lap_solve(np.full(n, 2.0 * math.sqrt(f0) if f0 > 0 else 1.0))
     hess = _hessian(ops, u)
     sweeps, g_hist, r_hist = 0, [], []
@@ -769,19 +814,18 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     the discrete cone.  Its fixed point has det = f/2, not f: the sweeps only
     have to enter the cone, and Newton then solves det = f.
 
-    The sweeps are Anderson-mixed and reuse one SuperLU factor of the
-    Laplacian.  Newton steps are GMRES solves preconditioned with the factor
-    of the first Jacobian, refactored where GMRES stalls (`spsolve`).  Every
-    factorisation takes one nested-dissection order of the inside nodes
-    (`nested_dissection_order`), computed once per call: the Laplacian and
-    the Newton Jacobians share its sparsity pattern.
+    The sweeps are Anderson-mixed and reuse one LU factor of the Laplacian.
+    Newton steps are GMRES solves preconditioned with the factor of the first
+    Jacobian, refactored where GMRES stalls (`spsolve`).  Every factorisation
+    takes one symbolic analysis of the lattice (`elimination_plan`), made
+    once per call: the Laplacian and the Newton Jacobians share its stencil.
     """
     mask = rasterize(spec, h)
     ops = build_operators(mask)
 
-    order = nested_dissection_order(mask.grid_index)
+    plan = elimination_plan(mask)
     # The Laplacian factor dies with the warm start, before Newton factors.
-    u, hess = _warm_start(ops, f, order)
+    u, hess = _warm_start(ops, f, plan)
 
     def s2_defect(hess, u):
         with np.errstate(over="ignore"):
@@ -795,7 +839,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
         if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
-        step, lu = spsolve(_newton_jacobian(ops, f, u, hess), -residual, order, lu)
+        step, lu = spsolve(_newton_jacobian(ops, f, u, hess), -residual, plan, lu)
         if not np.all(np.isfinite(step)):
             raise SolverError(f"Newton linearization produced a non-finite step "
                               f"at step {it} (residual {res_sup:.3e})")

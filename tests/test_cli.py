@@ -482,8 +482,11 @@ class TestSolveCommand:
          r"radial Picard pass 2 overflowed the source in dimension 8 \(f = exp-dec:30 "),
         (["verify", "--app", "3", "--p", "0.5", "--lam", "1e300"],
          r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
+        # The warm start is exact up to rounding (about 1e-13 of f = 1e300), which
+        # Newton's absolute tolerance cannot reach; the step it stalls at
+        # follows the rounding of the LU.
         (["solve", "--grid2d", "--f", "const:1e300", "--h", "0.0625"],
-         r"damped Newton stalled at step 2 \(residual "),
+         r"damped Newton stalled at step 4 \(residual "),
         # The solution, u = 1e4 (r^2 - R^2)/2, reaches -3.2e309 at the center.
         (["solve", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152", "--h", "8e151"],
          r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
@@ -537,6 +540,24 @@ class TestSolveCommand:
         assert done.stdout.startswith(f"input error: --h {h} on --domain {label} is out "
                                       "of range: "), done.stdout
         assert done.stdout.count("\n") == 1 and done.stderr == "" and not out.exists()
+
+    @pytest.mark.parametrize("domain, h, u_min, grad", [
+        ("disk:1e-100", "1e-101", "-5.000000000e-201", "1.000000000e-100"),
+        ("disk:1", "0.1", "-0.500000000", "1.000000000"),
+        ("disk:1e100", "1e99", "-5.000000000e+199", "1.000000000e+100"),
+    ], ids=["1e-100", "1", "1e100"])
+    def test_grid_prints_nine_digits_at_every_scale(self, tmp_path, capsys, domain, h, u_min,
+                                                   grad):
+        # u = (r^2 - R^2)/2 and |grad u| = R: fixed point at R = 1, exponent
+        # form where fixed point would print zeros or 200-digit integers.
+        out = tmp_path / "out"
+        assert main(["solve", "--grid2d", "--f", "const:1", "--domain", domain, "--h", h,
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"u_min = {u_min}", f"boundary |grad u| in [{grad}, {grad}]"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert float(u_min) == pytest.approx(summary["u_min"], rel=1e-9)
+        assert float(grad) == pytest.approx(summary["boundary_gradient_max"], rel=1e-9)
 
     def test_tiny_disk_solves_to_scale(self, tmp_path, capsys):
         # With h^2 = 1e-302 the stencil weights, about 1/(theta h)^2, stay finite.
@@ -929,27 +950,19 @@ class TestStartup:
         assert gc.get_freeze_count() == 0
         assert gc.isenabled() == enabled
 
-    def test_cli_import_skips_unused_scipy_subpackages(self):
-        # Every CLI call pays for what `import hess2.cli` loads; none of these
-        # subpackages is used by the toolkit.
-        code = ("import sys, hess2.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-                "'scipy.special') if m in sys.modules))")
-        done = _run_python(code)
-        assert done.stdout.strip() == "[]"
-
-    def test_only_planar_solves_load_scipy(self, tmp_path):
-        # scipy, most of the CLI's import time, serves only the planar sparse
-        # solves, and numpy.polynomial only the radial quadrature rule, built
-        # on first use.  The planar call at the end shows the check can fail.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # Every command runs on numpy alone: scipy is made unimportable, and no
+        # call may fail for it.  The planar LU (`hess2.multifrontal`) and
+        # numpy.polynomial (the radial quadrature rule) load on first use; the
+        # planar calls at the end show the check can fail.
         code = textwrap.dedent("""
             import json, sys
+            sys.modules["scipy"] = None   # any import of scipy now raises ImportError
             import hess2.cli
 
             def loaded():
                 return sorted(m for m in sys.modules
-                              if m.partition(".")[0] == "scipy"
-                              or m.startswith("numpy.polynomial"))
+                              if m.startswith(("numpy.polynomial", "hess2.multifrontal")))
 
             seen = [("import", 0, loaded())]
             for k, argv in enumerate(json.loads(sys.argv[1])):
@@ -959,23 +972,26 @@ class TestStartup:
         """)
         calls = [["ineq", "--count", "10"], ["solve", "--radial"], ["solve", "--eigen"],
                  ["verify", "--app", "1", "--radial"], ["identity-scan", "--count", "10"],
-                 ["solve", "--grid2d", "--h", "0.0625"]]
+                 ["solve", "--grid2d", "--h", "0.0625"],
+                 ["verify", "--app", "1", "--grid2d", "--h", "0.0625"]]
         done = _run_python(code, json.dumps(calls), str(tmp_path))
+        assert done.stderr == ""
         seen = json.loads(done.stdout.splitlines()[-1])
         assert seen[0] == ["import", 0, []]
-        for name, code, modules in seen[1:-1]:
+        for name, code, modules in seen[1:-2]:
             assert code == 0, name
-            assert not [m for m in modules if m.partition(".")[0] == "scipy"], name
-        name, code, modules = seen[-1]
-        assert code == 0 and "scipy.sparse.linalg" in modules, name
-
+            assert "hess2.multifrontal" not in modules, name
+        for name, code, modules in seen[-2:]:
+            assert code == 0 and "hess2.multifrontal" in modules, name
 
     @pytest.mark.parametrize("argv, absent", [
         (["ineq", "--no-records", "--count", "10"],
          ["hess2.solver", "hess2.analysis", "hess2.domain", "hess2.fields", "scipy"]),
         (["solve", "--radial"],
-         ["hess2.matineq", "hess2.fields", "hess2.analysis", "hess2.transforms", "scipy"]),
-        (["verify", "--app", "1", "--radial"], ["hess2.matineq", "hess2.fields", "scipy"]),
+         ["hess2.matineq", "hess2.fields", "hess2.analysis", "hess2.transforms",
+          "hess2.multifrontal", "scipy"]),
+        (["verify", "--app", "1", "--radial"],
+         ["hess2.matineq", "hess2.fields", "hess2.multifrontal", "scipy"]),
         (["identity-scan", "--count", "10"],
          ["hess2.solver", "hess2.analysis", "hess2.domain", "scipy"]),
     ], ids=["ineq", "solve", "verify", "identity-scan"])

@@ -10,19 +10,22 @@ from conftest import (DOMAINS, cached_eigen, cached_grid, cached_mask, cached_ra
 from hess2 import solver
 from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError, SolverError
+from hess2.multifrontal import dissection_path
 from hess2.solver import (
     ScalarField2D,
+    Stencil,
     _first_derivative_row,
+    _gmres,
     _hessian,
     _newton_jacobian,
+    _stencil_sum,
     admissibility_report,
     build_operators,
     constant_source,
-    dissection_path,
     eigen_source,
+    elimination_plan,
     factorized,
     load_solution,
-    nested_dissection_order,
     power_source,
     save_solution,
     solve_eigen_radial,
@@ -257,27 +260,94 @@ class TestGridSolver:
 DISSECTED = [(ball(1.0), 0.05), (ellipse(2.0, 1.0), 0.05),
              (convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]), 1.0 / 16),
              (convex_polygon([[-1.0, -0.8], [1.2, -1.0], [0.9, 1.1], [-0.7, 0.8]]), 0.04)]
+DISSECTED_IDS = ["ball", "ellipse", "square", "skewed-quad"]
+
+
+def _csr(op: Stencil):
+    """The stencil operator as a scipy CSR matrix, entry by entry."""
+    import scipy.sparse as sp
+    n = op.coef.shape[1]
+    cols = op.columns[list(op.slots)]
+    rows = np.broadcast_to(np.arange(n), cols.shape)
+    keep = cols < n
+    return sp.csr_matrix((op.coef[keep], (rows[keep], cols[keep])), shape=(n, n))
+
+
+def _dense(op: Stencil) -> np.ndarray:
+    n = op.coef.shape[1]
+    a = np.zeros((n, n + 1))   # column n takes the arms that leave the domain
+    for k, c in zip(op.slots, op.coef):
+        a[np.arange(n), op.columns[k]] += c
+    return a[:, :n]
+
+
+def _laplacian(mask) -> Stencil:
+    ops = build_operators(mask)
+    return _stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])])
+
+
+def _jacobian_at(spec, h):
+    """The Newton Jacobian at 0.9 times the grid solution, and a right-hand side."""
+    f = make_source("exp-dec")
+    sol = solve_grid2d(spec, f, h)
+    u = 0.9 * sol.u
+    ops = build_operators(sol.mask)
+    hess = _hessian(ops, u)
+    return sol.mask, _newton_jacobian(ops, f, u, hess), f.f(u)
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("spec,h", DISSECTED, ids=["ball", "ellipse", "square",
-                                                       "skewed-quad"])
+    @pytest.mark.parametrize("spec,h", DISSECTED, ids=DISSECTED_IDS)
     def test_order_puts_halves_before_their_cut_line(self, spec, h):
+        # Levels of the plan run deepest first.  In every box of the dissection,
+        # no node of the two halves is eliminated after a node of the cut line
+        # (a leaf eliminates both at once).
         mask = rasterize(spec, h)
-        order = nested_dissection_order(mask.grid_index)
-        assert np.array_equal(np.sort(order), np.arange(mask.n_inside))
+        plan, n = elimination_plan(mask), mask.n_inside
+        rank = np.full(n, -1)
+        for k, lvl in enumerate(plan.levels):
+            rank[lvl.s[lvl.s < n]] = k
+        assert np.all(rank >= 0)
         path = dissection_path(mask.grid_index)
         assert np.all(path[-1] == 2)
-        # Between consecutive nodes of the order, the side at the first level
-        # where they differ goes up: first half, second half, then cut line.
-        p = path[:, order]
-        differs = p[:, 1:] != p[:, :-1]
-        level = differs.argmax(axis=0)
-        cols = np.arange(p.shape[1] - 1)
-        assert np.all(~differs.any(axis=0) | (p[level, cols + 1] > p[level, cols]))
+        cut = (path == 2).argmax(axis=0)
+        code = np.zeros(n, dtype=np.int64)
+        for level, side in enumerate(path):
+            box = np.unique(code, return_inverse=True)[1]
+            halves, line = cut > level, cut == level
+            last_half = np.full(n, -1)
+            np.maximum.at(last_half, box[halves], rank[halves])
+            first_line = np.full(n, n)
+            np.minimum.at(first_line, box[line], rank[line])
+            assert np.all(last_half <= first_line)
+            code = 2 * code + side
 
-    @pytest.mark.parametrize("spec,h", DISSECTED, ids=["ball", "ellipse", "square",
-                                                       "skewed-quad"])
+    @pytest.mark.parametrize("spec,h", DISSECTED, ids=DISSECTED_IDS)
+    def test_fronts_cover_each_node_once_and_each_stencil_edge(self, spec, h):
+        # Levels run deepest first.  Each node lies in the separator S of one
+        # front; a stencil neighbour of it lies in the same S when eliminated
+        # on the same level, and in the front's U when eliminated later.
+        mask = rasterize(spec, h)
+        plan, n = elimination_plan(mask), mask.n_inside
+        level_of, box_of = np.full(n, -1), np.full(n, -1)
+        for k, lvl in enumerate(plan.levels):
+            b, i = np.nonzero(lvl.s < n)
+            assert np.all(level_of[lvl.s[b, i]] == -1)
+            level_of[lvl.s[b, i]], box_of[lvl.s[b, i]] = k, b
+        assert np.all(level_of >= 0)
+        a, m = np.nonzero(mask.neighbor >= 0)
+        c = mask.neighbor[a, m]
+        for k, lvl in enumerate(plan.levels):
+            here = level_of[a] == k
+            same = here & (level_of[c] == k)
+            assert np.array_equal(box_of[a[same]], box_of[c[same]])
+            later = here & (level_of[c] > k)
+            u = lvl.front[:, lvl.s.shape[1]:]
+            b, i = np.nonzero(u < n)
+            assert np.all(level_of[u[b, i]] > k)
+            assert np.all(np.isin(box_of[a[later]] * n + c[later], b * n + u[b, i]))
+
+    @pytest.mark.parametrize("spec,h", DISSECTED, ids=DISSECTED_IDS)
     def test_cut_lines_separate_the_stencil(self, spec, h):
         mask = rasterize(spec, h)
         path = dissection_path(mask.grid_index)
@@ -290,6 +360,7 @@ class TestNestedDissection:
             same_box &= side[a] == side[b]
 
     def test_ordered_solve_matches_scipy(self):
+        # SuperLU, from the test extra, is an independent oracle of the LU.
         from scipy.sparse.linalg import spsolve as scipy_spsolve
         sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
         mask, f = sol.mask, make_source("exp-dec")
@@ -299,9 +370,84 @@ class TestNestedDissection:
         uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
         jac = _newton_jacobian(ops, f, u, hess)
         rhs = f.f(u) - (uxx * uyy - uxy * uxy)
-        expect = scipy_spsolve(jac.tocsc(), rhs)
-        got = factorized(jac, nested_dissection_order(mask.grid_index))(rhs)
+        expect = scipy_spsolve(_csr(jac).tocsc(), rhs)
+        got = factorized(jac, elimination_plan(mask))(rhs)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+LU_LATTICES = [ball(1.0), ellipse(2.0, 1.0), convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
+               convex_polygon([[-1.0, -0.8], [1.2, -1.0], [0.9, 1.1], [-0.7, 0.8]]),
+               convex_polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])]
+LU_IDS = ["disk", "ellipse", "square", "skewed-quad", "triangle"]
+
+
+class TestMultifrontalLU:
+    @staticmethod
+    def _check(op: Stencil, mask, b):
+        expect = np.linalg.solve(_dense(op), b)
+        got = factorized(op, elimination_plan(mask))(b)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("spec", LU_LATTICES, ids=LU_IDS)
+    def test_laplacian_solve_matches_dense(self, spec):
+        mask = rasterize(spec, 1.0 / 16)
+        b = np.random.default_rng(1).standard_normal(mask.n_inside)
+        self._check(_laplacian(mask), mask, b)
+
+    @pytest.mark.parametrize("spec", LU_LATTICES, ids=LU_IDS)
+    def test_jacobian_solve_matches_dense(self, spec):
+        mask, jac, b = _jacobian_at(spec, 1.0 / 16)
+        self._check(jac, mask, b)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_operators_at_extreme_scales_solve(self, scale):
+        # Coefficients near 1/h^2 = 1e+-298: unscaled, the explicit inverses
+        # of the pivot blocks would overflow or go subnormal.
+        mask = rasterize(ball(scale), scale / 10)
+        lap = _laplacian(mask)
+        b = np.random.default_rng(2).standard_normal(mask.n_inside)
+        got = factorized(lap, elimination_plan(mask))(b)
+        expect = np.linalg.solve(_dense(lap), b)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("power", [-1024, 1010])
+    def test_power_of_two_multiples_solve_bit_for_bit(self, power):
+        # The factor first scales the operator by a power of two, so c A x = c b
+        # is solved in the same floats as A x = b.  Unscaled, c A's coefficients
+        # (exponents 9 to 12 of A, shifted) stay normal, but its pivots' inverses
+        # and Schur complements would leave the normal range.
+        mask = rasterize(ball(1.0), 1.0 / 16)
+        lap, plan = _laplacian(mask), elimination_plan(mask)
+        b = np.random.default_rng(3).standard_normal(mask.n_inside)
+        c = 2.0 ** power
+        scaled = Stencil(lap.columns, lap.slots, c * lap.coef)
+        d = max(c, 1.0)   # keeps the right-hand side and the solution normal
+        assert np.array_equal(factorized(scaled, plan)(d * b) * (c / d),
+                              factorized(lap, plan)(b))
+
+    def test_singular_operator_is_a_solver_error(self):
+        mask = rasterize(ball(1.0), 1.0 / 16)
+        lap = _laplacian(mask)
+        singular = Stencil(lap.columns, lap.slots, lap.coef.copy())
+        singular.coef[:, 17] = 0.0   # an empty row
+        with pytest.raises(SolverError, match=rf"of a {mask.n_inside}-node operator failed: "
+                                              "singular pivot block"):
+            factorized(singular, elimination_plan(mask))
+
+    def test_gmres_matches_scipy(self):
+        # The same iteration as scipy's gmres, preconditioned alike.
+        from scipy.sparse.linalg import LinearOperator, gmres
+        sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
+        plan = elimination_plan(sol.mask)
+        lag = factorized(TestNewtonStep._jacobian(sol, f, 0.9)[1], plan)
+        _, jac, rhs = TestNewtonStep._jacobian(sol, f, 0.95)
+        got = _gmres(jac, rhs, lag)
+        expect, info = gmres(_csr(jac), rhs, rtol=solver.GMRES_RTOL,
+                             restart=solver.GMRES_RESTART, maxiter=solver.GMRES_CYCLES,
+                             M=LinearOperator((rhs.size, rhs.size), matvec=lag))
+        assert info == 0
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
 class TestNewtonStep:
@@ -315,22 +461,22 @@ class TestNewtonStep:
 
     def test_lagged_factor_meets_the_gmres_tolerance(self):
         sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
-        order = nested_dissection_order(sol.mask.grid_index)
-        first = factorized(self._jacobian(sol, f, 0.9)[1], order)
+        plan = elimination_plan(sol.mask)
+        first = factorized(self._jacobian(sol, f, 0.9)[1], plan)
         _, jac, rhs = self._jacobian(sol, f, 0.95)
-        step, lu = spsolve(jac, rhs, order, first)
+        step, lu = spsolve(jac, rhs, plan, first)
         assert lu is first
         assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
     def test_stale_factor_falls_back_to_a_fresh_one(self):
         f = make_source("exp-dec")
         sol = solve_grid2d(convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]), f, 1.0 / 64)
-        order = nested_dissection_order(sol.mask.grid_index)
+        plan = elimination_plan(sol.mask)
         ops, jac, rhs = self._jacobian(sol, f, 0.9)
-        lap = factorized(ops[0, 0] + ops[1, 1], order)
-        step, lu = spsolve(jac, rhs, order, lap)
+        lap = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), plan)
+        step, lu = spsolve(jac, rhs, plan, lap)
         assert lu is not lap
-        assert np.array_equal(step, factorized(jac, order)(rhs))
+        assert np.array_equal(step, factorized(jac, plan)(rhs))
 
 
 class TestWarmStartFactor:
@@ -398,9 +544,26 @@ class TestOperators:
             build_operators(rasterize(ball(1e-153), 1e-154))
 
     def test_singular_factor_is_a_solver_error(self):
-        import scipy.sparse as sp
-        with pytest.raises(SolverError, match="exactly singular"):
-            factorized(sp.csr_matrix(np.diag([1.0, 0.0])), np.arange(2))
+        mask = rasterize(ball(1.0), 1.0 / 16)
+        ops = build_operators(mask)
+        # u_xx alone has no coupling in y: its x-lines are independent, and a
+        # zero row makes the whole operator singular.
+        op = Stencil(ops[0, 0].columns, ops[0, 0].slots, ops[0, 0].coef.copy())
+        op.coef[:, 0] = 0.0
+        with pytest.raises(SolverError, match="singular pivot block"):
+            factorized(op, elimination_plan(mask))
+
+    def test_operator_nnz_counts_the_centre_and_the_arms_that_stay_inside(self):
+        mask = rasterize(ellipse(2.0, 1.0), 1.0 / 16)
+        ops = build_operators(mask)
+        for key in ((0, 0), (0, 1), (1, 1)):
+            assert ops[key].nnz == _csr(ops[key]).nnz
+
+    def test_stencil_matvec_is_csr_bit_for_bit(self):
+        sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
+        ops = build_operators(sol.mask)
+        for key in ((0, 0), (0, 1), (1, 1)):
+            assert np.array_equal(ops[key] @ sol.u, _csr(ops[key]) @ sol.u)
 
 
 class TestAdmissibilityCounterexample:
