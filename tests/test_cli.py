@@ -950,6 +950,49 @@ class TestStartup:
         assert gc.get_freeze_count() == 0
         assert gc.isenabled() == enabled
 
+    def test_cli_import_skips_unused_scipy_subpackages(self):
+        # Every CLI call pays for what `import hess2.cli` loads; the toolkit
+        # uses no scipy subpackage, so none may load, though scipy is importable.
+        code = ("import sys, hess2.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        done = _run_python(code)
+        assert done.stdout.strip() == "[]"
+
+    def test_only_planar_solves_load_scipy(self, tmp_path):
+        # The planar sparse solves, which alone once loaded scipy, now load the
+        # planar LU (`hess2.multifrontal`) in its place; no call loads scipy,
+        # though it is importable, and numpy.polynomial (the radial quadrature
+        # rule) loads on first use.  The planar call at the end shows the
+        # check can fail.
+        code = textwrap.dedent("""
+            import json, sys
+            import hess2.cli
+
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.partition(".")[0] == "scipy"
+                              or m.startswith(("numpy.polynomial", "hess2.multifrontal")))
+
+            seen = [("import", 0, loaded())]
+            for k, argv in enumerate(json.loads(sys.argv[1])):
+                code = hess2.cli.main([*argv, "--out", f"{sys.argv[2]}/{k}"])
+                seen.append((" ".join(argv), code, loaded()))
+            print(json.dumps(seen))
+        """)
+        calls = [["ineq", "--count", "10"], ["solve", "--radial"], ["solve", "--eigen"],
+                 ["verify", "--app", "1", "--radial"], ["identity-scan", "--count", "10"],
+                 ["solve", "--grid2d", "--h", "0.0625"]]
+        done = _run_python(code, json.dumps(calls), str(tmp_path))
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen[0] == ["import", 0, []]
+        for name, code, modules in seen[1:]:
+            assert code == 0, name
+            assert not [m for m in modules if m.partition(".")[0] == "scipy"], name
+        for name, code, modules in seen[1:-1]:
+            assert "hess2.multifrontal" not in modules, name
+        name, code, modules = seen[-1]
+        assert "hess2.multifrontal" in modules, name
+
     def test_no_command_loads_scipy(self, tmp_path):
         # Every command runs on numpy alone: scipy is made unimportable, and no
         # call may fail for it.  The planar LU (`hess2.multifrontal`) and
