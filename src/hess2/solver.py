@@ -22,9 +22,10 @@ Three solvers:
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
-  (Delta u > 0, det D^2 u > 0) are halved.  Its operators are stencil tables
-  (`Stencil`); their direct LU (`hess2.multifrontal`) is imported on first
-  use, so radial and eigenvalue solves never compile it.
+  (Delta u > 0, det D^2 u > 0) are halved.  Each step is one GMRES cycle,
+  right-preconditioned with a lagged Jacobian's factor.  Its operators are
+  stencil tables (`Stencil`); their direct LU (`hess2.multifrontal`) is
+  imported on first use, so radial and eigenvalue solves never compile it.
 
 Solutions implement `Solution`: per-node gradient and Hessian frame blocks,
 from which `admissibility_report` and `hess2.analysis` derive every invariant.
@@ -62,7 +63,7 @@ PICARD_MAX_ITER = 400
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
-GMRES_RTOL, GMRES_RESTART, GMRES_CYCLES = 1e-3, 30, 3
+GMRES_RTOL, GMRES_RESTART = 1e-3, 30
 ANDERSON_DEPTH = 5
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
@@ -564,81 +565,50 @@ def factorized(a: Stencil, plan):
 
 
 def _gmres(a: Stencil, b: np.ndarray, precond):
-    """x with |b - a x| <= GMRES_RTOL |b| by restarted GMRES (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 1986), left-preconditioned by `precond`, in
-    at most GMRES_CYCLES cycles of GMRES_RESTART steps; None where it misses.
+    """x with |b - a x| <= GMRES_RTOL |b| by one GMRES cycle (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 1986) of at most GMRES_RESTART steps, right-
+    preconditioned: x = precond(V y); None where it misses.
 
-    Each cycle orthogonalizes by modified Gram-Schmidt and reduces the
-    Hessenberg matrix by Givens rotations; its inner tolerance on the
-    preconditioned residual tightens or relaxes by how the last cycle's true
-    residual compared with it.
+    Each step's least-squares residual is then the true residual, so one stop
+    test serves both; it is checked once more on the returned x.  b is first
+    scaled by a power of two near max |b|, exactly, so its norms cannot overflow.
     """
-    bnorm, m, eps = np.linalg.norm(b), GMRES_RESTART, np.finfo(float).eps
+    e = np.frexp(np.max(np.abs(b)))[1]
+    b = np.ldexp(b, -e)
+    bnorm, m = np.linalg.norm(b), GMRES_RESTART
     if bnorm == 0:
         return np.zeros_like(b)
-    atol, ptol_factor = GMRES_RTOL * bnorm, 1.0
-    ptol = np.linalg.norm(precond(b)) * min(1.0, atol / bnorm)
-    x, r, v = np.zeros_like(b), b, np.empty((m + 1, b.size))
-    for _ in range(GMRES_CYCLES):
-        v[0] = precond(r)
-        g, h, rot = np.zeros(m + 1), np.zeros((m, m + 1)), np.zeros((m, 2))
-        g[0] = np.linalg.norm(v[0])   # h: column j of the Hessenberg matrix in row j
-        v[0] *= 1.0 / g[0]
-        for j in range(m):
-            w = precond(a @ v[j])
-            h0 = np.linalg.norm(w)
-            for k in range(j + 1):
-                h[j, k] = v[k] @ w
-                w -= h[j, k] * v[k]
-            h[j, j + 1] = np.linalg.norm(w)
-            v[j + 1] = w
-            breakdown = h[j, j + 1] <= eps * h0
-            if breakdown:
-                h[j, j + 1] = 0.0
-            else:
-                v[j + 1] *= 1.0 / h[j, j + 1]
-            for k in range(j):
-                c, s = rot[k]
-                h[j, k], h[j, k + 1] = c * h[j, k] + s * h[j, k + 1], c * h[j, k + 1] - s * h[j, k]
-            f, gg = h[j, j], h[j, j + 1]
-            rr = math.copysign(math.hypot(f, gg), f) if f else abs(gg)
-            rot[j] = (f / rr, gg / rr) if rr else (1.0, 0.0)
-            h[j, j], h[j, j + 1] = rr, 0.0
-            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
-            presid = abs(g[j + 1])
-            if presid <= ptol or breakdown:
-                break
-        if h[j, j] == 0:
-            g[j] = 0.0
-        y = g[:j + 1].copy()
-        for k in range(j, -1, -1):
-            if y[k]:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        x += y @ v[:j + 1]
-        r = b - a @ x
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol:
-            return x
-        if breakdown:
+    v, h, g = np.empty((m + 1, b.size)), np.zeros((m + 1, m)), np.zeros(m + 1)
+    v[0], g[0], tol = b / bnorm, bnorm, GMRES_RTOL * bnorm   # min |g - h y| over y
+    for j in range(m):
+        w = a @ precond(v[j])
+        for k in range(j + 1):   # modified Gram-Schmidt
+            h[k, j] = v[k] @ w
+            w -= h[k, j] * v[k]
+        h[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(h[j + 1, j]):   # a non-finite a or b; lstsq would raise
             return None
-        ptol_factor = (max(eps, 0.25 * ptol_factor) if presid <= ptol
-                       else min(1.0, 1.5 * ptol_factor))
-        ptol = presid * min(ptol_factor, atol / rnorm)
-    return None
+        y = np.linalg.lstsq(h[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
+        if np.linalg.norm(h[:j + 2, :j + 1] @ y - g[:j + 2]) <= tol or h[j + 1, j] == 0:
+            break
+        v[j + 1] = w / h[j + 1, j]
+    else:
+        return None
+    x = precond(y @ v[:j + 1])
+    return np.ldexp(x, e) if np.linalg.norm(b - a @ x) <= tol else None
 
 
 def spsolve(a: Stencil, b: np.ndarray, plan, lu):
     """Newton step a x = b, and the solve function of the factor to reuse.
 
-    GMRES, preconditioned by `lu` (an earlier Jacobian's factor), solves to
-    relative residual GMRES_RTOL; where it misses within GMRES_CYCLES restart
-    cycles, or where `lu` is None, `a` is factored and solved directly (lagged-
-    Jacobian inexact Newton: Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    GMRES, right-preconditioned by `lu` (an earlier Jacobian's factor), solves
+    to relative residual GMRES_RTOL; where it misses within GMRES_RESTART steps,
+    or where `lu` is None, `a` is factored and solved directly (lagged-Jacobian
+    inexact Newton: Knoll & Keyes, J. Comput. Phys. 193, 2004).
     """
     if lu is not None:
-        # Huge residuals overflow GMRES's norms; the caller rejects a non-finite step.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Non-finite Jacobians or steps give a non-finite x; the caller rejects it.
+        with np.errstate(over="ignore", invalid="ignore"):
             x = _gmres(a, b, lu)
         if x is not None:
             return x, lu
@@ -756,8 +726,9 @@ def _newton_jacobian(ops, f, u, hess) -> Stencil:
     sum_{i<=j} (2 - delta_ij) B_ij D_ij - f'(u) with B = `cofactor`(H) = S1 I - H."""
     b = cofactor(hess)
     pairs = itertools.combinations_with_replacement(range(hess.shape[-1]), 2)
-    return _stencil_sum([((2.0 - (i == j)) * b[:, i, j], ops[i, j]) for i, j in pairs],
-                        diagonal=-np.asarray(f.fprime(u), dtype=float))
+    with np.errstate(over="ignore"):   # the caller rejects the non-finite step
+        return _stencil_sum([((2.0 - (i == j)) * b[:, i, j], ops[i, j]) for i, j in pairs],
+                            diagonal=-np.asarray(f.fprime(u), dtype=float))
 
 
 def _inadmissible_nodes(hess) -> int:
@@ -815,8 +786,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     have to enter the cone, and Newton then solves det = f.
 
     The sweeps are Anderson-mixed and reuse one LU factor of the Laplacian.
-    Newton steps are GMRES solves preconditioned with the factor of the first
-    Jacobian, refactored where GMRES stalls (`spsolve`).  Every factorisation
+    Newton steps are GMRES solves right-preconditioned with the factor of the
+    first Jacobian, refactored where GMRES misses its tolerance within
+    GMRES_RESTART steps (`spsolve`).  Every factorisation
     takes one symbolic analysis of the lattice (`elimination_plan`), made
     once per call: the Laplacian and the Newton Jacobians share its stencil.
     """

@@ -492,8 +492,12 @@ class TestSolveCommand:
          r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
         (["verify", "--app", "1", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152",
           "--h", "8e151"], r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
+        # f'(u) = -exp(-u/2)/2 overflows in the first Newton Jacobian (u from -5e199 to -1e198).
+        (["solve", "--grid2d", "--f", "exp-dec", "--domain", "disk:1e100", "--h", "1e99"],
+         r"Newton linearization produced a non-finite step at step 1 \(residual "),
     ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
-            "grid-const-1e300", "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8"])
+            "grid-const-1e300", "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8",
+            "grid-disk-1e100-exp-dec"])
     def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
         # A fresh process, as the console script runs: pytest's warning filter
         # cannot hide a RuntimeWarning printed to stderr there.

@@ -435,19 +435,40 @@ class TestMultifrontalLU:
                                               "singular pivot block"):
             factorized(singular, elimination_plan(mask))
 
-    def test_gmres_matches_scipy(self):
-        # The same iteration as scipy's gmres, preconditioned alike.
-        from scipy.sparse.linalg import LinearOperator, gmres
+    @staticmethod
+    def _gmres_case():
+        """The operators, the `ellipse:2,1` Newton Jacobian at 0.95 times the
+        solution with its right-hand side, the lagged factor (at 0.9 times) and
+        the plan."""
         sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
         plan = elimination_plan(sol.mask)
         lag = factorized(TestNewtonStep._jacobian(sol, f, 0.9)[1], plan)
-        _, jac, rhs = TestNewtonStep._jacobian(sol, f, 0.95)
-        got = _gmres(jac, rhs, lag)
-        expect, info = gmres(_csr(jac), rhs, rtol=solver.GMRES_RTOL,
-                             restart=solver.GMRES_RESTART, maxiter=solver.GMRES_CYCLES,
-                             M=LinearOperator((rhs.size, rhs.size), matvec=lag))
-        assert info == 0
-        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+        ops, jac, rhs = TestNewtonStep._jacobian(sol, f, 0.95)
+        return ops, jac, rhs, lag, plan
+
+    def test_gmres_contract(self):
+        ops, jac, rhs, lag, plan = self._gmres_case()
+        step = _gmres(jac, rhs, lag)
+        assert np.linalg.norm(rhs - jac @ step) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
+        # With the exact factor one step meets the tolerance: one preconditioner
+        # solve in the step and one for x = M^-1 (V y).
+        exact, calls = factorized(jac, plan), []
+        step = _gmres(jac, rhs, lambda r: calls.append(r) or exact(r))
+        expect = exact(rhs)
+        assert len(calls) == 2
+        assert np.max(np.abs(step - expect)) <= 1e-12 * np.max(np.abs(expect))
+        # The Laplacian's factor meets the tolerance here too (in 4 steps); the
+        # factor of u_yy alone misses, after GMRES_RESTART steps and no restart.
+        uyy, calls = factorized(ops[1, 1], plan), []
+        assert _gmres(jac, rhs, lambda r: calls.append(r) or uyy(r)) is None
+        assert len(calls) == solver.GMRES_RESTART
+
+    def test_gmres_scales_huge_right_hand_sides_exactly(self):
+        # |b| of 2^1000 b overflows; GMRES scales b by a power of two first.
+        _, jac, rhs, lag, _ = self._gmres_case()
+        big, c = _gmres(jac, 2.0 ** 1000 * rhs, lag), 2.0 ** 1000
+        assert np.array_equal(big, c * _gmres(jac, rhs, lag))
+        assert np.linalg.norm(rhs - jac @ (big / c)) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
 
 class TestNewtonStep:
