@@ -9,11 +9,14 @@ agree; its separator S is its cut line (or, for a leaf, all its nodes).  The
 front of a box is S plus U, the nodes of earlier levels next to the box's
 region: eliminating the region couples only those.
 
-Levels are eliminated deepest first, each batched over its boxes and padded to
-the level's largest S and U.  A front gathers the operator's own entries and
-its two children's Schur complements, keeps X = [inv(A_SS), -inv(A_SS) A_SU]
-and L = A_US inv(A_SS), and hands A_UU - L A_SU to its parent.  A solve is one
-forward sweep, y_U -= L y_S, and one backward sweep, x_S = X [y_S; x_U].
+Levels are eliminated deepest first.  A level's boxes fall into size classes,
+one per power-of-two range of front width |S| + |U|, and each class is batched
+over its boxes and padded to its own largest S and U: no box is padded to
+twice its width.  A front gathers the operator's own entries and its two
+children's Schur complements, keeps X = [inv(A_SS), -inv(A_SS) A_SU] and
+L = A_US inv(A_SS), and hands A_UU - L A_SU to its parent.  A solve is one
+forward sweep, y_U -= L y_S, and one backward sweep, x_S = X [y_S; x_U], class
+by class.
 
 Padding rows of S carry a unit diagonal; padding slots of U land in one spare
 row and column of each front, and at node n of a solve vector, which are
@@ -93,28 +96,40 @@ def _padded(box: np.ndarray, node: np.ndarray, boxes: int, pad: int) -> np.ndarr
     return table
 
 
+def _size_classes(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes of a level in size classes, widest first, and where each class
+    starts (then the box count).  A class holds the boxes of one power-of-two
+    range of front width |S| + |U|, so its largest S and largest U each stay
+    below twice any of its boxes' width."""
+    octave = np.frexp(width)[1]   # 2^(octave - 1) <= width < 2^octave
+    order = np.argsort(-octave, kind="stable")
+    return order, np.concatenate(([0], np.flatnonzero(np.diff(octave[order])) + 1, [width.size]))
+
+
 @dataclass
-class _Level:
-    """Symbolic data of one elimination level, over its B boxes."""
+class _Class:
+    """Symbolic data of one size class of a level's boxes, over its B boxes."""
 
     s: np.ndarray         # (B, s) separator nodes, padded with n
     front: np.ndarray     # (B, s + u) separator, then update nodes, padded with n
-    gather: np.ndarray    # operator entries the level assembles, as slot * n + row,
+    gather: np.ndarray    # operator entries the class assembles, as slot * n + row,
     target: np.ndarray    # and their flat places in its (B, w, w) fronts, box by box;
     first: np.ndarray     # (B + 1,) where each box's entries start
-    children: list        # per child side: child boxes, their parent boxes (ascending),
-                          # (k, uc) places of their U in the parent, (B + 1,) starts
-    u_nodes: np.ndarray   # distinct update nodes, and the index among them of each
-    u_slot: np.ndarray    # U slot of the fronts, flat (padding: len(u_nodes))
+    children: list        # per child side and class of the deeper level: that class's
+                          # index in the plan, its child boxes, their parent boxes here
+                          # (ascending), (k, uc) places of their U in the parent, and
+                          # (B + 1,) starts
+    u: np.ndarray         # (B * u,) update nodes, flat, padded with n
 
 
 class Plan:
-    """The symbolic analysis of a lattice: levels, fronts and scatter maps.
+    """The symbolic analysis of a lattice: size classes, fronts and scatter maps.
 
     `columns` is the mask's (9, n) table of stencil columns (`GridMask.columns`):
     operator entry (row i, slot k) sits in column columns[k, i], and n stands
-    for an arm that leaves the domain.  The work is array passes over the
-    nodes and stencil entries, a few per level.
+    for an arm that leaves the domain.  `levels` lists the size classes of
+    every level, deepest level first.  The work is array passes over the nodes
+    and stencil entries, a few per level.
     """
 
     def __init__(self, grid_index: np.ndarray, columns: np.ndarray):
@@ -142,15 +157,14 @@ class Plan:
         back = np.array([0, 2, 1, 4, 3, 6, 5, 8, 7])   # the slot of the opposite arm
         pos_s = np.zeros(n + 1, dtype=np.intp)
 
-        self.levels: list[_Level] = []
-        below = None   # the deeper level's parent boxes, sides and U table
+        self.levels: list[_Class] = []
+        below = None   # the deeper level's parent boxes, sides, U table, and each
+                       # box's class (index in the plan) and place in its class
         for level in range(len(boxes) - 1, -1, -1):
             up, up_side, sep = boxes.pop()
             nbox = up.size
-            at = np.arange(nbox + 1)
             sep = sep[np.argsort(box_of[sep], kind="stable")]
             s = _padded(box_of[sep], sep, nbox, n)
-            ns = s.shape[1]
             pos_s[sep] = np.nonzero(s < n)[1]
             # U: the nodes of earlier levels next to the separator or to U of a child.
             col = cols[sep]
@@ -158,47 +172,80 @@ class Plan:
             i, k = np.nonzero(col_lev < level)
             keys = [box_of[sep[i]] * (n + 1) + col[i, k]]
             if below is not None:
-                child_parent, child_side, child_u = below
+                child_parent, child_side, child_u, child_class, child_at = below
                 outer = lev[child_u] < level
                 keys.append((child_parent[:, None] * (n + 1) + child_u)[outer])
             key = _distinct(np.concatenate(keys))
             u = _padded(key // (n + 1), key % (n + 1), nbox, n)
-            w = ns + u.shape[1] + 1   # the last row and column take the padding
             start = np.searchsorted(key, np.arange(nbox) * (n + 1))
 
+            # The boxes' fronts lie class by class, widest class first, box after
+            # box; each class's S and U widths are its largest.  Per box: its
+            # class's S width, its front width w (the last row and column of a
+            # front take the padding) and where its front starts.
+            count_s = np.bincount(box_of[sep], minlength=nbox)
+            count_u = np.diff(np.append(start, key.size))
+            order, bounds = _size_classes(count_s + count_u)
+            rank = np.empty(nbox, dtype=np.intp)
+            rank[order] = np.arange(nbox)
+            sizes = np.diff(bounds)
+            ns = np.maximum.reduceat(count_s[order], bounds[:-1])
+            nu = np.maximum.reduceat(count_u[order], bounds[:-1])
+            ns_b, w_b = np.repeat(ns, sizes)[rank], np.repeat(ns + nu + 1, sizes)[rank]
+            fend = np.concatenate(([0], np.cumsum(w_b[order] ** 2)))
+            f0 = fend[rank]
+
             def u_place(b, node):
-                return ns + np.searchsorted(key, b * (n + 1) + node) - start[b]
+                return ns_b[b] + np.searchsorted(key, b * (n + 1) + node) - start[b]
 
             # Entries within the separator, from it into U, and their mirrors: each
             # one's flat place in the level's fronts and slot * n + row, by place.
             j, m = np.nonzero(col_lev == level)
             bj, bi = box_of[sep[j]], box_of[sep[i]]
             pu = u_place(bi, col[i, k])
-            place = np.concatenate([(bj * w + pos_s[sep[j]]) * w + pos_s[col[j, m]],
-                                    (bi * w + pos_s[sep[i]]) * w + pu,
-                                    (bi * w + pu) * w + pos_s[sep[i]]])
+            place = np.concatenate([f0[bj] + pos_s[sep[j]] * w_b[bj] + pos_s[col[j, m]],
+                                    f0[bi] + pos_s[sep[i]] * w_b[bi] + pu,
+                                    f0[bi] + pu * w_b[bi] + pos_s[sep[i]]])
             entry = np.concatenate([m * n + sep[j], k * n + sep[i], back[k] * n + col[i, k]])
             target, gather = np.divmod(np.sort(place * (9 * n) + entry), 9 * n)
+            first = np.searchsorted(target, fend)
 
-            # Each box has at most one child per side: no place is added to twice.
-            children = []
+            # Children grouped by parent class, side and child class, each group
+            # by parent: a box has at most one child per side, so no place of a
+            # group is added to twice.
+            groups = {}
             if below is not None:
-                places = np.full(child_u.shape, w - 1)
+                pb = np.repeat(child_parent[:, None], child_u.shape[1], axis=1)
+                places = w_b[pb] - 1
                 mine = lev[child_u] == level
                 places[mine] = pos_s[child_u[mine]]
-                pb = np.repeat(child_parent[:, None], child_u.shape[1], axis=1)
                 places[outer] = u_place(pb[outer], child_u[outer])
-                for half in (0, 1):
-                    sel = np.nonzero(child_side == half)[0]
-                    children.append((sel, child_parent[sel], _narrow(places[sel], w),
-                                     np.searchsorted(child_parent[sel], at)))
-            u_nodes = _distinct(u[u < n])
-            self.levels.append(_Level(
-                s=s, front=np.concatenate([s, u], axis=1), gather=_narrow(gather, 9 * n),
-                target=_narrow(target, nbox * w * w), first=np.searchsorted(target, at * w * w),
-                children=children, u_nodes=u_nodes,
-                u_slot=np.searchsorted(u_nodes, u).ravel()))
-            below = up, up_side, u
+                child_parent = rank[child_parent]
+                home = np.searchsorted(bounds, child_parent, side="right") - 1
+                group = (home * 2 + child_side) * len(self.levels) + child_class
+                by = np.lexsort((child_parent, group))
+                for g in np.split(by, np.flatnonzero(np.diff(group[by])) + 1):
+                    groups.setdefault(home[g[0]], []).append(g)
+            s, u, up, up_side = s[order], u[order], up[order], up_side[order]
+            base = len(self.levels)
+            for c, (a, z) in enumerate(zip(bounds, bounds[1:])):
+                # A contiguous copy of S: a solve gathers x[s] in every sweep.
+                s_c, u_c = s[a:z, :ns[c]].copy(), u[a:z, :nu[c]]
+                w = ns[c] + nu[c] + 1
+                children = []
+                for g in groups.get(c, ()):
+                    kid = self.levels[child_class[g[0]]]
+                    at = child_parent[g] - a
+                    places_g = places[g, :kid.front.shape[1] - kid.s.shape[1]]
+                    children.append((child_class[g[0]], child_at[g], at, _narrow(places_g, w),
+                                     np.searchsorted(at, np.arange(z - a + 1))))
+                self.levels.append(_Class(
+                    s=s_c, front=np.concatenate([s_c, u_c], axis=1),
+                    gather=_narrow(gather[first[a]:first[z]], 9 * n),
+                    target=_narrow(target[first[a]:first[z]] - fend[a], (z - a) * w * w),
+                    first=first[a:z + 1] - first[a], children=children, u=u_c.ravel()))
+            box_class = np.repeat(np.arange(base, len(self.levels)), sizes)
+            below = up, up_side, u, box_class, np.arange(nbox) - np.repeat(bounds[:-1], sizes)
 
 
 def _parts(count: int, size: int) -> list[slice]:
@@ -223,29 +270,31 @@ def factor(a, plan: Plan):
     biggest = float(np.max(np.abs(a.coef[row_of[0]]), initial=0.0))
     scale = math.ldexp(1.0, -math.frexp(biggest)[1]) if math.isfinite(biggest) else 1.0
     blocks = []
-    below = None   # the Schur complements of the deeper level
+    schur = []   # each class's Schur complements, until its parent level reads them
+    readers = np.bincount([ch[0] for c in plan.levels for ch in c.children],
+                          minlength=len(plan.levels))
     # Non-finite entries give a non-finite factor; the caller rejects what it solves.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lvl in plan.levels:
-            nbox, ns = lvl.s.shape
-            nu = lvl.front.shape[1] - ns
+        for cls in plan.levels:
+            nbox, ns = cls.s.shape
+            nu = cls.front.shape[1] - ns
             w = ns + nu + 1
             x_blk, l_us = np.empty((nbox, ns, ns + nu)), np.empty((nbox, nu, ns))
-            schur = np.empty((nbox, nu, nu))
+            s_uu = np.empty((nbox, nu, nu))
             for part in _parts(nbox, w * w):
                 lo, hi = part.start, part.stop
                 front = np.zeros((hi - lo, w, w))
                 flat = front.reshape(-1)
-                e = slice(lvl.first[lo], lvl.first[hi])
-                slot, row = np.divmod(lvl.gather[e], n)
+                e = slice(cls.first[lo], cls.first[hi])
+                slot, row = np.divmod(cls.gather[e], n)
                 k = row_of[slot]
                 have = k >= 0   # slots the operator does not store hold zeros
-                flat[lvl.target[e][have] - lo * w * w] = coef[k[have] * n + row[have]] * scale
-                for sel, parent, places, first in lvl.children:
+                flat[cls.target[e][have] - lo * w * w] = coef[k[have] * n + row[have]] * scale
+                for child, sel, parent, places, first in cls.children:
                     c = slice(first[lo], first[hi])
                     rows = ((parent[c] - lo) * w)[:, None] + places[c]
-                    flat[(rows * w)[:, :, None] + places[c, None, :]] += below[sel[c]]
-                pad_box, pad_row = np.nonzero(lvl.s[part] == n)
+                    flat[(rows * w)[:, :, None] + places[c, None, :]] += schur[child][sel[c]]
+                pad_box, pad_row = np.nonzero(cls.s[part] == n)
                 front[pad_box, pad_row, pad_row] = 1.0
                 try:
                     inv = np.linalg.inv(front[:, :ns, :ns])
@@ -256,23 +305,24 @@ def factor(a, plan: Plan):
                 x_blk[part, :, :ns] = inv
                 x_blk[part, :, ns:] = -(inv @ a_su)
                 np.matmul(front[:, ns:-1, :ns], inv, out=l_us[part])
-                np.subtract(front[:, ns:-1, ns:-1], l_us[part] @ a_su, out=schur[part])
+                np.subtract(front[:, ns:-1, ns:-1], l_us[part] @ a_su, out=s_uu[part])
             blocks.append((x_blk, l_us))
-            below = schur
-    del below
+            schur.append(s_uu)
+            for child, *_ in cls.children:
+                readers[child] -= 1
+                if not readers[child]:
+                    schur[child] = None
+    del schur
 
     def solve(b):
         x = np.zeros(n + 1)
         x[:n] = b
         x[:n] *= scale
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lvl, (_, l_us) in zip(plan.levels, blocks):
-                if lvl.u_nodes.size:
-                    y_u = (l_us @ x[lvl.s][:, :, None]).reshape(-1)
-                    x[lvl.u_nodes] -= np.bincount(lvl.u_slot, y_u,
-                                                  minlength=lvl.u_nodes.size + 1)[:-1]
-            for lvl, (x_blk, _) in zip(reversed(plan.levels), reversed(blocks)):
-                x[lvl.s] = (x_blk @ x[lvl.front][:, :, None])[:, :, 0]
+            for cls, (_, l_us) in zip(plan.levels, blocks):
+                np.subtract.at(x, cls.u, (l_us @ x[cls.s][:, :, None]).reshape(-1))
+            for cls, (x_blk, _) in zip(reversed(plan.levels), reversed(blocks)):
+                x[cls.s] = (x_blk @ x[cls.front][:, :, None])[:, :, 0]
                 x[n] = 0.0
         return x[:n]
     return solve

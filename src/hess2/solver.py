@@ -798,6 +798,10 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     plan = elimination_plan(mask)
     # The Laplacian factor dies with the warm start, before Newton factors.
     u, hess = _warm_start(ops, f, plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(np.asarray(f.f(u), dtype=float))):
+            raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
+                              f"finite at u_min = {float(np.min(u)):.3e})")
 
     def s2_defect(hess, u):
         with np.errstate(over="ignore"):

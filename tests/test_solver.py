@@ -10,7 +10,7 @@ from conftest import (DOMAINS, cached_eigen, cached_grid, cached_mask, cached_ra
 from hess2 import solver
 from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError, SolverError
-from hess2.multifrontal import dissection_path
+from hess2.multifrontal import LEAF_LEVELS, dissection_path
 from hess2.solver import (
     ScalarField2D,
     Stencil,
@@ -469,6 +469,61 @@ class TestMultifrontalLU:
         big, c = _gmres(jac, 2.0 ** 1000 * rhs, lag), 2.0 ** 1000
         assert np.array_equal(big, c * _gmres(jac, rhs, lag))
         assert np.linalg.norm(rhs - jac @ (big / c)) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
+
+
+SIZED = [(spec, 1.0 / 16) for spec in LU_LATTICES] + [(ball(1.0), 1.0 / 64)]
+SIZED_IDS = LU_IDS + ["disk-64"]
+
+
+class TestSizeClasses:
+    @staticmethod
+    def _sizes(cls, n):
+        """Per box of a class: its own |S| and |U|; and the class's padded S and U."""
+        ns = cls.s.shape[1]
+        return ((cls.s < n).sum(axis=1), (cls.front[:, ns:] < n).sum(axis=1),
+                ns, cls.front.shape[1] - ns)
+
+    @pytest.mark.parametrize("spec,h", SIZED, ids=SIZED_IDS)
+    def test_no_box_is_padded_to_twice_its_width(self, spec, h):
+        # A class holds one power-of-two range of front widths |S| + |U|, and
+        # pads S and U to its largest: each stays below twice any box's width.
+        mask = rasterize(spec, h)
+        n = mask.n_inside
+        for cls in elimination_plan(mask).levels:
+            own_s, own_u, pad_s, pad_u = self._sizes(cls, n)
+            width = own_s + own_u
+            assert pad_s == own_s.max() and pad_u == own_u.max()
+            assert np.all((pad_s < 2 * width) & (pad_u < 2 * width) | (pad_s + pad_u == 0))
+
+    @pytest.mark.parametrize("spec,h", SIZED, ids=SIZED_IDS)
+    def test_every_node_is_eliminated_once(self, spec, h):
+        mask = rasterize(spec, h)
+        n = mask.n_inside
+        s = np.concatenate([cls.s[cls.s < n] for cls in elimination_plan(mask).levels])
+        assert np.array_equal(np.sort(s), np.arange(n))
+
+    def test_split_levels_solve_matches_scipy(self):
+        # On the h = 1/64 disk some dissection levels split into two or more
+        # classes; the Laplacian and Jacobian solves still match SuperLU.
+        from scipy.sparse.linalg import spsolve as scipy_spsolve
+        sol, f = cached_grid("disk", "exp-dec", 1.0 / 64), make_source("exp-dec")
+        mask = sol.mask
+        plan, n = elimination_plan(mask), mask.n_inside
+        path = dissection_path(mask.grid_index)
+        level = np.minimum((path == 2).argmax(axis=0), path.shape[0] - 1 - LEAF_LEVELS)
+        # The level of each class with separator nodes (some classes have none).
+        level_of_class = [np.unique(level[cls.s[cls.s < n]]) for cls in plan.levels]
+        assert all(lv.size <= 1 for lv in level_of_class)
+        per_level = np.bincount(np.concatenate(level_of_class))
+        assert np.count_nonzero(per_level >= 2) >= 2
+        u = 0.9 * sol.u
+        ops = build_operators(mask)
+        jac = _newton_jacobian(ops, f, u, _hessian(ops, u))
+        b = np.random.default_rng(4).standard_normal(n)
+        for op in (_laplacian(mask), jac):
+            expect = scipy_spsolve(_csr(op).tocsc(), b)
+            got = factorized(op, plan)(b)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestNewtonStep:
