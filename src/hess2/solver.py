@@ -737,14 +737,31 @@ def _inadmissible_nodes(hess) -> int:
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
-def _warm_start(ops, f: SourceTerm, plan):
-    """(u, Hessian blocks) of an iterate on the discrete elliptic branch: the linear
-    start, then Anderson-mixed Poisson-style sweeps with one Laplacian factor until
-    every inside node is on the branch (see `solve_grid2d`)."""
-    n = plan.n
+def _warm_start(mask: GridMask, ops, f: SourceTerm):
+    """(u, Hessian blocks, elimination plan or None) of an iterate on the discrete
+    elliptic branch.  The initial iterate solves the linear problem Delta u0 = c
+    (see `solve_grid2d`).  On an ellipse it is the closed form, which the
+    stencils reproduce, quadratics being exact for them (Shortley & Weller,
+    J. Appl. Phys. 9, 1938), and one Jacobi correction clears the rounding of
+    short boundary arms; no plan is made.  Otherwise, or where that iterate is
+    not finite or leaves the branch, one Laplacian factor solves it and serves
+    Anderson-mixed Poisson-style sweeps until every inside node is on the
+    branch, and the plan made for that factor is returned."""
+    n = mask.n_inside
     f0 = float(np.asarray(f.f(0.0)))
-    lap_solve = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), plan)
-    u = lap_solve(np.full(n, 2.0 * math.sqrt(f0) if f0 > 0 else 1.0))
+    c = 2.0 * math.sqrt(f0) if f0 > 0 else 1.0
+    lap = _stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])])
+    if mask.spec.kind == "ellipse":
+        (a, b), (x, y) = mask.spec.semi_axes, mask.node_xy.T
+        # Out of the float range u reads inf or 0; the LU path below takes over.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = 0.5 * c * ((x / a) ** 2 + (y / b) ** 2 - 1.0) / (1.0 / a**2 + 1.0 / b**2)
+            u += (c - lap @ u) / lap.coef[lap.slots.index(0)]
+        if np.all(np.isfinite(u)) and not _inadmissible_nodes(hess := _hessian(ops, u)):
+            return u, hess, None
+    plan = elimination_plan(mask)
+    lap_solve = factorized(lap, plan)
+    u = lap_solve(np.full(n, c))
     hess = _hessian(ops, u)
     sweeps, g_hist, r_hist = 0, [], []
     while bad := _inadmissible_nodes(hess):
@@ -767,37 +784,40 @@ def _warm_start(ops, f: SourceTerm, plan):
             gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
             u = g - np.diff(g_hist, axis=0).T @ gamma
         hess = _hessian(ops, u)
-    return u, hess
+    return u, hess, plan
 
 
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     """Damped-Newton solve of det D^2 u = f(u) on a convex planar domain.
 
-    The initial iterate solves the linear problem Delta u0 = 2 sqrt(f(0)),
+    The initial iterate solves the linear problem Delta u0 = c = 2 sqrt(f(0)),
     which starts inside the discrete elliptic branch by the arithmetic-
     geometric inequality det <= (Delta u / 2)^2 on smooth strictly convex
     domains.  Sources with f(0) = 0 (power, eigen) have the trivial solution
     u = 0, which Newton chases from a shallow start, so they start from
-    Delta u0 = 1 instead.  Near polygon corners that iterate leaves the
-    branch, so the solver falls back to the Poisson-style fixed point
+    Delta u0 = 1 instead.  On an ellipse that problem has the closed form
+    u0 = c (x^2/a^2 + y^2/b^2 - 1) / (2/a^2 + 2/b^2); elsewhere one LU factor
+    of the Laplacian solves it (`_warm_start`).  Near polygon corners that
+    iterate leaves the branch, so the solver falls back to the Poisson-style
+    fixed point
         Delta u <- sqrt(2 f + (u_xx - u_yy)^2 + 4 u_xy^2),
     whose sweeps do not require branch membership, until the iterate enters
     the discrete cone.  Its fixed point has det = f/2, not f: the sweeps only
     have to enter the cone, and Newton then solves det = f.
 
-    The sweeps are Anderson-mixed and reuse one LU factor of the Laplacian.
-    Newton steps are GMRES solves right-preconditioned with the factor of the
-    first Jacobian, refactored where GMRES misses its tolerance within
-    GMRES_RESTART steps (`spsolve`).  Every factorisation
-    takes one symbolic analysis of the lattice (`elimination_plan`), made
-    once per call: the Laplacian and the Newton Jacobians share its stencil.
+    The sweeps are Anderson-mixed and reuse the Laplacian's factor.  Newton
+    steps are GMRES solves right-preconditioned with the factor of the first
+    Jacobian, refactored where GMRES misses its tolerance within
+    GMRES_RESTART steps (`spsolve`).  Every factorisation takes one symbolic
+    analysis of the lattice (`elimination_plan`), made once per call, at the
+    first factorisation: the Laplacian and the Newton Jacobians share its
+    stencil, and a call that factors nothing makes none.
     """
     mask = rasterize(spec, h)
     ops = build_operators(mask)
 
-    plan = elimination_plan(mask)
     # The Laplacian factor dies with the warm start, before Newton factors.
-    u, hess = _warm_start(ops, f, plan)
+    u, hess, plan = _warm_start(mask, ops, f)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(np.asarray(f.f(u), dtype=float))):
             raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
@@ -815,6 +835,8 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
         if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
+        if plan is None:   # the first Newton step factors its Jacobian
+            plan = elimination_plan(mask)
         step, lu = spsolve(_newton_jacobian(ops, f, u, hess), -residual, plan, lu)
         if not np.all(np.isfinite(step)):
             raise SolverError(f"Newton linearization produced a non-finite step "

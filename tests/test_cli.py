@@ -967,8 +967,9 @@ class TestStartup:
         # The planar sparse solves, which alone once loaded scipy, now load the
         # planar LU (`hess2.multifrontal`) in its place; no call loads scipy,
         # though it is importable, and numpy.polynomial (the radial quadrature
-        # rule) loads on first use.  The planar call at the end shows the
-        # check can fail.
+        # rule) loads on first use.  The planar call at the end, which takes
+        # Newton steps and so factors, shows the check can fail (the default
+        # disk's const:1 solve starts at its solution and factors nothing).
         code = textwrap.dedent("""
             import json, sys
             import hess2.cli
@@ -986,7 +987,7 @@ class TestStartup:
         """)
         calls = [["ineq", "--count", "10"], ["solve", "--radial"], ["solve", "--eigen"],
                  ["verify", "--app", "1", "--radial"], ["identity-scan", "--count", "10"],
-                 ["solve", "--grid2d", "--h", "0.0625"]]
+                 ["solve", "--grid2d", "--f", "exp-dec", "--h", "0.0625"]]
         done = _run_python(code, json.dumps(calls), str(tmp_path))
         seen = json.loads(done.stdout.splitlines()[-1])
         assert seen[0] == ["import", 0, []]
@@ -1002,7 +1003,8 @@ class TestStartup:
         # Every command runs on numpy alone: scipy is made unimportable, and no
         # call may fail for it.  The planar LU (`hess2.multifrontal`) and
         # numpy.polynomial (the radial quadrature rule) load on first use; the
-        # planar calls at the end show the check can fail.
+        # planar calls at the end, which take Newton steps and so factor, show
+        # the check can fail.
         code = textwrap.dedent("""
             import json, sys
             sys.modules["scipy"] = None   # any import of scipy now raises ImportError
@@ -1020,7 +1022,7 @@ class TestStartup:
         """)
         calls = [["ineq", "--count", "10"], ["solve", "--radial"], ["solve", "--eigen"],
                  ["verify", "--app", "1", "--radial"], ["identity-scan", "--count", "10"],
-                 ["solve", "--grid2d", "--h", "0.0625"],
+                 ["solve", "--grid2d", "--f", "exp-dec", "--h", "0.0625"],
                  ["verify", "--app", "1", "--grid2d", "--h", "0.0625"]]
         done = _run_python(code, json.dumps(calls), str(tmp_path))
         assert done.stderr == ""

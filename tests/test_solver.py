@@ -574,9 +574,54 @@ class TestWarmStartFactor:
 
         monkeypatch.setattr(solver, "factorized", factorized)
         monkeypatch.setattr(solver, "spsolve", spsolve)
-        sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
+        # Ellipses start in closed form; only polygons factor the Laplacian.
+        sol = solve_grid2d(SQUARE, make_source("exp-dec"), 1.0 / 16)
         assert sol.newton_iterations > 0
         assert alive_at_newton == [False]
+
+
+class TestClosedFormStart:
+    LATTICES = (16, 37, 64, 128)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of `elimination_plan` and `factorized`, counted."""
+        calls = {"elimination_plan": 0, "factorized": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(solver, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(solver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k", LATTICES)
+    def test_quadratic_solution_builds_no_plan_and_no_factor(self, calls, k):
+        sol = solve_grid2d(ball(1.0), constant_source(1.0), 1.0 / k)
+        assert calls == {"elimination_plan": 0, "factorized": 0}
+        assert sol.newton_iterations == 0
+
+    def test_conic_newton_factors_only_its_jacobian(self, calls):
+        sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
+        assert sol.newton_iterations > 0
+        assert calls == {"elimination_plan": 1, "factorized": 1}
+
+    def test_square_factors_its_laplacian_and_its_jacobian(self, calls):
+        solve_grid2d(SQUARE, make_source("exp-dec"), 1.0 / 16)
+        assert calls == {"elimination_plan": 1, "factorized": 2}
+
+    @pytest.mark.parametrize("spec, k", [
+        *((ball(1.0), k) for k in LATTICES), *((ellipse(2.0, 1.0), k) for k in LATTICES),
+        (ball(3.0), 19)], ids=[*(f"disk-{k}" for k in LATTICES),
+                              *(f"ellipse-{k}" for k in LATTICES), "disk3-19"])
+    def test_warm_start_matches_the_laplacian_lu(self, spec, k):
+        # On finer disk:3 lattices the LU's own rounding passes 1e-13 (1.4e-12
+        # relative at h = 1/64), while the closed form's defect stays small.
+        mask = rasterize(spec, 1.0 / k)
+        ops = build_operators(mask)
+        u, _, plan = solver._warm_start(mask, ops, constant_source(1.0))
+        assert plan is None
+        expect = factorized(_laplacian(mask), elimination_plan(mask))(np.full(u.size, 2.0))
+        assert np.max(np.abs(u - expect)) <= 1e-13 * np.max(np.abs(u))
 
 
 SQUARE = convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
