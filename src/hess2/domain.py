@@ -10,7 +10,7 @@ stencils consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -301,7 +301,6 @@ class GridMask:
     theta: np.ndarray             # (n_inside, 8) arm fractions in (0, 1]
     neighbor: np.ndarray          # (n_inside, 8) inside index or -1
     crossings: BoundaryCrossings
-    _op_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_inside(self) -> int:

@@ -15,17 +15,17 @@ Three solvers:
   result keeps defect measurements clean near r = 0 in every dimension.
 
 * `solve_eigen_radial` - the eigenvalue problem S2(D^2 u) = lambda (-u)^2 on a
-  ball in R^3 by inverse iteration: one Picard pass with the previous
-  normalized iterate as data, renormalize in sup norm, read the eigenvalue off
-  the normalization.
+  ball in any dimension N >= 2 by inverse iteration: one Picard pass with the
+  previous normalized iterate as data, renormalize in sup norm, read the
+  eigenvalue off the normalization.
 
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
   (Delta u > 0, det D^2 u > 0) are halved.  Each step is one GMRES cycle,
-  right-preconditioned with a lagged Jacobian's factor.  Its operators are
-  stencil tables (`Stencil`); their direct LU (`hess2.multifrontal`) is
-  imported on first use, so radial and eigenvalue solves never compile it.
+  right-preconditioned with a lagged Jacobian's factor.  A `Lattice` builds the
+  stencil tables (`Stencil`) and the plan of their direct LU (`hess2.multifrontal`,
+  imported then) on first read, so radial and eigenvalue solves never compile it.
 
 Solutions implement `Solution`: per-node gradient and Hessian frame blocks,
 from which `admissibility_report` and `hess2.analysis` derive every invariant.
@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, ClassVar, Protocol
 
 import numpy as np
@@ -61,6 +62,7 @@ MINIMUM_CLUSTER_STEPS = 3.0
 PICARD_TOL = 1e-13
 PICARD_MAX_ITER = 400
 NEWTON_TOL = 1e-10
+S2_ROUNDING = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
 GMRES_RTOL, GMRES_RESTART = 1e-3, 30
@@ -294,10 +296,12 @@ def _picard_pass(n_dim, r, h, rhs_vals):
         return -(tail[-1] - tail), up
 
 
-def _radial_grid(radius: float, m: int) -> tuple[np.ndarray, float]:
-    """Nodes 0 = r_0 < ... < r_m = radius of the radial solvers, and their step.
-    Squared radii enter the start iterates and the Hessian's limit at r = 0, so
-    r_m^2 must be finite and r_1^2 normal."""
+def _radial_grid(n_dim: int, radius: float, m: int) -> tuple[np.ndarray, float]:
+    """Nodes 0 = r_0 < ... < r_m = radius of the radial solvers in dimension
+    n_dim >= 2, and their step.  Squared radii enter the start iterates and the
+    Hessian's limit at r = 0, so r_m^2 must be finite and r_1^2 normal."""
+    if n_dim < 2:
+        raise InputError("radial solves need dimension >= 2")
     if m < 16:
         raise InputError("need at least 16 radial intervals")
     _require_positive("radius must be positive and finite", radius)
@@ -374,9 +378,7 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
                  nodes: int = RADIAL_NODES) -> RadialProfile:
     """Admissible radial solution on a ball, by Picard iteration on the integral form
     over `nodes` intervals."""
-    if n_dim < 2:
-        raise InputError("radial solves need dimension >= 2")
-    r, h = _radial_grid(radius, nodes)
+    r, h = _radial_grid(n_dim, radius, nodes)
     u = 0.5 * (r**2 - radius**2)
     delta = math.inf
     for it in range(1, PICARD_MAX_ITER + 1):
@@ -403,16 +405,14 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
 
 def solve_eigen_radial(n_dim: int, radius: float,
                        nodes: int = RADIAL_NODES) -> tuple[float, RadialProfile]:
-    """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^3.
+    """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^N.
 
     Inverse iteration with sup-norm normalization: each step is one Picard
     pass, since its data u^2 does not depend on the new iterate.  The returned
     profile has sup norm 1, the eigenvalue is the inverse square of the last
     pass's sup norm, and `picard_iterations` counts the steps.
     """
-    if n_dim != 3:
-        raise InputError("the eigenvalue solver is wired for dimension 3")
-    r, h = _radial_grid(radius, nodes)
+    r, h = _radial_grid(n_dim, radius, nodes)
     u = (r**2 - radius**2) / radius**2   # sup norm 1, at the origin
     lam = math.inf
     for k in range(1, EIGEN_MAX_ITER + 1):
@@ -519,15 +519,11 @@ def _axis_operator(mask: GridMask, row, i: int) -> Stencil:
     return _assemble(mask, cc, ((ip, cp), (im, cm)))
 
 
-def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, Stencil]:
+def build_operators(mask: GridMask) -> dict[tuple[int, int], Stencil]:
     """Second derivatives over inside nodes (zero boundary data), keyed by
-    axis: ops[i, j] is d^2/dx_i dx_j (i <= j), axes 0 = x, 1 = y.  They are kept
-    in `mask._op_cache`, where `ScalarField2D.gradient` adds the first
-    derivatives ops[i] = d/dx_i on first use.  A lattice whose coefficients
+    axis: ops[i, j] is d^2/dx_i dx_j (i <= j), axes 0 = x, 1 = y.  A new dict
+    on each call; `Lattice.ops` keeps one.  A lattice whose coefficients
     2/(theta (theta + theta') h^2) overflow (h^2 subnormal) is refused."""
-    cache = mask._op_cache
-    if (0, 1) in cache:
-        return cache
     th = mask.theta
     # On a tiny lattice the coefficients read inf; the check below refuses it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -544,24 +540,32 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int] | int, Stencil]:
         raise InputError(f"--h {mask.h:g} on --domain {mask.spec.label()} is out of range: "
                          "its stencil coefficients 2/(theta (theta + theta') h^2) overflow; "
                          "scale the domain and --h up together")
-    cache.update(ops)
-    return cache
+    return ops
 
 
-def elimination_plan(mask: GridMask):
-    """The symbolic analysis that `factorized` needs, shared by every operator
-    on the mask's lattice (`hess2.multifrontal.Plan`)."""
-    from .multifrontal import Plan
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """A planar domain's mask; its operators and their LU's plan are built on first read."""
 
-    return Plan(mask.grid_index, mask.columns)
+    mask: GridMask
+
+    @cached_property
+    def ops(self) -> dict[tuple[int, int], Stencil]:
+        return build_operators(self.mask)
+
+    @cached_property
+    def plan(self):
+        from .multifrontal import Plan
+
+        return Plan(self.mask.grid_index, self.mask.columns)
 
 
-def factorized(a: Stencil, plan):
-    """Direct LU of `a` (`hess2.multifrontal.factor`), as a solve function.  A
-    singular pivot block raises SolverError."""
+def factorized(a: Stencil, lattice: Lattice):
+    """Direct LU of `a` on the lattice's plan (`hess2.multifrontal.factor`), as
+    a solve function.  A singular pivot block raises SolverError."""
     from .multifrontal import factor
 
-    return factor(a, plan)
+    return factor(a, lattice.plan)
 
 
 def _gmres(a: Stencil, b: np.ndarray, precond):
@@ -598,7 +602,7 @@ def _gmres(a: Stencil, b: np.ndarray, precond):
     return np.ldexp(x, e) if np.linalg.norm(b - a @ x) <= tol else None
 
 
-def spsolve(a: Stencil, b: np.ndarray, plan, lu):
+def spsolve(a: Stencil, b: np.ndarray, lattice: Lattice, lu):
     """Newton step a x = b, and the solve function of the factor to reuse.
 
     GMRES, right-preconditioned by `lu` (an earlier Jacobian's factor), solves
@@ -612,17 +616,17 @@ def spsolve(a: Stencil, b: np.ndarray, plan, lu):
             x = _gmres(a, b, lu)
         if x is not None:
             return x, lu
-    lu = factorized(a, plan)
+    lu = factorized(a, lattice)
     return lu(b), lu
 
 
 @dataclass(frozen=True)
 class ScalarField2D:
-    """Planar solution on a grid mask, zero on the boundary."""
+    """Planar solution on a lattice, zero on the boundary."""
 
     kind: ClassVar[str] = "grid2d"
     multiplicity: ClassVar[tuple[int, int]] = (1, 1)     # frame (x, y)
-    mask: GridMask
+    lattice: Lattice
     u: np.ndarray
     newton_iterations: int = 0
     residual_sup: float = 0.0
@@ -635,22 +639,19 @@ class ScalarField2D:
     # sampled at the feet of the axis stencil arms that cross it.
 
     def gradient(self) -> np.ndarray:
-        # Built on first use: `solve` never reads the first derivatives.
-        ops = self.mask._op_cache
-        for i in range(2):
-            if i not in ops:
-                ops[i] = _axis_operator(self.mask, _first_derivative_row, i)
-        return np.column_stack([ops[0] @ self.u, ops[1] @ self.u])
+        # Built on each read and not kept: `solve` never reads the first derivatives.
+        return np.column_stack([_axis_operator(self.lattice.mask, _first_derivative_row, i)
+                                @ self.u for i in range(2)])
 
     def hessian(self) -> np.ndarray:
-        return _hessian(build_operators(self.mask), self.u)
+        return _hessian(self.lattice.ops, self.u)
 
     def distance_to_boundary(self, points) -> np.ndarray:
-        return -signed_distance(self.mask.spec, points)
+        return -signed_distance(self.lattice.mask.spec, points)
 
     @property
     def positions(self) -> np.ndarray:
-        return self.mask.node_xy
+        return self.lattice.mask.node_xy
 
     @property
     def interior(self) -> np.ndarray:
@@ -658,11 +659,11 @@ class ScalarField2D:
 
     @property
     def h_eff(self) -> float:
-        return self.mask.h
+        return self.lattice.mask.h
 
     @property
     def domain_label(self) -> str:
-        return self.mask.spec.label()
+        return self.lattice.mask.spec.label()
 
     def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(feet, |grad u|) at the boundary crossings of the axis stencil arms.
@@ -674,7 +675,7 @@ class ScalarField2D:
         to the boundary are skipped.  A sample that is not finite (u within a
         few orders of the float maximum) raises SolverError.
         """
-        mask, c = self.mask, self.mask.crossings
+        mask, c = self.lattice.mask, self.lattice.mask.crossings
         align = np.einsum("ij,ij->i", c.normal, DIRECTIONS[c.direction])
         keep = np.abs(align) >= MIN_NORMAL_ALIGNMENT
         if not np.any(keep):
@@ -697,22 +698,22 @@ class ScalarField2D:
         return c.foot[keep], grads
 
     def summary_fields(self) -> dict:
-        return {"kind": self.kind, "h": self.mask.h, "domain": self.domain_label,
+        return {"kind": self.kind, "h": self.lattice.mask.h, "domain": self.domain_label,
                 "iterations": self.newton_iterations,
                 "newton_residual_sup": self.residual_sup}
 
     def profile_columns(self) -> tuple[str, list[np.ndarray]]:
-        xy = self.mask.node_xy
+        xy = self.lattice.mask.node_xy
         return "x y u", [xy[:, 0], xy[:, 1], self.u]
 
     def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]:
-        spec = self.mask.spec
-        header = {"h": self.mask.h, "newton_iterations": self.newton_iterations,
+        spec = self.lattice.mask.spec
+        header = {"h": self.lattice.mask.h, "newton_iterations": self.newton_iterations,
                   "residual_sup": self.residual_sup,
                   "domain": {"kind": spec.kind, "semi_axes": list(spec.semi_axes),
                              "vertices": None if spec.vertices is None
                              else [list(v) for v in spec.vertices]}}
-        return header, {"u": self.u, "node_xy": self.mask.node_xy}
+        return header, {"u": self.u, "node_xy": self.lattice.mask.node_xy}
 
 
 def _hessian(ops, u) -> np.ndarray:
@@ -737,30 +738,31 @@ def _inadmissible_nodes(hess) -> int:
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
-def _warm_start(mask: GridMask, ops, f: SourceTerm):
-    """(u, Hessian blocks, elimination plan or None) of an iterate on the discrete
-    elliptic branch.  The initial iterate solves the linear problem Delta u0 = c
-    (see `solve_grid2d`).  On an ellipse it is the closed form, which the
-    stencils reproduce, quadratics being exact for them (Shortley & Weller,
-    J. Appl. Phys. 9, 1938), and one Jacobi correction clears the rounding of
-    short boundary arms; no plan is made.  Otherwise, or where that iterate is
-    not finite or leaves the branch, one Laplacian factor solves it and serves
-    Anderson-mixed Poisson-style sweeps until every inside node is on the
-    branch, and the plan made for that factor is returned."""
-    n = mask.n_inside
+def _warm_start(lattice: Lattice, f: SourceTerm):
+    """(u, Hessian blocks) of an iterate on the discrete elliptic branch.  The
+    initial iterate solves the linear problem Delta u0 = c (see `solve_grid2d`).
+    On an ellipse it is the closed form, which the stencils reproduce,
+    quadratics being exact for them (Shortley & Weller, J. Appl. Phys. 9, 1938),
+    and one Jacobi correction clears the rounding of short boundary arms; where
+    that iterate is not finite or off the branch, SolverError is raised.  On
+    a polygon one Laplacian factor solves it and serves Anderson-mixed
+    Poisson-style sweeps until every inside node is on the branch."""
+    ops, n = lattice.ops, lattice.mask.n_inside
     f0 = float(np.asarray(f.f(0.0)))
     c = 2.0 * math.sqrt(f0) if f0 > 0 else 1.0
     lap = _stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])])
-    if mask.spec.kind == "ellipse":
-        (a, b), (x, y) = mask.spec.semi_axes, mask.node_xy.T
-        # Out of the float range u reads inf or 0; the LU path below takes over.
+    if lattice.mask.spec.kind == "ellipse":
+        (a, b), (x, y) = lattice.mask.spec.semi_axes, lattice.mask.node_xy.T
+        # Out of the float range u reads inf or NaN, and so does its Hessian.
         with np.errstate(over="ignore", invalid="ignore"):
             u = 0.5 * c * ((x / a) ** 2 + (y / b) ** 2 - 1.0) / (1.0 / a**2 + 1.0 / b**2)
             u += (c - lap @ u) / lap.coef[lap.slots.index(0)]
-        if np.all(np.isfinite(u)) and not _inadmissible_nodes(hess := _hessian(ops, u)):
-            return u, hess, None
-    plan = elimination_plan(mask)
-    lap_solve = factorized(lap, plan)
+            bad = _inadmissible_nodes(hess := _hessian(ops, u))
+        if bad:   # a non-finite node counts as off the branch
+            raise SolverError(f"warm start: the closed form is not finite or off the discrete "
+                              f"elliptic branch at {bad} of {n} inside nodes")
+        return u, hess
+    lap_solve = factorized(lap, lattice)
     u = lap_solve(np.full(n, c))
     hess = _hessian(ops, u)
     sweeps, g_hist, r_hist = 0, [], []
@@ -784,7 +786,7 @@ def _warm_start(mask: GridMask, ops, f: SourceTerm):
             gamma = np.linalg.lstsq(np.diff(r_hist, axis=0).T, r_hist[-1], rcond=None)[0]
             u = g - np.diff(g_hist, axis=0).T @ gamma
         hess = _hessian(ops, u)
-    return u, hess, plan
+    return u, hess
 
 
 def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
@@ -796,9 +798,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     domains.  Sources with f(0) = 0 (power, eigen) have the trivial solution
     u = 0, which Newton chases from a shallow start, so they start from
     Delta u0 = 1 instead.  On an ellipse that problem has the closed form
-    u0 = c (x^2/a^2 + y^2/b^2 - 1) / (2/a^2 + 2/b^2); elsewhere one LU factor
-    of the Laplacian solves it (`_warm_start`).  Near polygon corners that
-    iterate leaves the branch, so the solver falls back to the Poisson-style
+    u0 = c (x^2/a^2 + y^2/b^2 - 1) / (2/a^2 + 2/b^2); on a polygon one LU
+    factor of the Laplacian solves it (`_warm_start`).  Near polygon corners
+    that iterate leaves the branch, so the solver falls back to the Poisson-style
     fixed point
         Delta u <- sqrt(2 f + (u_xx - u_yy)^2 + 4 u_xy^2),
     whose sweeps do not require branch membership, until the iterate enters
@@ -808,36 +810,35 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     The sweeps are Anderson-mixed and reuse the Laplacian's factor.  Newton
     steps are GMRES solves right-preconditioned with the factor of the first
     Jacobian, refactored where GMRES misses its tolerance within
-    GMRES_RESTART steps (`spsolve`).  Every factorisation takes one symbolic
-    analysis of the lattice (`elimination_plan`), made once per call, at the
-    first factorisation: the Laplacian and the Newton Jacobians share its
-    stencil, and a call that factors nothing makes none.
+    GMRES_RESTART steps (`spsolve`); every factor reads the lattice's one plan.
+    Newton stops at |S2 - f| <= max(NEWTON_TOL min(1, F), S2_ROUNDING F), where
+    F = max |f(u)| (NEWTON_TOL at F = 0), as S2 - f is rounded relative to f.
     """
-    mask = rasterize(spec, h)
-    ops = build_operators(mask)
+    lattice = Lattice(rasterize(spec, h))
 
     # The Laplacian factor dies with the warm start, before Newton factors.
-    u, hess, plan = _warm_start(mask, ops, f)
+    u, hess = _warm_start(lattice, f)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(np.asarray(f.f(u), dtype=float))):
             raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
                               f"finite at u_min = {float(np.min(u)):.3e})")
 
-    def s2_defect(hess, u):
+    def s2_defect(hess, u):   # S2 - f(u), and the Newton stop on u
         with np.errstate(over="ignore"):
-            return invariants(hess)[1] - np.asarray(f.f(u), dtype=float)
+            fu = np.asarray(f.f(u), dtype=float)
+            big = float(np.max(np.abs(fu)))   # F; min(1, F) reads 1 at F = 0
+            return (invariants(hess)[1] - fu,
+                    max(NEWTON_TOL * (min(1.0, big) or 1.0), S2_ROUNDING * big))
 
-    residual = s2_defect(hess, u)
+    residual, tol = s2_defect(hess, u)
     res_sup = float(np.max(np.abs(residual)))
     it, lu = 0, None
-    while res_sup > NEWTON_TOL:
+    while res_sup > tol:
         it += 1
         if it > NEWTON_MAX_ITER:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
-        if plan is None:   # the first Newton step factors its Jacobian
-            plan = elimination_plan(mask)
-        step, lu = spsolve(_newton_jacobian(ops, f, u, hess), -residual, plan, lu)
+        step, lu = spsolve(_newton_jacobian(lattice.ops, f, u, hess), -residual, lattice, lu)
         if not np.all(np.isfinite(step)):
             raise SolverError(f"Newton linearization produced a non-finite step "
                               f"at step {it} (residual {res_sup:.3e})")
@@ -846,12 +847,12 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
         factor = 1.0
         while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
-            hess = _hessian(ops, trial)
+            hess = _hessian(lattice.ops, trial)
             if not _inadmissible_nodes(hess):
-                trial_res = s2_defect(hess, trial)
+                trial_res, trial_tol = s2_defect(hess, trial)
                 trial_sup = float(np.max(np.abs(trial_res)))
                 if np.isfinite(trial_sup) and trial_sup <= res_sup * (1.0 - 1e-4 * factor):
-                    u, residual, res_sup = trial, trial_res, trial_sup
+                    u, residual, res_sup, tol = trial, trial_res, trial_sup, trial_tol
                     break
             factor *= 0.5
         else:
@@ -862,7 +863,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
 
     if np.any(u >= 0):
         raise SolverError("solution must be negative at inside nodes")
-    return ScalarField2D(mask=mask, u=u, newton_iterations=it, residual_sup=res_sup)
+    return ScalarField2D(lattice=lattice, u=u, newton_iterations=it, residual_sup=res_sup)
 
 
 # ----------------------------------------------------------------------
@@ -905,7 +906,7 @@ def save_solution(sol: Solution, path) -> None:
 
 def load_solution(path):
     """Read a solution written by save_solution; a grid solution's (deterministic)
-    mask is rebuilt from its domain and spacing."""
+    lattice is rebuilt from its domain and spacing."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         if header["schema"] != SOLUTION_SCHEMA_VERSION:
@@ -923,11 +924,11 @@ def load_solution(path):
                 spec = make_ellipse(*dom["semi_axes"])
             else:
                 spec = convex_polygon(dom["vertices"])
-            mask = rasterize(spec, header["h"])
-            sol = ScalarField2D(mask=mask, u=data["u"],
+            lattice = Lattice(rasterize(spec, header["h"]))
+            sol = ScalarField2D(lattice=lattice, u=data["u"],
                                 newton_iterations=header["newton_iterations"],
                                 residual_sup=header["residual_sup"])
-            if sol.u.shape != (mask.n_inside,):
+            if sol.u.shape != (lattice.mask.n_inside,):
                 raise InputError("solution file does not match the rebuilt grid")
             return sol
     raise InputError("unrecognized solution file")

@@ -172,7 +172,7 @@ class TestGate08MinimumPrincipleSuite:
                 transform = transform_preset(1)
             else:
                 sol = cached_grid(dom, fkey, 1.0 / 64)
-                h = sol.mask.h
+                h = sol.lattice.mask.h
                 transform = transform_preset(1)
             scan = convexity_scan_solution(sol, transform)
             if not scan.convex:
@@ -195,7 +195,7 @@ class TestGate09PlanarAlphaGrids:
     def _verdict(self, sol, fkey, alpha, mode):
         f = make_source(fkey)
         pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-        tol = 5.0 * sol.mask.h**2 * pf.scale()
+        tol = 5.0 * sol.lattice.mask.h**2 * pf.scale()
         return verify_principle(pf, mode, tol)
 
     def test_maximum_grid_nondecreasing(self):
@@ -436,7 +436,7 @@ class TestGate14ConvergenceOrders:
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             sol = cached_grid("disk", "const", h)
-            r2 = np.sum(sol.mask.node_xy**2, axis=1)
+            r2 = np.sum(sol.lattice.mask.node_xy**2, axis=1)
             errs.append(float(np.max(np.abs(sol.u - (r2 - 1.0) / 2.0))))
         exact_floor = 1e-9
         scheme_exact = max(errs) <= exact_floor
@@ -453,7 +453,7 @@ class TestGate14ConvergenceOrders:
         errs = []
         for h in (1.0 / 64, 1.0 / 128):
             sol = cached_grid("disk", "exp-dec", h)
-            radii = np.linalg.norm(sol.mask.node_xy, axis=1)
+            radii = np.linalg.norm(sol.lattice.mask.node_xy, axis=1)
             exact = np.interp(radii, ref.r, ref.u)
             errs.append(float(np.max(np.abs(sol.u - exact))))
         ratio = errs[0] / errs[1]

@@ -25,7 +25,7 @@ from hess2.analysis import (
 )
 from hess2.errors import HypothesisError, InputError, SolverError, TransformDomainError
 from hess2.fields import ConvexityReport
-from hess2.solver import ScalarField2D
+from hess2.solver import Lattice, ScalarField2D
 
 SQRT3 = np.sqrt(3.0)
 
@@ -155,7 +155,7 @@ class TestAlphaGrids:
         out = {}
         for alpha in alphas:
             pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-            tol = 5.0 * sol.mask.h**2 * pf.scale()
+            tol = 5.0 * sol.lattice.mask.h**2 * pf.scale()
             out[alpha] = verify_principle(pf, mode, tol)
         return out
 
@@ -397,4 +397,4 @@ class TestCriticalPointReport:
         u[np.argmin(np.linalg.norm(xy - [1.0, 0.0], axis=1))] = -1.0
         u[np.argmin(np.linalg.norm(xy + [1.0, 0.0], axis=1))] = -1.0
         with pytest.raises(SolverError, match="separated minima"):
-            critical_point_report(ScalarField2D(mask=mask, u=u), make_source("const"))
+            critical_point_report(ScalarField2D(lattice=Lattice(mask), u=u), make_source("const"))

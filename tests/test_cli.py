@@ -482,22 +482,19 @@ class TestSolveCommand:
          r"radial Picard pass 2 overflowed the source in dimension 8 \(f = exp-dec:30 "),
         (["verify", "--app", "3", "--p", "0.5", "--lam", "1e300"],
          r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
-        # The warm start is exact up to rounding (about 1e-13 of f = 1e300), which
-        # Newton's absolute tolerance cannot reach; the step it stalls at
-        # follows the rounding of the LU.
-        (["solve", "--grid2d", "--f", "const:1e300", "--h", "0.0625"],
-         r"damped Newton stalled at step 3 \(residual "),
         # The solution, u = 1e4 (r^2 - R^2)/2, reaches -3.2e309 at the center.
         (["solve", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152", "--h", "8e151"],
-         r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
+         r"warm start: the closed form is not finite or off the discrete elliptic branch "
+         r"at 305 of 305 inside nodes\n"),
         (["verify", "--app", "1", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152",
-          "--h", "8e151"], r"warm start: Poisson-style sweep 1 produced a non-finite iterate"),
+          "--h", "8e151"], r"warm start: the closed form is not finite or off the discrete "
+         r"elliptic branch at 305 of 305 inside nodes\n"),
         # f(u) = exp(-u/2) overflows at the warm start (u from -5e199 to -1e198).
         (["solve", "--grid2d", "--f", "exp-dec", "--domain", "disk:1e100", "--h", "1e99"],
          r"warm start overflowed the source \(f = exp-dec:0.5 is not finite at "
          r"u_min = -5\.000e\+199\)"),
     ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
-            "grid-const-1e300", "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8",
+            "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8",
             "grid-disk-1e100-exp-dec"])
     def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
         # A fresh process, as the console script runs: pytest's warning filter
@@ -509,6 +506,21 @@ class TestSolveCommand:
         assert re.match(f"solver failure: {reason}", done.stdout), done.stdout
         assert done.stderr == ""
         assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))   # no NaN report
+
+    # Newton's stop is relative to max |f(u)| above 1, where S2 - f is rounded
+    # relative to f, so the closed-form start u = f^(1/2) (r^2 - 1)/2 is kept.
+    @pytest.mark.parametrize("source, h, u_min", [
+        ("const:1e300", "0.0625", -5e149), ("const:1e4", "0.1", -50.0),
+        ("const:1e4", "0.015625", -50.0)],
+        ids=["grid-const-1e300", "grid-const-1e4-h0.1", "grid-const-1e4-h0.015625"])
+    def test_large_constant_sources_solve_without_warnings(self, tmp_path, source, h, u_min):
+        code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
+        done = _run_python(code, "solve", "--grid2d", "--f", source, "--h", h,
+                           "--out", str(tmp_path / "out"), check=False)
+        assert (done.returncode, done.stderr) == (0, "")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["iterations"] == 0
+        assert summary["u_min"] == pytest.approx(u_min, rel=1e-14)
 
     @pytest.mark.parametrize("argv, message", [
         (["--domain", "square:1"], "unknown domain 'square:1'\n"),

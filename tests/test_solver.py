@@ -12,6 +12,7 @@ from hess2.domain import ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError, SolverError
 from hess2.multifrontal import LEAF_LEVELS, dissection_path
 from hess2.solver import (
+    Lattice,
     ScalarField2D,
     Stencil,
     _first_derivative_row,
@@ -23,7 +24,6 @@ from hess2.solver import (
     build_operators,
     constant_source,
     eigen_source,
-    elimination_plan,
     factorized,
     load_solution,
     power_source,
@@ -149,9 +149,21 @@ class TestEigenSolver:
         lam2, _ = cached_eigen(2.0)
         assert lam2 / lam1 == pytest.approx(1.0 / 16.0, rel=1e-6)
 
-    def test_dimension_guard(self):
-        with pytest.raises(InputError):
-            solve_eigen_radial(2, 1.0)
+    @pytest.mark.parametrize("n_dim", [2, 4, 8])
+    def test_every_dimension_scales_with_the_fourth_power(self, n_dim):
+        # The grid on [0, 2] is the unit one doubled, exactly, so the eigenvalue
+        # divides by 16 to rounding in every dimension, not only in R^3.
+        lam1, _ = solve_eigen_radial(n_dim, 1.0)
+        lam2, _ = solve_eigen_radial(n_dim, 2.0)
+        assert lam2 == pytest.approx(lam1 / 16.0, rel=1e-12)
+        with pytest.raises(InputError, match="dimension >= 2"):
+            solve_eigen_radial(1, 1.0)
+
+    @pytest.mark.parametrize("n_dim", [2, 4, 8])
+    def test_every_dimension_solves_its_ode(self, n_dim):
+        lam, prof = solve_eigen_radial(n_dim, 1.0)
+        assert prof.ode_residual_sup <= 1e-6
+        assert np.max(np.abs(radial_ode_residual(prof, eigen_source(lam)))) <= 1e-6
 
     def test_one_picard_pass_per_step(self, monkeypatch):
         # Each step's data u^2 does not depend on the new iterate, so a second
@@ -166,21 +178,21 @@ class TestEigenSolver:
 class TestGridSolver:
     def test_disk_constant_center_value(self):
         sol = cached_grid("disk", "const", 1.0 / 64)
-        mask = sol.mask
+        mask = sol.lattice.mask
         nx, ny = mask.grid_index.shape
         center = mask.grid_index[nx // 2, ny // 2]
         assert sol.u[center] == pytest.approx(-0.5, abs=2e-3)
 
     def test_disk_constant_matches_closed_form(self):
         sol = cached_grid("disk", "const", 1.0 / 64)
-        r2 = np.sum(sol.mask.node_xy**2, axis=1)
+        r2 = np.sum(sol.lattice.mask.node_xy**2, axis=1)
         assert np.max(np.abs(sol.u - (r2 - 1.0) / 2.0)) <= 2e-3
 
     def test_ellipse_constant_matches_closed_form(self):
         # det D^2 u = 1 on the (2, 1) ellipse has the exact quadratic solution
         # u = x^2/4 + y^2 - 1 with minimum -ab/2 = -1.
         sol = cached_grid("ellipse", "const", 1.0 / 64)
-        x, y = sol.mask.node_xy.T
+        x, y = sol.lattice.mask.node_xy.T
         assert np.max(np.abs(sol.u - (x**2 / 4.0 + y**2 - 1.0))) <= 2e-3
         assert sol.u_min == pytest.approx(-1.0, abs=2e-3)
 
@@ -194,7 +206,7 @@ class TestGridSolver:
         for key in ("const", "exp-dec"):
             sol = cached_grid("disk", key, 1.0 / 64)
             argmin = int(np.argmin(sol.u))
-            assert np.all(sol.mask.neighbor[argmin, :4] >= 0)  # all axis neighbors inside
+            assert np.all(sol.lattice.mask.neighbor[argmin, :4] >= 0)  # all axis neighbors inside
             assert np.all(sol.u < 0)
 
     def test_solution_negative_everywhere(self):
@@ -222,7 +234,7 @@ class TestGridSolver:
         # boundary nodes, and the one-sided stencils, exact on quadratics,
         # reproduce the closed-form solution.
         sol = solve_grid2d(DOMAINS[domain](), constant_source(1.0), 1.0 / k)
-        x, y = sol.mask.node_xy.T
+        x, y = sol.lattice.mask.node_xy.T
         exact = (x**2 + y**2 - 1.0) / 2.0 if domain == "disk" else x**2 / 4.0 + y**2 - 1.0
         assert np.max(np.abs(sol.u - exact)) <= 1e-10
 
@@ -234,7 +246,7 @@ class TestGridSolver:
         # u = (a R^2/2)(x'^2/a^2 + y'^2 - 1) with x' = x/R, y' = y/R, and
         # |grad u|/R = a |(x'/a^2, y')| on the boundary.
         sol = solve_grid2d(ellipse(a * scale, scale), constant_source(1.0), scale / 10)
-        x, y = (sol.mask.node_xy / scale).T
+        x, y = (sol.lattice.mask.node_xy / scale).T
         exact = a / 2.0 * (x**2 / a**2 + y**2 - 1.0)
         assert np.max(np.abs(sol.u / scale**2 - exact)) <= 1e-10
         feet, grads = sol.boundary_samples()
@@ -244,7 +256,7 @@ class TestGridSolver:
     def test_boundary_sampling_overflow_is_a_solver_error(self):
         # u near the float maximum: its one-sided derivatives overflow.
         mask = cached_mask("disk", 1.0 / 32)
-        sol = ScalarField2D(mask=mask, u=np.full(mask.n_inside, -1e308))
+        sol = ScalarField2D(lattice=Lattice(mask), u=np.full(mask.n_inside, -1e308))
         with pytest.raises(SolverError, match=r"boundary sampling: \|grad u\| overflowed"):
             sol.boundary_samples()
 
@@ -291,9 +303,9 @@ def _jacobian_at(spec, h):
     f = make_source("exp-dec")
     sol = solve_grid2d(spec, f, h)
     u = 0.9 * sol.u
-    ops = build_operators(sol.mask)
+    ops = build_operators(sol.lattice.mask)
     hess = _hessian(ops, u)
-    return sol.mask, _newton_jacobian(ops, f, u, hess), f.f(u)
+    return sol.lattice.mask, _newton_jacobian(ops, f, u, hess), f.f(u)
 
 
 class TestNestedDissection:
@@ -303,7 +315,7 @@ class TestNestedDissection:
         # no node of the two halves is eliminated after a node of the cut line
         # (a leaf eliminates both at once).
         mask = rasterize(spec, h)
-        plan, n = elimination_plan(mask), mask.n_inside
+        plan, n = Lattice(mask).plan, mask.n_inside
         rank = np.full(n, -1)
         for k, lvl in enumerate(plan.levels):
             rank[lvl.s[lvl.s < n]] = k
@@ -328,7 +340,7 @@ class TestNestedDissection:
         # front; a stencil neighbour of it lies in the same S when eliminated
         # on the same level, and in the front's U when eliminated later.
         mask = rasterize(spec, h)
-        plan, n = elimination_plan(mask), mask.n_inside
+        plan, n = Lattice(mask).plan, mask.n_inside
         level_of, box_of = np.full(n, -1), np.full(n, -1)
         for k, lvl in enumerate(plan.levels):
             b, i = np.nonzero(lvl.s < n)
@@ -363,7 +375,7 @@ class TestNestedDissection:
         # SuperLU, from the test extra, is an independent oracle of the LU.
         from scipy.sparse.linalg import spsolve as scipy_spsolve
         sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
-        mask, f = sol.mask, make_source("exp-dec")
+        mask, f = sol.lattice.mask, make_source("exp-dec")
         ops = build_operators(mask)
         u = 0.9 * sol.u   # off the solution, so the residual is not tiny
         hess = _hessian(ops, u)
@@ -371,7 +383,7 @@ class TestNestedDissection:
         jac = _newton_jacobian(ops, f, u, hess)
         rhs = f.f(u) - (uxx * uyy - uxy * uxy)
         expect = scipy_spsolve(_csr(jac).tocsc(), rhs)
-        got = factorized(jac, elimination_plan(mask))(rhs)
+        got = factorized(jac, Lattice(mask))(rhs)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -385,7 +397,7 @@ class TestMultifrontalLU:
     @staticmethod
     def _check(op: Stencil, mask, b):
         expect = np.linalg.solve(_dense(op), b)
-        got = factorized(op, elimination_plan(mask))(b)
+        got = factorized(op, Lattice(mask))(b)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("spec", LU_LATTICES, ids=LU_IDS)
@@ -406,7 +418,7 @@ class TestMultifrontalLU:
         mask = rasterize(ball(scale), scale / 10)
         lap = _laplacian(mask)
         b = np.random.default_rng(2).standard_normal(mask.n_inside)
-        got = factorized(lap, elimination_plan(mask))(b)
+        got = factorized(lap, Lattice(mask))(b)
         expect = np.linalg.solve(_dense(lap), b)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -418,13 +430,13 @@ class TestMultifrontalLU:
         # (exponents 9 to 12 of A, shifted) stay normal, but its pivots' inverses
         # and Schur complements would leave the normal range.
         mask = rasterize(ball(1.0), 1.0 / 16)
-        lap, plan = _laplacian(mask), elimination_plan(mask)
+        lap, lattice = _laplacian(mask), Lattice(mask)
         b = np.random.default_rng(3).standard_normal(mask.n_inside)
         c = 2.0 ** power
         scaled = Stencil(lap.columns, lap.slots, c * lap.coef)
         d = max(c, 1.0)   # keeps the right-hand side and the solution normal
-        assert np.array_equal(factorized(scaled, plan)(d * b) * (c / d),
-                              factorized(lap, plan)(b))
+        assert np.array_equal(factorized(scaled, lattice)(d * b) * (c / d),
+                              factorized(lap, lattice)(b))
 
     def test_singular_operator_is_a_solver_error(self):
         mask = rasterize(ball(1.0), 1.0 / 16)
@@ -433,33 +445,32 @@ class TestMultifrontalLU:
         singular.coef[:, 17] = 0.0   # an empty row
         with pytest.raises(SolverError, match=rf"of a {mask.n_inside}-node operator failed: "
                                               "singular pivot block"):
-            factorized(singular, elimination_plan(mask))
+            factorized(singular, Lattice(mask))
 
     @staticmethod
     def _gmres_case():
         """The operators, the `ellipse:2,1` Newton Jacobian at 0.95 times the
         solution with its right-hand side, the lagged factor (at 0.9 times) and
-        the plan."""
+        the lattice."""
         sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
-        plan = elimination_plan(sol.mask)
-        lag = factorized(TestNewtonStep._jacobian(sol, f, 0.9)[1], plan)
+        lag = factorized(TestNewtonStep._jacobian(sol, f, 0.9)[1], sol.lattice)
         ops, jac, rhs = TestNewtonStep._jacobian(sol, f, 0.95)
-        return ops, jac, rhs, lag, plan
+        return ops, jac, rhs, lag, sol.lattice
 
     def test_gmres_contract(self):
-        ops, jac, rhs, lag, plan = self._gmres_case()
+        ops, jac, rhs, lag, lattice = self._gmres_case()
         step = _gmres(jac, rhs, lag)
         assert np.linalg.norm(rhs - jac @ step) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
         # With the exact factor one step meets the tolerance: one preconditioner
         # solve in the step and one for x = M^-1 (V y).
-        exact, calls = factorized(jac, plan), []
+        exact, calls = factorized(jac, lattice), []
         step = _gmres(jac, rhs, lambda r: calls.append(r) or exact(r))
         expect = exact(rhs)
         assert len(calls) == 2
         assert np.max(np.abs(step - expect)) <= 1e-12 * np.max(np.abs(expect))
         # The Laplacian's factor meets the tolerance here too (in 4 steps); the
         # factor of u_yy alone misses, after GMRES_RESTART steps and no restart.
-        uyy, calls = factorized(ops[1, 1], plan), []
+        uyy, calls = factorized(ops[1, 1], lattice), []
         assert _gmres(jac, rhs, lambda r: calls.append(r) or uyy(r)) is None
         assert len(calls) == solver.GMRES_RESTART
 
@@ -489,7 +500,7 @@ class TestSizeClasses:
         # pads S and U to its largest: each stays below twice any box's width.
         mask = rasterize(spec, h)
         n = mask.n_inside
-        for cls in elimination_plan(mask).levels:
+        for cls in Lattice(mask).plan.levels:
             own_s, own_u, pad_s, pad_u = self._sizes(cls, n)
             width = own_s + own_u
             assert pad_s == own_s.max() and pad_u == own_u.max()
@@ -499,7 +510,7 @@ class TestSizeClasses:
     def test_every_node_is_eliminated_once(self, spec, h):
         mask = rasterize(spec, h)
         n = mask.n_inside
-        s = np.concatenate([cls.s[cls.s < n] for cls in elimination_plan(mask).levels])
+        s = np.concatenate([cls.s[cls.s < n] for cls in Lattice(mask).plan.levels])
         assert np.array_equal(np.sort(s), np.arange(n))
 
     def test_split_levels_solve_matches_scipy(self):
@@ -507,12 +518,12 @@ class TestSizeClasses:
         # classes; the Laplacian and Jacobian solves still match SuperLU.
         from scipy.sparse.linalg import spsolve as scipy_spsolve
         sol, f = cached_grid("disk", "exp-dec", 1.0 / 64), make_source("exp-dec")
-        mask = sol.mask
-        plan, n = elimination_plan(mask), mask.n_inside
+        mask = sol.lattice.mask
+        lattice, n = Lattice(mask), mask.n_inside
         path = dissection_path(mask.grid_index)
         level = np.minimum((path == 2).argmax(axis=0), path.shape[0] - 1 - LEAF_LEVELS)
         # The level of each class with separator nodes (some classes have none).
-        level_of_class = [np.unique(level[cls.s[cls.s < n]]) for cls in plan.levels]
+        level_of_class = [np.unique(level[cls.s[cls.s < n]]) for cls in lattice.plan.levels]
         assert all(lv.size <= 1 for lv in level_of_class)
         per_level = np.bincount(np.concatenate(level_of_class))
         assert np.count_nonzero(per_level >= 2) >= 2
@@ -522,14 +533,14 @@ class TestSizeClasses:
         b = np.random.default_rng(4).standard_normal(n)
         for op in (_laplacian(mask), jac):
             expect = scipy_spsolve(_csr(op).tocsc(), b)
-            got = factorized(op, plan)(b)
+            got = factorized(op, lattice)(b)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestNewtonStep:
     @staticmethod
     def _jacobian(sol, f, scale):
-        ops = build_operators(sol.mask)
+        ops = build_operators(sol.lattice.mask)
         u = scale * sol.u
         hess = _hessian(ops, u)
         uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
@@ -537,22 +548,20 @@ class TestNewtonStep:
 
     def test_lagged_factor_meets_the_gmres_tolerance(self):
         sol, f = cached_grid("ellipse", "exp-dec", 1.0 / 64), make_source("exp-dec")
-        plan = elimination_plan(sol.mask)
-        first = factorized(self._jacobian(sol, f, 0.9)[1], plan)
+        first = factorized(self._jacobian(sol, f, 0.9)[1], sol.lattice)
         _, jac, rhs = self._jacobian(sol, f, 0.95)
-        step, lu = spsolve(jac, rhs, plan, first)
+        step, lu = spsolve(jac, rhs, sol.lattice, first)
         assert lu is first
         assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
     def test_stale_factor_falls_back_to_a_fresh_one(self):
         f = make_source("exp-dec")
         sol = solve_grid2d(convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]), f, 1.0 / 64)
-        plan = elimination_plan(sol.mask)
         ops, jac, rhs = self._jacobian(sol, f, 0.9)
-        lap = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), plan)
-        step, lu = spsolve(jac, rhs, plan, lap)
+        lap = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), sol.lattice)
+        step, lu = spsolve(jac, rhs, sol.lattice, lap)
         assert lu is not lap
-        assert np.array_equal(step, factorized(jac, plan)(rhs))
+        assert np.array_equal(step, factorized(jac, sol.lattice)(rhs))
 
 
 class TestWarmStartFactor:
@@ -585,58 +594,77 @@ class TestClosedFormStart:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of `elimination_plan` and `factorized`, counted."""
-        calls = {"elimination_plan": 0, "factorized": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(solver, name), _name=name):
+        """Constructions of `multifrontal.Plan` and calls of `factorized`, counted."""
+        from hess2 import multifrontal
+        calls = {"Plan": 0, "factorized": 0}
+        for owner, name in ((multifrontal, "Plan"), (solver, "factorized")):
+            def counted(*args, _real=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(solver, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     @pytest.mark.parametrize("k", LATTICES)
     def test_quadratic_solution_builds_no_plan_and_no_factor(self, calls, k):
         sol = solve_grid2d(ball(1.0), constant_source(1.0), 1.0 / k)
-        assert calls == {"elimination_plan": 0, "factorized": 0}
+        assert calls == {"Plan": 0, "factorized": 0}
         assert sol.newton_iterations == 0
 
     def test_conic_newton_factors_only_its_jacobian(self, calls):
         sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
         assert sol.newton_iterations > 0
-        assert calls == {"elimination_plan": 1, "factorized": 1}
+        assert calls == {"Plan": 1, "factorized": 1}
 
     def test_square_factors_its_laplacian_and_its_jacobian(self, calls):
         solve_grid2d(SQUARE, make_source("exp-dec"), 1.0 / 16)
-        assert calls == {"elimination_plan": 1, "factorized": 2}
+        assert calls == {"Plan": 1, "factorized": 2}
 
     @pytest.mark.parametrize("spec, k", [
         *((ball(1.0), k) for k in LATTICES), *((ellipse(2.0, 1.0), k) for k in LATTICES),
         (ball(3.0), 19)], ids=[*(f"disk-{k}" for k in LATTICES),
                               *(f"ellipse-{k}" for k in LATTICES), "disk3-19"])
-    def test_warm_start_matches_the_laplacian_lu(self, spec, k):
+    def test_warm_start_matches_the_laplacian_lu(self, calls, spec, k):
         # On finer disk:3 lattices the LU's own rounding passes 1e-13 (1.4e-12
         # relative at h = 1/64), while the closed form's defect stays small.
         mask = rasterize(spec, 1.0 / k)
-        ops = build_operators(mask)
-        u, _, plan = solver._warm_start(mask, ops, constant_source(1.0))
-        assert plan is None
-        expect = factorized(_laplacian(mask), elimination_plan(mask))(np.full(u.size, 2.0))
+        u, _ = solver._warm_start(Lattice(mask), constant_source(1.0))
+        assert calls == {"Plan": 0, "factorized": 0}
+        expect = factorized(_laplacian(mask), Lattice(mask))(np.full(u.size, 2.0))
         assert np.max(np.abs(u - expect)) <= 1e-13 * np.max(np.abs(u))
 
 
 SQUARE = convex_polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
 
 
+class TestNewtonStop:
+    @pytest.mark.parametrize("spec", [ball(1.0), ellipse(2.0, 1.0)], ids=["disk", "ellipse"])
+    @pytest.mark.parametrize("k", [-40, 0, 14, 40])
+    def test_constant_sources_scale_bit_for_bit(self, spec, k):
+        # For f = 2^k the start, each Newton step and the stop scale by powers
+        # of two, so u is 2^(k/2) times the f = 1 solution in floating point too.
+        base = solve_grid2d(spec, constant_source(1.0), 1.0 / 32)
+        sol = solve_grid2d(spec, constant_source(2.0 ** k), 1.0 / 32)
+        assert sol.newton_iterations == base.newton_iterations
+        assert np.array_equal(sol.u / 2.0 ** (k // 2), base.u)
+
+    def test_tiny_constant_source_reaches_the_closed_form(self):
+        # The start u0 = 0.8 of the solution, -1e-6 (x^2/4 + y^2 - 1), has
+        # |S2 - f| = 3.6e-13, below an absolute 1e-10: the stop must scale with f.
+        sol = solve_grid2d(ellipse(2.0, 1.0), constant_source(1e-12), 1.0 / 32)
+        assert sol.newton_iterations > 0
+        assert sol.u_min == pytest.approx(-1e-6, rel=1e-14)
+
+
 class TestOperators:
     def test_solve_builds_only_the_second_derivatives(self):
         sol = solve_grid2d(ball(1.0), constant_source(1.0), 1.0 / 32)
-        assert set(sol.mask._op_cache) == {(0, 0), (0, 1), (1, 1)}
+        assert set(sol.lattice.ops) == {(0, 0), (0, 1), (1, 1)}
 
     @pytest.mark.parametrize("spec", [ellipse(2.0, 1.0), SQUARE], ids=["ellipse", "square"])
     def test_gradient_is_the_first_derivative_stencil_bit_for_bit(self, spec):
         import scipy.sparse as sp
         sol = solve_grid2d(spec, make_source("exp-dec"), 1.0 / 32)
-        mask, n = sol.mask, sol.mask.n_inside
+        mask, n = sol.lattice.mask, sol.lattice.mask.n_inside
         expect = []
         for ip, im in ((0, 1), (2, 3)):   # +/- x, then +/- y
             cc, cp, cm = _first_derivative_row(mask.theta[:, ip], mask.theta[:, im], mask.h)
@@ -650,13 +678,14 @@ class TestOperators:
                                 (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
             expect.append(op @ sol.u)
         assert np.array_equal(sol.gradient(), np.column_stack(expect))
-        assert set(mask._op_cache) == {(0, 0), (0, 1), (1, 1), 0, 1}
+        assert set(sol.lattice.ops) == {(0, 0), (0, 1), (1, 1)}   # the gradient keeps nothing
 
     def test_gradient_first_on_a_fresh_mask(self):
-        # The first derivatives land in an empty cache; the Hessian still
-        # gets its second derivatives.
+        # On a lattice that has built nothing yet, the gradient builds its own
+        # stencils and the Hessian still gets its second derivatives.
         sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
-        fresh = ScalarField2D(mask=rasterize(sol.mask.spec, sol.mask.h), u=sol.u)
+        mask = sol.lattice.mask
+        fresh = ScalarField2D(lattice=Lattice(rasterize(mask.spec, mask.h)), u=sol.u)
         assert np.array_equal(fresh.gradient(), sol.gradient())
         assert np.array_equal(fresh.hessian(), sol.hessian())
 
@@ -672,7 +701,7 @@ class TestOperators:
         op = Stencil(ops[0, 0].columns, ops[0, 0].slots, ops[0, 0].coef.copy())
         op.coef[:, 0] = 0.0
         with pytest.raises(SolverError, match="singular pivot block"):
-            factorized(op, elimination_plan(mask))
+            factorized(op, Lattice(mask))
 
     def test_operator_nnz_counts_the_centre_and_the_arms_that_stay_inside(self):
         mask = rasterize(ellipse(2.0, 1.0), 1.0 / 16)
@@ -682,7 +711,7 @@ class TestOperators:
 
     def test_stencil_matvec_is_csr_bit_for_bit(self):
         sol = cached_grid("ellipse", "exp-dec", 1.0 / 64)
-        ops = build_operators(sol.mask)
+        ops = build_operators(sol.lattice.mask)
         for key in ((0, 0), (0, 1), (1, 1)):
             assert np.array_equal(ops[key] @ sol.u, _csr(ops[key]) @ sol.u)
 
@@ -714,7 +743,7 @@ class TestSerialization:
         save_solution(sol, path)
         back = load_solution(path)
         assert back.u.tobytes() == sol.u.tobytes()
-        assert back.mask.n_inside == sol.mask.n_inside
+        assert back.lattice.mask.n_inside == sol.lattice.mask.n_inside
         assert back.newton_iterations == sol.newton_iterations
 
     @pytest.mark.parametrize("make", [
@@ -728,15 +757,15 @@ class TestSerialization:
         path = tmp_path / "grid.npz"
         save_solution(sol, path)
         back = load_solution(path)
-        spec, again = sol.mask.spec, back.mask.spec
+        spec, again = sol.lattice.mask.spec, back.lattice.mask.spec
         assert again.kind == spec.kind and again.semi_axes == spec.semi_axes
         assert again.center.tobytes() == spec.center.tobytes()
         assert (spec.vertices is None) == (again.vertices is None)
         if spec.vertices is not None:
             assert again.vertices.tobytes() == spec.vertices.tobytes()
         assert back.u.tobytes() == sol.u.tobytes()
-        assert back.mask.node_xy.tobytes() == sol.mask.node_xy.tobytes()
-        assert back.mask.theta.tobytes() == sol.mask.theta.tobytes()
+        assert back.lattice.mask.node_xy.tobytes() == sol.lattice.mask.node_xy.tobytes()
+        assert back.lattice.mask.theta.tobytes() == sol.lattice.mask.theta.tobytes()
         assert back.residual_sup == sol.residual_sup
 
     @pytest.mark.parametrize("change, message", [
@@ -761,7 +790,7 @@ class TestSolutionInterface:
     @pytest.mark.parametrize("domain", ["disk", "ellipse"])
     def test_planar_s2_is_the_determinant_bit_for_bit(self, domain):
         sol = cached_grid(domain, "const", 1.0 / 64)
-        hess = _hessian(build_operators(sol.mask), sol.u)
+        hess = _hessian(build_operators(sol.lattice.mask), sol.u)
         uxx, uyy, uxy = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
         assert admissibility_report(sol).min_s2 == float(np.min(uxx * uyy - uxy * uxy))
 
@@ -770,7 +799,7 @@ class TestSolutionInterface:
         # In the plane S1 I - H has the spectrum of H: its least eigenvalue is
         # the closed-form lambda_min of the 2 x 2 Hessian.
         sol = cached_grid(domain, "const", 1.0 / 64)
-        hess = _hessian(build_operators(sol.mask), sol.u)
+        hess = _hessian(build_operators(sol.lattice.mask), sol.u)
         a, c, b = hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1]
         closed = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
         got = admissibility_report(sol).min_cofactor_eigenvalue
@@ -797,9 +826,9 @@ class TestSolutionInterface:
     def test_planar_frame_is_x_y(self):
         sol = cached_grid("disk", "const", 1.0 / 32)
         assert sol.multiplicity == (1, 1)
-        assert sol.gradient().shape == (sol.mask.n_inside, 2)
+        assert sol.gradient().shape == (sol.lattice.mask.n_inside, 2)
         hess = sol.hessian()
-        assert hess.shape == (sol.mask.n_inside, 2, 2)
+        assert hess.shape == (sol.lattice.mask.n_inside, 2, 2)
         assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
 
     def test_distance_to_boundary_radial(self):
