@@ -18,6 +18,12 @@ L = A_US inv(A_SS), and hands A_UU - L A_SU to its parent.  A solve is one
 forward sweep, y_U -= L y_S, and one backward sweep, x_S = X [y_S; x_U], class
 by class.
 
+A factor is stored in the precision its caller asks for: float64 for the
+Laplacian of a polygon's warm start (`hess2.solver.factorized`'s default),
+float32 for the Newton Jacobians, whose factor only preconditions GMRES on the
+float64 residual.  Fronts, X, L, Schur complements and the solve's sweeps all
+run in that precision; a solve takes and returns float64.
+
 Padding rows of S carry a unit diagonal; padding slots of U land in one spare
 row and column of each front, and at node n of a solve vector, which are
 never read back.
@@ -38,8 +44,9 @@ from .errors import SolverError
 LEAF_LEVELS = 2
 
 #: Fronts are assembled and factored a few boxes at a time, this many floats
-#: of front at most (512 KB): temporaries stay small beside the factor, and
-#: within cache (the h = 1/128 disk factors about 10 % faster than with 1 MB).
+#: of front at most (512 KB in float64): temporaries stay small beside the
+#: factor, and within cache (the h = 1/128 disk factors about 10 % faster than
+#: with 1 MB).
 PART_ELEMENTS = 1 << 16
 
 
@@ -254,21 +261,25 @@ def _parts(count: int, size: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def factor(a, plan: Plan):
-    """LU of the stencil operator `a` on the plan's lattice, as a solve function.
+def factor(a, plan: Plan, dtype=np.float64):
+    """LU of the stencil operator `a` on the plan's lattice, stored in `dtype`,
+    as a solve function of float64 vectors.
 
     `a.slots` and `a.coef` give its entries: coef[k, i] in the column of slot
     slots[k] of row i.  The operator is first scaled by the power of two
-    nearest its largest diagonal entry, which is exact and keeps the explicit
-    inverses of operators at any lattice scale within the float range.  A
-    singular pivot block raises SolverError.
+    nearest its largest diagonal entry, and each right-hand side by the power
+    of two nearest its largest entry.  Both are exact, and they keep the
+    explicit inverses and the sweeps of operators at any lattice scale within
+    the range of float32 as of float64.  A singular pivot block raises
+    SolverError.
     """
     n = plan.n
     row_of = np.full(9, -1)   # row of each slot in a.coef
     row_of[list(a.slots)] = np.arange(len(a.slots))
     coef = a.coef.reshape(-1)
     biggest = float(np.max(np.abs(a.coef[row_of[0]]), initial=0.0))
-    scale = math.ldexp(1.0, -math.frexp(biggest)[1]) if math.isfinite(biggest) else 1.0
+    shift = math.frexp(biggest)[1] if math.isfinite(biggest) else 0
+    scale = math.ldexp(1.0, -shift)
     blocks = []
     schur = []   # each class's Schur complements, until its parent level reads them
     readers = np.bincount([ch[0] for c in plan.levels for ch in c.children],
@@ -279,11 +290,11 @@ def factor(a, plan: Plan):
             nbox, ns = cls.s.shape
             nu = cls.front.shape[1] - ns
             w = ns + nu + 1
-            x_blk, l_us = np.empty((nbox, ns, ns + nu)), np.empty((nbox, nu, ns))
-            s_uu = np.empty((nbox, nu, nu))
+            x_blk, l_us = np.empty((nbox, ns, ns + nu), dtype), np.empty((nbox, nu, ns), dtype)
+            s_uu = np.empty((nbox, nu, nu), dtype)
             for part in _parts(nbox, w * w):
                 lo, hi = part.start, part.stop
-                front = np.zeros((hi - lo, w, w))
+                front = np.zeros((hi - lo, w, w), dtype)
                 flat = front.reshape(-1)
                 e = slice(cls.first[lo], cls.first[hi])
                 slot, row = np.divmod(cls.gather[e], n)
@@ -315,14 +326,14 @@ def factor(a, plan: Plan):
     del schur
 
     def solve(b):
-        x = np.zeros(n + 1)
-        x[:n] = b
-        x[:n] *= scale
+        x = np.zeros(n + 1, dtype)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e = np.frexp(np.max(np.abs(b), initial=0.0))[1]
+            x[:n] = np.ldexp(b, -e)
             for cls, (_, l_us) in zip(plan.levels, blocks):
                 np.subtract.at(x, cls.u, (l_us @ x[cls.s][:, :, None]).reshape(-1))
             for cls, (x_blk, _) in zip(reversed(plan.levels), reversed(blocks)):
                 x[cls.s] = (x_blk @ x[cls.front][:, :, None])[:, :, 0]
                 x[n] = 0.0
-        return x[:n]
+            return np.ldexp(x[:n], e - shift, dtype=np.float64)
     return solve

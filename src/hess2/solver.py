@@ -23,7 +23,8 @@ Three solvers:
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
   (Delta u > 0, det D^2 u > 0) are halved.  Each step is one GMRES cycle,
-  right-preconditioned with a lagged Jacobian's factor.  A `Lattice` builds the
+  right-preconditioned with a Jacobian's float32 factor, lagged or fresh, and
+  Newton stops at |S2 - f| <= 2^-35 max |f(u)|.  A `Lattice` builds the
   stencil tables (`Stencil`) and the plan of their direct LU (`hess2.multifrontal`,
   imported then) on first read, so radial and eigenvalue solves never compile it.
 
@@ -61,11 +62,15 @@ MINIMUM_CLUSTER_STEPS = 3.0
 # Iteration controls of the radial, eigenvalue and grid solvers.
 PICARD_TOL = 1e-13
 PICARD_MAX_ITER = 400
+#: Newton stops at |S2 - f| <= NEWTON_RTOL max |f(u)|, or NEWTON_TOL where f(u) = 0.
+NEWTON_RTOL = 2.0**-35
 NEWTON_TOL = 1e-10
-S2_ROUNDING = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
 GMRES_RTOL, GMRES_RESTART = 1e-3, 30
+#: Refinement steps of a float32 direct solve against the float64 residual,
+#: where GMRES misses with a fresh factor: two reach float64 accuracy.
+REFINE_STEPS = 2
 ANDERSON_DEPTH = 5
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
@@ -560,12 +565,13 @@ class Lattice:
         return Plan(self.mask.grid_index, self.mask.columns)
 
 
-def factorized(a: Stencil, lattice: Lattice):
-    """Direct LU of `a` on the lattice's plan (`hess2.multifrontal.factor`), as
-    a solve function.  A singular pivot block raises SolverError."""
+def factorized(a: Stencil, lattice: Lattice, dtype=np.float64):
+    """Direct LU of `a` on the lattice's plan (`hess2.multifrontal.factor`),
+    stored in `dtype`, as a solve function.  A singular pivot block raises
+    SolverError."""
     from .multifrontal import factor
 
-    return factor(a, lattice.plan)
+    return factor(a, lattice.plan, dtype)
 
 
 def _gmres(a: Stencil, b: np.ndarray, precond):
@@ -605,19 +611,24 @@ def _gmres(a: Stencil, b: np.ndarray, precond):
 def spsolve(a: Stencil, b: np.ndarray, lattice: Lattice, lu):
     """Newton step a x = b, and the solve function of the factor to reuse.
 
-    GMRES, right-preconditioned by `lu` (an earlier Jacobian's factor), solves
-    to relative residual GMRES_RTOL; where it misses within GMRES_RESTART steps,
-    or where `lu` is None, `a` is factored and solved directly (lagged-Jacobian
-    inexact Newton: Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    GMRES, right-preconditioned by `lu` (an earlier Jacobian's float32 factor),
+    solves to relative residual GMRES_RTOL; where it misses within
+    GMRES_RESTART steps, or where `lu` is None, `a` is factored in float32 and
+    GMRES runs again with that factor (lagged-Jacobian inexact Newton: Knoll &
+    Keyes, J. Comput. Phys. 193, 2004).  Where it misses with the fresh factor
+    too, the factor's solve is refined REFINE_STEPS times against the float64
+    residual (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
     """
-    if lu is not None:
-        # Non-finite Jacobians or steps give a non-finite x; the caller rejects it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _gmres(a, b, lu)
-        if x is not None:
+    # Non-finite Jacobians or steps give a non-finite x; the caller rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lu is not None and (x := _gmres(a, b, lu)) is not None:
             return x, lu
-    lu = factorized(a, lattice)
-    return lu(b), lu
+        lu = factorized(a, lattice, np.float32)
+        if (x := _gmres(a, b, lu)) is None:
+            x = lu(b)
+            for _ in range(REFINE_STEPS):
+                x += lu(b - a @ x)
+    return x, lu
 
 
 @dataclass(frozen=True)
@@ -738,6 +749,30 @@ def _inadmissible_nodes(hess) -> int:
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
+def _start_laplacian(spec: DomainSpec, f: SourceTerm) -> float:
+    """c of the linear start Delta u0 = c (see `solve_grid2d`).
+
+    For f = lam (-u)^p with p < 2, solutions scale exactly as
+    u(x) = lam^(1/(2-p)) R^(4/(2-p)) u_1(x/R), u_1 the lam = 1 solution on the
+    domain shrunk by R, so the start takes c = lam^(1/(2-p)) L^(2p/(2-p)), L the
+    radius of the disk with the domain's area.  Beyond the float range c reads
+    inf or 0, and the start fails as not finite or off the branch.
+    """
+    f0 = float(np.asarray(f.f(0.0)))
+    if f0 > 0:
+        return 2.0 * math.sqrt(f0)
+    if f.preset != "power" or f.params[1] >= 2:
+        return 1.0
+    lam, p = f.params
+    if spec.kind == "ellipse":
+        l2 = spec.semi_axes[0] * spec.semi_axes[1]
+    else:   # the shoelace area over pi
+        x, y = (spec.vertices - spec.center).T
+        l2 = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / math.pi
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return float(np.float64(lam) ** (1.0 / (2.0 - p)) * np.float64(l2) ** (p / (2.0 - p)))
+
+
 def _warm_start(lattice: Lattice, f: SourceTerm):
     """(u, Hessian blocks) of an iterate on the discrete elliptic branch.  The
     initial iterate solves the linear problem Delta u0 = c (see `solve_grid2d`).
@@ -748,8 +783,7 @@ def _warm_start(lattice: Lattice, f: SourceTerm):
     a polygon one Laplacian factor solves it and serves Anderson-mixed
     Poisson-style sweeps until every inside node is on the branch."""
     ops, n = lattice.ops, lattice.mask.n_inside
-    f0 = float(np.asarray(f.f(0.0)))
-    c = 2.0 * math.sqrt(f0) if f0 > 0 else 1.0
+    c = _start_laplacian(lattice.mask.spec, f)
     lap = _stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])])
     if lattice.mask.spec.kind == "ellipse":
         (a, b), (x, y) = lattice.mask.spec.semi_axes, lattice.mask.node_xy.T
@@ -797,7 +831,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     geometric inequality det <= (Delta u / 2)^2 on smooth strictly convex
     domains.  Sources with f(0) = 0 (power, eigen) have the trivial solution
     u = 0, which Newton chases from a shallow start, so they start from
-    Delta u0 = 1 instead.  On an ellipse that problem has the closed form
+    Delta u0 = 1 instead, or for a power source with p < 2 from the c its
+    exact scaling in lam and in the domain's size gives (`_start_laplacian`).
+    On an ellipse that problem has the closed form
     u0 = c (x^2/a^2 + y^2/b^2 - 1) / (2/a^2 + 2/b^2); on a polygon one LU
     factor of the Laplacian solves it (`_warm_start`).  Near polygon corners
     that iterate leaves the branch, so the solver falls back to the Poisson-style
@@ -807,12 +843,13 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     the discrete cone.  Its fixed point has det = f/2, not f: the sweeps only
     have to enter the cone, and Newton then solves det = f.
 
-    The sweeps are Anderson-mixed and reuse the Laplacian's factor.  Newton
-    steps are GMRES solves right-preconditioned with the factor of the first
-    Jacobian, refactored where GMRES misses its tolerance within
-    GMRES_RESTART steps (`spsolve`); every factor reads the lattice's one plan.
-    Newton stops at |S2 - f| <= max(NEWTON_TOL min(1, F), S2_ROUNDING F), where
-    F = max |f(u)| (NEWTON_TOL at F = 0), as S2 - f is rounded relative to f.
+    The sweeps are Anderson-mixed and reuse the Laplacian's float64 factor.
+    Every Newton step is one GMRES cycle right-preconditioned with a float32
+    factor of a Jacobian, lagged or, where GMRES misses its tolerance within
+    GMRES_RESTART steps, fresh (`spsolve`); every factor reads the lattice's
+    one plan.  Newton stops at |S2 - f| <= NEWTON_RTOL F, where F = max |f(u)|
+    (NEWTON_TOL at F = 0): S2 - f is rounded relative to f, and the stop
+    scales with f.
     """
     lattice = Lattice(rasterize(spec, h))
 
@@ -826,9 +863,8 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     def s2_defect(hess, u):   # S2 - f(u), and the Newton stop on u
         with np.errstate(over="ignore"):
             fu = np.asarray(f.f(u), dtype=float)
-            big = float(np.max(np.abs(fu)))   # F; min(1, F) reads 1 at F = 0
             return (invariants(hess)[1] - fu,
-                    max(NEWTON_TOL * (min(1.0, big) or 1.0), S2_ROUNDING * big))
+                    NEWTON_RTOL * float(np.max(np.abs(fu))) or NEWTON_TOL)
 
     residual, tol = s2_defect(hess, u)
     res_sup = float(np.max(np.abs(residual)))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import weakref
@@ -298,6 +299,11 @@ def _laplacian(mask) -> Stencil:
     return _stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])])
 
 
+def _stored(lu) -> list[np.ndarray]:
+    """The X and L blocks a factor's solve function holds."""
+    return [blk for pair in inspect.getclosurevars(lu).nonlocals["blocks"] for blk in pair]
+
+
 def _jacobian_at(spec, h):
     """The Newton Jacobian at 0.9 times the grid solution, and a right-hand side."""
     f = make_source("exp-dec")
@@ -481,6 +487,44 @@ class TestMultifrontalLU:
         assert np.array_equal(big, c * _gmres(jac, rhs, lag))
         assert np.linalg.norm(rhs - jac @ (big / c)) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
+    def test_newton_factor_is_float32_at_half_the_bytes(self):
+        mask, jac, b = _jacobian_at(ellipse(2.0, 1.0), 1.0 / 16)
+        lattice = Lattice(mask)
+        _, newton = spsolve(jac, b, lattice, None)
+        full = factorized(jac, lattice)
+        assert all(blk.dtype == np.float32 for blk in _stored(newton))
+        assert all(blk.dtype == np.float64 for blk in _stored(full))
+        assert sum(blk.nbytes for blk in _stored(newton)) <= \
+            sum(blk.nbytes for blk in _stored(full)) / 2
+
+    @staticmethod
+    def _extreme_jacobian(scale):
+        """The const:1 Newton Jacobian at 0.9 times the solution on the disk of
+        radius `scale`, h = scale/10, and its right-hand side."""
+        f = constant_source(1.0)
+        sol = solve_grid2d(ball(scale), f, scale / 10)
+        return (sol.lattice.mask, *TestNewtonStep._jacobian(sol, f, 0.9)[1:])
+
+    @pytest.mark.parametrize("case", [*LU_LATTICES, 1e-150, 1e150],
+                             ids=[*LU_IDS, "disk-1e-150", "disk-1e150"])
+    def test_float32_factor_preconditions_gmres(self, case):
+        if isinstance(case, float):
+            mask, jac, b = self._extreme_jacobian(case)
+        else:
+            mask, jac, b = _jacobian_at(case, 1.0 / 16)
+        step = _gmres(jac, b, factorized(jac, Lattice(mask), np.float32))
+        assert step is not None
+        assert np.linalg.norm(b - jac @ step) <= solver.GMRES_RTOL * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_float32_solve_scales_the_right_hand_side_exactly(self, power):
+        # Unscaled, 2^+-1000 b would overflow or vanish in float32.
+        mask, jac, b = _jacobian_at(ball(1.0), 1.0 / 16)
+        lu = factorized(jac, Lattice(mask), np.float32)
+        x = lu(b)
+        assert np.array_equal(lu(2.0 ** power * b), 2.0 ** power * x)
+        assert np.max(np.abs(x - np.linalg.solve(_dense(jac), b))) <= 1e-3 * np.max(np.abs(x))
+
 
 SIZED = [(spec, 1.0 / 16) for spec in LU_LATTICES] + [(ball(1.0), 1.0 / 64)]
 SIZED_IDS = LU_IDS + ["disk-64"]
@@ -555,13 +599,28 @@ class TestNewtonStep:
         assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
     def test_stale_factor_falls_back_to_a_fresh_one(self):
+        # GMRES misses with the Laplacian's factor; the Jacobian is factored in
+        # float32 and GMRES runs again, preconditioned by that factor.
         f = make_source("exp-dec")
         sol = solve_grid2d(convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]]), f, 1.0 / 64)
         ops, jac, rhs = self._jacobian(sol, f, 0.9)
         lap = factorized(_stencil_sum([(1.0, ops[0, 0]), (1.0, ops[1, 1])]), sol.lattice)
+        assert _gmres(jac, rhs, lap) is None
         step, lu = spsolve(jac, rhs, sol.lattice, lap)
         assert lu is not lap
-        assert np.array_equal(step, factorized(jac, sol.lattice)(rhs))
+        assert all(blk.dtype == np.float32 for blk in _stored(lu))
+        assert np.array_equal(step, _gmres(jac, rhs, factorized(jac, sol.lattice, np.float32)))
+        assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
+
+    def test_missed_fresh_factor_refines_its_direct_solve(self, monkeypatch):
+        # Where GMRES misses with the fresh float32 factor too, its direct solve,
+        # refined twice against the float64 residual, reaches the float64 solve.
+        mask, jac, rhs = _jacobian_at(SQUARE, 1.0 / 16)
+        monkeypatch.setattr(solver, "_gmres", lambda a, b, precond: None)
+        step, lu = spsolve(jac, rhs, Lattice(mask), None)
+        expect = factorized(jac, Lattice(mask))(rhs)
+        assert all(blk.dtype == np.float32 for blk in _stored(lu))
+        assert np.max(np.abs(step - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestWarmStartFactor:
@@ -571,8 +630,8 @@ class TestWarmStartFactor:
         real_factorized, real_spsolve = solver.factorized, solver.spsolve
         factors, alive_at_newton = [], []
 
-        def factorized(a, order):
-            solve = real_factorized(a, order)
+        def factorized(a, lattice, *dtype):
+            solve = real_factorized(a, lattice, *dtype)
             factors.append(weakref.ref(solve))
             return solve
 
@@ -653,6 +712,32 @@ class TestNewtonStop:
         sol = solve_grid2d(ellipse(2.0, 1.0), constant_source(1e-12), 1.0 / 32)
         assert sol.newton_iterations > 0
         assert sol.u_min == pytest.approx(-1e-6, rel=1e-14)
+
+
+class TestPowerStart:
+    @pytest.mark.parametrize("spec", [ball(3.0), ellipse(1.0, 2.5), ellipse(6.0, 3.0)],
+                             ids=["disk3", "ellipse1-2.5", "ellipse6-3"])
+    def test_power_source_solves_on_domains_of_every_size(self, spec):
+        # From the start Delta u0 = 1 these stalled; the start now scales with
+        # the domain as the exact solutions do.
+        sol = solve_grid2d(spec, power_source(1.0, 0.5), 1.0 / 16)
+        assert sol.residual_sup <= 2.0**-35 * (-sol.u_min) ** 0.5
+
+    def test_start_scales_with_lam_and_the_domain(self):
+        # c = lam^(1/(2-p)) L^(2p/(2-p)), L the radius of the disk of equal area.
+        assert solver._start_laplacian(ball(1.0), power_source(1.0, 0.5)) == 1.0
+        assert solver._start_laplacian(ellipse(8.0, 2.0), power_source(1.0, 0.5)) == \
+            pytest.approx(4.0 ** (2.0 / 3.0), rel=1e-15)
+        assert solver._start_laplacian(SQUARE, power_source(8.0, 1.0)) == \
+            pytest.approx(8.0 * 4.0 / math.pi, rel=1e-15)
+        assert solver._start_laplacian(ball(1.0), power_source(1.0, 2.5)) == 1.0
+
+    def test_tiny_lam_starts_at_its_scale(self):
+        # u scales as lam^(1/(2-p)); from Delta u0 = 1, lam = 1e-20 took 49 steps.
+        base = solve_grid2d(ball(1.0), power_source(1.0, 0.5), 1.0 / 16)
+        sol = solve_grid2d(ball(1.0), power_source(1e-20, 0.5), 1.0 / 16)
+        assert sol.newton_iterations <= base.newton_iterations + 1
+        assert sol.u_min == pytest.approx(1e-20 ** (2.0 / 3.0) * base.u_min, rel=1e-12)
 
 
 class TestOperators:
