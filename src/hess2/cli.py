@@ -294,9 +294,13 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
     if args.mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, args.nodes)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
-    if f.preset == "eigen":
+    power = f.params[1] if f.preset == "power" else 0.0   # power:lam,2 is eigen:lam
+    if f.preset == "eigen" or power == 2:
         raise InputError(f"--f {f.label()} is the eigenvalue problem's own source; "
                          "solve that problem with `solve --eigen` or `verify --app 2`")
+    if power > 2:
+        raise InputError(f"--f {f.label()}: for p > 2 both solvers fall to the trivial "
+                         "solution u = 0")
     if args.mode == "radial":
         return solver.solve_radial(args.dim, args.radius, f, args.nodes), f, {}
     return solver.solve_grid2d(parse_domain(args.domain), f, args.h), f, {}

@@ -22,9 +22,9 @@ Three solvers:
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
   at boundary-adjacent nodes.  Steps that leave the discrete elliptic branch
-  (Delta u > 0, det D^2 u > 0) are halved.  Each step is one GMRES cycle,
-  right-preconditioned with a Jacobian's float32 factor, lagged or fresh, and
-  Newton stops at |S2 - f| <= 2^-35 max |f(u)|.  A `Lattice` builds the
+  (Delta u > 0, det D^2 u > 0) are halved.  Each step is one flexible GMRES
+  cycle, right-preconditioned with a Jacobian's float32 factor, lagged or
+  fresh, and Newton stops at |S2 - f| <= 2^-35 max |f(u)|.  A `Lattice` builds the
   stencil tables (`Stencil`) and the plan of their direct LU (`hess2.multifrontal`,
   imported then) on first read, so radial and eigenvalue solves never compile it.
 
@@ -68,9 +68,6 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
 GMRES_RTOL, GMRES_RESTART = 1e-3, 30
-#: Refinement steps of a float32 direct solve against the float64 residual,
-#: where GMRES misses with a fresh factor: two reach float64 accuracy.
-REFINE_STEPS = 2
 ANDERSON_DEPTH = 5
 EIGEN_TOL = 1e-11
 EIGEN_MAX_ITER = 400
@@ -575,23 +572,27 @@ def factorized(a: Stencil, lattice: Lattice, dtype=np.float64):
 
 
 def _gmres(a: Stencil, b: np.ndarray, precond):
-    """x with |b - a x| <= GMRES_RTOL |b| by one GMRES cycle (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 1986) of at most GMRES_RESTART steps, right-
-    preconditioned: x = precond(V y); None where it misses.
+    """x with |b - a x| <= GMRES_RTOL |b| by one flexible GMRES cycle (Saad,
+    SIAM J. Sci. Comput. 14, 1993) of at most GMRES_RESTART steps, right-
+    preconditioned: z_j = precond(v_j) is kept and x = Z y; None where it misses.
 
-    Each step's least-squares residual is then the true residual, so one stop
-    test serves both; it is checked once more on the returned x.  b is first
-    scaled by a power of two near max |b|, exactly, so its norms cannot overflow.
+    a Z = V H holds whether or not precond is linear (a float32 solve is not,
+    to rounding), so each step's least-squares residual is the true residual
+    and one stop test serves both; it is checked once more on the returned x.
+    b is first scaled by a power of two near max |b|, exactly, so its norms
+    cannot overflow.
     """
     e = np.frexp(np.max(np.abs(b)))[1]
     b = np.ldexp(b, -e)
     bnorm, m = np.linalg.norm(b), GMRES_RESTART
     if bnorm == 0:
         return np.zeros_like(b)
-    v, h, g = np.empty((m + 1, b.size)), np.zeros((m + 1, m)), np.zeros(m + 1)
+    v, z = np.empty((m + 1, b.size)), np.empty((m, b.size))
+    h, g = np.zeros((m + 1, m)), np.zeros(m + 1)
     v[0], g[0], tol = b / bnorm, bnorm, GMRES_RTOL * bnorm   # min |g - h y| over y
     for j in range(m):
-        w = a @ precond(v[j])
+        z[j] = precond(v[j])
+        w = a @ z[j]
         for k in range(j + 1):   # modified Gram-Schmidt
             h[k, j] = v[k] @ w
             w -= h[k, j] * v[k]
@@ -604,7 +605,7 @@ def _gmres(a: Stencil, b: np.ndarray, precond):
         v[j + 1] = w / h[j + 1, j]
     else:
         return None
-    x = precond(y @ v[:j + 1])
+    x = y @ z[:j + 1]
     return np.ldexp(x, e) if np.linalg.norm(b - a @ x) <= tol else None
 
 
@@ -615,20 +616,14 @@ def spsolve(a: Stencil, b: np.ndarray, lattice: Lattice, lu):
     solves to relative residual GMRES_RTOL; where it misses within
     GMRES_RESTART steps, or where `lu` is None, `a` is factored in float32 and
     GMRES runs again with that factor (lagged-Jacobian inexact Newton: Knoll &
-    Keyes, J. Comput. Phys. 193, 2004).  Where it misses with the fresh factor
-    too, the factor's solve is refined REFINE_STEPS times against the float64
-    residual (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
+    Keyes, J. Comput. Phys. 193, 2004).  The step is None where it misses with
+    the fresh factor too.
     """
-    # Non-finite Jacobians or steps give a non-finite x; the caller rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
         if lu is not None and (x := _gmres(a, b, lu)) is not None:
             return x, lu
         lu = factorized(a, lattice, np.float32)
-        if (x := _gmres(a, b, lu)) is None:
-            x = lu(b)
-            for _ in range(REFINE_STEPS):
-                x += lu(b - a @ x)
-    return x, lu
+        return _gmres(a, b, lu), lu
 
 
 @dataclass(frozen=True)
@@ -844,12 +839,12 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     have to enter the cone, and Newton then solves det = f.
 
     The sweeps are Anderson-mixed and reuse the Laplacian's float64 factor.
-    Every Newton step is one GMRES cycle right-preconditioned with a float32
-    factor of a Jacobian, lagged or, where GMRES misses its tolerance within
-    GMRES_RESTART steps, fresh (`spsolve`); every factor reads the lattice's
-    one plan.  Newton stops at |S2 - f| <= NEWTON_RTOL F, where F = max |f(u)|
-    (NEWTON_TOL at F = 0): S2 - f is rounded relative to f, and the stop
-    scales with f.
+    Every Newton step is one flexible GMRES cycle right-preconditioned with a
+    float32 factor of a Jacobian, lagged or, where GMRES misses its tolerance
+    within GMRES_RESTART steps, fresh (`spsolve`); a miss with the fresh factor
+    is a SolverError.  Every factor reads the lattice's one plan.  Newton stops
+    at |S2 - f| <= NEWTON_RTOL F, where F = max |f(u)| (NEWTON_TOL at F = 0):
+    S2 - f is rounded relative to f, and the stop scales with f.
     """
     lattice = Lattice(rasterize(spec, h))
 
@@ -875,9 +870,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
             raise SolverError(f"Newton iteration did not reach tolerance in "
                               f"{NEWTON_MAX_ITER} steps (residual {res_sup:.3e})")
         step, lu = spsolve(_newton_jacobian(lattice.ops, f, u, hess), -residual, lattice, lu)
-        if not np.all(np.isfinite(step)):
-            raise SolverError(f"Newton linearization produced a non-finite step "
-                              f"at step {it} (residual {res_sup:.3e})")
+        if step is None or not np.all(np.isfinite(step)):
+            raise SolverError(f"Newton step {it}: GMRES with a fresh Jacobian factor found "
+                              f"no finite step within its tolerance (residual {res_sup:.3e})")
         # Halve the step until the iterate stays on the discrete elliptic
         # branch and the residual actually decreases.
         factor = 1.0

@@ -360,12 +360,31 @@ class TestSolveCommand:
         ["solve", "--grid2d", "--f", "eigen:3", "--h", "0.0625"],
         ["verify", "--app", "1", "--f", "eigen:3"],
         ["verify", "--app", "1", "--grid2d", "--f", "eigen:3", "--h", "0.0625"],
-    ], ids=["solve-radial", "solve-grid2d", "verify-radial", "verify-grid2d"])
+        ["solve", "--radial", "--f", "power:1,2"],
+        ["solve", "--grid2d", "--f", "power:1,2", "--h", "0.0625"],
+        ["verify", "--app", "1", "--f", "power:1,2"],
+    ], ids=["solve-radial", "solve-grid2d", "verify-radial", "verify-grid2d",
+            "power2-solve-radial", "power2-solve-grid2d", "power2-verify-radial"])
     def test_eigen_source_needs_eigen_mode(self, tmp_path, capsys, argv):
-        # The eigen preset's trivial solution u = 0 would pass vacuously.
+        # The eigen preset's trivial solution u = 0 would pass vacuously, and
+        # power:lam,2 is that problem: it passed on u_min -9.6e-15 (radial).
         assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
         printed = capsys.readouterr()
         assert printed.out.startswith("input error: ") and "--eigen" in printed.out
+        assert printed.out.count("\n") == 1 and printed.err == ""
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--f", "power:1,2.5"],
+        ["solve", "--grid2d", "--f", "power:1,3", "--h", "0.0625"],
+        ["verify", "--app", "1", "--grid2d", "--f", "power:1,3", "--h", "0.0625"],
+    ], ids=["solve-radial", "solve-grid2d", "verify-grid2d"])
+    def test_power_source_above_two_is_refused(self, tmp_path, capsys, argv):
+        # Both solvers fall to u = 0: the radial one passed vacuously, and
+        # Newton spent its 50 steps at residual 2e-31.
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("input error: ") and "u = 0" in printed.out
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not (tmp_path / "bad").exists()
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -467,12 +468,12 @@ class TestMultifrontalLU:
         ops, jac, rhs, lag, lattice = self._gmres_case()
         step = _gmres(jac, rhs, lag)
         assert np.linalg.norm(rhs - jac @ step) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
-        # With the exact factor one step meets the tolerance: one preconditioner
-        # solve in the step and one for x = M^-1 (V y).
+        # With the exact factor one step meets the tolerance, and x = Z y reuses
+        # that step's preconditioner solve: one solve in all.
         exact, calls = factorized(jac, lattice), []
         step = _gmres(jac, rhs, lambda r: calls.append(r) or exact(r))
         expect = exact(rhs)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert np.max(np.abs(step - expect)) <= 1e-12 * np.max(np.abs(expect))
         # The Laplacian's factor meets the tolerance here too (in 4 steps); the
         # factor of u_yy alone misses, after GMRES_RESTART steps and no restart.
@@ -612,15 +613,25 @@ class TestNewtonStep:
         assert np.array_equal(step, _gmres(jac, rhs, factorized(jac, sol.lattice, np.float32)))
         assert np.linalg.norm(jac @ step - rhs) <= solver.GMRES_RTOL * np.linalg.norm(rhs)
 
-    def test_missed_fresh_factor_refines_its_direct_solve(self, monkeypatch):
-        # Where GMRES misses with the fresh float32 factor too, its direct solve,
-        # refined twice against the float64 residual, reaches the float64 solve.
+    def test_missed_fresh_factor_is_a_solver_error(self, monkeypatch, tmp_path, capsys):
+        # Where GMRES misses with the fresh float32 factor too, spsolve returns
+        # no step, and the solve stops there, naming the step and its residual:
+        # through the CLI, exit 3 and one line.
+        from hess2.cli import main
         mask, jac, rhs = _jacobian_at(SQUARE, 1.0 / 16)
         monkeypatch.setattr(solver, "_gmres", lambda a, b, precond: None)
         step, lu = spsolve(jac, rhs, Lattice(mask), None)
-        expect = factorized(jac, Lattice(mask))(rhs)
-        assert all(blk.dtype == np.float32 for blk in _stored(lu))
-        assert np.max(np.abs(step - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert step is None and all(blk.dtype == np.float32 for blk in _stored(lu))
+        message = (r"Newton step 1: GMRES with a fresh Jacobian factor found no finite step "
+                   r"within its tolerance \(residual \d\.\d{3}e[-+]\d+\)")
+        with pytest.raises(SolverError, match=rf"^{message}$"):
+            solve_grid2d(SQUARE, make_source("exp-dec"), 1.0 / 16)
+        argv = ["solve", "--grid2d", "--domain", "polygon:-1,-1;1,-1;1,1;-1,1", "--f", "exp-dec",
+                "--h", "0.0625", "--out", str(tmp_path / "s")]
+        assert main(argv) == 3
+        printed = capsys.readouterr()
+        assert re.fullmatch(rf"solver failure: {message}\n", printed.out)
+        assert printed.err == "" and not (tmp_path / "s").exists()
 
 
 class TestWarmStartFactor:
@@ -673,6 +684,16 @@ class TestClosedFormStart:
         sol = solve_grid2d(ellipse(2.0, 1.0), make_source("exp-dec"), 1.0 / 16)
         assert sol.newton_iterations > 0
         assert calls == {"Plan": 1, "factorized": 1}
+
+    @pytest.mark.parametrize("spec, f, u_min", [
+        (ball(3.0), "power:1,1.5", -155.37099553682108),
+        (ellipse(3.0, 1.0), "power:1,0.5", -1.5309521278213345)], ids=["disk3", "ellipse3-1"])
+    def test_power_newton_factors_its_jacobian_once(self, calls, spec, f, u_min):
+        # Flexible GMRES meets its tolerance with the first Jacobian's float32
+        # factor at every step (an x = M^-1 (V y) GMRES refactored 6 and 2 times).
+        sol = solve_grid2d(spec, make_source(f), 1.0 / 32)
+        assert calls == {"Plan": 1, "factorized": 1}
+        assert sol.u_min == pytest.approx(u_min, rel=1e-9)
 
     def test_square_factors_its_laplacian_and_its_jacobian(self, calls):
         solve_grid2d(SQUARE, make_source("exp-dec"), 1.0 / 16)
