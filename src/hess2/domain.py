@@ -1,28 +1,28 @@
 """Convex planar domains: signed distance, rasterization, boundary data.
 
 Grids are node lattices aligned with the domain center.  Each inside node
-has eight stencil arms, one per compass direction; an arm that leaves the
-domain carries the exact fractional distance to the boundary (or to a node
-dropped as lying on it, see ARM_MIN), which is what one-sided curved-boundary
-stencils consume.
+has a 3 x 3 stencil block (STENCIL): itself and eight arms, one per compass
+direction; an arm that leaves the domain carries the exact fractional distance
+to the boundary (or to a node dropped as lying on it, see ARM_MIN), which is
+what one-sided curved-boundary stencils consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-#: Stencil directions: +x, -x, +y, -y, then the four diagonals.
-DIRECTIONS = np.array([
-    [1, 0], [-1, 0], [0, 1], [0, -1],
-    [1, 1], [-1, -1], [1, -1], [-1, 1],
-], dtype=int)
+#: Stencil slots: slot s is the neighbour at lattice offset (s // 3 - 1, s % 3 - 1) in
+#: the node's 3 x 3 block, so slot CENTER is the node itself and 8 - s the arm opposite
+#: s.  Slots ascend with their neighbours' lattice index (`grid_index` is row-major).
+STENCIL = np.array([(s // 3 - 1, s % 3 - 1) for s in range(9)])
+CENTER = 4
+AXIS_SLOTS = (7, 1, 5, 3)   # the axis arms +x, -x, +y, -y
 
 #: Shortest arm fraction an inside node keeps; a node with a shorter arm, or on the
 #: boundary to rounding, is a boundary node, so no stencil weight passes 1/(ARM_MIN h)^2.
@@ -279,39 +279,33 @@ def ray_crossing(spec: DomainSpec, origin, direction,
 
 @dataclass(frozen=True)
 class BoundaryCrossings:
-    """The axis stencil arms leaving the domain, one row per (node, direction).
+    """The axis stencil arms leaving the domain, one row per (node, slot).
 
-    Rows are ordered by node, then by direction.
+    Rows are ordered by node, then by the arm's place in AXIS_SLOTS.
     """
 
     node_index: np.ndarray   # (c,) inside-node index each arm starts from
-    direction: np.ndarray    # (c,) index into DIRECTIONS[:4] of the outward arm
+    slot: np.ndarray         # (c,) STENCIL slot of the outward arm, one of AXIS_SLOTS
     foot: np.ndarray         # (c, 2) crossing point on the boundary
     normal: np.ndarray       # (c, 2) outward unit normal at the foot
 
 
 @dataclass(frozen=True)
 class GridMask:
-    """Rasterization of a convex domain on a uniform node lattice."""
+    """Rasterization of a convex domain on a uniform node lattice; `theta` and
+    `columns` hold each inside node's stencil arms by STENCIL slot."""
 
     spec: DomainSpec
     h: float
     node_xy: np.ndarray           # (n_inside, 2) coordinates of inside nodes
     grid_index: np.ndarray        # (nx, ny) -> inside index or -1
-    theta: np.ndarray             # (n_inside, 8) arm fractions in (0, 1]
-    neighbor: np.ndarray          # (n_inside, 8) inside index or -1
+    theta: np.ndarray             # (n_inside, 9) arm fractions in (0, 1] by slot, centre 1
+    columns: np.ndarray           # (9, n_inside) neighbour index, or n_inside: arm leaves
     crossings: BoundaryCrossings
 
     @property
     def n_inside(self) -> int:
         return len(self.node_xy)
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """(9, n_inside) stencil columns: row 0 holds each node itself, row 1 + m
-        its neighbour along DIRECTIONS[m], or n_inside where that arm leaves."""
-        n = self.n_inside
-        return np.vstack([np.arange(n), np.where(self.neighbor >= 0, self.neighbor, n).T])
 
 
 def rasterize(spec: DomainSpec, h: float) -> GridMask:
@@ -366,25 +360,28 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
         node_xy = np.column_stack([xs[ii], ys[jj]])
 
         # Shifted lookups stay in range: inside nodes never touch the outer ring.
-        neighbor = np.column_stack([grid_index[ii + di, jj + dj] for di, dj in DIRECTIONS])
-        theta = np.ones((n_inside, 8))
-        for m, (di, dj) in enumerate(DIRECTIONS):
-            cut = neighbor[:, m] < 0
+        columns = np.array([grid_index[ii + di, jj + dj] for di, dj in STENCIL])
+        columns[columns < 0] = n_inside
+        theta = np.ones((n_inside, len(STENCIL)))
+        for s, (di, dj) in enumerate(STENCIL):
+            if s == CENTER:   # the node itself: a zero offset has no direction
+                continue
+            cut = columns[s] == n_inside
             step = h * math.hypot(di, dj)
             unit = np.array([di, dj]) / math.hypot(di, dj)
             # An arm toward a dropped node crosses beyond it: a full arm.
             t = ray_crossing(spec, node_xy[cut], unit, math.inf)
-            theta[cut, m] = np.minimum(t / step, 1.0)
+            theta[cut, s] = np.minimum(t / step, 1.0)
         drop = ~(theta.min(axis=1) >= ARM_MIN)   # NaN: no crossing found
         if not drop.any():
             break
         inside[ii[drop], jj[drop]] = False
 
-    node_index, direction = np.nonzero(neighbor[:, :4] < 0)
-    frac = theta[node_index, direction]
-    foot = node_xy[node_index] + (frac * h)[:, None] * DIRECTIONS[direction]
-    crossings = BoundaryCrossings(node_index=node_index, direction=direction,
+    node_index, axis = np.nonzero(columns[list(AXIS_SLOTS)].T == n_inside)
+    slot = np.array(AXIS_SLOTS)[axis]
+    foot = node_xy[node_index] + (theta[node_index, slot] * h)[:, None] * STENCIL[slot]
+    crossings = BoundaryCrossings(node_index=node_index, slot=slot,
                                   foot=foot, normal=boundary_normal(spec, foot))
 
     return GridMask(spec=spec, h=h, node_xy=node_xy, grid_index=grid_index,
-                    theta=theta, neighbor=neighbor, crossings=crossings)
+                    theta=theta, columns=columns, crossings=crossings)

@@ -132,11 +132,11 @@ class _Class:
 class Plan:
     """The symbolic analysis of a lattice: size classes, fronts and scatter maps.
 
-    `columns` is the mask's (9, n) table of stencil columns (`GridMask.columns`):
-    operator entry (row i, slot k) sits in column columns[k, i], and n stands
-    for an arm that leaves the domain.  `levels` lists the size classes of
-    every level, deepest level first.  The work is array passes over the nodes
-    and stencil entries, a few per level.
+    `columns` is the mask's (slots, n) table of stencil columns (`GridMask.columns`):
+    operator entry (row i, slot k) sits in column columns[k, i], n stands for an
+    arm that leaves the domain, and slot len(columns) - 1 - k is the arm opposite k.
+    `levels` lists the size classes of every level, deepest level first.  The
+    work is array passes over the nodes and stencil entries, a few per level.
     """
 
     def __init__(self, grid_index: np.ndarray, columns: np.ndarray):
@@ -160,8 +160,7 @@ class Plan:
             parent, side = np.divmod(np.nonzero(used)[0], 2)
             box_of[going] = (np.cumsum(used) - 1)[child]
         lev = np.append(lev, len(boxes))   # the padding node n lies on no level
-        cols = columns.T
-        back = np.array([0, 2, 1, 4, 3, 6, 5, 8, 7])   # the slot of the opposite arm
+        cols, last = columns.T, len(columns) - 1
         pos_s = np.zeros(n + 1, dtype=np.intp)
 
         self.levels: list[_Class] = []
@@ -213,8 +212,8 @@ class Plan:
             place = np.concatenate([f0[bj] + pos_s[sep[j]] * w_b[bj] + pos_s[col[j, m]],
                                     f0[bi] + pos_s[sep[i]] * w_b[bi] + pu,
                                     f0[bi] + pu * w_b[bi] + pos_s[sep[i]]])
-            entry = np.concatenate([m * n + sep[j], k * n + sep[i], back[k] * n + col[i, k]])
-            target, gather = np.divmod(np.sort(place * (9 * n) + entry), 9 * n)
+            entry = np.concatenate([m * n + sep[j], k * n + sep[i], (last - k) * n + col[i, k]])
+            target, gather = np.divmod(np.sort(place * columns.size + entry), columns.size)
             first = np.searchsorted(target, fend)
 
             # Children grouped by parent class, side and child class, each group
@@ -248,7 +247,7 @@ class Plan:
                                      np.searchsorted(at, np.arange(z - a + 1))))
                 self.levels.append(_Class(
                     s=s_c, front=np.concatenate([s_c, u_c], axis=1),
-                    gather=_narrow(gather[first[a]:first[z]], 9 * n),
+                    gather=_narrow(gather[first[a]:first[z]], columns.size),
                     target=_narrow(target[first[a]:first[z]] - fend[a], (z - a) * w * w),
                     first=first[a:z + 1] - first[a], children=children, u=u_c.ravel()))
             box_class = np.repeat(np.arange(base, len(self.levels)), sizes)
@@ -266,18 +265,18 @@ def factor(a, plan: Plan, dtype=np.float64):
     as a solve function of float64 vectors.
 
     `a.slots` and `a.coef` give its entries: coef[k, i] in the column of slot
-    slots[k] of row i.  The operator is first scaled by the power of two
-    nearest its largest diagonal entry, and each right-hand side by the power
-    of two nearest its largest entry.  Both are exact, and they keep the
-    explicit inverses and the sweeps of operators at any lattice scale within
-    the range of float32 as of float64.  A singular pivot block raises
-    SolverError.
+    slots[k] of row i, the middle slot of `a.columns` its diagonal.  The
+    operator is first scaled by the power of two nearest its largest diagonal
+    entry, and each right-hand side by the power of two nearest its largest
+    entry.  Both are exact, and they keep the explicit inverses and the sweeps
+    of operators at any lattice scale within the range of float32 as of
+    float64.  A singular pivot block raises SolverError.
     """
     n = plan.n
-    row_of = np.full(9, -1)   # row of each slot in a.coef
+    row_of = np.full(len(a.columns), -1)   # row of each slot in a.coef
     row_of[list(a.slots)] = np.arange(len(a.slots))
     coef = a.coef.reshape(-1)
-    biggest = float(np.max(np.abs(a.coef[row_of[0]]), initial=0.0))
+    biggest = float(np.max(np.abs(a.coef[row_of[len(a.columns) // 2]]), initial=0.0))
     shift = math.frexp(biggest)[1] if math.isfinite(biggest) else 0
     scale = math.ldexp(1.0, -shift)
     blocks = []

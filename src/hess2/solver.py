@@ -44,7 +44,8 @@ from typing import Callable, ClassVar, Protocol
 import numpy as np
 
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
-from .domain import DIRECTIONS, DomainSpec, GridMask, rasterize, signed_distance
+from .domain import (AXIS_SLOTS, CENTER, STENCIL, DomainSpec, GridMask, rasterize,
+                     signed_distance)
 from .errors import InputError, SolverError, SourceError
 from .symmat import cofactor, eigenvalues, invariants
 
@@ -460,18 +461,12 @@ def _first_derivative_row(theta_plus, theta_minus, h):
     return c_center, c_plus, c_minus
 
 
-#: Stencil slots: 0 is the node itself, 1 + m its neighbour along DIRECTIONS[m].
-#: In this order their columns ascend in lattice index, the order in which
-#: CSR sums a row.
-SLOT_ORDER = (6, 2, 8, 4, 0, 3, 7, 1, 5)
-
-
 @dataclass(frozen=True, eq=False)
 class Stencil:
     """A lattice operator over the inside nodes, zero boundary data: row i holds
     coef[k, i] in column columns[slots[k], i] (`GridMask.columns`), and nothing
-    where that arm leaves the domain.  Slots run in SLOT_ORDER, so `@` sums
-    each row as CSR would, bit for bit."""
+    where that arm leaves the domain.  Slots ascend, so their columns do too,
+    and `@` sums each row as CSR would, bit for bit."""
 
     columns: np.ndarray
     slots: tuple[int, ...]
@@ -494,14 +489,14 @@ class Stencil:
 
 
 def _stencil(columns: np.ndarray, coef: dict) -> Stencil:
-    """The operator with coefficients coef[slot], its slots put in SLOT_ORDER."""
-    slots = tuple(k for k in SLOT_ORDER if k in coef)
+    """The operator with coefficients coef[slot], its slots ascending."""
+    slots = tuple(sorted(coef))
     return Stencil(columns, slots, np.array([coef[k] for k in slots]))
 
 
 def _stencil_sum(terms, diagonal=None) -> Stencil:
     """sum_k diag(w_k) A_k + diag(diagonal), for (w_k, A_k) in `terms`."""
-    coef = {} if diagonal is None else {0: diagonal}
+    coef = {} if diagonal is None else {CENTER: diagonal}
     for w, op in terms:
         for k, c in zip(op.slots, op.coef):
             coef[k] = coef[k] + w * c if k in coef else w * c
@@ -509,14 +504,14 @@ def _stencil_sum(terms, diagonal=None) -> Stencil:
 
 
 def _assemble(mask: GridMask, center, arms) -> Stencil:
-    """`center` on the diagonal; each (direction, coefficients) arm lands on the
-    neighbor column where one exists (boundary data are zero)."""
-    return _stencil(mask.columns, {0: center, **{1 + m: c for m, c in arms}})
+    """`center` on the diagonal; each (slot, coefficients) arm lands on the
+    neighbour column where one exists (boundary data are zero)."""
+    return _stencil(mask.columns, {CENTER: center, **dict(arms)})
 
 
 def _axis_operator(mask: GridMask, row, i: int) -> Stencil:
     """The derivative along axis i whose 3-point coefficients `row` gives."""
-    ip, im = 2 * i, 2 * i + 1   # directions 2i and 2i+1 are +/- axis i
+    ip, im = AXIS_SLOTS[2 * i:2 * i + 2]   # the +/- arms of axis i
     cc, cp, cm = row(mask.theta[:, ip], mask.theta[:, im], mask.h)
     return _assemble(mask, cc, ((ip, cp), (im, cm)))
 
@@ -532,12 +527,12 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int], Stencil]:
         ops = {(i, i): _axis_operator(mask, _second_derivative_row, i)
                for i in range(2)}
         # Cross derivative from the two diagonal second derivatives:
-        # directions 4/5 are +/-(1,1)/sqrt2, 6/7 are +/-(1,-1)/sqrt2.
+        # slots 8/0 are +/-(1,1)/sqrt2, 6/2 are +/-(1,-1)/sqrt2.
         sqrt2h = math.sqrt(2.0) * mask.h
-        cc1, cp1, cm1 = _second_derivative_row(th[:, 4], th[:, 5], sqrt2h)
-        cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 7], sqrt2h)
-        ops[0, 1] = _assemble(mask, 0.5 * (cc1 - cc2), ((4, 0.5 * cp1), (5, 0.5 * cm1),
-                                                         (6, -0.5 * cp2), (7, -0.5 * cm2)))
+        cc1, cp1, cm1 = _second_derivative_row(th[:, 8], th[:, 0], sqrt2h)
+        cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 2], sqrt2h)
+        ops[0, 1] = _assemble(mask, 0.5 * (cc1 - cc2), ((8, 0.5 * cp1), (0, 0.5 * cm1),
+                                                         (6, -0.5 * cp2), (2, -0.5 * cm2)))
     if not all(np.all(np.isfinite(op.coef)) for op in ops.values()):
         raise InputError(f"--h {mask.h:g} on --domain {mask.spec.label()} is out of range: "
                          "its stencil coefficients 2/(theta (theta + theta') h^2) overflow; "
@@ -682,21 +677,21 @@ class ScalarField2D:
         few orders of the float maximum) raises SolverError.
         """
         mask, c = self.lattice.mask, self.lattice.mask.crossings
-        align = np.einsum("ij,ij->i", c.normal, DIRECTIONS[c.direction])
+        align = np.einsum("ij,ij->i", c.normal, STENCIL[c.slot])
         keep = np.abs(align) >= MIN_NORMAL_ALIGNMENT
         if not np.any(keep):
             raise SolverError("no usable boundary crossings for gradient sampling")
-        k, direction = c.node_index[keep], c.direction[keep]
-        prev = mask.neighbor[k, direction ^ 1]   # neighbor opposite the crossing
-        d1 = mask.theta[k, direction] * mask.h
-        u1 = self.u[k]
-        # Without that neighbor (prev = -1) u is taken linear from the node to
-        # the boundary; the three-point value read at u[-1] is discarded.
+        k, slot = c.node_index[keep], c.slot[keep]
+        prev = mask.columns[8 - slot, k]   # the neighbour opposite the crossing
+        d1 = mask.theta[k, slot] * mask.h
+        u1, u2 = self.u[k], np.append(self.u, 0.0)[prev]
+        # Without that neighbour (prev = n_inside) u is taken linear from the node
+        # to the boundary; the three-point value read at u2 = 0 is discarded.
         with np.errstate(over="ignore", invalid="ignore"):
             deriv_inward = np.where(
-                prev >= 0, forward_first_derivative(0.0, u1, self.u[prev], d1, d1 + mask.h),
+                prev < self.u.size, forward_first_derivative(0.0, u1, u2, d1, d1 + mask.h),
                 u1 / d1)
-            # deriv_inward differentiates along -direction; flip to the outward axis.
+            # deriv_inward differentiates along -slot; flip to the outward axis.
             grads = np.abs(-deriv_inward / align[keep])
         if not np.all(np.isfinite(grads)):
             raise SolverError(f"boundary sampling: |grad u| overflowed (u_min "
@@ -738,9 +733,8 @@ def _newton_jacobian(ops, f, u, hess) -> Stencil:
                             diagonal=-np.asarray(f.fprime(u), dtype=float))
 
 
-def _inadmissible_nodes(hess) -> int:
+def _inadmissible_nodes(s1, s2) -> int:
     """How many nodes lie off the discrete elliptic branch S1, S2 > 0 (or are not finite)."""
-    s1, s2 = invariants(hess)
     return int(np.count_nonzero(~((s1 > 0) & (s2 > 0))))
 
 
@@ -785,8 +779,8 @@ def _warm_start(lattice: Lattice, f: SourceTerm):
         # Out of the float range u reads inf or NaN, and so does its Hessian.
         with np.errstate(over="ignore", invalid="ignore"):
             u = 0.5 * c * ((x / a) ** 2 + (y / b) ** 2 - 1.0) / (1.0 / a**2 + 1.0 / b**2)
-            u += (c - lap @ u) / lap.coef[lap.slots.index(0)]
-            bad = _inadmissible_nodes(hess := _hessian(ops, u))
+            u += (c - lap @ u) / lap.coef[lap.slots.index(CENTER)]
+            bad = _inadmissible_nodes(*invariants(hess := _hessian(ops, u)))
         if bad:   # a non-finite node counts as off the branch
             raise SolverError(f"warm start: the closed form is not finite or off the discrete "
                               f"elliptic branch at {bad} of {n} inside nodes")
@@ -795,7 +789,7 @@ def _warm_start(lattice: Lattice, f: SourceTerm):
     u = lap_solve(np.full(n, c))
     hess = _hessian(ops, u)
     sweeps, g_hist, r_hist = 0, [], []
-    while bad := _inadmissible_nodes(hess):
+    while bad := _inadmissible_nodes(*invariants(hess)):
         if sweeps == 200:
             raise SolverError(f"warm start: {bad} of {n} inside nodes still off the "
                               f"discrete elliptic branch after {sweeps} Poisson-style sweeps")
@@ -855,13 +849,12 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
             raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
                               f"finite at u_min = {float(np.min(u)):.3e})")
 
-    def s2_defect(hess, u):   # S2 - f(u), and the Newton stop on u
+    def s2_defect(s2, u):   # S2 - f(u), and the Newton stop on u
         with np.errstate(over="ignore"):
             fu = np.asarray(f.f(u), dtype=float)
-            return (invariants(hess)[1] - fu,
-                    NEWTON_RTOL * float(np.max(np.abs(fu))) or NEWTON_TOL)
+            return s2 - fu, NEWTON_RTOL * float(np.max(np.abs(fu))) or NEWTON_TOL
 
-    residual, tol = s2_defect(hess, u)
+    residual, tol = s2_defect(invariants(hess)[1], u)
     res_sup = float(np.max(np.abs(residual)))
     it, lu = 0, None
     while res_sup > tol:
@@ -878,9 +871,9 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
         factor = 1.0
         while factor >= NEWTON_MIN_STEP:
             trial = u + factor * step
-            hess = _hessian(lattice.ops, trial)
-            if not _inadmissible_nodes(hess):
-                trial_res, trial_tol = s2_defect(hess, trial)
+            s1, s2 = invariants(hess := _hessian(lattice.ops, trial))
+            if not _inadmissible_nodes(s1, s2):
+                trial_res, trial_tol = s2_defect(s2, trial)
                 trial_sup = float(np.max(np.abs(trial_res)))
                 if np.isfinite(trial_sup) and trial_sup <= res_sup * (1.0 - 1e-4 * factor):
                     u, residual, res_sup, tol = trial, trial_res, trial_sup, trial_tol

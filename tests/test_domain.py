@@ -3,7 +3,9 @@ import pytest
 
 from hess2.domain import (
     ARM_MIN,
-    DIRECTIONS,
+    AXIS_SLOTS,
+    CENTER,
+    STENCIL,
     DomainSpec,
     assert_convex,
     ball,
@@ -162,7 +164,7 @@ class TestRasterize:
         i = np.arange(-41, 42)
         assert mask.n_inside == np.count_nonzero(i[:, None] ** 2 + i**2 < 41**2)
         row = np.flatnonzero(np.all(np.round(mask.node_xy / h) == [8, 40], axis=1))[0]
-        assert mask.neighbor[row, 0] == -1 and mask.theta[row, 0] == 1.0
+        assert mask.columns[7, row] == mask.n_inside and mask.theta[row, 7] == 1.0   # +x arm
 
     def test_area_scaling_on_refinement(self):
         coarse = rasterize(ball(1.0), 1.0 / 16.0)
@@ -173,7 +175,8 @@ class TestRasterize:
     def test_interior_nodes_clear_of_boundary(self):
         for spec in (ball(1.0), ellipse(2.0, 1.0), convex_polygon(SQUARE)):
             mask = rasterize(spec, 0.07)
-            interior = mask.node_xy[np.all(mask.neighbor[:, :4] >= 0, axis=1)]
+            interior = mask.node_xy[np.all(mask.columns[list(AXIS_SLOTS)] < mask.n_inside,
+                                           axis=0)]
             d = signed_distance(spec, interior)
             assert np.max(d) < -mask.h / 2
 
@@ -183,7 +186,7 @@ class TestRasterize:
         # boundary rather than at an inside node (theta may still be 1.0 when
         # a lattice node falls exactly on the boundary), so they lie within a
         # step of it, up to rounding.
-        badj = np.any(mask.neighbor[:, :4] < 0, axis=1)
+        badj = np.any(mask.columns[list(AXIS_SLOTS)] == mask.n_inside, axis=0)
         assert np.any(badj) and not np.all(badj)
         assert np.all(signed_distance(mask.spec, mask.node_xy[badj]) >= -mask.h * (1 + 1e-12))
         assert np.all(mask.theta > 0.0)
@@ -202,7 +205,7 @@ class TestRasterize:
     def test_rasterize_deterministic(self):
         m1 = rasterize(ellipse(2.0, 1.0), 0.05)
         m2 = rasterize(ellipse(2.0, 1.0), 0.05)
-        assert np.array_equal(m1.neighbor, m2.neighbor)
+        assert np.array_equal(m1.columns, m2.columns)
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_inside_test_matches_distance_sign(self):
@@ -222,20 +225,33 @@ class TestGridInvariants:
     ], ids=["ball", "ellipse", "square", "skewed-quad"])
     def test_stencil_geometry(self, spec, h):
         mask = rasterize(spec, h)
-        nb, theta = mask.neighbor, mask.theta
-        k, m = np.nonzero(nb >= 0)
-        # Arms pair up: stepping back along the opposite direction returns.
-        assert np.array_equal(nb[nb[k, m], m ^ 1], k)
-        assert np.all(theta[k, m] == 1.0)
+        cols, theta, n = mask.columns, mask.theta, mask.n_inside
+        pos = np.argwhere(mask.grid_index >= 0)   # lattice place of each inside node
+        # Slot s is the node at offset STENCIL[s] = (s // 3 - 1, s % 3 - 1), or n
+        # where no inside node sits there; the centre slot is the node itself.
+        assert np.array_equal(STENCIL, [(s // 3 - 1, s % 3 - 1) for s in range(9)])
+        ij = pos[None, :, :] + STENCIL[:, None, :]
+        at = mask.grid_index[ij[..., 0], ij[..., 1]]
+        assert np.array_equal(cols, np.where(at >= 0, at, n))
+        assert np.array_equal(cols[CENTER], np.arange(n))
+        # Slot 8 - s steps back.
+        s, k = np.nonzero(cols < n)
+        assert np.array_equal(cols[8 - s, cols[s, k]], k)
+        assert np.all(theta[k, s] == 1.0)
+        # Each row's in-domain columns ascend with s, the order in which CSR
+        # sums a row.
+        seen = np.maximum.accumulate(np.where(cols < n, cols, -1), axis=0)
+        assert np.all(cols[1:] > seen[:-1])
         # Every cut arm ends on the boundary, and no kept arm is shorter than
         # ARM_MIN of a step.
-        k, m = np.nonzero(nb < 0)
-        ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
+        s, k = np.nonzero(cols == n)
+        ends = mask.node_xy[k] + (theta[k, s] * h)[:, None] * STENCIL[s]
         assert np.max(np.abs(signed_distance(spec, ends))) <= 1e-12 * h
         assert np.min(theta) >= ARM_MIN
-        # Crossing rows are the cut axis arms in (node, direction) order.
+        # Crossing rows are the cut axis arms in (node, AXIS_SLOTS place) order.
         c = mask.crossings
-        k, m = np.nonzero(nb[:, :4] < 0)
-        assert np.array_equal(c.node_index, k) and np.array_equal(c.direction, m)
-        ends = mask.node_xy[k] + (theta[k, m] * h)[:, None] * DIRECTIONS[m]
+        k, a = np.nonzero(cols[list(AXIS_SLOTS)].T == n)
+        assert np.array_equal(c.node_index, k)
+        assert np.array_equal(c.slot, np.array(AXIS_SLOTS)[a])
+        ends = mask.node_xy[k] + (theta[k, c.slot] * h)[:, None] * STENCIL[c.slot]
         np.testing.assert_allclose(c.foot, ends, rtol=0.0, atol=1e-15)

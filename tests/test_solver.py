@@ -10,7 +10,8 @@ import pytest
 from conftest import (DOMAINS, cached_eigen, cached_grid, cached_mask, cached_radial, make_source,
                       radial_ode_residual)
 from hess2 import solver
-from hess2.domain import ball, convex_polygon, ellipse, rasterize
+from hess2._quad import forward_first_derivative
+from hess2.domain import AXIS_SLOTS, CENTER, STENCIL, ball, convex_polygon, ellipse, rasterize
 from hess2.errors import InputError, SolverError
 from hess2.multifrontal import LEAF_LEVELS, dissection_path
 from hess2.solver import (
@@ -208,7 +209,8 @@ class TestGridSolver:
         for key in ("const", "exp-dec"):
             sol = cached_grid("disk", key, 1.0 / 64)
             argmin = int(np.argmin(sol.u))
-            assert np.all(sol.lattice.mask.neighbor[argmin, :4] >= 0)  # all axis neighbors inside
+            # all axis neighbours inside
+            assert np.all(sol.lattice.mask.columns[list(AXIS_SLOTS), argmin] < sol.u.size)
             assert np.all(sol.u < 0)
 
     def test_solution_negative_everywhere(self):
@@ -261,6 +263,31 @@ class TestGridSolver:
         sol = ScalarField2D(lattice=Lattice(mask), u=np.full(mask.n_inside, -1e308))
         with pytest.raises(SolverError, match=r"boundary sampling: \|grad u\| overflowed"):
             sol.boundary_samples()
+
+    @pytest.mark.parametrize("vertices,lone", [
+        ([[-1.0, -0.8], [1.2, -1.0], [0.9, 1.1], [-0.7, 0.8]], 1),
+        ([[0.0, 1.0], [-0.9, -0.6], [1.0, -0.5]], 3)], ids=["skewed-quad", "triangle"])
+    def test_boundary_sampling_linear_fallback(self, vertices, lone):
+        # A kept crossing whose node has no inside neighbour on the opposite arm
+        # takes u linear from the node to the boundary; every other crossing
+        # takes the three-point formula through that neighbour.  The opposite
+        # neighbour is looked up on the lattice, not through the stencil slots.
+        sol = solve_grid2d(convex_polygon(vertices), constant_source(1.0), 1.0 / 16)
+        mask, c = sol.lattice.mask, sol.lattice.mask.crossings
+        align = np.einsum("ij,ij->i", c.normal, STENCIL[c.slot])
+        keep = np.abs(align) >= solver.MIN_NORMAL_ALIGNMENT
+        k, offset, align = c.node_index[keep], STENCIL[c.slot[keep]], align[keep]
+        i, j = (np.argwhere(mask.grid_index >= 0)[k] - offset).T
+        back = mask.grid_index[i, j]
+        d1 = mask.theta[k, c.slot[keep]] * mask.h
+        linear = back < 0
+        assert np.count_nonzero(linear) == lone
+        feet, grads = sol.boundary_samples()
+        assert np.array_equal(feet, c.foot[keep])
+        assert np.array_equal(grads[linear], np.abs(sol.u[k] / d1 / align)[linear])
+        three = forward_first_derivative(0.0, sol.u[k[~linear]], sol.u[back[~linear]],
+                                         d1[~linear], d1[~linear] + mask.h)
+        assert np.array_equal(grads[~linear], np.abs(-three / align[~linear]))
 
     @pytest.mark.parametrize("p", [0.5, 1.5])
     def test_power_source_matches_radial(self, p):
@@ -354,8 +381,9 @@ class TestNestedDissection:
             assert np.all(level_of[lvl.s[b, i]] == -1)
             level_of[lvl.s[b, i]], box_of[lvl.s[b, i]] = k, b
         assert np.all(level_of >= 0)
-        a, m = np.nonzero(mask.neighbor >= 0)
-        c = mask.neighbor[a, m]
+        arms = np.delete(mask.columns, CENTER, axis=0)
+        m, a = np.nonzero(arms < n)
+        c = arms[m, a]
         for k, lvl in enumerate(plan.levels):
             here = level_of[a] == k
             same = here & (level_of[c] == k)
@@ -370,8 +398,9 @@ class TestNestedDissection:
     def test_cut_lines_separate_the_stencil(self, spec, h):
         mask = rasterize(spec, h)
         path = dissection_path(mask.grid_index)
-        a, m = np.nonzero(mask.neighbor >= 0)
-        b = mask.neighbor[a, m]
+        arms = np.delete(mask.columns, CENTER, axis=0)
+        m, a = np.nonzero(arms < mask.n_inside)
+        b = arms[m, a]
         same_box = np.ones(a.size, dtype=bool)
         for side in path:
             # Sides 0 and 1 of one box are never stencil neighbours.
@@ -772,13 +801,13 @@ class TestOperators:
         sol = solve_grid2d(spec, make_source("exp-dec"), 1.0 / 32)
         mask, n = sol.lattice.mask, sol.lattice.mask.n_inside
         expect = []
-        for ip, im in ((0, 1), (2, 3)):   # +/- x, then +/- y
+        for ip, im in ((7, 1), (5, 3)):   # the slots of +/- x, then +/- y
             cc, cp, cm = _first_derivative_row(mask.theta[:, ip], mask.theta[:, im], mask.h)
             rows, cols, vals = [np.arange(n)], [np.arange(n)], [cc]
             for m, coeff in ((ip, cp), (im, cm)):
-                has = mask.neighbor[:, m] >= 0
+                has = mask.columns[m] < n
                 rows.append(np.nonzero(has)[0])
-                cols.append(mask.neighbor[has, m])
+                cols.append(mask.columns[m, has])
                 vals.append(coeff[has])
             op = sp.csr_matrix((np.concatenate(vals),
                                 (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
