@@ -57,6 +57,7 @@ class PFunctionField:
 
     alpha: float
     gamma: float
+    h: float                       # the solution's grid step, `Solution.h_eff`
     positions: np.ndarray          # (n,) radii or (n, 2) coordinates
     grad_sq: np.ndarray
     integral: np.ndarray           # int_u^0 f^gamma per node
@@ -73,10 +74,6 @@ class PFunctionField:
     def boundary_phi(self) -> np.ndarray:
         # u = 0 on the boundary, so the integral term vanishes exactly.
         return self.boundary_grad_sq
-
-    def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.phi))),
-                   float(np.max(np.abs(self.boundary_phi))))
 
 
 @dataclass(frozen=True)
@@ -155,25 +152,27 @@ def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunct
     bpts, bvals = boundary_gradient_samples(sol)
     grad = sol.gradient()
     return PFunctionField(
-        alpha=spec.alpha, gamma=spec.gamma,
+        alpha=spec.alpha, gamma=spec.gamma, h=sol.h_eff,
         positions=sol.positions, grad_sq=np.einsum("ij,ij->i", grad, grad),
         integral=source_integral(f, spec.gamma, sol.u), interior=sol.interior,
         boundary_positions=bpts, boundary_grad_sq=bvals**2,
         distance_to_boundary=sol.distance_to_boundary)
 
 
-def verify_principle(pf: PFunctionField, mode: str,
-                     tol_margin: float) -> PrincipleVerdict:
+def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
     """Check whether the field attains its min/max on the boundary.
 
-    Ties within tol_margin count as boundary attainment, so constant fields
-    satisfy both modes.
+    Ties within tol_margin = 5 h^2 max(1, |Phi|), with h = pf.h and |Phi| the
+    largest over nodes and boundary samples, count as boundary attainment, so
+    constant fields satisfy both modes.
     """
     if mode not in ("min", "max"):
         raise InputError("mode must be 'min' or 'max'")
     phi = pf.phi[pf.interior]
     pos = pf.positions[pf.interior]
     bphi = pf.boundary_phi
+    tol_margin = 5.0 * pf.h**2 * max(1.0, float(np.max(np.abs(pf.phi))),
+                                     float(np.max(np.abs(bphi))))
     # A max is a min of -phi; a negative margin puts the extreme strictly inside.
     sign = 1.0 if mode == "min" else -1.0
     i, b = int(np.argmin(sign * phi)), int(np.argmin(sign * bphi))

@@ -431,8 +431,7 @@ def cmd_verify(args) -> int:
         for alpha in alphas:
             pf = dataclasses.replace(unit, alpha=alpha)
             pf_saved.append(pf)
-            tol = 5.0 * sol.h_eff**2 * pf.scale()
-            verdict = analysis.verify_principle(pf, "min", tol)
+            verdict = analysis.verify_principle(pf, "min")
             rows.append((sol.domain_label, f.label(), alpha, spec.gamma, verdict.margin,
                          rep.slack, verdict.holds and rep.holds))
             all_hold &= bool(verdict.holds and rep.holds)
@@ -482,9 +481,8 @@ def cmd_identity_scan(args) -> int:
     for dim in range(2, 7):
         pts = points(args.seed + dim, dim, radius=0.9, min_radius=0.05)
         for fld, x in itertools.product(fields.standard_menagerie(dim), chunks(pts)):
-            gap = (np.abs(fields.euler_identity_gap(fld, x))
-                   / (1.0 + np.linalg.norm(fld.hess(x), axis=(-2, -1)) ** 2))
-            euler_worst = max(euler_worst, float(np.max(gap)))
+            gap = fields.euler_identity_gap(fld, x)
+            euler_worst = max(euler_worst, float(np.max(np.abs(gap))))
 
     ps_worst, n_ps = 0.0, 0
     for dim in (2, 3, 4):
@@ -529,7 +527,8 @@ def cmd_identity_scan(args) -> int:
           f"({n_ps} admissible samples)")
     print(f"curvature convention factor: {factor:.12f} "
           f"(fit residual {fit_resid:.3e})")
-    ok = (euler_worst <= 1e-10 and ps_worst >= -1e-9 and fit_resid <= 1e-8)
+    # euler_identity_gap raises beyond its own 1e-10, so only these two can fail.
+    ok = ps_worst >= -1e-9 and fit_resid <= 1e-8
     return 0 if ok else 1
 
 

@@ -199,18 +199,20 @@ def finite_difference_consistency(fld: SyntheticField, points) -> float:
 
 
 def euler_identity_gap(fld: SyntheticField, x) -> np.ndarray:
-    """Contraction of the S2 cofactor with the Hessian minus twice S2, per point.
+    """Contraction of the S2 cofactor with the Hessian minus twice S2, per point,
+    in units of 1 + |H|_F^2.
 
     Zero in exact arithmetic by degree-2 homogeneity; the returned gap
     measures floating-point residue only.  Raises NumericalError if any
-    point's gap exceeds 1e-10 (1 + |H|_F^2).
+    point's gap exceeds 1e-10 in those units.
     """
     h = fld.hess(x)
-    gap = np.sum(cofactor(h) * h, axis=(-2, -1)) - 2.0 * invariants(h)[1]
-    tol = 1e-10 * (1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2)
-    over = np.abs(gap) > tol
+    scale = 1.0 + np.linalg.norm(h, axis=(-2, -1)) ** 2
+    gap = (np.sum(cofactor(h) * h, axis=(-2, -1)) - 2.0 * invariants(h)[1]) / scale
+    over = np.abs(gap) > 1e-10
     if np.any(over):
-        raise NumericalError(f"homogeneity contraction gap {gap[over][0]} exceeds {tol[over][0]}")
+        raise NumericalError(f"homogeneity contraction gap {gap[over][0]} (over 1 + |H|_F^2) "
+                             "exceeds 1e-10")
     return gap
 
 

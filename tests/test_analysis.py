@@ -112,7 +112,7 @@ class TestVerifyPrinciple:
     def test_radial_minimum_on_boundary(self):
         prof = cached_radial(3, "const")
         pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=1.0))
-        v = verify_principle(pf, "min", 1e-8)
+        v = verify_principle(pf, "min")
         assert v.holds
         assert v.boundary_extreme == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert v.distance_argextreme_to_boundary == 0.0
@@ -121,22 +121,21 @@ class TestVerifyPrinciple:
         prof = cached_radial(3, "const")
         pf = pfunction_field(prof, make_source("const"),
                              PFunctionSpec(alpha=1.0 / SQRT3))
-        tol = 1e-6
-        assert verify_principle(pf, "min", tol).holds
-        assert verify_principle(pf, "max", tol).holds
+        assert verify_principle(pf, "min").holds
+        assert verify_principle(pf, "max").holds
 
     def test_synthetic_interior_extreme(self):
         # phi = -r^2 on [0, 1]: minimum on the boundary, maximum inside.
         r = np.linspace(0.0, 1.0, 101)
         interior = np.ones_like(r, dtype=bool)
         interior[-1] = False
-        pf = PFunctionField(alpha=0.0, gamma=0.5, positions=r, grad_sq=-r**2,
+        pf = PFunctionField(alpha=0.0, gamma=0.5, h=0.01, positions=r, grad_sq=-r**2,
                             integral=np.zeros_like(r), interior=interior,
                             boundary_positions=np.array([1.0]),
                             boundary_grad_sq=np.array([-1.0]),
                             distance_to_boundary=lambda pts: 1.0 - np.abs(pts))
-        assert verify_principle(pf, "min", 1e-9).holds
-        vmax = verify_principle(pf, "max", 1e-9)
+        assert verify_principle(pf, "min").holds
+        vmax = verify_principle(pf, "max")
         assert not vmax.holds
         assert vmax.distance_argextreme_to_boundary == pytest.approx(1.0)
 
@@ -144,7 +143,7 @@ class TestVerifyPrinciple:
         prof = cached_radial(3, "const")
         pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=1.0))
         with pytest.raises(InputError):
-            verify_principle(pf, "saddle", 1e-8)
+            verify_principle(pf, "saddle")
 
 
 class TestAlphaGrids:
@@ -155,8 +154,7 @@ class TestAlphaGrids:
         out = {}
         for alpha in alphas:
             pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-            tol = 5.0 * sol.lattice.mask.h**2 * pf.scale()
-            out[alpha] = verify_principle(pf, mode, tol)
+            out[alpha] = verify_principle(pf, mode)
         return out
 
     def test_max_mode_nondecreasing_sources(self):
@@ -190,9 +188,7 @@ class TestAlphaGrids:
             prof = cached_radial(3, fkey)
             f = make_source(fkey)
             pf = pfunction_field(prof, f, PFunctionSpec(alpha=alpha_star))
-            h = prof.radius / (prof.r.size - 1)
-            tol = 5.0 * h * h * pf.scale()
-            assert verify_principle(pf, "max", tol).holds
+            assert verify_principle(pf, "max").holds
 
 
 class TestTransformPreset:

@@ -764,6 +764,31 @@ class TestNewtonStop:
         assert sol.u_min == pytest.approx(-1e-6, rel=1e-14)
 
 
+class TestRadialStops:
+    KS = (-12, -4, 0, 4, 12)
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, None], ids=["p0.5", "p1.5", "const"])
+    def test_picard_solves_scale_with_the_radius(self, p):
+        # u_R(x) = R^2 u(x/R) solves the problem on B_R with lam_R = R^(-2p)
+        # (f = 1 for the constant source), so u_min / R^2 must not depend on R.
+        ratios = []
+        for k in self.KS:
+            radius = 2.0 ** k
+            f = constant_source(1.0) if p is None else power_source(radius ** (-2 * p), p)
+            ratios.append(solve_radial(3, radius, f).u_min / radius**2)
+        assert ratios == pytest.approx([ratios[2]] * len(self.KS), rel=1e-9)
+
+    def test_eigenvalue_scales_with_the_fourth_power_of_the_radius(self):
+        scaled = [solve_eigen_radial(2, 2.0 ** k)[0] * 2.0 ** (4 * k) for k in self.KS]
+        assert scaled == pytest.approx([scaled[2]] * len(self.KS), rel=1e-9)
+
+    def test_unconverged_picard_names_its_amplitude(self):
+        # Near p = 2 each pass closes only about 1 - p/2 of the gap to the
+        # solution, and the iterate is still falling after the last pass.
+        with pytest.raises(SolverError, match=r"did not converge \(last delta .* at max \|u\| "):
+            solve_radial(2, 1.0, power_source(1.0, 1.99))
+
+
 class TestPowerStart:
     @pytest.mark.parametrize("spec", [ball(3.0), ellipse(1.0, 2.5), ellipse(6.0, 3.0)],
                              ids=["disk3", "ellipse1-2.5", "ellipse6-3"])
