@@ -58,11 +58,11 @@ class PFunctionField:
     alpha: float
     gamma: float
     h: float                       # the solution's grid step, `Solution.h_eff`
-    positions: np.ndarray          # (n,) radii or (n, 2) coordinates
+    positions: np.ndarray          # (n, d) rows: radii (n, 1) or coordinates (n, 2)
     grad_sq: np.ndarray
     integral: np.ndarray           # int_u^0 f^gamma per node
     interior: np.ndarray           # bool mask over nodes
-    boundary_positions: np.ndarray
+    boundary_positions: np.ndarray  # (b, d) rows
     boundary_grad_sq: np.ndarray
     distance_to_boundary: Callable[[np.ndarray], np.ndarray]  # per row of `positions`
 
@@ -179,9 +179,8 @@ def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
     margin = float(sign * (phi[i] - bphi[b]))
     distance = pf.distance_to_boundary(pos[i:i + 1])[0] if margin < 0 else 0.0
     return PrincipleVerdict(
-        mode=mode, interior_extreme=float(phi[i]), interior_argpoint=np.atleast_1d(pos[i]),
-        boundary_extreme=float(bphi[b]),
-        boundary_argpoint=np.atleast_1d(pf.boundary_positions[b]),
+        mode=mode, interior_extreme=float(phi[i]), interior_argpoint=pos[i],
+        boundary_extreme=float(bphi[b]), boundary_argpoint=pf.boundary_positions[b],
         margin=margin, tol_margin=tol_margin, holds=bool(margin >= -tol_margin),
         distance_argextreme_to_boundary=float(distance))
 
@@ -208,12 +207,11 @@ def transform_preset(application: int, p: float | None = None) -> Transform:
 def convexity_scan_solution(sol: Solution, tr: Transform) -> ConvexityReport:
     """Minimum eigenvalue of D^2 U(u) = U' D^2 u + U'' grad u (x) grad u over a
     solution's strictly interior nodes, one eigendecomposition of the frame
-    blocks; the scale is max(1, largest |entry|)."""
+    blocks."""
     interior = sol.interior
-    composed = tr.composed_hessian(sol.u[interior], sol.gradient()[interior], sol.hessian())
-    lam = eigenvalues(composed)
-    scale = max(1.0, float(np.max(np.abs(composed))))
-    return ConvexityReport.of(tr.name, lam[:, 0], scale, sol.positions[interior])
+    composed = tr.composed_hessian(sol.u[interior], sol.gradient()[interior],
+                                   sol.hessian()[interior])
+    return ConvexityReport.of(tr.name, eigenvalues(composed), sol.positions[interior])
 
 
 def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
@@ -247,20 +245,19 @@ def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
     block and its multiplicities by `symmat.invariants`.
     """
     k = int(np.argmin(sol.u))
-    pts = sol.positions.reshape(sol.u.size, -1)
-    near = pts[sol.u <= sol.u[k] * (1.0 - 1e-9)]
+    near = sol.positions[sol.u <= sol.u[k] * (1.0 - 1e-9)]
     if len(near) > 1:
         spread = np.max(np.linalg.norm(near - near.mean(axis=0), axis=1))
         if spread > MINIMUM_CLUSTER_STEPS * sol.h_eff:
             raise SolverError("multiple separated minima; critical point not unique")
-    hess = sol.hessian()[np.count_nonzero(sol.interior[:k])]
+    hess = sol.hessian()[k]
     lam = np.sort(np.concatenate([jacobi_eigh(hess)[0], np.repeat(
         np.diagonal(hess), np.subtract(sol.multiplicity, 1))]))
     f_val = float(np.asarray(f.f(sol.u_min)))
     if f_val <= 0:
         raise InputError("source must be positive at the solution minimum")
     return CriticalPointReport(
-        location=np.atleast_1d(sol.positions[k]),
+        location=sol.positions[k],
         hessian_spectrum=lam,
         max_ratio=float(np.max(lam)) / math.sqrt(f_val),
         binom_bound=math.comb(len(lam), 2) ** -0.5,

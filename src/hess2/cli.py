@@ -187,7 +187,7 @@ def parse_domain(text: str) -> domain.DomainSpec:
     from . import domain
 
     name, _, arg = text.partition(":")
-    if name in ("disk", "ball"):
+    if name == "disk":
         return domain.ball(*_numbers(text, arg, 1)) if arg else domain.ball(1.0)
     if name == "ellipse":
         return domain.ellipse(*_numbers(text, arg, 2))

@@ -206,7 +206,8 @@ def _ellipse_closest_point(a: float, b: float, pts: np.ndarray) -> np.ndarray:
 
 
 def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
-    """Signed distance to the boundary: negative inside, positive outside.
+    """Signed distance to the boundary per point of a stack (m, 2): negative
+    inside, positive outside.
 
     Exact for polygons; ellipses use a bisection on the closest-point
     equation resolved to ~1e-12.
@@ -217,14 +218,10 @@ def signed_distance(spec: DomainSpec, pts) -> np.ndarray:
         p = p / unit
         dist = unit * np.linalg.norm(p - _ellipse_closest_point(a, b, p), axis=1)
         inside = (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2 < 1.0
-        d = np.where(inside, -dist, dist)
-    else:
-        rel, normal, dist = _segments(spec.vertices, p)
-        halfplane = (rel @ normal[:, :, None])[..., 0].max(axis=0)
-        d = np.where(halfplane <= 0.0, halfplane, dist.min(axis=0))
-    if np.asarray(pts).ndim == 1:
-        return float(d[0])
-    return d
+        return np.where(inside, -dist, dist)
+    rel, normal, dist = _segments(spec.vertices, p)
+    halfplane = (rel @ normal[:, :, None])[..., 0].max(axis=0)
+    return np.where(halfplane <= 0.0, halfplane, dist.min(axis=0))
 
 
 def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
@@ -240,14 +237,10 @@ def boundary_normal(spec: DomainSpec, pts) -> np.ndarray:
     return normal[np.argmin(dist, axis=0)]
 
 
-def ray_crossing(spec: DomainSpec, origin, direction,
-                 max_len: float) -> np.ndarray | float | None:
-    """Distance along `direction` (unit) from inside points to the boundary.
-
-    `origin` is an (m, 2) array of points, or one point.  Returns t in
-    (0, max_len] per point and NaN where the segment stays inside; a single
-    point gives a float, or None.  Convexity guarantees at most one crossing
-    on the segment.
+def ray_crossing(spec: DomainSpec, origin, direction) -> np.ndarray:
+    """Distance t > 0 along `direction` (unit) from each point of a stack `origin`
+    (m, 2) to the boundary, NaN where the ray meets none.  From an inside point,
+    convexity guarantees exactly one crossing.
     """
     o = np.atleast_2d(np.asarray(origin, dtype=float)) - spec.center
     d = np.asarray(direction, dtype=float)
@@ -270,11 +263,7 @@ def ray_crossing(spec: DomainSpec, origin, direction,
             ss = _cross(rel, d) / denom
             hit = (tt > 0) & (ss >= -1e-12) & (ss <= 1 + 1e-12)
             t = np.where(hit, tt, np.inf).min(axis=0)
-        found = (t > 0) & (t <= max_len * (1 + 1e-12)) & (t < np.inf)
-        t = np.where(found, np.minimum(t, max_len), np.nan)
-    if np.asarray(origin).ndim == 1:
-        return None if math.isnan(t[0]) else float(t[0])
-    return t
+        return np.where((t > 0) & (t < np.inf), t, np.nan)
 
 
 @dataclass(frozen=True)
@@ -370,7 +359,7 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
             step = h * math.hypot(di, dj)
             unit = np.array([di, dj]) / math.hypot(di, dj)
             # An arm toward a dropped node crosses beyond it: a full arm.
-            t = ray_crossing(spec, node_xy[cut], unit, math.inf)
+            t = ray_crossing(spec, node_xy[cut], unit)
             theta[cut, s] = np.minimum(t / step, 1.0)
         drop = ~(theta.min(axis=1) >= ARM_MIN)   # NaN: no crossing found
         if not drop.any():

@@ -266,12 +266,10 @@ def transform_hessian(fld: SyntheticField, tr: Transform, x) -> np.ndarray:
 def convexity_scan(fld: SyntheticField, tr: Transform, points) -> ConvexityReport:
     """Convexity verdict on the composed Hessian over a batch of points.
 
-    One batched eigendecomposition; the scale is max(1, largest |eigenvalue|).
-    A domain violation at any point raises.
+    One batched eigendecomposition; a domain violation at any point raises.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam, _ = jacobi_eigh(transform_hessian(fld, tr, pts))
-    return ConvexityReport.of(tr.name, lam[:, 0], max(1.0, float(np.max(np.abs(lam)))), pts)
+    return ConvexityReport.of(tr.name, jacobi_eigh(transform_hessian(fld, tr, pts))[0], pts)
 
 
 def sample_points_in_ball(seed: int, dim: int, count: int, radius: float = 1.0,

@@ -173,8 +173,9 @@ class Solution(Protocol):
     axis i stands for `multiplicity[i]` directions of R^N on which the Hessian
     acts as H_ii (radial: e_r and one tangent, (1, N-1); planar: x and y).
     `admissibility_report` and `hess2.analysis` derive every invariant from
-    them.  `interior` marks the strictly interior nodes, which the Hessian
-    covers (sources vanishing at zero make S2 degenerate on the boundary).
+    them.  Every per-node array covers every node; `interior` marks the
+    strictly interior nodes, the ones invariants are read on (sources
+    vanishing at zero make S2 degenerate on the boundary).
     """
 
     kind: ClassVar[str]             # "radial" | "grid2d", as saved and reported
@@ -183,7 +184,7 @@ class Solution(Protocol):
     @property
     def u_min(self) -> float: ...
     @property
-    def positions(self) -> np.ndarray: ...      # (n,) radii or (n, 2) coordinates
+    def positions(self) -> np.ndarray: ...      # (n, d): radii (n, 1) or coordinates (n, 2)
     @property
     def interior(self) -> np.ndarray: ...       # bool mask over nodes
     @property
@@ -193,7 +194,7 @@ class Solution(Protocol):
     @property
     def multiplicity(self) -> tuple[int, ...]: ...  # directions per frame axis, sum N
     def gradient(self) -> np.ndarray: ...       # (n, k) over all nodes
-    def hessian(self) -> np.ndarray: ...        # (m, k, k) over the interior nodes
+    def hessian(self) -> np.ndarray: ...        # (n, k, k) over all nodes
     # Distance to the boundary per point, given as rows of `positions`.
     def distance_to_boundary(self, points) -> np.ndarray: ...
     # (points, |grad u|) on the boundary.
@@ -241,7 +242,7 @@ class RadialProfile:
 
     @property
     def positions(self) -> np.ndarray:
-        return self.r
+        return self.r[:, None]
 
     @property
     def interior(self) -> np.ndarray:
@@ -265,14 +266,14 @@ class RadialProfile:
         return np.column_stack([self.up, np.zeros_like(self.up)])
 
     def hessian(self) -> np.ndarray:
-        """Diagonal (u'', u'/r) per interior node: (e_r, tangent) are eigen-axes."""
-        return self.hessian_eigenvalues()[:-1, :, None] * np.eye(2)
+        """Diagonal (u'', u'/r) per node: (e_r, tangent) are eigen-axes."""
+        return self.hessian_eigenvalues()[:, :, None] * np.eye(2)
 
     def distance_to_boundary(self, points) -> np.ndarray:
-        return self.radius - np.abs(np.asarray(points, dtype=float))
+        return self.radius - np.abs(np.asarray(points, dtype=float)[:, 0])
 
     def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([self.radius]), np.array([self.boundary_gradient])
+        return np.array([[self.radius]]), np.array([self.boundary_gradient])
 
     def summary_fields(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "radius": self.radius,
@@ -351,26 +352,24 @@ def _subnormal_integral(profile: RadialProfile, f: SourceTerm) -> bool:
 
 
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
-    """The profile with its residual sup, once it passes the checks of a radial solution.
-    S1 and S2 come from the Hessian eigenvalues (u'', u'/r) with multiplicities
-    (1, N-1); at r = 0 both are u''(0), which gives S2 = C(N, 2) u''(0)^2."""
-    eigs = profile.hessian_eigenvalues()
-    s1, s2 = invariants(eigs[:, :, None] * np.eye(2), profile.multiplicity)
+    """The profile with its residual sup, once its Hessian passes the cone check
+    (`_check_pass` has made u negative inside the ball).  S1 and S2 come from the
+    diagonal Hessian (u'', u'/r) with multiplicities (1, N-1); at r = 0 both are
+    u''(0), which gives S2 = C(N, 2) u''(0)^2."""
+    hess = profile.hessian()
+    s1, s2 = invariants(hess, profile.multiplicity)
     profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - f.f(profile.u)))))
-    for failed, reason in (
-            (np.any(profile.u[:-1] >= 0), "solution must be negative inside the ball"),
-            (np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))),
-             "trace of the Hessian left the admissible cone")):
-        if failed:
-            # A subnormal r^(N-2) at the first nodes, or a subnormal Picard
-            # integral, keeps the passes finite but costs them their precision.
-            if _subnormal_power(profile.r, profile.dim):
-                reason += (f" in dimension {profile.dim} (r^{profile.dim - 2} is subnormal "
-                           "near the origin)")
-            elif _subnormal_integral(profile, f):
-                reason += (f" in dimension {profile.dim} (the Picard integral is subnormal "
-                           "near the origin)")
-            raise SolverError(reason)
+    if np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(hess)))):
+        reason = "trace of the Hessian left the admissible cone"
+        # A subnormal r^(N-2) at the first nodes, or a subnormal Picard
+        # integral, keeps the passes finite but costs them their precision.
+        if _subnormal_power(profile.r, profile.dim):
+            reason += (f" in dimension {profile.dim} (r^{profile.dim - 2} is subnormal "
+                       "near the origin)")
+        elif _subnormal_integral(profile, f):
+            reason += (f" in dimension {profile.dim} (the Picard integral is subnormal "
+                       "near the origin)")
+        raise SolverError(reason)
     return profile
 
 
@@ -905,7 +904,7 @@ def admissibility_report(sol: Solution) -> AdmissibilityReport:
     """Minimum S1, S2 (`invariants` of the frame blocks) and cofactor-matrix
     eigenvalue over strictly interior nodes; the cofactor matrix S1 I - H has
     least eigenvalue S1 - lambda_max(H)."""
-    hess = sol.hessian()
+    hess = sol.hessian()[sol.interior]
     s1, s2 = invariants(hess, sol.multiplicity)
     cof_min = s1 - eigenvalues(hess)[:, -1]
     return AdmissibilityReport(

@@ -102,11 +102,12 @@ class ConvexityReport:
     tolerance: float
 
     @classmethod
-    def of(cls, transform_name: str, low, scale: float, points) -> "ConvexityReport":
-        """Verdict on the least eigenvalue `low[i]` at each `points[i]`: convex iff
-        min(low) >= -CONVEXITY_TOL * scale; the first point attaining it is kept."""
-        k = int(np.argmin(low))
-        tolerance = CONVEXITY_TOL * scale
-        return cls(transform_name=transform_name, n_points=len(low),
-                   min_eigenvalue=float(low[k]), argmin_point=np.atleast_1d(points[k]).copy(),
-                   convex=bool(low[k] >= -tolerance), tolerance=tolerance)
+    def of(cls, transform_name: str, lam, points) -> "ConvexityReport":
+        """Verdict on the ascending spectra `lam` (m, k) at `points` (m, d): convex iff
+        min(lam) >= -CONVEXITY_TOL * max(1, max |lam|); the first point attaining
+        the minimum is kept."""
+        k = int(np.argmin(lam[:, 0]))
+        tolerance = CONVEXITY_TOL * max(1.0, float(np.max(np.abs(lam))))
+        return cls(transform_name=transform_name, n_points=len(lam),
+                   min_eigenvalue=float(lam[k, 0]), argmin_point=points[k].copy(),
+                   convex=bool(lam[k, 0] >= -tolerance), tolerance=tolerance)

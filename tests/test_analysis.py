@@ -26,6 +26,8 @@ from hess2.analysis import (
 from hess2.errors import HypothesisError, InputError, SolverError, TransformDomainError
 from hess2.fields import ConvexityReport
 from hess2.solver import Lattice, ScalarField2D
+from hess2.symmat import eigenvalues
+from hess2.transforms import CONVEXITY_TOL
 
 SQRT3 = np.sqrt(3.0)
 
@@ -129,11 +131,11 @@ class TestVerifyPrinciple:
         r = np.linspace(0.0, 1.0, 101)
         interior = np.ones_like(r, dtype=bool)
         interior[-1] = False
-        pf = PFunctionField(alpha=0.0, gamma=0.5, h=0.01, positions=r, grad_sq=-r**2,
+        pf = PFunctionField(alpha=0.0, gamma=0.5, h=0.01, positions=r[:, None], grad_sq=-r**2,
                             integral=np.zeros_like(r), interior=interior,
-                            boundary_positions=np.array([1.0]),
+                            boundary_positions=np.array([[1.0]]),
                             boundary_grad_sq=np.array([-1.0]),
-                            distance_to_boundary=lambda pts: 1.0 - np.abs(pts))
+                            distance_to_boundary=lambda pts: 1.0 - np.abs(pts[:, 0]))
         assert verify_principle(pf, "min").holds
         vmax = verify_principle(pf, "max")
         assert not vmax.holds
@@ -259,6 +261,22 @@ class TestConvexityScanSolution:
         scan = convexity_scan_solution(cached_grid("disk", "exp-dec", 1.0 / 64),
                                        identity_transform())
         assert scan.convex
+
+    @pytest.mark.parametrize("kind", ["radial", "ellipse"])
+    def test_tolerance_is_the_spectral_scale_of_the_composed_blocks(self, kind):
+        # One rule for every scan: CONVEXITY_TOL * max(1, max |lambda|) over the
+        # composed blocks of the interior nodes.  Radial blocks are diagonal, so
+        # there it is the largest |entry| too, bit for bit; planar blocks are not.
+        sol = (cached_radial(3, "exp-dec") if kind == "radial"
+               else cached_grid("ellipse", "exp-dec", 1.0 / 64))
+        tr, inner = transform_preset(1), sol.interior
+        composed = tr.composed_hessian(sol.u[inner], sol.gradient()[inner],
+                                       sol.hessian()[inner])
+        spectral = max(1.0, float(np.max(np.abs(eigenvalues(composed)))))
+        entries = max(1.0, float(np.max(np.abs(composed))))
+        scan = convexity_scan_solution(sol, tr)
+        assert scan.tolerance == CONVEXITY_TOL * spectral
+        assert (spectral == entries) == (kind == "radial")
 
 
 class TestBoundsReports:

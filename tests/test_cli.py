@@ -216,6 +216,16 @@ class TestConfigReplay:
         assert printed.out == "config error: bad config line: 'seed 9'\n" and printed.err == ""
         assert not (tmp_path / "bad").exists()
 
+    def test_config_p_outside_application_three_exits_two(self, tmp_path, capsys):
+        # Config lines skip the typed-flag check, so the verify source refuses this --p.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("command=verify\napp=1\np=0.5\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ("input error: --p is the exponent of application 3's power "
+                               "source; application 1 has none\n") and printed.err == ""
+        assert not (tmp_path / "bad").exists()
+
     def test_config_equals_form(self, tmp_path, capsys):
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["solve", "--radial", "--nodes", "256", "--out", str(first)]) == 0
@@ -543,13 +553,15 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["--domain", "square:1"], "unknown domain 'square:1'\n"),
+        (["--domain", "ball:1"], "unknown domain 'ball:1'\n"),
         (["--domain", "disk:1e160", "--h", "1e159"], "--domain disk:1e+160 is out of range: "),
         (["--domain", "disk:1e300", "--h", "1e299"], "--domain disk:1e+300 is out of range: "),
         (["--domain", "ellipse:1e160,1e160", "--h", "1e159"],
          "--domain disk:1e+160 is out of range: "),
         (["--domain", "polygon:-1e160,-1e160;1e160,-1e160;0,1e160", "--h", "1e159"],
          "--domain polygon:3v is out of range: "),
-    ], ids=["unknown", "disk-1e160", "disk-1e300", "ellipse-1e160", "polygon-1e160"])
+    ], ids=["unknown", "ball-alias", "disk-1e160", "disk-1e300", "ellipse-1e160",
+            "polygon-1e160"])
     def test_rejected_domain_exits_two(self, tmp_path, argv, message):
         # Squares of 1e160 coordinates overflow: such a domain is refused by
         # name before any lattice exists.  A fresh process, as for overflows.
@@ -709,7 +721,7 @@ class TestVerifyCommand:
     def test_non_convex_scan_skips_the_bounds(self, tmp_path, capsys, monkeypatch):
         # A failed convexity hypothesis writes a report that says so, and nothing else.
         def not_convex(sol, transform):
-            return transforms.ConvexityReport.of(transform.name, np.array([-1.0]), 1.0,
+            return transforms.ConvexityReport.of(transform.name, np.array([[-1.0, 1.0]]),
                                                  np.zeros((1, 1)))
 
         monkeypatch.setattr(analysis, "convexity_scan_solution", not_convex)
@@ -845,11 +857,12 @@ class TestCampaignScanVerifyInputs:
         ["ineq", "--count", "10", "--dims", "1,2"],
         ["ineq", "--count", "5", "--scale", "1e-200"],
         ["ineq", "--count", "5", "--sign", "negative", "--scale", "1e-200"],
+        ["verify", "--app", "1", "--eigen"],
     ], ids=["dims-not-a-number", "dims-empty-range", "scale-nan", "scan-zero-count",
             "verify-alpha-nan", "verify-gamma-unsupported", "ineq-seed-negative",
             "scan-seed-negative", "scale-overflows", "scale-overflows-indefinite",
             "dims-repeated", "dims-above-max", "dims-below-two", "scale-underflows",
-            "scale-underflows-negative"])
+            "scale-underflows-negative", "verify-app1-eigen"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
         printed = capsys.readouterr().out

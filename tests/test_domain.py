@@ -66,23 +66,21 @@ class TestSpecs:
 
 class TestSignedDistance:
     def test_unit_disk_center(self):
-        assert signed_distance(ball(1.0), [0.0, 0.0]) == pytest.approx(-1.0)
+        assert signed_distance(ball(1.0), [[0.0, 0.0]]) == pytest.approx([-1.0])
 
     def test_unit_disk_outside(self):
-        assert signed_distance(ball(1.0), [2.0, 0.0]) == pytest.approx(1.0)
+        assert signed_distance(ball(1.0), [[2.0, 0.0]]) == pytest.approx([1.0])
 
     def test_square_inside_point(self):
-        assert signed_distance(convex_polygon(SQUARE), [0.5, 0.0]) == pytest.approx(-0.5)
+        assert signed_distance(convex_polygon(SQUARE), [[0.5, 0.0]]) == pytest.approx([-0.5])
 
     def test_square_outside_corner(self):
-        d = signed_distance(convex_polygon(SQUARE), [2.0, 2.0])
-        assert d == pytest.approx(np.sqrt(2.0))
+        d = signed_distance(convex_polygon(SQUARE), [[2.0, 2.0]])
+        assert d == pytest.approx([np.sqrt(2.0)])
 
     def test_ellipse_axis_points(self):
-        spec = ellipse(2.0, 1.0)
-        assert signed_distance(spec, [0.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
-        assert signed_distance(spec, [3.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-        assert signed_distance(spec, [0.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+        d = signed_distance(ellipse(2.0, 1.0), [[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]])
+        assert d == pytest.approx([-1.0, 1.0, 1.0], abs=1e-12)
 
     def test_ellipse_against_brute_force(self):
         spec = ellipse(2.0, 1.0)
@@ -142,9 +140,10 @@ class TestNormalsAndCrossings:
             assert (x / a) ** 2 + (y / b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_ray_crossing_exact_disk(self):
-        t = ray_crossing(ball(1.0), [0.5, 0.0], [1.0, 0.0], 1.0)
-        assert t == pytest.approx(0.5)
-        assert ray_crossing(ball(1.0), [0.0, 0.0], [1.0, 0.0], 0.5) is None
+        # From outside, a ray pointing away meets the boundary nowhere ahead: NaN.
+        t = ray_crossing(ball(1.0), [[0.5, 0.0], [2.0, 0.0]], [1.0, 0.0])
+        assert t[0] == pytest.approx(0.5)
+        assert np.isnan(t[1])
 
 
 class TestRasterize:

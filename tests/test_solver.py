@@ -980,7 +980,7 @@ class TestSolutionInterface:
 
     def test_radial_arrays_stay_per_node_in_high_dimension(self):
         prof = cached_radial(64, "const")
-        assert prof.hessian().shape == (prof.r.size - 1, 2, 2)
+        assert prof.hessian().shape == (prof.r.size, 2, 2)
         assert prof.gradient().shape == (prof.r.size, 2)
 
     def test_planar_frame_is_x_y(self):
@@ -993,8 +993,8 @@ class TestSolutionInterface:
 
     def test_distance_to_boundary_radial(self):
         prof = cached_radial(3, "const")
-        np.testing.assert_array_equal(prof.distance_to_boundary(np.array([0.0, 0.25, 1.0])),
-                                      [1.0, 0.75, 0.0])
+        np.testing.assert_array_equal(
+            prof.distance_to_boundary(np.array([[0.0], [0.25], [1.0]])), [1.0, 0.75, 0.0])
 
     def test_distance_to_boundary_disk(self):
         sol = cached_grid("disk", "const", 1.0 / 32)
