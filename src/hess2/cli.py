@@ -1,12 +1,11 @@
 """Command-line entry points: campaigns, solves, verdicts, identity scans.
 
-Reports are deterministic for a fixed configuration and seed: floats are
-written with repr precision, JSON keys are sorted, and no timestamps or
-machine identifiers enter any output file.  Each command imports the modules
-it runs when it is called: `ineq` loads neither the solvers nor the fields.
-
-Exit codes: 0 all checks passed, 1 numerical or invariant failure,
-2 hypothesis not met or bad input, 3 solver failure.
+Reports are deterministic for a fixed configuration, seed and BLAS thread
+count: floats are written with repr precision, JSON keys are sorted, and no
+timestamps or machine identifiers enter any output file.  Each command imports
+the modules it runs when it is called: `ineq` loads neither the solvers nor the
+fields.  A run whose checks all pass exits 0.  A failure prints one
+`<prefix>: <reason>` line and exits with the code of its class in `hess2.errors`.
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import symmat
-from .errors import (
-    HypothesisError,
-    InputError,
-    NumericalError,
-    SolverError,
-    ToolkitError,
-)
+from .errors import HypothesisError, InputError, ToolkitError
 
 if TYPE_CHECKING:   # the commands import these when they run
     from . import domain, solver
@@ -413,12 +406,11 @@ def cmd_verify(args) -> int:
 
     scan = analysis.convexity_scan_solution(sol, transform)
     if not scan.convex:
-        print(f"hypothesis not met: {transform.name} composition is not convex "
-              f"(min eigenvalue {scan.min_eigenvalue:.3e})")
         _write_json(out / "report.json", {
             "schema": REPORT_SCHEMA, "config": config,
             "skipped": f"convexity hypothesis failed for {transform.name}"})
-        return 2
+        raise HypothesisError(f"{transform.name} composition is not convex "
+                              f"(min eigenvalue {scan.min_eigenvalue:.3e})")
 
     rows = []
     pf_saved = []
@@ -648,21 +640,9 @@ def main(argv=None) -> int:
     try:
         _check_typed(args, argv)
         return args.func(args)
-    except HypothesisError as exc:
-        print(f"hypothesis not met: {exc}")
-        return 2
-    except InputError as exc:
-        print(f"input error: {exc}")
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}")
-        return 1
-    except SolverError as exc:
-        print(f"solver failure: {exc}")
-        return 3
     except ToolkitError as exc:
-        print(f"error: {exc}")
-        return 1
+        print(f"{exc.prefix}: {exc}")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 
 #: Stencil slots: slot s is the neighbour at lattice offset (s // 3 - 1, s % 3 - 1) in
 #: the node's 3 x 3 block, so slot CENTER is the node itself and 8 - s the arm opposite
@@ -303,7 +303,7 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
     The lattice is anchored at the domain center so symmetric domains get
     symmetric grids.  A node with an arm below ARM_MIN of a step, or on the
     boundary to rounding, is dropped, and its neighbours' arms end on it,
-    until no node drops.  Raises ConfigurationError when fewer than MIN_SPAN
+    until no node drops.  Raises InputError when fewer than MIN_SPAN
     inside nodes span the narrowest axis-aligned section.
     """
     if not (math.isfinite(h) and h > 0):
@@ -338,7 +338,7 @@ def rasterize(spec: DomainSpec, h: float) -> GridMask:
         # A convex domain meets each lattice line in one run of inside nodes.
         span = int(min(inside.sum(axis=0).max(), inside.sum(axis=1).max()))
         if span < MIN_SPAN:
-            raise ConfigurationError(
+            raise InputError(
                 f"grid too coarse: --h {h:g} puts {span} inside nodes across the narrowest "
                 f"section of --domain {spec.label()}, need >= {MIN_SPAN}")
 

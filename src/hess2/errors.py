@@ -1,45 +1,40 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the CLI's table of outcomes.
 
-The CLI maps these onto exit codes: numerical/invariant failures -> 1,
-unmet hypotheses and bad inputs -> 2, solver failures -> 3.
+Each class carries the exit code and the line prefix with which the CLI
+reports it: one `<prefix>: <message>` line on stdout, then that exit code.
 """
 
 
 class ToolkitError(Exception):
     """Base class for all toolkit failures."""
 
+    exit_code = 1
+    prefix = "error"
+
 
 class InputError(ToolkitError, ValueError):
-    """Malformed or out-of-contract input."""
+    """Malformed or out-of-contract input, or an unmet precondition."""
 
-
-class PreconditionError(InputError):
-    """An operation's precondition does not hold for the given input."""
-
-
-class ConfigurationError(InputError):
-    """Invalid run configuration (grid too coarse, bad tolerances, ...)."""
-
-
-class NumericalError(ToolkitError):
-    """A numerical invariant or internal cross-check failed."""
+    exit_code = 2
+    prefix = "input error"
 
 
 class HypothesisError(ToolkitError):
     """A mathematical hypothesis required by a check is not met."""
 
+    exit_code = 2
+    prefix = "hypothesis not met"
 
-class TransformDomainError(HypothesisError):
-    """A point falls outside the domain of a monotone transform."""
 
+class NumericalError(ToolkitError):
+    """A numerical invariant or internal cross-check failed."""
 
-class SingularTransformError(ToolkitError):
-    """The transform derivative vanishes where strict monotonicity is required."""
+    exit_code = 1
+    prefix = "numerical failure"
 
 
 class SolverError(ToolkitError):
     """An iterative solve failed to converge or left the admissible branch."""
 
-
-class SourceError(SolverError):
-    """The source term is nonpositive where positivity is required."""
+    exit_code = 3
+    prefix = "solver failure"

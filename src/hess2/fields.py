@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, NumericalError
 from .symmat import cofactor, comatrix, invariants, jacobi_eigh
 from .transforms import ConvexityReport, Transform
 
@@ -222,14 +222,14 @@ def levelset_curvature_probe(fld: SyntheticField, x) -> CurvatureProbe:
     h2_extracted solves  S2(H)|g|^2 - S2'(H):(g (x) Hg) = h2 |g|^3  for h2,
     where H is the Hessian and g the gradient.  The geometric shape-operator
     value S2(kappa) is computed alongside so callers can fit the convention
-    factor relating the two (|g| on radial fields).  Raises PreconditionError
+    factor relating the two (|g| on radial fields).  Raises InputError
     if any point lies within MIN_GRADIENT_NORM of a critical point.
     """
     x = np.asarray(x, dtype=float)
     g = fld.grad(x)
     gnorm = np.linalg.norm(g, axis=-1)
     if np.any(gnorm < MIN_GRADIENT_NORM):
-        raise PreconditionError("probe rejected: too close to a critical point")
+        raise InputError("probe rejected: too close to a critical point")
     h = fld.hess(x)
     # Products and last-axis sums, not einsum, and np.power, not ** (which calls
     # pow on the float64 scalar |g| of one point): a point rounds as its stack row.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError, SingularTransformError
+from .errors import InputError, NumericalError
 from .symmat import (CAMPAIGN_CHUNK, cofactor, comatrix, eigenvalues, jacobi_eigh,
                      sample_batch, square_matrix)
 
@@ -190,11 +190,11 @@ def comatrix_inequality(a, v) -> InequalityRecord:
 
 def negative_semidefinite_inequality(a, v) -> InequalityRecord:
     """comatrix_inequality for negative semidefinite input, which is checked first:
-    PreconditionError for any other matrix."""
+    InputError for any other matrix."""
     a = square_matrix(a)
     lam, vecs = jacobi_eigh(a)
     if not np.all(in_positive_cone(-lam[..., ::-1])):
-        raise PreconditionError("input matrix is not negative semidefinite")
+        raise InputError("input matrix is not negative semidefinite")
     return _record(a, _probe(a, v), lam, vecs)
 
 
@@ -262,7 +262,7 @@ def composed_hessian_functional(hess_composed, grad_u, u_prime,
     g = _probe(h, grad_u)
     up, us = np.asarray(u_prime, dtype=float), np.asarray(u_second, dtype=float)
     if np.any(np.abs(up) < 1e-10):
-        raise SingularTransformError("transform derivative vanishes; cannot factor")
+        raise InputError("transform derivative vanishes; cannot factor")
     up_a = h - us[..., None, None] * _outer(g, g)
     m_direct = comatrix_functional(h, g)
     m_factored = up ** 3 * comatrix_functional(up_a / up[..., None, None], g)

@@ -46,7 +46,7 @@ import numpy as np
 from ._quad import cumulative_quartic, deriv_uniform, forward_first_derivative
 from .domain import (AXIS_SLOTS, CENTER, STENCIL, DomainSpec, GridMask, rasterize,
                      signed_distance)
-from .errors import InputError, SolverError, SourceError
+from .errors import InputError, SolverError
 from .symmat import cofactor, eigenvalues, invariants
 
 SOLUTION_SCHEMA_VERSION = 2
@@ -388,16 +388,19 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
                               f"{n_dim} (f = {f.label()} is not finite at u_min = "
                               f"{float(np.min(u)):.3e})")
         if np.any(vals < -1e-14):
-            raise SourceError("source became negative during the radial solve")
+            raise SolverError("source became negative during the radial solve")
         u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
         _check_pass(f"radial Picard pass {it}", n_dim, r, u_new)
         delta, u = float(np.max(np.abs(u_new - u))), u_new
         amplitude = float(np.max(np.abs(u)))
+        if it == 1:
+            first = amplitude
         if delta <= PICARD_TOL * amplitude:
             break
     else:
         raise SolverError(f"radial Picard iteration did not converge (last delta {delta:.3e} "
-                          f"at max |u| {amplitude:.3e} after {PICARD_MAX_ITER} passes)")
+                          f"at max |u| {amplitude:.3e} after {PICARD_MAX_ITER} passes, "
+                          f"from max |u| {first:.3e} after pass 1)")
     return _finish_radial(RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
                                         picard_iterations=it, picard_delta=delta), f)
 
@@ -499,17 +502,11 @@ def _stencil_sum(terms, diagonal=None) -> Stencil:
     return _stencil(terms[0][1].columns, coef)
 
 
-def _assemble(mask: GridMask, center, arms) -> Stencil:
-    """`center` on the diagonal; each (slot, coefficients) arm lands on the
-    neighbour column where one exists (boundary data are zero)."""
-    return _stencil(mask.columns, {CENTER: center, **dict(arms)})
-
-
 def _axis_operator(mask: GridMask, row, i: int) -> Stencil:
     """The derivative along axis i whose 3-point coefficients `row` gives."""
     ip, im = AXIS_SLOTS[2 * i:2 * i + 2]   # the +/- arms of axis i
     cc, cp, cm = row(mask.theta[:, ip], mask.theta[:, im], mask.h)
-    return _assemble(mask, cc, ((ip, cp), (im, cm)))
+    return _stencil(mask.columns, {CENTER: cc, ip: cp, im: cm})
 
 
 def build_operators(mask: GridMask) -> dict[tuple[int, int], Stencil]:
@@ -527,8 +524,8 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int], Stencil]:
         sqrt2h = math.sqrt(2.0) * mask.h
         cc1, cp1, cm1 = _second_derivative_row(th[:, 8], th[:, 0], sqrt2h)
         cc2, cp2, cm2 = _second_derivative_row(th[:, 6], th[:, 2], sqrt2h)
-        ops[0, 1] = _assemble(mask, 0.5 * (cc1 - cc2), ((8, 0.5 * cp1), (0, 0.5 * cm1),
-                                                         (6, -0.5 * cp2), (2, -0.5 * cm2)))
+        ops[0, 1] = _stencil(mask.columns, {CENTER: 0.5 * (cc1 - cc2), 8: 0.5 * cp1,
+                                            0: 0.5 * cm1, 6: -0.5 * cp2, 2: -0.5 * cm2})
     if not all(np.all(np.isfinite(op.coef)) for op in ops.values()):
         raise InputError(f"--h {mask.h:g} on --domain {mask.spec.label()} is out of range: "
                          "its stencil coefficients 2/(theta (theta + theta') h^2) overflow; "

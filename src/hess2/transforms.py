@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import HypothesisError, TransformDomainError
+from .errors import HypothesisError
 
 #: A convexity scan passes when its least eigenvalue is above -CONVEXITY_TOL
 #: times the scan's eigenvalue scale.
@@ -23,7 +23,7 @@ class Transform:
 
     The evaluators take a float or an array of floats and apply elementwise.
     `domain` is the open interval on which the transform is defined; points
-    outside it raise TransformDomainError.
+    outside it raise HypothesisError.
     """
 
     name: str
@@ -36,7 +36,7 @@ class Transform:
         t = np.asarray(t, dtype=float)
         lo, hi = self.domain
         if np.any(t <= lo) or np.any(t >= hi):
-            raise TransformDomainError(
+            raise HypothesisError(
                 f"value outside the open domain ({lo}, {hi}) of transform {self.name}")
 
     def composed_hessian(self, t, grad, hess) -> np.ndarray:

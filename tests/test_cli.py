@@ -16,7 +16,8 @@ import pytest
 import hess2
 from hess2 import analysis, cli, matineq, solver, symmat, transforms
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
-from hess2.errors import InputError
+from hess2.errors import (HypothesisError, InputError, NumericalError, SolverError,
+                          ToolkitError)
 
 # A self-intersecting star whose turns all have one sign.
 PENTAGRAM = "polygon:0,1;-0.587785,-0.809017;0.951057,0.309017;-0.951057,0.309017;0.587785,-0.809017"
@@ -295,6 +296,28 @@ class TestOptionParsing:
         assert main(["--config", str(cfg), "--records", "--out", str(tmp_path / "on")]) == 0
         assert [p.name for p in (tmp_path / "off").iterdir()] == ["summary.json"]
         assert (tmp_path / "on" / "records_dim2.csv").exists()
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ToolkitError, 1, "error"),
+        (InputError, 2, "input error"),
+        (HypothesisError, 2, "hypothesis not met"),
+        (NumericalError, 1, "numerical failure"),
+        (SolverError, 3, "solver failure"),
+    ], ids=["toolkit", "input", "hypothesis", "numerical", "solver"])
+    def test_each_error_class_ends_in_its_code_and_line(self, tmp_path, monkeypatch, capsys,
+                                                        error, code, prefix):
+        # Whatever a command raises, main prints one "<prefix>: <message>" line
+        # on stdout, writes nothing to stderr and returns the class's exit code.
+        def failing(args):
+            raise error("the reason")
+
+        monkeypatch.setattr(cli, "cmd_identity_scan", failing)
+        assert main(["identity-scan", "--out", str(tmp_path / "k")]) == code
+        printed = capsys.readouterr()
+        assert printed.out == f"{prefix}: the reason\n"
+        assert printed.err == ""
 
 
 class TestSolveCommand:

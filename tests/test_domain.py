@@ -17,7 +17,7 @@ from hess2.domain import (
     ray_crossing,
     signed_distance,
 )
-from hess2.errors import ConfigurationError, InputError
+from hess2.errors import InputError
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
@@ -192,7 +192,7 @@ class TestRasterize:
         assert np.all(mask.theta <= 1.0)
 
     def test_too_coarse_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="grid too coarse"):
             rasterize(ball(1.0), 0.5)
 
     def test_nonconvex_rejected(self):

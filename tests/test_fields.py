@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_transform
-from hess2.errors import HypothesisError, PreconditionError, TransformDomainError
+from hess2.errors import HypothesisError, InputError
 from hess2.fields import (
     ball_quadratic_field,
     convexity_scan,
@@ -106,7 +106,7 @@ class TestStacks:
         fld = ball_quadratic_field(3, 1.0)
         pts = sample_points_in_ball(seed=5, dim=3, count=10, radius=1.0, min_radius=0.2)
         pts[6] = 0.0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="too close to a critical point"):
             levelset_curvature_probe(fld, pts)
 
 
@@ -186,7 +186,7 @@ class TestLevelsetCurvature:
 
     def test_critical_point_rejected(self):
         fld = ball_quadratic_field(3, 1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="too close to a critical point"):
             levelset_curvature_probe(fld, np.zeros(3))
 
     def test_mean_curvature_anchor(self):
@@ -293,7 +293,7 @@ class TestTransformHessian:
 
     def test_domain_violation(self):
         fld = quadratic_field(np.eye(2), c=1.0)  # u(0) = 1 > 0
-        with pytest.raises(TransformDomainError):
+        with pytest.raises(HypothesisError, match="outside the open domain"):
             transform_hessian(fld, negative_sqrt_transform(), np.zeros(2))
 
 

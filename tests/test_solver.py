@@ -785,7 +785,8 @@ class TestRadialStops:
     def test_unconverged_picard_names_its_amplitude(self):
         # Near p = 2 each pass closes only about 1 - p/2 of the gap to the
         # solution, and the iterate is still falling after the last pass.
-        with pytest.raises(SolverError, match=r"did not converge \(last delta .* at max \|u\| "):
+        with pytest.raises(SolverError, match=r"did not converge \(last delta .* at max \|u\| .* "
+                           r"after \d+ passes, from max \|u\| \S+ after pass 1\)"):
             solve_radial(2, 1.0, power_source(1.0, 1.99))
 
 
