@@ -119,7 +119,7 @@ def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: int | None =
         parts = [map(repr, c[start:start + chunk].tolist()) for c in columns]
         if index is not None:   # zip stops at the chunk
             parts.insert(0, map(repr, range(index + start, index + n)))
-        fh.write("".join([lead + sep.join(row) + "\n" for row in zip(*parts)]))
+        fh.write(lead + ("\n" + lead).join(map(sep.join, zip(*parts))) + "\n")
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -216,20 +216,27 @@ def cmd_ineq(args) -> int:
     # The outermost directory this run creates; a failed run removes it again.
     created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
     written = []
+    fh = None   # the current dimension's records; dimensions stream one after another
 
     def write_records(dim, first, columns):
-        path = out / f"records_dim{dim}.csv"
+        nonlocal fh
         if first == 0:
             out.mkdir(parents=True, exist_ok=True)
-            written.append(path)
-            path.write_text(RECORD_HEADER)
-        with path.open("a") as fh:
-            _write_rows(fh, columns, f"{args.seed},{dim},{args.sign},", ",", index=first)
+            if fh is not None:
+                fh.close()
+            written.append(out / f"records_dim{dim}.csv")
+            fh = written[-1].open("w")
+            fh.write(RECORD_HEADER)
+        _write_rows(fh, columns, f"{args.seed},{dim},{args.sign},", ",", index=first)
 
     try:
-        result = matineq.inequality_campaign(
-            args.seed, dims, args.count, args.sign, scale=args.scale,
-            records=write_records if args.records else None)
+        try:
+            result = matineq.inequality_campaign(
+                args.seed, dims, args.count, args.sign, scale=args.scale,
+                records=write_records if args.records else None)
+        finally:
+            if fh is not None:
+                fh.close()
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

@@ -116,12 +116,15 @@ def comatrix_functional(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _closed_residual(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2 sum_k w_k^2 S3^(k)(lam) for stacked eigenvalues/rotated probes."""
+    """2 sum_k w_k^2 S3^(k)(lam) for stacked eigenvalues/rotated probes.
+
+    Odd in lam bit for bit: every cube is a product, and IEEE rounding is
+    symmetric in sign, so -lam gives exactly the negated residual."""
     s1 = np.sum(lam, axis=-1)
     p2 = np.sum(lam * lam, axis=-1)
-    p3 = np.sum(lam ** 3, axis=-1)
+    p3 = np.sum(lam * lam * lam, axis=-1)
     s2 = 0.5 * (s1 * s1 - p2)
-    s3 = (s1 ** 3 - 3.0 * s1 * p2 + 2.0 * p3) / 6.0
+    s3 = (s1 * s1 * s1 - 3.0 * s1 * p2 + 2.0 * p3) / 6.0
     s1k = s1[..., None] - lam
     s2k = s2[..., None] - lam * s1k
     s3k = s3[..., None] - lam * s2k
@@ -162,14 +165,14 @@ def sign_of_spectrum(lam: np.ndarray) -> np.ndarray:
                     np.where(in_positive_cone(-lam[..., ::-1]), "negative", "indefinite"))[()]
 
 
-def _rows_ok(direct, closed, scl, sign, dim: int) -> np.ndarray:
+def _rows_ok(rel, disc, sign, dim: int) -> np.ndarray:
     """The one residual check, per row of a campaign chunk or a one-pair record,
-    in units of scl = inequality_scale: |direct - closed| <= 1e-9 * scl;
-    direct >= -1e-9 * scl on "positive" rows and <= 1e-9 * scl on "negative"
-    ones (`sign`: one label or one per row); |direct| <= 1e-10 * scl in
-    dimension 3, where the residual vanishes for every symmetric matrix."""
-    rel = direct / scl
-    ok = np.abs(direct - closed) / scl <= 1e-9
+    on rel = direct / scl and disc = |direct - closed| / scl in units of
+    scl = inequality_scale: disc <= 1e-9; rel >= -1e-9 on "positive" rows and
+    <= 1e-9 on "negative" ones (`sign`: one label or one per row);
+    |rel| <= 1e-10 in dimension 3, where the residual vanishes for every
+    symmetric matrix."""
+    ok = disc <= 1e-9
     ok &= (sign != "positive") | (rel >= -1e-9)
     ok &= (sign != "negative") | (rel <= 1e-9)
     return ok & (np.abs(rel) <= 1e-10) if dim == 3 else ok
@@ -205,7 +208,8 @@ def _record(a: np.ndarray, v: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> 
     if over or (tiny and live):
         raise InputError((_OVERFLOW if over else _UNDERFLOW).format("the input", ""))
     sign = sign_of_spectrum(lam)
-    bad = ~_rows_ok(direct, closed, 1.0 + size, sign, a.shape[-1])
+    scl = 1.0 + size
+    bad = ~_rows_ok(direct / scl, np.abs(direct - closed) / scl, sign, a.shape[-1])
     if np.any(bad):
         raise NumericalError(
             f"residual check failed on {np.asarray(sign)[bad]} input: direct residual "
@@ -265,7 +269,7 @@ def composed_hessian_functional(hess_composed, grad_u, u_prime,
         raise InputError("transform derivative vanishes; cannot factor")
     up_a = h - us[..., None, None] * _outer(g, g)
     m_direct = comatrix_functional(h, g)
-    m_factored = up ** 3 * comatrix_functional(up_a / up[..., None, None], g)
+    m_factored = up * up * up * comatrix_functional(up_a / up[..., None, None], g)
     scale = np.maximum(inequality_scale(h, g), inequality_scale(up_a, g))
     if np.any(np.abs(m_direct - m_factored) > 1e-8 * scale):
         raise NumericalError(
@@ -381,9 +385,8 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
             if over:
                 raise InputError(_OVERFLOW.format(f"scale {scale:g}", f" in dim {dim}"))
             all_tiny, any_live = all_tiny and tiny, any_live or live
-            rel = direct / scl
-            disc = np.abs(direct - closed) / scl
-            ok = ok and bool(np.all(_rows_ok(direct, closed, scl, sign, dim)))
+            rel, disc = direct / scl, np.abs(direct - closed) / scl
+            ok = ok and bool(np.all(_rows_ok(rel, disc, sign, dim)))
             lo, hi = min(lo, float(np.min(rel))), max(hi, float(np.max(rel)))
             disc_max = max(disc_max, float(np.max(disc)))
             key = -rel if sign == "positive" else rel if sign == "negative" else np.abs(rel)
@@ -420,7 +423,7 @@ def factorization_campaign(seed: int, count: int):
         us = rng.uniform(-2.0, 2.0, size=per_dim)
         hess = up[:, None, None] * a + us[:, None, None] * np.einsum("bi,bj->bij", v, v)
         m_direct = comatrix_functional(hess, v)
-        m_factored = up ** 3 * comatrix_functional(a, v)
+        m_factored = up * up * up * comatrix_functional(a, v)
         scale = np.maximum(inequality_scale(hess, v), inequality_scale(up[:, None, None] * a, v))
         worst = max(worst, float(np.max(np.abs(m_direct - m_factored) / scale)))
     return worst

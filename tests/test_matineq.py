@@ -99,12 +99,23 @@ class TestOneResidualCheck:
     def test_sign_labels_per_row(self):
         rel = np.array([-2e-9, 2e-9, -2e-9, 2e-9])
         sign = np.array(["positive", "negative", "negative", "positive"])
-        assert matineq._rows_ok(rel, rel, np.ones(4), sign, 4).tolist() == [False, False, True, True]
+        assert matineq._rows_ok(rel, np.zeros(4), sign, 4).tolist() == [False, False, True, True]
 
     def test_dimension_three_identity_tolerance(self):
-        direct = np.array([5e-11, 5e-10])
-        ok = matineq._rows_ok(direct, direct, np.ones(2), "indefinite", 3)
+        rel = np.array([5e-11, 5e-10])
+        ok = matineq._rows_ok(rel, np.zeros(2), "indefinite", 3)
         assert ok.tolist() == [True, False]
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_mirrored_samples_give_negated_residuals(self, dim):
+        # IEEE rounding is symmetric in sign, so (-A, v) with spectrum -lam gives
+        # exactly the negated lhs, rhs and both residuals, and the same scale.
+        a, v, lam, w = sample_batch(5, dim, "positive", 1.0, 4096)
+        plain = matineq._campaign_residuals(a, v, lam, w)
+        mirror = matineq._campaign_residuals(-a, v, -lam, w)
+        for got, want in zip(mirror[:4], plain[:4]):
+            assert np.array_equal(got, -want)
+        assert np.array_equal(mirror[4], plain[4])
 
     def test_one_pair_route_catches_a_wrong_spectrum(self, monkeypatch):
         real = matineq.jacobi_eigh

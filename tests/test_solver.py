@@ -115,6 +115,23 @@ class TestRadialSolver:
         assert errs[0] > 1e-12  # the measurement is real, not rounding noise
         assert errs[0] / errs[1] >= 16.0
 
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
+    def test_exp_dec_in_dimension_four_is_the_closed_form_branch(self, radius):
+        # In N = 4, u = (3/b) ln((1 + c r^2/R^2)/(1 + c)) solves S2(D^2 u) = e^(-b u)
+        # on B_R where 216 c^2 / (b^2 (1 + c)^3) = R^4; that is increasing on
+        # (0, 2], and Picard finds the shallow root there.
+        beta = 0.5
+        lo, hi = 0.0, 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if 216.0 * mid**2 / (beta**2 * (1.0 + mid) ** 3) < radius**4:
+                lo = mid
+            else:
+                hi = mid
+        prof = solve_radial(4, radius, solver.SOURCE_PRESETS["exp-dec"](beta))
+        exact = 3.0 / beta * np.log((1.0 + lo * (prof.r / radius) ** 2) / (1.0 + lo))
+        assert np.max(np.abs(prof.u - exact)) <= 1e-10 * -prof.u_min
+
     def test_input_guards(self):
         with pytest.raises(InputError):
             solve_radial(1, 1.0, make_source("const"))
