@@ -106,17 +106,35 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: int | None = None) -> None:
-    """One line per row of the equal-length float `columns`: `lead`, then the row's
-    values as repr(float) joined by `sep`, after the row number when `index`, the
-    number of the first row, is given.
+def _reprs(column) -> np.ndarray:
+    """repr(float) of each value of `column`, as an object array, calling repr
+    once per distinct float64 bit pattern.  Bits, not values, tell values apart:
+    -0.0 == 0.0, yet each keeps its own text.
+    """
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    order = np.argsort(bits)
+    ranked = bits[order]
+    first = np.ones(ranked.size, dtype=bool)   # the first of each run of equal bits
+    first[1:] = ranked[1:] != ranked[:-1]
+    codes = np.empty_like(order)
+    codes[order] = np.cumsum(first) - 1
+    texts = np.array(list(map(repr, ranked[first].view(np.float64).tolist())), dtype=object)
+    return texts[codes]
 
-    Rows are converted CAMPAIGN_CHUNK at a time, so the Python floats of a long
-    table never exist all at once.
+
+def _write_rows(fh, columns, lead: str = "", sep: str = " ", index: int | None = None) -> None:
+    """One line per row of the equal-length `columns`: `lead`, then the row's
+    cells joined by `sep`, after the row number when `index`, the number of the
+    first row, is given.  A float column's cells are the repr of its values; an
+    object column (from `_reprs`) holds its cells' texts.
+
+    Rows are joined CAMPAIGN_CHUNK at a time, so the Python floats and cell lists
+    of only one chunk exist at once.
     """
     chunk, n = symmat.CAMPAIGN_CHUNK, len(columns[0])
     for start in range(0, n, chunk):
-        parts = [map(repr, c[start:start + chunk].tolist()) for c in columns]
+        parts = [c[start:start + chunk].tolist() if c.dtype == object
+                 else map(repr, c[start:start + chunk].tolist()) for c in columns]
         if index is not None:   # zip stops at the chunk
             parts.insert(0, map(repr, range(index + start, index + n)))
         fh.write(lead + ("\n" + lead).join(map(sep.join, zip(*parts))) + "\n")
@@ -325,12 +343,16 @@ def _solution_summary(sol: solver.Solution, f, extras) -> dict:
 
 
 def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
-    """Whitespace-separated columns for plotting: positions, u, then fields."""
+    """Whitespace-separated columns for plotting: positions, u, then fields.
+
+    Lattice columns repeat values (a disk's x and y take 255 values over 51,429
+    nodes), so each column's distinct values are formatted once (`_reprs`).
+    """
     names, cols = sol.profile_columns()
     with path.open("w") as fh:
         fh.write(f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
                                          for pf in pf_list) + "\n")
-        _write_rows(fh, [*cols, *(pf.phi for pf in pf_list)])
+        _write_rows(fh, [_reprs(c) for c in (*cols, *(pf.phi for pf in pf_list))])
 
 
 def _nine_digits(x: float) -> str:

@@ -9,6 +9,7 @@ import textwrap
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1164,6 +1165,43 @@ class TestRowWriter:
         assert path.read_text() == ("# 0," + ",".join(repr(float(v)) for v in self.SPECIAL)
                                     + "\n")
         assert path.read_text().startswith("# 0,nan,inf,-inf,-0.0,0.0,5e-324,1e+16,1e-05,3.0,")
+
+    @staticmethod
+    def _profile_reference(names, columns, pf_list):
+        header = f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}" for pf in pf_list)
+        columns = [*columns, *(pf.phi for pf in pf_list)]
+        return header + "\n" + "".join(" ".join(repr(float(c[i])) for c in columns) + "\n"
+                                       for i in range(len(columns[0])))
+
+    def test_profile_repeated_values_keep_their_bits(self, tmp_path):
+        # A lattice's columns repeat values, and -0.0 == 0.0 must still print
+        # apart: a dedupe by value (np.unique) would write 0.0 for -0.0.
+        rows = symmat.CAMPAIGN_CHUNK + 1
+        xy = (np.stack(np.divmod(np.arange(rows), 46), axis=1) - 23) * 0.0625
+        u = 0.5 * (xy[:, 0] ** 2 + xy[:, 1] ** 2) - 1.0   # mirror-symmetric
+        signed = np.resize([0.0, -0.0, np.nan, -0.0, np.inf, 0.0, -np.inf, 5e-324, -0.0], rows)
+        assert not xy[:, 0].flags.c_contiguous
+        sol = SimpleNamespace(profile_columns=lambda: ("x y u", [xy[:, 0], xy[:, 1], u]))
+        pf_list = [SimpleNamespace(alpha=1.0, gamma=0.5, phi=signed),
+                   SimpleNamespace(alpha=0.5, gamma=1.0, phi=-signed)]
+        path = tmp_path / "profile.dat"
+        cli._write_profile_data(sol, path, pf_list)
+        text = path.read_text()
+        assert text == self._profile_reference("x y u", [xy[:, 0], xy[:, 1], u], pf_list)
+        assert " -0.0 0.0\n" in text and " 0.0 -0.0\n" in text
+
+    @pytest.mark.parametrize("domain, source", [("disk:1", "const:1"), ("ellipse:2,1", "exp-dec")])
+    def test_profile_data_of_a_lattice_solve(self, tmp_path, domain, source):
+        # The P-function list `verify` builds: gamma 1/2 and 1, alpha 1 and 0.5.
+        f = parse_source(source)
+        sol = solver.solve_grid2d(parse_domain(domain), f, 1.0 / 16)
+        pf_list = [] if domain == "disk:1" else [
+            analysis.pfunction_field(sol, f, analysis.PFunctionSpec(alpha=alpha, gamma=gamma))
+            for gamma in analysis.GAMMA_CHOICES for alpha in (1.0, 0.5)]
+        path = tmp_path / "profile.dat"
+        cli._write_profile_data(sol, path, pf_list)
+        names, columns = sol.profile_columns()
+        assert path.read_text() == self._profile_reference(names, columns, pf_list)
 
 
 class TestIdentityScanCommand:
