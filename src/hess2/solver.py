@@ -13,11 +13,12 @@ Three solvers:
   and integrate the weight s^(N-1) exactly against the quartic interpolant
   (product integration), so dividing by powers of r and differentiating the
   result keeps defect measurements clean near r = 0 in every dimension.
+  The Picard map T is homogeneous of degree 1/2, so for f = lam (-u)^p the
+  passes iterate only the shape w = T[|w|^p]/s, s = max |T[|w|^p]|, at sup
+  norm 1 (`_radial_passes`), and u = A w with A^(1-p/2) = sqrt(lam) s, p < 2.
 
-* `solve_eigen_radial` - the eigenvalue problem S2(D^2 u) = lambda (-u)^2 on a
-  ball in any dimension N >= 2 by inverse iteration: one Picard pass with the
-  previous normalized iterate as data, renormalize in sup norm, read the
-  eigenvalue off the normalization.
+* `solve_eigen_radial` - the same shape passes at p = 2, inverse iteration for
+  S2(D^2 u) = lambda (-u)^2 on a ball in any dimension N >= 2: lambda = 1/s^2.
 
 * `solve_grid2d` - the planar case, where S2 is the Hessian determinant, by
   damped Newton on central differences with one-sided curved-boundary stencils
@@ -60,9 +61,8 @@ MIN_NORMAL_ALIGNMENT = 0.5
 #: one critical point; a wider spread is reported as separated minima.
 MINIMUM_CLUSTER_STEPS = 3.0
 
-# Iteration controls of the radial, eigenvalue and grid solvers.
-#: Picard stops at max |u_new - u| <= PICARD_TOL max |u|, inverse iteration
-#: at |delta lambda| <= EIGEN_TOL lambda: both relative, so both scale-covariant.
+# Iteration controls of the radial and grid solvers.
+#: Radial passes stop at max |u_new - u| <= PICARD_TOL max |u|, so scale-covariant.
 PICARD_TOL = 1e-13
 PICARD_MAX_ITER = 400
 #: Newton stops at |S2 - f| <= NEWTON_RTOL max |f(u)|, or NEWTON_TOL where f(u) = 0.
@@ -72,8 +72,6 @@ NEWTON_MAX_ITER = 50
 NEWTON_MIN_STEP = 1e-6
 GMRES_RTOL, GMRES_RESTART = 1e-3, 30
 ANDERSON_DEPTH = 5
-EIGEN_TOL = 1e-11
-EIGEN_MAX_ITER = 400
 #: Intervals on [0, R] of the radial and eigenvalue solvers (`--nodes`).
 RADIAL_NODES = 1024
 
@@ -343,98 +341,99 @@ def _check_pass(label: str, n_dim: int, r: np.ndarray, u: np.ndarray) -> None:
     raise SolverError(f"{label} produced {what} in dimension {n_dim} ({cause})")
 
 
-def _subnormal_integral(profile: RadialProfile, f: SourceTerm) -> bool:
-    """Whether the Picard integral of f(u) s^(N-1) up to the first node r_1 is
-    below the smallest normal float."""
-    h = profile.radius / (len(profile.r) - 1)
-    g = cumulative_quartic(np.maximum(f.f(profile.u), 0.0), h, power=profile.dim - 1)
-    return g[1] < np.finfo(float).tiny
+def _source_values(f: SourceTerm, u: np.ndarray, where: str, n_dim: int) -> np.ndarray:
+    """f(u) as Picard data; raises where it is not finite or is negative."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f.f(u), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise SolverError(f"{where} overflowed the source in dimension {n_dim} (f = "
+                          f"{f.label()} is not finite at u_min = {float(np.min(u)):.3e})")
+    if np.any(vals < -1e-14):
+        raise SolverError("source became negative during the radial solve")
+    return np.maximum(vals, 0.0)
 
 
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
-    """The profile with its residual sup, once its Hessian passes the cone check
-    (`_check_pass` has made u negative inside the ball).  S1 and S2 come from the
-    diagonal Hessian (u'', u'/r) with multiplicities (1, N-1); at r = 0 both are
-    u''(0), which gives S2 = C(N, 2) u''(0)^2."""
+    """The profile with its residual sup, once f(u) is finite and its Hessian
+    passes the cone check (`_check_pass` has made u negative inside the ball).
+    S1 and S2 come from the diagonal Hessian (u'', u'/r) with multiplicities
+    (1, N-1); at r = 0 both are u''(0), which gives S2 = C(N, 2) u''(0)^2."""
+    fu = _source_values(f, profile.u, "radial solve", profile.dim)
     hess = profile.hessian()
     s1, s2 = invariants(hess, profile.multiplicity)
-    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - f.f(profile.u)))))
+    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - fu))))
     if np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(hess)))):
         reason = "trace of the Hessian left the admissible cone"
-        # A subnormal r^(N-2) at the first nodes, or a subnormal Picard
-        # integral, keeps the passes finite but costs them their precision.
+        # A subnormal r^(N-2) at the first nodes, or a subnormal Picard integral
+        # up to r_1, keeps the passes finite but costs them their precision.
         if _subnormal_power(profile.r, profile.dim):
             reason += (f" in dimension {profile.dim} (r^{profile.dim - 2} is subnormal "
                        "near the origin)")
-        elif _subnormal_integral(profile, f):
+        elif (cumulative_quartic(fu, profile.h_eff, power=profile.dim - 1)[1]
+              < np.finfo(float).tiny):
             reason += (f" in dimension {profile.dim} (the Picard integral is subnormal "
                        "near the origin)")
         raise SolverError(reason)
     return profile
 
 
+def _radial_passes(label: str, n_dim: int, r: np.ndarray, h: float,
+                   f: SourceTerm | None, p: float = 0.0):
+    """Picard passes u <- T[f(u)] from (r^2 - R^2)/2, or with f None shape passes
+    w <- T[|w|^p]/s from (r^2 - R^2)/R^2, until max |u_new - u| <= PICARD_TOL max |u_new|:
+    (u, u', passes, last delta, s), s the last pass's sup norm before rescaling."""
+    radius = r[-1]
+    u = 0.5 * (r**2 - radius**2) if f else (r**2 - radius**2) / radius**2
+    for k in range(1, PICARD_MAX_ITER + 1):
+        where = f"{label} {k}"
+        v, vp = _picard_pass(n_dim, r, h,
+                             _source_values(f, u, where, n_dim) if f else np.abs(u) ** p)
+        _check_pass(where, n_dim, r, v)
+        s = float(np.max(np.abs(v)))
+        first = s if k == 1 else first
+        if p == 2 and not 0.0 < (1.0 / (s * s) if s * s > 0 else math.inf) < math.inf:
+            raise SolverError(f"{where} produced an eigenvalue 1/s^2 out of float range in "
+                              f"dimension {n_dim} (sup norm s = {s:.3e})")
+        if not f:
+            v, vp = v / s, vp / s
+        delta, u = float(np.max(np.abs(v - u))), v
+        if delta <= PICARD_TOL * (s if f else 1.0):
+            return u, vp, k, delta, s
+    raise SolverError(f"radial Picard iteration did not converge (last delta {delta:.3e} "
+                      f"at max |u| {s:.3e} after {PICARD_MAX_ITER} passes, "
+                      f"from max |u| {first:.3e} after pass 1)")
+
+
 def solve_radial(n_dim: int, radius: float, f: SourceTerm,
                  nodes: int = RADIAL_NODES) -> RadialProfile:
-    """Admissible radial solution on a ball, by Picard iteration on the integral form
-    over `nodes` intervals."""
+    """Admissible radial solution on a ball by Picard passes over `nodes` intervals;
+    for f = lam (-u)^p, p < 2, passes of the shape w, and u = (sqrt(lam) s)^(2/(2-p)) w."""
     r, h = _radial_grid(n_dim, radius, nodes)
-    u = 0.5 * (r**2 - radius**2)
-    delta = math.inf
-    for it in range(1, PICARD_MAX_ITER + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(f.f(u), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise SolverError(f"radial Picard pass {it} overflowed the source in dimension "
-                              f"{n_dim} (f = {f.label()} is not finite at u_min = "
-                              f"{float(np.min(u)):.3e})")
-        if np.any(vals < -1e-14):
-            raise SolverError("source became negative during the radial solve")
-        u_new, up = _picard_pass(n_dim, r, h, np.maximum(vals, 0.0))
-        _check_pass(f"radial Picard pass {it}", n_dim, r, u_new)
-        delta, u = float(np.max(np.abs(u_new - u))), u_new
-        amplitude = float(np.max(np.abs(u)))
-        if it == 1:
-            first = amplitude
-        if delta <= PICARD_TOL * amplitude:
-            break
+    if f.preset != "power" or f.params[1] >= 2:
+        u, up, it, delta, _ = _radial_passes("radial Picard pass", n_dim, r, h, f)
     else:
-        raise SolverError(f"radial Picard iteration did not converge (last delta {delta:.3e} "
-                          f"at max |u| {amplitude:.3e} after {PICARD_MAX_ITER} passes, "
-                          f"from max |u| {first:.3e} after pass 1)")
+        lam, p = f.params
+        w, wp, it, delta, s = _radial_passes("radial Picard pass", n_dim, r, h, None, p)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            amp = float(np.float64(math.sqrt(lam) * s) ** (2.0 / (2.0 - p)))
+            u, up = amp * w, amp * wp
+        if not (amp >= np.finfo(float).tiny and np.all(np.isfinite(up))):
+            raise SolverError(f"radial solve amplitude A = {amp:.3e} takes u or u' out of float "
+                              f"range in dimension {n_dim} (f = {f.label()})")
     return _finish_radial(RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=up,
                                         picard_iterations=it, picard_delta=delta), f)
 
 
 def solve_eigen_radial(n_dim: int, radius: float,
                        nodes: int = RADIAL_NODES) -> tuple[float, RadialProfile]:
-    """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^N.
-
-    Inverse iteration with sup-norm normalization: each step is one Picard
-    pass, since its data u^2 does not depend on the new iterate.  The returned
-    profile has sup norm 1, the eigenvalue is the inverse square of the last
-    pass's sup norm, and `picard_iterations` counts the steps.
-    """
+    """First eigenpair of S2(D^2 u) = lambda (-u)^2 on a ball in R^N: the shape
+    passes at p = 2, with sup norm 1, and lambda = 1/s^2."""
     r, h = _radial_grid(n_dim, radius, nodes)
-    u = (r**2 - radius**2) / radius**2   # sup norm 1, at the origin
-    lam = math.inf
-    for k in range(1, EIGEN_MAX_ITER + 1):
-        v, vp = _picard_pass(n_dim, r, h, u**2)
-        _check_pass(f"inverse iteration step {k}", n_dim, r, v)
-        s = float(np.max(np.abs(v)))
-        lam_prev, lam = lam, 1.0 / (s * s) if s * s > 0 else math.inf
-        if not 0.0 < lam < math.inf:
-            raise SolverError(f"inverse iteration step {k} produced an eigenvalue 1/s^2 out of "
-                              f"float range in dimension {n_dim} (sup norm s = {s:.3e})")
-        delta = abs(lam - lam_prev)
-        u = v / s
-        if delta <= EIGEN_TOL * lam:
-            break
-    else:
-        raise SolverError(f"inverse iteration stagnated before the eigenvalue settled "
-                          f"(|delta lambda| {delta:.3e} after {k} steps)")
-    profile = RadialProfile(dim=n_dim, radius=radius, r=r, u=u, up=vp / s,
-                            picard_iterations=k, picard_delta=delta)
-    return lam, _finish_radial(profile, eigen_source(lam))
+    u, up, k, delta, s = _radial_passes("inverse iteration step", n_dim, r, h, None, 2.0)
+    lam = 1.0 / (s * s)
+    return lam, _finish_radial(RadialProfile(
+        dim=n_dim, radius=radius, r=r, u=u, up=up, picard_iterations=k, picard_delta=delta),
+        eigen_source(lam))
 
 
 # ----------------------------------------------------------------------

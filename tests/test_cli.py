@@ -533,8 +533,17 @@ class TestSolveCommand:
          r"radial Picard pass 2 overflowed the source in dimension 3 \(f = exp-dec:1000 "),
         (["solve", "--radial", "--dim", "8", "--f", "exp-dec:30"],
          r"radial Picard pass 2 overflowed the source in dimension 8 \(f = exp-dec:30 "),
+        # The amplitude is finite, u_min = -1.649e199, but f(u) = 1e300 |u|^0.5 is not.
         (["verify", "--app", "3", "--p", "0.5", "--lam", "1e300"],
-         r"radial Picard pass 2 overflowed the source in dimension 3 \(f = power:1e\+300,0.5 "),
+         r"radial solve overflowed the source in dimension 3 \(f = power:1e\+300,0.5 is not "
+         r"finite at u_min = -1\.649e\+199\)\n"),
+        # The scaling law's amplitude over- and underflows: u = lam^100 (shape).
+        (["solve", "--radial", "--f", "power:1048576,1.99"],
+         r"radial solve amplitude A = inf takes u or u' out of float range in "
+         r"dimension 3 "),
+        (["solve", "--radial", "--f", "power:9.5367431640625e-07,1.99"],
+         r"radial solve amplitude A = 0\.000e\+00 takes u or u' out of float range in "
+         r"dimension 3 "),
         # The solution, u = 1e4 (r^2 - R^2)/2, reaches -3.2e309 at the center.
         (["solve", "--grid2d", "--f", "const:1e8", "--domain", "disk:8e152", "--h", "8e151"],
          r"warm start: the closed form is not finite or off the discrete elliptic branch "
@@ -547,8 +556,8 @@ class TestSolveCommand:
          r"warm start overflowed the source \(f = exp-dec:0.5 is not finite at "
          r"u_min = -5\.000e\+199\)"),
     ], ids=["exp-dec-20", "exp-dec-50", "exp-dec-1000", "dim8-exp-dec-30", "app3-lam-1e300",
-            "grid-disk-8e152-const-1e8", "verify-disk-8e152-const-1e8",
-            "grid-disk-1e100-exp-dec"])
+            "power-amplitude-inf", "power-amplitude-0", "grid-disk-8e152-const-1e8",
+            "verify-disk-8e152-const-1e8", "grid-disk-1e100-exp-dec"])
     def test_overflow_exits_three_without_warnings(self, tmp_path, argv, reason):
         # A fresh process, as the console script runs: pytest's warning filter
         # cannot hide a RuntimeWarning printed to stderr there.
@@ -825,7 +834,7 @@ class TestVerifyCommand:
             bounds = json.loads((out / "report.json").read_text())["bounds"]
             r2 = float(radius) ** 2
             assert bounds["gamma=0.5"]["pointwise_min_slack"] * r2 == 0.0015270710014225752
-            assert bounds["gamma=0.5"]["slack"] * r2 == 3.750881578417416
+            assert bounds["gamma=0.5"]["slack"] * r2 == 3.750881578418774
             gamma1.add(bounds["gamma=1"]["slack"] * r2)
         assert len(gamma1) == 3
 

@@ -800,11 +800,60 @@ class TestRadialStops:
         assert scaled == pytest.approx([scaled[2]] * len(self.KS), rel=1e-9)
 
     def test_unconverged_picard_names_its_amplitude(self):
-        # Near p = 2 each pass closes only about 1 - p/2 of the gap to the
-        # solution, and the iterate is still falling after the last pass.
+        # Just below the fold R* ~ 2.718 of exp-dec:0.5 in N = 3 the Picard map
+        # barely contracts, and the iterate is still growing after the last pass.
         with pytest.raises(SolverError, match=r"did not converge \(last delta .* at max \|u\| .* "
                            r"after \d+ passes, from max \|u\| \S+ after pass 1\)"):
-            solve_radial(2, 1.0, power_source(1.0, 1.99))
+            solve_radial(3, 2.717, solver.exp_decreasing_source(0.5))
+
+
+class TestRadialShapePasses:
+    # u_min of power:1,p on the unit ball (1024 nodes) by plain Picard passes,
+    # which took 22 to 391 passes, and the first eigenvalue by inverse iteration
+    # stopped at |delta lambda| <= 1e-11 lambda.
+    PICARD_U_MIN = {(2, 0.5): -0.353796072176438, (2, 1.5): -0.023678939464705086,
+                    (2, 1.85): -1.9530702712559812e-06, (3, 0.5): -0.1649070337246389,
+                    (3, 1.5): -0.0019089805637377225, (3, 1.85): -3.277517627970842e-10}
+    EIGENVALUES = {2: 7.490039398670692, 3: 28.143464172961405, 4: 68.27035337289051,
+                   5: 134.82920302741917, 6: 235.4200566809176, 7: 378.2739917146456,
+                   8: 572.2425190077413}
+
+    @pytest.mark.parametrize("n_dim, p", list(PICARD_U_MIN))
+    def test_shape_passes_match_plain_picard(self, n_dim, p):
+        prof = solve_radial(n_dim, 1.0, power_source(1.0, p))
+        assert prof.u_min == pytest.approx(self.PICARD_U_MIN[n_dim, p], rel=1e-11)
+        assert prof.picard_iterations <= 20
+
+    @pytest.mark.parametrize("n_dim, p, u_min, shooting", [
+        (2, 1.9, -2.373517688367424e-09, -2.3735e-9),
+        (2, 1.99, -4.6897363329842796e-88, -4.6897e-88),
+        (3, 1.9, -4.8313701498013146e-15, -4.8314e-15),
+        (3, 1.99, -1.736600658449164e-145, -1.7366e-145)])
+    def test_exponents_near_two_solve(self, n_dim, p, u_min, shooting):
+        # The values agree with an initial-value solve from the centre
+        # (shooting) to the 5 digits it was recorded with.
+        prof = solve_radial(n_dim, 1.0, power_source(1.0, p))
+        assert prof.u_min == pytest.approx(u_min, rel=1e-9)
+        assert prof.u_min == pytest.approx(shooting, rel=1e-4)
+        assert prof.ode_residual_sup <= 1e-6 * (-prof.u_min) ** p
+
+    @pytest.mark.parametrize("p", [0.5, 1.5])
+    def test_amplitude_follows_the_scaling_law(self, p):
+        # u = lam^(1/(2-p)) (shape): the shape passes do not see lam at all.
+        ratios = [solve_radial(3, 1.0, power_source(2.0 ** k, p)).u_min / 2.0 ** (k / (2 - p))
+                  for k in (-20, -3, 0, 5, 20)]
+        assert ratios == pytest.approx([ratios[2]] * 5, rel=1e-14)
+
+    @pytest.mark.parametrize("n_dim", list(EIGENVALUES))
+    def test_eigenvalues_match_inverse_iteration(self, n_dim):
+        lam, _ = solve_eigen_radial(n_dim, 1.0)
+        assert lam == pytest.approx(self.EIGENVALUES[n_dim], rel=1e-11)
+
+    @pytest.mark.parametrize("lam, value", [(2.0 ** 20, "inf"), (2.0 ** -20, r"0\.000e\+00")])
+    def test_amplitude_out_of_float_range_is_named(self, lam, value):
+        with pytest.raises(SolverError, match=f"radial solve amplitude A = {value} takes u or "
+                           "u' out of float range in dimension 2"):
+            solve_radial(2, 1.0, power_source(lam, 1.99))
 
 
 class TestPowerStart:
