@@ -7,19 +7,53 @@ import functools
 import numpy as np
 
 from .errors import NumericalError
+from .symmat import eigenvalues
 
 
 SIMPSON_MAX_DEPTH = 48  # bisection levels before adaptive_simpson gives up
+
+
+def _legendre_series(x: np.ndarray, c: list) -> np.ndarray:
+    """sum_k c[k] P_k(x) for len(c) >= 3, by Clenshaw's recurrence in the order
+    of operations of `numpy.polynomial.legendre.legval`."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], n >= 3, as
+    `numpy.polynomial.legendre.leggauss(n)` computes it, bit for bit.
+
+    The points are the eigenvalues of P_n's symmetric companion matrix (Golub &
+    Welsch, Math. Comp. 23, 1969), refined by one Newton step whose P_n' is also
+    the weights'; the weights 1/(P_n' P_(n-1)) are then symmetrised with the
+    points and scaled to sum 2.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = eigenvalues(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * n + [1.0]
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dp_n = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    df = _legendre_series(x, dp_n)
+    x = x - _legendre_series(x, p_n) / df
+    fm = _legendre_series(x, p_n[1:])
+    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
 
 
 @functools.cache
 def _quartic_rule(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss points on [0, 1], their weights and the window basis for `power`.
 
-    Built on first use per power: numpy loads `numpy.polynomial` only when
-    it is first reached, so importing the package stays cheap.
+    Built on first use per power and kept; the power//2 + 3 Gauss-Legendre
+    points come from `_gauss_legendre`, so no command loads `numpy.polynomial`.
     """
-    x, a = np.polynomial.legendre.leggauss(power // 2 + 3)
+    x, a = _gauss_legendre(power // 2 + 3)
     x = 0.5 * (x + 1.0)                   # Gauss points on [0, 1]
     # basis[o, g, k]: Lagrange polynomial of window node k at point g of the
     # interval at offset o in its window, as prod over i != k of (t-i)/(k-i).

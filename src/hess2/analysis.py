@@ -16,8 +16,7 @@ sources; reports carry the convention they were evaluated under.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,22 +36,30 @@ GAMMA_CHOICES = (0.5, 1.0)
 BOUND_TOL = 1e-6  # slack a bound report may miss by and still hold
 
 
-@dataclass(frozen=True)
-class PFunctionSpec:
-    """Parameters of the auxiliary field: alpha and the source exponent."""
-
+class _PFunctionParams(NamedTuple):
     alpha: float
     gamma: float = 0.5
 
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
+
+class PFunctionSpec(_PFunctionParams):
+    """Parameters of the auxiliary field: alpha and the source exponent, checked
+    whenever a spec is made, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, gamma: float = 0.5):
+        if not math.isfinite(alpha):
             raise InputError("alpha must be finite")
-        if self.gamma not in GAMMA_CHOICES:
+        if gamma not in GAMMA_CHOICES:
             raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
+        return super().__new__(cls, alpha, gamma)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PFunctionField:
+class PFunctionField(NamedTuple):
     """The auxiliary field sampled on a solution's nodes and boundary."""
 
     alpha: float
@@ -76,8 +83,7 @@ class PFunctionField:
         return self.boundary_grad_sq
 
 
-@dataclass(frozen=True)
-class PrincipleVerdict:
+class PrincipleVerdict(NamedTuple):
     """Comparison of interior and boundary extremes of a scalar field."""
 
     mode: str                       # "min" | "max"
@@ -91,8 +97,7 @@ class PrincipleVerdict:
     distance_argextreme_to_boundary: float
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """A priori bound audit: global slack at the critical point and pointwise."""
 
     application: int
@@ -106,8 +111,7 @@ class BoundsReport:
     holds: bool
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
+class CriticalPointReport(NamedTuple):
     """Hessian data at the interior minimum of a solution."""
 
     location: np.ndarray

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
 import gc
 import inspect
 import itertools
@@ -20,9 +19,8 @@ import json
 import shutil
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -49,12 +47,11 @@ def _flag_names(tokens: list) -> list:
     return [tok.partition("=")[0][2:] for tok in tokens if tok.startswith("--")]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved options of one command, as a flat canonical key/value map."""
 
     command: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
     def canonical_text(self) -> str:
         lines = [f"command={self.command}"]
@@ -448,9 +445,9 @@ def cmd_verify(args) -> int:
     for spec in units:
         unit = analysis.pfunction_field(sol, f, spec)
         rep = analysis.bounds_report(unit, scan, f, args.app)
-        report_bounds[f"gamma={spec.gamma:g}"] = dataclasses.asdict(rep)
+        report_bounds[f"gamma={spec.gamma:g}"] = rep._asdict()
         for alpha in alphas:
-            pf = dataclasses.replace(unit, alpha=alpha)
+            pf = unit._replace(alpha=alpha)
             pf_saved.append(pf)
             verdict = analysis.verify_principle(pf, "min")
             rows.append((sol.domain_label, f.label(), alpha, spec.gamma, verdict.margin,

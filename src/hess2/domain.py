@@ -10,8 +10,7 @@ what one-sided curved-boundary stencils consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ MIN_SPAN = 16
 COORD_LIMIT = math.sqrt(np.finfo(float).max) / 16
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     """A bounded convex domain: a convex polygon, or an axis-aligned ellipse about the
     origin, which is a disk when its semi-axes are equal."""
 
@@ -266,8 +264,7 @@ def ray_crossing(spec: DomainSpec, origin, direction) -> np.ndarray:
         return np.where((t > 0) & (t < np.inf), t, np.nan)
 
 
-@dataclass(frozen=True)
-class BoundaryCrossings:
+class BoundaryCrossings(NamedTuple):
     """The axis stencil arms leaving the domain, one row per (node, slot).
 
     Rows are ordered by node, then by the arm's place in AXIS_SLOTS.
@@ -279,8 +276,7 @@ class BoundaryCrossings:
     normal: np.ndarray       # (c, 2) outward unit normal at the foot
 
 
-@dataclass(frozen=True)
-class GridMask:
+class GridMask(NamedTuple):
     """Rasterization of a convex domain on a uniform node lattice; `theta` and
     `columns` hold each inside node's stencil arms by STENCIL slot."""
 

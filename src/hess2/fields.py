@@ -9,8 +9,7 @@ and the scalar identities, (..., d) for grad u and (..., d, d) for Hessians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,7 @@ FD_STEP = 1e-4   # central-difference step of finite_difference_consistency
 FD_RTOL = 1e-6   # worst relative disagreement it accepts
 
 
-@dataclass(frozen=True)
-class SyntheticField:
+class SyntheticField(NamedTuple):
     """A scalar field with closed-form value, gradient and Hessian evaluators,
     mapping points (..., d) to (...), (..., d) and (..., d, d)."""
 
@@ -45,8 +43,7 @@ class SyntheticField:
         return np.asarray(self.fn_hess(np.asarray(x, dtype=float)), dtype=float)
 
 
-@dataclass(frozen=True)
-class CurvatureProbe:
+class CurvatureProbe(NamedTuple):
     """Level-set curvature data at one point, or per point of a stack."""
 
     point: np.ndarray

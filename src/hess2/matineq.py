@@ -27,7 +27,7 @@ route on a stack of one, with its residual check and range rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _OVERFLOW = "{} overflows the residuals or their scale 1 + |A|_F^3 |v|^2{}"
 _UNDERFLOW = "{} underflows |A|_F^3 |v|^2 in every sample{}, so every check would pass vacuously"
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(NamedTuple):
     """The comatrix inequality on a (matrix, vector) pair: each field is a number,
     or an array over a stack of pairs."""
 
@@ -55,8 +54,7 @@ class InequalityRecord:
     matrix_sign: np.ndarray       # "positive" | "negative" | "indefinite"
 
 
-@dataclass(frozen=True)
-class ContractionScalars:
+class ContractionScalars(NamedTuple):
     """The scalars r=|v|^2, s=tr A, q=<Av,v>, t=|Av|^2 of a contraction identity set."""
 
     r: np.ndarray
@@ -65,8 +63,7 @@ class ContractionScalars:
     t: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
+class ExpansionCoeffs(NamedTuple):
     """Coefficients of a^3, a^2 b, a b^2, b^3 in the composed-Hessian functional."""
 
     m30: np.ndarray
@@ -304,8 +301,7 @@ def expansion_coefficients(a_u, grad_u) -> ExpansionCoeffs:
     return ExpansionCoeffs(m30=m30, m21=m21, m12=m12, m03=m03)
 
 
-@dataclass(frozen=True)
-class CampaignWitness:
+class CampaignWitness(NamedTuple):
     """The worst sample of a dimension: sample_batch(seed, dim, sign, scale, 1,
     first=index) draws it again, and its residuals are reproduced bit for bit."""
 
@@ -316,8 +312,7 @@ class CampaignWitness:
     residual_closed: float
 
 
-@dataclass(frozen=True)
-class DimCampaignSummary:
+class DimCampaignSummary(NamedTuple):
     """Per-dimension outcome of an inequality sampling campaign."""
 
     dim: int
@@ -329,8 +324,7 @@ class DimCampaignSummary:
     witness: CampaignWitness
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Inequality campaign outcome, one summary per dimension."""
 
     seed: int

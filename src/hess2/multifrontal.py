@@ -32,7 +32,7 @@ never read back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def _size_classes(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.concatenate(([0], np.flatnonzero(np.diff(octave[order])) + 1, [width.size]))
 
 
-@dataclass
-class _Class:
+class _Class(NamedTuple):
     """Symbolic data of one size class of a level's boxes, over its B boxes."""
 
     s: np.ndarray         # (B, s) separator nodes, padded with n

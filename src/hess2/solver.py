@@ -38,9 +38,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, ClassVar, Protocol
+from typing import Callable, ClassVar, NamedTuple, Protocol
 
 import numpy as np
 
@@ -76,8 +75,7 @@ ANDERSON_DEPTH = 5
 RADIAL_NODES = 1024
 
 
-@dataclass(frozen=True)
-class SourceTerm:
+class SourceTerm(NamedTuple):
     """Source f(u) with its derivative and whether it is nonincreasing (on u <= 0)."""
 
     preset: str
@@ -204,11 +202,10 @@ class Solution(Protocol):
     def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]: ...
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """Radial solution u(r) on [0, R]: nodes, values and radial derivative."""
 
-    kind: ClassVar[str] = "radial"
+    kind = "radial"
     dim: int
     radius: float
     r: np.ndarray
@@ -361,7 +358,7 @@ def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
     fu = _source_values(f, profile.u, "radial solve", profile.dim)
     hess = profile.hessian()
     s1, s2 = invariants(hess, profile.multiplicity)
-    profile = replace(profile, ode_residual_sup=float(np.max(np.abs(s2 - fu))))
+    profile = profile._replace(ode_residual_sup=float(np.max(np.abs(s2 - fu))))
     if np.min(s1) < -1e-8 * max(1.0, float(np.max(np.abs(hess)))):
         reason = "trace of the Hessian left the admissible cone"
         # A subnormal r^(N-2) at the first nodes, or a subnormal Picard integral
@@ -459,8 +456,7 @@ def _first_derivative_row(theta_plus, theta_minus, h):
     return c_center, c_plus, c_minus
 
 
-@dataclass(frozen=True, eq=False)
-class Stencil:
+class Stencil(NamedTuple):
     """A lattice operator over the inside nodes, zero boundary data: row i holds
     coef[k, i] in column columns[slots[k], i] (`GridMask.columns`), and nothing
     where that arm leaves the domain.  Slots ascend, so their columns do too,
@@ -532,11 +528,11 @@ def build_operators(mask: GridMask) -> dict[tuple[int, int], Stencil]:
     return ops
 
 
-@dataclass(frozen=True, eq=False)
 class Lattice:
     """A planar domain's mask; its operators and their LU's plan are built on first read."""
 
-    mask: GridMask
+    def __init__(self, mask: GridMask):
+        self.mask = mask
 
     @cached_property
     def ops(self) -> dict[tuple[int, int], Stencil]:
@@ -613,12 +609,11 @@ def spsolve(a: Stencil, b: np.ndarray, lattice: Lattice, lu):
         return _gmres(a, b, lu), lu
 
 
-@dataclass(frozen=True)
-class ScalarField2D:
+class ScalarField2D(NamedTuple):
     """Planar solution on a lattice, zero on the boundary."""
 
-    kind: ClassVar[str] = "grid2d"
-    multiplicity: ClassVar[tuple[int, int]] = (1, 1)     # frame (x, y)
+    kind = "grid2d"
+    multiplicity = (1, 1)   # frame (x, y)
     lattice: Lattice
     u: np.ndarray
     newton_iterations: int = 0
@@ -886,8 +881,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
 # Admissibility reporting
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Margins of the ellipticity cone over all nodes of a solution."""
 
     min_s1: float

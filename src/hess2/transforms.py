@@ -3,8 +3,7 @@ verdict of a convexity scan of a composition U(u)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import math
 
@@ -17,8 +16,7 @@ from .errors import HypothesisError
 CONVEXITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """A scalar transform U with evaluators for U, U' and U''.
 
     The evaluators take a float or an array of floats and apply elementwise.
@@ -90,8 +88,7 @@ def negative_power_transform(p: float) -> Transform:
     )
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Outcome of scanning the composed Hessian over a batch of points."""
 
     transform_name: str

@@ -62,6 +62,11 @@ class TestSourceIntegral:
     def test_gamma_validation(self):
         with pytest.raises(InputError):
             PFunctionSpec(alpha=1.0, gamma=0.75)
+        # A replaced spec is checked as a new one is.
+        with pytest.raises(InputError):
+            PFunctionSpec(alpha=1.0)._replace(gamma=0.75)
+        with pytest.raises(InputError):
+            PFunctionSpec(alpha=1.0)._replace(alpha=float("inf"))
 
 
 class TestPFunctionField:
@@ -310,10 +315,9 @@ class TestBoundsReports:
         # bound scales covariantly (slack and both sides pick up the same
         # factor 4), so its verdict is normalization-independent.  The plain
         # convention scales lhs by 8 and rhs by 4.
-        from dataclasses import replace
         lam, prof = cached_eigen(1.0)
         f = make_source(f"eigen:{lam}")
-        doubled = replace(prof, u=2.0 * prof.u, up=2.0 * prof.up)
+        doubled = prof._replace(u=2.0 * prof.u, up=2.0 * prof.up)
         base = audit_bounds(prof, f, 2, gamma=0.5)
         scaled = audit_bounds(doubled, f, 2, gamma=0.5)
         assert scaled.lhs == pytest.approx(4.0 * base.lhs, rel=1e-9)

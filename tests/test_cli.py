@@ -1043,17 +1043,18 @@ class TestStartup:
     def test_only_planar_solves_load_scipy(self, tmp_path):
         # The planar sparse solves, which alone once loaded scipy, now load the
         # planar LU (`hess2.multifrontal`) in its place; no call loads scipy,
-        # though it is importable, and numpy.polynomial (the radial quadrature
-        # rule) loads on first use.  The planar call at the end, which takes
-        # Newton steps and so factors, shows the check can fail (the default
-        # disk's const:1 solve starts at its solution and factors nothing).
+        # though it is importable, nor numpy.polynomial (the radial Gauss rule is
+        # the package's own) or dataclasses (records are NamedTuples).  The
+        # planar call at the end, which takes Newton steps and so factors, shows
+        # the check can fail (the default disk's const:1 solve starts at its
+        # solution and factors nothing).
         code = textwrap.dedent("""
             import json, sys
             import hess2.cli
 
             def loaded():
                 return sorted(m for m in sys.modules
-                              if m.partition(".")[0] == "scipy"
+                              if m.partition(".")[0] in ("scipy", "dataclasses")
                               or m.startswith(("numpy.polynomial", "hess2.multifrontal")))
 
             seen = [("import", 0, loaded())]
@@ -1070,7 +1071,7 @@ class TestStartup:
         assert seen[0] == ["import", 0, []]
         for name, code, modules in seen[1:]:
             assert code == 0, name
-            assert not [m for m in modules if m.partition(".")[0] == "scipy"], name
+            assert not [m for m in modules if m != "hess2.multifrontal"], name
         for name, code, modules in seen[1:-1]:
             assert "hess2.multifrontal" not in modules, name
         name, code, modules = seen[-1]
@@ -1078,10 +1079,10 @@ class TestStartup:
 
     def test_no_command_loads_scipy(self, tmp_path):
         # Every command runs on numpy alone: scipy is made unimportable, and no
-        # call may fail for it.  The planar LU (`hess2.multifrontal`) and
-        # numpy.polynomial (the radial quadrature rule) load on first use; the
-        # planar calls at the end, which take Newton steps and so factor, show
-        # the check can fail.
+        # call may fail for it.  The planar LU (`hess2.multifrontal`) loads on
+        # first use, and nothing else the check names: numpy.polynomial and
+        # dataclasses load in no call.  The planar calls at the end, which take
+        # Newton steps and so factor, show the check can fail.
         code = textwrap.dedent("""
             import json, sys
             sys.modules["scipy"] = None   # any import of scipy now raises ImportError
@@ -1089,7 +1090,8 @@ class TestStartup:
 
             def loaded():
                 return sorted(m for m in sys.modules
-                              if m.startswith(("numpy.polynomial", "hess2.multifrontal")))
+                              if m.partition(".")[0] == "dataclasses"
+                              or m.startswith(("numpy.polynomial", "hess2.multifrontal")))
 
             seen = [("import", 0, loaded())]
             for k, argv in enumerate(json.loads(sys.argv[1])):
@@ -1107,9 +1109,9 @@ class TestStartup:
         assert seen[0] == ["import", 0, []]
         for name, code, modules in seen[1:-2]:
             assert code == 0, name
-            assert "hess2.multifrontal" not in modules, name
+            assert modules == [], name
         for name, code, modules in seen[-2:]:
-            assert code == 0 and "hess2.multifrontal" in modules, name
+            assert code == 0 and modules == ["hess2.multifrontal"], name
 
     @pytest.mark.parametrize("argv, absent", [
         (["ineq", "--no-records", "--count", "10"],

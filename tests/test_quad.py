@@ -36,25 +36,27 @@ class TestCumulativeQuartic:
         with pytest.raises(NumericalError):
             cumulative_quartic(np.ones(4), 0.1)
 
-    def test_rule_built_once_per_power(self, monkeypatch):
+    def test_rule_built_once_per_power(self):
         s = np.linspace(0.0, 1.0, 65)
         y = np.exp(s)
         _quad._quartic_rule.cache_clear()
         first = {p: cumulative_quartic(y, s[1], p) for p in (0, 1, 5)}
-        degrees = []
-        leggauss = np.polynomial.legendre.leggauss
-
-        def counting(deg):
-            degrees.append(deg)
-            return leggauss(deg)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         _quad._quartic_rule.cache_clear()
         for _ in range(3):
             for p in (0, 1, 5):
                 assert np.array_equal(cumulative_quartic(y, s[1], p), first[p])
-        # Powers 0 and 1 share a point count but are cached apart.
-        assert degrees == [3, 3, 5]
+        # Powers 0 and 1 share a point count but are cached apart: three builds.
+        info = _quad._quartic_rule.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (3, 3, 6)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_gauss_rule_is_numpys_bit_for_bit(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = _quad._gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        assert x.tobytes() == want_x.tobytes()
+        assert w.tobytes() == want_w.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -945,9 +945,8 @@ class TestOperators:
 
 class TestAdmissibilityCounterexample:
     def test_inadmissible_field_flagged(self):
-        from dataclasses import replace
         sol = cached_grid("disk", "const", 1.0 / 64)
-        bad = replace(sol, u=-sol.u)  # concave bump: Delta u < 0
+        bad = sol._replace(u=-sol.u)  # concave bump: Delta u < 0
         rep = admissibility_report(bad)
         assert not rep.admissible
         assert rep.min_s1 < 0
