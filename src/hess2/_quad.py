@@ -92,6 +92,7 @@ def cumulative_quartic(y: np.ndarray, h: float, power: int = 0) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite sum raises, naming its cause
 def adaptive_simpson(func, a, b, rtol: float = 1e-10, atol: float = 1e-300) -> np.ndarray:
     """Adaptive Simpson quadrature of array `func` on each segment [a[i], b[i]], batched.
 
@@ -112,7 +113,9 @@ def adaptive_simpson(func, a, b, rtol: float = 1e-10, atol: float = 1e-300) -> n
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         if not np.all(np.isfinite(left + right)):
             i = np.argmin(np.isfinite(left + right))
-            raise NumericalError(f"non-finite integrand on [{a[i]}, {b[i]}]")
+            finite = np.all(np.isfinite([fa[i], flm[i], fm[i], frm[i], fb[i]]))
+            raise NumericalError(f"{'the integral overflows' if finite else 'non-finite integrand'}"
+                                 f" on [{a[i]}, {b[i]}]")
         err = left + right - whole
         split = ~(np.abs(err) <= 15.0 * np.maximum(atol, rtol * np.abs(left + right)))
         levels.append((left + right + err / 15.0, split))

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .errors import InputError, SolverError
-from .solver import MINIMUM_CLUSTER_STEPS, Solution, SourceTerm
+from .errors import InputError, NumericalError, SolverError
+from .solver import Solution, SourceTerm
 from .symmat import eigenvalues, invariants, jacobi_eigh
 from .transforms import (
     ConvexityReport,
@@ -34,6 +34,9 @@ from .transforms import (
 
 GAMMA_CHOICES = (0.5, 1.0)
 BOUND_TOL = 1e-6  # slack a bound report may miss by and still hold
+#: Near-minimal grid nodes within this many grid steps of their mean count as
+#: one critical point; a wider spread is reported as separated minima.
+MINIMUM_CLUSTER_STEPS = 3.0
 
 
 class _PFunctionParams(NamedTuple):
@@ -75,7 +78,9 @@ class PFunctionField(NamedTuple):
 
     @property
     def phi(self) -> np.ndarray:
-        return self.grad_sq + 2.0 * self.alpha * self.integral
+        # Not finite where alpha times the integral overflows (`verify_principle` refuses it).
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.grad_sq + 2.0 * self.alpha * self.integral
 
     @property
     def boundary_phi(self) -> np.ndarray:
@@ -142,8 +147,17 @@ def source_integral(f: SourceTerm, gamma: float, u_values) -> np.ndarray:
         return val ** gamma
 
     # The absolute floor ends the subdivision at a power source's singular endpoint 0.
-    gaps = adaptive_simpson(integrand, values, np.append(values[1:], 0.0), rtol=1e-10, atol=1e-16)
-    return np.cumsum(gaps[::-1])[::-1][inverse].reshape(u.shape)
+    try:
+        gaps = adaptive_simpson(integrand, values, np.append(values[1:], 0.0),
+                                rtol=1e-10, atol=1e-16)
+        with np.errstate(over="ignore"):
+            integral = np.cumsum(gaps[::-1])[::-1]
+        if not np.all(np.isfinite(integral)):
+            raise NumericalError("the integral overflows")
+    except NumericalError as exc:
+        raise NumericalError(f"int_u^0 f^gamma ds for f = {f.label()}, gamma = {gamma:g}: "
+                             f"{exc}") from None
+    return integral[inverse].reshape(u.shape)
 
 
 def boundary_gradient_samples(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
@@ -175,6 +189,9 @@ def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
     phi = pf.phi[pf.interior]
     pos = pf.positions[pf.interior]
     bphi = pf.boundary_phi
+    if not np.all(np.isfinite(np.append(phi, bphi))):
+        raise NumericalError(f"P-function at alpha = {pf.alpha:g}, gamma = {pf.gamma:g} "
+                             "is not finite on the interior nodes or boundary samples")
     tol_margin = 5.0 * pf.h**2 * max(1.0, float(np.max(np.abs(pf.phi))),
                                      float(np.max(np.abs(bphi))))
     # A max is a min of -phi; a negative margin puts the extreme strictly inside.
@@ -231,7 +248,7 @@ def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
     rhs = float(np.min(pf.boundary_phi))
     lhs = 2.0 * float(np.max(pf.integral))
     slack = lhs - rhs
-    pointwise_min = float(np.min((pf.grad_sq + 2.0 * pf.integral)[pf.interior] - rhs))
+    pointwise_min = float(np.min(pf._replace(alpha=1.0).phi[pf.interior] - rhs))
     holds = bool(hypothesis_ok and slack >= -BOUND_TOL and pointwise_min >= -BOUND_TOL)
     return BoundsReport(application=application, gamma=pf.gamma, lhs=lhs, rhs=rhs,
                         slack=slack, pointwise_min_slack=pointwise_min,

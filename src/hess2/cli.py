@@ -99,8 +99,9 @@ def _config_text(args) -> str:
     return RunConfig(args.command, options).canonical_text()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _write_json(path: Path, payload: dict) -> None:   # arrays as nested lists
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
+                               default=lambda obj: obj.tolist()) + "\n")
 
 
 def _reprs(column) -> np.ndarray:
@@ -204,6 +205,16 @@ def parse_domain(text: str) -> domain.DomainSpec:
     raise InputError(f"unknown domain {text!r}")
 
 
+def _out_base(out: Path) -> Path:
+    """The nearest of `out` and its ancestors that exists (or is a link).  Every
+    command checks it before any work: an `--out` naming a file or a dangling
+    link, or a path through a file, is refused."""
+    base = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not base.is_dir():
+        raise InputError(f"--out {out}: {base} is not a directory")
+    return base
+
+
 # ----------------------------------------------------------------------
 # ineq
 # ----------------------------------------------------------------------
@@ -212,7 +223,7 @@ def _check_records_space(out: Path, count: int, dims: tuple) -> None:
     """Rejects a campaign whose records cannot fit on the file system of `out`,
     counting each row at its shortest, before any output exists."""
     need = RECORD_MIN_BYTES * count * len(dims)
-    base = next(p for p in (out, *out.parents) if p.exists())
+    base = _out_base(out)
     free = shutil.disk_usage(base).free
     if need > free:
         raise InputError(f"count {count} needs at least {need} bytes of records in "
@@ -259,29 +270,14 @@ def cmd_ineq(args) -> int:
             path.unlink(missing_ok=True)
         raise
     out.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "schema": REPORT_SCHEMA,
-        "config": _config_text(args),
-        "sign": args.sign,
-        "ok": result.ok,
-        "per_dim": {
-            str(s.dim): {
-                "count": s.count,
-                "min_residual_over_scale": s.min_residual_over_scale,
-                "max_residual_over_scale": s.max_residual_over_scale,
-                "max_discrepancy_over_scale": s.max_discrepancy_over_scale,
-                "ok": s.ok,
-                "witness": {
-                    "index": s.witness.index,
-                    "matrix": s.witness.matrix.tolist(),
-                    "probe": s.witness.probe.tolist(),
-                    "residual_direct": s.witness.residual_direct,
-                    "residual_closed": s.witness.residual_closed,
-                },
-            } for s in result.summaries
-        },
-    }
-    _write_json(out / "summary.json", summary)
+    per_dim = {}
+    for s in result.summaries:   # each block is its record, keyed by its dim
+        block = per_dim[str(s.dim)] = s._asdict()
+        del block["dim"]
+        block["witness"] = s.witness._asdict()
+    _write_json(out / "summary.json", {"schema": REPORT_SCHEMA, "config": _config_text(args),
+                                       "sign": args.sign, "ok": result.ok,
+                                       "per_dim": per_dim})
     for s in result.summaries:
         status = "ok" if s.ok else "FAIL"
         print(f"dim {s.dim}: min {s.min_residual_over_scale:+.3e} "
@@ -324,19 +320,11 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
 def _solution_summary(sol: solver.Solution, f, extras) -> dict:
     from . import solver
 
-    report = solver.admissibility_report(sol)
+    admissibility = solver.admissibility_report(sol)._asdict()
     _, grads = sol.boundary_samples()
-    body = sol.summary_fields()
-    body.update(u_min=sol.u_min, boundary_gradient_min=float(np.min(grads)),
-                boundary_gradient_max=float(np.max(grads)))
-    body.update(extras)
-    body["source"] = f.label()
-    body["admissibility"] = {
-        "min_s1": report.min_s1, "min_s2": report.min_s2,
-        "min_cofactor_eigenvalue": report.min_cofactor_eigenvalue,
-        "admissible": report.admissible,
-    }
-    return body
+    return {**sol.summary_fields(), **extras, "u_min": sol.u_min, "source": f.label(),
+            "boundary_gradient_min": float(np.min(grads)),
+            "boundary_gradient_max": float(np.max(grads)), "admissibility": admissibility}
 
 
 def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
@@ -365,8 +353,8 @@ def cmd_solve(args) -> int:
     sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"schema": REPORT_SCHEMA, "config": _config_text(args)}
-    summary.update(_solution_summary(sol, f, extras))
+    summary = {"schema": REPORT_SCHEMA, "config": _config_text(args),
+               **_solution_summary(sol, f, extras)}
     solver.save_solution(sol, out / "solution.npz")
     _write_json(out / "summary.json", summary)
     _write_profile_data(sol, out / "profile.dat")
@@ -428,10 +416,10 @@ def cmd_verify(args) -> int:
     config = _config_text(args)
     sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     scan = analysis.convexity_scan_solution(sol, transform)
     if not scan.convex:
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "report.json", {
             "schema": REPORT_SCHEMA, "config": config,
             "skipped": f"convexity hypothesis failed for {transform.name}"})
@@ -454,6 +442,7 @@ def cmd_verify(args) -> int:
                          rep.slack, verdict.holds and rep.holds))
             all_hold &= bool(verdict.holds and rep.holds)
 
+    out.mkdir(parents=True, exist_ok=True)   # only once every verdict is in
     with (out / "verdicts.csv").open("w") as fh:
         fh.write("domain,f,alpha,gamma,margin,slack,holds\n")
         for dom, flabel, alpha, gamma, margin, slack, holds in rows:
@@ -665,6 +654,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _check_typed(args, argv)
+        _out_base(Path(args.out))
         return args.func(args)
     except ToolkitError as exc:
         print(f"{exc.prefix}: {exc}")

@@ -56,10 +56,6 @@ SOLUTION_SCHEMA_VERSION = 2
 #: always covers the same stretch of boundary).
 MIN_NORMAL_ALIGNMENT = 0.5
 
-#: Near-minimal grid nodes within this many grid steps of their mean count as
-#: one critical point; a wider spread is reported as separated minima.
-MINIMUM_CLUSTER_STEPS = 3.0
-
 # Iteration controls of the radial and grid solvers.
 #: Radial passes stop at max |u_new - u| <= PICARD_TOL max |u|, so scale-covariant.
 PICARD_TOL = 1e-13
@@ -279,11 +275,10 @@ class RadialProfile(NamedTuple):
         return "r u up", [self.r, self.u, self.up]
 
     def saved_fields(self) -> tuple[dict, dict[str, np.ndarray]]:
-        header = {"dim": self.dim, "radius": self.radius,
-                  "picard_iterations": self.picard_iterations,
-                  "picard_delta": self.picard_delta,
-                  "ode_residual_sup": self.ode_residual_sup}
-        return header, {"r": self.r, "u": self.u, "up": self.up}
+        header, arrays = {}, {}   # every field: scalars to the header, arrays by name
+        for name, value in self._asdict().items():
+            (arrays if isinstance(value, np.ndarray) else header)[name] = value
+        return header, arrays
 
 
 def _picard_pass(n_dim, r, h, rhs_vals):
@@ -831,17 +826,16 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
 
     # The Laplacian factor dies with the warm start, before Newton factors.
     u, hess = _warm_start(lattice, f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(np.asarray(f.f(u), dtype=float))):
-            raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
-                              f"finite at u_min = {float(np.min(u)):.3e})")
 
     def s2_defect(s2, u):   # S2 - f(u), and the Newton stop on u
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             fu = np.asarray(f.f(u), dtype=float)
             return s2 - fu, NEWTON_RTOL * float(np.max(np.abs(fu))) or NEWTON_TOL
 
     residual, tol = s2_defect(invariants(hess)[1], u)
+    if not math.isfinite(tol):   # f(u) is not finite somewhere
+        raise SolverError(f"warm start overflowed the source (f = {f.label()} is not "
+                          f"finite at u_min = {float(np.min(u)):.3e})")
     res_sup = float(np.max(np.abs(residual)))
     it, lu = 0, None
     while res_sup > tol:
@@ -922,18 +916,13 @@ def load_solution(path):
         if header["schema"] != SOLUTION_SCHEMA_VERSION:
             raise InputError(f"unsupported solution schema {header['schema']}")
         if header["kind"] == "radial":
-            return RadialProfile(dim=header["dim"], radius=header["radius"],
-                                 r=data["r"], u=data["u"], up=data["up"],
-                                 picard_iterations=header["picard_iterations"],
-                                 picard_delta=header["picard_delta"],
-                                 ode_residual_sup=header["ode_residual_sup"])
+            return RadialProfile(*(header[name] if name in header else data[name]
+                                   for name in RadialProfile._fields))
         if header["kind"] == "grid2d":
             dom = header["domain"]
             from .domain import convex_polygon, ellipse as make_ellipse
-            if dom["kind"] == "ellipse":
-                spec = make_ellipse(*dom["semi_axes"])
-            else:
-                spec = convex_polygon(dom["vertices"])
+            spec = (make_ellipse(*dom["semi_axes"]) if dom["kind"] == "ellipse"
+                    else convex_polygon(dom["vertices"]))
             lattice = Lattice(rasterize(spec, header["h"]))
             sol = ScalarField2D(lattice=lattice, u=data["u"],
                                 newton_iterations=header["newton_iterations"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from hess2.analysis import (
     transform_preset,
     verify_principle,
 )
-from hess2.errors import HypothesisError, InputError, SolverError
+from hess2.errors import HypothesisError, InputError, NumericalError, SolverError
 from hess2.fields import ConvexityReport
 from hess2.solver import Lattice, ScalarField2D
 from hess2.symmat import eigenvalues
@@ -58,6 +60,16 @@ class TestSourceIntegral:
     def test_positive_values_rejected(self):
         with pytest.raises(InputError):
             source_integral(make_source("const"), 1.0, np.array([0.5]))
+
+    # f^gamma = 1e300 is finite, its integral is not: over one gap, or over
+    # two gaps of 1e308 each.
+    @pytest.mark.parametrize("u", [[-1e10], [-1e8, -2e8]], ids=["one-gap", "two-gaps"])
+    def test_overflowing_integral_names_source_and_gamma(self, u):
+        f = make_source("const:1e300")
+        np.testing.assert_allclose(source_integral(f, 0.5, np.array(u)), np.abs(u) * 1e150)
+        with pytest.raises(NumericalError, match=r"^int_u\^0 f\^gamma ds for f = const:1e\+300, "
+                                                 r"gamma = 1: the integral overflows"):
+            source_integral(f, 1.0, np.array(u))
 
     def test_gamma_validation(self):
         with pytest.raises(InputError):
@@ -145,6 +157,18 @@ class TestVerifyPrinciple:
         vmax = verify_principle(pf, "max")
         assert not vmax.holds
         assert vmax.distance_argextreme_to_boundary == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_overflowing_field_refused(self, alpha):
+        # 2 alpha overflows: the field is +-inf inside and NaN at the boundary
+        # node, computed without a warning, and no vacuous verdict is given.
+        prof = cached_radial(3, "const")
+        pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=alpha))
+        assert not np.any(np.isfinite(pf.phi[pf.interior]))
+        for mode in ("min", "max"):
+            with pytest.raises(NumericalError, match="^" + re.escape(
+                    f"P-function at alpha = {alpha:g}, gamma = 0.5 is not finite")):
+                verify_principle(pf, mode)
 
     def test_mode_validation(self):
         prof = cached_radial(3, "const")

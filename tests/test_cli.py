@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hess2
-from hess2 import analysis, cli, matineq, solver, symmat, transforms
+from hess2 import analysis, cli, fields, matineq, solver, symmat, transforms
 from hess2.cli import RunConfig, main, parse_dims, parse_domain, parse_source
 from hess2.errors import (HypothesisError, InputError, NumericalError, SolverError,
                           ToolkitError)
@@ -84,6 +84,22 @@ class TestIneqCommand:
             assert lines[0] == ("seed,dim,sign,index,lhs,rhs,residual_direct,"
                                 "residual_closed,scale")
             assert lines[1].startswith(f"42,{dim},positive,0,")
+
+    def test_summary_blocks_are_their_records(self, tmp_path):
+        # A per_dim block is its DimCampaignSummary less dim, its key, and its
+        # witness is its CampaignWitness, arrays as nested lists.
+        out = tmp_path / "schema"
+        assert main(["ineq", "--dims", "2,5", "--count", "50", "--no-records",
+                     "--out", str(out)]) == 0
+        per_dim = json.loads((out / "summary.json").read_text())["per_dim"]
+        result = matineq.inequality_campaign(42, (2, 5), 50, "positive")
+        assert set(per_dim) == {"2", "5"}
+        for s in result.summaries:
+            block = per_dim[str(s.dim)]
+            assert set(block) == set(matineq.DimCampaignSummary._fields) - {"dim"}
+            assert set(block["witness"]) == set(matineq.CampaignWitness._fields)
+            assert block["witness"]["matrix"] == s.witness.matrix.tolist()
+            assert block["witness"]["probe"] == s.witness.probe.tolist()
 
     def test_large_finite_scale(self, tmp_path):
         out = tmp_path / "big"
@@ -290,6 +306,35 @@ class TestOptionParsing:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, sub", [("file", ""), ("file", "sub"), ("dangling-link", "")],
+                             ids=["file", "path-through-file", "dangling-link"])
+    @pytest.mark.parametrize("argv, module, work", [
+        (["solve", "--radial"], solver, "solve_radial"),
+        (["ineq"], matineq, "inequality_campaign"),
+        (["verify", "--app", "1"], solver, "solve_radial"),
+        (["identity-scan"], fields, "sample_points_in_ball"),
+    ], ids=["solve", "ineq", "verify", "identity-scan"])
+    def test_out_that_is_not_a_directory_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                   argv, module, work, kind, sub):
+        # An --out that names a file or a dangling link, or a path through a
+        # file, is refused before any solve, sampling or directory creation.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(module, work, no_work)
+        blocker = tmp_path / "F"
+        if kind == "file":
+            blocker.write_text("mine\n")
+        else:
+            blocker.symlink_to(tmp_path / "missing")
+        out = blocker / sub if sub else blocker
+        assert main([*argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == f"input error: --out {out}: {blocker} is not a directory\n"
+        assert printed.err == ""
+        assert blocker.is_symlink() if kind != "file" else blocker.read_text() == "mine\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
     def test_config_records_false_is_no_records(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("command=ineq\ndims=2\ncount=10\nrecords=False\n")
@@ -332,6 +377,22 @@ class TestSolveCommand:
         assert (out / "solution.npz").exists()
         first = (out / "profile.dat").read_text().splitlines()
         assert first[0].startswith("# r u up")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radial", "--nodes", "64"],
+        ["solve", "--grid2d", "--h", "0.0625"],
+        ["verify", "--app", "1", "--nodes", "64"],
+    ], ids=["radial", "grid2d", "verify"])
+    def test_admissibility_block_is_its_record(self, tmp_path, argv):
+        out = tmp_path / "adm"
+        assert main([*argv, "--out", str(out)]) == 0
+        (path,) = out.glob("*.json")   # summary.json, or verify's report.json
+        report = json.loads(path.read_text())
+        block = report.get("solution", report)["admissibility"]
+        assert set(block) == set(solver.AdmissibilityReport._fields)
+        if argv[0] == "solve":
+            sol = solver.load_solution(out / "solution.npz")
+            assert block == solver.admissibility_report(sol)._asdict()
 
     def test_grid_solve(self, tmp_path):
         out = tmp_path / "grid"
@@ -871,6 +932,29 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "v")])
         assert code == exit_code
         assert calls == {"source_integral": 2, "convexity_scan_solution": 1}
+
+
+    # A P-function or a source integral out of the float range: one line naming
+    # alpha and gamma, or the source and gamma, exit 1 and no report.
+    @pytest.mark.parametrize("flags, reason", [
+        (["--alpha", "1e308"], r"P-function at alpha = 1e\+308, gamma = 0\.5 is not finite "
+                               r"on the interior nodes or boundary samples"),
+        (["--f", "const:1e300"], r"int_u\^0 f\^gamma ds for f = const:1e\+300, gamma = 1: "
+                                 r"the integral overflows on \[-2\.88"),
+        # Each gap's integral is finite; their sum, 2.9e308, is not.
+        (["--f", "const:1e206"], r"int_u\^0 f\^gamma ds for f = const:1e\+206, gamma = 1: "
+                                 r"the integral overflows\n"),
+        # The integral, 1.1e308, is finite; twice it, the alpha = 1 field, is not.
+        (["--f", "const:7e205"], r"P-function at alpha = 1, gamma = 1 is not finite "),
+    ], ids=["alpha-1e308", "const-1e300", "const-1e206", "const-7e205"])
+    def test_overflowing_pfunction_exits_one_without_warnings(self, tmp_path, flags, reason):
+        code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
+        done = _run_python(code, "verify", "--app", "1", "--nodes", "64", *flags,
+                           "--out", str(tmp_path / "out"), check=False)
+        assert done.returncode == 1
+        assert re.match(f"numerical failure: {reason}", done.stdout), done.stdout
+        assert done.stdout.count("\n") == 1 and done.stderr == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestCampaignScanVerifyInputs:

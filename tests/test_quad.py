@@ -205,6 +205,11 @@ class TestSimpsonGuards:
         with pytest.raises(NumericalError, match=r"non-finite integrand on \[-1\.0, 0\.0\]"):
             _quad.adaptive_simpson(lambda x: np.full_like(x, np.nan), [-1.0, 0.0], [0.0, 1.0])
 
+    def test_overflowing_sums_named_apart_from_the_integrand(self):
+        # A finite integrand whose Simpson sums overflow, without a warning.
+        with pytest.raises(NumericalError, match=r"^the integral overflows on \[0\.0, 1e\+200\]$"):
+            _quad.adaptive_simpson(lambda x: np.full_like(x, 1e300), [0.0, 0.0], [1.0, 1e200])
+
     def test_depth_exhaustion_names_the_segment(self):
         def step(x):
             return np.where(x > 0.3, 1.0, 0.0)

@@ -958,10 +958,14 @@ class TestSerialization:
         path = tmp_path / "radial.npz"
         save_solution(prof, path)
         back = load_solution(path)
-        assert back.dim == prof.dim and back.radius == prof.radius
-        assert back.u.tobytes() == prof.u.tobytes()
-        assert back.up.tobytes() == prof.up.tobytes()
-        assert back.r.tobytes() == prof.r.tobytes()
+        assert type(back) is type(prof)
+        for name, value in prof._asdict().items():   # every field, arrays by bytes
+            again = getattr(back, name)
+            if isinstance(value, np.ndarray):
+                assert again.dtype == value.dtype and again.tobytes() == value.tobytes(), name
+            else:
+                assert again == value, name
+        assert prof.picard_iterations > 0 and prof.picard_delta > 0
 
     def test_grid_roundtrip_bit_exact(self, tmp_path):
         sol = cached_grid("disk", "const", 1.0 / 32)
