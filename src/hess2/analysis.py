@@ -177,6 +177,16 @@ def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunct
         distance_to_boundary=sol.distance_to_boundary)
 
 
+def _finite_field(pf: PFunctionField) -> tuple[np.ndarray, np.ndarray]:
+    """The field on the interior nodes and on the boundary samples; raises
+    NumericalError, naming alpha and gamma, where either is not finite."""
+    phi, bphi = pf.phi[pf.interior], pf.boundary_phi
+    if not np.all(np.isfinite(np.append(phi, bphi))):
+        raise NumericalError(f"P-function at alpha = {pf.alpha:g}, gamma = {pf.gamma:g} "
+                             "is not finite on the interior nodes or boundary samples")
+    return phi, bphi
+
+
 def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
     """Check whether the field attains its min/max on the boundary.
 
@@ -186,12 +196,8 @@ def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
     """
     if mode not in ("min", "max"):
         raise InputError("mode must be 'min' or 'max'")
-    phi = pf.phi[pf.interior]
+    phi, bphi = _finite_field(pf)
     pos = pf.positions[pf.interior]
-    bphi = pf.boundary_phi
-    if not np.all(np.isfinite(np.append(phi, bphi))):
-        raise NumericalError(f"P-function at alpha = {pf.alpha:g}, gamma = {pf.gamma:g} "
-                             "is not finite on the interior nodes or boundary samples")
     tol_margin = 5.0 * pf.h**2 * max(1.0, float(np.max(np.abs(pf.phi))),
                                      float(np.max(np.abs(bphi))))
     # A max is a min of -phi; a negative margin puts the extreme strictly inside.
@@ -243,12 +249,16 @@ def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
     field at the critical point), rhs the squared minimum boundary gradient;
     the pointwise slack reads the alpha = 1 field whatever alpha `pf` carries.
     The hypothesis: `scan` (the application's transform) is convex, f nonincreasing.
+    An alpha = 1 field that is not finite raises NumericalError, as in
+    `verify_principle`.  A finite one keeps lhs finite too: at the minimum of u
+    the field is at least lhs.
     """
     hypothesis_ok = bool(scan.convex and f.nonincreasing)
-    rhs = float(np.min(pf.boundary_phi))
+    phi, bphi = _finite_field(pf._replace(alpha=1.0))
+    rhs = float(np.min(bphi))
     lhs = 2.0 * float(np.max(pf.integral))
     slack = lhs - rhs
-    pointwise_min = float(np.min(pf._replace(alpha=1.0).phi[pf.interior] - rhs))
+    pointwise_min = float(np.min(phi - rhs))
     holds = bool(hypothesis_ok and slack >= -BOUND_TOL and pointwise_min >= -BOUND_TOL)
     return BoundsReport(application=application, gamma=pf.gamma, lhs=lhs, rhs=rhs,
                         slack=slack, pointwise_min_slack=pointwise_min,
@@ -256,6 +266,7 @@ def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
                         holds=holds)
 
 
+# No command calls this yet: `verify` is to write it (ROADMAP item 22, step 3).
 def critical_point_report(sol: Solution, f: SourceTerm) -> CriticalPointReport:
     """Hessian spectrum and saturation ratio at the solution's interior minimum.
 

@@ -399,6 +399,27 @@ def _verify_source(args) -> solver.SourceTerm | None:
     return f
 
 
+class VerdictRow(NamedTuple):
+    """One verdict of `verify`: its fields head `verdicts.csv`, and its CSV line
+    and stdout line are both written from it."""
+
+    domain: str
+    f: str
+    alpha: float
+    gamma: float
+    margin: float
+    slack: float
+    holds: bool
+
+    def csv_line(self) -> str:
+        return (f"{self.domain},{self.f},{self.alpha:g},{self.gamma:g},{self.margin!r},"
+                f"{self.slack!r},{str(self.holds).lower()}\n")
+
+    def stdout_line(self) -> str:
+        return (f"{self.domain} f={self.f} alpha={self.alpha:g} gamma={self.gamma:g}: "
+                f"margin={self.margin:+.6e} slack={self.slack:+.6e} holds={self.holds}")
+
+
 def cmd_verify(args) -> int:
     from . import analysis
 
@@ -428,7 +449,6 @@ def cmd_verify(args) -> int:
 
     rows = []
     pf_saved = []
-    all_hold = True
     report_bounds = {}
     for spec in units:
         unit = analysis.pfunction_field(sol, f, spec)
@@ -438,16 +458,14 @@ def cmd_verify(args) -> int:
             pf = unit._replace(alpha=alpha)
             pf_saved.append(pf)
             verdict = analysis.verify_principle(pf, "min")
-            rows.append((sol.domain_label, f.label(), alpha, spec.gamma, verdict.margin,
-                         rep.slack, verdict.holds and rep.holds))
-            all_hold &= bool(verdict.holds and rep.holds)
+            rows.append(VerdictRow(sol.domain_label, f.label(), alpha, spec.gamma,
+                                   verdict.margin, rep.slack, verdict.holds and rep.holds))
+    all_hold = all(row.holds for row in rows)
 
     out.mkdir(parents=True, exist_ok=True)   # only once every verdict is in
     with (out / "verdicts.csv").open("w") as fh:
-        fh.write("domain,f,alpha,gamma,margin,slack,holds\n")
-        for dom, flabel, alpha, gamma, margin, slack, holds in rows:
-            fh.write(f"{dom},{flabel},{alpha:g},{gamma:g},{float(margin)!r},"
-                     f"{float(slack)!r},{str(holds).lower()}\n")
+        fh.write(",".join(VerdictRow._fields) + "\n")
+        fh.writelines(row.csv_line() for row in rows)
     payload = {
         "schema": REPORT_SCHEMA, "config": config,
         "application": args.app, "transform": transform.name,
@@ -457,9 +475,8 @@ def cmd_verify(args) -> int:
     }
     _write_json(out / "report.json", payload)
     _write_profile_data(sol, out / "pfunction.dat", pf_saved)
-    for dom, flabel, alpha, gamma, margin, slack, holds in rows:
-        print(f"{dom} f={flabel} alpha={alpha:g} gamma={gamma:g}: "
-              f"margin={margin:+.6e} slack={slack:+.6e} holds={holds}")
+    for row in rows:
+        print(row.stdout_line())
     return 0 if all_hold else 1
 
 
@@ -515,6 +532,10 @@ def cmd_identity_scan(args) -> int:
     factor = float(np.mean(ratios))
     fit_resid = float(np.max(np.abs(ratios - factor)))
 
+    # Gate G04a: M(U'A + U'' v (x) v, v) = U'^3 M(A, v), the route by which the
+    # convexity of U(u) reaches the comatrix inequality.
+    fact_worst = matineq.factorization_campaign(args.seed, args.count)
+
     payload = {
         "schema": REPORT_SCHEMA, "config": _config_text(args),
         "euler_gap_worst_over_scale": euler_worst,
@@ -525,6 +546,7 @@ def cmd_identity_scan(args) -> int:
             "fit_residual": fit_resid,
             "closes_with_gradient_factor": bool(abs(factor - 1.0) <= 1e-8),
         },
+        "factorization_worst_gap_over_scale": fact_worst,
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -534,8 +556,9 @@ def cmd_identity_scan(args) -> int:
           f"({n_ps} admissible samples)")
     print(f"curvature convention factor: {factor:.12f} "
           f"(fit residual {fit_resid:.3e})")
-    # euler_identity_gap raises beyond its own 1e-10, so only these two can fail.
-    ok = ps_worst >= -1e-9 and fit_resid <= 1e-8
+    print(f"cubic factorization worst gap/scale: {fact_worst:.3e}")
+    # euler_identity_gap raises beyond its own 1e-10, so only these three can fail.
+    ok = ps_worst >= -1e-9 and fit_resid <= 1e-8 and fact_worst <= 1e-8
     return 0 if ok else 1
 
 

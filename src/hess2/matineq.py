@@ -12,17 +12,15 @@ positive semidefinite A (nonpositive for negative semidefinite A) and vanishes
 identically in dimension 3, where no three eigenvalues remain.
 
 The same functional, applied to the Hessian of a monotone composition U(u),
-factors as U'(u)^3 times its value on the Hessian of u: all mixed expansion
-coefficients in (U', U'') cancel.  This module evaluates and verifies both
-facts pointwise and at sampling scale, on plain arrays: one matrix (n, n) with
-one vector (n,), or stacks (..., n, n) and (..., n).  Every check bounds its
-error in units of `inequality_scale`, 1 + |A|_F^3 |v|^2, the functional's
-degree in (A, v): a bound relative to computed values would measure rounding
-noise where they vanish identically (dimensions 2 and 3, low-rank matrices).
-The CLI runs `inequality_campaign` (`ineq`) and `in_positive_cone`
-(`identity-scan`); the rest serves library callers, the tests and gate G04b.
-`comatrix_inequality` and `negative_semidefinite_inequality` are the campaign's
-route on a stack of one, with its residual check and range rules.
+factors as U'(u)^3 times its value on the Hessian of u (gate G04a).  This
+module samples both facts on plain arrays: stacks (..., n, n) of matrices with
+stacks (..., n) of probes.  Every check bounds its error in units of
+`inequality_scale`, 1 + |A|_F^3 |v|^2, the functional's degree in (A, v): a
+bound relative to computed values would measure rounding noise where they
+vanish identically (dimensions 2 and 3, low-rank matrices).  The CLI runs
+`inequality_campaign` (`ineq`), and `in_positive_cone` and
+`factorization_campaign` (`identity-scan`).  The one-pair routes and the
+expansion-coefficient check (gate G04b) are test oracles, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -31,67 +29,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .symmat import (CAMPAIGN_CHUNK, cofactor, comatrix, eigenvalues, jacobi_eigh,
-                     sample_batch, square_matrix)
+from .errors import InputError
+# jacobi_eigh is unused here: perfbench's tracer wraps `matineq.jacobi_eigh` by name.
+from .symmat import CAMPAIGN_CHUNK, comatrix, jacobi_eigh, sample_batch  # noqa: F401
 
-#: (alpha, beta) probe pairs; unisolvent for {a^3, a^2 b, a b^2, b^3}.
-EXPANSION_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0))
 SIGN_RTOL = 1e-12  # eigenvalues within this share of the spectrum's scale count as zero
 FACTORIZATION_DIMS = (2, 3, 4, 5, 6, 7, 8)
 _OVERFLOW = "{} overflows the residuals or their scale 1 + |A|_F^3 |v|^2{}"
 _UNDERFLOW = "{} underflows |A|_F^3 |v|^2 in every sample{}, so every check would pass vacuously"
 
 
-class InequalityRecord(NamedTuple):
-    """The comatrix inequality on a (matrix, vector) pair: each field is a number,
-    or an array over a stack of pairs."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual_direct: np.ndarray   # rhs - lhs
-    residual_closed: np.ndarray   # eigenbasis closed form
-    matrix_sign: np.ndarray       # "positive" | "negative" | "indefinite"
-
-
-class ContractionScalars(NamedTuple):
-    """The scalars r=|v|^2, s=tr A, q=<Av,v>, t=|Av|^2 of a contraction identity set."""
-
-    r: np.ndarray
-    s: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
-
-
-class ExpansionCoeffs(NamedTuple):
-    """Coefficients of a^3, a^2 b, a b^2, b^3 in the composed-Hessian functional."""
-
-    m30: np.ndarray
-    m21: np.ndarray
-    m12: np.ndarray
-    m03: np.ndarray
-
-
-def _probe(a: np.ndarray, v) -> np.ndarray:
-    """v as a finite float probe of shape a.shape[:-1]; raises InputError otherwise."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != a.shape[:-1]:
-        raise InputError(f"vector has shape {v.shape}, expected {a.shape[:-1]}")
-    if not np.all(np.isfinite(v)):
-        raise InputError("probe vector must be finite")
-    return v
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x[..., :, None] * y[..., None, :]
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, y)
-
-
-def _frob(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(x * y, axis=(-2, -1))
 
 
 def _sides(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,18 +102,8 @@ def in_positive_cone(lam: np.ndarray) -> np.ndarray:
     return lam[..., 0] >= -SIGN_RTOL * np.maximum(1.0, np.max(np.abs(lam), axis=-1))
 
 
-def sign_of_spectrum(lam: np.ndarray) -> np.ndarray:
-    """The one sign rule, per ascending spectrum (..., n): eigenvalues within
-    SIGN_RTOL * max(1, |lam|_max) of zero count as zero; positive wins a tie.
-    One label for one spectrum, an array of labels for a stack."""
-    lam = np.asarray(lam)
-    return np.where(in_positive_cone(lam), "positive",
-                    np.where(in_positive_cone(-lam[..., ::-1]), "negative", "indefinite"))[()]
-
-
 def _rows_ok(rel, disc, sign, dim: int) -> np.ndarray:
-    """The one residual check, per row of a campaign chunk or a one-pair record,
-    on rel = direct / scl and disc = |direct - closed| / scl in units of
+    """The one residual check, per row of a campaign chunk, on rel = direct / scl and disc = |direct - closed| / scl in units of
     scl = inequality_scale: disc <= 1e-9; rel >= -1e-9 on "positive" rows and
     <= 1e-9 on "negative" ones (`sign`: one label or one per row);
     |rel| <= 1e-10 in dimension 3, where the residual vanishes for every
@@ -173,132 +112,6 @@ def _rows_ok(rel, disc, sign, dim: int) -> np.ndarray:
     ok &= (sign != "positive") | (rel >= -1e-9)
     ok &= (sign != "negative") | (rel <= 1e-9)
     return ok & (np.abs(rel) <= 1e-10) if dim == 3 else ok
-
-
-def comatrix_inequality(a, v) -> InequalityRecord:
-    """Evaluate both sides and both residual routes on a (matrix, vector) pair or
-    a stack of them: the campaign's route on a stack of one.
-
-    jacobi_eigh gives (lam, Q) and the rotated probe w = Q^T v; the direct
-    residual reads (a, v) only, the closed one (lam, w) only, and
-    sign_of_spectrum(lam) labels each row.  Raises InputError by the range rules
-    `_range_flags`, NumericalError when a row fails the residual check `_rows_ok`.
-    """
-    a = square_matrix(a)
-    return _record(a, _probe(a, v), *jacobi_eigh(a))
-
-
-def negative_semidefinite_inequality(a, v) -> InequalityRecord:
-    """comatrix_inequality for negative semidefinite input, which is checked first:
-    InputError for any other matrix."""
-    a = square_matrix(a)
-    lam, vecs = jacobi_eigh(a)
-    if not np.all(in_positive_cone(-lam[..., ::-1])):
-        raise InputError("input matrix is not negative semidefinite")
-    return _record(a, _probe(a, v), lam, vecs)
-
-
-def _record(a: np.ndarray, v: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> InequalityRecord:
-    lhs, rhs, direct, closed, size = _campaign_residuals(
-        a, v, lam, np.einsum("...ij,...i->...j", vecs, v))
-    over, tiny, live = _range_flags(a, v, direct, closed, size)
-    if over or (tiny and live):
-        raise InputError((_OVERFLOW if over else _UNDERFLOW).format("the input", ""))
-    sign = sign_of_spectrum(lam)
-    scl = 1.0 + size
-    bad = ~_rows_ok(direct / scl, np.abs(direct - closed) / scl, sign, a.shape[-1])
-    if np.any(bad):
-        raise NumericalError(
-            f"residual check failed on {np.asarray(sign)[bad]} input: direct residual "
-            f"{np.asarray(direct)[bad]}, closed residual {np.asarray(closed)[bad]}")
-    return InequalityRecord(lhs=lhs, rhs=rhs, residual_direct=direct,
-                            residual_closed=closed, matrix_sign=sign)
-
-
-def contraction_scalars(a, v) -> ContractionScalars:
-    """Compute (r, s, q, t) and verify the rank-one contraction identities.
-
-    With P = v (x) v and C = r I - P, the verified identities are
-      S2'(A) : (AP + PA) = 2sq - 2t,      C : A^2 = r tr(A^2) - t,
-      S2'(A) : (Av)(v)^T  = sq - t,       C : (Av)(Av)^T = rt - q^2,
-      C : (AP + PA) = 0,                  C : P^2 = 0,
-    each to 1e-10 relative.
-    """
-    a = square_matrix(a)
-    v = _probe(a, v)
-    av = np.einsum("...ij,...j->...i", a, v)
-    r, s, q, t = _dot(v, v), np.trace(a, axis1=-2, axis2=-1), _dot(av, v), _dot(av, av)
-    s2ij = cofactor(a)
-    proj = _outer(v, v)
-    comp = cofactor(proj)   # r I - P, as tr P = r
-    ap_pa = a @ proj + proj @ a
-    checks = [
-        (_frob(s2ij, ap_pa), 2.0 * s * q - 2.0 * t),
-        (_frob(comp, a @ a), r * np.trace(a @ a, axis1=-2, axis2=-1) - t),
-        (_frob(s2ij, _outer(av, v)), s * q - t),
-        (_frob(comp, _outer(av, av)), r * t - q * q),
-        (_frob(comp, ap_pa), 0.0),
-        (_frob(comp, proj @ proj), 0.0),
-    ]
-    scale = np.maximum(np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)) ** 2 * np.maximum(r, 1.0)),
-                       r ** 2)
-    for got, expect in checks:
-        if np.any(np.abs(got - expect) > 1e-10 * np.maximum(scale, np.abs(expect))):
-            raise NumericalError(f"contraction identity failed: {got} != {expect}")
-    return ContractionScalars(r=r, s=s, q=q, t=t)
-
-
-def composed_hessian_functional(hess_composed, grad_u, u_prime,
-                                u_second) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the functional on D^2 U(u) directly and in factored form.
-
-    The composed Hessian must equal U' A + U'' grad (x) grad for the Hessian A
-    of the underlying function, recovered here by inverting that relation;
-    U' and U'' are numbers, or arrays over a stack.  Returns (m_direct,
-    m_factored) with m_factored = U'^3 times the functional of A; they agree to
-    1e-8 of the larger inequality_scale of H and U'A, and m_direct is
-    nonpositive where H is positive semidefinite and U is increasing (U' > 0).
-    """
-    h = square_matrix(hess_composed)
-    g = _probe(h, grad_u)
-    up, us = np.asarray(u_prime, dtype=float), np.asarray(u_second, dtype=float)
-    if np.any(np.abs(up) < 1e-10):
-        raise InputError("transform derivative vanishes; cannot factor")
-    up_a = h - us[..., None, None] * _outer(g, g)
-    m_direct = comatrix_functional(h, g)
-    m_factored = up * up * up * comatrix_functional(up_a / up[..., None, None], g)
-    scale = np.maximum(inequality_scale(h, g), inequality_scale(up_a, g))
-    if np.any(np.abs(m_direct - m_factored) > 1e-8 * scale):
-        raise NumericalError(
-            f"factorization mismatch: direct {m_direct} vs factored {m_factored}")
-    cone = (up > 0) & in_positive_cone(eigenvalues(h))
-    if np.any(cone & (m_direct > 1e-9 * inequality_scale(h, g))):
-        raise NumericalError(
-            f"functional should be nonpositive on the positive cone, got {m_direct}")
-    return m_direct, m_factored
-
-
-def expansion_coefficients(a_u, grad_u) -> ExpansionCoeffs:
-    """Fit the cubic (alpha, beta) expansion of the composed functional.
-
-    Probes the functional at EXPANSION_PROBES, solves the 4x4 monomial system,
-    and verifies to 1e-8 of the largest inequality_scale of a probe matrix that
-    all but the alpha^3 coefficient vanish and that it matches a direct value.
-    """
-    a = square_matrix(a_u)
-    g = _probe(a, grad_u)
-    proj = _outer(g, g)
-    vander = np.array([[al ** 3, al ** 2 * be, al * be ** 2, be ** 3]
-                       for al, be in EXPANSION_PROBES])
-    probes = [al * a + be * proj for al, be in EXPANSION_PROBES]
-    values = np.stack([comatrix_functional(m, g) for m in probes])
-    m30, m21, m12, m03 = np.linalg.solve(vander, values.reshape(4, -1)).reshape(values.shape)
-    tol = 1e-8 * np.max([inequality_scale(m, g) for m in probes], axis=0)
-    for name, val in (("m21", m21), ("m12", m12), ("m03", m03),
-                      ("m30 - direct value", m30 - comatrix_functional(a, g))):
-        if np.any(np.abs(val) > tol):
-            raise NumericalError(f"expansion coefficient {name} = {val} exceeds {tol}")
-    return ExpansionCoeffs(m30=m30, m21=m21, m12=m12, m03=m03)
 
 
 class CampaignWitness(NamedTuple):
@@ -360,7 +173,7 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
     on the positive cone, greatest on the negative, greatest |residual|/scale
     on indefinite draws; the first on a tie) as a CampaignWitness.  Raises
     InputError, possibly after records has received chunks, when a dimension
-    breaks the one-pair route's range rules `_range_flags`: a residual or its
+    breaks the range rules `_range_flags`: a residual or its
     scale overflows, or |A|_F^3 |v|^2 is below the smallest normal float in
     every sample while some sample has a nonzero matrix and probe.
     """
@@ -400,24 +213,30 @@ def inequality_campaign(seed: int, dims, count: int, sign: str,
     return CampaignResult(seed=seed, sign=sign, summaries=tuple(summaries))
 
 
-def factorization_campaign(seed: int, count: int):
-    """Sample (A, v, U', U'') tuples and verify the cubic factorization.
+def factorization_campaign(seed: int, count: int) -> float:
+    """Sample (A, v, U', U'') tuples and verify the cubic factorization (gate G04a)
+    M(U'A + U'' v (x) v, v) = U'^3 M(A, v), with M = `comatrix_functional`.
 
-    U' is drawn from both signs.  Returns the worst mismatch between the direct
-    and factored evaluations over the scale of composed_hessian_functional.
+    Each dimension of FACTORIZATION_DIMS draws max(count // 7, 1) tuples, with
+    U' of either sign, in chunks of CAMPAIGN_CHUNK from one seeded stream, so
+    memory does not grow with count.  Returns the worst |direct - factored| over
+    the larger `inequality_scale` of the composed matrix and of U'A.
     """
     rng = np.random.default_rng([seed, 97])
     worst = 0.0
     per_dim = max(count // len(FACTORIZATION_DIMS), 1)
     for dim in FACTORIZATION_DIMS:
-        g = rng.standard_normal((per_dim, dim, dim))
-        a = 0.5 * (g + g.transpose(0, 2, 1))
-        v = rng.standard_normal((per_dim, dim))
-        up = rng.uniform(0.2, 2.0, size=per_dim) * rng.choice([-1.0, 1.0], size=per_dim)
-        us = rng.uniform(-2.0, 2.0, size=per_dim)
-        hess = up[:, None, None] * a + us[:, None, None] * np.einsum("bi,bj->bij", v, v)
-        m_direct = comatrix_functional(hess, v)
-        m_factored = up * up * up * comatrix_functional(a, v)
-        scale = np.maximum(inequality_scale(hess, v), inequality_scale(up[:, None, None] * a, v))
-        worst = max(worst, float(np.max(np.abs(m_direct - m_factored) / scale)))
+        for first in range(0, per_dim, CAMPAIGN_CHUNK):
+            n = min(CAMPAIGN_CHUNK, per_dim - first)
+            g = rng.standard_normal((n, dim, dim))
+            a = 0.5 * (g + g.transpose(0, 2, 1))
+            v = rng.standard_normal((n, dim))
+            up = rng.uniform(0.2, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+            us = rng.uniform(-2.0, 2.0, size=n)
+            hess = up[:, None, None] * a + us[:, None, None] * np.einsum("bi,bj->bij", v, v)
+            m_direct = comatrix_functional(hess, v)
+            m_factored = up * up * up * comatrix_functional(a, v)
+            scale = np.maximum(inequality_scale(hess, v),
+                               inequality_scale(up[:, None, None] * a, v))
+            worst = max(worst, float(np.max(np.abs(m_direct - m_factored) / scale)))
     return worst

@@ -2,14 +2,13 @@
 (n, n) or a stack (..., n, n).
 
 One batched kernel per 2-Hessian formula (`invariants`: S1, S2 of frame
-blocks; `cofactor`: tr(A)I - A; `comatrix`: tr(A)A - A^2), `square_matrix`
-(the input check of the one-matrix entry points in `matineq`), and a seeded
+blocks; `cofactor`: tr(A)I - A; `comatrix`: tr(A)A - A^2), and a seeded
 sampler whose semidefinite draws take their eigenbasis from a batched
 Householder QR (`householder_q`).  Every eigendecomposition in the package
-runs here, by LAPACK: `jacobi_eigh` for one matrix or a stack, `eigenvalues`
-where only the eigenvalues are read, and the sampler's own batched call for
-indefinite draws.  Dimensions are capped at 8; everything is dense and
-deterministic.
+runs here, by LAPACK: `eigenvalues` where only the eigenvalues are read (the
+commands' one eigen entry point), `jacobi_eigh` where the eigenvectors are
+read too, and the sampler's own batched call for indefinite draws.
+Dimensions are capped at 8; everything is dense and deterministic.
 """
 from __future__ import annotations
 
@@ -31,31 +30,16 @@ ZERO_EIGENVALUE_PROB = 0.2
 CAMPAIGN_CHUNK = 2048
 
 
-def square_matrix(a) -> np.ndarray:
-    """a as a float matrix (n, n) or stack (..., n, n), its lower triangle
-    mirrored from the upper one, which alone is read.  Raises InputError
-    unless a is square with 2 <= n <= MAX_DIM and finite entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InputError("expected a square matrix")
-    n = a.shape[-1]
-    if not 2 <= n <= MAX_DIM:
-        raise InputError(f"dim must be in [2, {MAX_DIM}], got {n}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("matrix entries must be finite")
-    return np.where(np.triu(np.ones((n, n), dtype=bool)), a, np.swapaxes(a, -1, -2))
-
-
 def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, or of a stack of them, by LAPACK.
 
     Returns (lam, vecs) with lam ascending along the last axis and
     a = vecs @ diag(lam) @ vecs.T; only the lower triangle of a is read.
-    Raises NumericalError when the spectrum is not finite.  Its callers are
-    `matineq`'s one-pair inequality route, `analysis.critical_point_report`
-    and `fields.convexity_scan`.  The name outlives the cyclic-Jacobi solver
-    this call replaced, because perfbench's tracer wraps `jacobi_eigh` by name
-    in every module that imports it.
+    Raises NumericalError when the spectrum is not finite.  No command calls
+    it: its callers are `analysis.critical_point_report`, `fields.convexity_scan`
+    and the tests' one-pair inequality oracle.  The name outlives the
+    cyclic-Jacobi solver this call replaced, because perfbench's tracer wraps
+    `jacobi_eigh` by name in every module that imports it.
     """
     try:
         lam, vecs = np.linalg.eigh(np.asarray(a, dtype=float))

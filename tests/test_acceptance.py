@@ -38,13 +38,13 @@ from hess2.fields import (
     standard_menagerie,
 )
 from hess2.matineq import (
-    expansion_coefficients,
     factorization_campaign,
     in_positive_cone,
     inequality_campaign,
 )
 from hess2.solver import solve_radial
 from hess2.symmat import eigenvalues
+from oracles import expansion_coefficients
 
 SQRT3 = math.sqrt(3.0)
 

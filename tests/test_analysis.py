@@ -391,6 +391,18 @@ class TestBoundsReports:
         assert not rep.hypothesis_ok and not rep.holds
         assert rep.transform_name == scan.transform_name
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_overflowing_alpha_one_field_refused(self, alpha):
+        # The gamma = 1 integral, 1.1e308, is finite; twice it, lhs and the
+        # alpha = 1 field, is not.  An alpha = 0.5 field stays finite, yet its
+        # bound reads the alpha = 1 field, so no vacuous slack of +inf is given.
+        prof, f = cached_radial(3, "const:7e205", nodes=64), make_source("const:7e205")
+        pf = pfunction_field(prof, f, PFunctionSpec(alpha=alpha, gamma=1.0))
+        assert np.all(np.isfinite(pf.phi)) == (alpha == 0.5)
+        with pytest.raises(NumericalError, match="^" + re.escape(
+                "P-function at alpha = 1, gamma = 1 is not finite")):
+            bounds_report(pf, convexity_scan_solution(prof, transform_preset(1)), f, 1)
+
     def test_pointwise_bound_every_interior_node(self):
         for key, maker in (("radial", lambda: cached_radial(3, "const")),
                            ("disk", lambda: cached_grid("disk", "const", 1.0 / 64))):

@@ -803,6 +803,20 @@ class TestVerifyCommand:
         assert rows[0] == "domain,f,alpha,gamma,margin,slack,holds"
         assert rows[1].endswith("true")
 
+    def test_csv_and_stdout_lines_come_from_one_record(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", "--app", "1", "--nodes", "64", "--alpha", "1", "--alpha", "2",
+                     "--out", str(out)]) == 0
+        lines = (out / "verdicts.csv").read_text().splitlines()
+        assert lines[0] == ",".join(cli.VerdictRow._fields)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(lines) - 1 == 4
+        for line, shown in zip(lines[1:], printed):
+            domain, f, *numbers, holds = line.split(",")
+            row = cli.VerdictRow(domain, f, *map(float, numbers), holds == "true")
+            assert row.csv_line() == line + "\n"
+            assert row.stdout_line() == shown
+
     def test_application1_disk_equality(self, tmp_path):
         out = tmp_path / "v1g"
         code = main(["verify", "--app", "1", "--grid2d", "--domain", "disk:1",
@@ -946,7 +960,10 @@ class TestVerifyCommand:
                                  r"the integral overflows\n"),
         # The integral, 1.1e308, is finite; twice it, the alpha = 1 field, is not.
         (["--f", "const:7e205"], r"P-function at alpha = 1, gamma = 1 is not finite "),
-    ], ids=["alpha-1e308", "const-1e300", "const-1e206", "const-7e205"])
+        # The alpha = 0.5 field is finite, but its bound reads the alpha = 1 field.
+        (["--f", "const:7e205", "--alpha", "0.5"],
+         r"P-function at alpha = 1, gamma = 1 is not finite "),
+    ], ids=["alpha-1e308", "const-1e300", "const-1e206", "const-7e205", "const-7e205-alpha-0.5"])
     def test_overflowing_pfunction_exits_one_without_warnings(self, tmp_path, flags, reason):
         code = "import sys, hess2.cli; sys.exit(hess2.cli.main())"
         done = _run_python(code, "verify", "--app", "1", "--nodes", "64", *flags,
@@ -1311,6 +1328,7 @@ class TestIdentityScanCommand:
         fit = payload["h2_convention"]
         assert fit["closes_with_gradient_factor"]
         assert fit["factor_vs_gradnorm_times_s2kappa"] == pytest.approx(1.0, abs=1e-10)
+        assert payload["factorization_worst_gap_over_scale"] <= 1e-8
 
     def test_readme_call_draws_the_same_points(self, tmp_path):
         out = tmp_path / "scan"

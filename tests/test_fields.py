@@ -7,7 +7,6 @@ from hess2.fields import (
     ball_quadratic_field,
     convexity_scan,
     euler_identity_gap,
-    finite_difference_consistency,
     gaussian_bump_field,
     levelset_curvature_probe,
     philippin_safoui_gap,
@@ -24,6 +23,7 @@ from hess2.transforms import (
     negative_power_transform,
     negative_sqrt_transform,
 )
+from oracles import finite_difference_consistency
 
 A3 = 1.0 / (2.0 * np.sqrt(3.0))  # amplitude of the unit-ball reference field
 

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
+import oracles
 from hess2 import matineq, symmat
 from hess2.errors import InputError, NumericalError
 from hess2.matineq import (
     comatrix_functional,
+    factorization_campaign,
+    inequality_campaign,
+    inequality_scale,
+)
+from hess2.symmat import sample_batch
+from oracles import (
     comatrix_inequality,
     composed_hessian_functional,
     contraction_scalars,
     expansion_coefficients,
-    factorization_campaign,
-    inequality_campaign,
-    inequality_scale,
     negative_semidefinite_inequality,
     sign_of_spectrum,
 )
-from hess2.symmat import sample_batch
 
 #: Scales of the families below, from where the floor 1 of inequality_scale
 #: dominates to where |A|_F^3 |v|^2 nears the top of the float range.
@@ -118,8 +121,8 @@ class TestOneResidualCheck:
         assert np.array_equal(mirror[4], plain[4])
 
     def test_one_pair_route_catches_a_wrong_spectrum(self, monkeypatch):
-        real = matineq.jacobi_eigh
-        monkeypatch.setattr(matineq, "jacobi_eigh", lambda a: (real(a)[0] * 1.001, real(a)[1]))
+        real = oracles.jacobi_eigh
+        monkeypatch.setattr(oracles, "jacobi_eigh", lambda a: (real(a)[0] * 1.001, real(a)[1]))
         with pytest.raises(NumericalError, match="residual check failed"):
             comatrix_inequality(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
 
@@ -171,13 +174,13 @@ class TestStacks:
 class TestSignRule:
     def test_one_eigendecomposition_per_record(self, monkeypatch):
         calls = []
-        eigh = matineq.jacobi_eigh
+        eigh = oracles.jacobi_eigh
 
         def counting(a):
             calls.append(np.shape(a))
             return eigh(a)
 
-        monkeypatch.setattr(matineq, "jacobi_eigh", counting)
+        monkeypatch.setattr(oracles, "jacobi_eigh", counting)
         rec = comatrix_inequality(np.diag([1.0, 2.0, 3.0, 4.0]), [1.0, 1.0, 1.0, 1.0])
         assert calls == [(4, 4)]
         assert rec.matrix_sign == "positive"
@@ -226,13 +229,13 @@ class TestReversedInequality:
 
     def test_one_decomposition(self, monkeypatch):
         calls = []
-        real = matineq.jacobi_eigh
+        real = oracles.jacobi_eigh
 
         def counted(a):
             calls.append(1)
             return real(a)
 
-        monkeypatch.setattr(matineq, "jacobi_eigh", counted)
+        monkeypatch.setattr(oracles, "jacobi_eigh", counted)
         rec = negative_semidefinite_inequality(-np.eye(4), [1.0, 0.0, 0.0, 0.0])
         assert rec.matrix_sign == "negative"
         assert len(calls) == 1
@@ -241,7 +244,7 @@ class TestReversedInequality:
         def no_residual(*args):
             raise AssertionError("residual checked before the precondition")
 
-        monkeypatch.setattr(matineq, "_rows_ok", no_residual)
+        monkeypatch.setattr(oracles, "_rows_ok", no_residual)
         with pytest.raises(InputError, match="not negative semidefinite"):
             negative_semidefinite_inequality(np.eye(3), np.ones(2))
 
@@ -363,8 +366,8 @@ class TestScaledFamilies:
         # Every functional value off by 1e-7 of the check's least scale moves
         # m_direct - m_factored by (1 - U'^3) of that, 6.6 times the bound 1e-8.
         hess, v, scl = self._composed(4, scale)
-        real = matineq.comatrix_functional
-        monkeypatch.setattr(matineq, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
+        real = oracles.comatrix_functional
+        monkeypatch.setattr(oracles, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
         with pytest.raises(NumericalError, match="factorization mismatch"):
             composed_hessian_functional(hess, v, self.U_PRIME, self.U_SECOND)
 
@@ -374,8 +377,8 @@ class TestScaledFamilies:
         # scale of the (2, 1) probe matrix, 30 times the bound 1e-8.
         a, v = scaled_pairs(4, scale)
         scl = float(np.min(inequality_scale(2.0 * a + np.einsum("bi,bj->bij", v, v), v)))
-        real = matineq.comatrix_functional
-        monkeypatch.setattr(matineq, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
+        real = oracles.comatrix_functional
+        monkeypatch.setattr(oracles, "comatrix_functional", lambda m, g: real(m, g) + 1e-7 * scl)
         with pytest.raises(NumericalError, match="expansion coefficient m21"):
             expansion_coefficients(a, v)
 

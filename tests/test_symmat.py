@@ -9,7 +9,6 @@ import pytest
 from conftest import checked_spectrum, elem_sym, elem_sym_from_eigenvalues
 from hess2 import symmat
 from hess2.errors import InputError, NumericalError
-from hess2.matineq import comatrix_inequality
 from hess2.symmat import (
     CAMPAIGN_CHUNK,
     cofactor,
@@ -18,8 +17,8 @@ from hess2.symmat import (
     invariants,
     jacobi_eigh,
     sample_batch,
-    square_matrix,
 )
+from oracles import comatrix_inequality, square_matrix
 
 
 class TestSpectrum:
