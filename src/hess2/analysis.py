@@ -4,9 +4,10 @@ The central object is the field
 
     Phi(x; alpha) = |grad u(x)|^2 + 2 alpha * int_{u(x)}^0 f(s)^gamma ds
 
-built on a solved problem.  Verdicts compare its interior and boundary
-extremes; bound reports read the alpha = 1 field at the critical point of u,
-where it gives the printed a priori estimates; one field per gamma serves both.
+built on a solved problem.  Its sampled parts do not depend on alpha: one
+record per gamma serves every alpha, an argument of what reads it.  Verdicts
+compare the interior and boundary extremes of Phi; bound reports read Phi at
+alpha = 1, whose value at the critical point of u gives the a priori estimates.
 
 gamma is configurable because the two natural conventions (square-rooted
 source versus plain source in the integral) do not agree for non-constant
@@ -39,33 +40,22 @@ BOUND_TOL = 1e-6  # slack a bound report may miss by and still hold
 MINIMUM_CLUSTER_STEPS = 3.0
 
 
-class _PFunctionParams(NamedTuple):
-    alpha: float
-    gamma: float = 0.5
+def check_alpha(*alphas: float) -> None:
+    """Refuses any alpha that is not finite."""
+    if not all(map(math.isfinite, alphas)):
+        raise InputError("alpha must be finite")
 
 
-class PFunctionSpec(_PFunctionParams):
-    """Parameters of the auxiliary field: alpha and the source exponent, checked
-    whenever a spec is made, `_replace` included."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, gamma: float = 0.5):
-        if not math.isfinite(alpha):
-            raise InputError("alpha must be finite")
-        if gamma not in GAMMA_CHOICES:
-            raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
-        return super().__new__(cls, alpha, gamma)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+def check_gamma(*gammas: float) -> None:
+    """Refuses any gamma that is not one of GAMMA_CHOICES."""
+    if not all(gamma in GAMMA_CHOICES for gamma in gammas):
+        raise InputError(f"gamma must be one of {GAMMA_CHOICES}")
 
 
 class PFunctionField(NamedTuple):
-    """The auxiliary field sampled on a solution's nodes and boundary."""
+    """The alpha-free parts of the auxiliary field: `phi(alpha)` is the field on the
+    nodes, and `boundary_grad_sq` the field on the boundary (u = 0) at every alpha."""
 
-    alpha: float
     gamma: float
     h: float                       # the solution's grid step, `Solution.h_eff`
     positions: np.ndarray          # (n, d) rows: radii (n, 1) or coordinates (n, 2)
@@ -76,16 +66,11 @@ class PFunctionField(NamedTuple):
     boundary_grad_sq: np.ndarray
     distance_to_boundary: Callable[[np.ndarray], np.ndarray]  # per row of `positions`
 
-    @property
-    def phi(self) -> np.ndarray:
-        # Not finite where alpha times the integral overflows (`verify_principle` refuses it).
+    def phi(self, alpha: float) -> np.ndarray:
+        """The field at `alpha` on every node; not finite where alpha times the
+        integral overflows (`verify_principle` refuses it)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.grad_sq + 2.0 * self.alpha * self.integral
-
-    @property
-    def boundary_phi(self) -> np.ndarray:
-        # u = 0 on the boundary, so the integral term vanishes exactly.
-        return self.boundary_grad_sq
+            return self.grad_sq + 2.0 * alpha * self.integral
 
 
 class PrincipleVerdict(NamedTuple):
@@ -128,6 +113,7 @@ class CriticalPointReport(NamedTuple):
     spectrum_positive: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite integral raises, naming its cause
 def source_integral(f: SourceTerm, gamma: float, u_values) -> np.ndarray:
     """I(u) = int_u^0 f(s)^gamma ds for each u <= 0, by batched adaptive Simpson.
 
@@ -147,11 +133,13 @@ def source_integral(f: SourceTerm, gamma: float, u_values) -> np.ndarray:
         return val ** gamma
 
     # The absolute floor ends the subdivision at a power source's singular endpoint 0.
+    # It is 1e-16 of the integral's bound -min(u) max f^gamma, over the values and 0,
+    # so it scales with u and f, and a uniform rescaling keeps the subdivision.
+    atol = 1e-16 * -np.min(values, initial=0.0) * np.max(integrand(np.append(values, 0.0)))
     try:
         gaps = adaptive_simpson(integrand, values, np.append(values[1:], 0.0),
-                                rtol=1e-10, atol=1e-16)
-        with np.errstate(over="ignore"):
-            integral = np.cumsum(gaps[::-1])[::-1]
+                                rtol=1e-10, atol=atol)
+        integral = np.cumsum(gaps[::-1])[::-1]
         if not np.all(np.isfinite(integral)):
             raise NumericalError("the integral overflows")
     except NumericalError as exc:
@@ -165,40 +153,42 @@ def boundary_gradient_samples(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
     return sol.boundary_samples()
 
 
-def pfunction_field(sol: Solution, f: SourceTerm, spec: PFunctionSpec) -> PFunctionField:
-    """Sample the auxiliary field on a solved problem."""
+def pfunction_field(sol: Solution, f: SourceTerm, gamma: float = 0.5) -> PFunctionField:
+    """Sample the auxiliary field's alpha-free parts on a solved problem."""
+    check_gamma(gamma)
     bpts, bvals = boundary_gradient_samples(sol)
     grad = sol.gradient()
     return PFunctionField(
-        alpha=spec.alpha, gamma=spec.gamma, h=sol.h_eff,
+        gamma=gamma, h=sol.h_eff,
         positions=sol.positions, grad_sq=np.einsum("ij,ij->i", grad, grad),
-        integral=source_integral(f, spec.gamma, sol.u), interior=sol.interior,
+        integral=source_integral(f, gamma, sol.u), interior=sol.interior,
         boundary_positions=bpts, boundary_grad_sq=bvals**2,
         distance_to_boundary=sol.distance_to_boundary)
 
 
-def _finite_field(pf: PFunctionField) -> tuple[np.ndarray, np.ndarray]:
-    """The field on the interior nodes and on the boundary samples; raises
-    NumericalError, naming alpha and gamma, where either is not finite."""
-    phi, bphi = pf.phi[pf.interior], pf.boundary_phi
-    if not np.all(np.isfinite(np.append(phi, bphi))):
-        raise NumericalError(f"P-function at alpha = {pf.alpha:g}, gamma = {pf.gamma:g} "
+def _finite_field(pf: PFunctionField, alpha: float) -> np.ndarray:
+    """The field at alpha on every node; raises NumericalError, naming alpha and
+    gamma, where it is not finite on an interior node or a boundary sample."""
+    phi = pf.phi(alpha)
+    if not np.all(np.isfinite(np.append(phi[pf.interior], pf.boundary_grad_sq))):
+        raise NumericalError(f"P-function at alpha = {alpha:g}, gamma = {pf.gamma:g} "
                              "is not finite on the interior nodes or boundary samples")
-    return phi, bphi
+    return phi
 
 
-def verify_principle(pf: PFunctionField, mode: str) -> PrincipleVerdict:
-    """Check whether the field attains its min/max on the boundary.
+def verify_principle(pf: PFunctionField, alpha: float, mode: str) -> PrincipleVerdict:
+    """Check whether the field at `alpha` attains its min/max on the boundary.
 
     Ties within tol_margin = 5 h^2 max(1, |Phi|), with h = pf.h and |Phi| the
     largest over nodes and boundary samples, count as boundary attainment, so
     constant fields satisfy both modes.
     """
+    check_alpha(alpha)
     if mode not in ("min", "max"):
         raise InputError("mode must be 'min' or 'max'")
-    phi, bphi = _finite_field(pf)
-    pos = pf.positions[pf.interior]
-    tol_margin = 5.0 * pf.h**2 * max(1.0, float(np.max(np.abs(pf.phi))),
+    full, bphi = _finite_field(pf, alpha), pf.boundary_grad_sq
+    phi, pos = full[pf.interior], pf.positions[pf.interior]
+    tol_margin = 5.0 * pf.h**2 * max(1.0, float(np.max(np.abs(full))),
                                      float(np.max(np.abs(bphi))))
     # A max is a min of -phi; a negative margin puts the extreme strictly inside.
     sign = 1.0 if mode == "min" else -1.0
@@ -245,20 +235,20 @@ def bounds_report(pf: PFunctionField, scan: ConvexityReport, f: SourceTerm,
                   application: int) -> BoundsReport:
     """Audit the application's a priori bound on a field and the solution's scan.
 
-    lhs is twice the source integral at the solution minimum (the alpha = 1
-    field at the critical point), rhs the squared minimum boundary gradient;
-    the pointwise slack reads the alpha = 1 field whatever alpha `pf` carries.
+    lhs is twice the source integral at the solution minimum (`pf.phi(1.0)` at
+    the critical point), rhs the squared minimum boundary gradient; the
+    pointwise slack reads `pf.phi(1.0)` on the interior nodes.
     The hypothesis: `scan` (the application's transform) is convex, f nonincreasing.
     An alpha = 1 field that is not finite raises NumericalError, as in
     `verify_principle`.  A finite one keeps lhs finite too: at the minimum of u
     the field is at least lhs.
     """
     hypothesis_ok = bool(scan.convex and f.nonincreasing)
-    phi, bphi = _finite_field(pf._replace(alpha=1.0))
-    rhs = float(np.min(bphi))
+    phi = _finite_field(pf, 1.0)
+    rhs = float(np.min(pf.boundary_grad_sq))
     lhs = 2.0 * float(np.max(pf.integral))
     slack = lhs - rhs
-    pointwise_min = float(np.min(phi - rhs))
+    pointwise_min = float(np.min(phi[pf.interior] - rhs))
     holds = bool(hypothesis_ok and slack >= -BOUND_TOL and pointwise_min >= -BOUND_TOL)
     return BoundsReport(application=application, gamma=pf.gamma, lhs=lhs, rhs=rhs,
                         slack=slack, pointwise_min_slack=pointwise_min,

@@ -305,13 +305,6 @@ def _solve_from_args(args, f: solver.SourceTerm | None):
     if args.mode == "eigen":
         lam, prof = solver.solve_eigen_radial(args.dim, args.radius, args.nodes)
         return prof, solver.eigen_source(lam), {"lambda1": lam}
-    power = f.params[1] if f.preset == "power" else 0.0   # power:lam,2 is eigen:lam
-    if f.preset == "eigen" or power == 2:
-        raise InputError(f"--f {f.label()} is the eigenvalue problem's own source; "
-                         "solve that problem with `solve --eigen` or `verify --app 2`")
-    if power > 2:
-        raise InputError(f"--f {f.label()}: for p > 2 both solvers fall to the trivial "
-                         "solution u = 0")
     if args.mode == "radial":
         return solver.solve_radial(args.dim, args.radius, f, args.nodes), f, {}
     return solver.solve_grid2d(parse_domain(args.domain), f, args.h), f, {}
@@ -327,17 +320,18 @@ def _solution_summary(sol: solver.Solution, f, extras) -> dict:
             "boundary_gradient_max": float(np.max(grads)), "admissibility": admissibility}
 
 
-def _write_profile_data(sol: solver.Solution, path: Path, pf_list=()) -> None:
-    """Whitespace-separated columns for plotting: positions, u, then fields.
+def _write_profile_data(sol: solver.Solution, path: Path, fields=()) -> None:
+    """Whitespace-separated columns for plotting: positions, u, then `pf.phi(alpha)`
+    for each (alpha, pf) of `fields`.
 
     Lattice columns repeat values (a disk's x and y take 255 values over 51,429
     nodes), so each column's distinct values are formatted once (`_reprs`).
     """
     names, cols = sol.profile_columns()
     with path.open("w") as fh:
-        fh.write(f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}"
-                                         for pf in pf_list) + "\n")
-        _write_rows(fh, [_reprs(c) for c in (*cols, *(pf.phi for pf in pf_list))])
+        fh.write(f"# {names}" + "".join(f" phi_a{alpha:g}_g{pf.gamma:g}"
+                                         for alpha, pf in fields) + "\n")
+        _write_rows(fh, [_reprs(c) for c in (*cols, *(pf.phi(alpha) for alpha, pf in fields))])
 
 
 def _nine_digits(x: float) -> str:
@@ -431,9 +425,9 @@ def cmd_verify(args) -> int:
               else _numbers(f"--gamma {args.gamma}", args.gamma, 1))
     # --alpha appends to its default, so the parser cannot hold this one.
     args.alpha = args.alpha or [1.0]
-    # Built before the solve so that a bad --alpha or --gamma costs none.
-    alphas = [analysis.PFunctionSpec(alpha=alpha).alpha for alpha in args.alpha]
-    units = [analysis.PFunctionSpec(alpha=1.0, gamma=gamma) for gamma in gammas]
+    # Checked before the solve, so that a bad --alpha or --gamma costs none.
+    analysis.check_alpha(*args.alpha)
+    analysis.check_gamma(*gammas)
     config = _config_text(args)
     sol, f, extras = _solve_from_args(args, f)
     out = Path(args.out)
@@ -448,17 +442,16 @@ def cmd_verify(args) -> int:
                               f"(min eigenvalue {scan.min_eigenvalue:.3e})")
 
     rows = []
-    pf_saved = []
+    fields = []   # (alpha, field) per pfunction.dat column, in the order of rows
     report_bounds = {}
-    for spec in units:
-        unit = analysis.pfunction_field(sol, f, spec)
-        rep = analysis.bounds_report(unit, scan, f, args.app)
-        report_bounds[f"gamma={spec.gamma:g}"] = rep._asdict()
-        for alpha in alphas:
-            pf = unit._replace(alpha=alpha)
-            pf_saved.append(pf)
-            verdict = analysis.verify_principle(pf, "min")
-            rows.append(VerdictRow(sol.domain_label, f.label(), alpha, spec.gamma,
+    for gamma in gammas:
+        pf = analysis.pfunction_field(sol, f, gamma)
+        rep = analysis.bounds_report(pf, scan, f, args.app)
+        report_bounds[f"gamma={gamma:g}"] = rep._asdict()
+        for alpha in args.alpha:
+            fields.append((alpha, pf))
+            verdict = analysis.verify_principle(pf, alpha, "min")
+            rows.append(VerdictRow(sol.domain_label, f.label(), alpha, gamma,
                                    verdict.margin, rep.slack, verdict.holds and rep.holds))
     all_hold = all(row.holds for row in rows)
 
@@ -474,7 +467,7 @@ def cmd_verify(args) -> int:
         "all_hold": all_hold,
     }
     _write_json(out / "report.json", payload)
-    _write_profile_data(sol, out / "pfunction.dat", pf_saved)
+    _write_profile_data(sol, out / "pfunction.dat", fields)
     for row in rows:
         print(row.stdout_line())
     return 0 if all_hold else 1

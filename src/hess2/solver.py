@@ -345,6 +345,17 @@ def _source_values(f: SourceTerm, u: np.ndarray, where: str, n_dim: int) -> np.n
     return np.maximum(vals, 0.0)
 
 
+def _refuse_trivial(f: SourceTerm) -> None:
+    """Refuses, before any work, the sources whose only solution the solvers reach is u = 0."""
+    power = f.params[1] if f.preset == "power" else 0.0   # power:lam,2 is eigen:lam
+    if f.preset == "eigen" or power == 2:
+        raise InputError(f"--f {f.label()} is the eigenvalue problem's own source; "
+                         "solve that problem with `solve --eigen` or `verify --app 2`")
+    if power > 2:
+        raise InputError(f"--f {f.label()}: for p > 2 both solvers fall to the trivial "
+                         "solution u = 0")
+
+
 def _finish_radial(profile: RadialProfile, f: SourceTerm) -> RadialProfile:
     """The profile with its residual sup, once f(u) is finite and its Hessian
     passes the cone check (`_check_pass` has made u negative inside the ball).
@@ -400,8 +411,9 @@ def solve_radial(n_dim: int, radius: float, f: SourceTerm,
                  nodes: int = RADIAL_NODES) -> RadialProfile:
     """Admissible radial solution on a ball by Picard passes over `nodes` intervals;
     for f = lam (-u)^p, p < 2, passes of the shape w, and u = (sqrt(lam) s)^(2/(2-p)) w."""
+    _refuse_trivial(f)
     r, h = _radial_grid(n_dim, radius, nodes)
-    if f.preset != "power" or f.params[1] >= 2:
+    if f.preset != "power":
         u, up, it, delta, _ = _radial_passes("radial Picard pass", n_dim, r, h, f)
     else:
         lam, p = f.params
@@ -732,7 +744,7 @@ def _start_laplacian(spec: DomainSpec, f: SourceTerm) -> float:
     f0 = float(np.asarray(f.f(0.0)))
     if f0 > 0:
         return 2.0 * math.sqrt(f0)
-    if f.preset != "power" or f.params[1] >= 2:
+    if f.preset != "power":
         return 1.0
     lam, p = f.params
     if spec.kind == "ellipse":
@@ -800,10 +812,10 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     The initial iterate solves the linear problem Delta u0 = c = 2 sqrt(f(0)),
     which starts inside the discrete elliptic branch by the arithmetic-
     geometric inequality det <= (Delta u / 2)^2 on smooth strictly convex
-    domains.  Sources with f(0) = 0 (power, eigen) have the trivial solution
-    u = 0, which Newton chases from a shallow start, so they start from
-    Delta u0 = 1 instead, or for a power source with p < 2 from the c its
-    exact scaling in lam and in the domain's size gives (`_start_laplacian`).
+    domains.  Sources with f(0) = 0 also have the trivial solution u = 0,
+    which Newton chases from a shallow start, so they start from Delta u0 = 1
+    instead, or for a power source (p < 2) from the c its exact scaling in lam
+    and in the domain's size gives (`_start_laplacian`).
     On an ellipse that problem has the closed form
     u0 = c (x^2/a^2 + y^2/b^2 - 1) / (2/a^2 + 2/b^2); on a polygon one LU
     factor of the Laplacian solves it (`_warm_start`).  Near polygon corners
@@ -822,6 +834,7 @@ def solve_grid2d(spec: DomainSpec, f: SourceTerm, h: float) -> ScalarField2D:
     at |S2 - f| <= NEWTON_RTOL F, where F = max |f(u)| (NEWTON_TOL at F = 0):
     S2 - f is rounded relative to f, and the stop scales with f.
     """
+    _refuse_trivial(f)
     lattice = Lattice(rasterize(spec, h))
 
     # The Laplacian factor dies with the warm start, before Newton factors.

@@ -143,6 +143,8 @@ def _reflect(c: np.ndarray, tau: np.ndarray, u: np.ndarray) -> None:
         row -= np.multiply(ui, d, out=tmp)
 
 
+# A scale near the float limit overflows a; the campaign's range check names it.
+@np.errstate(over="ignore", invalid="ignore")
 def _sample_chunk(seed: int, dim: int, sign: str, scale: float, chunk: int,
                   lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Samples lo..hi-1 of chunk `chunk`; the chunk's draws are made in full."""
@@ -152,7 +154,8 @@ def _sample_chunk(seed: int, dim: int, sign: str, scale: float, chunk: int,
     if sign == "indefinite":
         g = rng.standard_normal((size, dim, dim))[lo:hi]
         a = 0.5 * scale * (g + g.transpose(0, 2, 1))
-        lam, q = np.linalg.eigh(a)
+        # eigh fails a whole batch on one non-finite matrix, which the campaign refuses anyway.
+        lam, q = np.linalg.eigh(np.nan_to_num(a, posinf=0.0, neginf=0.0))
     else:
         lam = rng.uniform(0.0, scale, size=(size, dim))[lo:hi]
         wipe = (rng.uniform(size=size) < ZERO_EIGENVALUE_PROB)[lo:hi]

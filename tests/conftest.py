@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 
 from hess2.analysis import (
-    PFunctionSpec,
     bounds_report,
     convexity_scan_solution,
     pfunction_field,
@@ -72,7 +71,7 @@ def cached_eigen(radius: float = 1.0, nodes: int = 1024):
 def audit_bounds(sol, f, application: int, p=None, gamma: float = 1.0):
     """The bound report `hess2 verify` prints: the alpha = 1 field at gamma,
     audited with the scan of the application's transform."""
-    pf = pfunction_field(sol, f, PFunctionSpec(alpha=1.0, gamma=gamma))
+    pf = pfunction_field(sol, f, gamma)
     scan = convexity_scan_solution(sol, transform_preset(application, p))
     return bounds_report(pf, scan, f, application)
 

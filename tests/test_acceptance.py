@@ -21,7 +21,6 @@ import pytest
 
 from conftest import audit_bounds, cached_eigen, cached_grid, cached_radial, make_source
 from hess2.analysis import (
-    PFunctionSpec,
     convexity_scan_solution,
     critical_point_report,
     pfunction_field,
@@ -138,9 +137,9 @@ class TestGate06DiskEquality:
     def test_constant_field_and_zero_slack(self):
         h = 1.0 / 64
         sol = cached_grid("disk", "const", h)
-        pf = pfunction_field(sol, make_source("const"), PFunctionSpec(alpha=1.0))
-        variation = max(float(np.max(np.abs(pf.phi - 1.0))),
-                        float(np.max(np.abs(pf.boundary_phi - 1.0))))
+        pf = pfunction_field(sol, make_source("const"))
+        variation = max(float(np.max(np.abs(pf.phi(1.0) - 1.0))),
+                        float(np.max(np.abs(pf.boundary_grad_sq - 1.0))))
         rep = audit_bounds(sol, make_source("const"), 1)
         _gate("G06 disk equality case",
               variation <= 5.0 * h * h and abs(rep.slack) <= 5.0 * h * h,
@@ -150,9 +149,8 @@ class TestGate06DiskEquality:
 class TestGate07ConstantFieldAnchor:
     def test_critical_alpha_gives_constant_field(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"),
-                             PFunctionSpec(alpha=1.0 / SQRT3))
-        variation = float(np.max(pf.phi) - np.min(pf.phi))
+        phi = pfunction_field(prof, make_source("const")).phi(1.0 / SQRT3)
+        variation = float(np.max(phi) - np.min(phi))
         _gate("G07 constant-field anchor", variation <= 1e-6,
               f"sup variation {variation:.2e} at alpha = 3^(-1/2)")
 
@@ -174,9 +172,9 @@ class TestGate08MinimumPrincipleSuite:
             if not scan.convex:
                 failures.append((dom, fkey, "convexity"))
                 continue
+            pf = pfunction_field(sol, f)
             for alpha in self.ALPHAS:
-                pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-                verdict = verify_principle(pf, "min")
+                verdict = verify_principle(pf, alpha, "min")
                 if not verdict.holds:
                     failures.append((dom, fkey, alpha, verdict.margin))
         elapsed = time.time() - start
@@ -189,8 +187,7 @@ class TestGate08MinimumPrincipleSuite:
 class TestGate09PlanarAlphaGrids:
     def _verdict(self, sol, fkey, alpha, mode):
         f = make_source(fkey)
-        pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-        return verify_principle(pf, mode)
+        return verify_principle(pfunction_field(sol, f), alpha, mode)
 
     def test_maximum_grid_nondecreasing(self):
         bad = []

@@ -15,7 +15,6 @@ from conftest import (
 )
 from hess2.analysis import (
     PFunctionField,
-    PFunctionSpec,
     boundary_gradient_samples,
     bounds_report,
     convexity_scan_solution,
@@ -71,44 +70,38 @@ class TestSourceIntegral:
                                                  r"gamma = 1: the integral overflows"):
             source_integral(f, 1.0, np.array(u))
 
-    def test_gamma_validation(self):
-        with pytest.raises(InputError):
-            PFunctionSpec(alpha=1.0, gamma=0.75)
-        # A replaced spec is checked as a new one is.
-        with pytest.raises(InputError):
-            PFunctionSpec(alpha=1.0)._replace(gamma=0.75)
-        with pytest.raises(InputError):
-            PFunctionSpec(alpha=1.0)._replace(alpha=float("inf"))
-
 
 class TestPFunctionField:
+    def test_gamma_refused_where_the_field_is_built(self):
+        prof = cached_radial(3, "const")
+        with pytest.raises(InputError, match=r"^gamma must be one of \(0\.5, 1\.0\)$"):
+            pfunction_field(prof, make_source("const"), 0.75)
+
     def test_radial_closed_form(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=1.0))
+        pf = pfunction_field(prof, make_source("const"))
         exact = prof.r**2 / 3.0 + (1.0 - prof.r**2) / SQRT3
-        assert np.max(np.abs(pf.phi - exact)) <= 1e-10
-        assert pf.phi[0] == pytest.approx(1.0 / SQRT3, abs=1e-10)
-        assert pf.boundary_phi[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert np.max(np.abs(pf.phi(1.0) - exact)) <= 1e-10
+        assert pf.phi(1.0)[0] == pytest.approx(1.0 / SQRT3, abs=1e-10)
+        assert pf.boundary_grad_sq[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_radial_critical_alpha_constant(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"),
-                             PFunctionSpec(alpha=1.0 / SQRT3))
-        assert np.max(pf.phi) - np.min(pf.phi) <= 1e-6
+        pf = pfunction_field(prof, make_source("const"))
+        assert np.max(pf.phi(1.0 / SQRT3)) - np.min(pf.phi(1.0 / SQRT3)) <= 1e-6
 
     def test_disk_equality_case(self):
         sol = cached_grid("disk", "const", 1.0 / 64)
-        pf = pfunction_field(sol, make_source("const"), PFunctionSpec(alpha=1.0))
-        assert np.max(np.abs(pf.phi - 1.0)) <= 5.0 * (1.0 / 64) ** 2
-        assert np.max(np.abs(pf.boundary_phi - 1.0)) <= 5.0 * (1.0 / 64) ** 2
+        pf = pfunction_field(sol, make_source("const"))
+        assert np.max(np.abs(pf.phi(1.0) - 1.0)) <= 5.0 * (1.0 / 64) ** 2
+        assert np.max(np.abs(pf.boundary_grad_sq - 1.0)) <= 5.0 * (1.0 / 64) ** 2
 
     def test_alpha_monotone_structure(self):
         prof = cached_radial(3, "exp-dec")
         f = make_source("exp-dec")
-        pf1 = pfunction_field(prof, f, PFunctionSpec(alpha=1.0))
-        pf2 = pfunction_field(prof, f, PFunctionSpec(alpha=2.5))
-        diff = pf2.phi - pf1.phi
-        expect = 2.0 * (2.5 - 1.0) * pf1.integral
+        pf = pfunction_field(prof, f)
+        diff = pf.phi(2.5) - pf.phi(1.0)
+        expect = 2.0 * (2.5 - 1.0) * pf.integral
         np.testing.assert_allclose(diff, expect, rtol=1e-12, atol=1e-14)
         assert np.all(diff >= -1e-14)
 
@@ -130,31 +123,30 @@ class TestBoundaryGradient:
 class TestVerifyPrinciple:
     def test_radial_minimum_on_boundary(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=1.0))
-        v = verify_principle(pf, "min")
+        pf = pfunction_field(prof, make_source("const"))
+        v = verify_principle(pf, 1.0, "min")
         assert v.holds
         assert v.boundary_extreme == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert v.distance_argextreme_to_boundary == 0.0
 
     def test_constant_field_holds_both_modes(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"),
-                             PFunctionSpec(alpha=1.0 / SQRT3))
-        assert verify_principle(pf, "min").holds
-        assert verify_principle(pf, "max").holds
+        pf = pfunction_field(prof, make_source("const"))
+        assert verify_principle(pf, 1.0 / SQRT3, "min").holds
+        assert verify_principle(pf, 1.0 / SQRT3, "max").holds
 
     def test_synthetic_interior_extreme(self):
         # phi = -r^2 on [0, 1]: minimum on the boundary, maximum inside.
         r = np.linspace(0.0, 1.0, 101)
         interior = np.ones_like(r, dtype=bool)
         interior[-1] = False
-        pf = PFunctionField(alpha=0.0, gamma=0.5, h=0.01, positions=r[:, None], grad_sq=-r**2,
+        pf = PFunctionField(gamma=0.5, h=0.01, positions=r[:, None], grad_sq=-r**2,
                             integral=np.zeros_like(r), interior=interior,
                             boundary_positions=np.array([[1.0]]),
                             boundary_grad_sq=np.array([-1.0]),
                             distance_to_boundary=lambda pts: 1.0 - np.abs(pts[:, 0]))
-        assert verify_principle(pf, "min").holds
-        vmax = verify_principle(pf, "max")
+        assert verify_principle(pf, 0.0, "min").holds
+        vmax = verify_principle(pf, 0.0, "max")
         assert not vmax.holds
         assert vmax.distance_argextreme_to_boundary == pytest.approx(1.0)
 
@@ -163,30 +155,32 @@ class TestVerifyPrinciple:
         # 2 alpha overflows: the field is +-inf inside and NaN at the boundary
         # node, computed without a warning, and no vacuous verdict is given.
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=alpha))
-        assert not np.any(np.isfinite(pf.phi[pf.interior]))
+        pf = pfunction_field(prof, make_source("const"))
+        assert not np.any(np.isfinite(pf.phi(alpha)[pf.interior]))
         for mode in ("min", "max"):
             with pytest.raises(NumericalError, match="^" + re.escape(
                     f"P-function at alpha = {alpha:g}, gamma = 0.5 is not finite")):
-                verify_principle(pf, mode)
+                verify_principle(pf, alpha, mode)
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_alpha_refused_where_the_verdict_uses_it(self, alpha):
+        pf = pfunction_field(cached_radial(3, "const"), make_source("const"))
+        with pytest.raises(InputError, match="^alpha must be finite$"):
+            verify_principle(pf, alpha, "min")
 
     def test_mode_validation(self):
         prof = cached_radial(3, "const")
-        pf = pfunction_field(prof, make_source("const"), PFunctionSpec(alpha=1.0))
+        pf = pfunction_field(prof, make_source("const"))
         with pytest.raises(InputError):
-            verify_principle(pf, "saddle")
+            verify_principle(pf, 1.0, "saddle")
 
 
 class TestAlphaGrids:
     """Planar verdict grids measured on the solved unit disk."""
 
     def _margins(self, sol, fkey, alphas, mode):
-        f = make_source(fkey)
-        out = {}
-        for alpha in alphas:
-            pf = pfunction_field(sol, f, PFunctionSpec(alpha=alpha))
-            out[alpha] = verify_principle(pf, mode)
-        return out
+        pf = pfunction_field(sol, make_source(fkey))
+        return {alpha: verify_principle(pf, alpha, mode) for alpha in alphas}
 
     def test_max_mode_nondecreasing_sources(self):
         for fkey in ("const", "exp-inc"):
@@ -218,8 +212,8 @@ class TestAlphaGrids:
         for fkey in ("const", "exp-inc"):
             prof = cached_radial(3, fkey)
             f = make_source(fkey)
-            pf = pfunction_field(prof, f, PFunctionSpec(alpha=alpha_star))
-            assert verify_principle(pf, "max").holds
+            pf = pfunction_field(prof, f)
+            assert verify_principle(pf, alpha_star, "max").holds
 
 
 class TestTransformPreset:
@@ -374,7 +368,7 @@ class TestBoundsReports:
 
     def test_nonconvex_scan_fails_hypothesis(self):
         prof, f = cached_radial(3, "const"), make_source("const")
-        pf = pfunction_field(prof, f, PFunctionSpec(alpha=1.0))
+        pf = pfunction_field(prof, f)
         scan = ConvexityReport(transform_name="-sqrt(-t)", n_points=1, min_eigenvalue=-1.0,
                                argmin_point=np.zeros(1), convex=False, tolerance=1e-9)
         rep = bounds_report(pf, scan, f, 1)
@@ -384,7 +378,7 @@ class TestBoundsReports:
 
     def test_nondecreasing_source_fails_hypothesis(self):
         prof, f = cached_radial(3, "exp-inc"), make_source("exp-inc")
-        pf = pfunction_field(prof, f, PFunctionSpec(alpha=1.0))
+        pf = pfunction_field(prof, f)
         scan = convexity_scan_solution(prof, transform_preset(1))
         assert scan.convex and not f.nonincreasing
         rep = bounds_report(pf, scan, f, 1)
@@ -394,11 +388,11 @@ class TestBoundsReports:
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_overflowing_alpha_one_field_refused(self, alpha):
         # The gamma = 1 integral, 1.1e308, is finite; twice it, lhs and the
-        # alpha = 1 field, is not.  An alpha = 0.5 field stays finite, yet its
+        # alpha = 1 field, is not.  An alpha = 0.5 field stays finite, yet the
         # bound reads the alpha = 1 field, so no vacuous slack of +inf is given.
         prof, f = cached_radial(3, "const:7e205", nodes=64), make_source("const:7e205")
-        pf = pfunction_field(prof, f, PFunctionSpec(alpha=alpha, gamma=1.0))
-        assert np.all(np.isfinite(pf.phi)) == (alpha == 0.5)
+        pf = pfunction_field(prof, f, 1.0)
+        assert np.all(np.isfinite(pf.phi(alpha))) == (alpha == 0.5)
         with pytest.raises(NumericalError, match="^" + re.escape(
                 "P-function at alpha = 1, gamma = 1 is not finite")):
             bounds_report(pf, convexity_scan_solution(prof, transform_preset(1)), f, 1)

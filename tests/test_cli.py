@@ -888,6 +888,32 @@ class TestVerifyCommand:
         assert printed.out.count("\n") == 1 and printed.err == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--alpha", "1", "--alpha", "inf"], "input error: alpha must be finite\n"),
+        (["--gamma", "0.75"], "input error: gamma must be one of (0.5, 1.0)\n"),
+    ], ids=["alpha-inf", "gamma-unsupported"])
+    def test_bad_alpha_or_gamma_refused_before_the_solve(self, tmp_path, monkeypatch,
+                                                         capsys, flags, line):
+        for name in ("solve_radial", "solve_grid2d"):
+            monkeypatch.setattr(solver, name, None)
+        out = tmp_path / "bad"
+        assert main(["verify", "--app", "1", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "1.5", "--radius", "64"], ["--p", "1.5", "--radius", "128"],
+        ["--p", "1.9", "--radius", "10"], ["--p", "0.5", "--radius", "1000"],
+        ["--grid2d", "--p", "1.5", "--domain", "disk:100", "--h", "6.25"],
+    ], ids=["p1.5-R64", "p1.5-R128", "p1.9-R10", "p0.5-R1000", "grid2d-p1.5-R100"])
+    def test_application3_off_the_unit_ball_reports(self, tmp_path, capsys, flags):
+        # The source integral's absolute floor scales with u and f: at these
+        # sizes a fixed floor of 1e-16 left the quadrature unconverged.
+        out = tmp_path / "v3"
+        assert main(["verify", "--app", "3", *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["all_hold"]
+        assert "holds=False" not in capsys.readouterr().out
+
     def test_application2_eigen_flag(self, tmp_path, capsys):
         # --eigen names application 2's own mode, as its report records it.
         runs = [tmp_path / "plain", tmp_path / "flag"]
@@ -986,6 +1012,8 @@ class TestCampaignScanVerifyInputs:
         ["identity-scan", "--count", "10", "--seed", "-1"],
         ["ineq", "--count", "5", "--scale", "1e200"],
         ["ineq", "--count", "5", "--sign", "indefinite", "--scale", "1e200"],
+        ["ineq", "--count", "100", "--no-records", "--scale", "1e308"],
+        ["ineq", "--count", "100", "--dims", "4", "--sign", "indefinite", "--scale", "1e308"],
         ["ineq", "--count", "10", "--dims", "2,3,2"],
         ["ineq", "--count", "20000", "--dims", "2..9"],
         ["ineq", "--count", "10", "--dims", "1,2"],
@@ -995,6 +1023,7 @@ class TestCampaignScanVerifyInputs:
     ], ids=["dims-not-a-number", "dims-empty-range", "scale-nan", "scan-zero-count",
             "verify-alpha-nan", "verify-gamma-unsupported", "ineq-seed-negative",
             "scan-seed-negative", "scale-overflows", "scale-overflows-indefinite",
+            "draws-overflow", "draws-overflow-indefinite",
             "dims-repeated", "dims-above-max", "dims-below-two", "scale-underflows",
             "scale-underflows-negative", "verify-app1-eigen"])
     def test_bad_input_exits_two(self, tmp_path, capsys, argv):
@@ -1279,9 +1308,10 @@ class TestRowWriter:
         assert path.read_text().startswith("# 0,nan,inf,-inf,-0.0,0.0,5e-324,1e+16,1e-05,3.0,")
 
     @staticmethod
-    def _profile_reference(names, columns, pf_list):
-        header = f"# {names}" + "".join(f" phi_a{pf.alpha:g}_g{pf.gamma:g}" for pf in pf_list)
-        columns = [*columns, *(pf.phi for pf in pf_list)]
+    def _profile_reference(names, columns, fields):
+        header = f"# {names}" + "".join(f" phi_a{alpha:g}_g{pf.gamma:g}"
+                                        for alpha, pf in fields)
+        columns = [*columns, *(pf.phi(alpha) for alpha, pf in fields)]
         return header + "\n" + "".join(" ".join(repr(float(c[i])) for c in columns) + "\n"
                                        for i in range(len(columns[0])))
 
@@ -1294,26 +1324,27 @@ class TestRowWriter:
         signed = np.resize([0.0, -0.0, np.nan, -0.0, np.inf, 0.0, -np.inf, 5e-324, -0.0], rows)
         assert not xy[:, 0].flags.c_contiguous
         sol = SimpleNamespace(profile_columns=lambda: ("x y u", [xy[:, 0], xy[:, 1], u]))
-        pf_list = [SimpleNamespace(alpha=1.0, gamma=0.5, phi=signed),
-                   SimpleNamespace(alpha=0.5, gamma=1.0, phi=-signed)]
+        fields = [(1.0, SimpleNamespace(gamma=0.5, phi=lambda alpha: signed)),
+                  (0.5, SimpleNamespace(gamma=1.0, phi=lambda alpha: -signed))]
         path = tmp_path / "profile.dat"
-        cli._write_profile_data(sol, path, pf_list)
+        cli._write_profile_data(sol, path, fields)
         text = path.read_text()
-        assert text == self._profile_reference("x y u", [xy[:, 0], xy[:, 1], u], pf_list)
+        assert text == self._profile_reference("x y u", [xy[:, 0], xy[:, 1], u], fields)
         assert " -0.0 0.0\n" in text and " 0.0 -0.0\n" in text
 
     @pytest.mark.parametrize("domain, source", [("disk:1", "const:1"), ("ellipse:2,1", "exp-dec")])
     def test_profile_data_of_a_lattice_solve(self, tmp_path, domain, source):
-        # The P-function list `verify` builds: gamma 1/2 and 1, alpha 1 and 0.5.
+        # The P-function columns `verify` writes: gamma 1/2 and 1, alpha 1 and 0.5.
         f = parse_source(source)
         sol = solver.solve_grid2d(parse_domain(domain), f, 1.0 / 16)
-        pf_list = [] if domain == "disk:1" else [
-            analysis.pfunction_field(sol, f, analysis.PFunctionSpec(alpha=alpha, gamma=gamma))
-            for gamma in analysis.GAMMA_CHOICES for alpha in (1.0, 0.5)]
+        fields = [] if domain == "disk:1" else [
+            (alpha, pf) for pf in (analysis.pfunction_field(sol, f, gamma)
+                                   for gamma in analysis.GAMMA_CHOICES)
+            for alpha in (1.0, 0.5)]
         path = tmp_path / "profile.dat"
-        cli._write_profile_data(sol, path, pf_list)
+        cli._write_profile_data(sol, path, fields)
         names, columns = sol.profile_columns()
-        assert path.read_text() == self._profile_reference(names, columns, pf_list)
+        assert path.read_text() == self._profile_reference(names, columns, fields)
 
 
 class TestIdentityScanCommand:

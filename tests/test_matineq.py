@@ -478,6 +478,15 @@ class TestCampaigns:
             comatrix_inequality(1e200 * np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4))
 
     @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
+    def test_overflowing_draws_rejected_without_a_warning(self, sign):
+        # At 1e308 the drawn matrices themselves overflow: the range rules name
+        # it, no numpy warning escapes the sampler (the suite makes one an error),
+        # and an indefinite draw's eigensolver does not fail the batch.
+        assert not np.all(np.isfinite(sample_batch(1, 4, sign, 1e308, 100)[0]))
+        with pytest.raises(InputError, match="overflows"):
+            inequality_campaign(seed=1, dims=(4,), count=100, sign=sign, scale=1e308)
+
+    @pytest.mark.parametrize("sign", ["positive", "negative", "indefinite"])
     def test_underflowing_scale_rejected(self, sign):
         # At 1e-200 every |A|_F^3 |v|^2 underflows to zero, so every residual
         # and its discrepancy would read 0 and every check would pass, on the

@@ -7,7 +7,7 @@ from hess2 import _quad, analysis
 from hess2._quad import cumulative_quartic, forward_first_derivative
 from hess2.analysis import source_integral
 from hess2.errors import InputError, NumericalError
-from hess2.solver import SourceTerm
+from hess2.solver import SourceTerm, power_source
 
 
 class TestCumulativeQuartic:
@@ -100,14 +100,19 @@ def _simpson_rec(func, a, b, fa, fm, fb, whole, rtol, atol, depth):
             + _simpson_rec(func, m, b, fm, frm, fb, right, rtol, atol, depth - 1))
 
 
-def loop_source_integral(integrand, u):
-    """Reference: one recursive quadrature per distinct value, accumulated from zero down."""
+def loop_source_integral(func, u):
+    """Reference: one recursive quadrature of array `func` per distinct value,
+    accumulated from zero down, under the absolute floor 1e-16 (-min u) max func
+    over the distinct values and 0."""
     flat = np.minimum(np.asarray(u, dtype=float), 0.0).ravel()
+    values = np.unique(flat)   # the array source_integral evaluates, so the floors agree
+    atol = 1e-16 * -np.min(values, initial=0.0) * np.max(func(np.append(values, 0.0)))
+    integrand = _scalar(func)
     out = np.empty_like(flat)
     acc, prev = 0.0, 0.0
     for idx in np.argsort(flat)[::-1]:
         if flat[idx] < prev:
-            acc += recursive_simpson(integrand, flat[idx], prev, rtol=1e-10, atol=1e-16)
+            acc += recursive_simpson(integrand, flat[idx], prev, rtol=1e-10, atol=atol)
             prev = flat[idx]
         out[idx] = acc
     return out.reshape(np.shape(u))
@@ -154,9 +159,22 @@ class TestBatchedSimpson:
         rng = np.random.default_rng(3)
         u = np.round(-1.5 * rng.random((40, 30)), 3)   # repeated values and zeros
         u[0, :4] = 0.0
-        want = loop_source_integral(_scalar(_integrand(key, gamma)), u)
+        want = loop_source_integral(_integrand(key, gamma), u)
         got = source_integral(make_source(key), gamma, u)
         assert got.shape == u.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.5, 1.5, 1.9])
+    def test_power_source_integral_rescales(self, p, gamma):
+        # int_{cu}^0 ((-s)^p)^gamma ds = c^(p gamma + 1) int_u^0 for c = 2^k: the
+        # absolute floor scales with u and f, so every length scale is resolved alike.
+        f = power_source(1.0, p)
+        u = np.append(-np.random.default_rng(7).random(200), 0.0)
+        base = source_integral(f, gamma, u)
+        for k in (-40, -20, 0, 20, 40, 60):
+            got = source_integral(f, gamma, np.ldexp(u, k))
+            np.testing.assert_allclose(got, np.ldexp(base, round(k * (p * gamma + 1.0))),
+                                       rtol=1e-12, atol=0.0, err_msg=f"k = {k}")
 
     def test_zero_length_segments_are_zero(self):
         got = _quad.adaptive_simpson(np.exp, [0.5, -1.0, 2.0, 2.0, -0.0], [0.5, 0.0, 2.0, 3.0, 0.0])

@@ -872,7 +872,11 @@ class TestPowerStart:
             pytest.approx(4.0 ** (2.0 / 3.0), rel=1e-15)
         assert solver._start_laplacian(SQUARE, power_source(8.0, 1.0)) == \
             pytest.approx(8.0 * 4.0 / math.pi, rel=1e-15)
-        assert solver._start_laplacian(ball(1.0), power_source(1.0, 2.5)) == 1.0
+        # A source with f(0) = 0 that is no power source starts from Delta u0 = 1.
+        square = solver.SourceTerm(preset="square", f=lambda t: np.asarray(t, dtype=float) ** 2,
+                                   fprime=lambda t: 2.0 * np.asarray(t, dtype=float),
+                                   nonincreasing=True)
+        assert solver._start_laplacian(ellipse(8.0, 2.0), square) == 1.0
 
     def test_tiny_lam_starts_at_its_scale(self):
         # u scales as lam^(1/(2-p)); from Delta u0 = 1, lam = 1e-20 took 49 steps.
@@ -880,6 +884,31 @@ class TestPowerStart:
         sol = solve_grid2d(ball(1.0), power_source(1e-20, 0.5), 1.0 / 16)
         assert sol.newton_iterations <= base.newton_iterations + 1
         assert sol.u_min == pytest.approx(1e-20 ** (2.0 / 3.0) * base.u_min, rel=1e-12)
+
+
+class TestTrivialSourcesRefused:
+    """Sources whose only solution either solver reaches is u = 0 are refused
+    before any Picard pass runs or any domain is rasterized."""
+
+    @pytest.fixture(autouse=True)
+    def spies(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(solver, "_picard_pass", forbidden)
+        monkeypatch.setattr(solver, "rasterize", forbidden)
+
+    @pytest.mark.parametrize("f, reason", [
+        (eigen_source(7.49), "eigenvalue problem's own source"),
+        (power_source(1.0, 2.0), "eigenvalue problem's own source"),
+        (power_source(1.0, 2.5), "trivial solution u = 0"),
+    ], ids=["eigen", "power2", "power2.5"])
+    @pytest.mark.parametrize("solve", [lambda f: solve_radial(3, 1.0, f),
+                                       lambda f: solve_grid2d(ball(1.0), f, 1.0 / 16)],
+                             ids=["radial", "grid2d"])
+    def test_refused_before_any_work(self, solve, f, reason):
+        with pytest.raises(InputError, match=f"^--f {re.escape(f.label())}.*{reason}"):
+            solve(f)
 
 
 class TestOperators:
